@@ -1,7 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (Section 4). Each benchmark runs the corresponding experiment
-// suite through the harness and prints the report rows; EXPERIMENTS.md
-// records paper-vs-measured for each artifact. Run with:
+// suite through the harness and prints the report rows. Run with:
 //
 //	go test -bench=. -benchmem
 package graphalytics_test
@@ -36,10 +35,12 @@ const benchSLA = time.Minute
 // that do not sweep threads.
 const benchThreads = 4
 
-func newBenchRunner() *graphalytics.Runner {
-	r := graphalytics.NewRunner()
-	r.SLA = benchSLA
-	return r
+// newBenchSession returns a sequential session (timing fidelity over
+// sweep throughput) under the benchmark SLA.
+func newBenchSession(opts ...graphalytics.Option) *graphalytics.Session {
+	return graphalytics.NewSession(append([]graphalytics.Option{
+		graphalytics.WithSLA(benchSLA), graphalytics.WithParallelism(1),
+	}, opts...)...)
 }
 
 var printed sync.Map
@@ -110,8 +111,8 @@ func BenchmarkTable4SyntheticDatasets(b *testing.B) {
 // every dataset up to class L, single machine, all platforms.
 func BenchmarkFig4DatasetVariety(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		rep, err := graphalytics.DatasetVariety(r, graphalytics.SingleMachinePlatforms(), benchThreads)
+		s := newBenchSession()
+		rep, err := s.DatasetVariety(context.Background(), graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), Threads: benchThreads})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,11 +124,11 @@ func BenchmarkFig4DatasetVariety(b *testing.B) {
 // derived from dataset-variety runs.
 func BenchmarkFig5Throughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		if _, err := graphalytics.DatasetVariety(r, graphalytics.SingleMachinePlatforms(), benchThreads); err != nil {
+		s := newBenchSession()
+		if _, err := s.DatasetVariety(context.Background(), graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), Threads: benchThreads}); err != nil {
 			b.Fatal(err)
 		}
-		printReport(graphalytics.ThroughputReport(r.DB, graphalytics.SingleMachinePlatforms()))
+		printReport(s.ThroughputReport(graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms()}))
 	}
 }
 
@@ -135,8 +136,8 @@ func BenchmarkFig5Throughput(b *testing.B) {
 // BFS on D300.
 func BenchmarkTable8Makespan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		rep, err := graphalytics.MakespanBreakdown(r, graphalytics.SingleMachinePlatforms(), benchThreads)
+		s := newBenchSession()
+		rep, err := s.MakespanBreakdown(context.Background(), graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), Threads: benchThreads})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -148,8 +149,8 @@ func BenchmarkTable8Makespan(b *testing.B) {
 // on R4(S) and D300(L).
 func BenchmarkFig6AlgorithmVariety(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		rep, err := graphalytics.AlgorithmVariety(r, graphalytics.SingleMachinePlatforms(), benchThreads)
+		s := newBenchSession()
+		rep, err := s.AlgorithmVariety(context.Background(), graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), Threads: benchThreads})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,13 +162,13 @@ func BenchmarkFig6AlgorithmVariety(b *testing.B) {
 // threads, 1..32) and Table 9 (maximum speedup) in one sweep.
 func BenchmarkFig7VerticalScalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		rep, err := graphalytics.VerticalScalability(r, graphalytics.SingleMachinePlatforms(), []int{1, 2, 4, 8, 16, 32})
+		s := newBenchSession()
+		rep, err := s.VerticalScalability(context.Background(), graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), ThreadSweep: []int{1, 2, 4, 8, 16, 32}})
 		if err != nil {
 			b.Fatal(err)
 		}
 		printReport(rep)
-		printReport(graphalytics.VerticalSpeedupReport(r.DB, graphalytics.SingleMachinePlatforms()))
+		printReport(s.VerticalSpeedupReport(graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms()}))
 	}
 }
 
@@ -175,11 +176,11 @@ func BenchmarkFig7VerticalScalability(b *testing.B) {
 // thread sweep, for quick runs.
 func BenchmarkTable9VerticalSpeedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		if _, err := graphalytics.VerticalScalability(r, graphalytics.SingleMachinePlatforms(), []int{1, 8}); err != nil {
+		s := newBenchSession()
+		if _, err := s.VerticalScalability(context.Background(), graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), ThreadSweep: []int{1, 8}}); err != nil {
 			b.Fatal(err)
 		}
-		rep := graphalytics.VerticalSpeedupReport(r.DB, graphalytics.SingleMachinePlatforms())
+		rep := s.VerticalSpeedupReport(graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms()})
 		rep.Title += " (reduced sweep: 1 vs 8 threads)"
 		printReport(rep)
 	}
@@ -189,8 +190,8 @@ func BenchmarkTable9VerticalSpeedup(b *testing.B) {
 // D1000(XL) for the distributed platforms.
 func BenchmarkFig8StrongScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		rep, err := graphalytics.StrongScaling(r, graphalytics.DistributedPlatforms(), []int{1, 2, 4, 8, 16}, 2)
+		s := newBenchSession()
+		rep, err := s.StrongScaling(context.Background(), graphalytics.ExperimentConfig{Platforms: graphalytics.DistributedPlatforms(), MachineSweep: []int{1, 2, 4, 8, 16}, Threads: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -202,8 +203,8 @@ func BenchmarkFig8StrongScaling(b *testing.B) {
 // machine counts growing in step with dataset size.
 func BenchmarkFig9WeakScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		rep, err := graphalytics.WeakScaling(r, graphalytics.DistributedPlatforms(), graphalytics.DefaultWeakPairs(), 2)
+		s := newBenchSession()
+		rep, err := s.WeakScaling(context.Background(), graphalytics.ExperimentConfig{Platforms: graphalytics.DistributedPlatforms(), WeakPairs: graphalytics.DefaultWeakPairs(), Threads: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -216,10 +217,9 @@ func BenchmarkFig9WeakScaling(b *testing.B) {
 func BenchmarkTable10StressTest(b *testing.B) {
 	const budget = 2 << 20 // 2 MiB per simulated machine at 1/10^4 dataset scale
 	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		r.Validate = false // failure probing, not correctness
+		s := newBenchSession(graphalytics.WithValidation(false)) // failure probing, not correctness
 		all := append(graphalytics.SingleMachinePlatforms(), "spmv-d")
-		rep, err := graphalytics.StressTest(r, all, benchThreads, budget)
+		rep, err := s.StressTest(context.Background(), graphalytics.ExperimentConfig{Platforms: all, Threads: benchThreads, MemoryBudget: budget})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,8 +231,11 @@ func BenchmarkTable10StressTest(b *testing.B) {
 // of variation of Tproc over ten BFS runs.
 func BenchmarkTable11Variability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		rep, err := graphalytics.Variability(r, graphalytics.SingleMachinePlatforms(), graphalytics.DistributedPlatforms(), 10, benchThreads)
+		s := newBenchSession()
+		rep, err := s.Variability(context.Background(), graphalytics.ExperimentConfig{
+			SingleMachine: graphalytics.SingleMachinePlatforms(), Distributed: graphalytics.DistributedPlatforms(),
+			Repetitions: 10, Threads: benchThreads,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -434,7 +437,7 @@ func BenchmarkAblationSparseFrontier(b *testing.B) {
 // re-deriving class L from a BFS time budget on the native engine.
 func BenchmarkRenewalProcess(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		class, err := graphalytics.RenewClassL("native", benchThreads, 2*time.Second)
+		class, err := graphalytics.RenewClassL(context.Background(), "native", benchThreads, 2*time.Second)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -476,11 +479,14 @@ func BenchmarkBuilderBuild(b *testing.B) {
 // stand-in: the warm-cache materialization path.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	g, _ := loadBench(b, largestStandIn)
-	var buf bytes.Buffer
-	if err := graph.EncodeSnapshot(&buf, g); err != nil {
+	path := filepath.Join(b.TempDir(), "g.gsnap")
+	if err := graph.WriteSnapshotFile(path, g); err != nil {
 		b.Fatal(err)
 	}
-	raw := buf.Bytes()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.SetBytes(int64(len(raw)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -790,12 +796,12 @@ func BenchmarkRefKernelLCC(b *testing.B) {
 
 // BenchmarkPlanSharedUpload measures what deployment-group upload leasing
 // saves: the canonical algorithm-sweep plan (1 platform x 1 dataset x 5
-// algorithms) on the largest stand-in, executed with one shared upload
-// per deployment (shared) versus one upload per job (perjob, the
-// pre-redesign behavior and RunAll's). The gas engine's vertex-cut upload
-// is the costliest of the six engines, so it bounds the benefit from
-// above among single-deployment sweeps; validation is off so only
-// harness-visible work is timed.
+// algorithms) on the largest stand-in, executed by RunPlan with one shared
+// upload per deployment (shared) versus by RunAll with one upload per job
+// (perjob). The gas engine's vertex-cut upload is the costliest of the
+// six engines, so it bounds the benefit from above among
+// single-deployment sweeps; validation is off so only harness-visible
+// work is timed.
 func BenchmarkPlanSharedUpload(b *testing.B) {
 	if _, err := workload.Load(largestStandIn); err != nil {
 		b.Fatal(err)
@@ -810,20 +816,17 @@ func BenchmarkPlanSharedUpload(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	s := newBenchSession(graphalytics.WithValidation(false))
 	for _, mode := range []struct {
-		name  string
-		share bool
-	}{{"shared", true}, {"perjob", false}} {
+		name string
+		run  func() ([]graphalytics.JobResult, error)
+	}{
+		{"shared", func() ([]graphalytics.JobResult, error) { return s.RunPlan(context.Background(), plan) }},
+		{"perjob", func() ([]graphalytics.JobResult, error) { return s.RunAll(context.Background(), plan.Jobs) }},
+	} {
 		b.Run(mode.name, func(b *testing.B) {
-			s := graphalytics.NewSession(
-				graphalytics.WithValidation(false),
-				graphalytics.WithParallelism(1),
-				graphalytics.WithSLA(benchSLA),
-				graphalytics.WithUploadSharing(mode.share),
-			)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				results, err := s.RunPlan(context.Background(), plan)
+				results, err := mode.run()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -17,8 +17,7 @@ import (
 // jobs with SLA enforcement, single-flighted reference validation, a
 // results database, a bounded-parallelism scheduler (RunAll) and a
 // streaming progress Observer. Construct one with NewSession and
-// functional options; see DESIGN.md for the full API and the migration
-// guide from the deprecated Runner.
+// functional options; see DESIGN.md for the full API.
 type Session = core.Session
 
 // Option configures a Session (or one RunAll batch).
@@ -85,13 +84,6 @@ const (
 	EventDeploymentUploaded  = core.EventDeploymentUploaded
 )
 
-// Runner executes benchmark jobs with SLA enforcement, validation and a
-// results database.
-//
-// Deprecated: use Session via NewSession; Runner remains as a shim for
-// one release. Runner.Session converts existing code incrementally.
-type Runner = core.Runner
-
 // JobSpec is one benchmark job; JobResult one results-database record.
 type (
 	JobSpec   = core.JobSpec
@@ -103,10 +95,6 @@ type Report = core.Report
 
 // ResultsDB is the harness's results database.
 type ResultsDB = core.ResultsDB
-
-// Description is a declarative benchmark description: the job matrix the
-// harness expands and schedules (component 1 of Figure 1).
-type Description = core.Description
 
 // Status classifies the outcome of a job; it is terminal for every
 // defined value (Status.Terminal) and renders via Status.String.
@@ -122,12 +110,6 @@ const (
 	StatusInvalid     = core.StatusInvalid
 	StatusCanceled    = core.StatusCanceled
 )
-
-// NewRunner returns a validating benchmark runner with the default
-// network model and a fresh results database.
-//
-// Deprecated: use NewSession.
-func NewRunner() *Runner { return core.NewRunner() }
 
 // Dataset is one workload catalog entry.
 type Dataset = workload.Dataset
@@ -153,35 +135,14 @@ func SingleMachinePlatforms() []string { return append([]string(nil), platforms.
 // DistributedPlatforms lists the engines used in distributed experiments.
 func DistributedPlatforms() []string { return append([]string(nil), platforms.DistributedSet...) }
 
-// Experiment entry points: each regenerates one paper artifact. The
-// canonical API is the context-first Session methods (s.DatasetVariety,
-// s.AlgorithmVariety, ...); see DESIGN.md's per-experiment index for the
-// artifact mapping. The positional wrappers below are deprecated shims.
-
-// DatasetVariety runs Figure 4 (Tproc of BFS and PR across datasets).
-//
-// Deprecated: use Session.DatasetVariety.
-func DatasetVariety(r *Runner, platformNames []string, threads int) (*Report, error) {
-	return core.DatasetVariety(r, platformNames, threads)
-}
+// Experiments: each paper artifact is regenerated by a context-first
+// Session method (s.DatasetVariety, s.AlgorithmVariety, ...) taking an
+// ExperimentConfig; see DESIGN.md's per-experiment index for the artifact
+// mapping. The functions below derive reports from recorded results.
 
 // ThroughputReport derives Figure 5 (EPS/EVPS) from dataset-variety runs.
 func ThroughputReport(db *ResultsDB, platformNames []string) *Report {
 	return core.ThroughputReport(db, platformNames)
-}
-
-// AlgorithmVariety runs Figure 6 (all algorithms on R4 and D300).
-//
-// Deprecated: use Session.AlgorithmVariety.
-func AlgorithmVariety(r *Runner, platformNames []string, threads int) (*Report, error) {
-	return core.AlgorithmVariety(r, platformNames, threads)
-}
-
-// VerticalScalability runs Figure 7 (Tproc vs. threads).
-//
-// Deprecated: use Session.VerticalScalability.
-func VerticalScalability(r *Runner, platformNames []string, threadSweep []int) (*Report, error) {
-	return core.VerticalScalability(r, platformNames, threadSweep)
 }
 
 // VerticalSpeedupReport derives Table 9 from vertical-scalability runs.
@@ -189,47 +150,11 @@ func VerticalSpeedupReport(db *ResultsDB, platformNames []string) *Report {
 	return core.VerticalSpeedupReport(db, platformNames)
 }
 
-// StrongScaling runs Figure 8 (Tproc vs. machines on D1000).
-//
-// Deprecated: use Session.StrongScaling.
-func StrongScaling(r *Runner, platformNames []string, machineSweep []int, threads int) (*Report, error) {
-	return core.StrongScaling(r, platformNames, machineSweep, threads)
-}
-
 // WeakPair couples a machine count with its Graph500 dataset.
 type WeakPair = core.WeakPair
 
 // DefaultWeakPairs mirrors the paper's weak-scaling series.
 func DefaultWeakPairs() []WeakPair { return core.DefaultWeakPairs() }
-
-// WeakScaling runs Figure 9 (constant per-machine work).
-//
-// Deprecated: use Session.WeakScaling.
-func WeakScaling(r *Runner, platformNames []string, pairs []WeakPair, threads int) (*Report, error) {
-	return core.WeakScaling(r, platformNames, pairs, threads)
-}
-
-// StressTest runs Table 10 (smallest failing dataset per platform under a
-// memory budget).
-//
-// Deprecated: use Session.StressTest.
-func StressTest(r *Runner, platformNames []string, threads int, memoryBudget int64) (*Report, error) {
-	return core.StressTest(r, platformNames, threads, memoryBudget)
-}
-
-// Variability runs Table 11 (mean Tproc and coefficient of variation).
-//
-// Deprecated: use Session.Variability.
-func Variability(r *Runner, singleMachine, distributed []string, n, threads int) (*Report, error) {
-	return core.Variability(r, singleMachine, distributed, n, threads)
-}
-
-// MakespanBreakdown runs Table 8 (Tproc vs. makespan).
-//
-// Deprecated: use Session.MakespanBreakdown.
-func MakespanBreakdown(r *Runner, platformNames []string, threads int) (*Report, error) {
-	return core.MakespanBreakdown(r, platformNames, threads)
-}
 
 // DataGeneration runs Figure 10 (Datagen old vs. new flow and worker
 // scalability).
@@ -263,9 +188,11 @@ func GenerateGraph500(cfg Graph500Config) (*Graph, error) { return graph500.Gene
 // RenewClassL re-derives the benchmark's reference class: the largest
 // class whose graphs all complete BFS within the budget on the given
 // single-machine platform (the renewal process of Section 2.4).
-func RenewClassL(platformName string, threads int, budget time.Duration) (string, error) {
+// Cancelling ctx aborts the BFS in flight and returns an error wrapping
+// ctx.Err().
+func RenewClassL(ctx context.Context, platformName string, threads int, budget time.Duration) (string, error) {
 	timer := func(g *Graph, source int64) (time.Duration, error) {
-		res, err := RunWithBudget(context.Background(), platformName, g, BFS, Params{Source: source},
+		res, err := RunWithBudget(ctx, platformName, g, BFS, Params{Source: source},
 			RunConfig{Threads: threads, Machines: 1}, budget*10)
 		if err != nil {
 			return 0, err

@@ -10,7 +10,7 @@
 //	graphalytics suite -id all -out results.jsonl -parallel 4
 //	graphalytics renewal -budget 2s           # re-derive class L
 //
-// Long-running commands (run, suite, bench) honor Ctrl-C: the first
+// Long-running commands (run, suite, warm, renewal) honor Ctrl-C: the first
 // interrupt cancels the session context, in-flight jobs abort and are
 // marked canceled along with jobs not yet started, and the harness exits
 // promptly.
@@ -57,11 +57,9 @@ func main() {
 	case "warm":
 		err = cmdWarm(ctx, os.Args[2:])
 	case "renewal":
-		err = cmdRenewal(os.Args[2:])
+		err = cmdRenewal(ctx, os.Args[2:])
 	case "validate":
 		err = cmdValidate(os.Args[2:])
-	case "bench":
-		err = cmdBench(ctx, os.Args[2:])
 	case "submit":
 		err = cmdSubmit(ctx, os.Args[2:])
 	case "watch":
@@ -79,7 +77,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: graphalytics <list|run|plan|suite|warm|renewal|validate|bench|submit|watch|archive> [flags]
+	fmt.Fprintln(os.Stderr, `usage: graphalytics <list|run|plan|suite|warm|renewal|validate|submit|watch|archive> [flags]
   list                      print platforms, datasets and the workload survey
   run     -platform -dataset -algorithm [-threads -machines -archive] [-cache-dir DIR] [-mmap]
   run     -spec spec.json [-out results.jsonl] [-parallel N] [-progress] [-cache-dir DIR] [-mmap] [-archive-dir DIR]
@@ -88,7 +86,6 @@ func usage() {
   warm    -cache-dir DIR [-parallel N] [-dataset IDS] [-mmap]   materialize datasets into a snapshot cache
   renewal -budget <duration> [-platform native]
   validate -algorithm <name> -got <file> -want <file>
-  bench   -description <file.json> [-out results.jsonl] [-parallel N] [-progress] [-cache-dir DIR]
   submit  -spec spec.json [-server URL] [-key K] [-watch] [-out results.jsonl]
   watch   -run <id> [-server URL] [-key K] [-out results.jsonl]
   archive verify|head|log|show|commit-bench|report|regress [-dir DIR] ...
@@ -457,59 +454,6 @@ func cmdRun(ctx context.Context, args []string) error {
 	return nil
 }
 
-// cmdBench executes a JSON benchmark description end to end (component 1
-// of the architecture: the declarative input the harness processes).
-func cmdBench(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	descPath := fs.String("description", "", "benchmark description JSON file")
-	out := fs.String("out", "", "write the results database (JSON lines) to this path")
-	parallel := fs.Int("parallel", 1, "concurrent jobs (1 preserves timing fidelity)")
-	progress := fs.Bool("progress", false, "stream per-job progress to stderr")
-	cacheDir := fs.String("cache-dir", "", "load/persist datasets as binary snapshots under this directory")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *descPath == "" {
-		return fmt.Errorf("bench: -description is required")
-	}
-	d, err := core.LoadDescription(*descPath)
-	if err != nil {
-		return err
-	}
-	opts := []graphalytics.Option{graphalytics.WithParallelism(*parallel)}
-	if *progress {
-		opts = append(opts, graphalytics.WithObserver(progressObserver(os.Stderr)))
-	}
-	if *cacheDir != "" {
-		opts = append(opts, graphalytics.WithCacheDir(*cacheDir))
-	}
-	s := graphalytics.NewSession(opts...)
-	results, err := s.RunDescription(ctx, d)
-	if err != nil {
-		return err
-	}
-	ok := 0
-	for _, res := range results {
-		if res.Completed() {
-			ok++
-		}
-		fmt.Printf("%-9s %-10s %-5s %-12s Tproc=%v\n",
-			res.Spec.Platform, res.Spec.Dataset, res.Spec.Algorithm, res.Status, res.ProcessingTime)
-	}
-	fmt.Printf("%d/%d jobs completed\n", ok, len(results))
-	rep := core.AnalysisReport(s.DB())
-	if err := rep.Render(os.Stdout); err != nil {
-		return err
-	}
-	if *out != "" {
-		if err := s.DB().Save(*out); err != nil {
-			return err
-		}
-		fmt.Printf("%d results written to %s\n", s.DB().Len(), *out)
-	}
-	return ctx.Err()
-}
-
 // cmdValidate compares two output files (e.g. a platform's output against
 // a published reference output) under the benchmark's equivalence rules.
 func cmdValidate(args []string) error {
@@ -697,7 +641,7 @@ func cmdWarm(ctx context.Context, args []string) error {
 	return nil
 }
 
-func cmdRenewal(args []string) error {
+func cmdRenewal(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("renewal", flag.ExitOnError)
 	budget := fs.Duration("budget", 2*time.Second, "single-machine BFS time budget")
 	platformName := fs.String("platform", "native", "state-of-the-art platform to measure with")
@@ -705,7 +649,7 @@ func cmdRenewal(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	class, err := graphalytics.RenewClassL(*platformName, *threads, *budget)
+	class, err := graphalytics.RenewClassL(ctx, *platformName, *threads, *budget)
 	if err != nil {
 		return err
 	}

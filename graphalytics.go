@@ -153,14 +153,6 @@ func RunWithBudget(ctx context.Context, platformName string, g *Graph, a Algorit
 	return Run(bctx, platformName, g, a, p, cfg)
 }
 
-// RunWithTimeout is Run with an SLA-style makespan budget.
-//
-// Deprecated: use RunWithBudget, which takes a context, so callers can
-// also cancel the job early; RunWithTimeout cannot be interrupted.
-func RunWithTimeout(platformName string, g *Graph, a Algorithm, p Params, cfg RunConfig, budget time.Duration) (*Result, error) {
-	return RunWithBudget(context.Background(), platformName, g, a, p, cfg, budget)
-}
-
 // Reference computes the reference output that defines correctness for an
 // algorithm on a graph. Reference kernels run in parallel on the shared
 // internal fork-join runtime with automatic worker sizing; the output is

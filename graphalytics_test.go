@@ -2,6 +2,7 @@ package graphalytics_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -58,9 +59,9 @@ func TestFacadeRunUnknownPlatform(t *testing.T) {
 	}
 }
 
-func TestFacadeRunWithTimeout(t *testing.T) {
+func TestFacadeRunWithBudget(t *testing.T) {
 	g := toyGraph(t)
-	res, err := graphalytics.RunWithTimeout("native", g, graphalytics.BFS,
+	res, err := graphalytics.RunWithBudget(context.Background(), "native", g, graphalytics.BFS,
 		graphalytics.Params{Source: 1}, graphalytics.RunConfig{Threads: 1}, time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -198,12 +199,18 @@ func TestFacadeStatusExports(t *testing.T) {
 }
 
 func TestFacadeRenewal(t *testing.T) {
-	class, err := graphalytics.RenewClassL("native", 4, 2*time.Second)
+	class, err := graphalytics.RenewClassL(context.Background(), "native", 4, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if class != "XL" {
 		t.Fatalf("with a generous budget class L should re-derive to XL, got %s", class)
+	}
+	// An interrupted renewal stops at its next BFS and says why.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := graphalytics.RenewClassL(ctx, "native", 4, 2*time.Second); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled renewal: err = %v, want context.Canceled", err)
 	}
 }
 

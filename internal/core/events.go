@@ -10,8 +10,8 @@ import (
 type EventType string
 
 // The event stream: per-job start/finish events, per-experiment phase
-// markers bracketing the jobs of one paper artifact, and dataset
-// materialization events from the graph store.
+// markers bracketing the jobs of one paper artifact, dataset
+// materialization events from the graph store, and upload events.
 const (
 	EventJobStarted         EventType = "job-started"
 	EventJobFinished        EventType = "job-finished"
@@ -23,10 +23,11 @@ const (
 	// generation ("built") — the observable difference between a warmed
 	// harness and one regenerating everything.
 	EventDatasetMaterialized EventType = "dataset-materialized"
-	// EventDeploymentUploaded fires once per deployment group of a
-	// RunPlan execution, when the group's single shared upload completes:
-	// Spec is the job that performed it and Elapsed the upload wall time.
-	// Counting these events counts real uploads.
+	// EventDeploymentUploaded fires when an upload completes — once per
+	// deployment group of a RunPlan, once per job of a RunAll or RunJob
+	// (each job being a deployment of its own): Spec is the job that
+	// performed it and Elapsed the upload wall time. Counting these
+	// events counts real uploads.
 	EventDeploymentUploaded EventType = "deployment-uploaded"
 )
 

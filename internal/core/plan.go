@@ -166,10 +166,9 @@ func CompileSpec(spec BenchSpec, load func(workload.Dataset) (*graph.Graph, erro
 
 // PlanFromSpecs builds a plan from an explicit job list, preserving the
 // given order and grouping jobs into deployments by
-// (platform, dataset, config) — the migration path for code that already
-// assembles job matrices (experiment suites, benchmark descriptions):
-// running the plan behaves like Session.RunAll on the same specs, plus
-// shared uploads within each deployment group.
+// (platform, dataset, config) — for code that already assembles job
+// matrices: running the plan behaves like Session.RunAll on the same
+// specs, plus shared uploads within each deployment group.
 func PlanFromSpecs(name string, specs []JobSpec) *Plan {
 	if name == "" {
 		name = "bench"
@@ -179,6 +178,19 @@ func PlanFromSpecs(name string, specs []JobSpec) *Plan {
 		b.add(spec)
 	}
 	return b.plan
+}
+
+// singletonPlan is the plan Session.RunAll executes: every job is a
+// deployment of its own, so each performs (and frees) its own upload and
+// the jobs schedule independently.
+func singletonPlan(name string, specs []JobSpec) *Plan {
+	p := &Plan{Name: name, Jobs: specs, Deployments: make([]Deployment, len(specs))}
+	for i, spec := range specs {
+		p.Deployments[i] = Deployment{
+			Platform: spec.Platform, Dataset: spec.Dataset, Config: resourceOf(spec), Jobs: []int{i},
+		}
+	}
+	return p
 }
 
 // check verifies the deployment groups reference every job exactly once.
@@ -277,6 +289,14 @@ type uploadLease struct {
 	err  error
 }
 
+// newUploadLease returns a lease pre-charged with one reference per job of
+// its group, so cancelled jobs release references they never used.
+func newUploadLease(jobs int) *uploadLease {
+	l := &uploadLease{}
+	l.refs.Store(int32(jobs))
+	return l
+}
+
 // upload returns the group's uploaded handle, running do at most once;
 // shared reports whether this call reused an upload performed by another
 // job (false exactly once per group, for the job that paid for it).
@@ -310,13 +330,12 @@ func (l *uploadLease) release() {
 // counters), while distinct deployments overlap up to WithParallelism.
 // Each job's UploadTime records the group's real upload and UploadShared
 // whether it was amortized; SLA accounting charges the recorded upload
-// against every job's budget, so statuses match a per-job-upload run.
-// Results commit to the results database and the session's sinks in plan
-// order. Per-call options override session settings for this plan only;
-// WithUploadSharing(false) restores per-job uploads and per-job
-// scheduling (the RunAll-equivalent measurement baseline). Cancellation
-// behaves like RunAll: in-flight jobs abort and leases still drain,
-// freeing every performed upload exactly once.
+// against every job's budget, so statuses match a per-job-upload run
+// (RunAll). Results commit to the results database and the session's
+// sinks in plan order. Per-call options override session settings for
+// this plan only. Cancelling ctx interrupts in-flight jobs and marks the
+// rest StatusCanceled; leases still drain, freeing every performed upload
+// exactly once.
 func (s *Session) RunPlan(ctx context.Context, p *Plan, opts ...Option) ([]JobResult, error) {
 	if err := p.check(); err != nil {
 		return nil, err
@@ -335,7 +354,6 @@ func (s *Session) RunPlan(ctx context.Context, p *Plan, opts ...Option) ([]JobRe
 		// rendered "sla:" line and the executed budget never disagree.
 		batch.cfg.sla = time.Duration(p.SLA)
 	}
-	cfg := batch.cfg
 
 	results := make([]JobResult, len(p.Jobs))
 	errs := make([]error, len(p.Jobs))
@@ -358,75 +376,36 @@ func (s *Session) RunPlan(ctx context.Context, p *Plan, opts ...Option) ([]JobRe
 		}
 	}
 
-	runJob := func(ji int, lease *uploadLease) {
-		results[ji], errs[ji] = batch.execute(ctx, p.Jobs[ji], batchPos{index: ji, total: len(p.Jobs)}, lease)
-		if lease != nil {
-			lease.release()
-		}
-		commit(ji)
-	}
-
-	workers := cfg.parallelism
+	// The deployment is the work unit. A group's jobs run sequentially, in
+	// plan order, on the worker that claimed the group — the shared handle
+	// (cluster counters, per-upload engine arenas) is never used by two
+	// jobs at once — while distinct deployments run concurrently.
+	workers := batch.cfg.parallelism
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, len(p.Deployments))
+	groups := make(chan int)
 	var wg sync.WaitGroup
-	if cfg.shareUploads {
-		// Shared uploads: the deployment is the work unit. A group's jobs
-		// run sequentially, in plan order, on the worker that claimed the
-		// group — the shared handle (cluster counters, per-upload engine
-		// arenas) is never used by two jobs at once — while distinct
-		// deployments run concurrently. One lease per group, pre-charged
-		// with the group size so cancelled jobs release references they
-		// never used and the last release frees the upload.
-		if workers > len(p.Deployments) {
-			workers = len(p.Deployments)
-		}
-		if workers < 1 {
-			workers = 1
-		}
-		groups := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for gi := range groups {
-					dep := p.Deployments[gi]
-					lease := &uploadLease{}
-					lease.refs.Store(int32(len(dep.Jobs)))
-					for _, ji := range dep.Jobs {
-						runJob(ji, lease)
-					}
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for gi := range groups {
+				dep := p.Deployments[gi]
+				lease := newUploadLease(len(dep.Jobs))
+				for _, ji := range dep.Jobs {
+					results[ji], errs[ji] = batch.execute(ctx, p.Jobs[ji], batchPos{index: ji, total: len(p.Jobs)}, lease)
+					lease.release()
+					commit(ji)
 				}
-			}()
-		}
-		for gi := range p.Deployments {
-			groups <- gi
-		}
-		close(groups)
-	} else {
-		// Per-job uploads: every job is independent, exactly like RunAll.
-		if workers > len(p.Jobs) {
-			workers = len(p.Jobs)
-		}
-		if workers < 1 {
-			workers = 1
-		}
-		indices := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ji := range indices {
-					runJob(ji, nil)
-				}
-			}()
-		}
-		for ji := range p.Jobs {
-			indices <- ji
-		}
-		close(indices)
+			}
+		}()
 	}
+	for gi := range p.Deployments {
+		groups <- gi
+	}
+	close(groups)
 	wg.Wait()
 	return results, errors.Join(append(errs, sinkErrs...)...)
 }

@@ -3,8 +3,6 @@ package core_test
 import (
 	"context"
 	"fmt"
-	"regexp"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -166,12 +164,36 @@ func TestRunPlanSingleUploadPerDeployment(t *testing.T) {
 	}
 }
 
-// TestRunPlanMatchesPerJobUploads runs the same plan with shared and
-// per-job uploads at worker counts 1, 2 and 8 and requires bit-identical
-// statuses and validation outcomes (the timing fields are measurements
-// and may differ). Validation against the single-flighted reference
-// already pins output correctness; TestSharedUploadOutputsBitIdentical
-// pins raw output equality engine by engine.
+// sameOutcomes requires two result lists to agree job by job on spec,
+// status and validation outcome (the timing fields are measurements and
+// may differ).
+func sameOutcomes(t *testing.T, label string, got, want []core.JobResult) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Spec != want[i].Spec {
+			t.Errorf("%s job %d: spec %+v, want %+v", label, i, got[i].Spec, want[i].Spec)
+		}
+		if got[i].Status != want[i].Status {
+			t.Errorf("%s job %d (%s/%s/%s): status %s, per-job-upload status %s",
+				label, i, got[i].Spec.Platform, got[i].Spec.Dataset, got[i].Spec.Algorithm,
+				got[i].Status, want[i].Status)
+		}
+		if got[i].Validated != want[i].Validated || got[i].ValidationOK != want[i].ValidationOK {
+			t.Errorf("%s job %d: validation (%v,%v) vs (%v,%v)", label, i,
+				got[i].Validated, got[i].ValidationOK, want[i].Validated, want[i].ValidationOK)
+		}
+	}
+}
+
+// TestRunPlanMatchesPerJobUploads runs the same jobs through RunPlan
+// (one upload per deployment) and through RunAll (one upload per job) at
+// worker counts 1, 2 and 8 and requires identical statuses and validation
+// outcomes. Validation against the single-flighted reference already pins
+// output correctness; TestSharedUploadOutputsBitIdentical pins raw output
+// equality engine by engine.
 func TestRunPlanMatchesPerJobUploads(t *testing.T) {
 	spec := core.BenchSpec{
 		Name:      "equiv",
@@ -187,76 +209,92 @@ func TestRunPlanMatchesPerJobUploads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int, share bool) []core.JobResult {
-		s := core.NewSession(core.WithParallelism(workers), core.WithUploadSharing(share))
-		results, err := s.RunPlan(context.Background(), plan)
-		if err != nil {
-			t.Fatalf("workers=%d share=%v: %v", workers, share, err)
-		}
-		return results
-	}
-	baseline := run(1, false)
 	for _, workers := range []int{1, 2, 8} {
-		got := run(workers, true)
-		if len(got) != len(baseline) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(baseline))
+		label := fmt.Sprintf("workers=%d", workers)
+		perJob, err := core.NewSession(core.WithParallelism(workers)).RunAll(context.Background(), plan.Jobs)
+		if err != nil {
+			t.Fatalf("%s RunAll: %v", label, err)
 		}
-		for i := range got {
-			if got[i].Spec != baseline[i].Spec {
-				t.Errorf("workers=%d job %d: spec %+v, want %+v", workers, i, got[i].Spec, baseline[i].Spec)
-			}
-			if got[i].Status != baseline[i].Status {
-				t.Errorf("workers=%d job %d (%s/%s/%s): status %s, per-job baseline %s",
-					workers, i, got[i].Spec.Platform, got[i].Spec.Dataset, got[i].Spec.Algorithm,
-					got[i].Status, baseline[i].Status)
-			}
-			if got[i].Validated != baseline[i].Validated || got[i].ValidationOK != baseline[i].ValidationOK {
-				t.Errorf("workers=%d job %d: validation (%v,%v) vs (%v,%v)", workers, i,
-					got[i].Validated, got[i].ValidationOK, baseline[i].Validated, baseline[i].ValidationOK)
+		shared, err := core.NewSession(core.WithParallelism(workers)).RunPlan(context.Background(), plan)
+		if err != nil {
+			t.Fatalf("%s RunPlan: %v", label, err)
+		}
+		sameOutcomes(t, label, shared, perJob)
+		for i, res := range perJob {
+			if res.UploadShared {
+				t.Errorf("%s job %d: RunAll result marked as sharing an upload", label, i)
 			}
 		}
 	}
 }
 
-// TestRunPlanFreeOnceOnCancellation cancels a plan mid-group and checks
-// the lease still drains: the performed upload is freed exactly once,
-// jobs that never started are canceled, and nothing deadlocks.
+// TestRunPlanFreeOnceOnCancellation cancels a batch after its first job
+// finishes — mid-group for RunPlan, mid-batch for RunAll — at worker
+// counts 1, 2 and 8 and checks the leases still drain: every performed
+// upload is freed exactly once, jobs that never started are canceled, and
+// nothing deadlocks. The plan has more jobs than the largest pool, so
+// some job is always still waiting when the cancellation lands.
 func TestRunPlanFreeOnceOnCancellation(t *testing.T) {
 	c := registerCounting(t, "counting-slow", 30*time.Millisecond)
-	plan := sweepPlan(t, "counting-slow")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var once sync.Once
-	s := core.NewSession(
-		core.WithParallelism(2),
-		core.WithValidation(false),
-		core.WithObserver(core.ObserverFunc(func(e core.Event) {
-			if e.Type == core.EventJobFinished {
-				once.Do(cancel)
-			}
-		})),
-	)
-	results, err := s.RunPlan(ctx, plan)
+	plan, err := core.CompileSpec(core.BenchSpec{
+		Name:       "cancel",
+		Platforms:  []string{"counting-slow"},
+		Datasets:   core.DatasetSelector{IDs: []string{"R1", "R2"}},
+		Algorithms: []algorithms.Algorithm{algorithms.BFS, algorithms.PR, algorithms.WCC, algorithms.CDLP, algorithms.LCC},
+		Configs:    []core.ResourceSpec{{Threads: 2, Machines: 1}},
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.uploads.Load(); got != 1 {
-		t.Fatalf("%d uploads, want 1", got)
-	}
-	if got := c.frees.Load(); got != 1 {
-		t.Fatalf("upload freed %d times on cancellation, want exactly 1", got)
-	}
-	canceled := 0
-	for i, res := range results {
-		if !res.Status.Terminal() {
-			t.Fatalf("job %d: non-terminal status %q", i, res.Status)
+	for _, workers := range []int{1, 2, 8} {
+		for _, perJob := range []bool{false, true} {
+			c.uploads.Store(0)
+			c.frees.Store(0)
+			ctx, cancel := context.WithCancel(context.Background())
+			var once sync.Once
+			s := core.NewSession(
+				core.WithParallelism(workers),
+				core.WithValidation(false),
+				core.WithObserver(core.ObserverFunc(func(e core.Event) {
+					if e.Type == core.EventJobFinished {
+						once.Do(cancel)
+					}
+				})),
+			)
+			var results []core.JobResult
+			label := fmt.Sprintf("workers=%d RunPlan", workers)
+			maxUploads := len(plan.Deployments)
+			if perJob {
+				label = fmt.Sprintf("workers=%d RunAll", workers)
+				maxUploads = len(plan.Jobs) - 1
+				results, err = s.RunAll(ctx, plan.Jobs)
+			} else {
+				results, err = s.RunPlan(ctx, plan)
+			}
+			cancel()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			uploads, frees := c.uploads.Load(), c.frees.Load()
+			if uploads < 1 || uploads > int64(maxUploads) {
+				t.Errorf("%s: %d uploads, want 1..%d", label, uploads, maxUploads)
+			}
+			if frees != uploads {
+				t.Errorf("%s: %d uploads but %d frees on cancellation", label, uploads, frees)
+			}
+			canceled := 0
+			for i, res := range results {
+				if !res.Status.Terminal() {
+					t.Fatalf("%s job %d: non-terminal status %q", label, i, res.Status)
+				}
+				if res.Status == core.StatusCanceled {
+					canceled++
+				}
+			}
+			if canceled == 0 {
+				t.Errorf("%s: cancellation after the first job should cancel at least one job", label)
+			}
 		}
-		if res.Status == core.StatusCanceled {
-			canceled++
-		}
-	}
-	if canceled == 0 {
-		t.Error("cancellation mid-group should cancel at least one job")
 	}
 }
 
@@ -285,24 +323,45 @@ func TestRunPlanAllCancelledBeforeUpload(t *testing.T) {
 	}
 }
 
-// TestRunPlanUploadSharingOff restores per-job uploads.
-func TestRunPlanUploadSharingOff(t *testing.T) {
-	c := registerCounting(t, "counting", 0)
-	plan := sweepPlan(t, "counting")
-	s := core.NewSession(core.WithUploadSharing(false), core.WithParallelism(1))
-	results, err := s.RunPlan(context.Background(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.uploads.Load(); got != int64(len(plan.Jobs)) {
-		t.Fatalf("%d uploads with sharing off, want %d", got, len(plan.Jobs))
-	}
-	if got := c.frees.Load(); got != int64(len(plan.Jobs)) {
-		t.Fatalf("%d frees with sharing off, want %d", got, len(plan.Jobs))
-	}
-	for i, res := range results {
-		if res.UploadShared {
-			t.Errorf("job %d marked shared with sharing off", i)
+// TestRunAllAndRunJobUploadPerJob: RunAll and RunJob give every job a
+// one-reference lease of its own — one upload, one free and one
+// deployment-uploaded event per job at any worker count, and no result
+// marked as sharing.
+func TestRunAllAndRunJobUploadPerJob(t *testing.T) {
+	jobs := sweepPlan(t, "counting").Jobs
+	for _, workers := range []int{1, 2, 8} {
+		c := registerCounting(t, "counting", 0)
+		var uploadedEvents atomic.Int64
+		s := core.NewSession(core.WithParallelism(workers), core.WithObserver(core.ObserverFunc(func(e core.Event) {
+			if e.Type == core.EventDeploymentUploaded {
+				uploadedEvents.Add(1)
+			}
+		})))
+		results, err := s.RunAll(context.Background(), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.RunJob(context.Background(), jobs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(len(jobs) + 1)
+		if got := c.uploads.Load(); got != want {
+			t.Errorf("workers=%d: %d uploads, want %d (one per job)", workers, got, want)
+		}
+		if got := c.frees.Load(); got != want {
+			t.Errorf("workers=%d: %d frees, want %d (one per job)", workers, got, want)
+		}
+		if got := uploadedEvents.Load(); got != want {
+			t.Errorf("workers=%d: %d deployment-uploaded events, want %d", workers, got, want)
+		}
+		for i, r := range append(results, res) {
+			if r.Status != core.StatusOK {
+				t.Errorf("workers=%d job %d: status %s (%s)", workers, i, r.Status, r.Error)
+			}
+			if r.UploadShared {
+				t.Errorf("workers=%d job %d marked as sharing an upload", workers, i)
+			}
 		}
 	}
 }
@@ -407,37 +466,32 @@ func TestPlanCheckRejectsMalformedPlans(t *testing.T) {
 	}
 }
 
-// TestDescriptionCompileShares routes the legacy Description through the
-// plan pipeline: the algorithm sweep of one (platform, dataset) pair
-// shares a single upload.
+// TestDescriptionCompileShares takes a description the whole way through
+// one session — Session.Compile, then RunPlan: the algorithm sweep of one
+// (platform, dataset) pair is one deployment, pays one upload, and its
+// results come back in matrix order.
 func TestDescriptionCompileShares(t *testing.T) {
 	c := registerCounting(t, "counting", 0)
-	d := &core.Description{
+	s := core.NewSession(core.WithSLA(2 * time.Minute))
+	plan, err := s.Compile(core.BenchSpec{
 		Name:       "desc",
 		Platforms:  []string{"counting"},
-		Datasets:   []string{"R1"},
+		Datasets:   core.DatasetSelector{IDs: []string{"R1"}},
 		Algorithms: []algorithms.Algorithm{algorithms.BFS, algorithms.PR, algorithms.WCC},
-		Threads:    2,
-		Machines:   1,
-	}
-	plan, err := d.Compile()
+		Configs:    []core.ResourceSpec{{Threads: 2, Machines: 1}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plan.Deployments) != 1 || len(plan.Jobs) != 3 {
 		t.Fatalf("unexpected description plan: %d jobs, %d deployments", len(plan.Jobs), len(plan.Deployments))
 	}
-	s := core.NewSession(core.WithSLA(2 * time.Minute))
-	results, err := s.RunDescription(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs, err := d.Jobs()
+	results, err := s.RunPlan(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range results {
-		if results[i].Spec != jobs[i] {
+		if results[i].Spec != plan.Jobs[i] {
 			t.Errorf("result %d out of matrix order", i)
 		}
 		if results[i].Status != core.StatusOK {
@@ -506,53 +560,33 @@ func TestSLACancelsUpload(t *testing.T) {
 	}
 }
 
-// durationToken matches measured values in rendered reports (durations
-// and percentage ratios), which legitimately differ between runs.
-var durationToken = regexp.MustCompile(`\d+(\.\d+)?(us|ms|s|m|%)`)
-
-// normalizeReport renders a report with every measured value replaced by
-// a placeholder, leaving structure, labels and statuses comparable.
-func normalizeReport(t *testing.T, rep *core.Report) string {
-	t.Helper()
-	var sb strings.Builder
-	if err := rep.Render(&sb); err != nil {
+// TestExperimentReportsMatchPerJobUploads runs two experiment artifacts
+// (compiled specs through RunPlan, shared uploads) and the same matrices
+// through RunAll (an upload per job) and requires the same status and
+// validation outcome per job — everything the rendered reports show
+// besides measured durations, including the N/A and substituted-backend
+// cells of Figure 6.
+func TestExperimentReportsMatchPerJobUploads(t *testing.T) {
+	ctx := context.Background()
+	cfg := core.ExperimentConfig{Platforms: []string{"native", "spmv-s", "pushpull"}, Threads: 2}
+	shared := core.NewSession(core.WithSLA(2*time.Minute), core.WithParallelism(1))
+	if _, err := shared.AlgorithmVariety(ctx, cfg); err != nil {
 		t.Fatal(err)
 	}
-	// Collapse runs of spaces and dashes too: column widths (and the
-	// divider) depend on the width of the measured values.
-	out := durationToken.ReplaceAllString(sb.String(), "T")
-	out = regexp.MustCompile(` +`).ReplaceAllString(out, " ")
-	return regexp.MustCompile(`--+`).ReplaceAllString(out, "--")
-}
-
-// TestExperimentReportsMatchPerJobUploads re-renders two experiment
-// artifacts with sharing on and off and requires identical reports modulo
-// measured durations — the conformance guarantee that the plan redesign
-// did not change what the experiments report.
-func TestExperimentReportsMatchPerJobUploads(t *testing.T) {
-	cfg := core.ExperimentConfig{Platforms: []string{"native", "spmv-s", "pushpull"}, Threads: 2}
-	render := func(share bool) (string, string) {
-		s := core.NewSession(
-			core.WithSLA(2*time.Minute),
-			core.WithParallelism(1),
-			core.WithUploadSharing(share),
-		)
-		algRep, err := s.AlgorithmVariety(context.Background(), cfg)
+	if _, err := shared.MakespanBreakdown(ctx, cfg); err != nil {
+		t.Fatal(err)
+	}
+	var jobs []core.JobSpec
+	for _, spec := range []core.BenchSpec{core.AlgorithmVarietySpec(cfg), core.MakespanBreakdownSpec(cfg)} {
+		plan, err := core.CompileSpec(spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mkRep, err := s.MakespanBreakdown(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return normalizeReport(t, algRep), normalizeReport(t, mkRep)
+		jobs = append(jobs, plan.Jobs...)
 	}
-	algShared, mkShared := render(true)
-	algPerJob, mkPerJob := render(false)
-	if algShared != algPerJob {
-		t.Errorf("fig6 differs between shared and per-job uploads:\n--- shared ---\n%s\n--- per-job ---\n%s", algShared, algPerJob)
+	perJob, err := core.NewSession(core.WithSLA(2*time.Minute), core.WithParallelism(1)).RunAll(ctx, jobs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if mkShared != mkPerJob {
-		t.Errorf("table8 differs between shared and per-job uploads:\n--- shared ---\n%s\n--- per-job ---\n%s", mkShared, mkPerJob)
-	}
+	sameOutcomes(t, "fig6+table8", shared.DB().All(), perJob)
 }

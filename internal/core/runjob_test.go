@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -12,15 +13,15 @@ import (
 
 func init() { platforms.RegisterAll() }
 
-func newTestRunner() *core.Runner {
-	r := core.NewRunner()
-	r.SLA = 2 * time.Minute
-	return r
+// newTestSession returns a sequential validating session with an SLA
+// generous enough for any catalog job under -race.
+func newTestSession() *core.Session {
+	return core.NewSession(core.WithSLA(2*time.Minute), core.WithParallelism(1))
 }
 
 func TestRunJobOK(t *testing.T) {
-	r := newTestRunner()
-	res, err := r.RunJob(core.JobSpec{
+	s := newTestSession()
+	res, err := s.RunJob(context.Background(), core.JobSpec{
 		Platform: "native", Dataset: "R1", Algorithm: algorithms.BFS, Threads: 2, Machines: 1,
 	})
 	if err != nil {
@@ -38,28 +39,28 @@ func TestRunJobOK(t *testing.T) {
 	if res.EPS <= 0 || res.EVPS <= 0 {
 		t.Fatal("expected positive throughput metrics")
 	}
-	if r.DB.Len() != 1 {
-		t.Fatalf("results DB has %d records, want 1", r.DB.Len())
+	if s.DB().Len() != 1 {
+		t.Fatalf("results DB has %d records, want 1", s.DB().Len())
 	}
 }
 
 func TestRunJobUnknownPlatform(t *testing.T) {
-	r := newTestRunner()
-	if _, err := r.RunJob(core.JobSpec{Platform: "nope", Dataset: "R1", Algorithm: algorithms.BFS}); err == nil {
+	s := newTestSession()
+	if _, err := s.RunJob(context.Background(), core.JobSpec{Platform: "nope", Dataset: "R1", Algorithm: algorithms.BFS}); err == nil {
 		t.Fatal("expected error for unknown platform")
 	}
 }
 
 func TestRunJobUnknownDataset(t *testing.T) {
-	r := newTestRunner()
-	if _, err := r.RunJob(core.JobSpec{Platform: "native", Dataset: "nope", Algorithm: algorithms.BFS}); err == nil {
+	s := newTestSession()
+	if _, err := s.RunJob(context.Background(), core.JobSpec{Platform: "native", Dataset: "nope", Algorithm: algorithms.BFS}); err == nil {
 		t.Fatal("expected error for unknown dataset")
 	}
 }
 
 func TestRunJobUnsupported(t *testing.T) {
-	r := newTestRunner()
-	res, err := r.RunJob(core.JobSpec{Platform: "pushpull", Dataset: "R4", Algorithm: algorithms.LCC, Threads: 1, Machines: 1})
+	s := newTestSession()
+	res, err := s.RunJob(context.Background(), core.JobSpec{Platform: "pushpull", Dataset: "R4", Algorithm: algorithms.LCC, Threads: 1, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,9 +70,9 @@ func TestRunJobUnsupported(t *testing.T) {
 }
 
 func TestRunJobSSSPOnUnweighted(t *testing.T) {
-	r := newTestRunner()
+	s := newTestSession()
 	// R1 is unweighted; SSSP must be reported unsupported, not failed.
-	res, err := r.RunJob(core.JobSpec{Platform: "native", Dataset: "R1", Algorithm: algorithms.SSSP, Threads: 1, Machines: 1})
+	res, err := s.RunJob(context.Background(), core.JobSpec{Platform: "native", Dataset: "R1", Algorithm: algorithms.SSSP, Threads: 1, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +82,8 @@ func TestRunJobSSSPOnUnweighted(t *testing.T) {
 }
 
 func TestRunJobOOM(t *testing.T) {
-	r := newTestRunner()
-	res, err := r.RunJob(core.JobSpec{
+	s := newTestSession()
+	res, err := s.RunJob(context.Background(), core.JobSpec{
 		Platform: "native", Dataset: "R4", Algorithm: algorithms.BFS,
 		Threads: 1, Machines: 1, MemoryPerMachine: 1024, // absurdly small budget
 	})
@@ -95,8 +96,8 @@ func TestRunJobOOM(t *testing.T) {
 }
 
 func TestRunJobSLABreak(t *testing.T) {
-	r := newTestRunner()
-	res, err := r.RunJob(core.JobSpec{
+	s := newTestSession()
+	res, err := s.RunJob(context.Background(), core.JobSpec{
 		Platform: "dataflow", Dataset: "D300", Algorithm: algorithms.PR,
 		Threads: 1, Machines: 1, SLA: time.Microsecond,
 	})
@@ -109,8 +110,8 @@ func TestRunJobSLABreak(t *testing.T) {
 }
 
 func TestRunRepeated(t *testing.T) {
-	r := newTestRunner()
-	results, err := r.RunRepeated(core.JobSpec{
+	s := newTestSession()
+	results, err := s.RunRepeated(context.Background(), core.JobSpec{
 		Platform: "native", Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1,
 	}, 3)
 	if err != nil {
@@ -127,9 +128,9 @@ func TestRunRepeated(t *testing.T) {
 }
 
 func TestDistributedJob(t *testing.T) {
-	r := newTestRunner()
+	s := newTestSession()
 	for _, p := range platforms.DistributedSet {
-		res, err := r.RunJob(core.JobSpec{
+		res, err := s.RunJob(context.Background(), core.JobSpec{
 			Platform: p, Dataset: "R2", Algorithm: algorithms.BFS, Threads: 2, Machines: 4,
 		})
 		if err != nil {

@@ -10,7 +10,8 @@
 // orchestrator constructed with functional options. Sessions run single
 // jobs (RunJob), repetitions (RunRepeated) and whole job matrices on a
 // bounded worker pool (RunAll), and stream progress through an Observer.
-// The legacy Runner in runner.go remains as a deprecated shim.
+// Whole benchmark descriptions go BenchSpec → Plan → RunPlan (spec.go,
+// plan.go); every entry point executes jobs through that one path.
 package core
 
 import (
@@ -47,9 +48,6 @@ type config struct {
 	cacheDir    string
 	// sinks receive every recorded result in commit order (see Sink).
 	sinks []Sink
-	// shareUploads lets RunPlan share one upload per deployment group;
-	// WithUploadSharing(false) restores per-job uploads.
-	shareUploads bool
 	// storeExplicit records that WithGraphStore was applied, so RunAll's
 	// per-batch override logic can tell an explicitly passed store from
 	// one inherited from the session.
@@ -125,12 +123,6 @@ func WithGraphStore(st *graphstore.Store) Option {
 // Repeating the option adds more sinks; see Sink for the contract.
 func WithSink(k Sink) Option { return func(c *config) { c.sinks = append(c.sinks, k) } }
 
-// WithUploadSharing toggles RunPlan's per-deployment upload lease; it is
-// on by default. Turning it off makes every plan job perform its own
-// upload, like RunAll — the honest baseline when measuring what sharing
-// saves (BenchmarkPlanSharedUpload does exactly that).
-func WithUploadSharing(on bool) Option { return func(c *config) { c.shareUploads = on } }
-
 // WithCacheDir gives the session a dedicated graph store that persists
 // binary CSR snapshots under dir: the first materialization of a dataset
 // generates and snapshots it, later runs — including later processes —
@@ -170,11 +162,10 @@ type Session struct {
 // GOMAXPROCS scheduler parallelism — overridden by the given options.
 func NewSession(opts ...Option) *Session {
 	cfg := config{
-		validate:     true,
-		net:          cluster.DefaultNetwork(),
-		db:           NewResultsDB(),
-		parallelism:  runtime.GOMAXPROCS(0),
-		shareUploads: true,
+		validate:    true,
+		net:         cluster.DefaultNetwork(),
+		db:          NewResultsDB(),
+		parallelism: runtime.GOMAXPROCS(0),
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -312,12 +303,15 @@ func (c *refCache) get(ctx context.Context, d workload.Dataset, a algorithms.Alg
 // batchPos locates a job inside a RunAll batch for event reporting.
 type batchPos struct{ index, total int }
 
-// RunJob executes one job end to end. Failures — including cancellation of
-// ctx — are encoded in the result status rather than returned, so
-// experiment sweeps keep going; the error return is reserved for
-// harness-level problems (unknown platform or dataset, a failing sink).
+// RunJob executes one job end to end, on an upload of its own. Failures —
+// including cancellation of ctx — are encoded in the result status rather
+// than returned, so experiment sweeps keep going; the error return is
+// reserved for harness-level problems (unknown platform or dataset, a
+// failing sink).
 func (s *Session) RunJob(ctx context.Context, spec JobSpec) (JobResult, error) {
-	res, err := s.execute(ctx, spec, batchPos{}, nil)
+	lease := newUploadLease(1)
+	res, err := s.execute(ctx, spec, batchPos{}, lease)
+	lease.release()
 	return res, errors.Join(err, s.record(res))
 }
 
@@ -366,14 +360,11 @@ func classifyUpload(callerErr, err error, uploadTime, sla time.Duration) (Status
 }
 
 // execute runs one job without recording it, emitting the job's start and
-// finish events. A non-nil lease makes the job share its deployment
-// group's upload (see RunPlan); the lease's reference is released by the
-// caller, not here, so the handle outlives this job for the group.
+// finish events. The job's uploaded graph comes from lease: its deployment
+// group's (see RunPlan), or a one-reference lease of its own (RunJob,
+// RunAll). The lease's reference is released by the caller, not here, so
+// the handle outlives this job for the group.
 func (s *Session) execute(ctx context.Context, spec JobSpec, pos batchPos, lease *uploadLease) (res JobResult, err error) {
-	if ctx == nil {
-		//graphalint:ctxbg nil-ctx guard for deprecated ctx-less entry points; ctx-first callers never hit it
-		ctx = context.Background()
-	}
 	s.emit(Event{Type: EventJobStarted, Spec: spec, Index: pos.index, Total: pos.total})
 	defer func() {
 		r := res
@@ -425,48 +416,29 @@ func (s *Session) execute(ctx context.Context, spec JobSpec, pos batchPos, lease
 
 	// The SLA window opens before upload: the benchmark's makespan budget
 	// covers the whole job, so a pathological upload breaks the SLA too —
-	// and, with context-aware drivers, is cancelled as it breaks it. jctx
-	// is the window the execute phase then runs under.
+	// and, with context-aware drivers, is cancelled as it breaks it. The
+	// deployment's first job performs the upload under its own SLA-sized
+	// window; every job is then charged the recorded upload time, so the
+	// execute budget jctx leaves — and therefore the statuses — are the
+	// same whether a job paid for the upload or reused it.
 	var up platform.Uploaded
-	var jctx context.Context
-	if lease == nil {
-		var cancel context.CancelFunc
-		jctx, cancel = context.WithTimeout(ctx, sla)
-		defer cancel()
-		upStart := time.Now()
-		up, err = platform.UploadContext(jctx, p, g, cfg)
-		res.UploadTime = time.Since(upStart)
-		if err != nil {
-			res.Status, res.Error = classifyUpload(ctx.Err(), err, res.UploadTime, sla)
-			return res, nil
+	up, res.UploadTime, res.UploadShared, err = lease.upload(func() (platform.Uploaded, time.Duration, error) {
+		uctx, ucancel := context.WithTimeout(ctx, sla)
+		defer ucancel()
+		start := time.Now()
+		u, uerr := platform.UploadContext(uctx, p, g, cfg)
+		dur := time.Since(start)
+		if uerr == nil {
+			s.emit(Event{Type: EventDeploymentUploaded, Spec: spec, Elapsed: dur})
 		}
-		defer up.Free()
-	} else {
-		// Shared upload: the group's first job performs it under its own
-		// SLA-sized window; every job is then charged the recorded upload
-		// time, so the remaining execute budget — and therefore the
-		// statuses — match a per-job-upload run.
-		var shared bool
-		up, res.UploadTime, shared, err = lease.upload(func() (platform.Uploaded, time.Duration, error) {
-			uctx, ucancel := context.WithTimeout(ctx, sla)
-			defer ucancel()
-			start := time.Now()
-			u, uerr := platform.UploadContext(uctx, p, g, cfg)
-			dur := time.Since(start)
-			if uerr == nil {
-				s.emit(Event{Type: EventDeploymentUploaded, Spec: spec, Elapsed: dur})
-			}
-			return u, dur, uerr
-		})
-		res.UploadShared = shared
-		if err != nil {
-			res.Status, res.Error = classifyUpload(ctx.Err(), err, res.UploadTime, sla)
-			return res, nil
-		}
-		var cancel context.CancelFunc
-		jctx, cancel = context.WithTimeout(ctx, sla-res.UploadTime)
-		defer cancel()
+		return u, dur, uerr
+	})
+	if err != nil {
+		res.Status, res.Error = classifyUpload(ctx.Err(), err, res.UploadTime, sla)
+		return res, nil
 	}
+	jctx, cancel := context.WithTimeout(ctx, sla-res.UploadTime)
+	defer cancel()
 	if cerr := jctx.Err(); cerr != nil {
 		if ctx.Err() != nil {
 			// The caller's context ended, not the job's SLA timer.
@@ -552,11 +524,11 @@ func (s *Session) RunRepeated(ctx context.Context, spec JobSpec, n int) ([]JobRe
 }
 
 // RunAll executes independent jobs on a bounded worker pool and returns
-// one result per spec, in spec order. Every job performs its own upload
-// (RunAll is the per-job-upload surface; compile a Plan and use RunPlan
-// for shared uploads). Per-call options (e.g. WithParallelism,
-// WithObserver) override the session's settings for this batch only; the
-// reference cache stays shared.
+// one result per spec, in spec order. Every job performs its own upload:
+// RunAll is RunPlan on the plan that makes each job a deployment of its
+// own (compile a Plan and use RunPlan for shared uploads). Per-call
+// options (e.g. WithParallelism, WithObserver) override the session's
+// settings for this batch only; the reference cache stays shared.
 //
 // Determinism: results[i] always corresponds to specs[i], and results are
 // committed to the results database in spec order regardless of
@@ -567,8 +539,5 @@ func (s *Session) RunRepeated(ctx context.Context, spec JobSpec, n int) ([]JobRe
 // keeps its result. The error return joins harness-level errors (unknown
 // platform or dataset) in spec order.
 func (s *Session) RunAll(ctx context.Context, specs []JobSpec, opts ...Option) ([]JobResult, error) {
-	// RunAll is RunPlan on the trivial plan over the spec list, pinned to
-	// per-job uploads (and therefore per-job scheduling).
-	opts = append(slices.Clone(opts), WithUploadSharing(false))
-	return s.RunPlan(ctx, PlanFromSpecs("batch", specs), opts...)
+	return s.RunPlan(ctx, singletonPlan("batch", specs), opts...)
 }

@@ -61,20 +61,3 @@ func TestRunAllSingleFlightPerPair(t *testing.T) {
 		t.Fatalf("reference computed %d times, want %d (one per pair)", got, len(pairs))
 	}
 }
-
-// TestRunnerSessionSharesReferenceCache verifies the deprecated Runner
-// shim keeps one reference cache across the sessions it materializes, so
-// repeated legacy calls do not recompute references.
-func TestRunnerSessionSharesReferenceCache(t *testing.T) {
-	r := NewRunner()
-	r.SLA = 2 * time.Minute
-	spec := JobSpec{Platform: "native", Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1}
-	for i := 0; i < 3; i++ {
-		if _, err := r.RunJob(spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := r.refs.computes.Load(); got != 1 {
-		t.Fatalf("runner recomputed the reference %d times across calls, want 1", got)
-	}
-}

@@ -373,38 +373,6 @@ func TestStatusHelpers(t *testing.T) {
 	}
 }
 
-// TestSessionRunDescription runs a small description matrix through the
-// scheduler and checks matrix-order results.
-func TestSessionRunDescription(t *testing.T) {
-	d := &core.Description{
-		Name:       "smoke",
-		Platforms:  []string{"native"},
-		Datasets:   []string{"R1", "R2"},
-		Algorithms: []algorithms.Algorithm{algorithms.BFS},
-		Threads:    2,
-	}
-	s := core.NewSession(core.WithSLA(2*time.Minute), core.WithParallelism(4))
-	results, err := s.RunDescription(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results, want 2", len(results))
-	}
-	jobs, err := d.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range results {
-		if results[i].Spec != jobs[i] {
-			t.Errorf("result %d out of matrix order", i)
-		}
-		if results[i].Status != core.StatusOK {
-			t.Errorf("result %d: status %s (%s)", i, results[i].Status, results[i].Error)
-		}
-	}
-}
-
 // TestWithReferenceParallelism pins the reference kernels' worker count
 // and checks validation still passes: reference outputs are defined to be
 // worker-count-independent, so a pinned pool must validate identically to

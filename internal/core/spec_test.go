@@ -3,15 +3,19 @@ package core_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/core"
+	"graphalytics/internal/platform"
+	"graphalytics/internal/workload"
 )
 
 // update rewrites the golden files instead of comparing against them:
@@ -316,5 +320,114 @@ func TestMixedSLAJobsDoNotShareDeployments(t *testing.T) {
 	})
 	if len(plan.Deployments) != 2 {
 		t.Fatalf("mixed-SLA jobs landed in %d deployments, want 2", len(plan.Deployments))
+	}
+}
+
+// The benchmark description of the paper's Figure 1 (component 1) is the
+// BenchSpec. The TestDescription* tests pin what a description promises
+// whoever writes one: the order its matrix expands in, what empty axes
+// default to, which mistakes are refused up front, and that it survives
+// the trip through a file.
+
+// TestDescriptionJobsExpansion: the matrix expands platform → dataset →
+// algorithm → repetition, every axis fully crossed.
+func TestDescriptionJobsExpansion(t *testing.T) {
+	spec := core.BenchSpec{
+		Name:       "mini",
+		Platforms:  []string{"native", "spmv-s"},
+		Datasets:   core.DatasetSelector{IDs: []string{"R1", "R2"}},
+		Algorithms: []algorithms.Algorithm{algorithms.BFS, algorithms.PR},
+		Configs:    []core.ResourceSpec{{Threads: 2}},
+	}
+	plan, err := core.CompileSpec(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Jobs) != 8 {
+		t.Fatalf("expanded to %d jobs, want 2*2*2", len(plan.Jobs))
+	}
+	spec.Repetitions = 3
+	plan, err = core.CompileSpec(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Jobs) != 24 {
+		t.Fatalf("with repetitions: %d jobs, want 24", len(plan.Jobs))
+	}
+	i := 0
+	for _, p := range spec.Platforms {
+		for _, ds := range spec.Datasets.IDs {
+			for _, a := range spec.Algorithms {
+				for rep := 0; rep < 3; rep++ {
+					want := core.JobSpec{Platform: p, Dataset: ds, Algorithm: a, Threads: 2}
+					if plan.Jobs[i] != want {
+						t.Fatalf("job %d = %+v, want %+v", i, plan.Jobs[i], want)
+					}
+					i++
+				}
+			}
+		}
+	}
+}
+
+// TestDescriptionDefaults: an all-default sweep selects every registered
+// platform, the full catalog and all six algorithms.
+func TestDescriptionDefaults(t *testing.T) {
+	plan, err := core.CompileSpec(core.BenchSpec{Name: "all", Sweeps: []core.Sweep{{}}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(platform.Names()) * len(workload.Catalog()) * len(algorithms.All)
+	if len(plan.Jobs) != want {
+		t.Fatalf("default expansion = %d jobs, want %d", len(plan.Jobs), want)
+	}
+}
+
+// TestDescriptionValidate: a description naming something that does not
+// exist is refused before any job runs, and the error says what.
+func TestDescriptionValidate(t *testing.T) {
+	bad := []core.BenchSpec{
+		{Name: "p", Platforms: []string{"nope"}},
+		{Name: "d", Datasets: core.DatasetSelector{IDs: []string{"nope"}}},
+		{Name: "a", Algorithms: []algorithms.Algorithm{"nope"}},
+	}
+	for _, spec := range bad {
+		err := spec.Validate()
+		if err == nil || !strings.Contains(err.Error(), `"nope"`) || !strings.Contains(err.Error(), `"`+spec.Name+`"`) {
+			t.Errorf("description %q: Validate = %v, want an error naming the description and \"nope\"", spec.Name, err)
+		}
+	}
+	if err := (&core.BenchSpec{Name: "r", Platforms: []string{"native"}, Repetitions: -1}).Validate(); err == nil {
+		t.Error("negative repetitions accepted")
+	}
+}
+
+// TestDescriptionJSONRoundTrip: a description written to a file loads back
+// unchanged; a missing or misspelled one is an error, not an empty matrix.
+func TestDescriptionJSONRoundTrip(t *testing.T) {
+	sp := goldenSpec()
+	var buf bytes.Buffer
+	if err := core.WriteSpec(&buf, &sp); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	back, err := core.LoadSpec(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*back, sp) {
+		t.Fatalf("round trip changed the description:\n%+v\n%+v", *back, sp)
+	}
+	if _, err := core.LoadSpec(filepath.Join(t.TempDir(), "absent.json")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing file: err = %v, want fs.ErrNotExist", err)
+	}
+	if err := os.WriteFile(path, []byte(`{"name":"typo","platform":["native"]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.LoadSpec(path); err == nil {
+		t.Fatal("unknown field accepted")
 	}
 }

@@ -52,9 +52,8 @@ func (m *mapping) release() {
 // MapSnapshotFileVerified or ReadSnapshotFile when the file is untrusted.
 //
 // The returned Graph must eventually be released with Close (a finalizer
-// backstops forgotten handles). v1 snapshots and non-mmap platforms yield
-// ErrBadSnapshot / ErrMapUnsupported respectively; callers fall back to
-// ReadSnapshotFile.
+// backstops forgotten handles). Non-mmap platforms yield
+// ErrMapUnsupported; callers fall back to ReadSnapshotFile.
 func MapSnapshotFile(path string) (*Graph, error) {
 	return mapSnapshotFile(path, false)
 }

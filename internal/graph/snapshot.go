@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,27 +10,15 @@ import (
 	"os"
 )
 
-// The snapshot formats persist a built graph's CSR arrays verbatim, so a
-// cached dataset loads back with a handful of bulk reads instead of
-// re-parsing text or re-running a generator. This file holds the v1
-// stream format and the shared codec helpers; the page-aligned v2 format
-// (the mmap-able one WriteSnapshotFile now produces) lives in
-// snapshot_v2.go. DecodeSnapshot sniffs the version, so v1 files written
-// by older builds stay readable. v1 layout (little-endian):
+// The snapshot format persists a built graph's CSR arrays verbatim, so a
+// cached dataset loads back with a handful of bulk reads — or an mmap —
+// instead of re-parsing text or re-running a generator. This file holds
+// the entry points, the structural checks and the bulk slice codecs; the
+// page-aligned layout itself is documented in snapshot_v2.go. Format
+// version 2 is the only one read or written: a file with any other
+// version field (including v1 files older builds wrote) is a bad snapshot.
 //
-//	magic   [8]byte  "GLYTSNAP"
-//	version uint32   (currently 1)
-//	flags   uint32   bit 0 directed, bit 1 weighted
-//	nameLen uint32, name bytes
-//	numVertices, numEdges, arcs  uint64
-//	ids       [numVertices]int64
-//	outOff    [numVertices+1]int64
-//	outAdj    [arcs]int32
-//	outW      [arcs]float64            (weighted only)
-//	inOff, inAdj, inW                  (directed only; same shapes)
-//	checksum  uint32   CRC-32C over everything before it
-//
-// Decoding verifies the magic, version and checksum and bounds-checks the
+// Decoding verifies the magic, version and checksums and bounds-checks the
 // header, returning an error wrapping ErrBadSnapshot for any mismatch so
 // callers can treat a stale or corrupt snapshot as a cache miss rather
 // than a hard failure.
@@ -42,8 +29,7 @@ import (
 var ErrBadSnapshot = errors.New("graph: bad snapshot")
 
 const (
-	snapshotMagic   = "GLYTSNAP"
-	snapshotVersion = 1
+	snapshotMagic = "GLYTSNAP"
 
 	snapFlagDirected = 1 << 0
 	snapFlagWeighted = 1 << 1
@@ -57,194 +43,6 @@ const (
 // crcTable is the Castagnoli polynomial, hardware-accelerated on amd64 and
 // arm64.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// EncodeSnapshot writes g to w in the binary snapshot format.
-func EncodeSnapshot(w io.Writer, g *Graph) error {
-	crc := crc32.New(crcTable)
-	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<16)
-
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return fmt.Errorf("graph: encode snapshot: %w", err)
-	}
-	var flags uint32
-	if g.directed {
-		flags |= snapFlagDirected
-	}
-	if g.weighted {
-		flags |= snapFlagWeighted
-	}
-	name := []byte(g.name)
-	hdr := make([]byte, 0, 64)
-	hdr = binary.LittleEndian.AppendUint32(hdr, snapshotVersion)
-	hdr = binary.LittleEndian.AppendUint32(hdr, flags)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(name)))
-	if _, err := bw.Write(hdr); err != nil {
-		return fmt.Errorf("graph: encode snapshot: %w", err)
-	}
-	if _, err := bw.Write(name); err != nil {
-		return fmt.Errorf("graph: encode snapshot: %w", err)
-	}
-	sizes := make([]byte, 0, 24)
-	sizes = binary.LittleEndian.AppendUint64(sizes, uint64(len(g.ids)))
-	sizes = binary.LittleEndian.AppendUint64(sizes, uint64(g.numEdges))
-	sizes = binary.LittleEndian.AppendUint64(sizes, uint64(len(g.outAdj)))
-	if _, err := bw.Write(sizes); err != nil {
-		return fmt.Errorf("graph: encode snapshot: %w", err)
-	}
-
-	if err := writeInt64s(bw, g.ids); err != nil {
-		return err
-	}
-	if err := writeInt64s(bw, g.outOff); err != nil {
-		return err
-	}
-	if err := writeInt32s(bw, g.outAdj); err != nil {
-		return err
-	}
-	if g.weighted {
-		if err := writeFloat64s(bw, g.outW); err != nil {
-			return err
-		}
-	}
-	if g.directed {
-		if err := writeInt64s(bw, g.inOff); err != nil {
-			return err
-		}
-		if err := writeInt32s(bw, g.inAdj); err != nil {
-			return err
-		}
-		if g.weighted {
-			if err := writeFloat64s(bw, g.inW); err != nil {
-				return err
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("graph: encode snapshot: %w", err)
-	}
-	// The checksum goes to the underlying writer only: it covers all
-	// preceding bytes and is not part of its own input.
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	if _, err := w.Write(sum[:]); err != nil {
-		return fmt.Errorf("graph: encode snapshot: %w", err)
-	}
-	return nil
-}
-
-// DecodeSnapshot reads a graph from the binary snapshot format, copying
-// every array into fresh heap allocations. Both format versions are
-// accepted: the leading magic + version field is sniffed without
-// consuming input, then the matching decoder runs. Corrupt, truncated or
-// version-mismatched input yields an error wrapping ErrBadSnapshot.
-func DecodeSnapshot(r io.Reader) (*Graph, error) {
-	raw := bufio.NewReaderSize(r, 1<<16)
-	head, err := raw.Peek(12)
-	if err != nil {
-		return nil, badSnapshot("reading magic: %v", err)
-	}
-	if string(head[:8]) != snapshotMagic {
-		return nil, badSnapshot("magic %q", head[:8])
-	}
-	switch version := binary.LittleEndian.Uint32(head[8:12]); version {
-	case snapshotVersion:
-		return decodeSnapshotV1(raw)
-	case snapshotVersion2:
-		return decodeSnapshotV2Stream(raw)
-	default:
-		return nil, badSnapshot("version %d", version)
-	}
-}
-
-// decodeSnapshotV1 reads the v1 stream format from raw, whose magic and
-// version have been sniffed but not consumed.
-func decodeSnapshotV1(raw *bufio.Reader) (*Graph, error) {
-	// The tee sits on the consumer side of the buffer, so the hash covers
-	// exactly the bytes decoded — bufio read-ahead must not feed the
-	// trailing checksum into its own computation.
-	crc := crc32.New(crcTable)
-	br := io.TeeReader(raw, crc)
-
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, badSnapshot("reading magic: %v", err)
-	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, badSnapshot("reading header: %v", err)
-	}
-	flags := binary.LittleEndian.Uint32(hdr[4:8])
-	nameLen := binary.LittleEndian.Uint32(hdr[8:12])
-	if nameLen > 1<<20 {
-		return nil, badSnapshot("name length %d", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, badSnapshot("reading name: %v", err)
-	}
-	var sizes [24]byte
-	if _, err := io.ReadFull(br, sizes[:]); err != nil {
-		return nil, badSnapshot("reading sizes: %v", err)
-	}
-	nVerts := binary.LittleEndian.Uint64(sizes[0:8])
-	nEdges := binary.LittleEndian.Uint64(sizes[8:16])
-	arcs := binary.LittleEndian.Uint64(sizes[16:24])
-	if nVerts > math.MaxInt32 || arcs > snapshotMaxElems || nEdges > arcs {
-		return nil, badSnapshot("sizes |V|=%d |E|=%d arcs=%d", nVerts, nEdges, arcs)
-	}
-
-	g := &Graph{
-		name:     string(name),
-		directed: flags&snapFlagDirected != 0,
-		weighted: flags&snapFlagWeighted != 0,
-		numEdges: int64(nEdges),
-	}
-	var err error
-	if g.ids, err = readInt64s(br, int(nVerts)); err != nil {
-		return nil, err
-	}
-	if g.outOff, err = readInt64s(br, int(nVerts)+1); err != nil {
-		return nil, err
-	}
-	if g.outAdj, err = readInt32s(br, int(arcs)); err != nil {
-		return nil, err
-	}
-	if g.weighted {
-		if g.outW, err = readFloat64s(br, int(arcs)); err != nil {
-			return nil, err
-		}
-	}
-	if g.directed {
-		if g.inOff, err = readInt64s(br, int(nVerts)+1); err != nil {
-			return nil, err
-		}
-		if g.inAdj, err = readInt32s(br, int(arcs)); err != nil {
-			return nil, err
-		}
-		if g.weighted {
-			if g.inW, err = readFloat64s(br, int(arcs)); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		g.inOff, g.inAdj, g.inW = g.outOff, g.outAdj, g.outW
-	}
-
-	// The trailing checksum is read from the raw buffered reader so it
-	// does not feed the hash.
-	want := crc.Sum32()
-	var sum [4]byte
-	if _, err := io.ReadFull(raw, sum[:]); err != nil {
-		return nil, badSnapshot("reading checksum: %v", err)
-	}
-	if got := binary.LittleEndian.Uint32(sum[:]); got != want {
-		return nil, badSnapshot("checksum %08x, want %08x", got, want)
-	}
-	if err := g.checkShape(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
 
 // checkShape validates structural invariants a checksum cannot: offsets
 // must be monotonic and in bounds, adjacency indices must name real
@@ -293,7 +91,7 @@ func badSnapshot(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
 }
 
-// WriteSnapshotFile atomically writes g's snapshot to path in the v2
+// WriteSnapshotFile atomically writes g's snapshot to path in the
 // page-aligned format (mmap-able via MapSnapshotFile): the bytes land in
 // a temporary file in the same directory which is fsynced and renamed
 // into place, so readers never observe a partial snapshot.
@@ -301,15 +99,6 @@ func WriteSnapshotFile(path string, g *Graph) error {
 	h := headerFromGraph(g)
 	return installSnapshot(path, func(f *os.File) error {
 		return writeSnapshotV2(f, h, graphSections(g, h))
-	})
-}
-
-// WriteSnapshotFileV1 is WriteSnapshotFile for the legacy v1 stream
-// format. It exists for compatibility tests and for producing snapshots
-// older builds can read; new snapshots should use WriteSnapshotFile.
-func WriteSnapshotFileV1(path string, g *Graph) error {
-	return installSnapshot(path, func(f *os.File) error {
-		return EncodeSnapshot(f, g)
 	})
 }
 

@@ -1,15 +1,16 @@
 package graph
 
 import (
-	"bytes"
 	"errors"
+	"path/filepath"
 	"testing"
 )
 
 // Decode must reject checksum-valid snapshots whose arrays violate the
 // sortedness invariants Index and HasEdge binary-search on. Such files
-// cannot come from EncodeSnapshot on a built Graph — they model external
-// or hand-built .gsnap inputs — so the fixtures are assembled directly.
+// cannot come from WriteSnapshotFile on a built Graph — they model
+// external or hand-built .gsnap inputs — so the fixtures are assembled
+// directly.
 func TestDecodeRejectsUnsortedSnapshot(t *testing.T) {
 	unsortedIDs := &Graph{
 		name: "bad-ids", directed: true, numEdges: 2,
@@ -24,11 +25,11 @@ func TestDecodeRejectsUnsortedSnapshot(t *testing.T) {
 		inOff: []int64{0, 0, 1, 2}, inAdj: []int32{0, 0},
 	}
 	for _, g := range []*Graph{unsortedIDs, unsortedAdj} {
-		var buf bytes.Buffer
-		if err := EncodeSnapshot(&buf, g); err != nil {
+		path := filepath.Join(t.TempDir(), g.name+".snap")
+		if err := WriteSnapshotFile(path, g); err != nil {
 			t.Fatalf("%s: encode: %v", g.name, err)
 		}
-		if _, err := DecodeSnapshot(&buf); !errors.Is(err, ErrBadSnapshot) {
+		if _, err := ReadSnapshotFile(path); !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("%s: err = %v, want ErrBadSnapshot", g.name, err)
 		}
 	}

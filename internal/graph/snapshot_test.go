@@ -71,15 +71,25 @@ func assertGraphsEqual(t *testing.T, got, want *graph.Graph) {
 	}
 }
 
+// snapshotBytes returns g's snapshot as WriteSnapshotFile lays it out.
+func snapshotBytes(t *testing.T, g *graph.Graph) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "g.snap")
+	if err := graph.WriteSnapshotFile(path, g); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	for _, directed := range []bool{true, false} {
 		for _, weighted := range []bool{true, false} {
 			want := snapshotFixture(t, directed, weighted)
-			var buf bytes.Buffer
-			if err := graph.EncodeSnapshot(&buf, want); err != nil {
-				t.Fatal(err)
-			}
-			got, err := graph.DecodeSnapshot(&buf)
+			got, err := graph.DecodeSnapshot(bytes.NewReader(snapshotBytes(t, want)))
 			if err != nil {
 				t.Fatalf("directed=%v weighted=%v: decode: %v", directed, weighted, err)
 			}
@@ -95,11 +105,7 @@ func TestSnapshotRoundTripEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := graph.EncodeSnapshot(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := graph.DecodeSnapshot(&buf)
+	got, err := graph.DecodeSnapshot(bytes.NewReader(snapshotBytes(t, want)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,13 +127,9 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 
 func TestSnapshotTruncatedIsBadSnapshot(t *testing.T) {
 	want := snapshotFixture(t, true, true)
-	var buf bytes.Buffer
-	if err := graph.EncodeSnapshot(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := snapshotBytes(t, want)
 	// Cut at a spread of prefixes: inside the magic, the header, the
-	// arrays, and just shy of the checksum.
+	// sections, and one byte short.
 	for _, n := range []int{0, 4, 11, 40, len(full) / 2, len(full) - 1} {
 		if _, err := graph.DecodeSnapshot(bytes.NewReader(full[:n])); !errors.Is(err, graph.ErrBadSnapshot) {
 			t.Errorf("truncated at %d: err = %v, want ErrBadSnapshot", n, err)
@@ -137,12 +139,9 @@ func TestSnapshotTruncatedIsBadSnapshot(t *testing.T) {
 
 func TestSnapshotBitFlipIsBadSnapshot(t *testing.T) {
 	want := snapshotFixture(t, false, true)
-	var buf bytes.Buffer
-	if err := graph.EncodeSnapshot(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	// Flip one bit at a spread of offsets, including the checksum itself.
+	full := snapshotBytes(t, want)
+	// Flip one bit at a spread of offsets: header, section payloads and
+	// the zero padding between them, which no checksum covers.
 	for _, off := range []int{0, 9, 30, len(full) / 3, 2 * len(full) / 3, len(full) - 2} {
 		mut := append([]byte(nil), full...)
 		mut[off] ^= 0x10
@@ -154,15 +153,23 @@ func TestSnapshotBitFlipIsBadSnapshot(t *testing.T) {
 
 func TestSnapshotWrongVersionIsBadSnapshot(t *testing.T) {
 	want := snapshotFixture(t, false, false)
-	var buf bytes.Buffer
-	if err := graph.EncodeSnapshot(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := snapshotBytes(t, want)
 	full[8] = 0xFF // version field follows the 8-byte magic
 	if _, err := graph.DecodeSnapshot(bytes.NewReader(full)); !errors.Is(err, graph.ErrBadSnapshot) {
 		t.Fatalf("err = %v, want ErrBadSnapshot", err)
 	}
+	// Format v1 — what builds before the page-aligned layout wrote — is a
+	// wrong version like any other.
+	if _, err := graph.DecodeSnapshot(bytes.NewReader(v1Header())); !errors.Is(err, graph.ErrBadSnapshot) {
+		t.Fatalf("v1 header: err = %v, want ErrBadSnapshot", err)
+	}
+}
+
+// v1Header is the start of a format-v1 snapshot of an empty unnamed graph:
+// magic, version 1, flags, name length, then the three zero counts.
+func v1Header() []byte {
+	hdr := append([]byte("GLYTSNAP"), 1, 0, 0, 0)
+	return append(hdr, make([]byte, 8+24)...)
 }
 
 func TestSnapshotGarbageIsBadSnapshot(t *testing.T) {

@@ -11,13 +11,12 @@ import (
 	"path/filepath"
 )
 
-// Snapshot format v2 is the out-of-core sibling of the v1 stream format:
-// every CSR array lives in its own page-aligned section whose file offset,
-// byte length and CRC-32C are declared up front in a fixed-shape header,
-// so a reader can validate the header in O(1) and then either mmap the
-// sections in place (MapSnapshotFile) or stream-decode them into fresh
-// allocations (ReadSnapshotFile's copying fallback). Layout
-// (little-endian):
+// Snapshot format v2 is built for out-of-core use: every CSR array lives
+// in its own page-aligned section whose file offset, byte length and
+// CRC-32C are declared up front in a fixed-shape header, so a reader can
+// validate the header in O(1) and then either mmap the sections in place
+// (MapSnapshotFile) or stream-decode them into fresh allocations
+// (ReadSnapshotFile's copying decoder). Layout (little-endian):
 //
 //	magic        [8]byte  "GLYTSNAP"
 //	version      uint32   (2)
@@ -414,12 +413,13 @@ func installSnapshot(path string, build func(*os.File) error) error {
 	return nil
 }
 
-// decodeSnapshotV2Stream is the copying v2 decoder behind
-// DecodeSnapshot/ReadSnapshotFile: it streams the sections into fresh
-// heap allocations, verifying the header CRC, every section CRC and the
-// structural shape — the full-trust path v1 always had, available for v2
-// files on any platform (mmap or not).
-func decodeSnapshotV2Stream(raw *bufio.Reader) (*Graph, error) {
+// DecodeSnapshot reads a graph from the binary snapshot format, streaming
+// the sections into fresh heap allocations and verifying the header CRC,
+// every section CRC and the structural shape — the full-trust path,
+// available on any platform (mmap or not). Corrupt, truncated or
+// version-mismatched input yields an error wrapping ErrBadSnapshot.
+func DecodeSnapshot(r io.Reader) (*Graph, error) {
+	raw := bufio.NewReaderSize(r, 1<<16)
 	var fixed [snapV2NameOff]byte
 	if _, err := io.ReadFull(raw, fixed[:]); err != nil {
 		return nil, badSnapshot("reading v2 header: %v", err)

@@ -37,35 +37,6 @@ func TestSnapshotV2FileRoundTrip(t *testing.T) {
 	}
 }
 
-// Both format versions must load through the same entry point: v2 is what
-// WriteSnapshotFile produces now, v1 is what older builds left in cache
-// directories.
-func TestSnapshotBothVersionsReadable(t *testing.T) {
-	want := snapshotFixture(t, true, true)
-	dir := t.TempDir()
-
-	v1 := filepath.Join(dir, "v1.snap")
-	if err := graph.WriteSnapshotFileV1(v1, want); err != nil {
-		t.Fatal(err)
-	}
-	v2 := filepath.Join(dir, "v2.snap")
-	if err := graph.WriteSnapshotFile(v2, want); err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range []string{v1, v2} {
-		got, err := graph.ReadSnapshotFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v", filepath.Base(path), err)
-		}
-		assertGraphsEqual(t, got, want)
-	}
-	// v1 files are not mappable; the caller's contract is to fall back to
-	// the copying decoder on any MapSnapshotFile error.
-	if _, err := graph.MapSnapshotFile(v1); !errors.Is(err, graph.ErrBadSnapshot) {
-		t.Fatalf("MapSnapshotFile(v1): err = %v, want ErrBadSnapshot", err)
-	}
-}
-
 func TestSnapshotV2EmptyGraph(t *testing.T) {
 	b := graph.NewBuilder(false, false)
 	b.AddVertex(42)

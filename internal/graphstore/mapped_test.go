@@ -1,7 +1,10 @@
 package graphstore_test
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"sync/atomic"
 	"testing"
 
 	"graphalytics/internal/graph"
@@ -51,26 +54,45 @@ func TestMapSnapshotsResidency(t *testing.T) {
 	}
 }
 
-// v1 snapshots stay readable in mmap mode via the copying fallback.
+// A format-v1 file left in the directory by an older build is a corrupt
+// snapshot like any other, in heap and mmap mode alike: the store falls
+// back to one corrupt event, a rebuild, and a current-format file in its
+// place.
 func TestMapSnapshotsV1Fallback(t *testing.T) {
-	dir := t.TempDir()
-	g := testGraph(t, 2)
-	s := graphstore.New(graphstore.Options{Dir: dir, MapSnapshots: true})
-	if err := graph.WriteSnapshotFileV1(s.SnapshotPath("k@g1"), g); err != nil {
-		t.Fatal(err)
-	}
-	r, err := s.Get("k@g1", func() (*graph.Graph, error) {
-		t.Fatal("readable v1 snapshot must not rebuild")
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Source != graphstore.SourceSnapshot || r.Graph.Mapped() {
-		t.Fatalf("source=%v mapped=%v, want snapshot-sourced heap graph", r.Source, r.Graph.Mapped())
-	}
-	if s.MappedBytes() != 0 || s.HeapBytes() <= 0 {
-		t.Fatalf("heap=%d mapped=%d, want heap-charged residency", s.HeapBytes(), s.MappedBytes())
+	// Magic, version 1, then a plausible v1 header tail.
+	v1 := append([]byte("GLYTSNAP"), 1, 0, 0, 0)
+	v1 = append(v1, make([]byte, 8+24)...)
+	for _, mapped := range []bool{false, true} {
+		t.Run(fmt.Sprintf("mapped=%v", mapped), func(t *testing.T) {
+			var corrupt atomic.Int32
+			s := graphstore.New(graphstore.Options{Dir: t.TempDir(), MapSnapshots: mapped, OnEvent: func(e graphstore.Event) {
+				if e.Type == graphstore.EventSnapshotCorrupt {
+					corrupt.Add(1)
+					if !errors.Is(e.Err, graph.ErrBadSnapshot) {
+						t.Errorf("corrupt event error = %v, want ErrBadSnapshot", e.Err)
+					}
+				}
+			}})
+			path := s.SnapshotPath("k@g1")
+			if err := os.WriteFile(path, v1, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r, err := s.Get("k@g1", func() (*graph.Graph, error) { return testGraph(t, 2), nil })
+			if err != nil {
+				t.Fatalf("v1 snapshot must not fail the load: %v", err)
+			}
+			if r.Source != graphstore.SourceBuilt {
+				t.Fatalf("source = %v, want built", r.Source)
+			}
+			if got := corrupt.Load(); got != 1 {
+				t.Fatalf("%d corrupt events, want exactly 1", got)
+			}
+			g, err := graph.MapSnapshotFile(path)
+			if err != nil {
+				t.Fatalf("rewritten snapshot does not map: %v", err)
+			}
+			g.Close()
+		})
 	}
 }
 

@@ -83,8 +83,8 @@ type Options struct {
 	// MapSnapshots serves v2 snapshots as mmap-backed graphs
 	// (graph.MapSnapshotFile) instead of copying them onto the heap: open
 	// cost is O(header) and resident cost is page-cache pages the OS can
-	// reclaim. Unmappable snapshots (v1 files, platforms without mmap)
-	// fall back to the copying decoder transparently. Snapshot files in
+	// reclaim. Where a snapshot cannot be mapped (platforms without
+	// mmap) the copying decoder serves it transparently. Snapshot files in
 	// Dir are written by this store with fsync+rename, which is why the
 	// mmap fast path may skip payload checksums.
 	MapSnapshots bool
@@ -318,9 +318,10 @@ func (s *Store) materializeStreamed(key string, buildTo func(path string) error)
 }
 
 // openSnapshot opens a snapshot file, mmap-backed when configured. Any
-// map failure other than a missing file — a v1 snapshot, a platform
-// without mmap, a corrupt header — falls through to the copying decoder,
-// whose verdict (including ErrBadSnapshot for true corruption) is final.
+// map failure other than a missing file — a platform without mmap, a
+// corrupt header — falls through to the copying decoder, whose verdict
+// (ErrBadSnapshot for corruption or an outdated format version, which
+// the caller answers by regenerating) is final.
 func (s *Store) openSnapshot(path string) (*graph.Graph, error) {
 	if s.opts.MapSnapshots {
 		g, err := graph.MapSnapshotFile(path)

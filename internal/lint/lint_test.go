@@ -208,3 +208,47 @@ func TestRepoClean(t *testing.T) {
 		t.Errorf("%s", d)
 	}
 }
+
+// waiverCeilings caps the audited waivers in non-test code. The numbers
+// only ever go down: removing a waiver lowers its ceiling in the same
+// change, and a new one needs a reviewer to raise it here.
+var waiverCeilings = map[string]int{"ctxbg": 10, "orderfree": 25}
+
+// TestWaiverBudget counts the waiver directives in the module's non-test
+// sources (the analyzers' own fixtures aside) against waiverCeilings.
+func TestWaiverBudget(t *testing.T) {
+	counts := map[string]int{}
+	err := filepath.WalkDir("../..", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" || (strings.HasPrefix(d.Name(), ".") && path != "../..") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "//graphalint:"); ok {
+				name, _, _ := strings.Cut(rest, " ")
+				counts[name]++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ceiling := range waiverCeilings {
+		if counts[name] > ceiling {
+			t.Errorf("%d //graphalint:%s waivers in non-test code, ceiling is %d", counts[name], name, ceiling)
+		}
+	}
+}

@@ -91,10 +91,6 @@ func Warm(ctx context.Context, s *graphstore.Store, parallel int, onEach func(id
 // WarmIDs is Warm over an explicit dataset list — the only way to warm
 // out-of-core XL datasets, which Catalog (and therefore Warm) excludes.
 func WarmIDs(ctx context.Context, s *graphstore.Store, parallel int, datasets []string, onEach func(id string, r graphstore.Result, err error)) error {
-	if ctx == nil {
-		//graphalint:ctxbg nil-ctx guard for deprecated ctx-less entry points; ctx-first callers never hit it
-		ctx = context.Background()
-	}
 	if parallel < 1 {
 		parallel = 1
 	}

@@ -100,10 +100,6 @@ type ReportSink = core.ReportSink
 // WithSink adds a result sink to a session (repeatable).
 func WithSink(k Sink) Option { return core.WithSink(k) }
 
-// WithUploadSharing toggles RunPlan's per-deployment upload lease
-// (default on); off restores per-job uploads as the measurement baseline.
-func WithUploadSharing(on bool) Option { return core.WithUploadSharing(on) }
-
 // NewJSONLSink streams each result to w as one JSON object per line.
 func NewJSONLSink(w io.Writer) Sink { return core.NewJSONLSink(w) }
 

@@ -90,12 +90,11 @@ func SaveGraphSnapshot(path string, g *Graph) error { return graph.WriteSnapshot
 // LoadGraphSnapshot reads a graph written by SaveGraphSnapshot.
 func LoadGraphSnapshot(path string) (*Graph, error) { return graph.ReadSnapshotFile(path) }
 
-// MapGraphSnapshot opens a v2 snapshot as an mmap-backed graph: the
+// MapGraphSnapshot opens a snapshot as an mmap-backed graph: the
 // header is validated eagerly, the CSR arrays are served zero-copy from
 // the page cache, and open cost is O(header) regardless of graph size.
-// Release the graph with Close when done. Fails with ErrBadSnapshot on
-// v1 files and ErrMapUnsupported off Linux/macOS — fall back to
-// LoadGraphSnapshot.
+// Release the graph with Close when done. Fails with ErrMapUnsupported
+// off Linux/macOS — fall back to LoadGraphSnapshot.
 func MapGraphSnapshot(path string) (*Graph, error) { return graph.MapSnapshotFile(path) }
 
 // ErrMapUnsupported reports that snapshot mapping is unavailable on this
