@@ -53,7 +53,11 @@ func ParBFS(g *graph.Graph, source int32, workers int) []int64 {
 		depth[i] = Unreachable
 	}
 	depth[source] = 0
-	frontier := []int32{source}
+	// The frontier, its successor and the per-worker claim lists are
+	// reused across levels, so a search allocates by the widest level it
+	// meets, not by how many levels it runs.
+	frontier, next := []int32{source}, []int32(nil)
+	parts := make([][]int32, p)
 	for level := int64(1); len(frontier) > 0; level++ {
 		pl := p
 		if workers <= 0 {
@@ -61,18 +65,15 @@ func ParBFS(g *graph.Graph, source int32, workers int) []int64 {
 				pl = auto
 			}
 		}
-		parts := par.Accumulate(len(frontier), pl, func(_, lo, hi int) []int32 {
-			return BFSExpand(g, depth, frontier[lo:hi], level)
+		par.Chunks(len(frontier), pl, func(w, lo, hi int) {
+			parts[w] = BFSExpand(g, depth, frontier[lo:hi], level, parts[w][:0])
 		})
-		total := 0
-		for _, part := range parts {
-			total += len(part)
+		next = next[:0]
+		for w := range parts {
+			next = append(next, parts[w]...)
+			parts[w] = parts[w][:0] // an empty chunk next level must not replay this one
 		}
-		next := make([]int32, 0, total)
-		for _, part := range parts {
-			next = append(next, part...)
-		}
-		frontier = next
+		frontier, next = next, frontier
 	}
 	return depth
 }
@@ -255,14 +256,34 @@ func ParCDLP(g *graph.Graph, iterations int, workers int) []int64 {
 	return out
 }
 
-// ParLCC is the parallel counterpart of RefLCC: local clustering
-// coefficients over vertex chunks with chunk-private mark buffers.
+// ParLCC is the parallel counterpart of RefLCC: a degree-ordered triangle
+// enumeration (see LCCOrientation) whose chunks, cut by probe work rather
+// than vertex count, count into per-worker integer numerators. The
+// numerators are folded in worker order and divided exactly as RefLCC
+// divides; integer addition is associative, so the fold — and with it the
+// output — is the same bits at every worker count.
 func ParLCC(g *graph.Graph, workers int) []float64 {
 	n := g.NumVertices()
 	p := par.Resolve(workers, n+int(g.NumEdges()))
+	o := NewLCCOrientation(g, p)
+	bounds := o.Bounds(p)
+	counts := make([][]int64, p)
+	par.Chunks(p, p, func(w, lo, hi int) {
+		counts[w] = make([]int64, n)
+		mark := make([]uint8, n)
+		for c := lo; c < hi; c++ {
+			o.CountRange(counts[w], mark, bounds[c], bounds[c+1])
+		}
+	})
 	out := make([]float64, n)
 	par.Chunks(n, p, func(_, lo, hi int) {
-		LCCRange(g, out, lo, hi)
+		total := counts[0]
+		for _, c := range counts[1:] {
+			for v := lo; v < hi; v++ {
+				total[v] += c[v]
+			}
+		}
+		o.RatioRange(total, out, lo, hi)
 	})
 	return out
 }

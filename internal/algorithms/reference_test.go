@@ -328,7 +328,7 @@ func TestWCCEndpointsShareLabel(t *testing.T) {
 	}
 }
 
-func TestLCCRangeInvariant(t *testing.T) {
+func TestLCCValuesInUnitInterval(t *testing.T) {
 	check := func(seed int64, directed bool) bool {
 		g := randomGraph(t, seed, directed)
 		for _, v := range algorithms.RefLCC(g) {

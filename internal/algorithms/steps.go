@@ -19,25 +19,27 @@ import (
 // (BFSExpand's depth claims) use atomics; everything else writes only
 // inside its own range.
 
-// BFSExpand scans a slice of the current BFS frontier and claims every
-// still-unreached out-neighbor at the given level, returning the claimed
-// vertices in scan order. Claims are atomic compare-and-swaps on the depth
-// array, so concurrent chunks never claim a vertex twice, and the depth
-// value written is the same regardless of which chunk wins. The cheap
-// atomic load filters out already-visited neighbors (the vast majority of
-// edge traversals) before paying for a CAS, so the per-edge cost stays
-// close to the sequential kernel's plain compare.
-func BFSExpand(g *graph.Graph, depth []int64, frontier []int32, level int64) []int32 {
-	var next []int32
+// BFSExpand scans a slice of the current BFS frontier, claims every
+// still-unreached out-neighbor at the given level and returns out extended
+// with the claimed vertices in scan order. Claims are atomic
+// compare-and-swaps on the depth array, so concurrent chunks never claim a
+// vertex twice, and the depth value written is the same regardless of
+// which chunk wins. The cheap atomic load filters out already-visited
+// neighbors (the vast majority of edge traversals) before paying for a
+// CAS, so the per-edge cost stays close to the sequential kernel's plain
+// compare.
+//
+//graphalint:noalloc appends extend the caller's pooled out buffer in place
+func BFSExpand(g *graph.Graph, depth []int64, frontier []int32, level int64, out []int32) []int32 {
 	for _, v := range frontier {
 		for _, u := range g.OutNeighbors(v) {
 			if atomic.LoadInt64(&depth[u]) == Unreachable &&
 				atomic.CompareAndSwapInt64(&depth[u], Unreachable, level) {
-				next = append(next, u)
+				out = append(out, u)
 			}
 		}
 	}
-	return next
+	return out
 }
 
 // PRContribRange fills contrib[v] = rank[v]/outdeg(v) for v in [lo, hi)
@@ -358,36 +360,4 @@ func SSSPRelaxRange(g *graph.Graph, dist []uint64, frontier []int32, claimed []u
 		}
 	}
 	return out
-}
-
-// LCCRange computes local clustering coefficients for v in [lo, hi) into
-// out, with chunk-private mark and neighborhood buffers. The neighborhood
-// is the union of in- and out-neighbors; each direction between two
-// neighbors counts separately (see RefLCC).
-func LCCRange(g *graph.Graph, out []float64, lo, hi int) {
-	mark := make([]int32, g.NumVertices())
-	for i := range mark {
-		mark[i] = -1
-	}
-	var hood []int32
-	for v := lo; v < hi; v++ {
-		hood = neighborhood(g, int32(v), hood[:0])
-		d := len(hood)
-		if d < 2 {
-			out[v] = 0
-			continue
-		}
-		for _, u := range hood {
-			mark[u] = int32(v)
-		}
-		arcs := 0
-		for _, u := range hood {
-			for _, w := range g.OutNeighbors(u) {
-				if w != int32(v) && mark[w] == int32(v) {
-					arcs++
-				}
-			}
-		}
-		out[v] = float64(arcs) / (float64(d) * float64(d-1))
-	}
 }

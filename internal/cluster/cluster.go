@@ -118,6 +118,11 @@ type Cluster struct {
 	netTime  time.Duration
 	simTime  time.Duration
 	traffic  int64
+
+	// threads is the pool handle every round hands its machines. Rounds
+	// of one cluster never overlap, so one handle, reset per machine,
+	// keeps a round free of allocation.
+	threads Threads
 }
 
 // New creates a cluster with the given configuration.
@@ -215,7 +220,7 @@ func (c *Cluster) Broadcast(from int, bytesPerPeer int64) {
 // The first machine error aborts the round and is returned.
 func (c *Cluster) RunRound(fn func(machine int, th *Threads) error) error {
 	var maxCompute time.Duration
-	th := &Threads{}
+	th := &c.threads
 	for m := 0; m < c.cfg.Machines; m++ {
 		*th = Threads{count: c.cfg.Threads}
 		start := now()

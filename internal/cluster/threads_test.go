@@ -21,20 +21,6 @@ func threadsOf(t *testing.T, count int, use func(th *cluster.Threads)) time.Dura
 	return c.SimulatedTime()
 }
 
-// minSimTime measures a round several times and keeps the fastest: the
-// timing tests share the host with other package test binaries, and the
-// minimum filters out runs inflated by descheduling.
-func minSimTime(t *testing.T, count int, use func(th *cluster.Threads)) time.Duration {
-	t.Helper()
-	best := threadsOf(t, count, use)
-	for i := 0; i < 2; i++ {
-		if d := threadsOf(t, count, use); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
 func TestThreadsCoversRange(t *testing.T) {
 	for _, count := range []int{1, 3, 8} {
 		seen := make([]int, 100)
@@ -90,45 +76,58 @@ func TestThreadsZeroWork(t *testing.T) {
 	})
 }
 
+const (
+	// spawnCost mirrors the modeled per-additional-thread cost in threads.go.
+	spawnCost = 2 * time.Microsecond
+	// step is what one read of the timing tests' stepping clock costs.
+	step = time.Millisecond
+)
+
+// simTimeOnSteppingClock runs one round under a fresh stepping clock and
+// hands the body that clock: reading it is the body's unit of work, worth
+// exactly one step of simulated time, as is every measurement read the
+// cluster makes itself.
+func simTimeOnSteppingClock(t *testing.T, count int, use func(th *cluster.Threads, burn func())) time.Duration {
+	t.Helper()
+	clock := steppingClock(step)
+	defer cluster.SetClockForTesting(clock)()
+	return threadsOf(t, count, func(th *cluster.Threads) {
+		use(th, func() { clock() })
+	})
+}
+
 func TestThreadsDiscountReducesSimulatedTime(t *testing.T) {
-	// A perfectly parallel region must be cheaper on more simulated
-	// threads: burn a measurable, even amount of CPU per element.
-	burn := func(th *cluster.Threads) {
-		th.Chunks(64, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				x := 1.0
-				for k := 0; k < 40000; k++ {
-					x = x*1.0000001 + float64(k%3)
-				}
-				_ = x
-			}
-		})
+	// A perfectly parallel region of 64 one-step elements.
+	region := func(th *cluster.Threads, burn func()) {
+		th.For(64, func(int) { burn() })
 	}
-	serial := minSimTime(t, 1, burn)
-	parallel := minSimTime(t, 8, burn)
-	if parallel >= serial {
-		t.Fatalf("8 simulated threads (%v) not faster than 1 (%v)", parallel, serial)
+	// One thread: no chunk measurement, the round's own clock pair
+	// brackets the 64 element reads.
+	if got, want := simTimeOnSteppingClock(t, 1, region), 65*step; got != want {
+		t.Fatalf("1 simulated thread: %v, want %v", got, want)
 	}
-	// The modeled speedup must not exceed the thread count.
-	if float64(serial)/float64(parallel) > 8.5 {
-		t.Fatalf("speedup %v exceeds the thread count", float64(serial)/float64(parallel))
+	// Eight threads: the round spans 81 steps (64 elements, a clock pair
+	// per chunk, the round's closing read), the chunks measure 9 steps
+	// each (72 in sequence), and the model keeps the slowest chunk plus
+	// seven spawns — a discount of 63 steps less the spawn cost. What
+	// remains is that chunk, the spawns, and the 9 reads that fall between
+	// measured regions and stay sequential.
+	if got, want := simTimeOnSteppingClock(t, 8, region), 18*step+7*spawnCost; got != want {
+		t.Fatalf("8 simulated threads: %v, want %v", got, want)
 	}
 }
 
 func TestThreadsSequentialWorkNotDiscounted(t *testing.T) {
-	// Work outside Chunks regions must be charged in full regardless of
-	// the thread budget.
-	burnSequential := func(th *cluster.Threads) {
-		x := 1.0
-		for k := 0; k < 3_000_000; k++ {
-			x = x*1.0000001 + float64(k%3)
+	// Work outside Chunks regions is charged in full whatever the thread
+	// budget: 100 sequential steps inside the round's clock pair.
+	sequential := func(_ *cluster.Threads, burn func()) {
+		for k := 0; k < 100; k++ {
+			burn()
 		}
-		_ = x
 	}
-	serial := minSimTime(t, 1, burnSequential)
-	parallel := minSimTime(t, 8, burnSequential)
-	ratio := float64(serial) / float64(parallel)
-	if ratio > 2 || ratio < 0.5 {
-		t.Fatalf("sequential work changed by %vx across thread budgets", ratio)
+	for _, count := range []int{1, 8} {
+		if got, want := simTimeOnSteppingClock(t, count, sequential), 101*step; got != want {
+			t.Fatalf("%d simulated threads: sequential section charged %v, want %v", count, got, want)
+		}
 	}
 }

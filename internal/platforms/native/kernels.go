@@ -23,31 +23,41 @@ import (
 // bfs is a level-synchronous queue-based breadth-first search: only the
 // frontier is scanned each level, so partially covered graphs cost only the
 // covered portion (the OpenG advantage the paper observes on R2).
-func bfs(ctx context.Context, g *graph.Graph, cl *cluster.Cluster, source int32) ([]int64, error) {
+func bfs(ctx context.Context, u *uploaded, source int32) ([]int64, error) {
+	g, cl := u.G, u.Cl
 	n := g.NumVertices()
 	depth := make([]int64, n)
 	for i := range depth {
 		depth[i] = algorithms.Unreachable
 	}
 	depth[source] = 0
-	frontier := []int32{source}
-	for level := int64(1); len(frontier) > 0; level++ {
+	sc := mplane.Acquire(&u.scratch, newNativeScratch)
+	defer u.scratch.Put(sc)
+	if len(sc.parts) < cl.Threads() {
+		sc.parts = make([][]int32, cl.Threads())
+	}
+	sc.frontier = append(sc.frontier[:0], source)
+	// One round body serves every level: it reads the level and the
+	// frontier through the variables it captured, so a search allocates
+	// the same whether it runs three levels or three thousand.
+	level := int64(1)
+	round := func(_ int, th *cluster.Threads) error {
+		th.ChunksIndexed(len(sc.frontier), func(w, lo, hi int) {
+			sc.parts[w] = algorithms.BFSExpand(g, depth, sc.frontier[lo:hi], level, sc.parts[w][:0])
+		})
+		return nil
+	}
+	for ; len(sc.frontier) > 0; level++ {
 		if err := platform.CheckContext(ctx); err != nil {
 			return nil, err
 		}
-		var next [][]int32
-		if err := cl.RunRound(func(_ int, th *cluster.Threads) error {
-			next = make([][]int32, th.Count())
-			th.ChunksIndexed(len(frontier), func(worker, lo, hi int) {
-				next[worker] = algorithms.BFSExpand(g, depth, frontier[lo:hi], level)
-			})
-			return nil
-		}); err != nil {
+		if err := cl.RunRound(round); err != nil {
 			return nil, err
 		}
-		frontier = frontier[:0]
-		for _, l := range next {
-			frontier = append(frontier, l...)
+		sc.frontier = sc.frontier[:0]
+		for w := range sc.parts {
+			sc.frontier = append(sc.frontier, sc.parts[w]...)
+			sc.parts[w] = sc.parts[w][:0] // a narrower next level leaves some slots unwritten
 		}
 	}
 	return depth, nil
@@ -166,17 +176,20 @@ func wccRange(g *graph.Graph, label []int32, lo, hi int) bool {
 	return changed
 }
 
-// nativeScratch is the pooled per-job working state of the CDLP and SSSP
-// kernels, hung off the upload so repeated Execute calls reuse it.
+// nativeScratch is the pooled per-job working state of the BFS, CDLP, LCC
+// and SSSP kernels, hung off the upload so repeated Execute calls reuse it.
 type nativeScratch struct {
-	counts  mplane.LabelCounts
-	labels  []int32 // CDLP working labels (internal-index domain)
-	next    []int32
-	dirty   []uint32
-	changed []bool
-	sums    []float64 // per-worker weight partials for the Delta round
-	parts   [][]int32 // per-worker relax outputs
-	buckets algorithms.SSSPBuckets
+	counts   mplane.LabelCounts
+	labels   []int32 // CDLP working labels (internal-index domain)
+	next     []int32
+	dirty    []uint32
+	changed  []bool
+	sums     []float64 // per-worker weight partials for the Delta round
+	parts    [][]int32 // per-worker BFS claims and SSSP relax outputs
+	frontier []int32   // BFS frontier
+	buckets  algorithms.SSSPBuckets
+	count    []int64   // LCC numerators
+	marks    [][]uint8 // per-thread LCC marks, all-zero between jobs
 }
 
 func newNativeScratch() *nativeScratch { return &nativeScratch{} }
@@ -256,22 +269,43 @@ func cdlp(ctx context.Context, u *uploaded, iterations int) ([]int64, error) {
 	return out, nil
 }
 
-// lcc computes local clustering coefficients with per-worker epoch-mark
-// arrays; the neighborhood of a vertex is the union of its in- and
-// out-neighbors.
-func lcc(ctx context.Context, g *graph.Graph, cl *cluster.Cluster) ([]float64, error) {
-	n := g.NumVertices()
-	out := make([]float64, n)
+// lcc runs the shared degree-ordered triangle kernel (see
+// algorithms.LCCOrientation) under the simulated thread pool: one charged
+// round counts triangles over chunks cut by probe work, so the modeled
+// slowest thread stays close to the mean on skewed graphs, then divides
+// the numerators over vertex chunks. The simulated threads run their
+// chunks one after another, so a single numerator array serves them all;
+// each thread keeps its own mark array, as real threads would. Everything
+// but the output is pooled.
+func lcc(ctx context.Context, u *uploaded) ([]float64, error) {
 	if err := platform.CheckContext(ctx); err != nil {
 		return nil, err
 	}
-	err := cl.RunRound(func(_ int, th *cluster.Threads) error {
+	n := u.G.NumVertices()
+	o := u.orient
+	sc := mplane.Acquire(&u.scratch, newNativeScratch)
+	defer u.scratch.Put(sc)
+	tc := u.Cl.Threads()
+	sc.count = mplane.GrowZero(sc.count, n)
+	if sc.marks == nil {
+		sc.marks = make([][]uint8, tc)
+		for w := range sc.marks {
+			sc.marks[w] = make([]uint8, n)
+		}
+	}
+	bounds := o.Bounds(tc)
+	out := make([]float64, n)
+	if err := u.Cl.RunRound(func(_ int, th *cluster.Threads) error {
+		th.ChunksIndexed(tc, func(w, lo, hi int) {
+			for c := lo; c < hi; c++ {
+				o.CountRange(sc.count, sc.marks[w], bounds[c], bounds[c+1])
+			}
+		})
 		th.Chunks(n, func(lo, hi int) {
-			algorithms.LCCRange(g, out, lo, hi)
+			o.RatioRange(sc.count, out, lo, hi)
 		})
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	if err := platform.CheckContext(ctx); err != nil {

