@@ -43,6 +43,16 @@ func newBenchSession(opts ...graphalytics.Option) *graphalytics.Session {
 	}, opts...)...)
 }
 
+// runExperiment regenerates one paper artifact on s.
+func runExperiment(b *testing.B, s *graphalytics.Session, id string, cfg graphalytics.ExperimentConfig) *graphalytics.Report {
+	b.Helper()
+	rep, err := s.RunExperiment(context.Background(), id, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep
+}
+
 var printed sync.Map
 
 // printReport renders a report once per benchmark, regardless of b.N.
@@ -112,23 +122,16 @@ func BenchmarkTable4SyntheticDatasets(b *testing.B) {
 func BenchmarkFig4DatasetVariety(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newBenchSession()
-		rep, err := s.DatasetVariety(context.Background(), graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), Threads: benchThreads})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printReport(rep)
+		printReport(runExperiment(b, s, "fig4", graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), Threads: benchThreads}))
 	}
 }
 
-// BenchmarkFig5Throughput regenerates Figure 5: EPS and EVPS for BFS,
-// derived from dataset-variety runs.
+// BenchmarkFig5Throughput regenerates Figure 5: EPS and EVPS for BFS, the
+// second renderer over the dataset-variety matrix.
 func BenchmarkFig5Throughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newBenchSession()
-		if _, err := s.DatasetVariety(context.Background(), graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), Threads: benchThreads}); err != nil {
-			b.Fatal(err)
-		}
-		printReport(s.ThroughputReport(graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms()}))
+		printReport(runExperiment(b, s, "fig5", graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), Threads: benchThreads}))
 	}
 }
 
@@ -137,11 +140,7 @@ func BenchmarkFig5Throughput(b *testing.B) {
 func BenchmarkTable8Makespan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newBenchSession()
-		rep, err := s.MakespanBreakdown(context.Background(), graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), Threads: benchThreads})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printReport(rep)
+		printReport(runExperiment(b, s, "table8", graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), Threads: benchThreads}))
 	}
 }
 
@@ -150,11 +149,7 @@ func BenchmarkTable8Makespan(b *testing.B) {
 func BenchmarkFig6AlgorithmVariety(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newBenchSession()
-		rep, err := s.AlgorithmVariety(context.Background(), graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), Threads: benchThreads})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printReport(rep)
+		printReport(runExperiment(b, s, "fig6", graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), Threads: benchThreads}))
 	}
 }
 
@@ -163,12 +158,14 @@ func BenchmarkFig6AlgorithmVariety(b *testing.B) {
 func BenchmarkFig7VerticalScalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newBenchSession()
-		rep, err := s.VerticalScalability(context.Background(), graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), ThreadSweep: []int{1, 2, 4, 8, 16, 32}})
+		spec, results, err := s.RunMatrix(context.Background(), "fig7", graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), ThreadSweep: []int{1, 2, 4, 8, 16, 32}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		printReport(rep)
-		printReport(s.VerticalSpeedupReport(graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms()}))
+		for _, id := range []string{"fig7", "table9"} {
+			exp, _ := graphalytics.ExperimentByID(id)
+			printReport(exp.Render(spec, results))
+		}
 	}
 }
 
@@ -177,10 +174,7 @@ func BenchmarkFig7VerticalScalability(b *testing.B) {
 func BenchmarkTable9VerticalSpeedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newBenchSession()
-		if _, err := s.VerticalScalability(context.Background(), graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), ThreadSweep: []int{1, 8}}); err != nil {
-			b.Fatal(err)
-		}
-		rep := s.VerticalSpeedupReport(graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms()})
+		rep := runExperiment(b, s, "table9", graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), ThreadSweep: []int{1, 8}})
 		rep.Title += " (reduced sweep: 1 vs 8 threads)"
 		printReport(rep)
 	}
@@ -191,11 +185,7 @@ func BenchmarkTable9VerticalSpeedup(b *testing.B) {
 func BenchmarkFig8StrongScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newBenchSession()
-		rep, err := s.StrongScaling(context.Background(), graphalytics.ExperimentConfig{Platforms: graphalytics.DistributedPlatforms(), MachineSweep: []int{1, 2, 4, 8, 16}, Threads: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printReport(rep)
+		printReport(runExperiment(b, s, "fig8", graphalytics.ExperimentConfig{Platforms: graphalytics.DistributedPlatforms(), MachineSweep: []int{1, 2, 4, 8, 16}, Threads: 2}))
 	}
 }
 
@@ -204,11 +194,7 @@ func BenchmarkFig8StrongScaling(b *testing.B) {
 func BenchmarkFig9WeakScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newBenchSession()
-		rep, err := s.WeakScaling(context.Background(), graphalytics.ExperimentConfig{Platforms: graphalytics.DistributedPlatforms(), WeakPairs: graphalytics.DefaultWeakPairs(), Threads: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printReport(rep)
+		printReport(runExperiment(b, s, "fig9", graphalytics.ExperimentConfig{Platforms: graphalytics.DistributedPlatforms(), WeakPairs: graphalytics.DefaultWeakPairs(), Threads: 2}))
 	}
 }
 
@@ -219,11 +205,7 @@ func BenchmarkTable10StressTest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newBenchSession(graphalytics.WithValidation(false)) // failure probing, not correctness
 		all := append(graphalytics.SingleMachinePlatforms(), "spmv-d")
-		rep, err := s.StressTest(context.Background(), graphalytics.ExperimentConfig{Platforms: all, Threads: benchThreads, MemoryBudget: budget})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printReport(rep)
+		printReport(runExperiment(b, s, "table10", graphalytics.ExperimentConfig{Platforms: all, Threads: benchThreads, MemoryBudget: budget}))
 	}
 }
 
@@ -232,14 +214,10 @@ func BenchmarkTable10StressTest(b *testing.B) {
 func BenchmarkTable11Variability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newBenchSession()
-		rep, err := s.Variability(context.Background(), graphalytics.ExperimentConfig{
+		printReport(runExperiment(b, s, "table11", graphalytics.ExperimentConfig{
 			SingleMachine: graphalytics.SingleMachinePlatforms(), Distributed: graphalytics.DistributedPlatforms(),
 			Repetitions: 10, Threads: benchThreads,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printReport(rep)
+		}))
 	}
 }
 

@@ -14,9 +14,9 @@ import (
 )
 
 // Session is the harness's context-first orchestrator: it runs benchmark
-// jobs with SLA enforcement, single-flighted reference validation, a
-// results database, a bounded-parallelism scheduler (RunAll) and a
-// streaming progress Observer. Construct one with NewSession and
+// jobs with SLA enforcement, single-flighted reference validation,
+// in-order result delivery to sinks, a bounded-parallelism scheduler
+// (RunAll) and a streaming progress Observer. Construct one with NewSession and
 // functional options; see DESIGN.md for the full API.
 type Session = core.Session
 
@@ -28,15 +28,13 @@ type Option = core.Option
 type ExperimentConfig = core.ExperimentConfig
 
 // NewSession returns a session with validation on, the default network
-// model, a fresh results database and GOMAXPROCS parallelism, overridden
-// by the given options.
+// model and GOMAXPROCS parallelism, overridden by the given options.
 func NewSession(opts ...Option) *Session { return core.NewSession(opts...) }
 
 // Functional options for NewSession and Session.RunAll.
 func WithSLA(d time.Duration) Option            { return core.WithSLA(d) }
 func WithValidation(on bool) Option             { return core.WithValidation(on) }
 func WithNetwork(n cluster.NetworkModel) Option { return core.WithNetwork(n) }
-func WithResultsDB(db *core.ResultsDB) Option   { return core.WithResultsDB(db) }
 func WithParallelism(n int) Option              { return core.WithParallelism(n) }
 func WithReferenceParallelism(n int) Option     { return core.WithReferenceParallelism(n) }
 func WithObserver(o Observer) Option            { return core.WithObserver(o) }
@@ -84,7 +82,7 @@ const (
 	EventDeploymentUploaded  = core.EventDeploymentUploaded
 )
 
-// JobSpec is one benchmark job; JobResult one results-database record.
+// JobSpec is one benchmark job; JobResult the record of one executed job.
 type (
 	JobSpec   = core.JobSpec
 	JobResult = core.JobResult
@@ -92,9 +90,6 @@ type (
 
 // Report is a rendered experiment outcome (one paper figure or table).
 type Report = core.Report
-
-// ResultsDB is the harness's results database.
-type ResultsDB = core.ResultsDB
 
 // Status classifies the outcome of a job; it is terminal for every
 // defined value (Status.Terminal) and renders via Status.String.
@@ -135,20 +130,18 @@ func SingleMachinePlatforms() []string { return append([]string(nil), platforms.
 // DistributedPlatforms lists the engines used in distributed experiments.
 func DistributedPlatforms() []string { return append([]string(nil), platforms.DistributedSet...) }
 
-// Experiments: each paper artifact is regenerated by a context-first
-// Session method (s.DatasetVariety, s.AlgorithmVariety, ...) taking an
-// ExperimentConfig; see DESIGN.md's per-experiment index for the artifact
-// mapping. The functions below derive reports from recorded results.
+// Experiment is one row of the experiment table — a paper artifact's ID,
+// the builder of its job matrix (Spec: the declarative BenchSpec, for dry
+// runs and plan listings) and the pure renderer of its rows (Render).
+// Session.RunExperiment(ctx, id, cfg) regenerates an artifact in one
+// call; Session.RunMatrix plus Render run a matrix once and render
+// several artifacts over it (Figure 5 over Figure 4's, Table 9 over
+// Figure 7's). See DESIGN.md's per-experiment index.
+type Experiment = core.Experiment
 
-// ThroughputReport derives Figure 5 (EPS/EVPS) from dataset-variety runs.
-func ThroughputReport(db *ResultsDB, platformNames []string) *Report {
-	return core.ThroughputReport(db, platformNames)
-}
-
-// VerticalSpeedupReport derives Table 9 from vertical-scalability runs.
-func VerticalSpeedupReport(db *ResultsDB, platformNames []string) *Report {
-	return core.VerticalSpeedupReport(db, platformNames)
-}
+// ExperimentByID looks an artifact ("fig4", "table9", ...) up in the
+// experiment table.
+func ExperimentByID(id string) (Experiment, bool) { return core.ExperimentByID(id) }
 
 // WeakPair couples a machine count with its Graph500 dataset.
 type WeakPair = core.WeakPair

@@ -4,8 +4,9 @@ package main
 // content-addressed run archive that `run -spec -archive-dir` and the
 // graphalyticsd daemon write. `verify` re-derives every hash in the
 // store (chunk digests, Merkle roots, commit IDs, the parent chain)
-// and exits nonzero naming the damage; `report` exports the
-// Graphalytics-compatible static report; `regress` diffs two archived
+// and exits nonzero naming the damage; `report` regenerates a commit's
+// reports — the Graphalytics-compatible static pages and the paper
+// tables — from the sealed record alone; `regress` diffs two archived
 // bench snapshots and fails on gated hot-path regressions — the CI
 // regression gate is exactly this command.
 
@@ -200,13 +201,15 @@ func archiveCommitBench(args []string) error {
 	return nil
 }
 
-// archiveReport exports the static Graphalytics report (index.html +
-// benchmark-results.js) for a results commit.
+// archiveReport regenerates the reports of a results commit from its
+// sealed record: the static Graphalytics report (index.html +
+// benchmark-results.js) and tables.txt — the paper tables registered for
+// the commit's spec name, else the job table.
 func archiveReport(args []string) error {
 	fs := newArchiveFlagSet("archive report")
 	dir := archiveDirFlag(fs)
 	ref := fs.String("commit", "HEAD", "results commit to render")
-	out := fs.String("out", "report", "directory to write index.html and benchmark-results.js into")
+	out := fs.String("out", "report", "directory to write index.html, benchmark-results.js and tables.txt into")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -217,7 +220,7 @@ func archiveReport(args []string) error {
 	if err := a.WriteReportDir(*ref, *out); err != nil {
 		return err
 	}
-	fmt.Printf("report written to %s (open %s/index.html)\n", *out, *out)
+	fmt.Printf("report written to %s (open %s/index.html; text tables in %s/tables.txt)\n", *out, *out, *out)
 	return nil
 }
 

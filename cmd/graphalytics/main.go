@@ -1,6 +1,8 @@
 // Command graphalytics is the benchmark CLI: it lists platforms and
-// datasets, runs single jobs, runs the paper's experiment suites, and
-// writes Granula archives and results databases.
+// datasets, runs single jobs and benchmark specs, runs the paper's
+// experiment suites, streams results as JSON lines, and seals runs into
+// the content-addressed archive — from which `archive report` regenerates
+// every report, the paper tables included, without re-running anything.
 //
 // Usage:
 //
@@ -18,12 +20,14 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -109,9 +113,12 @@ snapshots instead of re-generating.
 run archive: results, spec and environment are committed under a Merkle
 root chained to the previous commit, so the same spec and results
 always produce the same commit ID. 'archive verify' re-derives every
-hash offline; 'archive report' exports the Graphalytics report pages;
-'archive regress' diffs two archived bench snapshots and exits nonzero
-on gated hot-path regressions (the CI gate).
+hash offline; 'archive report' regenerates a commit's reports from the
+sealed record alone: the Graphalytics report pages plus tables.txt — the
+paper tables of an experiment spec (a fig4 commit renders Figures 4 and
+5), the job table of any other; 'archive regress' diffs two archived
+bench snapshots and exits nonzero on gated hot-path regressions (the CI
+gate). 'suite' runs each job matrix once and streams -out as jobs finish.
 
 -mmap serves warm snapshots as mmap-backed graphs: open is O(header),
 the CSR arrays are read zero-copy from the page cache, and pages stay
@@ -243,8 +250,9 @@ func cmdPlan(args []string) error {
 }
 
 // runSpec executes a benchmark spec end to end: compile to a plan, run it
-// with shared uploads, stream results to the sinks (-out JSONL, a report
-// table) and print the cross-platform analysis. With archiveDir, the
+// with shared uploads, stream results to the sinks (-out JSONL), then
+// render the job table and the cross-platform analysis from the results
+// the run returned. With archiveDir, the
 // completed run is sealed into the content-addressed archive and the
 // commit ID printed — the handle `archive verify` and the daemon's
 // /v1/archive endpoints accept.
@@ -261,14 +269,12 @@ func runSpec(ctx context.Context, specPath, out string, parallel int, progress b
 		}
 		asink = core.NewArchiveSink(arch, sp.Name, sp)
 	}
-	table := graphalytics.NewReportSink(sp.Name, "spec results: "+sp.Name)
 	opts := []graphalytics.Option{
 		graphalytics.WithParallelism(parallel),
-		graphalytics.WithSink(table),
 	}
 	if asink != nil {
-		// A FinalSink: the session delivers it after the table and the
-		// -out stream, and it buffers until the explicit Commit below.
+		// A FinalSink: the session delivers it after the -out stream, and
+		// it buffers until the explicit Commit below.
 		opts = append(opts, graphalytics.WithSink(asink))
 	}
 	if progress {
@@ -313,12 +319,11 @@ func runSpec(ctx context.Context, specPath, out string, parallel int, progress b
 			ok++
 		}
 	}
-	if err := table.Report().Render(os.Stdout); err != nil {
+	if err := core.JobTable(sp.Name, "spec results: "+sp.Name, results).Render(os.Stdout); err != nil {
 		return err
 	}
 	fmt.Printf("%d/%d jobs completed\n", ok, len(results))
-	rep := core.AnalysisReport(s.DB())
-	if err := rep.Render(os.Stdout); err != nil {
+	if err := core.AnalysisReport(results).Render(os.Stdout); err != nil {
 		return err
 	}
 	if outFile != nil {
@@ -350,7 +355,7 @@ func cmdRun(ctx context.Context, args []string) error {
 	sla := fs.Duration("sla", time.Minute, "makespan budget")
 	archivePath := fs.String("archive", "", "write the Granula archive JSON to this path")
 	outputPath := fs.String("output", "", "write the per-vertex output in the Graphalytics output format")
-	out := fs.String("out", "", "with -spec: write the results database (JSON lines) to this path")
+	out := fs.String("out", "", "with -spec: stream the results (JSON lines) to this path")
 	parallel := fs.Int("parallel", 1, "with -spec: concurrent jobs (1 preserves timing fidelity)")
 	progress := fs.Bool("progress", false, "with -spec: stream per-job progress to stderr")
 	cacheDir := fs.String("cache-dir", "", "load/persist datasets as binary snapshots under this directory")
@@ -496,10 +501,89 @@ func cmdValidate(args []string) error {
 	return nil
 }
 
+// suiteAxes are the platform sets and thread count the suites sweep.
+type suiteAxes struct {
+	single, dist []string
+	threads      int
+}
+
+// config returns the paper's configuration of one suite; suites over the
+// same matrix (fig4/fig5, fig7/table9) get the same one.
+func (a suiteAxes) config(id string) core.ExperimentConfig {
+	switch id {
+	case "fig8", "fig9":
+		return core.ExperimentConfig{Platforms: a.dist, Threads: 2,
+			MachineSweep: []int{1, 2, 4, 8, 16}, WeakPairs: core.DefaultWeakPairs()}
+	case "table10":
+		return core.ExperimentConfig{Platforms: append(slices.Clone(a.single), "spmv-d"), Threads: a.threads, MemoryBudget: 2 << 20}
+	case "table11":
+		return core.ExperimentConfig{SingleMachine: a.single, Distributed: a.dist, Repetitions: 10, Threads: a.threads}
+	default:
+		return core.ExperimentConfig{Platforms: a.single, Threads: a.threads, ThreadSweep: []int{1, 2, 4, 8, 16, 32}}
+	}
+}
+
+// suiteIDs lists every suite in the paper's order: the experiment table,
+// then the Datagen self-test, which runs no jobs.
+func suiteIDs() []string {
+	var ids []string
+	for _, e := range core.Experiments() {
+		ids = append(ids, e.ID)
+	}
+	return append(ids, "fig10")
+}
+
+// runSuites regenerates the given paper artifacts in order, rendering
+// each to w. Every job matrix executes once: an artifact over a matrix
+// that already ran (fig5 after fig4, table9 after fig7) is rendered from
+// those results.
+func runSuites(ctx context.Context, s *core.Session, ids []string, axes suiteAxes, w io.Writer) error {
+	type matrix struct {
+		spec    core.BenchSpec
+		results []core.JobResult
+	}
+	ran := map[string]matrix{}
+	var sinkErrs []error
+	for _, id := range ids {
+		if id == "fig10" {
+			rep, err := core.DataGeneration([]float64{3, 10, 30, 100}, []int{1, 2, 4}, 1000)
+			if err != nil {
+				return err
+			}
+			if err := rep.Render(w); err != nil {
+				return err
+			}
+			continue
+		}
+		exp, ok := core.ExperimentByID(id)
+		if !ok {
+			return fmt.Errorf("unknown suite %q", id)
+		}
+		m, ok := ran[exp.Matrix]
+		if !ok {
+			spec, results, err := s.RunMatrix(ctx, id, axes.config(id))
+			if err != nil {
+				// A failing sink must not discard completed suites: keep
+				// rendering, surface the sink errors at the end.
+				if !core.SinkOnly(err) {
+					return err
+				}
+				sinkErrs = append(sinkErrs, err)
+			}
+			m = matrix{spec, results}
+			ran[exp.Matrix] = m
+		}
+		if err := exp.Render(m.spec, m.results).Render(w); err != nil {
+			return err
+		}
+	}
+	return errors.Join(sinkErrs...)
+}
+
 func cmdSuite(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("suite", flag.ExitOnError)
 	id := fs.String("id", "all", "experiment id (fig4..fig10, table8..table11, all)")
-	out := fs.String("out", "", "write the results database (JSON lines) to this path")
+	out := fs.String("out", "", "stream the results (JSON lines) to this path as jobs finish")
 	threads := fs.Int("threads", 4, "threads per machine")
 	sla := fs.Duration("sla", time.Minute, "makespan budget per job")
 	parallel := fs.Int("parallel", 1, "concurrent jobs per sweep (1 preserves timing fidelity)")
@@ -519,84 +603,26 @@ func cmdSuite(ctx context.Context, args []string) error {
 	if *cacheDir != "" {
 		opts = append(opts, graphalytics.WithCacheDir(*cacheDir))
 	}
-	s := graphalytics.NewSession(opts...)
-	single := graphalytics.SingleMachinePlatforms()
-	dist := graphalytics.DistributedPlatforms()
-
-	suites := map[string]func() (*core.Report, error){
-		"fig4": func() (*core.Report, error) {
-			return s.DatasetVariety(ctx, graphalytics.ExperimentConfig{Platforms: single, Threads: *threads})
-		},
-		"fig5": func() (*core.Report, error) {
-			if _, err := s.DatasetVariety(ctx, graphalytics.ExperimentConfig{Platforms: single, Threads: *threads}); err != nil {
-				return nil, err
-			}
-			return s.ThroughputReport(graphalytics.ExperimentConfig{Platforms: single}), nil
-		},
-		"fig6": func() (*core.Report, error) {
-			return s.AlgorithmVariety(ctx, graphalytics.ExperimentConfig{Platforms: single, Threads: *threads})
-		},
-		"fig7": func() (*core.Report, error) {
-			return s.VerticalScalability(ctx, graphalytics.ExperimentConfig{Platforms: single, ThreadSweep: []int{1, 2, 4, 8, 16, 32}})
-		},
-		"table9": func() (*core.Report, error) {
-			if _, err := s.VerticalScalability(ctx, graphalytics.ExperimentConfig{Platforms: single, ThreadSweep: []int{1, 2, 4, 8, 16, 32}}); err != nil {
-				return nil, err
-			}
-			return s.VerticalSpeedupReport(graphalytics.ExperimentConfig{Platforms: single}), nil
-		},
-		"fig8": func() (*core.Report, error) {
-			return s.StrongScaling(ctx, graphalytics.ExperimentConfig{Platforms: dist, MachineSweep: []int{1, 2, 4, 8, 16}, Threads: 2})
-		},
-		"fig9": func() (*core.Report, error) {
-			return s.WeakScaling(ctx, graphalytics.ExperimentConfig{Platforms: dist, WeakPairs: graphalytics.DefaultWeakPairs(), Threads: 2})
-		},
-		"table8": func() (*core.Report, error) {
-			return s.MakespanBreakdown(ctx, graphalytics.ExperimentConfig{Platforms: single, Threads: *threads})
-		},
-		"table10": func() (*core.Report, error) {
-			return s.StressTest(ctx, graphalytics.ExperimentConfig{
-				Platforms: append(single, "spmv-d"), Threads: *threads, MemoryBudget: 2 << 20,
-			})
-		},
-		"table11": func() (*core.Report, error) {
-			return s.Variability(ctx, graphalytics.ExperimentConfig{
-				SingleMachine: single, Distributed: dist, Repetitions: 10, Threads: *threads,
-			})
-		},
-		"fig10": func() (*core.Report, error) {
-			return graphalytics.DataGeneration([]float64{3, 10, 30, 100}, []int{1, 2, 4}, 1000)
-		},
-	}
-
-	order := []string{"fig4", "fig5", "table8", "fig6", "fig7", "table9", "fig8", "fig9", "table10", "table11", "fig10"}
-	run := func(name string) error {
-		suite, ok := suites[name]
-		if !ok {
-			return fmt.Errorf("unknown suite %q", name)
-		}
-		rep, err := suite()
+	if *out != "" {
+		// Streamed, not saved at the end: an interrupt or a late harness
+		// error keeps every result that finished before it.
+		f, err := os.Create(*out)
 		if err != nil {
 			return err
 		}
-		return rep.Render(os.Stdout)
+		defer f.Close()
+		opts = append(opts, graphalytics.WithSink(graphalytics.NewJSONLSink(f)))
 	}
+	ids := []string{*id}
 	if *id == "all" {
-		for _, name := range order {
-			if err := run(name); err != nil {
-				return err
-			}
-		}
-	} else if err := run(*id); err != nil {
-		return err
+		ids = suiteIDs()
 	}
+	axes := suiteAxes{graphalytics.SingleMachinePlatforms(), graphalytics.DistributedPlatforms(), *threads}
+	err := runSuites(ctx, graphalytics.NewSession(opts...), ids, axes, os.Stdout)
 	if *out != "" {
-		if err := s.DB().Save(*out); err != nil {
-			return err
-		}
-		fmt.Printf("%d results written to %s\n", s.DB().Len(), *out)
+		fmt.Printf("results streamed to %s\n", *out)
 	}
-	return nil
+	return err
 }
 
 // cmdWarm materializes the whole catalog into a snapshot cache on a

@@ -21,7 +21,7 @@
 // dataset one tenant materialized is warm for everyone. SIGINT/SIGTERM
 // triggers a graceful drain: no new submissions, queued runs are marked
 // canceled, running deployments get -drain-timeout to finish before
-// their contexts are canceled, and the results database is persisted.
+// their contexts are canceled, and the -out stream is closed.
 package main
 
 import (
@@ -83,11 +83,9 @@ func run() error {
 
 	logger := log.New(os.Stderr, "graphalyticsd: ", log.LstdFlags)
 
-	db := core.NewResultsDB()
 	opts := []core.Option{
 		core.WithSLA(*sla),
 		core.WithParallelism(*parallel),
-		core.WithResultsDB(db),
 	}
 	if *mmap && *cacheDir == "" {
 		return fmt.Errorf("-mmap requires -cache-dir (mapping needs on-disk snapshots)")
@@ -163,7 +161,7 @@ func run() error {
 		}
 		logger.Printf("results appended to %s", outFile.Name())
 	}
-	logger.Printf("drained: %d results recorded", db.Len())
+	logger.Printf("drained")
 	if shutdownErr != nil && !errors.Is(shutdownErr, context.DeadlineExceeded) {
 		return shutdownErr
 	}

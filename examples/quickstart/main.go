@@ -88,9 +88,10 @@ func main() {
 
 	// Finally, the harness proper: declare a benchmark spec, compile it
 	// into an explicit plan, and run the plan through a Session — which
-	// adds SLA enforcement, validation against a cached reference and a
-	// results database, and pays one graph upload per deployment group
-	// (here: one upload for all three algorithms).
+	// adds SLA enforcement and validation against a cached reference, and
+	// pays one graph upload per deployment group (here: one upload for all
+	// three algorithms). The run returns its results; reports are pure
+	// functions of them.
 	spec := graphalytics.BenchSpec{
 		Name:       "quickstart",
 		Platforms:  []string{"native"},
@@ -117,7 +118,6 @@ func main() {
 		fmt.Printf("  %s on R1: status=%s upload=%v%s makespan=%v validated=%v\n",
 			job.Spec.Algorithm, job.Status, job.UploadTime, shared, job.Makespan, job.ValidationOK)
 	}
-	fmt.Printf("results database now holds %d record(s)\n", s.DB().Len())
 }
 
 // topRanked returns the indices of the k largest values.

@@ -46,30 +46,30 @@ func main() {
 		Platforms:   graphalytics.SingleMachinePlatforms(),
 		ThreadSweep: []int{1, 2, 4, 8},
 	}
-	plan, err := s.Compile(graphalytics.VerticalScalabilitySpec(vertCfg))
+	fig7, _ := graphalytics.ExperimentByID("fig7")
+	plan, err := s.Compile(fig7.Spec(vertCfg))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("Vertical scalability (BFS + PR on D300, 1 machine): %d jobs, %d uploads\n",
 		len(plan.Jobs), len(plan.Deployments))
-	rep, err := s.VerticalScalability(ctx, vertCfg)
+	// One run of the matrix, two pure renderers over its results: the
+	// Tproc table (Figure 7) and the maximum speedups (Table 9).
+	spec, results, err := s.RunMatrix(ctx, "fig7", vertCfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := rep.Render(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-	speedups := s.VerticalSpeedupReport(graphalytics.ExperimentConfig{
-		Platforms: graphalytics.SingleMachinePlatforms(),
-	})
-	if err := speedups.Render(os.Stdout); err != nil {
-		log.Fatal(err)
+	table9, _ := graphalytics.ExperimentByID("table9")
+	for _, exp := range []graphalytics.Experiment{fig7, table9} {
+		if err := exp.Render(spec, results).Render(os.Stdout); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	// Strong horizontal: constant dataset, growing machine count,
 	// distributed platforms only.
 	fmt.Println("Strong horizontal scalability (BFS + PR on D1000):")
-	strong, err := s.StrongScaling(ctx, graphalytics.ExperimentConfig{
+	strong, err := s.RunExperiment(ctx, "fig8", graphalytics.ExperimentConfig{
 		Platforms:    graphalytics.DistributedPlatforms(),
 		MachineSweep: []int{1, 2, 4, 8},
 		Threads:      2,

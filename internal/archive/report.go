@@ -20,7 +20,10 @@ import (
 // experiments / jobs / runs), plus a self-contained static HTML page
 // that loads it. All IDs are deterministic short hashes of their
 // grouping keys, so the same commit always renders byte-identical
-// report data.
+// report data. Next to them goes tables.txt: the paper tables of the
+// commit, rendered by core's pure renderers from the sealed spec and
+// results alone — a commit regenerates its figures without re-running
+// anything.
 
 // ReportData is the top-level benchmark-results.js object.
 type ReportData struct {
@@ -142,19 +145,28 @@ func shortID(prefix string, key ...string) string {
 // (platform, dataset, algorithm, threads, machines); runs carry the
 // per-execution timings.
 func (a *Archive) BuildReport(c *Commit) (*ReportData, error) {
-	results, err := a.Results(c)
+	results, env, spec, err := a.sealedRun(c)
 	if err != nil {
 		return nil, err
 	}
-	env, err := a.Env(c)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := a.Spec(c)
-	if err != nil {
-		return nil, err
-	}
+	return buildReport(c, results, env, spec), nil
+}
 
+// sealedRun decodes what a results commit seals — the inputs every
+// report of the commit is a pure function of. spec is nil for a run
+// sealed without one.
+func (a *Archive) sealedRun(c *Commit) (results []core.JobResult, env Environment, spec *core.BenchSpec, err error) {
+	if results, err = a.Results(c); err != nil {
+		return nil, env, nil, err
+	}
+	if env, err = a.Env(c); err != nil {
+		return nil, env, nil, err
+	}
+	spec, err = a.Spec(c)
+	return results, env, spec, err
+}
+
+func buildReport(c *Commit, results []core.JobResult, env Environment, spec *core.BenchSpec) *ReportData {
 	rep := &ReportData{
 		ID: shortID("b", c.ID),
 		System: System{
@@ -239,7 +251,7 @@ func (a *Archive) BuildReport(c *Commit) (*ReportData, error) {
 		sort.Strings(exp.Jobs)
 		rep.Result.Experiments[eid] = exp
 	}
-	return rep, nil
+	return rep
 }
 
 func platformInfo(results []core.JobResult) PlatformInfo {
@@ -325,8 +337,27 @@ func WriteReportHTML(w io.Writer) error {
 	return err
 }
 
+// tables renders the text tables of a results commit: the paper
+// artifacts registered for the matrix its spec names (a commit sealed
+// from DatasetVarietySpec renders Figures 4 and 5), or the plain job
+// table for any other spec.
+func tables(c *Commit, spec *core.BenchSpec, results []core.JobResult) []*core.Report {
+	var out []*core.Report
+	if spec != nil {
+		for _, exp := range core.Experiments() {
+			if exp.Matrix == spec.Name {
+				out = append(out, exp.Render(*spec, results))
+			}
+		}
+	}
+	if len(out) == 0 {
+		out = append(out, core.JobTable(c.Name, "spec results: "+c.Name, results))
+	}
+	return out
+}
+
 // WriteReportDir renders commit ref into dir as benchmark-results.js +
-// index.html.
+// index.html + tables.txt.
 func (a *Archive) WriteReportDir(ref, dir string) error {
 	id, err := a.Resolve(ref)
 	if err != nil {
@@ -336,10 +367,11 @@ func (a *Archive) WriteReportDir(ref, dir string) error {
 	if err != nil {
 		return err
 	}
-	rep, err := a.BuildReport(c)
+	results, env, spec, err := a.sealedRun(c)
 	if err != nil {
 		return err
 	}
+	rep := buildReport(c, results, env, spec)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("archive: report dir: %w", err)
 	}
@@ -354,7 +386,16 @@ func (a *Archive) WriteReportDir(ref, dir string) error {
 	if err := WriteReportHTML(&html); err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(dir, "index.html"), []byte(html.String()))
+	if err := writeFileAtomic(filepath.Join(dir, "index.html"), []byte(html.String())); err != nil {
+		return err
+	}
+	var txt strings.Builder
+	for _, t := range tables(c, spec, results) {
+		if err := t.Render(&txt); err != nil {
+			return err
+		}
+	}
+	return writeFileAtomic(filepath.Join(dir, "tables.txt"), []byte(txt.String()))
 }
 
 const reportHTML = `<!DOCTYPE html>

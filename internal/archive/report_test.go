@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -11,7 +12,11 @@ import (
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/core"
+	"graphalytics/internal/platforms"
 )
+
+// The live-run tests below execute real engines.
+func init() { platforms.RegisterAll() }
 
 // sweepResults builds a multi-platform, multi-algorithm sweep with
 // repetitions — the report acceptance shape.
@@ -204,5 +209,109 @@ func TestWriteReportDir(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(js), "var results = ") {
 		t.Error("benchmark-results.js missing the results assignment")
+	}
+}
+
+// TestTablesMatchLiveRender closes the loop between a run and its sealed
+// record: an experiment runs with an ArchiveSink attached, and tables.txt
+// regenerated from the commit alone — through the handle that sealed it
+// and through a second Open of the same directory — must equal the live
+// render byte for byte, every artifact over the matrix included.
+func TestTablesMatchLiveRender(t *testing.T) {
+	cases := []struct {
+		id  string
+		cfg core.ExperimentConfig
+	}{
+		{"fig4", core.ExperimentConfig{Platforms: []string{"native", "spmv-s"}, Threads: 2}},
+		{"table11", core.ExperimentConfig{SingleMachine: []string{"native"}, Distributed: []string{"spmv-d"}, Repetitions: 3, Threads: 2}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.id, func(t *testing.T) {
+			dir := t.TempDir()
+			a, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exp, _ := core.ExperimentByID(tc.id)
+			spec := exp.Spec(tc.cfg)
+			asink := core.NewArchiveSink(a, spec.Name, &spec)
+			var results []core.JobResult
+			s := core.NewSession(core.WithSLA(2*time.Minute), core.WithSink(asink),
+				core.WithSink(core.SinkFunc(func(r core.JobResult) error {
+					results = append(results, r)
+					return nil
+				})))
+			rep, err := s.RunExperiment(context.Background(), tc.id, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root, err := asink.Commit()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The live render: the report RunExperiment returned, then every
+			// other artifact over the same matrix, in table order.
+			var live strings.Builder
+			for _, e := range core.Experiments() {
+				switch {
+				case e.ID == tc.id:
+					err = rep.Render(&live)
+				case e.Matrix == exp.Matrix:
+					err = e.Render(spec, results).Render(&live)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			reopened, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, handle := range map[string]*Archive{"sealing handle": a, "reopened": reopened} {
+				out := filepath.Join(t.TempDir(), "report")
+				if err := handle.WriteReportDir(root, out); err != nil {
+					t.Fatal(err)
+				}
+				got, err := os.ReadFile(filepath.Join(out, "tables.txt"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != live.String() {
+					t.Errorf("%s: tables.txt differs from the live render:\n--- archived ---\n%s--- live ---\n%s", name, got, live.String())
+				}
+			}
+		})
+	}
+}
+
+// TestTablesFallBackToJobTable: a commit whose spec names no experiment
+// matrix — or that carries no spec at all — reports the job table.
+func TestTablesFallBackToJobTable(t *testing.T) {
+	for name, spec := range map[string]*core.BenchSpec{"other spec": sampleSpec(), "no spec": nil} {
+		a, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := sweepResults()
+		if _, err := a.CommitResults("sweep", spec, results); err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Join(t.TempDir(), "report")
+		if err := a.WriteReportDir("HEAD", dir); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, "tables.txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want strings.Builder
+		if err := core.JobTable("sweep", "spec results: sweep", results).Render(&want); err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want.String() {
+			t.Errorf("%s: tables.txt is not the job table:\n%s", name, got)
+		}
 	}
 }

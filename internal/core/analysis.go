@@ -11,8 +11,8 @@ import (
 )
 
 // This file implements the results analysis & modeling component of the
-// architecture (Figure 1, components 11-12): it distills a results
-// database into the kind of cross-platform findings the paper reports
+// architecture (Figure 1, components 11-12): it distills a run's results
+// into the kind of cross-platform findings the paper reports
 // ("GraphMat and PGX.D significantly outperform their competitors",
 // "Giraph and GraphX are consistently two orders of magnitude slower").
 
@@ -31,23 +31,37 @@ type PlatformSummary struct {
 	WorstSlowdown float64
 }
 
-// Analyze summarizes every platform appearing in the database over the
-// (platform × dataset × algorithm × resources) jobs it contains.
-func Analyze(db *ResultsDB) []PlatformSummary {
+// Analyze summarizes every platform appearing in results over the
+// (platform × dataset × algorithm × resources) jobs they contain. The
+// outcome is a function of the result sequence alone: platforms and jobs
+// are visited in first-seen order, so the float sums are reproducible to
+// the last bit, and platforms tying on slowdown order by name.
+func Analyze(results []JobResult) []PlatformSummary {
 	type jobKey struct {
 		dataset   string
 		algorithm algorithms.Algorithm
 		threads   int
 		machines  int
 	}
+	type platformJobs struct {
+		attempts int
+		tproc    map[jobKey]time.Duration
+		keys     []jobKey // first-seen order
+	}
 	best := make(map[jobKey]time.Duration)
-	perPlatform := make(map[string]map[jobKey]time.Duration)
-	attempts := make(map[string]int)
-	for _, r := range db.All() {
+	perPlatform := make(map[string]*platformJobs)
+	var platforms []string // first-seen order
+	for _, r := range results {
 		if r.Status == StatusUnsupported {
 			continue
 		}
-		attempts[r.Spec.Platform]++
+		pj := perPlatform[r.Spec.Platform]
+		if pj == nil {
+			pj = &platformJobs{tproc: make(map[jobKey]time.Duration)}
+			perPlatform[r.Spec.Platform] = pj
+			platforms = append(platforms, r.Spec.Platform)
+		}
+		pj.attempts++
 		if r.Status != StatusOK || r.ProcessingTime <= 0 {
 			continue
 		}
@@ -55,49 +69,44 @@ func Analyze(db *ResultsDB) []PlatformSummary {
 		if cur, ok := best[k]; !ok || r.ProcessingTime < cur {
 			best[k] = r.ProcessingTime
 		}
-		m := perPlatform[r.Spec.Platform]
-		if m == nil {
-			m = make(map[jobKey]time.Duration)
-			perPlatform[r.Spec.Platform] = m
+		cur, ok := pj.tproc[k]
+		if !ok {
+			pj.keys = append(pj.keys, k)
 		}
-		if cur, ok := m[k]; !ok || r.ProcessingTime < cur {
-			m[k] = r.ProcessingTime
+		if !ok || r.ProcessingTime < cur {
+			pj.tproc[k] = r.ProcessingTime
 		}
 	}
 
 	var out []PlatformSummary
-	for platform, jobs := range perPlatform {
-		s := PlatformSummary{Platform: platform, Jobs: attempts[platform], Completed: len(jobs)}
-		if s.Jobs > 0 {
-			s.SLACompliance = float64(s.Completed) / float64(s.Jobs)
+	for _, platform := range platforms {
+		pj := perPlatform[platform]
+		if len(pj.keys) == 0 {
+			continue
 		}
+		s := PlatformSummary{Platform: platform, Jobs: pj.attempts, Completed: len(pj.keys)}
+		s.SLACompliance = float64(s.Completed) / float64(s.Jobs)
 		var logSum float64
-		var count int
-		for k, tproc := range jobs {
-			b := best[k]
-			if b <= 0 {
-				continue
-			}
-			slow := float64(tproc) / float64(b)
+		for _, k := range pj.keys {
+			slow := float64(pj.tproc[k]) / float64(best[k])
 			logSum += math.Log(slow)
-			count++
 			if slow > s.WorstSlowdown {
 				s.WorstSlowdown = slow
 			}
 		}
-		if count > 0 {
-			s.GeoMeanSlowdown = math.Exp(logSum / float64(count))
-		}
+		s.GeoMeanSlowdown = math.Exp(logSum / float64(len(pj.keys)))
 		out = append(out, s)
 	}
-	slices.SortStableFunc(out, func(a, b PlatformSummary) int { return cmp.Compare(a.GeoMeanSlowdown, b.GeoMeanSlowdown) })
+	slices.SortStableFunc(out, func(a, b PlatformSummary) int {
+		return cmp.Or(cmp.Compare(a.GeoMeanSlowdown, b.GeoMeanSlowdown), cmp.Compare(a.Platform, b.Platform))
+	})
 	return out
 }
 
 // AnalysisReport renders the platform summaries and derives the paper's
 // style of key findings.
-func AnalysisReport(db *ResultsDB) *Report {
-	summaries := Analyze(db)
+func AnalysisReport(results []JobResult) *Report {
+	summaries := Analyze(results)
 	rep := &Report{
 		ID:      "analysis",
 		Title:   "Cross-platform analysis (geometric-mean slowdown vs. per-job best)",

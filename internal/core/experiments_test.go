@@ -1,7 +1,12 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -25,9 +30,87 @@ func renderOK(t *testing.T, rep *core.Report) string {
 	return sb.String()
 }
 
+// collectSink returns a sink appending every delivered result to *out.
+func collectSink(out *[]core.JobResult) core.Sink {
+	return core.SinkFunc(func(r core.JobResult) error {
+		*out = append(*out, r)
+		return nil
+	})
+}
+
+// checkGolden compares a rendered report with testdata/reports/<name>.golden
+// byte for byte; -update rewrites the file instead.
+func checkGolden(t *testing.T, name string, rep *core.Report) {
+	t.Helper()
+	got := renderOK(t, rep)
+	path := filepath.Join("testdata", "reports", name+".golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from %s:\n--- got ---\n%s--- want ---\n%s", name, path, got, want)
+	}
+}
+
+// TestReportGoldens pins every renderer's text byte for byte on the
+// hand-built fixtures (fixtures_test.go): each failure marker, the (D)
+// substitution, a variability platform without samples, a stress-test
+// platform that never fails. The goldens were first generated by the
+// session-bound renderers these pure functions replaced.
+func TestReportGoldens(t *testing.T) {
+	fixtures := reportFixtures(t)
+	for _, fx := range fixtures {
+		exp, ok := core.ExperimentByID(fx.id)
+		if !ok {
+			t.Fatalf("experiment table has no %s", fx.id)
+		}
+		checkGolden(t, fx.id, exp.Render(exp.Spec(fx.cfg), fx.results))
+	}
+	byID := func(id string) []core.JobResult {
+		for _, fx := range fixtures {
+			if fx.id == id {
+				return fx.results
+			}
+		}
+		t.Fatalf("no fixture %s", id)
+		return nil
+	}
+	checkGolden(t, "analysis", core.AnalysisReport(byID("fig4")))
+	checkGolden(t, "jobtable", core.JobTable("fig6", "spec results: fig6", byID("fig6")))
+}
+
+// TestExperimentTable checks the table's own invariants: unique IDs, every
+// builder naming its spec after the matrix the row declares, and every
+// matrix being an experiment of its own.
+func TestExperimentTable(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range core.Experiments() {
+		if seen[e.ID] {
+			t.Errorf("duplicate experiment %s", e.ID)
+		}
+		seen[e.ID] = true
+		if got := e.Spec(core.ExperimentConfig{}).Name; got != e.Matrix {
+			t.Errorf("%s: builder names its spec %q, table says matrix %q", e.ID, got, e.Matrix)
+		}
+		if m, ok := core.ExperimentByID(e.Matrix); !ok || m.Matrix != e.Matrix {
+			t.Errorf("%s: matrix %q is not an experiment of its own", e.ID, e.Matrix)
+		}
+	}
+	if _, err := newTestSession().RunExperiment(context.Background(), "fig99", core.ExperimentConfig{}); err == nil {
+		t.Error("unknown experiment ID must be an error")
+	}
+}
+
 func TestDatasetVarietyExperiment(t *testing.T) {
-	s := newTestSession()
-	rep, err := s.DatasetVariety(context.Background(), core.ExperimentConfig{Platforms: fastPlatforms, Threads: 2})
+	var results []core.JobResult
+	s := core.NewSession(core.WithSLA(2*time.Minute), core.WithParallelism(1), core.WithSink(collectSink(&results)))
+	rep, err := s.RunExperiment(context.Background(), "fig4", core.ExperimentConfig{Platforms: fastPlatforms, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,29 +126,49 @@ func TestDatasetVarietyExperiment(t *testing.T) {
 			t.Errorf("fig4 output missing %s:\n%s", want, out)
 		}
 	}
-	// Every job in the DB must have validated output.
-	for _, res := range s.DB().All() {
+	// Every completed job must have validated output.
+	if len(results) == 0 {
+		t.Fatal("the experiment delivered no results")
+	}
+	for _, res := range results {
 		if res.Status == core.StatusOK && !res.ValidationOK {
 			t.Errorf("unvalidated OK result: %+v", res.Spec)
 		}
 	}
 }
 
+// TestThroughputReport renders Figure 5 as a second renderer over one run
+// of the Figure 4 matrix — the same rows RunExperiment("fig5") derives.
 func TestThroughputReport(t *testing.T) {
 	s := newTestSession()
-	if _, err := s.DatasetVariety(context.Background(), core.ExperimentConfig{Platforms: fastPlatforms, Threads: 2}); err != nil {
+	cfg := core.ExperimentConfig{Platforms: fastPlatforms, Threads: 2}
+	spec, results, err := s.RunMatrix(context.Background(), "fig5", cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep := core.ThroughputReport(s.DB(), fastPlatforms)
+	if spec.Name != "fig4" {
+		t.Fatalf("fig5 ran the %q matrix, want fig4's", spec.Name)
+	}
+	fig5, _ := core.ExperimentByID("fig5")
+	rep := fig5.Render(spec, results)
 	out := renderOK(t, rep)
 	if !strings.Contains(out, "/s") {
 		t.Fatalf("fig5 output has no rates:\n%s", out)
+	}
+	bfs := 0
+	for _, res := range results {
+		if res.Spec.Algorithm == "BFS" && res.Completed() {
+			bfs++
+		}
+	}
+	if len(rep.Rows) != bfs || bfs == 0 {
+		t.Fatalf("fig5 has %d rows for %d completed BFS jobs", len(rep.Rows), bfs)
 	}
 }
 
 func TestAlgorithmVarietyExperiment(t *testing.T) {
 	s := newTestSession()
-	rep, err := s.AlgorithmVariety(context.Background(), core.ExperimentConfig{Platforms: []string{"native", "spmv-s", "pushpull"}, Threads: 2})
+	rep, err := s.RunExperiment(context.Background(), "fig6", core.ExperimentConfig{Platforms: []string{"native", "spmv-s", "pushpull"}, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,27 +187,33 @@ func TestAlgorithmVarietyExperiment(t *testing.T) {
 
 func TestVerticalScalabilityAndSpeedup(t *testing.T) {
 	s := newTestSession()
-	if _, err := s.VerticalScalability(context.Background(), core.ExperimentConfig{Platforms: []string{"native"}, ThreadSweep: []int{1, 4}}); err != nil {
+	rep, err := s.RunExperiment(context.Background(), "table9", core.ExperimentConfig{Platforms: []string{"native"}, ThreadSweep: []int{1, 4}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep := core.VerticalSpeedupReport(s.DB(), []string{"native"})
 	out := renderOK(t, rep)
 	if !strings.Contains(out, "BFS") || !strings.Contains(out, "PR") {
 		t.Fatalf("table9 output incomplete:\n%s", out)
 	}
+	for _, row := range rep.Rows {
+		if row[1] == "-" {
+			t.Errorf("table9 found no speedup for %s:\n%s", row[0], out)
+		}
+	}
 }
 
 func TestStrongScalingExperiment(t *testing.T) {
-	s := newTestSession()
-	rep, err := s.StrongScaling(context.Background(), core.ExperimentConfig{Platforms: []string{"spmv-d"}, MachineSweep: []int{1, 4}, Threads: 2})
+	var results []core.JobResult
+	s := core.NewSession(core.WithSLA(2*time.Minute), core.WithParallelism(1), core.WithSink(collectSink(&results)))
+	rep, err := s.RunExperiment(context.Background(), "fig8", core.ExperimentConfig{Platforms: []string{"spmv-d"}, MachineSweep: []int{1, 4}, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	renderOK(t, rep)
 	// Distributed 4-machine runs must be present and OK.
 	found := false
-	for _, res := range s.DB().Query(core.Filter{Platform: "spmv-d", Machines: 4}) {
-		if res.Status == core.StatusOK {
+	for _, res := range results {
+		if res.Spec.Machines == 4 && res.Status == core.StatusOK {
 			found = true
 			if res.NetworkTime <= 0 {
 				t.Error("4-machine run should accumulate modeled network time")
@@ -119,7 +228,7 @@ func TestStrongScalingExperiment(t *testing.T) {
 func TestWeakScalingExperiment(t *testing.T) {
 	s := newTestSession()
 	pairs := []core.WeakPair{{Machines: 1, Dataset: "G22"}, {Machines: 2, Dataset: "G23"}}
-	rep, err := s.WeakScaling(context.Background(), core.ExperimentConfig{Platforms: []string{"spmv-d"}, WeakPairs: pairs, Threads: 2})
+	rep, err := s.RunExperiment(context.Background(), "fig9", core.ExperimentConfig{Platforms: []string{"spmv-d"}, WeakPairs: pairs, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +242,7 @@ func TestStressTestExperiment(t *testing.T) {
 	s := core.NewSession(core.WithSLA(2*time.Minute), core.WithParallelism(1), core.WithValidation(false))
 	// A 200 KiB budget forces every engine to fail somewhere in the
 	// catalog while still completing the smallest graphs.
-	rep, err := s.StressTest(context.Background(), core.ExperimentConfig{Platforms: []string{"native", "dataflow"}, Threads: 2, MemoryBudget: 200 << 10})
+	rep, err := s.RunExperiment(context.Background(), "table10", core.ExperimentConfig{Platforms: []string{"native", "dataflow"}, Threads: 2, MemoryBudget: 200 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +269,7 @@ func TestStressTestExperiment(t *testing.T) {
 
 func TestVariabilityExperiment(t *testing.T) {
 	s := newTestSession()
-	rep, err := s.Variability(context.Background(), core.ExperimentConfig{
+	rep, err := s.RunExperiment(context.Background(), "table11", core.ExperimentConfig{
 		SingleMachine: []string{"native"}, Distributed: []string{"spmv-d"}, Repetitions: 3, Threads: 2,
 	})
 	if err != nil {
@@ -174,7 +283,7 @@ func TestVariabilityExperiment(t *testing.T) {
 
 func TestMakespanBreakdownExperiment(t *testing.T) {
 	s := newTestSession()
-	rep, err := s.MakespanBreakdown(context.Background(), core.ExperimentConfig{Platforms: fastPlatforms, Threads: 2})
+	rep, err := s.RunExperiment(context.Background(), "table8", core.ExperimentConfig{Platforms: fastPlatforms, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,49 +317,37 @@ func TestStepBreakdownExperiment(t *testing.T) {
 	}
 }
 
-func TestResultsDBRoundTrip(t *testing.T) {
-	s := newTestSession()
-	if _, err := s.MakespanBreakdown(context.Background(), core.ExperimentConfig{Platforms: []string{"native"}, Threads: 1}); err != nil {
+// TestJobResultRoundTrip holds the JobResult wire round trip: what a
+// JSONL sink streams, a json.Decoder reads back record for record.
+func TestJobResultRoundTrip(t *testing.T) {
+	var stream bytes.Buffer
+	var results []core.JobResult
+	s := core.NewSession(core.WithSLA(2*time.Minute),
+		core.WithSink(core.NewJSONLSink(&stream)), core.WithSink(collectSink(&results)))
+	if _, err := s.RunExperiment(context.Background(), "table8", core.ExperimentConfig{Platforms: []string{"native"}, Threads: 1}); err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	path := dir + "/results.jsonl"
-	if err := s.DB().Save(path); err != nil {
-		t.Fatal(err)
+	var back []core.JobResult
+	for dec := json.NewDecoder(&stream); ; {
+		var r core.JobResult
+		if err := dec.Decode(&r); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		back = append(back, r)
 	}
-	back, err := core.LoadResults(path)
-	if err != nil {
-		t.Fatal(err)
+	if len(back) != len(results) || len(back) == 0 {
+		t.Fatalf("round trip lost results: %d vs %d", len(back), len(results))
 	}
-	if back.Len() != s.DB().Len() {
-		t.Fatalf("round trip lost results: %d vs %d", back.Len(), s.DB().Len())
-	}
-	orig, loaded := s.DB().All()[0], back.All()[0]
-	if orig.Spec != loaded.Spec || orig.Status != loaded.Status || orig.ProcessingTime != loaded.ProcessingTime {
-		t.Fatalf("record changed in round trip:\n%+v\n%+v", orig, loaded)
-	}
-}
-
-func TestResultsDBQuery(t *testing.T) {
-	db := core.NewResultsDB()
-	db.Add(core.JobResult{Spec: core.JobSpec{Platform: "a", Dataset: "x", Machines: 1}, Status: core.StatusOK})
-	db.Add(core.JobResult{Spec: core.JobSpec{Platform: "b", Dataset: "x", Machines: 2}, Status: core.StatusOOM})
-	if got := len(db.Query(core.Filter{Platform: "a"})); got != 1 {
-		t.Fatalf("platform filter: %d", got)
-	}
-	if got := len(db.Query(core.Filter{Dataset: "x"})); got != 2 {
-		t.Fatalf("dataset filter: %d", got)
-	}
-	if got := len(db.Query(core.Filter{Status: core.StatusOOM, Machines: 2})); got != 1 {
-		t.Fatalf("combined filter: %d", got)
-	}
-	if got := len(db.Query(core.Filter{Platform: "c"})); got != 0 {
-		t.Fatalf("no-match filter: %d", got)
-	}
-}
-
-func TestLoadResultsMissingFile(t *testing.T) {
-	if _, err := core.LoadResults("/nonexistent/results.jsonl"); err == nil {
-		t.Fatal("expected error for missing file")
+	for i, orig := range results {
+		loaded := back[i]
+		if !orig.Timestamp.Equal(loaded.Timestamp) {
+			t.Errorf("record %d timestamp changed: %v vs %v", i, orig.Timestamp, loaded.Timestamp)
+		}
+		orig.Timestamp, loaded.Timestamp = time.Time{}, time.Time{}
+		if orig != loaded {
+			t.Errorf("record %d changed in round trip:\n%+v\n%+v", i, orig, loaded)
+		}
 	}
 }

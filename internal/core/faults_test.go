@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -126,7 +127,8 @@ func TestHarnessClassifiesUploadOOM(t *testing.T) {
 }
 
 func TestAnalyze(t *testing.T) {
-	s := newTestSession()
+	var results []core.JobResult
+	s := core.NewSession(core.WithSLA(2*time.Minute), core.WithParallelism(1), core.WithSink(collectSink(&results)))
 	for _, p := range []string{"native", "pregel"} {
 		for _, ds := range []string{"R1", "R2"} {
 			if _, err := s.RunJob(context.Background(), core.JobSpec{Platform: p, Dataset: ds, Algorithm: algorithms.BFS, Threads: 2, Machines: 1}); err != nil {
@@ -134,7 +136,7 @@ func TestAnalyze(t *testing.T) {
 			}
 		}
 	}
-	summaries := core.Analyze(s.DB())
+	summaries := core.Analyze(results)
 	if len(summaries) != 2 {
 		t.Fatalf("got %d summaries, want 2", len(summaries))
 	}
@@ -147,9 +149,40 @@ func TestAnalyze(t *testing.T) {
 			t.Errorf("%s: SLA compliance %v, want 1", s.Platform, s.SLACompliance)
 		}
 	}
-	rep := core.AnalysisReport(s.DB())
+	rep := core.AnalysisReport(results)
 	out := renderOK(t, rep)
 	if len(rep.Notes) == 0 {
 		t.Fatalf("analysis report should derive a key finding:\n%s", out)
+	}
+}
+
+// TestAnalysisReportDeterministic renders the analysis of platforms that
+// tie on geometric-mean slowdown — each fastest on a disjoint job set —
+// 50 times and requires byte-identical output: summaries accumulate in
+// result order, never map order, and ties order by platform name.
+func TestAnalysisReportDeterministic(t *testing.T) {
+	datasets := []string{"R1", "R2", "R3", "R4", "D100", "D300"}
+	var results []core.JobResult
+	for pi, p := range []string{"spmv-s", "native", "pushpull"} {
+		for di, ds := range datasets {
+			tproc := 30 * time.Millisecond
+			if di%3 == pi {
+				tproc = 7 * time.Millisecond // this platform's turn to be fastest
+			}
+			results = append(results, core.JobResult{
+				Spec:           core.JobSpec{Platform: p, Dataset: ds, Algorithm: algorithms.BFS, Threads: 2, Machines: 1},
+				Status:         core.StatusOK,
+				ProcessingTime: tproc,
+			})
+		}
+	}
+	first := renderOK(t, core.AnalysisReport(results))
+	if !strings.Contains(first, "native is the fastest platform overall; spmv-s trails it") {
+		t.Errorf("tying platforms must order by name:\n%s", first)
+	}
+	for i := 0; i < 50; i++ {
+		if again := renderOK(t, core.AnalysisReport(results)); again != first {
+			t.Fatalf("render %d differs:\n--- first ---\n%s--- again ---\n%s", i, first, again)
+		}
 	}
 }

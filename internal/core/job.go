@@ -66,7 +66,7 @@ type JobSpec struct {
 	SLA time.Duration `json:"sla,omitempty"`
 }
 
-// JobResult is one results-database record.
+// JobResult is the record of one executed job.
 type JobResult struct {
 	Spec      JobSpec   `json:"spec"`
 	Status    Status    `json:"status"`

@@ -331,8 +331,7 @@ func (l *uploadLease) release() {
 // Each job's UploadTime records the group's real upload and UploadShared
 // whether it was amortized; SLA accounting charges the recorded upload
 // against every job's budget, so statuses match a per-job-upload run
-// (RunAll). Results commit to the results database and the session's
-// sinks in plan order. Per-call options override session settings for
+// (RunAll). Results are delivered to the session's sinks in plan order. Per-call options override session settings for
 // this plan only. Cancelling ctx interrupts in-flight jobs and marks the
 // rest StatusCanceled; leases still drain, freeing every performed upload
 // exactly once.
@@ -358,8 +357,8 @@ func (s *Session) RunPlan(ctx context.Context, p *Plan, opts ...Option) ([]JobRe
 	results := make([]JobResult, len(p.Jobs))
 	errs := make([]error, len(p.Jobs))
 
-	// Reorder buffer: jobs finish in any order but commit to the database
-	// and sinks in plan order as soon as the contiguous prefix is done.
+	// Reorder buffer: jobs finish in any order but are delivered to the
+	// sinks in plan order as soon as the contiguous prefix is done.
 	var commitMu sync.Mutex
 	var sinkErrs []error
 	done := make([]bool, len(p.Jobs))

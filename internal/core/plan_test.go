@@ -119,7 +119,8 @@ func TestRunPlanSingleUploadPerDeployment(t *testing.T) {
 		t.Fatalf("unexpected plan shape: %d jobs, %d deployments", len(plan.Jobs), len(plan.Deployments))
 	}
 	var uploadedEvents atomic.Int64
-	s := core.NewSession(core.WithParallelism(4), core.WithObserver(core.ObserverFunc(func(e core.Event) {
+	var delivered []core.JobResult
+	s := core.NewSession(core.WithParallelism(4), core.WithSink(collectSink(&delivered)), core.WithObserver(core.ObserverFunc(func(e core.Event) {
 		if e.Type == core.EventDeploymentUploaded {
 			uploadedEvents.Add(1)
 		}
@@ -152,14 +153,13 @@ func TestRunPlanSingleUploadPerDeployment(t *testing.T) {
 	if sharedCount != len(results)-1 {
 		t.Fatalf("%d of %d jobs marked shared, want all but one", sharedCount, len(results))
 	}
-	// The database committed every job in plan order.
-	all := s.DB().All()
-	if len(all) != len(plan.Jobs) {
-		t.Fatalf("db has %d records, want %d", len(all), len(plan.Jobs))
+	// The sink was delivered every job in plan order.
+	if len(delivered) != len(plan.Jobs) {
+		t.Fatalf("sink saw %d results, want %d", len(delivered), len(plan.Jobs))
 	}
-	for i := range all {
-		if all[i].Spec != plan.Jobs[i] {
-			t.Errorf("db record %d out of plan order", i)
+	for i := range delivered {
+		if delivered[i].Spec != plan.Jobs[i] {
+			t.Errorf("delivery %d out of plan order", i)
 		}
 	}
 }
@@ -569,12 +569,12 @@ func TestSLACancelsUpload(t *testing.T) {
 func TestExperimentReportsMatchPerJobUploads(t *testing.T) {
 	ctx := context.Background()
 	cfg := core.ExperimentConfig{Platforms: []string{"native", "spmv-s", "pushpull"}, Threads: 2}
-	shared := core.NewSession(core.WithSLA(2*time.Minute), core.WithParallelism(1))
-	if _, err := shared.AlgorithmVariety(ctx, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := shared.MakespanBreakdown(ctx, cfg); err != nil {
-		t.Fatal(err)
+	var sharedResults []core.JobResult
+	shared := core.NewSession(core.WithSLA(2*time.Minute), core.WithParallelism(1), core.WithSink(collectSink(&sharedResults)))
+	for _, id := range []string{"fig6", "table8"} {
+		if _, err := shared.RunExperiment(ctx, id, cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var jobs []core.JobSpec
 	for _, spec := range []core.BenchSpec{core.AlgorithmVarietySpec(cfg), core.MakespanBreakdownSpec(cfg)} {
@@ -588,5 +588,5 @@ func TestExperimentReportsMatchPerJobUploads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameOutcomes(t, "fig6+table8", shared.DB().All(), perJob)
+	sameOutcomes(t, "fig6+table8", sharedResults, perJob)
 }

@@ -74,6 +74,30 @@ func (r *Report) Render(w io.Writer) error {
 	return err
 }
 
+// JobTable renders results as one row per job, in the given order, with
+// the paper's status markers and the run-time breakdown — the report of a
+// run that is no paper artifact.
+func JobTable(id, title string, results []JobResult) *Report {
+	rep := &Report{
+		ID:      id,
+		Title:   title,
+		Columns: []string{"platform", "dataset", "algorithm", "t", "m", "status", "upload", "Tproc"},
+		Notes:   []string{"upload times marked * were amortized: the job reused its deployment group's shared upload"},
+	}
+	for _, r := range results {
+		upload := fmtDuration(r.UploadTime)
+		if r.UploadShared {
+			upload += "*"
+		}
+		rep.Rows = append(rep.Rows, []string{
+			r.Spec.Platform, r.Spec.Dataset, string(r.Spec.Algorithm),
+			fmt.Sprint(r.Spec.Threads), fmt.Sprint(r.Spec.Machines),
+			string(r.Status), upload, cell(r),
+		})
+	}
+	return rep
+}
+
 // cell formats a job result for a report table: the processing time on
 // success, or the paper's failure markers ("F" for a crash or SLA break,
 // "M" for out of memory, "N/A" for an unsupported algorithm).

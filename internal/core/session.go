@@ -2,16 +2,18 @@
 // architecture in Figure 1): it processes the benchmark description and
 // configuration, orchestrates jobs against platform drivers (upload,
 // execute, validate, archive), enforces the service-level agreement,
-// stores results in a results database, and runs the experiment suites of
-// Table 6 — baseline, scalability, robustness and self-test — rendering a
-// report per paper figure or table.
+// delivers results to sinks, and runs the experiment suites of Table 6 —
+// baseline, scalability, robustness and self-test. Reports are pure
+// functions of a spec and its results (Experiment.Render, JobTable,
+// AnalysisReport): a run returns its results, and rendering never needs
+// the session that produced them.
 //
 // The public entry point is the Session: a context-first, concurrency-safe
 // orchestrator constructed with functional options. Sessions run single
-// jobs (RunJob), repetitions (RunRepeated) and whole job matrices on a
-// bounded worker pool (RunAll), and stream progress through an Observer.
-// Whole benchmark descriptions go BenchSpec → Plan → RunPlan (spec.go,
-// plan.go); every entry point executes jobs through that one path.
+// jobs (RunJob) and whole job matrices on a bounded worker pool (RunAll),
+// and stream progress through an Observer. Whole benchmark descriptions
+// go BenchSpec → Plan → RunPlan (spec.go, plan.go); every entry point
+// executes jobs through that one path.
 package core
 
 import (
@@ -40,7 +42,6 @@ type config struct {
 	sla         time.Duration
 	validate    bool
 	net         cluster.NetworkModel
-	db          *ResultsDB
 	parallelism int
 	refWorkers  int
 	observer    Observer
@@ -86,9 +87,6 @@ func WithValidation(on bool) Option { return func(c *config) { c.validate = on }
 
 // WithNetwork sets the interconnect model for distributed jobs.
 func WithNetwork(net cluster.NetworkModel) Option { return func(c *config) { c.net = net } }
-
-// WithResultsDB directs results into db instead of a fresh database.
-func WithResultsDB(db *ResultsDB) Option { return func(c *config) { c.db = db } }
 
 // WithParallelism bounds the worker pool RunAll schedules jobs on; n < 1
 // selects GOMAXPROCS. Parallelism 1 reproduces strictly sequential
@@ -139,8 +137,9 @@ func WithCacheDir(dir string) Option { return func(c *config) { c.cacheDir = dir
 func WithMappedSnapshots(on bool) Option { return func(c *config) { c.mapped = on } }
 
 // Session orchestrates benchmark jobs: SLA enforcement, validation
-// against single-flighted reference outputs, a results database, and a
-// bounded-parallelism scheduler. It is safe for concurrent use.
+// against single-flighted reference outputs, in-order result delivery to
+// sinks, and a bounded-parallelism scheduler. It is safe for concurrent
+// use, and holds no results: every run returns its own.
 type Session struct {
 	cfg    config
 	refs   *refCache
@@ -158,13 +157,12 @@ type Session struct {
 }
 
 // NewSession returns a session with the default configuration — output
-// validation on, the default network model, a fresh results database, and
-// GOMAXPROCS scheduler parallelism — overridden by the given options.
+// validation on, the default network model and GOMAXPROCS scheduler
+// parallelism — overridden by the given options.
 func NewSession(opts ...Option) *Session {
 	cfg := config{
 		validate:    true,
 		net:         cluster.DefaultNetwork(),
-		db:          NewResultsDB(),
 		parallelism: runtime.GOMAXPROCS(0),
 	}
 	for _, o := range opts {
@@ -219,9 +217,6 @@ func (s *Session) loadGraph(d workload.Dataset) (*graph.Graph, error) {
 	return r.Graph, nil
 }
 
-// DB returns the session's results database.
-func (s *Session) DB() *ResultsDB { return s.cfg.db }
-
 // emit delivers an event to the observer, serialized, stamped with the
 // session's next sequence number and the wall-clock time. Delivery is
 // panic-recovered: a faulty observer loses the event, not the run (see
@@ -237,13 +232,6 @@ func (s *Session) emit(e Event) {
 	e.Seq = s.eventSeq.Add(1)
 	e.Time = time.Now()
 	safeObserve(s.cfg.observer, e)
-}
-
-// experimentSpan emits the started event for one paper artifact and
-// returns the matching finished emitter for deferral.
-func (s *Session) experimentSpan(id string) func() {
-	s.emit(Event{Type: EventExperimentStarted, Experiment: id})
-	return func() { s.emit(Event{Type: EventExperimentFinished, Experiment: id}) }
 }
 
 // refCache single-flights reference-output computation: concurrent jobs
@@ -315,11 +303,10 @@ func (s *Session) RunJob(ctx context.Context, spec JobSpec) (JobResult, error) {
 	return res, errors.Join(err, s.record(res))
 }
 
-// record appends a finished job to the results database and delivers it
-// to the session's sinks — ordinary sinks in registration order, then
-// FinalSinks (the archive) in registration order, so an archive sink
-// only ever observes results that every other sink has already been
-// offered. Jobs that hit a harness-level error before running carry no
+// record delivers a finished job to the session's sinks — ordinary sinks
+// in registration order, then FinalSinks (the archive) in registration
+// order, so an archive sink only ever observes results that every other
+// sink has already been offered. Jobs that hit a harness-level error before running carry no
 // status and are not recorded. recordMu — shared by every batch of one
 // session — serializes delivery, which is what gives sinks their
 // lock-free contract; within a batch the commit reorder buffer
@@ -332,9 +319,6 @@ func (s *Session) record(res JobResult) error {
 	}
 	s.recordMu.Lock()
 	defer s.recordMu.Unlock()
-	if s.cfg.db != nil {
-		s.cfg.db.Add(res)
-	}
 	var errs []error
 	for _, i := range sinkPhases(s.cfg.sinks) {
 		if err := s.cfg.sinks[i].Consume(res); err != nil {
@@ -502,27 +486,6 @@ func (s *Session) execute(ctx context.Context, spec JobSpec, pos batchPos, lease
 	return res, nil
 }
 
-// RunRepeated executes the same job n times (the variability experiment).
-// Repetitions run sequentially: overlapping them would perturb the very
-// timing distribution the experiment measures. Sink-delivery failures
-// (ErrSink) do not stop the repetitions; they are joined into the
-// returned error alongside the completed results.
-func (s *Session) RunRepeated(ctx context.Context, spec JobSpec, n int) ([]JobResult, error) {
-	out := make([]JobResult, 0, n)
-	var sinkErrs []error
-	for i := 0; i < n; i++ {
-		res, err := s.RunJob(ctx, spec)
-		if err != nil {
-			if !errors.Is(err, ErrSink) {
-				return out, err
-			}
-			sinkErrs = append(sinkErrs, err)
-		}
-		out = append(out, res)
-	}
-	return out, errors.Join(sinkErrs...)
-}
-
 // RunAll executes independent jobs on a bounded worker pool and returns
 // one result per spec, in spec order. Every job performs its own upload:
 // RunAll is RunPlan on the plan that makes each job a deployment of its
@@ -531,9 +494,9 @@ func (s *Session) RunRepeated(ctx context.Context, spec JobSpec, n int) ([]JobRe
 // settings for this batch only; the reference cache stays shared.
 //
 // Determinism: results[i] always corresponds to specs[i], and results are
-// committed to the results database in spec order regardless of
-// completion order, so a parallel run produces a database identical
-// (modulo measured times) to a sequential one. Cancelling ctx interrupts
+// delivered to the sinks in spec order regardless of completion order, so
+// a parallel run produces a result stream identical (modulo measured
+// times) to a sequential one. Cancelling ctx interrupts
 // jobs already executing and marks them — along with jobs that have not
 // started — as StatusCanceled; a job whose execution already finished
 // keeps its result. The error return joins harness-level errors (unknown

@@ -34,13 +34,14 @@ func batchSpecs() []core.JobSpec {
 	return specs
 }
 
-func runBatch(t *testing.T, parallelism int, specs []core.JobSpec) (*core.ResultsDB, []core.JobResult) {
+// runBatch runs specs through RunAll and returns what the session's sink
+// was delivered next to what the call returned.
+func runBatch(t *testing.T, parallelism int, specs []core.JobSpec) (delivered, results []core.JobResult) {
 	t.Helper()
-	db := core.NewResultsDB()
 	s := core.NewSession(
 		core.WithSLA(2*time.Minute),
 		core.WithParallelism(parallelism),
-		core.WithResultsDB(db),
+		core.WithSink(collectSink(&delivered)),
 	)
 	results, err := s.RunAll(context.Background(), specs)
 	if err != nil {
@@ -54,30 +55,30 @@ func runBatch(t *testing.T, parallelism int, specs []core.JobSpec) (*core.Result
 			t.Fatalf("result %d out of order: got %+v, want %+v", i, results[i].Spec, specs[i])
 		}
 	}
-	return db, results
+	return delivered, results
 }
 
 // TestRunAllDeterministicOrder runs the same >=16-job batch sequentially
-// and with an 8-worker pool and asserts the results database contents are
-// identical modulo measured times: same specs, same statuses, same order.
+// and with an 8-worker pool and asserts the streams delivered to the sink
+// are identical modulo measured times: same specs, same statuses, same
+// order.
 func TestRunAllDeterministicOrder(t *testing.T) {
 	specs := batchSpecs()
 	if len(specs) < 16 {
 		t.Fatalf("batch has %d jobs, want >= 16", len(specs))
 	}
-	seqDB, seq := runBatch(t, 1, specs)
-	parDB, par := runBatch(t, 8, specs)
+	seqAll, seq := runBatch(t, 1, specs)
+	parAll, par := runBatch(t, 8, specs)
 
-	if seqDB.Len() != parDB.Len() {
-		t.Fatalf("database lengths differ: sequential %d vs parallel %d", seqDB.Len(), parDB.Len())
+	if len(seqAll) != len(specs) || len(parAll) != len(specs) {
+		t.Fatalf("sink deliveries: sequential %d, parallel %d, want %d each", len(seqAll), len(parAll), len(specs))
 	}
-	seqAll, parAll := seqDB.All(), parDB.All()
 	for i := range seqAll {
 		if seqAll[i].Spec != parAll[i].Spec {
-			t.Errorf("db record %d: spec %+v vs %+v", i, seqAll[i].Spec, parAll[i].Spec)
+			t.Errorf("delivery %d: spec %+v vs %+v", i, seqAll[i].Spec, parAll[i].Spec)
 		}
 		if seqAll[i].Status != parAll[i].Status {
-			t.Errorf("db record %d (%+v): status %s vs %s", i, seqAll[i].Spec, seqAll[i].Status, parAll[i].Status)
+			t.Errorf("delivery %d (%+v): status %s vs %s", i, seqAll[i].Spec, seqAll[i].Status, parAll[i].Status)
 		}
 	}
 	for i := range seq {
@@ -120,10 +121,12 @@ func TestRunAllCancellation(t *testing.T) {
 			once.Do(cancel)
 		}
 	})
+	var delivered []core.JobResult
 	s := core.NewSession(
 		core.WithSLA(2*time.Minute),
 		core.WithParallelism(2),
 		core.WithObserver(obs),
+		core.WithSink(collectSink(&delivered)),
 	)
 	results, err := s.RunAll(ctx, specs)
 	if err != nil {
@@ -154,9 +157,9 @@ func TestRunAllCancellation(t *testing.T) {
 	if finished < 1 {
 		t.Error("the job that triggered cancellation should have finished")
 	}
-	// Every result — canceled included — lands in the database, in order.
-	if s.DB().Len() != len(specs) {
-		t.Errorf("db has %d records, want %d", s.DB().Len(), len(specs))
+	// Every result — canceled included — reaches the sinks.
+	if len(delivered) != len(specs) {
+		t.Errorf("sink saw %d results, want %d", len(delivered), len(specs))
 	}
 }
 
@@ -280,8 +283,8 @@ func TestUploadInsideSLAWindow(t *testing.T) {
 
 // TestSessionOptions covers the functional options' observable behavior.
 func TestSessionOptions(t *testing.T) {
-	db := core.NewResultsDB()
-	s := core.NewSession(core.WithValidation(false), core.WithResultsDB(db), core.WithSLA(2*time.Minute))
+	var delivered []core.JobResult
+	s := core.NewSession(core.WithValidation(false), core.WithSink(collectSink(&delivered)), core.WithSLA(2*time.Minute))
 	res, err := s.RunJob(context.Background(), core.JobSpec{
 		Platform: "native", Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1,
 	})
@@ -294,8 +297,8 @@ func TestSessionOptions(t *testing.T) {
 	if res.Validated {
 		t.Error("WithValidation(false) should skip validation")
 	}
-	if s.DB() != db || db.Len() != 1 {
-		t.Error("WithResultsDB should direct results into the provided database")
+	if len(delivered) != 1 || delivered[0].Spec != res.Spec {
+		t.Error("WithSink should deliver the job's result to the sink")
 	}
 }
 
@@ -315,7 +318,7 @@ func TestSessionEventStream(t *testing.T) {
 		core.WithParallelism(4),
 		core.WithObserver(obs),
 	)
-	if _, err := s.MakespanBreakdown(context.Background(), core.ExperimentConfig{
+	if _, err := s.RunExperiment(context.Background(), "table8", core.ExperimentConfig{
 		Platforms: []string{"native", "spmv-s"}, Threads: 2,
 	}); err != nil {
 		t.Fatal(err)

@@ -8,8 +8,8 @@ import (
 )
 
 // ErrSink marks sink-delivery failures in returned errors: the jobs
-// themselves completed and were recorded in the results database; only a
-// sink rejected the result. errors.Is(err, ErrSink) lets callers keep
+// themselves completed and are in the returned results; only a sink
+// rejected the result. errors.Is(err, ErrSink) lets callers keep
 // sweeping past delivery problems while still treating real harness
 // errors (unknown platform or dataset) as fatal — the experiment suites
 // do exactly that.
@@ -51,9 +51,9 @@ func SinkOnly(err error) bool {
 // batches is spec/plan order regardless of completion order. The session
 // serializes Consume calls, so implementations need no internal locking.
 // A sink error does not stop the run; it is joined into the batch's
-// returned error. The results database itself is not a sink — it always
-// receives results first — but DBSink adapts extra databases, and
-// JSONLSink / ReportSink stream and render results as they arrive.
+// returned error. Sinks are the only place results go besides the slice
+// the run returns: NewJSONLSink streams them as they arrive, ArchiveSink
+// seals them; reports are rendered from the returned slice afterwards.
 type Sink interface {
 	Consume(JobResult) error
 }
@@ -63,15 +63,6 @@ type SinkFunc func(JobResult) error
 
 // Consume calls f(r).
 func (f SinkFunc) Consume(r JobResult) error { return f(r) }
-
-// DBSink returns a sink appending every result to db — fan-out into a
-// second results database beyond the session's own.
-func DBSink(db *ResultsDB) Sink {
-	return SinkFunc(func(r JobResult) error {
-		db.Add(r)
-		return nil
-	})
-}
 
 // FinalSink marks a sink that must observe a result only after every
 // ordinary sink has: MultiSink and the session deliver final sinks
@@ -122,9 +113,9 @@ func MultiSink(sinks ...Sink) Sink {
 }
 
 // NewJSONLSink returns a sink streaming each result to w as one JSON
-// object per line — the same encoding as ResultsDB.WriteJSONL, produced
-// incrementally while the run progresses instead of at the end. Callers
-// owning a buffered writer flush it after the run.
+// object per line, incrementally while the run progresses, so an
+// interrupted run keeps every result it finished. Callers owning a
+// buffered writer flush it after the run.
 func NewJSONLSink(w io.Writer) Sink {
 	enc := json.NewEncoder(w)
 	return SinkFunc(func(r JobResult) error {
@@ -134,38 +125,3 @@ func NewJSONLSink(w io.Writer) Sink {
 		return nil
 	})
 }
-
-// ReportSink accumulates results into a rendered Report — the report
-// renderer as a sink: one row per job in commit order, with the paper's
-// status markers and the run-time breakdown.
-type ReportSink struct {
-	rep *Report
-}
-
-// NewReportSink returns a report sink with the given artifact ID and
-// title.
-func NewReportSink(id, title string) *ReportSink {
-	return &ReportSink{rep: &Report{
-		ID:      id,
-		Title:   title,
-		Columns: []string{"platform", "dataset", "algorithm", "t", "m", "status", "upload", "Tproc"},
-		Notes:   []string{"upload times marked * were amortized: the job reused its deployment group's shared upload"},
-	}}
-}
-
-// Consume implements Sink.
-func (k *ReportSink) Consume(r JobResult) error {
-	upload := fmtDuration(r.UploadTime)
-	if r.UploadShared {
-		upload += "*"
-	}
-	k.rep.Rows = append(k.rep.Rows, []string{
-		r.Spec.Platform, r.Spec.Dataset, string(r.Spec.Algorithm),
-		fmt.Sprint(r.Spec.Threads), fmt.Sprint(r.Spec.Machines),
-		string(r.Status), upload, cell(r),
-	})
-	return nil
-}
-
-// Report returns the accumulated report; call it when the run is done.
-func (k *ReportSink) Report() *Report { return k.rep }

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"sync"
@@ -30,8 +31,8 @@ func sinkTestPlan(t *testing.T) *core.Plan {
 }
 
 // TestJSONLSinkStreamsDatabase runs a plan with a JSONL sink and checks
-// the stream is byte-identical to the database's own serialization, with
-// results in plan order despite parallel execution.
+// the stream is byte-identical to the JSON encoding of the results the
+// run returned, in plan order despite parallel execution.
 func TestJSONLSinkStreamsDatabase(t *testing.T) {
 	plan := sinkTestPlan(t)
 	var stream bytes.Buffer
@@ -46,12 +47,15 @@ func TestJSONLSinkStreamsDatabase(t *testing.T) {
 	if len(results) != len(plan.Jobs) {
 		t.Fatalf("got %d results, want %d", len(results), len(plan.Jobs))
 	}
-	var fromDB bytes.Buffer
-	if err := s.DB().WriteJSONL(&fromDB); err != nil {
-		t.Fatal(err)
+	var returned bytes.Buffer
+	enc := json.NewEncoder(&returned)
+	for _, res := range results {
+		if err := enc.Encode(res); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if stream.String() != fromDB.String() {
-		t.Errorf("JSONL stream differs from database serialization:\n--- sink ---\n%s--- db ---\n%s", stream.String(), fromDB.String())
+	if stream.String() != returned.String() {
+		t.Errorf("JSONL stream differs from the returned results:\n--- sink ---\n%s--- returned ---\n%s", stream.String(), returned.String())
 	}
 	if got := strings.Count(stream.String(), "\n"); got != len(plan.Jobs) {
 		t.Errorf("stream has %d lines, want %d", got, len(plan.Jobs))
@@ -59,8 +63,8 @@ func TestJSONLSinkStreamsDatabase(t *testing.T) {
 }
 
 // TestSinkOrderAndFanout checks sinks receive every result in commit
-// (plan) order, across DBSink and MultiSink fan-out, and that RunJob
-// records reach sinks too.
+// (plan) order, across MultiSink fan-out, and that RunJob records reach
+// sinks too.
 func TestSinkOrderAndFanout(t *testing.T) {
 	plan := sinkTestPlan(t)
 	var mu sync.Mutex
@@ -71,10 +75,10 @@ func TestSinkOrderAndFanout(t *testing.T) {
 		seen = append(seen, r.Spec)
 		return nil
 	})
-	extra := core.NewResultsDB()
+	var extra []core.JobResult
 	s := core.NewSession(
 		core.WithParallelism(4),
-		core.WithSink(core.MultiSink(orderSink, core.DBSink(extra))),
+		core.WithSink(core.MultiSink(orderSink, collectSink(&extra))),
 	)
 	if _, err := s.RunPlan(context.Background(), plan); err != nil {
 		t.Fatal(err)
@@ -87,8 +91,8 @@ func TestSinkOrderAndFanout(t *testing.T) {
 			t.Errorf("sink result %d out of plan order: %+v", i, seen[i])
 		}
 	}
-	if extra.Len() != len(plan.Jobs) {
-		t.Errorf("DBSink database has %d records, want %d", extra.Len(), len(plan.Jobs))
+	if len(extra) != len(plan.Jobs) {
+		t.Errorf("second fan-out sink saw %d results, want %d", len(extra), len(plan.Jobs))
 	}
 	// RunJob records flow to sinks too.
 	if _, err := s.RunJob(context.Background(), core.JobSpec{
@@ -121,15 +125,15 @@ func TestSinkErrorSurfaces(t *testing.T) {
 	if !errors.Is(err, core.ErrSink) {
 		t.Fatalf("sink failures must be marked ErrSink: %v", err)
 	}
-	// The run itself completed: every job has a terminal status and the
-	// database holds all records.
+	// The run itself completed: every job is returned with a terminal
+	// status, and the sink was offered every one of them.
 	for i, res := range results {
 		if !res.Status.Terminal() {
 			t.Errorf("job %d: non-terminal status after sink error", i)
 		}
 	}
-	if s.DB().Len() != len(plan.Jobs) {
-		t.Errorf("db has %d records, want %d despite sink error", s.DB().Len(), len(plan.Jobs))
+	if len(results) != len(plan.Jobs) || n != len(plan.Jobs) {
+		t.Errorf("%d results, %d deliveries, want %d each despite the sink error", len(results), n, len(plan.Jobs))
 	}
 }
 
@@ -301,15 +305,15 @@ func TestArchiveSinkCommitError(t *testing.T) {
 	}
 }
 
-// TestReportSink renders one row per job with the shared-upload marker.
+// TestReportSink (named for the sink JobTable replaced) renders a run's
+// results as one row per job with the shared-upload marker.
 func TestReportSink(t *testing.T) {
 	plan := sinkTestPlan(t)
-	table := core.NewReportSink("sinks", "sink table")
-	s := core.NewSession(core.WithSink(table))
-	if _, err := s.RunPlan(context.Background(), plan); err != nil {
+	results, err := core.NewSession().RunPlan(context.Background(), plan)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep := table.Report()
+	rep := core.JobTable("sinks", "sink table", results)
 	if len(rep.Rows) != len(plan.Jobs) {
 		t.Fatalf("report has %d rows, want %d", len(rep.Rows), len(plan.Jobs))
 	}

@@ -2,9 +2,13 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -250,5 +254,68 @@ func TestWaiverBudget(t *testing.T) {
 		if counts[name] > ceiling {
 			t.Errorf("%d //graphalint:%s waivers in non-test code, ceiling is %d", counts[name], name, ceiling)
 		}
+	}
+}
+
+// facadeCeiling caps the exported top-level identifiers of the root
+// package graphalytics — the public surface every user sees. Like the
+// waiver ceilings it only ever goes down: lower it when you remove a
+// name; a new name needs a reviewer to raise it here.
+const facadeCeiling = 129
+
+// TestFacadeBudget counts the exported funcs, types, vars and consts the
+// root package declares in its non-test files against facadeCeiling.
+func TestFacadeBudget(t *testing.T) {
+	paths, err := filepath.Glob("../../*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*ast.File
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Name.Name != "graphalytics" {
+			t.Fatalf("%s: package %s at the module root, want graphalytics", path, f.Name.Name)
+		}
+		files = append(files, f)
+	}
+	var names []string
+	add := func(id *ast.Ident) {
+		if id.IsExported() {
+			names = append(names, id.Name)
+		}
+	}
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add(d.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						add(sp.Name)
+					case *ast.ValueSpec:
+						for _, id := range sp.Names {
+							add(id)
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(names) > facadeCeiling {
+		sort.Strings(names)
+		t.Errorf("package graphalytics exports %d top-level identifiers, ceiling is %d (lower the ceiling when you remove one):\n%s",
+			len(names), facadeCeiling, strings.Join(names, " "))
+	} else if len(names) < facadeCeiling {
+		t.Errorf("package graphalytics exports %d top-level identifiers: lower facadeCeiling from %d to keep the ratchet tight", len(names), facadeCeiling)
 	}
 }

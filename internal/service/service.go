@@ -9,7 +9,7 @@
 //   - Every run is one Session.RunPlan batch on a single shared
 //     core.Session, so all tenants share the session's graph store (a
 //     cross-tenant warm snapshot cache), its single-flight reference
-//     cache, and its results database/sinks.
+//     cache, and its daemon-wide sinks.
 //   - Progress streaming bridges the core Observer event stream into a
 //     per-run append-only event log through a core.BufferedObserver, so
 //     a slow SSE reader can never backpressure the run loop; per-run
@@ -67,7 +67,7 @@ type Config struct {
 	EventBuffer int
 	// SessionOptions configure the shared session every run executes
 	// on: graph store or cache dir, SLA, validation, parallelism,
-	// results DB and daemon-wide sinks. WithObserver and WithSink are
+	// and daemon-wide sinks. WithObserver and WithSink are
 	// layered per run on top of these.
 	SessionOptions []core.Option
 	// ArchiveDir, when set, opens a content-addressed run archive
@@ -191,7 +191,7 @@ func (s *Service) Archive() *archive.Archive { return s.archive }
 // runPlanExec is the production executor: one RunPlan batch on the
 // shared session, with the run's SSE bridge as the batch observer and
 // the run's buffering result log as an extra sink. Session-level sinks
-// (the daemon's JSONL file, results DB) still receive every result —
+// (the daemon's JSONL file) still receive every result —
 // per-run sink scoping is exactly RunPlan's per-call option surface.
 func (s *Service) runPlanExec(ctx context.Context, run *Run, obs core.Observer, sink core.Sink) error {
 	_, err := s.session.RunPlan(ctx, run.plan, core.WithObserver(obs), core.WithSink(sink))

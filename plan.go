@@ -94,34 +94,11 @@ func SinkOnly(err error) bool { return core.SinkOnly(err) }
 // SinkFunc adapts a function to the Sink interface.
 type SinkFunc = core.SinkFunc
 
-// ReportSink accumulates results into a rendered Report.
-type ReportSink = core.ReportSink
-
 // WithSink adds a result sink to a session (repeatable).
 func WithSink(k Sink) Option { return core.WithSink(k) }
 
 // NewJSONLSink streams each result to w as one JSON object per line.
 func NewJSONLSink(w io.Writer) Sink { return core.NewJSONLSink(w) }
 
-// DBSink appends every result to an extra results database.
-func DBSink(db *ResultsDB) Sink { return core.DBSink(db) }
-
 // MultiSink fans results out to several sinks.
 func MultiSink(sinks ...Sink) Sink { return core.MultiSink(sinks...) }
-
-// NewReportSink returns a sink rendering results as a report table.
-func NewReportSink(id, title string) *ReportSink { return core.NewReportSink(id, title) }
-
-// Experiment spec builders: the declarative form of each experiment's job
-// matrix (compile them for dry-run listings, or run the Session methods,
-// which compile the same specs internally).
-func DatasetVarietySpec(cfg ExperimentConfig) BenchSpec   { return core.DatasetVarietySpec(cfg) }
-func AlgorithmVarietySpec(cfg ExperimentConfig) BenchSpec { return core.AlgorithmVarietySpec(cfg) }
-func VerticalScalabilitySpec(cfg ExperimentConfig) BenchSpec {
-	return core.VerticalScalabilitySpec(cfg)
-}
-func StrongScalingSpec(cfg ExperimentConfig) BenchSpec     { return core.StrongScalingSpec(cfg) }
-func WeakScalingSpec(cfg ExperimentConfig) BenchSpec       { return core.WeakScalingSpec(cfg) }
-func StressTestSpec(cfg ExperimentConfig) BenchSpec        { return core.StressTestSpec(cfg) }
-func VariabilitySpec(cfg ExperimentConfig) BenchSpec       { return core.VariabilitySpec(cfg) }
-func MakespanBreakdownSpec(cfg ExperimentConfig) BenchSpec { return core.MakespanBreakdownSpec(cfg) }
