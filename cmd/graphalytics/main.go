@@ -386,6 +386,11 @@ func cmdRun(ctx context.Context, args []string) error {
 		return fmt.Errorf("run: -archive-dir requires -spec (single jobs are not archived)")
 	}
 
+	a := algorithms.Algorithm(*algorithm)
+	if !slices.Contains(algorithms.All, a) {
+		return fmt.Errorf("run: %w %q (have %v)", algorithms.ErrUnknownAlgorithm, *algorithm, algorithms.All)
+	}
+
 	var g *graphalytics.Graph
 	var err error
 	if *cacheDir != "" {
@@ -414,7 +419,7 @@ func cmdRun(ctx context.Context, args []string) error {
 		return err
 	}
 	defer up.Free()
-	res, err := pl.Execute(jctx, up, algorithms.Algorithm(*algorithm), d.Params)
+	res, err := pl.Execute(jctx, up, a, d.Params)
 	if err != nil {
 		return err
 	}

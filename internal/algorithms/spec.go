@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"graphalytics/internal/graph"
 )
@@ -118,6 +119,55 @@ var (
 	ErrNeedsWeights = errors.New("algorithms: SSSP requires a weighted graph")
 )
 
+// Job is a checked algorithm request on one graph: a core algorithm, its
+// parameters with defaults applied, and the source resolved to an internal
+// vertex index. The reference kernels and every engine dispatch from it.
+type Job struct {
+	Algorithm Algorithm
+	Params
+	// SourceIndex is the internal index of Params.Source, for BFS and SSSP.
+	SourceIndex int32
+}
+
+// Resolve checks the request (g, a, p) and returns its Job. It fails with
+// ErrUnknownAlgorithm for a name outside All, ErrNeedsWeights for SSSP on
+// an unweighted graph, and ErrSourceNotFound when BFS or SSSP names a
+// source vertex g does not have.
+func Resolve(g *graph.Graph, a Algorithm, p Params) (Job, error) {
+	j := Job{Algorithm: a, Params: p.WithDefaults(a)}
+	if !slices.Contains(All, a) {
+		return j, fmt.Errorf("%w: %q", ErrUnknownAlgorithm, a)
+	}
+	if a == SSSP && !g.Weighted() {
+		return j, ErrNeedsWeights
+	}
+	if a == BFS || a == SSSP {
+		src, ok := g.Index(p.Source)
+		if !ok {
+			return j, fmt.Errorf("%w: %d", ErrSourceNotFound, p.Source)
+		}
+		j.SourceIndex = src
+	}
+	return j, nil
+}
+
+// Ints wraps a kernel's integer per-vertex values (BFS, WCC, CDLP) as the
+// job's output, passing a kernel error through.
+func (j Job) Ints(vals []int64, err error) (*Output, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Output{Algorithm: j.Algorithm, Int: vals}, nil
+}
+
+// Floats is Ints for floating-point values (PR, LCC, SSSP).
+func (j Job) Floats(vals []float64, err error) (*Output, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Output{Algorithm: j.Algorithm, Float: vals}, nil
+}
+
 // RunReference executes the reference implementation of a on g and
 // returns the reference output used for validating platform results.
 // Kernels run on the shared parallel runtime with automatic worker
@@ -133,33 +183,23 @@ func RunReference(g *graph.Graph, a Algorithm, p Params) (*Output, error) {
 // honors the pin on every relax phase (and in its Delta reduction), and
 // like the other kernels its output is bit-identical at every count.
 func RunReferenceWorkers(g *graph.Graph, a Algorithm, p Params, workers int) (*Output, error) {
-	p = p.WithDefaults(a)
+	j, err := Resolve(g, a, p)
+	if err != nil {
+		return nil, err
+	}
 	switch a {
 	case BFS:
-		src, ok := g.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("%w: %d", ErrSourceNotFound, p.Source)
-		}
-		return &Output{Algorithm: BFS, Int: ParBFS(g, src, workers)}, nil
+		return j.Ints(ParBFS(g, j.SourceIndex, workers), nil)
 	case PR:
-		return &Output{Algorithm: PR, Float: ParPageRank(g, p.Iterations, p.Damping, workers)}, nil
+		return j.Floats(ParPageRank(g, j.Iterations, j.Damping, workers), nil)
 	case WCC:
-		return &Output{Algorithm: WCC, Int: ParWCC(g, workers)}, nil
+		return j.Ints(ParWCC(g, workers), nil)
 	case CDLP:
-		return &Output{Algorithm: CDLP, Int: ParCDLP(g, p.Iterations, workers)}, nil
+		return j.Ints(ParCDLP(g, j.Iterations, workers), nil)
 	case LCC:
-		return &Output{Algorithm: LCC, Float: ParLCC(g, workers)}, nil
-	case SSSP:
-		if !g.Weighted() {
-			return nil, ErrNeedsWeights
-		}
-		src, ok := g.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("%w: %d", ErrSourceNotFound, p.Source)
-		}
-		return &Output{Algorithm: SSSP, Float: ParSSSP(g, src, workers)}, nil
-	default:
-		return nil, fmt.Errorf("%w: %q", ErrUnknownAlgorithm, a)
+		return j.Floats(ParLCC(g, workers), nil)
+	default: // SSSP: Resolve admits only the six core algorithms
+		return j.Floats(ParSSSP(g, j.SourceIndex, workers), nil)
 	}
 }
 

@@ -361,3 +361,26 @@ func SSSPRelaxRange(g *graph.Graph, dist []uint64, frontier []int32, claimed []u
 	}
 	return out
 }
+
+// IntersectCount returns |a ∩ b| excluding the vertex v, for two ascending
+// lists: the arc count of the modelled engines' neighbourhood-exchange LCC.
+//
+//graphalint:noalloc LCC inner loop: runs once per neighbor pair
+func IntersectCount(a, b []int32, v int32) int {
+	count, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case b[j] < a[i]:
+			j++
+		default:
+			if a[i] != v {
+				count++
+			}
+			i++
+			j++
+		}
+	}
+	return count
+}

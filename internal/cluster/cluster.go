@@ -171,7 +171,17 @@ func (c *Cluster) Free(machine int, bytes int64) {
 	}
 }
 
-// PeakMemory returns the highest per-machine memory registration observed.
+// ResetPeak restarts every machine's peak from its current registration,
+// so PeakMemory reports one job's high-water mark instead of that of every
+// job the deployment has run.
+func (c *Cluster) ResetPeak() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	copy(c.memPeak, c.memInUse)
+}
+
+// PeakMemory returns the highest per-machine memory registration observed
+// since the cluster was created or ResetPeak was last called.
 func (c *Cluster) PeakMemory() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -8,13 +8,15 @@ const module = "graphalytics"
 // determinismPkgs carry the bit-identical-at-any-worker-count contract
 // (see internal/par's package comment): the parallel runtime itself, the
 // reference kernels and their shared step bodies, the zero-alloc message
-// plane, the CSR builder, and every engine under internal/platforms. A
-// trailing "/" marks a prefix that covers all subpackages.
+// plane, the CSR builder, the engine driver in internal/platform, and
+// every engine under internal/platforms. A trailing "/" marks a prefix
+// that covers all subpackages.
 var determinismPkgs = []string{
 	module + "/internal/par",
 	module + "/internal/mplane",
 	module + "/internal/algorithms",
 	module + "/internal/graph",
+	module + "/internal/platform",
 	module + "/internal/platforms",
 	module + "/internal/platforms/",
 }
@@ -22,10 +24,12 @@ var determinismPkgs = []string{
 // simTimePkgs compute simulated cost: machine rounds, thread discounts and
 // the granula model must read the injected clock seam so replays and tests
 // can substitute deterministic time. The engines run inside RunRound's
-// measured window and must never consult the wall clock themselves.
+// measured window, and the driver in internal/platform brackets it with
+// the Granula phases; neither may consult the wall clock itself.
 var simTimePkgs = []string{
 	module + "/internal/cluster",
 	module + "/internal/granula",
+	module + "/internal/platform",
 	module + "/internal/platforms",
 	module + "/internal/platforms/",
 }

@@ -142,11 +142,18 @@ var ErrNotDistributed = fmt.Errorf("platform: not a distributed platform")
 // requested algorithm.
 var ErrUnsupported = fmt.Errorf("platform: algorithm not supported")
 
-// BaseUpload is a helper embedding for Uploaded implementations.
+// BaseUpload is the embedding every Uploaded implementation shares: the
+// graph, its simulated deployment, and the per-machine bytes registered
+// against the deployment for the life of the upload. Engines driven by New
+// leave its fields to the driver.
 type BaseUpload struct {
 	G  *graph.Graph
 	Cl *cluster.Cluster
+	// bytes[m] is what Free releases on machine m.
+	bytes []int64
 }
+
+func (b *BaseUpload) base() *BaseUpload { return b }
 
 // Graph returns the uploaded graph.
 func (b *BaseUpload) Graph() *graph.Graph { return b.G }
@@ -154,8 +161,26 @@ func (b *BaseUpload) Graph() *graph.Graph { return b.G }
 // Cluster returns the simulated deployment.
 func (b *BaseUpload) Cluster() *cluster.Cluster { return b.Cl }
 
-// Free is a no-op default; engines with registered memory override it.
-func (b *BaseUpload) Free() {}
+// Register charges bytes to a machine's budget until Free: the upload's
+// layout, or a structure a later job adds to it.
+func (b *BaseUpload) Register(machine int, bytes int64) error {
+	if err := b.Cl.Alloc(machine, bytes); err != nil {
+		return err
+	}
+	if b.bytes == nil {
+		b.bytes = make([]int64, b.Cl.Machines())
+	}
+	b.bytes[machine] += bytes
+	return nil
+}
+
+// Free releases everything Register charged.
+func (b *BaseUpload) Free() {
+	for m, n := range b.bytes {
+		b.Cl.Free(m, n)
+		b.bytes[m] = 0
+	}
+}
 
 // NewResult assembles a Result from a finished tracker, the job's cluster,
 // and the algorithm output. It sets ProcessingTime from the archive's

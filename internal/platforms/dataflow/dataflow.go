@@ -27,38 +27,47 @@ import (
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
-	"graphalytics/internal/granula"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
 )
 
-// Engine is the dataflow platform driver.
-type Engine struct{}
-
-// New returns the dataflow engine.
-func New() *Engine { return &Engine{} }
-
-// Name implements platform.Platform.
-func (e *Engine) Name() string { return "dataflow" }
-
-// Description implements platform.Platform.
-func (e *Engine) Description() string {
-	return "RDD-style dataset joins and shuffles (GraphX/Spark-style)"
-}
-
-// Distributed implements platform.Platform.
-func (e *Engine) Distributed() bool { return true }
-
-// Supports implements platform.Platform; all six algorithms are expressed
-// as dataflows (the paper's GraphX fails CDLP and LCC at scale — here that
+// New returns the dataflow engine. All six algorithms are expressed as
+// dataflows (the paper's GraphX fails CDLP and LCC at scale — here that
 // manifests as SLA breaks rather than a missing implementation).
-func (e *Engine) Supports(a algorithms.Algorithm) bool {
-	switch a {
-	case algorithms.BFS, algorithms.PR, algorithms.WCC, algorithms.CDLP, algorithms.LCC, algorithms.SSSP:
-		return true
-	}
-	return false
+func New() platform.Platform {
+	return platform.New(platform.Engine[*uploaded]{
+		Name:        "dataflow",
+		Description: "RDD-style dataset joins and shuffles (GraphX/Spark-style)",
+		Distributed: true,
+		Load:        load,
+		Kernels: map[algorithms.Algorithm]platform.Kernel[*uploaded]{
+			algorithms.BFS: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Ints(bfsFlow(ctx, u, j.SourceIndex))
+			},
+			algorithms.PR: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Floats(prFlow(ctx, u, j.Iterations, j.Damping))
+			},
+			algorithms.WCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Ints(wccFlow(ctx, u))
+			},
+			algorithms.CDLP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Ints(cdlpFlow(ctx, u, j.Iterations))
+			},
+			algorithms.LCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Floats(lccFlow(ctx, u))
+			},
+			algorithms.SSSP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Floats(ssspFlow(ctx, u, j.SourceIndex))
+			},
+		},
+		// Message buffers and join maps: the engine re-materializes these per
+		// iteration; the registration covers the peak of one iteration.
+		State: func(u *uploaded, _ *platform.Job) int64 { return int64(u.G.NumVertices()) * 48 },
+		Annotate: func(u *uploaded, j *platform.Job) {
+			j.Tracker.Annotate("edge_partitions", fmt.Sprint(len(u.eparts)))
+		},
+	})
 }
 
 // edgePartition is one partition of the edge dataset.
@@ -89,17 +98,9 @@ type uploaded struct {
 	// machine m, precomputed from the routing tables.
 	shipBytes []int64
 	degrees   []int32 // out-degrees dataset, precomputed at load
-	bytes     []int64
 	// scratch caches the shuffle plane (staging buffers, CSR inbox,
 	// frontier flags, label histogram) between Execute calls.
 	scratch mplane.Pool
-}
-
-func (u *uploaded) Free() {
-	for m, b := range u.bytes {
-		u.Cl.Free(m, b)
-	}
-	u.eparts = nil
 }
 
 // partitioning constants: like Spark, the engine over-partitions relative
@@ -109,38 +110,25 @@ const (
 	vertexPartsPerMachine = 2
 )
 
-// Upload implements platform.Platform: it materializes the edge and vertex
-// datasets, builds routing tables, and registers the (substantial) memory
-// the dataflow representation occupies.
-func (e *Engine) Upload(g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
-	//graphalint:ctxbg ctx-less platform.Platform compatibility method; UploadContext is the ctx-first path
-	return e.UploadContext(context.Background(), g, cfg)
-}
-
-// UploadContext implements platform.ContextUploader: the context is
-// checked between the materialization phases and periodically inside the
-// per-vertex edge scan, so an SLA timer cancels a pathological upload
-// mid-flight.
-func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
-	if err := platform.CheckContext(ctx); err != nil {
-		return nil, err
-	}
-	cl := cluster.New(cfg.ClusterConfig())
+// load materializes the edge and vertex datasets and builds routing
+// tables, and reports the (substantial) memory the dataflow representation
+// occupies. The context is checked between the materialization phases and
+// periodically inside the per-vertex edge scan, so an SLA timer cancels a
+// pathological upload mid-flight.
+func load(ctx context.Context, g *graph.Graph, cl *cluster.Cluster) (*uploaded, []int64, error) {
 	M := cl.Machines()
 	nep := M * edgePartsPerMachine
 	nvp := M * vertexPartsPerMachine
 	n := g.NumVertices()
 
 	u := &uploaded{
-		BaseUpload: platform.BaseUpload{G: g, Cl: cl},
-		eparts:     make([]*edgePartition, nep),
-		vparts:     make([][]int32, nvp),
-		vpartOf:    make([]int32, n),
-		machineOf:  make([]int32, nvp),
-		emachine:   make([]int32, nep),
-		shipBytes:  make([]int64, M),
-		degrees:    make([]int32, n),
-		bytes:      make([]int64, M),
+		eparts:    make([]*edgePartition, nep),
+		vparts:    make([][]int32, nvp),
+		vpartOf:   make([]int32, n),
+		machineOf: make([]int32, nvp),
+		emachine:  make([]int32, nep),
+		shipBytes: make([]int64, M),
+		degrees:   make([]int32, n),
 	}
 	u.machEparts = make([][]int, M)
 	u.machVparts = make([][]int, M)
@@ -165,7 +153,7 @@ func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform
 	for v := int32(0); v < int32(n); v++ {
 		if v&0xffff == 0 {
 			if err := platform.CheckContext(ctx); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		ws := g.OutWeights(v)
@@ -185,7 +173,7 @@ func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform
 	// Routing tables and per-iteration shuffle volume.
 	for p, ep := range u.eparts {
 		if err := platform.CheckContext(ctx); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		ep.needSrc = distinct(ep.src)
 		ep.needDst = distinct(ep.dst)
@@ -211,14 +199,7 @@ func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform
 	for p, verts := range u.vparts {
 		perMachine[u.machineOf[p]] += int64(len(verts)) * 24
 	}
-	for m := 0; m < M; m++ {
-		if err := cl.Alloc(m, perMachine[m]); err != nil {
-			u.Free()
-			return nil, fmt.Errorf("dataflow: upload %s: %w", g.Name(), err)
-		}
-		u.bytes[m] = perMachine[m]
-	}
-	return u, nil
+	return u, perMachine, nil
 }
 
 // distinct returns the sorted distinct values of xs.
@@ -235,98 +216,4 @@ func distinct(xs []int32) []int32 {
 		}
 	}
 	return uniq
-}
-
-// Execute implements platform.Platform.
-func (e *Engine) Execute(ctx context.Context, up platform.Uploaded, a algorithms.Algorithm, p algorithms.Params) (*platform.Result, error) {
-	if !e.Supports(a) {
-		return nil, fmt.Errorf("%w: %s on dataflow", platform.ErrUnsupported, a)
-	}
-	u, ok := up.(*uploaded)
-	if !ok {
-		return nil, fmt.Errorf("dataflow: foreign upload handle %T", up)
-	}
-	p = p.WithDefaults(a)
-	cl := u.Cl
-
-	t := granula.NewTracker(fmt.Sprintf("%s/%s", a, u.G.Name()), e.Name())
-	t.Begin(granula.PhaseSetup)
-	// Message buffers and join maps: the engine re-materializes these per
-	// iteration; the registration covers the peak of one iteration.
-	state := int64(u.G.NumVertices()) * 48
-	for m := 0; m < cl.Machines(); m++ {
-		if err := cl.Alloc(m, state); err != nil {
-			t.End()
-			return nil, fmt.Errorf("dataflow: allocate shuffle buffers: %w", err)
-		}
-		defer cl.Free(m, state)
-	}
-	t.End()
-
-	cl.ResetTime()
-	t.Begin(granula.PhaseProcess)
-	out, err := e.runAlgorithm(ctx, u, a, p)
-	t.Annotate("rounds", fmt.Sprint(cl.Rounds()))
-	t.Annotate("edge_partitions", fmt.Sprint(len(u.eparts)))
-	t.Current().Modeled = cl.SimulatedTime()
-	t.End()
-	if err != nil {
-		return nil, err
-	}
-	t.Begin(granula.PhaseOffload)
-	t.End()
-	return platform.NewResult(t, cl, out), nil
-}
-
-func (e *Engine) runAlgorithm(ctx context.Context, u *uploaded, a algorithms.Algorithm, p algorithms.Params) (*algorithms.Output, error) {
-	switch a {
-	case algorithms.BFS:
-		src, ok := u.G.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("dataflow: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		vals, err := bfsFlow(ctx, u, src)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, nil
-	case algorithms.PR:
-		vals, err := prFlow(ctx, u, p.Iterations, p.Damping)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
-	case algorithms.WCC:
-		vals, err := wccFlow(ctx, u)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, nil
-	case algorithms.CDLP:
-		vals, err := cdlpFlow(ctx, u, p.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, nil
-	case algorithms.LCC:
-		vals, err := lccFlow(ctx, u)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
-	case algorithms.SSSP:
-		if !u.G.Weighted() {
-			return nil, algorithms.ErrNeedsWeights
-		}
-		src, ok := u.G.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("dataflow: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		vals, err := ssspFlow(ctx, u, src)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
-	}
-	return nil, fmt.Errorf("%w: %s", platform.ErrUnsupported, a)
 }

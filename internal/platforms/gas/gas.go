@@ -22,38 +22,48 @@ import (
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
-	"graphalytics/internal/granula"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
 )
 
-// Engine is the gather-apply-scatter platform driver.
-type Engine struct{}
-
-// New returns the GAS engine.
-func New() *Engine { return &Engine{} }
-
-// Name implements platform.Platform.
-func (e *Engine) Name() string { return "gas" }
-
-// Description implements platform.Platform.
-func (e *Engine) Description() string {
-	return "gather-apply-scatter over a vertex-cut (PowerGraph-style)"
-}
-
-// Distributed implements platform.Platform.
-func (e *Engine) Distributed() bool { return true }
-
-// Supports implements platform.Platform; all six algorithms are
-// implemented (PowerGraph is one of only two platforms that complete LCC
-// in the paper).
-func (e *Engine) Supports(a algorithms.Algorithm) bool {
-	switch a {
-	case algorithms.BFS, algorithms.PR, algorithms.WCC, algorithms.CDLP, algorithms.LCC, algorithms.SSSP:
-		return true
-	}
-	return false
+// New returns the GAS engine. All six algorithms are implemented
+// (PowerGraph is one of only two platforms that complete LCC in the paper).
+func New() platform.Platform {
+	return platform.New(platform.Engine[*uploaded]{
+		Name:        "gas",
+		Description: "gather-apply-scatter over a vertex-cut (PowerGraph-style)",
+		Distributed: true,
+		Load:        load,
+		Kernels: map[algorithms.Algorithm]platform.Kernel[*uploaded]{
+			algorithms.BFS: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Ints(bfsGAS(ctx, u, j.SourceIndex))
+			},
+			algorithms.PR: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Floats(prGAS(ctx, u, j.Iterations, j.Damping))
+			},
+			algorithms.WCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Ints(wccGAS(ctx, u))
+			},
+			algorithms.CDLP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Ints(cdlpGAS(ctx, u, j.Iterations))
+			},
+			algorithms.LCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Floats(lccGAS(ctx, u))
+			},
+			algorithms.SSSP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Floats(ssspGAS(ctx, u, j.SourceIndex))
+			},
+		},
+		// value + accumulator + flags
+		State: func(u *uploaded, _ *platform.Job) int64 {
+			return int64(u.G.NumVertices()) * 24 / int64(u.Cl.Machines())
+		},
+		Setup: func(u *uploaded, j *platform.Job) error {
+			j.Tracker.Annotate("replication_factor", fmt.Sprintf("%.2f", u.part.ReplicationFactor()))
+			return nil
+		},
+	})
 }
 
 // machineArcs holds one machine's share of the vertex-cut: arcs sorted by
@@ -107,7 +117,6 @@ type uploaded struct {
 	bcastCount  []int64
 	// masterVerts[m] lists the vertices mastered on machine m.
 	masterVerts [][]int32
-	bytes       []int64
 	// labelOff is the static CSR layout of the CDLP label gather: vertex
 	// v's incoming labels land in labelBuf[labelOff[v]:labelOff[v+1]].
 	// Every iteration gathers every arc, so the per-vertex capacity is a
@@ -120,38 +129,18 @@ type uploaded struct {
 	scratch mplane.Pool
 }
 
-func (u *uploaded) Free() {
-	for m, b := range u.bytes {
-		u.Cl.Free(m, b)
-	}
-	u.local = nil
-}
-
-// Upload implements platform.Platform: it builds the vertex-cut and each
-// machine's sorted arc store.
-func (e *Engine) Upload(g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
-	//graphalint:ctxbg ctx-less platform.Platform compatibility method; UploadContext is the ctx-first path
-	return e.UploadContext(context.Background(), g, cfg)
-}
-
-// UploadContext implements platform.ContextUploader: the context is
-// checked before the vertex-cut, between per-machine arc-store builds
-// (the expensive sorts), and before the label layout.
-func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
-	if err := platform.CheckContext(ctx); err != nil {
-		return nil, err
-	}
-	cl := cluster.New(cfg.ClusterConfig())
+// load builds the vertex-cut and each machine's sorted arc store; the
+// context is checked between per-machine arc-store builds (the expensive
+// sorts) and before the label layout.
+func load(ctx context.Context, g *graph.Graph, cl *cluster.Cluster) (*uploaded, []int64, error) {
 	part := cluster.PartitionEdges(g, cl.Machines())
 	u := &uploaded{
-		BaseUpload:   platform.BaseUpload{G: g, Cl: cl},
 		part:         part,
 		local:        make([]*machineArcs, cl.Machines()),
 		replicaCount: make([]int32, g.NumVertices()),
 		mirrorCount:  make([]int64, cl.Machines()),
 		bcastCount:   make([]int64, cl.Machines()),
 		masterVerts:  make([][]int32, cl.Machines()),
-		bytes:        make([]int64, cl.Machines()),
 	}
 	for v, reps := range part.Replicas {
 		u.replicaCount[v] = int32(len(reps))
@@ -164,10 +153,10 @@ func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform
 			}
 		}
 	}
-	for m := 0; m < cl.Machines(); m++ {
+	bytes := make([]int64, cl.Machines())
+	for m := range u.local {
 		if err := platform.CheckContext(ctx); err != nil {
-			u.Free()
-			return nil, err
+			return nil, nil, err
 		}
 		u.local[m] = buildMachineArcs(g, part.Arcs[m])
 		// Arc array, weights, destination-order index, mirror tables.
@@ -175,19 +164,13 @@ func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform
 		if g.Weighted() {
 			perArc += 8
 		}
-		bytes := int64(len(u.local[m].arcs))*perArc + int64(u.mirrorCount[m])*16
-		if err := cl.Alloc(m, bytes); err != nil {
-			u.Free()
-			return nil, fmt.Errorf("gas: upload %s: %w", g.Name(), err)
-		}
-		u.bytes[m] = bytes
+		bytes[m] = int64(len(u.local[m].arcs))*perArc + int64(u.mirrorCount[m])*16
 	}
 	if err := platform.CheckContext(ctx); err != nil {
-		u.Free()
-		return nil, err
+		return nil, nil, err
 	}
 	u.buildLabelLayout(g)
-	return u, nil
+	return u, bytes, nil
 }
 
 // buildLabelLayout sizes the CDLP gather: vertex v receives one label per
@@ -273,96 +256,4 @@ func edgeWeight(g *graph.Graph, src, dst int32) float64 {
 		return g.OutWeights(src)[i]
 	}
 	return 0
-}
-
-// Execute implements platform.Platform.
-func (e *Engine) Execute(ctx context.Context, up platform.Uploaded, a algorithms.Algorithm, p algorithms.Params) (*platform.Result, error) {
-	if !e.Supports(a) {
-		return nil, fmt.Errorf("%w: %s on gas", platform.ErrUnsupported, a)
-	}
-	u, ok := up.(*uploaded)
-	if !ok {
-		return nil, fmt.Errorf("gas: foreign upload handle %T", up)
-	}
-	p = p.WithDefaults(a)
-	cl := u.Cl
-
-	t := granula.NewTracker(fmt.Sprintf("%s/%s", a, u.G.Name()), e.Name())
-	t.Begin(granula.PhaseSetup)
-	state := int64(u.G.NumVertices()) * 24 // value + accumulator + flags
-	for m := 0; m < cl.Machines(); m++ {
-		if err := cl.Alloc(m, state/int64(cl.Machines())); err != nil {
-			t.End()
-			return nil, fmt.Errorf("gas: allocate state: %w", err)
-		}
-		defer cl.Free(m, state/int64(cl.Machines()))
-	}
-	t.Annotate("replication_factor", fmt.Sprintf("%.2f", u.part.ReplicationFactor()))
-	t.End()
-
-	cl.ResetTime()
-	t.Begin(granula.PhaseProcess)
-	out, err := e.runAlgorithm(ctx, u, a, p)
-	t.Annotate("rounds", fmt.Sprint(cl.Rounds()))
-	t.Current().Modeled = cl.SimulatedTime()
-	t.End()
-	if err != nil {
-		return nil, err
-	}
-	t.Begin(granula.PhaseOffload)
-	t.End()
-	return platform.NewResult(t, cl, out), nil
-}
-
-func (e *Engine) runAlgorithm(ctx context.Context, u *uploaded, a algorithms.Algorithm, p algorithms.Params) (*algorithms.Output, error) {
-	switch a {
-	case algorithms.BFS:
-		src, ok := u.G.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("gas: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		vals, err := bfsGAS(ctx, u, src)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, nil
-	case algorithms.PR:
-		vals, err := prGAS(ctx, u, p.Iterations, p.Damping)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
-	case algorithms.WCC:
-		vals, err := wccGAS(ctx, u)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, nil
-	case algorithms.CDLP:
-		vals, err := cdlpGAS(ctx, u, p.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, nil
-	case algorithms.LCC:
-		vals, err := lccGAS(ctx, u)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
-	case algorithms.SSSP:
-		if !u.G.Weighted() {
-			return nil, algorithms.ErrNeedsWeights
-		}
-		src, ok := u.G.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("gas: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		vals, err := ssspGAS(ctx, u, src)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
-	}
-	return nil, fmt.Errorf("%w: %s", platform.ErrUnsupported, a)
 }

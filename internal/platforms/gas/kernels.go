@@ -581,7 +581,7 @@ func lccGAS(ctx context.Context, u *uploaded) ([]float64, error) {
 					if int(u.part.Master[nb]) != mach {
 						fetch += int64(g.OutDegree(nb)) * 4
 					}
-					arcs += intersectSorted(g.OutNeighbors(nb), hood, v)
+					arcs += algorithms.IntersectCount(g.OutNeighbors(nb), hood, v)
 				}
 				out[v] = float64(arcs) / (float64(d) * float64(d-1))
 			}
@@ -597,28 +597,6 @@ func lccGAS(ctx context.Context, u *uploaded) ([]float64, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// intersectSorted counts common entries of two ascending lists, skipping v.
-//
-//graphalint:noalloc LCC inner loop: runs once per neighbor pair
-func intersectSorted(a, b []int32, v int32) int {
-	count, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case b[j] < a[i]:
-			j++
-		default:
-			if a[i] != v {
-				count++
-			}
-			i++
-			j++
-		}
-	}
-	return count
 }
 
 // ssspGAS relaxes the out-arcs of frontier vertices with an atomic min on

@@ -13,43 +13,54 @@ import (
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
-	"graphalytics/internal/granula"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
 )
 
-// Engine is the native platform driver.
-type Engine struct{}
-
-// New returns the native engine.
-func New() *Engine { return &Engine{} }
-
-// Name implements platform.Platform.
-func (e *Engine) Name() string { return "native" }
-
-// Description implements platform.Platform.
-func (e *Engine) Description() string {
-	return "hand-written CSR implementations, single machine (OpenG-style)"
-}
-
-// Distributed implements platform.Platform; the native engine is
-// single-machine only.
-func (e *Engine) Distributed() bool { return false }
-
-// Supports implements platform.Platform; all six algorithms are
-// implemented.
-func (e *Engine) Supports(a algorithms.Algorithm) bool {
-	switch a {
-	case algorithms.BFS, algorithms.PR, algorithms.WCC, algorithms.CDLP, algorithms.LCC, algorithms.SSSP:
-		return true
-	}
-	return false
+// New returns the native engine: all six algorithms, single machine only.
+func New() platform.Platform {
+	return platform.New(platform.Engine[*uploaded]{
+		Name:        "native",
+		Description: "hand-written CSR implementations, single machine (OpenG-style)",
+		Load:        load,
+		Kernels: map[algorithms.Algorithm]platform.Kernel[*uploaded]{
+			algorithms.BFS: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Ints(bfs(ctx, u, j.SourceIndex))
+			},
+			algorithms.PR: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Floats(pagerank(ctx, u.G, u.Cl, j.Iterations, j.Damping))
+			},
+			algorithms.WCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Ints(wcc(ctx, u.G, u.Cl))
+			},
+			algorithms.CDLP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Ints(cdlp(ctx, u, j.Iterations))
+			},
+			algorithms.LCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Floats(lcc(ctx, u))
+			},
+			algorithms.SSSP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Floats(sssp(ctx, u, j.SourceIndex))
+			},
+		},
+		State: func(u *uploaded, j *platform.Job) int64 {
+			return stateFootprint(u.G, j.Algorithm, u.Cl.Threads())
+		},
+		Setup: func(u *uploaded, j *platform.Job) error {
+			if j.Algorithm != algorithms.LCC {
+				return nil
+			}
+			return u.orientLCC()
+		},
+		Annotate: func(u *uploaded, j *platform.Job) {
+			j.Tracker.Annotate("threads", fmt.Sprint(u.Cl.Threads()))
+		},
+	})
 }
 
 type uploaded struct {
 	platform.BaseUpload
-	bytes int64
 	// scratch caches the kernels' per-job working buffers (delta-stepping
 	// bucket state, CDLP frontier stamps and histogram) across Execute
 	// calls on one upload, so steady-state runs allocate only their output
@@ -59,10 +70,6 @@ type uploaded struct {
 	// by the upload's first LCC job and kept for its later ones; its
 	// footprint is registered with the graph's, in bytes.
 	orient *algorithms.LCCOrientation
-}
-
-func (u *uploaded) Free() {
-	u.Cl.Free(0, u.bytes)
 }
 
 // orientLCC builds the LCC orientation on the upload's first LCC job and
@@ -76,135 +83,17 @@ func (u *uploaded) orientLCC() error {
 		return nil
 	}
 	o := algorithms.NewLCCOrientation(u.G, 1)
-	if err := u.Cl.Alloc(0, o.Bytes()); err != nil {
+	if err := u.Register(0, o.Bytes()); err != nil {
 		return err
 	}
 	u.orient = o
-	u.bytes += o.Bytes()
 	return nil
 }
 
-// Upload implements platform.Platform. The native engine runs on the CSR
-// directly, so upload only registers the graph's memory against the
-// machine budget.
-func (e *Engine) Upload(g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
-	//graphalint:ctxbg ctx-less platform.Platform compatibility method; UploadContext is the ctx-first path
-	return e.UploadContext(context.Background(), g, cfg)
-}
-
-// UploadContext implements platform.ContextUploader. Native upload is a
-// single allocation, so the context is checked once up front.
-func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
-	if err := platform.CheckContext(ctx); err != nil {
-		return nil, err
-	}
-	if cfg.Machines > 1 {
-		return nil, fmt.Errorf("%w: native engine supports one machine", platform.ErrNotDistributed)
-	}
-	cl := cluster.New(cfg.ClusterConfig())
-	bytes := g.MemoryFootprint()
-	if err := cl.Alloc(0, bytes); err != nil {
-		return nil, fmt.Errorf("native: upload %s: %w", g.Name(), err)
-	}
-	return &uploaded{BaseUpload: platform.BaseUpload{G: g, Cl: cl}, bytes: bytes}, nil
-}
-
-// Execute implements platform.Platform.
-func (e *Engine) Execute(ctx context.Context, up platform.Uploaded, a algorithms.Algorithm, p algorithms.Params) (*platform.Result, error) {
-	if !e.Supports(a) {
-		return nil, fmt.Errorf("%w: %s on native", platform.ErrUnsupported, a)
-	}
-	u, ok := up.(*uploaded)
-	if !ok {
-		return nil, fmt.Errorf("native: foreign upload handle %T", up)
-	}
-	p = p.WithDefaults(a)
-	g := u.G
-	cl := u.Cl
-
-	t := granula.NewTracker(fmt.Sprintf("%s/%s", a, g.Name()), e.Name())
-	t.Begin(granula.PhaseSetup)
-	if a == algorithms.LCC {
-		if err := u.orientLCC(); err != nil {
-			return nil, fmt.Errorf("native: orient %s for %s: %w", g.Name(), a, err)
-		}
-	}
-	stateBytes := stateFootprint(g, a, cl.Threads())
-	if err := cl.Alloc(0, stateBytes); err != nil {
-		return nil, fmt.Errorf("native: allocate state for %s: %w", a, err)
-	}
-	defer cl.Free(0, stateBytes)
-	t.End()
-
-	cl.ResetTime()
-	t.Begin(granula.PhaseProcess)
-	out, err := e.run(ctx, u, a, p)
-	t.Annotate("threads", fmt.Sprint(cl.Threads()))
-	t.Current().Modeled = cl.SimulatedTime()
-	t.End()
-	if err != nil {
-		return nil, err
-	}
-
-	t.Begin(granula.PhaseOffload)
-	// Output already lives in harness-visible arrays; nothing to convert.
-	t.End()
-	return platform.NewResult(t, cl, out), nil
-}
-
-// run dispatches to the algorithm kernels.
-func (e *Engine) run(ctx context.Context, u *uploaded, a algorithms.Algorithm, p algorithms.Params) (*algorithms.Output, error) {
-	g, cl := u.G, u.Cl
-	switch a {
-	case algorithms.BFS:
-		src, ok := g.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("native: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		depth, err := bfs(ctx, u, src)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: depth}, nil
-	case algorithms.PR:
-		rank, err := pagerank(ctx, g, cl, p.Iterations, p.Damping)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: rank}, nil
-	case algorithms.WCC:
-		labels, err := wcc(ctx, g, cl)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: labels}, nil
-	case algorithms.CDLP:
-		labels, err := cdlp(ctx, u, p.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: labels}, nil
-	case algorithms.LCC:
-		vals, err := lcc(ctx, u)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
-	case algorithms.SSSP:
-		if !g.Weighted() {
-			return nil, algorithms.ErrNeedsWeights
-		}
-		src, ok := g.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("native: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		dist, err := sssp(ctx, u, src)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: dist}, nil
-	}
-	return nil, fmt.Errorf("%w: %s", platform.ErrUnsupported, a)
+// load is the whole upload: the native engine runs on the CSR directly, so
+// only the graph's memory is registered against the machine budget.
+func load(_ context.Context, g *graph.Graph, _ *cluster.Cluster) (*uploaded, []int64, error) {
+	return &uploaded{}, []int64{g.MemoryFootprint()}, nil
 }
 
 // stateFootprint estimates the engine's per-run working memory: native

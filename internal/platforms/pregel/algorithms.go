@@ -289,7 +289,7 @@ func lccProgram(ctx context.Context, t *granula.Tracker, u *uploaded) ([]float64
 		if d >= 2 {
 			arcs := 0
 			for _, list := range msgs {
-				arcs += intersectCount(list, hood, v)
+				arcs += algorithms.IntersectCount(list, hood, v)
 			}
 			out[v] = float64(arcs) / (float64(d) * float64(d-1))
 		}
@@ -323,26 +323,6 @@ func neighborhoodOf(u *uploaded, v int32) []int32 {
 		uniq = append(uniq, merged[i])
 	}
 	return uniq
-}
-
-// intersectCount counts common elements of two sorted lists, excluding v.
-func intersectCount(a, b []int32, v int32) int {
-	count, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case b[j] < a[i]:
-			j++
-		default:
-			if a[i] != v {
-				count++
-			}
-			i++
-			j++
-		}
-	}
-	return count
 }
 
 // ssspProgram is the classic Pregel SSSP: distance relaxations flow as

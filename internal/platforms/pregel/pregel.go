@@ -20,43 +20,52 @@ import (
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
-	"graphalytics/internal/granula"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
 )
 
-// Engine is the vertex-centric BSP platform driver.
-type Engine struct {
-	useCombiners bool
-}
-
 // New returns the engine with message combiners enabled.
-func New() *Engine { return &Engine{useCombiners: true} }
+func New() platform.Platform { return NewWithOptions(true) }
 
 // NewWithOptions returns an engine with explicit combiner configuration;
-// disabling combiners exists for the combiner ablation benchmark.
-func NewWithOptions(useCombiners bool) *Engine { return &Engine{useCombiners: useCombiners} }
-
-// Name implements platform.Platform.
-func (e *Engine) Name() string { return "pregel" }
-
-// Description implements platform.Platform.
-func (e *Engine) Description() string {
-	return "vertex-centric BSP with message passing (Giraph/Pregel-style)"
-}
-
-// Distributed implements platform.Platform.
-func (e *Engine) Distributed() bool { return true }
-
-// Supports implements platform.Platform; all six algorithms are
-// implemented as vertex programs.
-func (e *Engine) Supports(a algorithms.Algorithm) bool {
-	switch a {
-	case algorithms.BFS, algorithms.PR, algorithms.WCC, algorithms.CDLP, algorithms.LCC, algorithms.SSSP:
-		return true
-	}
-	return false
+// disabling combiners exists for the combiner ablation benchmark. All six
+// algorithms are implemented as vertex programs.
+func NewWithOptions(useCombiners bool) platform.Platform {
+	return platform.New(platform.Engine[*uploaded]{
+		Name:        "pregel",
+		Description: "vertex-centric BSP with message passing (Giraph/Pregel-style)",
+		Distributed: true,
+		Load:        load,
+		Kernels: map[algorithms.Algorithm]platform.Kernel[*uploaded]{
+			algorithms.BFS: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Ints(bfsProgram(ctx, j.Tracker, u, j.SourceIndex, useCombiners))
+			},
+			algorithms.PR: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Floats(prProgram(ctx, j.Tracker, u, j.Iterations, j.Damping, useCombiners))
+			},
+			algorithms.WCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Ints(wccProgram(ctx, j.Tracker, u, useCombiners))
+			},
+			algorithms.CDLP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Ints(cdlpProgram(ctx, j.Tracker, u, j.Iterations))
+			},
+			algorithms.LCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Floats(lccProgram(ctx, j.Tracker, u))
+			},
+			algorithms.SSSP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Floats(ssspProgram(ctx, j.Tracker, u, j.SourceIndex, useCombiners))
+			},
+		},
+		// Message queues: the engine keeps two per-vertex message buffers.
+		State: func(u *uploaded, _ *platform.Job) int64 {
+			return int64(u.G.NumVertices()) * 2 * 24 / int64(u.Cl.Machines())
+		},
+		Annotate: func(u *uploaded, j *platform.Job) {
+			j.Tracker.Annotate("supersteps", fmt.Sprint(u.Cl.Rounds()))
+			j.Tracker.Annotate("combiners", fmt.Sprint(useCombiners))
+		},
+	})
 }
 
 // vertexData is the per-vertex adjacency object; the engine pays one object
@@ -71,35 +80,16 @@ type uploaded struct {
 	platform.BaseUpload
 	part  *cluster.VertexPartition
 	verts []vertexData
-	bytes []int64
 	// scratch caches the BSP runner (message plane, frontier lists, halt
 	// bitmap) between Execute calls, so repeated jobs on one upload run
 	// allocation-free in steady state.
 	scratch mplane.Pool
 }
 
-func (u *uploaded) Free() {
-	for m, b := range u.bytes {
-		u.Cl.Free(m, b)
-	}
-	u.verts = nil
-}
-
-// Upload implements platform.Platform: the graph is exploded into
-// per-vertex adjacency objects hash-partitioned over the machines.
-func (e *Engine) Upload(g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
-	//graphalint:ctxbg ctx-less platform.Platform compatibility method; UploadContext is the ctx-first path
-	return e.UploadContext(context.Background(), g, cfg)
-}
-
-// UploadContext implements platform.ContextUploader: the context is
-// checked periodically inside the per-vertex explosion loop, the bulk of
-// the upload work.
-func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
-	if err := platform.CheckContext(ctx); err != nil {
-		return nil, err
-	}
-	cl := cluster.New(cfg.ClusterConfig())
+// load explodes the graph into per-vertex adjacency objects
+// hash-partitioned over the machines; the context is checked periodically
+// inside the per-vertex loop, the bulk of the upload work.
+func load(ctx context.Context, g *graph.Graph, cl *cluster.Cluster) (*uploaded, []int64, error) {
 	n := g.NumVertices()
 	part := cluster.PartitionVerticesHash(n, cl.Machines())
 	verts := make([]vertexData, n)
@@ -108,7 +98,7 @@ func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform
 	for v := int32(0); v < int32(n); v++ {
 		if v&0xffff == 0 {
 			if err := platform.CheckContext(ctx); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		vd := vertexData{out: append([]int32(nil), g.OutNeighbors(v)...)}
@@ -121,111 +111,5 @@ func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform
 		verts[v] = vd
 		perMachine[part.Owner[v]] += vertexOverhead + int64(len(vd.out))*4 + int64(len(vd.in))*4 + int64(len(vd.w))*8
 	}
-	u := &uploaded{
-		BaseUpload: platform.BaseUpload{G: g, Cl: cl},
-		part:       part,
-		verts:      verts,
-		bytes:      make([]int64, cl.Machines()),
-	}
-	for m, b := range perMachine {
-		if err := cl.Alloc(m, b); err != nil {
-			u.Free()
-			return nil, fmt.Errorf("pregel: upload %s: %w", g.Name(), err)
-		}
-		u.bytes[m] = b
-	}
-	return u, nil
-}
-
-// Execute implements platform.Platform.
-func (e *Engine) Execute(ctx context.Context, up platform.Uploaded, a algorithms.Algorithm, p algorithms.Params) (*platform.Result, error) {
-	if !e.Supports(a) {
-		return nil, fmt.Errorf("%w: %s on pregel", platform.ErrUnsupported, a)
-	}
-	u, ok := up.(*uploaded)
-	if !ok {
-		return nil, fmt.Errorf("pregel: foreign upload handle %T", up)
-	}
-	p = p.WithDefaults(a)
-	cl := u.Cl
-
-	t := granula.NewTracker(fmt.Sprintf("%s/%s", a, u.G.Name()), e.Name())
-	t.Begin(granula.PhaseSetup)
-	// Message queues: the engine keeps two per-vertex message buffers.
-	state := int64(u.G.NumVertices()) * 2 * 24
-	for m := 0; m < cl.Machines(); m++ {
-		if err := cl.Alloc(m, state/int64(cl.Machines())); err != nil {
-			t.End()
-			return nil, fmt.Errorf("pregel: allocate message queues: %w", err)
-		}
-		defer cl.Free(m, state/int64(cl.Machines()))
-	}
-	t.End()
-
-	cl.ResetTime()
-	t.Begin(granula.PhaseProcess)
-	out, err := e.run(ctx, t, u, a, p)
-	t.Annotate("supersteps", fmt.Sprint(cl.Rounds()))
-	t.Annotate("combiners", fmt.Sprint(e.useCombiners))
-	t.Current().Modeled = cl.SimulatedTime()
-	t.End()
-	if err != nil {
-		return nil, err
-	}
-	t.Begin(granula.PhaseOffload)
-	t.End()
-	return platform.NewResult(t, cl, out), nil
-}
-
-func (e *Engine) run(ctx context.Context, t *granula.Tracker, u *uploaded, a algorithms.Algorithm, p algorithms.Params) (*algorithms.Output, error) {
-	switch a {
-	case algorithms.BFS:
-		src, ok := u.G.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("pregel: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		vals, err := bfsProgram(ctx, t, u, src, e.useCombiners)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, nil
-	case algorithms.PR:
-		vals, err := prProgram(ctx, t, u, p.Iterations, p.Damping, e.useCombiners)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
-	case algorithms.WCC:
-		vals, err := wccProgram(ctx, t, u, e.useCombiners)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, nil
-	case algorithms.CDLP:
-		vals, err := cdlpProgram(ctx, t, u, p.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, nil
-	case algorithms.LCC:
-		vals, err := lccProgram(ctx, t, u)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
-	case algorithms.SSSP:
-		if !u.G.Weighted() {
-			return nil, algorithms.ErrNeedsWeights
-		}
-		src, ok := u.G.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("pregel: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		vals, err := ssspProgram(ctx, t, u, src, e.useCombiners)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
-	}
-	return nil, fmt.Errorf("%w: %s", platform.ErrUnsupported, a)
+	return &uploaded{part: part, verts: verts}, perMachine, nil
 }

@@ -15,48 +15,63 @@ package pushpull
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
-	"graphalytics/internal/granula"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
 )
 
-// Engine is the push-pull platform driver.
-type Engine struct {
-	// forceDirection pins the engine to "push" or "pull" for the direction
-	// ablation benchmark; empty selects adaptively.
-	forceDirection string
-}
-
 // New returns the adaptive push-pull engine.
-func New() *Engine { return &Engine{} }
+func New() platform.Platform { return NewForced("") }
 
 // NewForced returns an engine pinned to one direction ("push" or "pull"),
-// used by the direction ablation benchmark.
-func NewForced(direction string) *Engine { return &Engine{forceDirection: direction} }
-
-// Name implements platform.Platform.
-func (e *Engine) Name() string { return "pushpull" }
-
-// Description implements platform.Platform.
-func (e *Engine) Description() string {
-	return "adaptive push-pull iteration engine (PGX.D-style)"
+// used by the direction ablation benchmark; empty selects adaptively. LCC
+// is not implemented, matching PGX.D in the paper.
+func NewForced(direction string) platform.Platform {
+	return platform.New(platform.Engine[*uploaded]{
+		Name:        "pushpull",
+		Description: "adaptive push-pull iteration engine (PGX.D-style)",
+		Distributed: true,
+		Load:        load,
+		Kernels: map[algorithms.Algorithm]platform.Kernel[*uploaded]{
+			algorithms.BFS: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				vals, pushes, pulls, err := bfs(ctx, u, j.SourceIndex, direction)
+				annotateDirections(j, pushes, pulls)
+				return j.Ints(vals, err)
+			},
+			algorithms.PR: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				vals, err := pagerank(ctx, u, j.Iterations, j.Damping)
+				annotateDirections(j, 0, j.Iterations)
+				return j.Floats(vals, err)
+			},
+			algorithms.WCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				vals, rounds, err := wcc(ctx, u)
+				annotateDirections(j, 0, rounds)
+				return j.Ints(vals, err)
+			},
+			algorithms.CDLP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				vals, err := cdlp(ctx, u, j.Iterations)
+				annotateDirections(j, 0, j.Iterations)
+				return j.Ints(vals, err)
+			},
+			algorithms.SSSP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				vals, rounds, err := sssp(ctx, u, j.SourceIndex)
+				annotateDirections(j, rounds, 0)
+				return j.Floats(vals, err)
+			},
+		},
+		State: func(u *uploaded, _ *platform.Job) int64 { return int64(u.G.NumVertices()) * 16 },
+	})
 }
 
-// Distributed implements platform.Platform.
-func (e *Engine) Distributed() bool { return true }
-
-// Supports implements platform.Platform; LCC is not implemented, matching
-// PGX.D in the paper.
-func (e *Engine) Supports(a algorithms.Algorithm) bool {
-	switch a {
-	case algorithms.BFS, algorithms.PR, algorithms.WCC, algorithms.CDLP, algorithms.SSSP:
-		return true
-	}
-	return false
+// annotateDirections records on the ProcessGraph phase how many rounds
+// ran in each direction.
+func annotateDirections(j *platform.Job, pushes, pulls int) {
+	j.Tracker.Annotate("push_rounds", fmt.Sprint(pushes))
+	j.Tracker.Annotate("pull_rounds", fmt.Sprint(pulls))
 }
 
 // store is the engine's own graph storage: both adjacency directions are
@@ -96,56 +111,29 @@ type uploaded struct {
 	st            *store
 	part          *cluster.VertexPartition
 	danglingVerts []int32
-	bytes         []int64
 	// scratch caches the CDLP/SSSP working buffers between Execute calls.
 	scratch mplane.Pool
 }
 
-func (u *uploaded) Free() {
-	for m, b := range u.bytes {
-		u.Cl.Free(m, b)
-	}
-	u.st = nil
-}
-
-// Upload implements platform.Platform: both adjacency directions are
-// copied into engine storage and charged, together with the wide
-// per-vertex slots and ghost caches, against every machine.
-func (e *Engine) Upload(g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
-	//graphalint:ctxbg ctx-less platform.Platform compatibility method; UploadContext is the ctx-first path
-	return e.UploadContext(context.Background(), g, cfg)
-}
-
-// UploadContext implements platform.ContextUploader: the context is
-// checked between the two adjacency-direction copies and before the
-// dangling-vertex scan.
-func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
-	if err := platform.CheckContext(ctx); err != nil {
-		return nil, err
-	}
-	cl := cluster.New(cfg.ClusterConfig())
+// load copies both adjacency directions into engine storage; they are
+// charged, together with the wide per-vertex slots and ghost caches,
+// against every machine. The context is checked between the two copies
+// and before the dangling-vertex scan.
+func load(ctx context.Context, g *graph.Graph, cl *cluster.Cluster) (*uploaded, []int64, error) {
 	st := &store{n: g.NumVertices(), directed: g.Directed()}
 	st.outOff, st.outAdj, st.outW = g.CopyCSR(false)
 	if err := platform.CheckContext(ctx); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	st.inOff, st.inAdj, _ = g.CopyCSR(true)
 	if err := platform.CheckContext(ctx); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	part := cluster.PartitionVerticesRange(g, cl.Machines())
-	var dangling []int32
+	u := &uploaded{st: st, part: cluster.PartitionVerticesRange(g, cl.Machines())}
 	for v := int32(0); v < int32(g.NumVertices()); v++ {
 		if st.outDegree(v) == 0 {
-			dangling = append(dangling, v)
+			u.danglingVerts = append(u.danglingVerts, v)
 		}
-	}
-	u := &uploaded{
-		BaseUpload:    platform.BaseUpload{G: g, Cl: cl},
-		st:            st,
-		part:          part,
-		danglingVerts: dangling,
-		bytes:         make([]int64, cl.Machines()),
 	}
 	edgeBytes := int64(len(st.outAdj))*4 + int64(len(st.inAdj))*4 + int64(len(st.outW))*8 +
 		int64(len(st.outOff))*8 + int64(len(st.inOff))*8
@@ -153,99 +141,5 @@ func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform
 	// Edge share per machine, plus replicated ghost-value cache and the
 	// engine's wide per-vertex context slots (64 B) on every machine.
 	perMachine := edgeBytes/int64(cl.Machines()) + n*8 + n*64
-	for m := 0; m < cl.Machines(); m++ {
-		if err := cl.Alloc(m, perMachine); err != nil {
-			u.Free()
-			return nil, fmt.Errorf("pushpull: upload %s: %w", g.Name(), err)
-		}
-		u.bytes[m] = perMachine
-	}
-	return u, nil
-}
-
-// Execute implements platform.Platform.
-func (e *Engine) Execute(ctx context.Context, up platform.Uploaded, a algorithms.Algorithm, p algorithms.Params) (*platform.Result, error) {
-	if !e.Supports(a) {
-		return nil, fmt.Errorf("%w: %s on pushpull", platform.ErrUnsupported, a)
-	}
-	u, ok := up.(*uploaded)
-	if !ok {
-		return nil, fmt.Errorf("pushpull: foreign upload handle %T", up)
-	}
-	p = p.WithDefaults(a)
-	cl := u.Cl
-
-	t := granula.NewTracker(fmt.Sprintf("%s/%s", a, u.G.Name()), e.Name())
-	t.Begin(granula.PhaseSetup)
-	state := int64(u.G.NumVertices()) * 16
-	for m := 0; m < cl.Machines(); m++ {
-		if err := cl.Alloc(m, state); err != nil {
-			t.End()
-			return nil, fmt.Errorf("pushpull: allocate state: %w", err)
-		}
-		defer cl.Free(m, state)
-	}
-	t.End()
-
-	cl.ResetTime()
-	t.Begin(granula.PhaseProcess)
-	out, pushes, pulls, err := e.run(ctx, u, a, p)
-	t.Annotate("rounds", fmt.Sprint(cl.Rounds()))
-	t.Annotate("push_rounds", fmt.Sprint(pushes))
-	t.Annotate("pull_rounds", fmt.Sprint(pulls))
-	t.Current().Modeled = cl.SimulatedTime()
-	t.End()
-	if err != nil {
-		return nil, err
-	}
-	t.Begin(granula.PhaseOffload)
-	t.End()
-	return platform.NewResult(t, cl, out), nil
-}
-
-func (e *Engine) run(ctx context.Context, u *uploaded, a algorithms.Algorithm, p algorithms.Params) (out *algorithms.Output, pushes, pulls int, err error) {
-	switch a {
-	case algorithms.BFS:
-		src, ok := u.G.Index(p.Source)
-		if !ok {
-			return nil, 0, 0, fmt.Errorf("pushpull: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		vals, pushes, pulls, err := bfs(ctx, u, src, e.forceDirection)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, pushes, pulls, nil
-	case algorithms.PR:
-		vals, err := pagerank(ctx, u, p.Iterations, p.Damping)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, 0, p.Iterations, nil
-	case algorithms.WCC:
-		vals, rounds, err := wcc(ctx, u)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, 0, rounds, nil
-	case algorithms.CDLP:
-		vals, err := cdlp(ctx, u, p.Iterations)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, 0, p.Iterations, nil
-	case algorithms.SSSP:
-		if !u.G.Weighted() {
-			return nil, 0, 0, algorithms.ErrNeedsWeights
-		}
-		src, ok := u.G.Index(p.Source)
-		if !ok {
-			return nil, 0, 0, fmt.Errorf("pushpull: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		vals, rounds, err := sssp(ctx, u, src)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, rounds, 0, nil
-	}
-	return nil, 0, 0, fmt.Errorf("%w: %s", platform.ErrUnsupported, a)
+	return u, slices.Repeat([]int64{perMachine}, cl.Machines()), nil
 }

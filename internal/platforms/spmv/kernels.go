@@ -390,7 +390,7 @@ func lcc(ctx context.Context, u *uploaded) ([]float64, error) {
 					if o := part.Owner[uix]; int(o) != mach {
 						fetched[w][o] += int64(m.outDegree(uix)) * 4
 					}
-					arcs += intersectCount(m.row(uix), hood, v)
+					arcs += algorithms.IntersectCount(m.row(uix), hood, v)
 				}
 				out[v] = float64(arcs) / (float64(d) * float64(d-1))
 			}
@@ -446,29 +446,6 @@ func unionSorted(row, col []int32, v int32, directed bool, buf []int32) []int32 
 		}
 	}
 	return buf
-}
-
-// intersectCount returns |a ∩ b| excluding the vertex v, for two sorted
-// lists.
-//
-//graphalint:noalloc LCC inner loop: runs once per neighbor pair
-func intersectCount(a, b []int32, v int32) int {
-	count, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case b[j] < a[i]:
-			j++
-		default:
-			if a[i] != v {
-				count++
-			}
-			i++
-			j++
-		}
-	}
-	return count
 }
 
 // sssp is a sparse Bellman-Ford SpMSpV over the (min, +) semiring with

@@ -15,11 +15,10 @@ package spmv
 
 import (
 	"context"
-	"fmt"
+	"slices"
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
-	"graphalytics/internal/granula"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
@@ -35,193 +34,62 @@ const (
 	BackendD Backend = "D" // distributed, 1-D row-partitioned
 )
 
-// Engine is the sparse-matrix platform driver.
-type Engine struct {
-	backend Backend
-}
-
-// New returns an engine with the given backend.
-func New(b Backend) *Engine { return &Engine{backend: b} }
-
-// Name implements platform.Platform.
-func (e *Engine) Name() string {
-	if e.backend == BackendD {
-		return "spmv-d"
+// New returns the engine with the given backend. The shared-memory backend
+// has no SSSP (the paper uses the D backend for SSSP for this reason).
+func New(b Backend) platform.Platform {
+	e := platform.Engine[*uploaded]{
+		Name:        "spmv-s",
+		Description: "sparse matrix backend, shared memory (GraphMat(S)-style)",
+		Load:        load,
+		Kernels: map[algorithms.Algorithm]platform.Kernel[*uploaded]{
+			algorithms.BFS: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Ints(bfs(ctx, u, j.SourceIndex))
+			},
+			algorithms.PR: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Floats(pagerank(ctx, u, j.Iterations, j.Damping))
+			},
+			algorithms.WCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Ints(wcc(ctx, u))
+			},
+			algorithms.CDLP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Ints(cdlp(ctx, u, j.Iterations))
+			},
+			algorithms.LCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+				return j.Floats(lcc(ctx, u))
+			},
+		},
+		State: func(u *uploaded, j *platform.Job) int64 { return stateFootprint(u.G, j.Algorithm) },
 	}
-	return "spmv-s"
-}
-
-// Description implements platform.Platform.
-func (e *Engine) Description() string {
-	if e.backend == BackendD {
-		return "sparse matrix backend, distributed 1-D partitioning (GraphMat(D)-style)"
+	if b == BackendD {
+		e.Name = "spmv-d"
+		e.Description = "sparse matrix backend, distributed 1-D partitioning (GraphMat(D)-style)"
+		e.Distributed = true
+		e.Kernels[algorithms.SSSP] = func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
+			return j.Floats(sssp(ctx, u, j.SourceIndex))
+		}
 	}
-	return "sparse matrix backend, shared memory (GraphMat(S)-style)"
-}
-
-// Distributed implements platform.Platform.
-func (e *Engine) Distributed() bool { return e.backend == BackendD }
-
-// Supports implements platform.Platform. The shared-memory backend has no
-// SSSP (the paper uses the D backend for SSSP for this reason).
-func (e *Engine) Supports(a algorithms.Algorithm) bool {
-	if a == algorithms.SSSP {
-		return e.backend == BackendD
-	}
-	switch a {
-	case algorithms.BFS, algorithms.PR, algorithms.WCC, algorithms.CDLP, algorithms.LCC:
-		return true
-	}
-	return false
+	return platform.New(e)
 }
 
 type uploaded struct {
 	platform.BaseUpload
-	m     *matrix
-	part  *cluster.VertexPartition
-	bytes []int64 // per-machine registered bytes
+	m    *matrix
+	part *cluster.VertexPartition
 	// scratch caches the CDLP/SSSP working buffers between Execute calls.
 	scratch mplane.Pool
 }
 
-func (u *uploaded) Free() {
-	for m, b := range u.bytes {
-		u.Cl.Free(m, b)
-	}
-}
-
-// Upload implements platform.Platform: it converts the graph into the
-// engine's CSR+CSC matrix layout and registers the per-machine memory
-// shares.
-func (e *Engine) Upload(g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
-	//graphalint:ctxbg ctx-less platform.Platform compatibility method; UploadContext is the ctx-first path
-	return e.UploadContext(context.Background(), g, cfg)
-}
-
-// UploadContext implements platform.ContextUploader: the context is
-// checked around the matrix conversion, the expensive part of the upload.
-func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
+// load converts the graph into the engine's CSR+CSC matrix layout; the
+// context is checked after the conversion, the expensive part.
+func load(ctx context.Context, g *graph.Graph, cl *cluster.Cluster) (*uploaded, []int64, error) {
+	u := &uploaded{m: newMatrix(g), part: cluster.PartitionVerticesRange(g, cl.Machines())}
 	if err := platform.CheckContext(ctx); err != nil {
-		return nil, err
-	}
-	if e.backend == BackendS && cfg.Machines > 1 {
-		return nil, fmt.Errorf("%w: spmv backend S runs on one machine", platform.ErrNotDistributed)
-	}
-	cl := cluster.New(cfg.ClusterConfig())
-	part := cluster.PartitionVerticesRange(g, cl.Machines())
-	m := newMatrix(g)
-	if err := platform.CheckContext(ctx); err != nil {
-		return nil, err
-	}
-	u := &uploaded{
-		BaseUpload: platform.BaseUpload{G: g, Cl: cl},
-		m:          m,
-		part:       part,
-		bytes:      make([]int64, cl.Machines()),
+		return nil, nil, err
 	}
 	// Each machine holds its share of matrix rows/columns plus a full
 	// replica of one dense operand vector (the allgathered x).
-	total := m.footprint()
-	perMachine := total/int64(cl.Machines()) + int64(g.NumVertices())*8
-	for mach := 0; mach < cl.Machines(); mach++ {
-		if err := cl.Alloc(mach, perMachine); err != nil {
-			u.Free()
-			return nil, fmt.Errorf("spmv: upload %s: %w", g.Name(), err)
-		}
-		u.bytes[mach] = perMachine
-	}
-	return u, nil
-}
-
-// Execute implements platform.Platform.
-func (e *Engine) Execute(ctx context.Context, up platform.Uploaded, a algorithms.Algorithm, p algorithms.Params) (*platform.Result, error) {
-	if !e.Supports(a) {
-		return nil, fmt.Errorf("%w: %s on %s", platform.ErrUnsupported, a, e.Name())
-	}
-	u, ok := up.(*uploaded)
-	if !ok {
-		return nil, fmt.Errorf("spmv: foreign upload handle %T", up)
-	}
-	p = p.WithDefaults(a)
-	cl := u.Cl
-
-	t := granula.NewTracker(fmt.Sprintf("%s/%s", a, u.G.Name()), e.Name())
-	t.Begin(granula.PhaseSetup)
-	state := stateFootprint(u.G, a)
-	for mach := 0; mach < cl.Machines(); mach++ {
-		if err := cl.Alloc(mach, state); err != nil {
-			t.End()
-			return nil, fmt.Errorf("spmv: allocate vectors for %s: %w", a, err)
-		}
-		defer cl.Free(mach, state)
-	}
-	t.End()
-
-	cl.ResetTime()
-	t.Begin(granula.PhaseProcess)
-	out, err := e.run(ctx, u, a, p)
-	t.Annotate("rounds", fmt.Sprint(cl.Rounds()))
-	t.Current().Modeled = cl.SimulatedTime()
-	t.End()
-	if err != nil {
-		return nil, err
-	}
-	t.Begin(granula.PhaseOffload)
-	t.End()
-	return platform.NewResult(t, cl, out), nil
-}
-
-func (e *Engine) run(ctx context.Context, u *uploaded, a algorithms.Algorithm, p algorithms.Params) (*algorithms.Output, error) {
-	switch a {
-	case algorithms.BFS:
-		src, ok := u.G.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("spmv: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		depth, err := bfs(ctx, u, src)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: depth}, nil
-	case algorithms.PR:
-		rank, err := pagerank(ctx, u, p.Iterations, p.Damping)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: rank}, nil
-	case algorithms.WCC:
-		labels, err := wcc(ctx, u)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: labels}, nil
-	case algorithms.CDLP:
-		labels, err := cdlp(ctx, u, p.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: labels}, nil
-	case algorithms.LCC:
-		vals, err := lcc(ctx, u)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
-	case algorithms.SSSP:
-		if !u.G.Weighted() {
-			return nil, algorithms.ErrNeedsWeights
-		}
-		src, ok := u.G.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("spmv: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		dist, err := sssp(ctx, u, src)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: dist}, nil
-	}
-	return nil, fmt.Errorf("%w: %s", platform.ErrUnsupported, a)
+	perMachine := u.m.footprint()/int64(cl.Machines()) + int64(g.NumVertices())*8
+	return u, slices.Repeat([]int64{perMachine}, cl.Machines()), nil
 }
 
 // stateFootprint estimates the dense vectors the engine allocates per run;
