@@ -160,7 +160,7 @@ func RefLCC(g *graph.Graph) []float64 {
 	}
 	var hood []int32
 	for v := int32(0); v < int32(n); v++ {
-		hood = neighborhood(g, v, hood[:0])
+		hood = Neighborhood(g.OutNeighbors(v), g.InNeighbors(v), v, g.Directed(), hood[:0])
 		d := len(hood)
 		if d < 2 {
 			continue
@@ -181,43 +181,6 @@ func RefLCC(g *graph.Graph) []float64 {
 		lcc[v] = float64(arcs) / (float64(d) * float64(d-1))
 	}
 	return lcc
-}
-
-// neighborhood appends the union of v's in- and out-neighbors (each vertex
-// once, v excluded) to buf and returns it.
-func neighborhood(g *graph.Graph, v int32, buf []int32) []int32 {
-	out := g.OutNeighbors(v)
-	if !g.Directed() {
-		return append(buf, out...)
-	}
-	in := g.InNeighbors(v)
-	// Merge two sorted lists, skipping duplicates and v itself.
-	i, j := 0, 0
-	for i < len(out) || j < len(in) {
-		var next int32
-		switch {
-		case i == len(out):
-			next = in[j]
-			j++
-		case j == len(in):
-			next = out[i]
-			i++
-		case out[i] < in[j]:
-			next = out[i]
-			i++
-		case in[j] < out[i]:
-			next = in[j]
-			j++
-		default:
-			next = out[i]
-			i++
-			j++
-		}
-		if next != v {
-			buf = append(buf, next)
-		}
-	}
-	return buf
 }
 
 // RefSSSP computes the length of the shortest path from source (an

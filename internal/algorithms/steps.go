@@ -362,6 +362,45 @@ func SSSPRelaxRange(g *graph.Graph, dist []uint64, frontier []int32, claimed []u
 	return out
 }
 
+// Neighborhood appends the union of a vertex's two sorted adjacency lists
+// — each neighbor once, v itself dropped — to buf and returns it: the
+// neighborhood LCC is defined over. Undirected graphs pass their one list
+// as fwd; it is already the union.
+//
+//graphalint:noalloc appends extend the caller's pooled buffer in place
+func Neighborhood(fwd, rev []int32, v int32, directed bool, buf []int32) []int32 {
+	if !directed {
+		buf = append(buf, fwd...)
+		return buf
+	}
+	i, j := 0, 0
+	for i < len(fwd) || j < len(rev) {
+		var next int32
+		switch {
+		case i == len(fwd):
+			next = rev[j]
+			j++
+		case j == len(rev):
+			next = fwd[i]
+			i++
+		case fwd[i] < rev[j]:
+			next = fwd[i]
+			i++
+		case rev[j] < fwd[i]:
+			next = rev[j]
+			j++
+		default:
+			next = fwd[i]
+			i++
+			j++
+		}
+		if next != v {
+			buf = append(buf, next)
+		}
+	}
+	return buf
+}
+
 // IntersectCount returns |a ∩ b| excluding the vertex v, for two ascending
 // lists: the arc count of the modelled engines' neighbourhood-exchange LCC.
 //

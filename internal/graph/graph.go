@@ -146,27 +146,28 @@ func (g *Graph) String() string {
 	return fmt.Sprintf("graph %q (%s%s, |V|=%d, |E|=%d)", g.name, kind, w, g.NumVertices(), g.numEdges)
 }
 
-// CopyCSR returns fresh copies of one adjacency direction's raw CSR
-// arrays (offsets, neighbor indices, weights or nil). Engines that
-// maintain their own storage use this during upload conversion.
-func (g *Graph) CopyCSR(in bool) ([]int64, []int32, []float64) {
-	var off []int64
-	var adj []int32
-	var w []float64
-	if in {
-		off = append([]int64(nil), g.inOff...)
-		adj = append([]int32(nil), g.inAdj...)
-		if g.weighted {
-			w = append([]float64(nil), g.inW...)
-		}
-	} else {
-		off = append([]int64(nil), g.outOff...)
-		adj = append([]int32(nil), g.outAdj...)
-		if g.weighted {
-			w = append([]float64(nil), g.outW...)
-		}
+// Clone returns a private heap-resident copy of the graph: fresh arrays
+// for the identifier table and both adjacency directions, never backed by
+// a mapping even when g is, with an undirected clone's in-slices aliasing
+// its out-slices as in every Graph. Engines that keep their own storage
+// take one at upload; the copy is their modelled conversion work, and it
+// keeps their kernels off the mapped pages of an out-of-core dataset.
+func (g *Graph) Clone() *Graph {
+	c := &Graph{
+		name: g.name, directed: g.directed, weighted: g.weighted, numEdges: g.numEdges,
+		ids:    append([]int64(nil), g.ids...),
+		outOff: append([]int64(nil), g.outOff...),
+		outAdj: append([]int32(nil), g.outAdj...),
+		outW:   append([]float64(nil), g.outW...),
 	}
-	return off, adj, w
+	if g.directed {
+		c.inOff = append([]int64(nil), g.inOff...)
+		c.inAdj = append([]int32(nil), g.inAdj...)
+		c.inW = append([]float64(nil), g.inW...)
+	} else {
+		c.inOff, c.inAdj, c.inW = c.outOff, c.outAdj, c.outW
+	}
+	return c
 }
 
 // Edge is a single edge in external-identifier space, used by builders,

@@ -236,24 +236,50 @@ func TestHasEdge(t *testing.T) {
 	}
 }
 
-func TestCopyCSR(t *testing.T) {
-	b := graph.NewBuilder(true, true)
-	b.AddWeightedEdge(1, 2, 5)
-	b.AddWeightedEdge(3, 2, 7)
-	g := mustBuild(t, b)
-	off, adj, w := g.CopyCSR(true) // in-adjacency
-	v2, _ := g.Index(2)
-	lo, hi := off[v2], off[v2+1]
-	if hi-lo != 2 {
-		t.Fatalf("in-degree of 2 = %d, want 2", hi-lo)
+func TestClone(t *testing.T) {
+	for _, directed := range []bool{true, false} {
+		b := graph.NewBuilder(directed, true)
+		b.SetName("src")
+		b.AddWeightedEdge(1, 2, 5)
+		b.AddWeightedEdge(3, 2, 7)
+		b.AddWeightedEdge(2, 4, 9)
+		g := mustBuild(t, b)
+		c := g.Clone()
+		assertGraphsEqual(t, c, g)
+		if c.MemoryFootprint() != g.MemoryFootprint() {
+			t.Fatalf("directed=%v: clone footprint %d, source %d", directed, c.MemoryFootprint(), g.MemoryFootprint())
+		}
+		// No array aliases the source: writing through the clone's views
+		// must leave the graph untouched.
+		v2, _ := g.Index(2)
+		if &c.IDs()[0] == &g.IDs()[0] {
+			t.Fatal("Clone must copy the identifier table, not alias it")
+		}
+		c.OutNeighbors(v2)[0], c.InNeighbors(v2)[0] = 99, 99
+		c.OutWeights(v2)[0], c.InWeights(v2)[0] = -1, -1
+		if g.OutNeighbors(v2)[0] == 99 || g.InNeighbors(v2)[0] == 99 || g.OutWeights(v2)[0] == -1 || g.InWeights(v2)[0] == -1 {
+			t.Fatalf("directed=%v: Clone must return copies, not aliases", directed)
+		}
 	}
-	if w[lo]+w[lo+1] != 12 {
-		t.Fatalf("in-weights sum = %v, want 12", w[lo]+w[lo+1])
+}
+
+// An undirected clone shares one set of arrays between the two directions
+// like every undirected Graph, so its footprint counts them once.
+func TestCloneUndirectedSharesStorage(t *testing.T) {
+	u, err := graph.FromEdges("u", false, false, []graph.Edge{{Src: 0, Dst: 1}}, graph.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Mutating the copy must not affect the graph.
-	adj[lo] = 99
-	if g.InNeighbors(v2)[0] == 99 {
-		t.Fatal("CopyCSR must return copies, not aliases")
+	c := u.Clone()
+	if &c.InNeighbors(0)[0] != &c.OutNeighbors(0)[0] {
+		t.Fatal("undirected clone must alias in- and out-adjacency")
+	}
+	d, err := graph.FromEdges("d", true, false, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}}, graph.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.MemoryFootprint() >= d.Clone().MemoryFootprint() {
+		t.Fatalf("undirected clone footprint %d should be below the directed one's %d", c.MemoryFootprint(), d.Clone().MemoryFootprint())
 	}
 }
 

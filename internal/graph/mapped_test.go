@@ -136,3 +136,23 @@ func TestMapSnapshotFileMissing(t *testing.T) {
 		t.Fatal("mapping a missing file succeeded")
 	}
 }
+
+// A clone of a mapped graph lives on the heap: it is not Mapped and stays
+// readable after the source's mapping is gone.
+func TestCloneOfMappedGraphIsHeapResident(t *testing.T) {
+	for _, directed := range []bool{true, false} {
+		path, built := writeV2Fixture(t, directed, true)
+		mapped, err := graph.MapSnapshotFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := mapped.Clone()
+		if c.Mapped() || c.MappedBytes() != 0 {
+			t.Fatalf("clone of a mapped graph: Mapped=%v MappedBytes=%d, want heap", c.Mapped(), c.MappedBytes())
+		}
+		if err := mapped.Close(); err != nil {
+			t.Fatal(err)
+		}
+		assertGraphsEqual(t, c, built)
+	}
+}

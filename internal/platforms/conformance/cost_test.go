@@ -15,6 +15,7 @@ import (
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
+	"graphalytics/internal/graph"
 	"graphalytics/internal/platform"
 	"graphalytics/internal/platforms"
 	"graphalytics/internal/platforms/conformance"
@@ -38,18 +39,42 @@ func outputCRC(out *algorithms.Output) uint32 {
 	return crc32.Checksum(buf, crc32.MakeTable(crc32.Castagnoli))
 }
 
+// mappedCorpus is the corpus as an out-of-core dataset presents it: every
+// graph written as a snapshot and reopened as an mmap view for the length
+// of the test.
+func mappedCorpus(t *testing.T) []conformance.Case {
+	t.Helper()
+	corpus, dir := conformance.Corpus(), t.TempDir()
+	for i, c := range corpus {
+		path := filepath.Join(dir, c.Name+".gsnap")
+		if err := graph.WriteSnapshotFile(path, c.Graph); err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := graph.MapSnapshotFile(path)
+		if errors.Is(err, graph.ErrMapUnsupported) {
+			t.Skip("no mmap on this platform")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { mapped.Close() })
+		corpus[i].Graph = mapped
+	}
+	return corpus
+}
+
 // costFingerprint runs every registered engine over the corpus — one
 // upload per graph and configuration, the supported algorithms in
 // algorithms.All order on it — and renders one line per job with
 // everything the cost model derives deterministically: rounds, recorded
 // inter-machine traffic, modeled network time, peak memory registration
 // and the output's CRC. Measured compute time is the only cost left out.
-func costFingerprint(t *testing.T) string {
+func costFingerprint(t *testing.T, corpus []conformance.Case) string {
 	t.Helper()
 	ctx := context.Background()
 	var b strings.Builder
 	for _, p := range platform.All() {
-		for _, c := range conformance.Corpus() {
+		for _, c := range corpus {
 			for _, cfg := range conformance.Configs(p) {
 				rc := platform.RunConfig{Threads: cfg.Threads, Machines: cfg.Machines, Net: cluster.DefaultNetwork()}
 				up, err := platform.UploadContext(ctx, p, c.Graph, rc)
@@ -79,10 +104,12 @@ func costFingerprint(t *testing.T) string {
 // bits: an engine refactor that leaves testdata/cost.golden byte-identical
 // charged the same rounds, bytes and memory and computed the same values.
 // A second pass in the same process must reproduce the first, so pooled
-// scratch surviving a job cannot leak into the next one's counters.
+// scratch surviving a job cannot leak into the next one's counters, and so
+// must a pass over mmap-backed graphs: where the dataset's pages live is
+// not something the cost model or any kernel's output may depend on.
 func TestCostGolden(t *testing.T) {
 	platforms.RegisterAll()
-	got := costFingerprint(t)
+	got := costFingerprint(t, conformance.Corpus())
 	path := filepath.Join("testdata", "cost.golden")
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -96,8 +123,11 @@ func TestCostGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("cost fingerprint drifted from %s (rerun with -update and review the diff):\n%s", path, lineDiff(string(want), got))
 	}
-	if again := costFingerprint(t); again != got {
+	if again := costFingerprint(t, conformance.Corpus()); again != got {
 		t.Errorf("second pass in the same process differs from the first:\n%s", lineDiff(got, again))
+	}
+	if mapped := costFingerprint(t, mappedCorpus(t)); mapped != got {
+		t.Errorf("pass over mapped graphs differs from the heap pass:\n%s", lineDiff(got, mapped))
 	}
 }
 

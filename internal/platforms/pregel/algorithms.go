@@ -3,7 +3,6 @@ package pregel
 import (
 	"context"
 	"math"
-	"slices"
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/granula"
@@ -306,23 +305,9 @@ func lccProgram(ctx context.Context, t *granula.Tracker, u *uploaded) ([]float64
 func neighborhoodOf(u *uploaded, v int32) []int32 {
 	vd := u.verts[v]
 	if vd.in == nil {
-		return vd.out
+		return vd.out // undirected, or no in-edges: out is the union already
 	}
-	merged := make([]int32, 0, len(vd.out)+len(vd.in))
-	merged = append(merged, vd.out...)
-	merged = append(merged, vd.in...)
-	slices.Sort(merged)
-	uniq := merged[:0]
-	for i, x := range merged {
-		if x == v {
-			continue
-		}
-		if len(uniq) > 0 && uniq[len(uniq)-1] == x {
-			continue
-		}
-		uniq = append(uniq, merged[i])
-	}
-	return uniq
+	return algorithms.Neighborhood(vd.out, vd.in, v, true, make([]int32, 0, len(vd.out)+len(vd.in)))
 }
 
 // ssspProgram is the classic Pregel SSSP: distance relaxations flow as

@@ -53,7 +53,7 @@ func TestCDLPSteadyStateAllocs(t *testing.T) {
 	u := up.(*uploaded)
 	defer u.Free()
 	run := func() {
-		if _, err := cdlp(context.Background(), u, 10); err != nil {
+		if _, err := u.lay.CDLP(context.Background(), u.Cl, 10); err != nil {
 			t.Fatal(err)
 		}
 	}

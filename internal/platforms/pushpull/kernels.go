@@ -2,12 +2,11 @@ package pushpull
 
 import (
 	"context"
-	"math"
 	"sync/atomic"
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
-	"graphalytics/internal/mplane"
+	"graphalytics/internal/graph"
 	"graphalytics/internal/platform"
 )
 
@@ -16,84 +15,61 @@ import (
 // direction-optimizing heuristic.
 const pullThresholdDivisor = 20
 
-// bfs is the engine's hallmark direction-optimizing BFS.
+// bfs is the engine's hallmark direction-optimizing BFS. The direction is
+// decided once per level, for all machines; pushes and pulls count the
+// levels run each way.
 func bfs(ctx context.Context, u *uploaded, source int32, force string) (depth []int64, pushes, pulls int, err error) {
-	st, cl, part := u.st, u.Cl, u.part
-	n := st.n
-	depth = make([]int64, n)
+	g, cl, part := u.lay.G, u.Cl, u.lay.Part
+	depth = make([]int64, g.NumVertices())
 	for i := range depth {
 		depth[i] = algorithms.Unreachable
 	}
 	depth[source] = 0
 	frontier := []int32{source}
-	var totalEdges int64 = st.outOff[n]
+	discovered := make([][]int32, cl.Machines())
 	for level := int64(1); len(frontier) > 0; level++ {
 		if err := platform.CheckContext(ctx); err != nil {
 			return nil, 0, 0, err
 		}
 		var frontierEdges int64
 		for _, v := range frontier {
-			frontierEdges += int64(st.outDegree(v))
+			frontierEdges += int64(g.OutDegree(v))
 		}
-		pull := frontierEdges > totalEdges/pullThresholdDivisor
+		pull := frontierEdges > u.arcs/pullThresholdDivisor
 		switch force {
 		case "push":
 			pull = false
 		case "pull":
 			pull = true
 		}
-		discovered := make([][]int32, cl.Machines())
+		if pull {
+			pulls++
+		} else {
+			pushes++
+		}
 		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-			var merged []int32
-			if pull {
-				// Pull: scan the machine's owned unvisited vertices and
-				// check their in-neighbors against the previous level.
-				verts := part.Verts[mach]
-				parts := make([][]int32, th.Count())
-				th.ChunksIndexed(len(verts), func(w, lo, hi int) {
-					var buf []int32
-					for _, v := range verts[lo:hi] {
-						if depth[v] != algorithms.Unreachable {
-							continue
-						}
-						for _, in := range st.in(v) {
-							if atomic.LoadInt64(&depth[in]) == level-1 {
-								atomic.StoreInt64(&depth[v], level)
-								buf = append(buf, v)
-								break
-							}
-						}
-					}
-					parts[w] = buf
-				})
-				for _, p := range parts {
-					merged = append(merged, p...)
-				}
-				pulls++
-			} else {
-				// Push: expand the owned slice of the frontier.
-				var local []int32
+			// Pull scans the machine's owned vertices, push expands its
+			// owned slice of the frontier.
+			work := part.Verts[mach]
+			if !pull {
+				work = nil
 				for _, v := range frontier {
 					if int(part.Owner[v]) == mach {
-						local = append(local, v)
+						work = append(work, v)
 					}
 				}
-				parts := make([][]int32, th.Count())
-				th.ChunksIndexed(len(local), func(w, lo, hi int) {
-					var buf []int32
-					for _, v := range local[lo:hi] {
-						for _, dst := range st.out(v) {
-							if atomic.CompareAndSwapInt64(&depth[dst], algorithms.Unreachable, level) {
-								buf = append(buf, dst)
-							}
-						}
-					}
-					parts[w] = buf
-				})
-				for _, p := range parts {
-					merged = append(merged, p...)
+			}
+			parts := make([][]int32, th.Count())
+			th.ChunksIndexed(len(work), func(w, lo, hi int) {
+				if pull {
+					parts[w] = pullScan(g, depth, work[lo:hi], level)
+				} else {
+					parts[w] = algorithms.BFSExpand(g, depth, work[lo:hi], level, nil)
 				}
-				pushes++
+			})
+			var merged []int32
+			for _, p := range parts {
+				merged = append(merged, p...)
 			}
 			discovered[mach] = merged
 			cl.Broadcast(mach, int64(len(merged))*12)
@@ -106,21 +82,35 @@ func bfs(ctx context.Context, u *uploaded, source int32, force string) (depth []
 			frontier = append(frontier, list...)
 		}
 	}
-	// The per-machine push/pull counters increment once per machine; fold
-	// back to per-level decisions.
-	if cl.Machines() > 0 {
-		pushes /= cl.Machines()
-		pulls /= cl.Machines()
-	}
 	return depth, pushes, pulls, nil
+}
+
+// pullScan checks the still-unvisited vertices of verts against the
+// previous level: the first in-neighbor found at depth level-1 claims the
+// vertex for this level. It returns the claimed vertices in scan order.
+func pullScan(g *graph.Graph, depth []int64, verts []int32, level int64) []int32 {
+	var claimed []int32
+	for _, v := range verts {
+		if depth[v] != algorithms.Unreachable {
+			continue
+		}
+		for _, in := range g.InNeighbors(v) {
+			if atomic.LoadInt64(&depth[in]) == level-1 {
+				atomic.StoreInt64(&depth[v], level)
+				claimed = append(claimed, v)
+				break
+			}
+		}
+	}
+	return claimed
 }
 
 // pagerank pulls rank over in-edges; the dangling-vertex list is
 // replicated so every machine computes the dangling mass locally,
 // avoiding a second synchronization round per iteration.
 func pagerank(ctx context.Context, u *uploaded, iterations int, damping float64) ([]float64, error) {
-	st, cl, part := u.st, u.Cl, u.part
-	n := st.n
+	g, cl, part := u.lay.G, u.Cl, u.lay.Part
+	n := g.NumVertices()
 	if n == 0 {
 		return nil, nil
 	}
@@ -148,8 +138,8 @@ func pagerank(ctx context.Context, u *uploaded, iterations int, damping float64)
 				//graphalint:orderfree per-vertex fold follows CSR in-neighbor order, fixed by the snapshot
 				for _, v := range verts[lo:hi] {
 					sum := 0.0
-					for _, in := range st.in(v) {
-						sum += rank[in] / float64(st.outDegree(in))
+					for _, in := range g.InNeighbors(v) {
+						sum += rank[in] / float64(g.OutDegree(in))
 					}
 					next[v] = base + damping*sum
 				}
@@ -164,304 +154,40 @@ func pagerank(ctx context.Context, u *uploaded, iterations int, damping float64)
 	return rank, nil
 }
 
-// wcc pulls minimum labels over both directions until a fixpoint.
-func wcc(ctx context.Context, u *uploaded) ([]int64, int, error) {
-	st, cl, part := u.st, u.Cl, u.part
-	n := st.n
-	labels := make([]int32, n)
-	next := make([]int32, n)
-	for i := range labels {
-		labels[i] = int32(i)
-	}
-	changed := make([]bool, cl.Machines())
-	rounds := 0
-	for {
-		if err := platform.CheckContext(ctx); err != nil {
-			return nil, 0, err
-		}
-		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-			verts := part.Verts[mach]
-			parts := make([]bool, th.Count())
-			th.ChunksIndexed(len(verts), func(w, lo, hi int) {
-				ch := false
-				for _, v := range verts[lo:hi] {
-					best := labels[v]
-					for _, in := range st.in(v) {
-						if l := labels[in]; l < best {
-							best = l
-						}
-					}
-					if st.directed {
-						for _, out := range st.out(v) {
-							if l := labels[out]; l < best {
-								best = l
-							}
-						}
-					}
-					next[v] = best
-					if best != labels[v] {
-						ch = true
-					}
-				}
-				parts[w] = ch
-			})
-			ch := false
-			for _, p := range parts {
-				ch = ch || p
-			}
-			changed[mach] = ch
-			cl.Broadcast(mach, int64(len(verts))*4)
-			return nil
-		}); err != nil {
-			return nil, 0, err
-		}
-		labels, next = next, labels
-		rounds++
-		any := false
-		for _, c := range changed {
-			any = any || c
-		}
-		if !any {
-			break
-		}
-	}
-	out := make([]int64, n)
-	for v := 0; v < n; v++ {
-		out[v] = u.G.VertexID(labels[v])
-	}
-	return out, rounds, nil
-}
-
-// ppScratch is the pooled per-job working state of the CDLP and SSSP
-// kernels, hung off the upload so repeated Execute calls reuse it.
-type ppScratch struct {
-	counts  mplane.LabelCounts
-	labels  []int32 // CDLP working labels (internal-index domain)
-	nextLab []int32
-	dirty   []bool // CDLP frontier mask: recompute v this round
-	changed []bool // CDLP: v's label moved this round
-	// SSSP (push-relaxation) state.
-	bits    []uint64  // tentative distances as float bits
-	claimed []uint32  // per-round discovery claim stamps
-	parts   [][]int32 // per-thread relax buffers
-	disc    [][]int32 // per-machine merged discoveries
-	local   []int32   // owned slice of the frontier
-	front   []int32   // the global frontier
-}
-
-func newPPScratch() *ppScratch {
-	return &ppScratch{}
-}
-
-// cdlp pulls neighbor labels into the job-lifetime dense counter (the
-// simulated threads run sequentially, so one suffices), frontier-masked
-// on the dense label domain: labels are internal vertex indices counted
-// by direct indexing (mplane.LabelCounts; the argmax is isomorphic to the
-// external-ID one — see that type) and translated once at the end. Round
-// zero uses the closed form over the sorted adjacency
-// (algorithms.CDLPInitLabel); later rounds recompute only vertices whose
-// neighborhood changed last round while everyone else copies their label
-// through — and while the changed set still blankets the graph the mask
-// rebuild is skipped and the next round runs dense
-// (algorithms.CDLPScatterWorthwhile; over-marking is exact). The mask is
-// rebuilt between rounds as uncharged harness bookkeeping, and the
-// allgather shrinks from a dense label slice to one sparse (id, label)
-// update per changed vertex. The argmax depends only on the gathered
-// multiset (a vertex's own label only breaks the empty case), so the
-// masked rounds — and stopping early at a fixpoint — are bit-identical
-// to the dense schedule.
-func cdlp(ctx context.Context, u *uploaded, iterations int) ([]int64, error) {
-	st, cl, part := u.st, u.Cl, u.part
-	n := st.n
-	out := make([]int64, n)
-	if n == 0 {
-		return out, nil
-	}
-	sc := mplane.Acquire(&u.scratch, newPPScratch)
-	defer u.scratch.Put(sc)
-	sc.counts.EnsureDomain(n)
-	sc.labels = mplane.Grow(sc.labels, n)
-	sc.nextLab = mplane.Grow(sc.nextLab, n)
-	labels, next := sc.labels, sc.nextLab
-	for v := int32(0); v < int32(n); v++ {
-		labels[v] = v
-	}
-	sc.dirty = mplane.Grow(sc.dirty, n)
-	sc.changed = mplane.Grow(sc.changed, n)
-	dirty, changed := sc.dirty, sc.changed
-	dense := true // round zero treats every vertex as dirty
-	for it := 0; it < iterations; it++ {
-		if err := platform.CheckContext(ctx); err != nil {
-			return nil, err
-		}
-		first := it == 0
-		total := 0
-		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-			verts := part.Verts[mach]
-			updates := 0
-			th.Chunks(len(verts), func(lo, hi int) {
-				for _, v := range verts[lo:hi] {
-					if !dense && !dirty[v] {
-						next[v] = labels[v]
-						changed[v] = false
-						continue
-					}
-					var nl int32
-					if first {
-						nl = algorithms.CDLPInitLabel(v, st.in(v), st.out(v), st.directed)
-					} else {
-						for _, in := range st.in(v) {
-							sc.counts.Add(labels[in])
-						}
-						if st.directed {
-							for _, o := range st.out(v) {
-								sc.counts.Add(labels[o])
-							}
-						}
-						nl = sc.counts.BestAndReset(labels[v])
-					}
-					next[v] = nl
-					if nl != labels[v] {
-						changed[v] = true
-						updates++
-					} else {
-						changed[v] = false
-					}
-				}
-			})
-			total += updates
-			// Sparse allgather: vertex id + label per changed vertex.
-			cl.Broadcast(mach, int64(updates)*12)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		labels, next = next, labels
-		if total == 0 {
-			break
-		}
-		dense = !algorithms.CDLPScatterWorthwhile(total, n)
-		if !dense && it+1 < iterations {
-			// Rebuild the dirty mask from the changed set: v's multiset
-			// reads in(v) (+out(v) directed), so a changed u reaches
-			// exactly out(u) (+in(u) directed). Uncharged bookkeeping,
-			// like the pregel engine's active-list rebuild.
-			clear(dirty)
-			for v := int32(0); v < int32(n); v++ {
-				if !changed[v] {
-					continue
-				}
-				for _, d := range st.out(v) {
-					dirty[d] = true
-				}
-				if st.directed {
-					for _, d := range st.in(v) {
-						dirty[d] = true
-					}
-				}
-			}
-		}
-	}
-	for v := int32(0); v < int32(n); v++ {
-		out[v] = u.G.VertexID(labels[v])
-	}
-	return out, nil
-}
-
-// sssp pushes relaxations from the frontier with atomic minimums. All
-// per-round buffers come from the upload's scratch pool, so steady-state
-// runs allocate only the output vector; the per-round discovery dedup
-// uses claim stamps (the stamp changes every round, so the claim array is
-// cleared once per job rather than re-zeroed between rounds).
+// sssp pushes relaxations from the frontier with atomic minimums, every
+// machine relaxing its owned slice of the broadcast frontier. All
+// per-round buffers come from the layout's scratch pool, so steady-state
+// runs allocate only the output vector.
 func sssp(ctx context.Context, u *uploaded, source int32) ([]float64, int, error) {
-	st, cl, part := u.st, u.Cl, u.part
-	n := st.n
-	sc := mplane.Acquire(&u.scratch, newPPScratch)
-	defer u.scratch.Put(sc)
-	sc.bits = mplane.Grow(sc.bits, n)
-	bits := sc.bits
-	inf := math.Float64bits(math.Inf(1))
-	for i := range bits {
-		bits[i] = inf
-	}
-	bits[source] = math.Float64bits(0)
-	sc.claimed = mplane.Grow(sc.claimed, n)
-	clear(sc.claimed)
-	claimed := sc.claimed
-	if len(sc.disc) != cl.Machines() {
-		sc.disc = make([][]int32, cl.Machines())
-	}
-	frontier := append(sc.front[:0], source)
+	g, cl, part := u.lay.G, u.Cl, u.lay.Part
+	sc := u.lay.StartSSSP(source)
+	defer u.lay.Release(sc)
+	frontier := append(sc.Front[:0], source)
 	rounds := 0
 	for stamp := uint32(1); len(frontier) > 0; stamp++ {
 		if err := platform.CheckContext(ctx); err != nil {
 			return nil, 0, err
 		}
 		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-			local := sc.local[:0]
+			local := sc.Local[:0]
 			for _, v := range frontier {
 				if int(part.Owner[v]) == mach {
 					local = append(local, v)
 				}
 			}
-			sc.local = local
-			tc := th.Count()
-			if len(sc.parts) < tc {
-				sc.parts = make([][]int32, tc)
-			}
-			for w := 0; w < tc; w++ {
-				sc.parts[w] = sc.parts[w][:0]
-			}
-			th.ChunksIndexed(len(local), func(w, lo, hi int) {
-				buf := sc.parts[w]
-				for _, v := range local[lo:hi] {
-					dv := math.Float64frombits(atomic.LoadUint64(&bits[v]))
-					ws := st.outWeights(v)
-					for i, dst := range st.out(v) {
-						nd := dv + ws[i]
-						for {
-							old := atomic.LoadUint64(&bits[dst])
-							if nd >= math.Float64frombits(old) {
-								break
-							}
-							if atomic.CompareAndSwapUint64(&bits[dst], old, math.Float64bits(nd)) {
-								for {
-									c := atomic.LoadUint32(&claimed[dst])
-									if c == stamp {
-										break
-									}
-									if atomic.CompareAndSwapUint32(&claimed[dst], c, stamp) {
-										buf = append(buf, dst)
-										break
-									}
-								}
-								break
-							}
-						}
-					}
-				}
-				sc.parts[w] = buf
-			})
-			merged := sc.disc[mach][:0]
-			for _, p := range sc.parts[:tc] {
-				merged = append(merged, p...)
-			}
-			sc.disc[mach] = merged
-			cl.Broadcast(mach, int64(len(merged))*16)
+			sc.Local = local
+			sc.Disc[mach] = sc.Relax(g, th, local, stamp, sc.Disc[mach])
+			cl.Broadcast(mach, int64(len(sc.Disc[mach]))*16)
 			return nil
 		}); err != nil {
 			return nil, 0, err
 		}
 		frontier = frontier[:0]
-		for _, list := range sc.disc {
+		for _, list := range sc.Disc {
 			frontier = append(frontier, list...)
 		}
 		rounds++
 	}
-	sc.front = frontier
-	dist := make([]float64, n)
-	for i, b := range bits {
-		dist[i] = math.Float64frombits(b)
-	}
-	return dist, rounds, nil
+	sc.Front = frontier
+	return sc.Distances(), rounds, nil
 }

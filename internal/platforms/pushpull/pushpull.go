@@ -20,8 +20,8 @@ import (
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
 	"graphalytics/internal/graph"
-	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
+	"graphalytics/internal/platforms/rangecsr"
 )
 
 // New returns the adaptive push-pull engine.
@@ -48,12 +48,12 @@ func NewForced(direction string) platform.Platform {
 				return j.Floats(vals, err)
 			},
 			algorithms.WCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				vals, rounds, err := wcc(ctx, u)
+				vals, rounds, err := u.lay.WCC(ctx, u.Cl)
 				annotateDirections(j, 0, rounds)
 				return j.Ints(vals, err)
 			},
 			algorithms.CDLP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				vals, err := cdlp(ctx, u, j.Iterations)
+				vals, err := u.lay.CDLP(ctx, u.Cl, j.Iterations)
 				annotateDirections(j, 0, j.Iterations)
 				return j.Ints(vals, err)
 			},
@@ -74,70 +74,39 @@ func annotateDirections(j *platform.Job, pushes, pulls int) {
 	j.Tracker.Annotate("pull_rounds", fmt.Sprint(pulls))
 }
 
-// store is the engine's own graph storage: both adjacency directions are
-// replicated into engine-private arrays during upload.
-type store struct {
-	n        int
-	directed bool
-	outOff   []int64
-	outAdj   []int32
-	outW     []float64
-	inOff    []int64
-	inAdj    []int32
-}
-
-// The adjacency accessors sit on every push and pull scan's per-edge
-// path; they return views into the CSR arrays, never copies.
-//
-//graphalint:noalloc
-func (s *store) out(v int32) []int32 { return s.outAdj[s.outOff[v]:s.outOff[v+1]] }
-
-//graphalint:noalloc
-func (s *store) in(v int32) []int32 { return s.inAdj[s.inOff[v]:s.inOff[v+1]] }
-
-//graphalint:noalloc
-func (s *store) outWeights(v int32) []float64 {
-	if s.outW == nil {
-		return nil
-	}
-	return s.outW[s.outOff[v]:s.outOff[v+1]]
-}
-
-//graphalint:noalloc
-func (s *store) outDegree(v int32) int { return int(s.outOff[v+1] - s.outOff[v]) }
-
 type uploaded struct {
 	platform.BaseUpload
-	st            *store
-	part          *cluster.VertexPartition
+	// lay is the engine's own graph storage: both adjacency directions
+	// are replicated into engine-private arrays during upload.
+	lay           *rangecsr.Layout
+	arcs          int64 // stored out-adjacency entries: |E| directed, 2|E| undirected
 	danglingVerts []int32
-	// scratch caches the CDLP/SSSP working buffers between Execute calls.
-	scratch mplane.Pool
 }
 
-// load copies both adjacency directions into engine storage; they are
-// charged, together with the wide per-vertex slots and ghost caches,
-// against every machine. The context is checked between the two copies
-// and before the dangling-vertex scan.
+// load copies the graph into engine storage; both adjacency directions
+// are charged, together with the wide per-vertex slots and ghost caches,
+// against every machine. The context is checked after the copy, the
+// expensive part.
 func load(ctx context.Context, g *graph.Graph, cl *cluster.Cluster) (*uploaded, []int64, error) {
-	st := &store{n: g.NumVertices(), directed: g.Directed()}
-	st.outOff, st.outAdj, st.outW = g.CopyCSR(false)
+	u := &uploaded{lay: rangecsr.New(g, cl.Machines())}
 	if err := platform.CheckContext(ctx); err != nil {
 		return nil, nil, err
 	}
-	st.inOff, st.inAdj, _ = g.CopyCSR(true)
-	if err := platform.CheckContext(ctx); err != nil {
-		return nil, nil, err
-	}
-	u := &uploaded{st: st, part: cluster.PartitionVerticesRange(g, cl.Machines())}
-	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		if st.outDegree(v) == 0 {
+	n := int64(g.NumVertices())
+	for v := int32(0); v < int32(n); v++ {
+		deg := u.lay.G.OutDegree(v)
+		if deg == 0 {
 			u.danglingVerts = append(u.danglingVerts, v)
 		}
+		u.arcs += int64(deg)
 	}
-	edgeBytes := int64(len(st.outAdj))*4 + int64(len(st.inAdj))*4 + int64(len(st.outW))*8 +
-		int64(len(st.outOff))*8 + int64(len(st.inOff))*8
-	n := int64(g.NumVertices())
+	// Out- and in-adjacency, out-weights and both offset arrays. The
+	// modelled engine stores a pull copy of every edge list, so both
+	// directions are charged even where an undirected clone shares them.
+	edgeBytes := u.arcs*4*2 + 2*(n+1)*8
+	if g.Weighted() {
+		edgeBytes += u.arcs * 8
+	}
 	// Edge share per machine, plus replicated ghost-value cache and the
 	// engine's wide per-vertex context slots (64 B) on every machine.
 	perMachine := edgeBytes/int64(cl.Machines()) + n*8 + n*64

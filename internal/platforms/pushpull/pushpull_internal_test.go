@@ -19,19 +19,26 @@ func TestStoreLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer up.Free()
-	st := up.(*uploaded).st
+	u := up.(*uploaded)
+	st := u.lay.G
+	if st == g || &st.OutNeighbors(0)[0] == &g.OutNeighbors(0)[0] {
+		t.Fatal("the engine must run on its own copy of the graph")
+	}
 
-	if got := st.out(0); len(got) != 1 || got[0] != 1 {
+	if got := st.OutNeighbors(0); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("out(0) = %v, want [1]", got)
 	}
-	if got := st.in(1); len(got) != 2 {
+	if got := st.InNeighbors(1); len(got) != 2 {
 		t.Fatalf("in(1) = %v, want two in-neighbors", got)
 	}
-	if ws := st.outWeights(1); len(ws) != 1 || ws[0] != 4 {
+	if ws := st.OutWeights(1); len(ws) != 1 || ws[0] != 4 {
 		t.Fatalf("outWeights(1) = %v", ws)
 	}
-	if st.outDegree(2) != 1 {
-		t.Fatalf("outDegree(2) = %d", st.outDegree(2))
+	if st.OutDegree(2) != 1 {
+		t.Fatalf("outDegree(2) = %d", st.OutDegree(2))
+	}
+	if u.arcs != 3 {
+		t.Fatalf("arcs = %d, want 3", u.arcs)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"graphalytics/internal/graph"
+	"graphalytics/internal/platform"
 )
 
 func TestMatrixLayoutDirected(t *testing.T) {
@@ -13,40 +14,33 @@ func TestMatrixLayoutDirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newMatrix(g)
-	if m.n != 3 || !m.directed || !m.weighted {
-		t.Fatalf("matrix header wrong: %+v", m)
-	}
-	if got := m.row(0); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("row 0 = %v, want [1 2]", got)
-	}
-	if got := m.rowWeights(0); got[0] != 2 || got[1] != 3 {
-		t.Fatalf("row 0 weights = %v", got)
-	}
-	if got := m.col(1); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("col 1 = %v, want [0 2]", got)
-	}
-	if m.outDegree(0) != 2 || m.outDegree(1) != 0 {
-		t.Fatal("out degrees wrong")
-	}
-	if m.footprint() <= 0 {
-		t.Fatal("footprint must be positive")
-	}
-}
-
-func TestMatrixUndirectedSharesStorage(t *testing.T) {
-	g, err := graph.FromEdges("u", false, false, []graph.Edge{{Src: 0, Dst: 1}}, graph.BuildOptions{})
+	up, err := New(BackendS).Upload(g, platform.RunConfig{Threads: 1, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newMatrix(g)
-	if &m.rowOff[0] != &m.colOff[0] {
-		t.Fatal("undirected (symmetric) matrix must alias CSR and CSC")
+	defer up.Free()
+	m := up.(*uploaded).lay.G
+	if m == g || &m.OutNeighbors(0)[0] == &g.OutNeighbors(0)[0] {
+		t.Fatal("the engine must run on its own copy of the graph")
 	}
-	// Footprint must not double-count the aliased arrays.
-	dir, _ := graph.FromEdges("d", true, false, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}}, graph.BuildOptions{})
-	md := newMatrix(dir)
-	if m.footprint() >= md.footprint() {
-		t.Fatalf("symmetric footprint %d should be below directed %d", m.footprint(), md.footprint())
+	if m.NumVertices() != 3 || !m.Directed() || !m.Weighted() {
+		t.Fatalf("matrix header wrong: %v", m)
+	}
+	if got := m.OutNeighbors(0); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("row 0 = %v, want [1 2]", got)
+	}
+	if got := m.OutWeights(0); got[0] != 2 || got[1] != 3 {
+		t.Fatalf("row 0 weights = %v", got)
+	}
+	if got := m.InNeighbors(1); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Fatalf("col 1 = %v, want [0 2]", got)
+	}
+	if m.OutDegree(0) != 2 || m.OutDegree(1) != 0 {
+		t.Fatal("out degrees wrong")
+	}
+	// Three rows and three columns of offsets, indices and values, split
+	// over one machine, plus the 8n operand vector.
+	if got, want := up.Cluster().PeakMemory(), int64(2*(4*8+3*4+3*8)+3*8); got != want {
+		t.Fatalf("upload registered %d bytes, want %d", got, want)
 	}
 }

@@ -20,8 +20,8 @@ import (
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
 	"graphalytics/internal/graph"
-	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
+	"graphalytics/internal/platforms/rangecsr"
 )
 
 // Backend selects the GraphMat-style execution backend.
@@ -49,10 +49,11 @@ func New(b Backend) platform.Platform {
 				return j.Floats(pagerank(ctx, u, j.Iterations, j.Damping))
 			},
 			algorithms.WCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Ints(wcc(ctx, u))
+				vals, _, err := u.lay.WCC(ctx, u.Cl)
+				return j.Ints(vals, err)
 			},
 			algorithms.CDLP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Ints(cdlp(ctx, u, j.Iterations))
+				return j.Ints(u.lay.CDLP(ctx, u.Cl, j.Iterations))
 			},
 			algorithms.LCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
 				return j.Floats(lcc(ctx, u))
@@ -73,22 +74,26 @@ func New(b Backend) platform.Platform {
 
 type uploaded struct {
 	platform.BaseUpload
-	m    *matrix
-	part *cluster.VertexPartition
-	// scratch caches the CDLP/SSSP working buffers between Execute calls.
-	scratch mplane.Pool
+	// lay holds the sparse adjacency matrix A (A[i][j] = 1 or the edge
+	// weight when edge i->j exists): out-adjacency is its CSR rows (push-
+	// style SpMSpV over a sparse frontier), in-adjacency its CSC columns
+	// (pull-style dense SpMV). An undirected graph's matrix is symmetric
+	// and both share storage.
+	lay *rangecsr.Layout
 }
 
 // load converts the graph into the engine's CSR+CSC matrix layout; the
 // context is checked after the conversion, the expensive part.
 func load(ctx context.Context, g *graph.Graph, cl *cluster.Cluster) (*uploaded, []int64, error) {
-	u := &uploaded{m: newMatrix(g), part: cluster.PartitionVerticesRange(g, cl.Machines())}
+	u := &uploaded{lay: rangecsr.New(g, cl.Machines())}
 	if err := platform.CheckContext(ctx); err != nil {
 		return nil, nil, err
 	}
 	// Each machine holds its share of matrix rows/columns plus a full
 	// replica of one dense operand vector (the allgathered x).
-	perMachine := u.m.footprint()/int64(cl.Machines()) + int64(g.NumVertices())*8
+	n := int64(g.NumVertices())
+	matrix := u.lay.G.MemoryFootprint() - n*8 // the graph less its identifier table
+	perMachine := matrix/int64(cl.Machines()) + n*8
 	return u, slices.Repeat([]int64{perMachine}, cl.Machines()), nil
 }
 
