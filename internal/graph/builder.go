@@ -128,10 +128,7 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, errors.New("graph: builder has spill configured; use BuildTo")
 	}
 	ids := b.collectIDs()
-	index := make(map[int64]int32, len(ids))
-	for i, id := range ids {
-		index[id] = int32(i)
-	}
+	index := idIndex(ids)
 
 	// Translate endpoints to internal indices in parallel chunks. Dropped
 	// self-loops become a -1 sentinel the counting sort skips.
@@ -379,6 +376,15 @@ func (b *Builder) collectIDs() []int64 {
 	ids := make([]int64, len(uniq))
 	copy(ids, uniq)
 	return ids
+}
+
+// idIndex maps every external identifier to its internal index.
+func idIndex(ids []int64) map[int64]int32 {
+	index := make(map[int64]int32, len(ids))
+	for i, id := range ids {
+		index[id] = int32(i)
+	}
+	return index
 }
 
 // sortAdjStable sorts an adjacency segment and its parallel weight segment

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bufio"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -15,21 +14,23 @@ import (
 
 // Out-of-core build path. A spill-configured Builder never holds the full
 // edge list: AddEdge appends 32-byte arc records to a bounded in-memory
-// buffer that is sorted (in parallel) and spilled to a temp run file
-// whenever it fills, and BuildTo k-way-merges the sorted runs directly
-// into the page-aligned v2 CSR sections on disk. Peak memory is
-// O(BudgetBytes + |V|): the identifier table and offset arrays stay in
-// RAM, the arcs never do.
+// buffer that is radix-sorted by key (in parallel) and spilled to a temp
+// run file whenever it fills, and BuildTo k-way-merges the sorted runs
+// directly into the page-aligned v2 CSR sections on disk. Peak memory is
+// O(BudgetBytes + |V|): the identifier table, its hash index and the
+// offset arrays stay in RAM, the arcs never do.
 //
-// Determinism: every arc carries seq, its global edge-insertion index.
-// Runs are sorted by (key, seq); (key, seq) pairs are unique (self-loops
-// never spill), so the merge order is a total order independent of run
-// boundaries, worker counts and scheduling. Within a destination vertex
-// the merge yields arcs in insertion order — exactly the order the
-// in-memory counting sort produces before its per-vertex sort — and the
-// same per-vertex (neighbor, seq) sort plus first-occurrence dedup runs
-// on top. BuildTo output is therefore byte-identical to
-// Build + WriteSnapshotFile, which the equivalence tests assert by CRC.
+// Determinism: every arc carries seq, its global edge-insertion index, and
+// arcs enter a buffer in seq order. The run sort is a stable sort by key,
+// so every run comes out in (key, seq) order at any worker count; (key,
+// seq) pairs are unique (self-loops never spill), so the merge order is a
+// total order independent of run boundaries, worker counts and
+// scheduling. Within a destination vertex the merge yields arcs in
+// insertion order — exactly the order the in-memory counting sort
+// produces before its per-vertex sort — and the same per-vertex (neighbor,
+// seq) sort plus first-occurrence dedup runs on top. BuildTo output is
+// therefore byte-identical to Build + WriteSnapshotFile, which the
+// equivalence tests assert by CRC.
 
 // SpillOptions configure the out-of-core build path; see Builder.SetSpill.
 type SpillOptions struct {
@@ -37,8 +38,11 @@ type SpillOptions struct {
 	// subdirectory is created under it (or under the OS temp dir when
 	// empty) and removed when BuildTo finishes.
 	Dir string
-	// BudgetBytes bounds the in-memory arc buffer. <= 0 selects the
-	// default (128 MiB); tiny values are clamped to one page of records.
+	// BudgetBytes bounds the in-memory arc buffers and the radix-sort
+	// scratch together: both are allocated once, at exact capacity, on
+	// the first spilled edge, and their sum never exceeds the budget. <= 0
+	// selects the default (128 MiB); tiny values are clamped to one page
+	// of records.
 	BudgetBytes int64
 	// Workers pins the worker count for run sorting; <= 0 means auto.
 	// Output bytes are identical at any worker count.
@@ -46,10 +50,10 @@ type SpillOptions struct {
 }
 
 const (
-	arcRecBytes         = 32
-	defaultSpillBudget  = 128 << 20
-	minSpillBudgetRecs  = 128
-	spillRunBufferBytes = 1 << 18
+	arcRecBytes        = 32
+	defaultSpillBudget = 128 << 20
+	minSpillBudgetRecs = 128
+	spillPageBytes     = 1 << 18
 )
 
 // arcRec is one directed arc tagged with its global insertion index.
@@ -75,12 +79,25 @@ type spool struct {
 }
 
 type spillState struct {
-	opts       SpillOptions
-	dir        string // private scratch dir, created lazily
-	budgetRecs int
-	out, in    spool
-	seq        uint64
-	err        error
+	opts    SpillOptions
+	dir     string // private scratch dir, created lazily
+	runRecs int    // capacity of each spool buffer and of the scratch
+	out, in spool
+	scratch []arcRec   // radix scatter target, shared by the spools
+	counts  [][256]int // per-worker digit histograms
+	keys    []int64    // sorted distinct keys of every flushed run
+	keysTmp []int64    // merge target for keys
+	pages   [2][]byte  // encode buffers: runs and adjacency, weights
+	seq     uint64
+	err     error
+}
+
+// page returns pooled encode buffer i, allocating it on first use.
+func (sp *spillState) page(i int) []byte {
+	if sp.pages[i] == nil {
+		sp.pages[i] = make([]byte, 0, spillPageBytes)
+	}
+	return sp.pages[i]
 }
 
 // SetSpill switches the builder to the out-of-core path: subsequent
@@ -98,7 +115,13 @@ func (b *Builder) SetSpill(opts SpillOptions) *Builder {
 	if recs < minSpillBudgetRecs {
 		recs = minSpillBudgetRecs
 	}
-	b.spill = &spillState{opts: opts, budgetRecs: recs}
+	// The budget holds one buffer per spool and the scratch they share,
+	// all of the same capacity.
+	arrays := 2
+	if b.directed {
+		arrays = 3
+	}
+	b.spill = &spillState{opts: opts, runRecs: recs / arrays}
 	return b
 }
 
@@ -146,16 +169,23 @@ func (b *Builder) spillAdd(src, dst int64, w float64) {
 	if !b.weighted {
 		w = 0
 	}
+	if sp.scratch == nil {
+		sp.out.buf = make([]arcRec, 0, sp.runRecs)
+		if b.directed {
+			sp.in.buf = make([]arcRec, 0, sp.runRecs)
+		}
+		sp.scratch = make([]arcRec, 0, sp.runRecs)
+	}
 	if b.directed {
 		sp.out.buf = append(sp.out.buf, arcRec{key: src, val: dst, seq: seq, w: w})
 		sp.in.buf = append(sp.in.buf, arcRec{key: dst, val: src, seq: seq, w: w})
-		if len(sp.out.buf) >= sp.budgetRecs/2 {
+		if len(sp.out.buf) == cap(sp.out.buf) {
 			sp.err = sp.flushBoth()
 		}
 	} else {
 		sp.out.buf = append(sp.out.buf, arcRec{key: src, val: dst, seq: seq, w: w},
 			arcRec{key: dst, val: src, seq: seq, w: w})
-		if len(sp.out.buf) >= sp.budgetRecs {
+		if cap(sp.out.buf)-len(sp.out.buf) < 2 {
 			sp.err = sp.flush(&sp.out)
 		}
 	}
@@ -168,110 +198,240 @@ func (sp *spillState) flushBoth() error {
 	return sp.flush(&sp.in)
 }
 
-// flush sorts the spool's buffer by (key, seq) and writes it as one run
-// file. Sorting is chunk-parallel with a deterministic streaming merge on
-// the way out, so worker count never shows in the bytes.
+// flush sorts the spool's buffer by key, merges its distinct keys into the
+// key set and writes it as one run file.
 func (sp *spillState) flush(s *spool) error {
-	if len(s.buf) == 0 {
+	n := len(s.buf)
+	if n == 0 {
 		return nil
 	}
 	if err := sp.ensureDir(); err != nil {
 		return err
 	}
-	n := len(s.buf)
-	p := par.Resolve(sp.opts.Workers, n)
-	if p > n {
-		p = n
+	p := min(par.Resolve(sp.opts.Workers, n), n)
+	if len(sp.counts) < p {
+		sp.counts = make([][256]int, p)
 	}
-	par.Chunks(n, p, func(w, lo, hi int) {
-		slices.SortFunc(s.buf[lo:hi], cmpArc)
-	})
+	// The sorted records may land in the scratch array; the spool keeps
+	// whichever array holds them, the other becomes the scratch — both
+	// have the same capacity.
+	sorted, spare := radixSort(s.buf, sp.scratch[:n], sp.counts[:p])
+	s.buf, sp.scratch = sorted[:0], spare[:0]
+	sp.keys, sp.keysTmp = mergeKeys(sp.keysTmp, sp.keys, sorted), sp.keys
 
 	f, err := os.CreateTemp(sp.dir, "run-*")
 	if err != nil {
 		return fmt.Errorf("graph: spill run: %w", err)
 	}
-	bw := bufio.NewWriterSize(f, spillRunBufferBytes)
-	var rec [arcRecBytes]byte
-	writeRec := func(r arcRec) error {
-		binary.LittleEndian.PutUint64(rec[0:], uint64(r.key))
-		binary.LittleEndian.PutUint64(rec[8:], uint64(r.val))
-		binary.LittleEndian.PutUint64(rec[16:], r.seq)
-		binary.LittleEndian.PutUint64(rec[24:], math.Float64bits(r.w))
-		_, err := bw.Write(rec[:])
-		return err
+	w := pageWriter{f: f, buf: sp.page(0)}
+	for _, r := range sorted {
+		w.putRec(r)
 	}
-	// Stream the sorted chunks out in merged order: a linear scan over at
-	// most p cursors per record, no scratch copy of the buffer.
-	cursors := make([][2]int, 0, p)
-	for w := 0; w < p; w++ {
-		lo, hi := par.ChunkRange(n, p, w)
-		if lo < hi {
-			cursors = append(cursors, [2]int{lo, hi})
-		}
+	err = w.flush()
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	for {
-		best := -1
-		for i, c := range cursors {
-			if c[0] >= c[1] {
-				continue
-			}
-			if best < 0 || cmpArc(s.buf[c[0]], s.buf[cursors[best][0]]) < 0 {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		if err := writeRec(s.buf[cursors[best][0]]); err != nil {
-			f.Close()
-			return fmt.Errorf("graph: spill run: %w", err)
-		}
-		cursors[best][0]++
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("graph: spill run: %w", err)
-	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		return fmt.Errorf("graph: spill run: %w", err)
 	}
 	s.runs = append(s.runs, f.Name())
-	s.buf = s.buf[:0]
 	return nil
 }
 
-// runReader streams one sorted run file.
-type runReader struct {
-	f   *os.File
-	br  *bufio.Reader
-	cur arcRec
+// radixSort sorts recs stably by key with an LSD radix sort over the 8-bit
+// digits of the sign-flipped key, scattering back and forth between recs
+// and tmp (len(tmp) == len(recs)); it returns the array holding the sorted
+// records and the other one. Digits every key shares are skipped, so keys
+// below 2^17 take three passes, not eight. Each pass counts and scatters
+// per worker over par.Chunks with buildCSR's prefix rule — digit-major,
+// worker-minor — so the pass is stable and its result is the same for any
+// len(counts), the worker count.
+func radixSort(recs, tmp []arcRec, counts [][256]int) (sorted, spare []arcRec) {
+	diff := keyDiff(recs, recs[0].key)
+	for shift := uint(0); shift < 64; shift += 8 {
+		if (diff>>shift)&0xff == 0 {
+			continue
+		}
+		radixPass(recs, tmp, shift, counts)
+		recs, tmp = tmp, recs
+	}
+	return recs, tmp
 }
 
-func openRun(path string) (*runReader, error) {
+// keyDiff ORs together every key's bits that differ from first: a digit
+// that is zero in the result is shared by all keys.
+func keyDiff(recs []arcRec, first int64) uint64 {
+	var d uint64
+	for _, r := range recs {
+		d |= uint64(r.key ^ first)
+	}
+	return d
+}
+
+// radixPass stably scatters src into dst by the key digit at shift.
+func radixPass(src, dst []arcRec, shift uint, counts [][256]int) {
+	p := len(counts)
+	clear(counts) // they hold the previous pass's cursors
+	par.Chunks(len(src), p, func(w, lo, hi int) {
+		countDigits(src[lo:hi], &counts[w], shift)
+	})
+	// Exclusive prefix, digit-major and worker-minor: worker w's records of
+	// digit d land after every smaller digit and after the records of d in
+	// lower workers' chunks, i.e. in input order.
+	pos := 0
+	for d := range 256 {
+		for w := range counts {
+			c := counts[w][d]
+			counts[w][d] = pos
+			pos += c
+		}
+	}
+	par.Chunks(len(src), p, func(w, lo, hi int) {
+		scatterDigits(src[lo:hi], dst, &counts[w], shift)
+	})
+}
+
+// digit is the 8-bit digit at shift of the sign-flipped key, so negative
+// keys order before non-negative ones.
+func digit(key int64, shift uint) uint8 {
+	return uint8((uint64(key) ^ 1<<63) >> shift)
+}
+
+// countDigits adds the records' key digits at shift to the histogram c.
+//
+//graphalint:noalloc
+func countDigits(recs []arcRec, c *[256]int, shift uint) {
+	for _, r := range recs {
+		c[digit(r.key, shift)]++
+	}
+}
+
+// scatterDigits places every record at its digit's cursor in dst and
+// advances the cursor.
+//
+//graphalint:noalloc
+func scatterDigits(recs, dst []arcRec, pos *[256]int, shift uint) {
+	for _, r := range recs {
+		d := digit(r.key, shift)
+		dst[pos[d]] = r
+		pos[d]++
+	}
+}
+
+// mergeKeys writes the union of the sorted distinct set and the distinct
+// keys of the key-sorted run into dst's storage and returns it.
+//
+//graphalint:noalloc
+func mergeKeys(dst, set []int64, run []arcRec) []int64 {
+	dst = dst[:0]
+	i := 0
+	for j, r := range run {
+		if j > 0 && r.key == run[j-1].key {
+			continue
+		}
+		for i < len(set) && set[i] < r.key {
+			dst = append(dst, set[i])
+			i++
+		}
+		if i < len(set) && set[i] == r.key {
+			i++
+		}
+		dst = append(dst, r.key)
+	}
+	dst = append(dst, set[i:]...)
+	return dst
+}
+
+// pageWriter encodes fixed-width little-endian values into one page-sized
+// buffer and writes the page out whenever it fills. The first write error
+// sticks and is returned by flush.
+type pageWriter struct {
+	f   *os.File
+	buf []byte
+	err error
+}
+
+// grow makes room for n more bytes and returns them.
+func (w *pageWriter) grow(n int) []byte {
+	if cap(w.buf)-len(w.buf) < n {
+		w.flush()
+	}
+	l := len(w.buf)
+	w.buf = w.buf[:l+n]
+	return w.buf[l:]
+}
+
+//graphalint:noalloc
+func (w *pageWriter) putRec(r arcRec) {
+	b := w.grow(arcRecBytes)
+	binary.LittleEndian.PutUint64(b[0:], uint64(r.key))
+	binary.LittleEndian.PutUint64(b[8:], uint64(r.val))
+	binary.LittleEndian.PutUint64(b[16:], r.seq)
+	binary.LittleEndian.PutUint64(b[24:], math.Float64bits(r.w))
+}
+
+func (w *pageWriter) put32(v uint32) { binary.LittleEndian.PutUint32(w.grow(4), v) }
+func (w *pageWriter) put64(v uint64) { binary.LittleEndian.PutUint64(w.grow(8), v) }
+
+func (w *pageWriter) flush() error {
+	if w.err == nil && len(w.buf) > 0 {
+		_, w.err = w.f.Write(w.buf)
+	}
+	w.buf = w.buf[:0]
+	return w.err
+}
+
+// runReader streams one sorted run file through a buffer it owns.
+type runReader struct {
+	f        *os.File
+	buf      []byte
+	pos, end int
+	cur      arcRec
+}
+
+// openRun opens a run of at most runRecs records.
+func openRun(path string, runRecs int) (*runReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("graph: spill run: %w", err)
 	}
-	return &runReader{f: f, br: bufio.NewReaderSize(f, spillRunBufferBytes)}, nil
+	return &runReader{f: f, buf: make([]byte, min(spillPageBytes, runRecs*arcRecBytes))}, nil
 }
 
-// next advances to the following record; ok is false at end of run.
+// next decodes the following record into r.cur; ok is false at end of run.
+//
+//graphalint:noalloc
 func (r *runReader) next() (ok bool, err error) {
-	var rec [arcRecBytes]byte
-	if _, err := io.ReadFull(r.br, rec[:]); err != nil {
-		if err == io.EOF {
-			return false, nil
+	if r.pos == r.end {
+		if err := r.fill(); err != nil || r.end == 0 {
+			return false, err
 		}
-		return false, fmt.Errorf("graph: spill run: %w", err)
 	}
+	b := r.buf[r.pos : r.pos+arcRecBytes]
 	r.cur = arcRec{
-		key: int64(binary.LittleEndian.Uint64(rec[0:])),
-		val: int64(binary.LittleEndian.Uint64(rec[8:])),
-		seq: binary.LittleEndian.Uint64(rec[16:]),
-		w:   math.Float64frombits(binary.LittleEndian.Uint64(rec[24:])),
+		key: int64(binary.LittleEndian.Uint64(b[0:])),
+		val: int64(binary.LittleEndian.Uint64(b[8:])),
+		seq: binary.LittleEndian.Uint64(b[16:]),
+		w:   math.Float64frombits(binary.LittleEndian.Uint64(b[24:])),
 	}
+	r.pos += arcRecBytes
 	return true, nil
+}
+
+// fill reads the next bufferful of whole records; r.end is 0 at end of run.
+func (r *runReader) fill() error {
+	n, err := io.ReadFull(r.f, r.buf)
+	r.pos, r.end = 0, n
+	switch {
+	case err == io.EOF || err == nil:
+		return nil
+	case err == io.ErrUnexpectedEOF && n%arcRecBytes == 0:
+		return nil
+	case err == io.ErrUnexpectedEOF:
+		return fmt.Errorf("graph: spill run %s: truncated record", r.f.Name())
+	default:
+		return fmt.Errorf("graph: spill run: %w", err)
+	}
 }
 
 func (r *runReader) close() { r.f.Close() }
@@ -282,10 +442,10 @@ type kway struct {
 	rs []*runReader
 }
 
-func newKWay(paths []string) (*kway, error) {
+func newKWay(paths []string, runRecs int) (*kway, error) {
 	k := &kway{}
 	for _, p := range paths {
-		r, err := openRun(p)
+		r, err := openRun(p, runRecs)
 		if err != nil {
 			k.close()
 			return nil, err
@@ -358,48 +518,30 @@ func (k *kway) siftDown(i int) {
 	}
 }
 
-// spillIDs produces the sorted distinct identifier table from explicit
-// vertices plus every spilled arc key (every endpoint of every surviving
-// edge appears as a key in some spool).
+// spillIDs produces the sorted distinct identifier table: the key set the
+// flushes gathered (every endpoint of every surviving edge is a key in
+// some spool) merged with the explicit vertices.
 func (b *Builder) spillIDs() ([]int64, error) {
-	vs := par.SortInt64s(append([]int64(nil), b.vertices...))
-	m, err := newKWay(append(append([]string(nil), b.spill.out.runs...), b.spill.in.runs...))
-	if err != nil {
-		return nil, err
-	}
-	defer m.close()
-	var ids []int64
-	vi := 0
-	emit := func(id int64) {
+	keys := b.spill.keys
+	vs := par.SortInt64s(b.vertices)
+	ids := make([]int64, 0, len(keys)+len(vs))
+	for i, j := 0, 0; i < len(keys) || j < len(vs); {
+		var id int64
+		if j == len(vs) || (i < len(keys) && keys[i] <= vs[j]) {
+			id = keys[i]
+			i++
+		} else {
+			id = vs[j]
+			j++
+		}
 		if len(ids) == 0 || ids[len(ids)-1] != id {
 			ids = append(ids, id)
 		}
-	}
-	for !m.empty() {
-		rec, err := m.pop()
-		if err != nil {
-			return nil, err
-		}
-		for vi < len(vs) && vs[vi] <= rec.key {
-			emit(vs[vi])
-			vi++
-		}
-		emit(rec.key)
-	}
-	for ; vi < len(vs); vi++ {
-		emit(vs[vi])
 	}
 	if int64(len(ids)) > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: %d vertices exceed int32 index space", len(ids))
 	}
 	return ids, nil
-}
-
-// arcSlot is one arc of the vertex group currently being merged.
-type arcSlot struct {
-	val int32
-	seq uint64
-	w   float64
 }
 
 // csrScratch is one merged adjacency direction: the offsets stay in
@@ -414,10 +556,10 @@ type csrScratch struct {
 }
 
 // mergeSpool merges one spool's runs into CSR form. Arc values are
-// translated to internal indices, each vertex group is sorted by
-// (neighbor, seq) and deduplicated keeping the first occurrence —
-// byte-for-byte the in-memory buildCSR semantics.
-func (b *Builder) mergeSpool(ids []int64, runs []string) (*csrScratch, error) {
+// translated to internal indices through index, each vertex's arcs are
+// sorted by (neighbor, seq) and deduplicated keeping the first occurrence
+// — byte-for-byte the in-memory buildCSR semantics.
+func (b *Builder) mergeSpool(ids []int64, index map[int64]int32, runs []string) (*csrScratch, error) {
 	sp := b.spill
 	cs := &csrScratch{off: make([]int64, len(ids)+1)}
 
@@ -427,29 +569,32 @@ func (b *Builder) mergeSpool(ids []int64, runs []string) (*csrScratch, error) {
 	}
 	defer adjF.Close()
 	cs.adjPath = adjF.Name()
-	adjW := bufio.NewWriterSize(adjF, spillRunBufferBytes)
-	var wF *os.File
-	var wW *bufio.Writer
+	adj := pageWriter{f: adjF, buf: sp.page(0)}
+	var wgt pageWriter
 	if b.weighted {
-		if wF, err = os.CreateTemp(sp.dir, "wgt-*"); err != nil {
+		wF, err := os.CreateTemp(sp.dir, "wgt-*")
+		if err != nil {
 			return nil, fmt.Errorf("graph: spill merge: %w", err)
 		}
 		defer wF.Close()
 		cs.wPath = wF.Name()
-		wW = bufio.NewWriterSize(wF, spillRunBufferBytes)
+		wgt = pageWriter{f: wF, buf: sp.page(1)}
 	}
 
-	m, err := newKWay(runs)
+	m, err := newKWay(runs, sp.runRecs)
 	if err != nil {
 		return nil, err
 	}
 	defer m.close()
 
-	group := make([]arcSlot, 0, 1024)
-	var buf [8]byte
+	// The current vertex's arcs arrive in seq order, so sorting the words
+	// neighbor<<32 | position orders them by (neighbor, seq): the first of
+	// equal neighbors is the first occurrence. weights is by position.
+	order := make([]uint64, 0, 1024)
+	var weights []float64
 	vcur := 0
 	flush := func(key int64) error {
-		if len(group) == 0 {
+		if len(order) == 0 {
 			return nil
 		}
 		// Keys arrive ascending, so the vertex cursor only moves forward;
@@ -457,17 +602,14 @@ func (b *Builder) mergeSpool(ids []int64, runs []string) (*csrScratch, error) {
 		for ids[vcur] != key {
 			vcur++
 		}
-		slices.SortFunc(group, func(a, c arcSlot) int {
-			if a.val != c.val {
-				return cmp.Compare(a.val, c.val)
-			}
-			return cmp.Compare(a.seq, c.seq)
-		})
+		slices.Sort(order)
 		kept := int64(0)
-		for i, s := range group {
-			if i > 0 && s.val == group[i-1].val {
+		prev := int32(-1)
+		for _, o := range order {
+			v := int32(o >> 32)
+			if v == prev {
 				if !b.opts.DedupEdges {
-					a, c := key, ids[s.val]
+					a, c := key, ids[v]
 					if !b.directed && a > c {
 						a, c = c, a
 					}
@@ -475,21 +617,16 @@ func (b *Builder) mergeSpool(ids []int64, runs []string) (*csrScratch, error) {
 				}
 				continue
 			}
-			binary.LittleEndian.PutUint32(buf[:4], uint32(s.val))
-			if _, err := adjW.Write(buf[:4]); err != nil {
-				return fmt.Errorf("graph: spill merge: %w", err)
-			}
-			if wW != nil {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(s.w))
-				if _, err := wW.Write(buf[:]); err != nil {
-					return fmt.Errorf("graph: spill merge: %w", err)
-				}
+			prev = v
+			adj.put32(uint32(v))
+			if b.weighted {
+				wgt.put64(math.Float64bits(weights[uint32(o)]))
 			}
 			kept++
 		}
 		cs.off[vcur+1] = kept
 		cs.arcs += kept
-		group = group[:0]
+		order, weights = order[:0], weights[:0]
 		return nil
 	}
 
@@ -499,17 +636,20 @@ func (b *Builder) mergeSpool(ids []int64, runs []string) (*csrScratch, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(group) > 0 && rec.key != curKey {
+		if len(order) > 0 && rec.key != curKey {
 			if err := flush(curKey); err != nil {
 				return nil, err
 			}
 		}
 		curKey = rec.key
-		v, ok := slices.BinarySearch(ids, rec.val)
+		v, ok := index[rec.val]
 		if !ok {
 			return nil, fmt.Errorf("graph: spill merge: arc value %d missing from identifier table", rec.val)
 		}
-		group = append(group, arcSlot{val: int32(v), seq: rec.seq, w: rec.w})
+		order = append(order, uint64(v)<<32|uint64(len(order)))
+		if b.weighted {
+			weights = append(weights, rec.w)
+		}
 	}
 	if err := flush(curKey); err != nil {
 		return nil, err
@@ -518,11 +658,11 @@ func (b *Builder) mergeSpool(ids []int64, runs []string) (*csrScratch, error) {
 	for v := 0; v < len(ids); v++ {
 		cs.off[v+1] += cs.off[v]
 	}
-	if err := adjW.Flush(); err != nil {
+	if err := adj.flush(); err != nil {
 		return nil, fmt.Errorf("graph: spill merge: %w", err)
 	}
-	if wW != nil {
-		if err := wW.Flush(); err != nil {
+	if b.weighted {
+		if err := wgt.flush(); err != nil {
 			return nil, fmt.Errorf("graph: spill merge: %w", err)
 		}
 	}
@@ -550,11 +690,12 @@ func fileSection(path string, size int64) v2SectionSource {
 
 // BuildTo builds the graph directly into a v2 snapshot at path. For a
 // spill-configured builder this is the out-of-core path: flush the
-// remaining buffers, derive the identifier table, merge each spool into
-// CSR scratch files, and compose the final page-aligned snapshot — all
-// without ever materializing the arc arrays in memory. The output is
-// byte-identical to Build + WriteSnapshotFile. Builders without spill
-// configured simply build in memory and write the snapshot.
+// remaining buffers, derive the identifier table from the gathered key
+// set, merge each spool into CSR scratch files, and compose the final
+// page-aligned snapshot — all without ever materializing the arc arrays
+// in memory. The output is byte-identical to Build + WriteSnapshotFile.
+// Builders without spill configured simply build in memory and write the
+// snapshot.
 //
 // The builder must not be reused after BuildTo.
 func (b *Builder) BuildTo(path string) error {
@@ -573,6 +714,8 @@ func (b *Builder) BuildTo(path string) error {
 	if err := sp.flushBoth(); err != nil {
 		return err
 	}
+	// Every arc is on disk: the budget's arrays are not needed again.
+	sp.out.buf, sp.in.buf, sp.scratch = nil, nil, nil
 	if err := sp.ensureDir(); err != nil { // no edges at all still needs scratch space
 		return err
 	}
@@ -581,13 +724,15 @@ func (b *Builder) BuildTo(path string) error {
 	if err != nil {
 		return err
 	}
-	out, err := b.mergeSpool(ids, sp.out.runs)
+	sp.keys, sp.keysTmp = nil, nil
+	index := idIndex(ids)
+	out, err := b.mergeSpool(ids, index, sp.out.runs)
 	if err != nil {
 		return err
 	}
 	var in *csrScratch
 	if b.directed {
-		if in, err = b.mergeSpool(ids, sp.in.runs); err != nil {
+		if in, err = b.mergeSpool(ids, index, sp.in.runs); err != nil {
 			return err
 		}
 	}

@@ -3,12 +3,15 @@ package graph_test
 import (
 	"errors"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"graphalytics/internal/graph"
+	"graphalytics/internal/graph500"
 )
 
 // feedFixture drives the same deterministic edge stream into any builder.
@@ -27,6 +30,62 @@ func feedFixture(b *graph.Builder, edges int, weighted bool) {
 	}
 }
 
+// feedIDs adds edges between identifiers drawn by id.
+func feedIDs(b *graph.Builder, weighted bool, edges int, id func(*rand.Rand) int64) {
+	rng := rand.New(rand.NewSource(977))
+	for i := 0; i < edges; i++ {
+		src, dst := id(rng), id(rng)
+		if weighted {
+			b.AddWeightedEdge(src, dst, float64(i%97)/7)
+		} else {
+			b.AddEdge(src, dst)
+		}
+	}
+}
+
+// streamFixtures are the edge streams the equivalence test builds both
+// ways. Past the random one they aim at the run sort's edge cases.
+var streamFixtures = []struct {
+	name string
+	feed func(b *graph.Builder, weighted bool)
+}{
+	{"random", func(b *graph.Builder, weighted bool) { feedFixture(b, 6000, weighted) }},
+	// Negative ids order before non-negative ones only through the sign
+	// flip of the radix key.
+	{"negative", func(b *graph.Builder, weighted bool) {
+		b.AddVertex(-1 << 40)
+		feedIDs(b, weighted, 3000, func(rng *rand.Rand) int64 { return rng.Int63n(900) - 600 })
+	}},
+	// Ids of both signs with magnitudes >= 2^56 and the int64 extremes:
+	// all eight digits vary.
+	{"wide", func(b *graph.Builder, weighted bool) {
+		rng := rand.New(rand.NewSource(31))
+		pool := []int64{math.MinInt64, math.MaxInt64, 1 << 56, -1 << 56}
+		for len(pool) < 300 {
+			pool = append(pool, int64(rng.Uint64()))
+		}
+		feedIDs(b, weighted, 3000, func(rng *rand.Rand) int64 { return pool[rng.Intn(len(pool))] })
+	}},
+	// One hub: in a directed build the out-runs of the first half and the
+	// in-runs of the second hold a single key, so every digit is skipped.
+	{"star", func(b *graph.Builder, weighted bool) {
+		const hub = 7
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 3000; i++ {
+			src, dst := int64(hub), rng.Int63n(2000)+8
+			if i >= 1500 {
+				src, dst = dst, src
+			}
+			b.AddWeightedEdge(src, dst, float64(i%13))
+		}
+	}},
+	// A single edge: single-record runs (two records undirected).
+	{"one-edge", func(b *graph.Builder, weighted bool) {
+		b.AddVertex(0)
+		b.AddWeightedEdge(3, -3, 1.5)
+	}},
+}
+
 func fileCRC(t *testing.T, path string) uint32 {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -39,48 +98,90 @@ func fileCRC(t *testing.T, path string) uint32 {
 // The tentpole determinism claim: BuildTo through spilled runs produces a
 // byte-identical snapshot to the in-memory Build + WriteSnapshotFile, at
 // any worker count and any spill budget. The tiny budgets force many
-// runs, exercising the k-way merge hard.
+// runs, exercising the k-way merge hard; 1 << 12 is the one-page minimum.
 func TestBuildToMatchesInMemoryBuild(t *testing.T) {
-	const edges = 6000
-	for _, directed := range []bool{true, false} {
-		for _, weighted := range []bool{true, false} {
-			// Reference: in-memory build, written as v2.
-			ref := graph.NewBuilder(directed, weighted)
-			ref.SetOptions(graph.BuildOptions{DedupEdges: true, DropSelfLoops: true})
-			feedFixture(ref, edges, weighted)
-			want, err := ref.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir := t.TempDir()
-			refPath := filepath.Join(dir, "ref.snap")
-			if err := graph.WriteSnapshotFile(refPath, want); err != nil {
-				t.Fatal(err)
-			}
-			wantCRC := fileCRC(t, refPath)
-
-			for _, workers := range []int{1, 2, 8} {
-				for _, budget := range []int64{1 << 12, 1 << 14, 1 << 20} {
-					b := graph.NewBuilder(directed, weighted)
-					b.SetOptions(graph.BuildOptions{DedupEdges: true, DropSelfLoops: true})
-					b.SetSpill(graph.SpillOptions{Dir: dir, BudgetBytes: budget, Workers: workers})
-					feedFixture(b, edges, weighted)
-					got := filepath.Join(dir, "got.snap")
-					if err := b.BuildTo(got); err != nil {
-						t.Fatalf("directed=%v weighted=%v workers=%d budget=%d: %v",
-							directed, weighted, workers, budget, err)
-					}
-					if crc := fileCRC(t, got); crc != wantCRC {
-						t.Fatalf("directed=%v weighted=%v workers=%d budget=%d: snapshot CRC %08x, want %08x",
-							directed, weighted, workers, budget, crc, wantCRC)
-					}
-					g, err := graph.ReadSnapshotFile(got)
+	for _, fx := range streamFixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			for _, directed := range []bool{true, false} {
+				for _, weighted := range []bool{true, false} {
+					// Reference: in-memory build, written as v2.
+					ref := graph.NewBuilder(directed, weighted)
+					ref.SetOptions(graph.BuildOptions{DedupEdges: true, DropSelfLoops: true})
+					fx.feed(ref, weighted)
+					want, err := ref.Build()
 					if err != nil {
 						t.Fatal(err)
 					}
-					assertGraphsEqual(t, g, want)
+					dir := t.TempDir()
+					refPath := filepath.Join(dir, "ref.snap")
+					if err := graph.WriteSnapshotFile(refPath, want); err != nil {
+						t.Fatal(err)
+					}
+					wantCRC := fileCRC(t, refPath)
+
+					for _, workers := range []int{1, 2, 8} {
+						for _, budget := range []int64{1 << 12, 1 << 14, 1 << 20} {
+							b := graph.NewBuilder(directed, weighted)
+							b.SetOptions(graph.BuildOptions{DedupEdges: true, DropSelfLoops: true})
+							b.SetSpill(graph.SpillOptions{Dir: dir, BudgetBytes: budget, Workers: workers})
+							fx.feed(b, weighted)
+							got := filepath.Join(dir, "got.snap")
+							if err := b.BuildTo(got); err != nil {
+								t.Fatalf("directed=%v weighted=%v workers=%d budget=%d: %v",
+									directed, weighted, workers, budget, err)
+							}
+							if crc := fileCRC(t, got); crc != wantCRC {
+								t.Fatalf("directed=%v weighted=%v workers=%d budget=%d: snapshot CRC %08x, want %08x",
+									directed, weighted, workers, budget, crc, wantCRC)
+							}
+							g, err := graph.ReadSnapshotFile(got)
+							if err != nil {
+								t.Fatal(err)
+							}
+							assertGraphsEqual(t, g, want)
+						}
+					}
 				}
 			}
+		})
+	}
+}
+
+// The streamed path allocates per run, never per edge: ten times the
+// edges through the same budget means ten times the runs and about ten
+// times a small per-run count, not the millions of objects one per record
+// per pass came to.
+func TestBuildToAllocsIndependentOfEdges(t *testing.T) {
+	build := func(edgeFactor int) (allocs uint64, runs int) {
+		dir := t.TempDir()
+		b := graph.NewBuilder(false, true).SetSpill(graph.SpillOptions{Dir: dir, BudgetBytes: 64 << 10, Workers: 2})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := graph500.Into(graph500.Config{Scale: 10, EdgeFactor: edgeFactor, Seed: 3, Weighted: true}, b); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		allocs = after.Mallocs - before.Mallocs
+		spills, err := filepath.Glob(filepath.Join(dir, "*", "run-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		if err := b.BuildTo(filepath.Join(t.TempDir(), "g.snap")); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return allocs + after.Mallocs - before.Mallocs, len(spills)
+	}
+	// Measured at 2 workers: ≈38 per run (run file, sort fan-out, reader)
+	// and ≈190 fixed (identifier table and index, section writers).
+	const perRun, fixed = 64, 1000
+	for _, ef := range []int{4, 40} {
+		allocs, runs := build(ef)
+		t.Logf("edge factor %d: %d runs, %d allocations", ef, runs, allocs)
+		if allocs > perRun*uint64(runs)+fixed {
+			t.Errorf("edge factor %d: %d allocations for %d runs, want <= %d·runs + %d",
+				ef, allocs, runs, perRun, fixed)
 		}
 	}
 }
