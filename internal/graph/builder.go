@@ -3,8 +3,8 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 
 	"graphalytics/internal/par"
 )
@@ -128,6 +128,9 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, errors.New("graph: builder has spill configured; use BuildTo")
 	}
 	ids := b.collectIDs()
+	if err := checkIndexSpace(len(ids)); err != nil {
+		return nil, err
+	}
 	index := idIndex(ids)
 
 	// Translate endpoints to internal indices in parallel chunks. Dropped
@@ -289,6 +292,7 @@ func (b *Builder) buildCSR(ids []int64, keys, vals []int32, w []float64, both bo
 	dupTotals := make([]int64, p)
 	serrs := make([]error, p)
 	par.Chunks(n, p, func(wk, lo, hi int) {
+		var sc adjSortScratch
 		for v := lo; v < hi; v++ {
 			s, e := off[v], off[v+1]
 			seg := adj[s:e]
@@ -296,7 +300,7 @@ func (b *Builder) buildCSR(ids []int64, keys, vals []int32, w []float64, both bo
 				continue
 			}
 			if ows != nil {
-				sortAdjStable(seg, ows[s:e])
+				sc.sortStable(seg, ows[s:e])
 			} else {
 				slices.Sort(seg)
 			}
@@ -387,10 +391,31 @@ func idIndex(ids []int64) map[int64]int32 {
 	return index
 }
 
-// sortAdjStable sorts an adjacency segment and its parallel weight segment
+// checkIndexSpace rejects an identifier table too large for the int32
+// internal indices of the CSR arrays. Build and BuildTo both call it, so
+// the two paths fail alike.
+func checkIndexSpace(vertices int) error {
+	if int64(vertices) > math.MaxInt32 {
+		return fmt.Errorf("graph: %d vertices exceed int32 index space", vertices)
+	}
+	return nil
+}
+
+// adjSortScratch is one worker's reusable storage for sortStable.
+type adjSortScratch struct {
+	order []uint64
+	w     []float64
+}
+
+// sortStable sorts an adjacency segment and its parallel weight segment
 // together by neighbor index, stably. Small segments — the overwhelming
 // majority under power-law degree distributions — use insertion sort.
-func sortAdjStable(adj []int32, w []float64) {
+// Longer ones sort the words neighbor<<32 | position, which orders equal
+// neighbors by position: the rule mergeSpool applies to streamed builds,
+// so both paths keep the same first occurrence.
+//
+//graphalint:noalloc
+func (sc *adjSortScratch) sortStable(adj []int32, w []float64) {
 	if len(adj) <= 24 {
 		for i := 1; i < len(adj); i++ {
 			a, x := adj[i], w[i]
@@ -403,19 +428,14 @@ func sortAdjStable(adj []int32, w []float64) {
 		}
 		return
 	}
-	sort.Stable(&adjWeightSorter{adj: adj, w: w})
-}
-
-// adjWeightSorter sorts an adjacency segment and its parallel weight
-// segment together by neighbor index.
-type adjWeightSorter struct {
-	adj []int32
-	w   []float64
-}
-
-func (s *adjWeightSorter) Len() int           { return len(s.adj) }
-func (s *adjWeightSorter) Less(i, j int) bool { return s.adj[i] < s.adj[j] }
-func (s *adjWeightSorter) Swap(i, j int) {
-	s.adj[i], s.adj[j] = s.adj[j], s.adj[i]
-	s.w[i], s.w[j] = s.w[j], s.w[i]
+	sc.order = sc.order[:0]
+	for i, a := range adj {
+		sc.order = append(sc.order, uint64(a)<<32|uint64(i))
+	}
+	slices.Sort(sc.order)
+	sc.w = append(sc.w[:0], w...)
+	for i, o := range sc.order {
+		adj[i] = int32(o >> 32)
+		w[i] = sc.w[uint32(o)]
+	}
 }

@@ -538,8 +538,8 @@ func (b *Builder) spillIDs() ([]int64, error) {
 			ids = append(ids, id)
 		}
 	}
-	if int64(len(ids)) > math.MaxInt32 {
-		return nil, fmt.Errorf("graph: %d vertices exceed int32 index space", len(ids))
+	if err := checkIndexSpace(len(ids)); err != nil {
+		return nil, err
 	}
 	return ids, nil
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"graphalytics/internal/graph"
+	"graphalytics/internal/par"
 	"graphalytics/internal/xrand"
 )
 
@@ -62,12 +63,19 @@ func Generate(cfg Config) (*graph.Graph, error) {
 	return g, nil
 }
 
-// Into streams the Kronecker graph for the configuration into b, one
-// edge at a time, never materializing the edge list: the only O(n)
-// state is the vertex relabeling permutation. Feeding a spill-configured
-// builder (Builder.SetSpill + BuildTo) assembles the graph out-of-core;
-// the RNG sequence and edge insertion order are identical to Generate's,
-// so both paths produce the same graph bit for bit.
+// Into streams the Kronecker graph for the configuration into b, never
+// materializing the edge list: the only O(n) state is the vertex
+// relabeling permutation, and edges are generated in rounds of fixed-size
+// blocks, one block per worker, so the extra memory is O(P·genBlock)
+// edges for P workers. Each round is handed to b in edge order before the
+// next is generated. Feeding a spill-configured builder (Builder.SetSpill
+// + BuildTo) therefore assembles the graph out-of-core.
+//
+// The edges, their weights and their order are those of one sequential
+// xrand stream, at any worker count: edge i always takes exactly
+// Scale (+1 when weighted) draws, so its draws start at a position Skip
+// reaches in O(1). Generate and Into therefore produce the same graph bit
+// for bit, whatever GOMAXPROCS is.
 func Into(cfg Config, b *graph.Builder) error {
 	cfg = cfg.withDefaults()
 	if cfg.Scale < 1 || cfg.Scale > 30 {
@@ -90,33 +98,78 @@ func Into(cfg Config, b *graph.Builder) error {
 	for v := 0; v < n; v++ {
 		b.AddVertex(int64(v))
 	}
-	for i := int64(0); i < m; i++ {
-		src, dst := rmatEdge(rng, cfg)
-		var w float64
-		if cfg.Weighted {
-			w = rng.Float64() + 1.0/(1<<16) // avoid zero-weight edges
+
+	// The edge stream starts where the permutation left the generator.
+	base := *rng
+	p := par.Workers(int(m))
+	buf := make([]graph.Edge, min(int64(p*genBlock), m))
+	for lo := int64(0); lo < m; lo += int64(len(buf)) {
+		round := buf[:min(int64(len(buf)), m-lo)]
+		blocks := (len(round) + genBlock - 1) / genBlock
+		par.Chunks(blocks, p, func(_, blo, bhi int) {
+			for k := blo; k < bhi; k++ {
+				s, e := k*genBlock, min((k+1)*genBlock, len(round))
+				genEdges(round[s:e], base, lo+int64(s), cfg, perm)
+			}
+		})
+		for _, e := range round {
+			b.AddWeightedEdge(e.Src, e.Dst, e.Weight)
 		}
-		b.AddWeightedEdge(int64(perm[src]), int64(perm[dst]), w)
 	}
 	return nil
 }
 
-// rmatEdge samples one edge by recursive quadrant descent.
+// genBlock is the number of edges one worker generates per block.
+const genBlock = 1 << 14
+
+// genEdges fills out with edges first, first+1, ... of the edge stream
+// that starts at rng. Every edge takes exactly Scale draws for its
+// quadrant descent plus one for its weight, so edge i's draws start
+// i·draws past the stream's start: rmatEdge must never take a
+// data-dependent number of draws (a rejection step, say), or Skip would
+// land mid-edge and the output would change with the worker count —
+// TestGenerateGolden pins it.
+//
+//graphalint:noalloc
+func genEdges(out []graph.Edge, rng xrand.Rand, first int64, cfg Config, perm []int) {
+	draws := uint64(cfg.Scale)
+	if cfg.Weighted {
+		draws++
+	}
+	rng.Skip(uint64(first) * draws)
+	for i := range out {
+		src, dst := rmatEdge(&rng, cfg)
+		var w float64
+		if cfg.Weighted {
+			w = rng.Float64() + 1.0/(1<<16) // avoid zero-weight edges
+		}
+		e := &out[i]
+		e.Src, e.Dst, e.Weight = int64(perm[src]), int64(perm[dst]), w
+	}
+}
+
+// rmatEdge samples one edge by recursive quadrant descent: at each level
+// the first of u < A, u < A+B, u < A+B+C that holds picks the top-left,
+// top-right (dst bit) or bottom-left (src bit) quadrant, and none of them
+// the bottom-right (both bits). The choice is computed without branches,
+// because a branch on a random draw mispredicts about half the time and
+// cost more than the draw itself.
 func rmatEdge(rng *xrand.Rand, cfg Config) (int, int) {
+	a, ab, abc := cfg.A, cfg.A+cfg.B, cfg.A+cfg.B+cfg.C
 	src, dst := 0, 0
 	for level := 0; level < cfg.Scale; level++ {
 		u := rng.Float64()
-		switch {
-		case u < cfg.A:
-			// top-left: no bits set
-		case u < cfg.A+cfg.B:
-			dst |= 1 << level
-		case u < cfg.A+cfg.B+cfg.C:
-			src |= 1 << level
-		default:
-			src |= 1 << level
-			dst |= 1 << level
-		}
+		pastA, pastAB, pastABC := bit(!(u < a)), bit(!(u < ab)), bit(!(u < abc))
+		src |= (pastA & pastAB) << level
+		dst |= (pastA & ((1 - pastAB) | pastABC)) << level
 	}
 	return src, dst
+}
+
+// bit is 1 for true and 0 for false.
+func bit(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -8,14 +8,15 @@ const module = "graphalytics"
 // determinismPkgs carry the bit-identical-at-any-worker-count contract
 // (see internal/par's package comment): the parallel runtime itself, the
 // reference kernels and their shared step bodies, the zero-alloc message
-// plane, the CSR builder, the engine driver in internal/platform, and
-// every engine under internal/platforms. A trailing "/" marks a prefix
-// that covers all subpackages.
+// plane, the CSR builder, the parallel Graph500 generator, the engine
+// driver in internal/platform, and every engine under internal/platforms.
+// A trailing "/" marks a prefix that covers all subpackages.
 var determinismPkgs = []string{
 	module + "/internal/par",
 	module + "/internal/mplane",
 	module + "/internal/algorithms",
 	module + "/internal/graph",
+	module + "/internal/graph500",
 	module + "/internal/platform",
 	module + "/internal/platforms",
 	module + "/internal/platforms/",

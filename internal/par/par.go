@@ -146,70 +146,92 @@ func SumBlocked(n, p int, sum func(lo, hi int) float64) float64 {
 	return total
 }
 
+// radixSortMin is the input length below which SortInt64s hands the slice
+// to slices.Sort: a radix pass's scratch array and histograms cost more
+// than they save on the small identifier sets of tiny graphs.
+const radixSortMin = 1 << 12
+
 // SortInt64s sorts a ascending and returns the sorted slice, which may be
-// a (possibly different) buffer than the input: large inputs are sorted as
-// parallel chunks and merged level by level between two buffers.
+// a different buffer than the input. Inputs of radixSortMin keys or more
+// take an LSD radix sort over the 8-bit digits of the sign-flipped key,
+// scattering between a and one scratch array; digits every key shares are
+// skipped, so keys below 2^17 take three passes, not eight. Each pass
+// counts and scatters per worker over Chunks, placing worker w's keys of
+// digit d after every smaller digit and after the keys of d in lower
+// workers' chunks: every pass is stable, so the result is the same for
+// any worker count (as it must be: a sorted sequence of integers is
+// unique).
 func SortInt64s(a []int64) []int64 {
-	p := Workers(len(a))
-	if p == 1 {
+	if len(a) < radixSortMin {
 		slices.Sort(a)
 		return a
 	}
-	// Sort p chunks in parallel, then merge pairs of runs — also in
-	// parallel — until one run remains.
-	// Run boundaries are the same chunk geometry the parallel sort uses,
-	// so every run the merge sees was sorted as one piece.
-	bounds := make([]int, p+1)
-	for w := 0; w < p; w++ {
-		bounds[w], _ = ChunkRange(len(a), p, w)
+	p := Workers(len(a))
+	parts := Accumulate(len(a), p, func(_, lo, hi int) uint64 { return bitsDiffering(a[lo:hi], a[0]) })
+	var diff uint64
+	for _, d := range parts {
+		diff |= d
 	}
-	bounds[p] = len(a)
-	Chunks(len(a), p, func(_, lo, hi int) { slices.Sort(a[lo:hi]) })
-
-	buf := make([]int64, len(a))
-	for len(bounds) > 2 {
-		next := []int{bounds[0]}
-		var wg sync.WaitGroup
-		i := 0
-		for ; i+2 < len(bounds); i += 2 {
-			lo, mid, hi := bounds[i], bounds[i+1], bounds[i+2]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				mergeInt64s(buf[lo:hi], a[lo:mid], a[mid:hi])
-			}()
-			next = append(next, hi)
+	if diff == 0 {
+		return a
+	}
+	tmp := make([]int64, len(a))
+	counts := make([][256]int, p)
+	for shift := uint(0); shift < 64; shift += 8 {
+		if (diff>>shift)&0xff == 0 {
+			continue
 		}
-		if i+1 < len(bounds) {
-			// Odd run out: carry it into the next level unmerged.
-			lo, hi := bounds[i], bounds[i+1]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				copy(buf[lo:hi], a[lo:hi])
-			}()
-			next = append(next, hi)
+		clear(counts) // they hold the previous pass's cursors
+		Chunks(len(a), p, func(w, lo, hi int) { countDigits(a[lo:hi], &counts[w], shift) })
+		pos := 0
+		for d := range 256 {
+			for w := range counts {
+				c := counts[w][d]
+				counts[w][d] = pos
+				pos += c
+			}
 		}
-		wg.Wait()
-		a, buf = buf, a
-		bounds = next
+		Chunks(len(a), p, func(w, lo, hi int) { scatterDigits(a[lo:hi], tmp, &counts[w], shift) })
+		a, tmp = tmp, a
 	}
 	return a
 }
 
-// mergeInt64s merges two sorted runs into dst; len(dst) == len(x)+len(y).
-func mergeInt64s(dst, x, y []int64) {
-	i, j, k := 0, 0, 0
-	for i < len(x) && j < len(y) {
-		if x[i] <= y[j] {
-			dst[k] = x[i]
-			i++
-		} else {
-			dst[k] = y[j]
-			j++
-		}
-		k++
+// bitsDiffering ORs together every key's bits that differ from first: a
+// digit that is zero in the result is shared by all keys.
+//
+//graphalint:noalloc
+func bitsDiffering(keys []int64, first int64) uint64 {
+	var d uint64
+	for _, k := range keys {
+		d |= uint64(k ^ first)
 	}
-	copy(dst[k:], x[i:])
-	copy(dst[k+len(x)-i:], y[j:])
+	return d
+}
+
+// digit is the 8-bit digit at shift of the sign-flipped key, so negative
+// keys order before non-negative ones.
+func digit(key int64, shift uint) uint8 {
+	return uint8((uint64(key) ^ 1<<63) >> shift)
+}
+
+// countDigits adds the keys' digits at shift to the histogram c.
+//
+//graphalint:noalloc
+func countDigits(keys []int64, c *[256]int, shift uint) {
+	for _, k := range keys {
+		c[digit(k, shift)]++
+	}
+}
+
+// scatterDigits places every key at its digit's cursor in dst and advances
+// the cursor.
+//
+//graphalint:noalloc
+func scatterDigits(keys, dst []int64, pos *[256]int, shift uint) {
+	for _, k := range keys {
+		d := digit(k, shift)
+		dst[pos[d]] = k
+		pos[d]++
+	}
 }

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -143,19 +144,45 @@ func TestSumBlockedWorkerInvariance(t *testing.T) {
 	}
 }
 
-func TestSortInt64s(t *testing.T) {
-	forceProcs(t, 4)
-	for _, n := range []int{0, 1, 100, MinGrain, 3*MinGrain + 17, 20 * MinGrain} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		a := make([]int64, n)
-		for i := range a {
-			a[i] = rng.Int63n(int64(n/2 + 1))
-		}
-		want := append([]int64(nil), a...)
-		slices.Sort(want)
-		got := SortInt64s(a)
-		if !slices.Equal(got, want) {
-			t.Fatalf("n=%d: parallel sort disagrees with slices.Sort", n)
+// TestSortInt64sMatchesSlicesSort holds the radix sort to slices.Sort on
+// the inputs its sign flip and digit skipping could get wrong, on both
+// sides of radixSortMin and large enough for eight workers.
+func TestSortInt64sMatchesSlicesSort(t *testing.T) {
+	inputs := []struct {
+		name string
+		gen  func(rng *rand.Rand, i, n int) int64
+	}{
+		{"equal", func(_ *rand.Rand, _, _ int) int64 { return -42 }},
+		{"sorted", func(_ *rand.Rand, i, _ int) int64 { return int64(i) * 3 }},
+		{"reversed", func(_ *rand.Rand, i, n int) int64 { return int64(n - i) }},
+		{"negative", func(rng *rand.Rand, _, _ int) int64 { return -1 - rng.Int63n(1<<40) }},
+		{"duplicates", func(rng *rand.Rand, _, n int) int64 { return rng.Int63n(int64(n/2 + 1)) }},
+		{"graph500-ids", func(rng *rand.Rand, _, _ int) int64 { return rng.Int63n(1 << 17) }},
+		{"all-digits", func(rng *rand.Rand, i, _ int) int64 {
+			switch i % 5 {
+			case 0:
+				return math.MinInt64
+			case 1:
+				return math.MaxInt64
+			}
+			return int64(rng.Uint64())
+		}},
+	}
+	for _, procs := range []int{1, 2, 8} {
+		forceProcs(t, procs)
+		for _, n := range []int{0, 1, radixSortMin - 1, radixSortMin, 20 * MinGrain} {
+			for _, in := range inputs {
+				rng := rand.New(rand.NewSource(int64(n)))
+				a := make([]int64, n)
+				for i := range a {
+					a[i] = in.gen(rng, i, n)
+				}
+				want := slices.Clone(a)
+				slices.Sort(want)
+				if got := SortInt64s(a); !slices.Equal(got, want) {
+					t.Fatalf("GOMAXPROCS=%d n=%d %s: SortInt64s disagrees with slices.Sort", procs, n, in.name)
+				}
+			}
 		}
 	}
 }

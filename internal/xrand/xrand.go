@@ -23,11 +23,21 @@ func (r *Rand) Fork(stream uint64) *Rand {
 	return New(Mix(r.state ^ Mix(stream)))
 }
 
+// gamma is SplitMix64's Weyl increment: every draw adds it to the state.
+const gamma = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	return Mix(r.state)
 }
+
+// Skip advances the generator past the next n draws in O(1): the state is
+// a Weyl sequence, so n steps add n·gamma (mod 2^64). A consumer that
+// takes a fixed number of draws per item can therefore start the stream of
+// item i anywhere, which is what lets a sequential stream be generated in
+// parallel without changing a bit of it.
+func (r *Rand) Skip(n uint64) { r.state += n * gamma }
 
 // Mix is the SplitMix64 finalizer, usable directly as a hash.
 func Mix(z uint64) uint64 {

@@ -33,6 +33,35 @@ func TestForkIndependence(t *testing.T) {
 	}
 }
 
+// TestSkipMatchesDraws pins Skip to the stream it jumps over: Skip(n) lands
+// where n draws land, and jumps compose, also across the 2^64 wrap of the
+// state.
+func TestSkipMatchesDraws(t *testing.T) {
+	random := xrand.New(99).Uint64() % 5000
+	for _, n := range []uint64{0, 1, 2, 1000, random} {
+		drawn, skipped := xrand.New(17), xrand.New(17)
+		for i := uint64(0); i < n; i++ {
+			drawn.Uint64()
+		}
+		skipped.Skip(n)
+		for i := 0; i < 4; i++ {
+			if a, b := drawn.Uint64(), skipped.Uint64(); a != b {
+				t.Fatalf("n=%d: draw %d after Skip is %x, after %d draws %x", n, i, b, n, a)
+			}
+		}
+	}
+	for _, ab := range [][2]uint64{{0, 0}, {3, 5}, {1 << 63, 1 << 63}, {^uint64(0), 2}, {random << 50, ^uint64(0) - 7}} {
+		a, b := ab[0], ab[1]
+		split, joined := xrand.New(5), xrand.New(5)
+		split.Skip(a)
+		split.Skip(b)
+		joined.Skip(a + b) // wraps mod 2^64, as the state does
+		if x, y := split.Uint64(), joined.Uint64(); x != y {
+			t.Fatalf("Skip(%d) then Skip(%d) draws %x, Skip(a+b) draws %x", a, b, x, y)
+		}
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := xrand.New(seed)
