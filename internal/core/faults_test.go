@@ -22,14 +22,17 @@ import (
 type faultyPlatform struct {
 	platform.Platform
 	name string
-	mode string // "wrong-output", "error", "hang", "upload-error"
+	mode string // "wrong-output", "error", "hang", "panic", "upload-error", "upload-panic"
 }
 
 func (f *faultyPlatform) Name() string { return f.name }
 
 func (f *faultyPlatform) Upload(g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
-	if f.mode == "upload-error" {
+	switch f.mode {
+	case "upload-error":
 		return nil, &cluster.OOMError{Machine: 0, Requested: 1, Budget: 0}
+	case "upload-panic":
+		panic("injected upload panic")
 	}
 	return f.Platform.Upload(g, cfg)
 }
@@ -50,30 +53,33 @@ func (f *faultyPlatform) Execute(ctx context.Context, up platform.Uploaded, a al
 	case "hang":
 		<-ctx.Done()
 		return nil, ctx.Err()
+	case "panic":
+		if a == algorithms.BFS {
+			panic("injected engine panic")
+		}
+		fallthrough
 	default:
 		return f.Platform.Execute(ctx, up, a, p)
 	}
 }
 
-// registerFaulty registers a wrapper once per test binary.
+// registerFaulty registers a wrapper once per test binary. It wraps a
+// counting platform over native, returned with its counters reset.
 var faultyRegistered = map[string]bool{}
 
-func registerFaulty(t *testing.T, mode string) string {
+func registerFaulty(t *testing.T, mode string) (string, *countingPlatform) {
 	t.Helper()
 	name := "faulty-" + mode
+	c := registerCounting(t, "counted-"+mode, 0)
 	if !faultyRegistered[name] {
-		base, err := platform.Get("native")
-		if err != nil {
-			t.Fatal(err)
-		}
-		platform.Register(&faultyPlatform{Platform: base, name: name, mode: mode})
+		platform.Register(&faultyPlatform{Platform: c, name: name, mode: mode})
 		faultyRegistered[name] = true
 	}
-	return name
+	return name, c
 }
 
 func TestHarnessDetectsWrongOutput(t *testing.T) {
-	name := registerFaulty(t, "wrong-output")
+	name, _ := registerFaulty(t, "wrong-output")
 	s := newTestSession()
 	res, err := s.RunJob(context.Background(), core.JobSpec{Platform: name, Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1})
 	if err != nil {
@@ -88,7 +94,7 @@ func TestHarnessDetectsWrongOutput(t *testing.T) {
 }
 
 func TestHarnessClassifiesCrash(t *testing.T) {
-	name := registerFaulty(t, "error")
+	name, _ := registerFaulty(t, "error")
 	s := newTestSession()
 	res, err := s.RunJob(context.Background(), core.JobSpec{Platform: name, Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1})
 	if err != nil {
@@ -100,7 +106,7 @@ func TestHarnessClassifiesCrash(t *testing.T) {
 }
 
 func TestHarnessClassifiesHangAsSLABreak(t *testing.T) {
-	name := registerFaulty(t, "hang")
+	name, _ := registerFaulty(t, "hang")
 	s := newTestSession()
 	res, err := s.RunJob(context.Background(), core.JobSpec{
 		Platform: name, Dataset: "R1", Algorithm: algorithms.BFS,
@@ -115,7 +121,7 @@ func TestHarnessClassifiesHangAsSLABreak(t *testing.T) {
 }
 
 func TestHarnessClassifiesUploadOOM(t *testing.T) {
-	name := registerFaulty(t, "upload-error")
+	name, _ := registerFaulty(t, "upload-error")
 	s := newTestSession()
 	res, err := s.RunJob(context.Background(), core.JobSpec{Platform: name, Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1})
 	if err != nil {
@@ -123,6 +129,57 @@ func TestHarnessClassifiesUploadOOM(t *testing.T) {
 	}
 	if res.Status != core.StatusOOM {
 		t.Fatalf("status %s, want oom", res.Status)
+	}
+}
+
+// A panicking engine fails its jobs, never the harness. In a three-job
+// deployment, a panic in Upload fails all three jobs and leaves no handle
+// to Free; a panic in job 1's Execute fails that job alone, jobs 2 and 3
+// run on the shared upload, and the lease Frees it exactly once.
+func TestHarnessIsolatesEnginePanics(t *testing.T) {
+	for _, tc := range []struct {
+		mode           string
+		uploads, frees int64
+		failed         func(a algorithms.Algorithm) bool
+	}{
+		{"upload-panic", 0, 0, func(algorithms.Algorithm) bool { return true }},
+		{"panic", 1, 1, func(a algorithms.Algorithm) bool { return a == algorithms.BFS }},
+	} {
+		t.Run(tc.mode, func(t *testing.T) {
+			name, c := registerFaulty(t, tc.mode)
+			plan, err := core.CompileSpec(core.BenchSpec{
+				Name:       tc.mode,
+				Platforms:  []string{name},
+				Datasets:   core.DatasetSelector{IDs: []string{"R1"}},
+				Algorithms: []algorithms.Algorithm{algorithms.BFS, algorithms.PR, algorithms.WCC},
+				Configs:    []core.ResourceSpec{{Threads: 2, Machines: 1}},
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(plan.Deployments) != 1 || len(plan.Jobs) != 3 || plan.Jobs[0].Algorithm != algorithms.BFS {
+				t.Fatalf("want one deployment of three jobs, BFS first; got %d deployments, jobs %v", len(plan.Deployments), plan.Jobs)
+			}
+			results, err := newTestSession().RunPlan(context.Background(), plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, res := range results {
+				a := res.Spec.Algorithm
+				switch {
+				case tc.failed(a) && (res.Status != core.StatusFailed || !strings.HasPrefix(res.Error, "panic: ")):
+					t.Errorf("job %d (%s): status %s, error %q; want failed with a panic", i+1, a, res.Status, res.Error)
+				case !tc.failed(a) && res.Status != core.StatusOK:
+					t.Errorf("job %d (%s): status %s (%s), want ok", i+1, a, res.Status, res.Error)
+				}
+			}
+			if got := c.uploads.Load(); got != tc.uploads {
+				t.Errorf("%d uploads, want %d", got, tc.uploads)
+			}
+			if got := c.frees.Load(); got != tc.frees {
+				t.Errorf("%d frees, want %d", got, tc.frees)
+			}
+		})
 	}
 }
 

@@ -410,7 +410,7 @@ func (s *Session) execute(ctx context.Context, spec JobSpec, pos batchPos, lease
 		uctx, ucancel := context.WithTimeout(ctx, sla)
 		defer ucancel()
 		start := time.Now()
-		u, uerr := platform.UploadContext(uctx, p, g, cfg)
+		u, uerr := recovered(func() (platform.Uploaded, error) { return platform.UploadContext(uctx, p, g, cfg) })
 		dur := time.Since(start)
 		if uerr == nil {
 			s.emit(Event{Type: EventDeploymentUploaded, Spec: spec, Elapsed: dur})
@@ -435,7 +435,7 @@ func (s *Session) execute(ctx context.Context, spec JobSpec, pos batchPos, lease
 	}
 
 	execStart := time.Now()
-	out, err := p.Execute(jctx, up, spec.Algorithm, d.Params)
+	out, err := recovered(func() (*platform.Result, error) { return p.Execute(jctx, up, spec.Algorithm, d.Params) })
 	res.Makespan = time.Since(execStart)
 	if err != nil {
 		if ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
@@ -484,6 +484,24 @@ func (s *Session) execute(ctx context.Context, spec JobSpec, pos batchPos, lease
 	}
 	res.Status = StatusOK
 	return res, nil
+}
+
+// recovered makes a platform call whose panic fails the job instead of the
+// process: the panic becomes an error reading "panic: <value>", which
+// classifies as StatusFailed. It guards the session's two call sites, so
+// it covers every Platform, wrapped or third-party; a panic on a goroutine
+// the engine starts itself is beyond any caller's recover. The error does
+// not wrap the panic value, so what an engine panics with cannot pass for
+// a cancellation or an OOM, and it carries no stack, so result streams
+// stay identical from run to run.
+func recovered[T any](call func() (T, error)) (v T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			var zero T
+			v, err = zero, fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return call()
 }
 
 // RunAll executes independent jobs on a bounded worker pool and returns

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"graphalytics/internal/par"
@@ -147,7 +148,8 @@ func (b *Builder) Build() (*Graph, error) {
 	par.Chunks(m, p, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := b.edges[i]
-			s, d := index[e.Src], index[e.Dst]
+			s, _ := index.get(e.Src) // collectIDs saw every endpoint
+			d, _ := index.get(e.Dst)
 			if s == d {
 				if !b.opts.DropSelfLoops && terrs[w] == nil {
 					terrs[w] = fmt.Errorf("%w: vertex %d", ErrSelfLoop, e.Src)
@@ -310,11 +312,7 @@ func (b *Builder) buildCSR(ids []int64, keys, vals []int32, w []float64, both bo
 				}
 				if dups == nil {
 					if serrs[wk] == nil {
-						a, c := ids[v], ids[seg[i]]
-						if !b.directed && a > c {
-							a, c = c, a
-						}
-						serrs[wk] = fmt.Errorf("%w: (%d, %d)", ErrDuplicateEdge, a, c)
+						serrs[wk] = b.duplicateEdge(ids[v], ids[seg[i]])
 					}
 					break
 				}
@@ -362,6 +360,16 @@ func (b *Builder) buildCSR(ids []int64, keys, vals []int32, w []float64, both bo
 	return noff, nadj, nws, nil
 }
 
+// duplicateEdge is the strict-mode error for a repeated arc between the
+// ids a and c, named smaller id first when the graph is undirected. Build
+// and BuildTo both report through it, so their messages match.
+func (b *Builder) duplicateEdge(a, c int64) error {
+	if !b.directed && a > c {
+		a, c = c, a
+	}
+	return fmt.Errorf("%w: (%d, %d)", ErrDuplicateEdge, a, c)
+}
+
 // collectIDs gathers the distinct external identifiers from explicit
 // vertices and edge endpoints, sorted ascending.
 func (b *Builder) collectIDs() []int64 {
@@ -382,13 +390,67 @@ func (b *Builder) collectIDs() []int64 {
 	return ids
 }
 
-// idIndex maps every external identifier to its internal index.
-func idIndex(ids []int64) map[int64]int32 {
-	index := make(map[int64]int32, len(ids))
-	for i, id := range ids {
-		index[id] = int32(i)
+// idTable maps external identifiers to internal indices: open addressing
+// over parallel key and value arrays, a power-of-two size at most half
+// full, a multiplicative hash taking the product's top bits, and linear
+// probing. Both build paths translate every arc endpoint through it, so a
+// lookup is a hot-path cost: one shift, one multiply and, at half load,
+// about 1.3 probes of adjacent memory on a hit.
+type idTable struct {
+	keys  []int64
+	vals  []uint32 // internal index + 1; 0 marks an empty slot, so make needs no fill
+	shift uint     // 64 - log2(len(keys))
+	mask  int
+}
+
+// fibMul is 2^64 / φ, the multiplier of Fibonacci hashing, which spreads
+// consecutive ids evenly over the product's top bits.
+const fibMul = 0x9e3779b97f4a7c15
+
+// idIndex builds the lookup table of the sorted distinct identifiers ids.
+func idIndex(ids []int64) *idTable {
+	size := 2
+	for size < 2*len(ids) {
+		size <<= 1
 	}
-	return index
+	t := &idTable{
+		keys:  make([]int64, size),
+		vals:  make([]uint32, size),
+		shift: uint(64 - bits.TrailingZeros(uint(size))),
+		mask:  size - 1,
+	}
+	for i, id := range ids {
+		s := t.slot(id)
+		for t.vals[s] != 0 {
+			s = (s + 1) & t.mask
+		}
+		t.keys[s], t.vals[s] = id, uint32(i)+1
+	}
+	return t
+}
+
+// slot is id's home slot. The multiply alone maps ids spaced by a power of
+// two (multiples of 2^16, say) onto few slots, since it only carries bits
+// upward; folding the high bits down first keeps every stride from 2^0 to
+// 2^61 under four probes on average, dense or signed (TestIDTable pins
+// the sets a weak hash clusters).
+func (t *idTable) slot(id int64) int {
+	x := uint64(id)
+	return int(((x ^ x>>29) * fibMul) >> t.shift)
+}
+
+// get returns id's internal index; ok is false when id is not in the table.
+//
+//graphalint:noalloc
+func (t *idTable) get(id int64) (v int32, ok bool) {
+	for s := t.slot(id); ; s = (s + 1) & t.mask {
+		switch {
+		case t.vals[s] == 0:
+			return -1, false
+		case t.keys[s] == id:
+			return int32(t.vals[s] - 1), true
+		}
+	}
 }
 
 // checkIndexSpace rejects an identifier table too large for the int32

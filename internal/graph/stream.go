@@ -15,22 +15,30 @@ import (
 // Out-of-core build path. A spill-configured Builder never holds the full
 // edge list: AddEdge appends 32-byte arc records to a bounded in-memory
 // buffer that is radix-sorted by key (in parallel) and spilled to a temp
-// run file whenever it fills, and BuildTo k-way-merges the sorted runs
-// directly into the page-aligned v2 CSR sections on disk. Peak memory is
-// O(BudgetBytes + |V|): the identifier table, its hash index and the
+// run file whenever it fills, and BuildTo merges the sorted runs directly
+// into the page-aligned v2 CSR sections on disk. Peak memory is
+// O(BudgetBytes + |V|): the identifier table, its lookup table and the
 // offset arrays stay in RAM, the arcs never do.
+//
+// The merge is parallel by key range: the identifier table is cut into P
+// vertex ranges of about equal arc counts, and each worker k-way-merges
+// its slice of every run — found by binary search over the run file,
+// which holds fixed-width records sorted by key and so is its own index —
+// into section scratch files of its own, concatenated in worker order.
 //
 // Determinism: every arc carries seq, its global edge-insertion index, and
 // arcs enter a buffer in seq order. The run sort is a stable sort by key,
 // so every run comes out in (key, seq) order at any worker count; (key,
 // seq) pairs are unique (self-loops never spill), so the merge order is a
 // total order independent of run boundaries, worker counts and
-// scheduling. Within a destination vertex the merge yields arcs in
-// insertion order — exactly the order the in-memory counting sort
-// produces before its per-vertex sort — and the same per-vertex (neighbor,
-// seq) sort plus first-occurrence dedup runs on top. BuildTo output is
-// therefore byte-identical to Build + WriteSnapshotFile, which the
-// equivalence tests assert by CRC.
+// scheduling. A vertex's arcs all fall in one key range, so the range
+// split moves no arc between vertices: any split yields the same CSR.
+// Within a destination vertex the merge yields arcs in insertion order —
+// exactly the order the in-memory counting sort produces before its
+// per-vertex sort — and the same per-vertex (neighbor, seq) sort plus
+// first-occurrence dedup runs on top. BuildTo output is therefore
+// byte-identical to Build + WriteSnapshotFile, which the equivalence tests
+// assert by CRC.
 
 // SpillOptions configure the out-of-core build path; see Builder.SetSpill.
 type SpillOptions struct {
@@ -40,12 +48,14 @@ type SpillOptions struct {
 	Dir string
 	// BudgetBytes bounds the in-memory arc buffers and the radix-sort
 	// scratch together: both are allocated once, at exact capacity, on
-	// the first spilled edge, and their sum never exceeds the budget. <= 0
-	// selects the default (128 MiB); tiny values are clamped to one page
-	// of records.
+	// the first spilled edge, and their sum never exceeds the budget. The
+	// merge frees them and gives its read buffers the same budget, with a
+	// floor of one record per reader. <= 0 selects the default (128 MiB);
+	// tiny values are clamped to one page of records.
 	BudgetBytes int64
-	// Workers pins the worker count for run sorting; <= 0 means auto.
-	// Output bytes are identical at any worker count.
+	// Workers pins the worker count for run sorting and for the merge
+	// (capped at one worker per vertex); <= 0 means auto. Output bytes are
+	// identical at any worker count.
 	Workers int
 }
 
@@ -75,7 +85,16 @@ func cmpArc(a, b arcRec) int {
 // keyed by destination for the in-CSR).
 type spool struct {
 	buf  []arcRec
-	runs []string
+	runs []runFile
+}
+
+// runFile is one sorted run. The merge opens it once, and every merge
+// worker reads its slice through the shared *os.File with ReadAt, so a
+// merge holds one descriptor per run at any worker count.
+type runFile struct {
+	path string
+	recs int64
+	f    *os.File // open during the merge only
 }
 
 type spillState struct {
@@ -83,21 +102,23 @@ type spillState struct {
 	dir     string // private scratch dir, created lazily
 	runRecs int    // capacity of each spool buffer and of the scratch
 	out, in spool
-	scratch []arcRec   // radix scatter target, shared by the spools
-	counts  [][256]int // per-worker digit histograms
-	keys    []int64    // sorted distinct keys of every flushed run
-	keysTmp []int64    // merge target for keys
-	pages   [2][]byte  // encode buffers: runs and adjacency, weights
+	scratch []arcRec    // radix scatter target, shared by the spools
+	counts  [][256]int  // per-worker digit histograms
+	keys    []int64     // sorted distinct keys of every flushed run
+	keysTmp []int64     // merge target for keys
+	pages   [][2][]byte // per merge worker: adjacency, weights; runs use pages[0][0]
 	seq     uint64
 	err     error
 }
 
-// page returns pooled encode buffer i, allocating it on first use.
-func (sp *spillState) page(i int) []byte {
-	if sp.pages[i] == nil {
-		sp.pages[i] = make([]byte, 0, spillPageBytes)
+// page returns worker w's pooled encode buffer i, allocating it on first
+// use. Workers touch only their own entry, so sp.pages must already hold
+// one per worker.
+func (sp *spillState) page(w, i int) []byte {
+	if sp.pages[w][i] == nil {
+		sp.pages[w][i] = make([]byte, 0, spillPageBytes)
 	}
-	return sp.pages[i]
+	return sp.pages[w][i]
 }
 
 // SetSpill switches the builder to the out-of-core path: subsequent
@@ -121,7 +142,7 @@ func (b *Builder) SetSpill(opts SpillOptions) *Builder {
 	if b.directed {
 		arrays = 3
 	}
-	b.spill = &spillState{opts: opts, runRecs: recs / arrays}
+	b.spill = &spillState{opts: opts, runRecs: recs / arrays, pages: make([][2][]byte, 1)}
 	return b
 }
 
@@ -223,7 +244,7 @@ func (sp *spillState) flush(s *spool) error {
 	if err != nil {
 		return fmt.Errorf("graph: spill run: %w", err)
 	}
-	w := pageWriter{f: f, buf: sp.page(0)}
+	w := pageWriter{f: f, buf: sp.page(0, 0)}
 	for _, r := range sorted {
 		w.putRec(r)
 	}
@@ -234,7 +255,7 @@ func (sp *spillState) flush(s *spool) error {
 	if err != nil {
 		return fmt.Errorf("graph: spill run: %w", err)
 	}
-	s.runs = append(s.runs, f.Name())
+	s.runs = append(s.runs, runFile{path: f.Name(), recs: int64(n)})
 	return nil
 }
 
@@ -381,29 +402,124 @@ func (w *pageWriter) flush() error {
 	return w.err
 }
 
-// runReader streams one sorted run file through a buffer it owns.
-type runReader struct {
+// openSpillRuns opens every run for positional reads; closeSpillRuns
+// closes them.
+func openSpillRuns(runs []runFile) error {
+	for i := range runs {
+		f, err := os.Open(runs[i].path)
+		if err != nil {
+			closeSpillRuns(runs)
+			return fmt.Errorf("graph: spill run: %w", err)
+		}
+		runs[i].f = f
+	}
+	return nil
+}
+
+func closeSpillRuns(runs []runFile) {
+	for i := range runs {
+		if runs[i].f != nil {
+			runs[i].f.Close()
+			runs[i].f = nil
+		}
+	}
+}
+
+// lowerBound returns the position of the run's first record keyed key or
+// above, searching [lo, hi), which must bracket it. buf is the caller's
+// 8-byte probe buffer: reusing it keeps a probe allocation-free.
+func (r *runFile) lowerBound(key, lo, hi int64, buf []byte) (int64, error) {
+	for lo < hi {
+		mid := int64(uint64(lo+hi) >> 1)
+		if _, err := r.f.ReadAt(buf, mid*arcRecBytes); err != nil {
+			return 0, fmt.Errorf("graph: spill run %s: %w", r.path, err)
+		}
+		if int64(binary.LittleEndian.Uint64(buf)) < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, nil
+}
+
+// splitRuns cuts a merge into p key ranges of about equal arc counts.
+// Range w holds the vertices [bounds[w], bounds[w+1]) and, in every run r,
+// the records [cuts[w][r], cuts[w+1][r]): exactly the records keyed by its
+// vertices, since a run is sorted by key. Every vertex's arcs land in one
+// range whatever the bounds, so the split never changes the output bytes,
+// only the balance. Split w is the first vertex whose records start at or
+// past w/p of the arcs, found by a binary search over ids; a probe sums
+// the runs' lower bounds, each searched within the bracket the previous
+// probes left.
+func splitRuns(ids []int64, runs []runFile, p int) (bounds []int, cuts [][]int64, err error) {
+	var total int64
+	ends := make([]int64, len(runs))
+	for r := range runs {
+		total += runs[r].recs
+		ends[r] = runs[r].recs
+	}
+	bounds = make([]int, p+1)
+	cuts = make([][]int64, p+1)
+	cuts[0] = make([]int64, len(runs))
+	bounds[p], cuts[p] = len(ids), ends
+	buf := make([]byte, 8)
+	probe := make([]int64, len(runs))
+	for w := 1; w < p; w++ {
+		target := total * int64(w) / int64(p)
+		lo, hi := bounds[w-1], len(ids)
+		lower, upper := slices.Clone(cuts[w-1]), slices.Clone(ends)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			var below int64
+			for r := range runs {
+				if probe[r], err = runs[r].lowerBound(ids[mid], lower[r], upper[r], buf); err != nil {
+					return nil, nil, err
+				}
+				below += probe[r]
+			}
+			if below >= target {
+				hi = mid
+				copy(upper, probe)
+			} else {
+				lo = mid + 1
+				copy(lower, probe)
+			}
+		}
+		bounds[w], cuts[w] = lo, upper
+	}
+	return bounds, cuts, nil
+}
+
+// mergeBufRecs sizes each merge reader's buffer, in records, when p
+// workers each read every one of runs runs: the p·runs buffers share the
+// budget, with a floor of one record and a ceiling of one page each.
+func mergeBufRecs(budget int64, p, runs int) int {
+	recs := budget / arcRecBytes / int64(max(p*runs, 1))
+	return int(min(max(recs, 1), spillPageBytes/arcRecBytes))
+}
+
+// sectionReader streams the records [off, end) (byte offsets) of one run
+// through a buffer it owns, refilled by positional reads of the run file
+// every worker shares.
+type sectionReader struct {
 	f        *os.File
+	off, end int64
 	buf      []byte
-	pos, end int
+	pos, n   int // decode position and valid bytes in buf
 	cur      arcRec
 }
 
-// openRun opens a run of at most runRecs records.
-func openRun(path string, runRecs int) (*runReader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("graph: spill run: %w", err)
-	}
-	return &runReader{f: f, buf: make([]byte, min(spillPageBytes, runRecs*arcRecBytes))}, nil
-}
-
-// next decodes the following record into r.cur; ok is false at end of run.
+// next decodes the following record into r.cur; ok is false at the end of
+// the section.
 //
 //graphalint:noalloc
-func (r *runReader) next() (ok bool, err error) {
-	if r.pos == r.end {
-		if err := r.fill(); err != nil || r.end == 0 {
+func (r *sectionReader) next() (ok bool, err error) {
+	if r.pos == r.n {
+		if r.off == r.end {
+			return false, nil
+		}
+		if err := r.fill(); err != nil {
 			return false, err
 		}
 	}
@@ -418,102 +534,89 @@ func (r *runReader) next() (ok bool, err error) {
 	return true, nil
 }
 
-// fill reads the next bufferful of whole records; r.end is 0 at end of run.
-func (r *runReader) fill() error {
-	n, err := io.ReadFull(r.f, r.buf)
-	r.pos, r.end = 0, n
-	switch {
-	case err == io.EOF || err == nil:
-		return nil
-	case err == io.ErrUnexpectedEOF && n%arcRecBytes == 0:
-		return nil
-	case err == io.ErrUnexpectedEOF:
-		return fmt.Errorf("graph: spill run %s: truncated record", r.f.Name())
-	default:
-		return fmt.Errorf("graph: spill run: %w", err)
+// fill reads the next bufferful of the section. A run shorter than the
+// records its flush wrote fails here.
+func (r *sectionReader) fill() error {
+	n := int(min(int64(len(r.buf)), r.end-r.off))
+	if _, err := r.f.ReadAt(r.buf[:n], r.off); err != nil {
+		return fmt.Errorf("graph: spill run %s: %w", r.f.Name(), err)
 	}
+	r.off += int64(n)
+	r.pos, r.n = 0, n
+	return nil
 }
 
-func (r *runReader) close() { r.f.Close() }
-
-// kway merges sorted runs by (key, seq) with a binary heap. (key, seq)
-// uniqueness across runs makes the pop order a total order.
-type kway struct {
-	rs []*runReader
-}
-
-func newKWay(paths []string, runRecs int) (*kway, error) {
-	k := &kway{}
-	for _, p := range paths {
-		r, err := openRun(p, runRecs)
-		if err != nil {
-			k.close()
-			return nil, err
-		}
-		ok, err := r.next()
-		if err != nil {
-			r.close()
-			k.close()
-			return nil, err
-		}
-		if !ok {
-			r.close()
+// newSections returns a min-heap over the non-empty sections [from[r],
+// to[r]) of the runs, each reader primed with its first record. The
+// readers' buffers, bufRecs records each or the section if shorter, are
+// carved from one allocation.
+func newSections(runs []runFile, from, to []int64, bufRecs int) (mergeHeap, error) {
+	total := int64(0)
+	for r := range runs {
+		total += min(int64(bufRecs), to[r]-from[r])
+	}
+	backing := make([]byte, total*arcRecBytes)
+	readers := make([]sectionReader, len(runs))
+	h := make(mergeHeap, 0, len(runs))
+	for r := range runs {
+		recs := min(int64(bufRecs), to[r]-from[r])
+		if recs == 0 {
 			continue
 		}
-		k.rs = append(k.rs, r)
+		rd := &readers[r]
+		*rd = sectionReader{f: runs[r].f, off: from[r] * arcRecBytes, end: to[r] * arcRecBytes, buf: backing[:recs*arcRecBytes]}
+		backing = backing[recs*arcRecBytes:]
+		if _, err := rd.next(); err != nil {
+			return nil, err
+		}
+		h = append(h, rd)
 	}
-	for i := len(k.rs)/2 - 1; i >= 0; i-- {
-		k.siftDown(i)
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
 	}
-	return k, nil
+	return h, nil
 }
 
-func (k *kway) close() {
-	for _, r := range k.rs {
-		r.close()
-	}
-	k.rs = nil
-}
+// mergeHeap merges sorted sections by (key, seq) with a binary min-heap.
+// (key, seq) uniqueness across runs makes the pop order a total order.
+type mergeHeap []*sectionReader
 
-func (k *kway) empty() bool { return len(k.rs) == 0 }
-
-func (k *kway) less(i, j int) bool {
-	return cmpArc(k.rs[i].cur, k.rs[j].cur) < 0
-}
-
-// pop returns the smallest record and advances its run.
-func (k *kway) pop() (arcRec, error) {
-	rec := k.rs[0].cur
-	ok, err := k.rs[0].next()
+// pop returns the smallest record and advances its section.
+//
+//graphalint:noalloc
+func (h *mergeHeap) pop() (arcRec, error) {
+	s := *h
+	rec := s[0].cur
+	ok, err := s[0].next()
 	if err != nil {
 		return arcRec{}, err
 	}
 	if !ok {
-		k.rs[0].close()
-		last := len(k.rs) - 1
-		k.rs[0] = k.rs[last]
-		k.rs = k.rs[:last]
+		last := len(s) - 1
+		s[0] = s[last]
+		s = s[:last]
+		*h = s
 	}
-	if len(k.rs) > 0 {
-		k.siftDown(0)
+	if len(s) > 0 {
+		h.siftDown(0)
 	}
 	return rec, nil
 }
 
-func (k *kway) siftDown(i int) {
+func (h mergeHeap) siftDown(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		m := i
-		if l < len(k.rs) && k.less(l, m) {
+		if l < len(h) && cmpArc(h[l].cur, h[m].cur) < 0 {
 			m = l
 		}
-		if r < len(k.rs) && k.less(r, m) {
+		if r < len(h) && cmpArc(h[r].cur, h[m].cur) < 0 {
 			m = r
 		}
 		if m == i {
 			return
 		}
-		k.rs[i], k.rs[m] = k.rs[m], k.rs[i]
+		h[i], h[m] = h[m], h[i]
 		i = m
 	}
 }
@@ -545,147 +648,222 @@ func (b *Builder) spillIDs() ([]int64, error) {
 }
 
 // csrScratch is one merged adjacency direction: the offsets stay in
-// memory, the neighbor and weight payloads stream to scratch files (the
-// section CRCs are computed when the scratch bytes are copied into the
-// final snapshot).
+// memory, the neighbor and weight payloads stream to scratch files, one
+// per merge worker in key order (the section CRCs are computed when the
+// scratch bytes are copied into the final snapshot).
 type csrScratch struct {
-	off     []int64
-	adjPath string
-	wPath   string
-	arcs    int64
+	off      []int64
+	adjPaths []string
+	wPaths   []string
+	arcs     int64
 }
 
-// mergeSpool merges one spool's runs into CSR form. Arc values are
-// translated to internal indices through index, each vertex's arcs are
-// sorted by (neighbor, seq) and deduplicated keeping the first occurrence
-// — byte-for-byte the in-memory buildCSR semantics.
-func (b *Builder) mergeSpool(ids []int64, index map[int64]int32, runs []string) (*csrScratch, error) {
+// mergeSpool merges one spool's runs into CSR form on P workers, one key
+// range each (see splitRuns). Arc values are translated to internal
+// indices through index, each vertex's arcs are sorted by (neighbor, seq)
+// and deduplicated keeping the first occurrence — byte-for-byte the
+// in-memory buildCSR semantics. Each worker stops at its first error and
+// the lowest worker's is returned: ranges ascend by key, so it is the
+// error a sequential merge would meet first.
+func (b *Builder) mergeSpool(ids []int64, index *idTable, runs []runFile) (*csrScratch, error) {
 	sp := b.spill
+	if err := openSpillRuns(runs); err != nil {
+		return nil, err
+	}
+	defer closeSpillRuns(runs)
+	var recs int64
+	for _, r := range runs {
+		recs += r.recs
+	}
+	p := max(min(par.Resolve(sp.opts.Workers, int(recs)), len(ids)), 1)
+	bounds, cuts, err := splitRuns(ids, runs, p)
+	if err != nil {
+		return nil, err
+	}
+	bufRecs := mergeBufRecs(sp.opts.BudgetBytes, p, len(runs))
+	for len(sp.pages) < p {
+		sp.pages = append(sp.pages, [2][]byte{})
+	}
+
 	cs := &csrScratch{off: make([]int64, len(ids)+1)}
-
-	adjF, err := os.CreateTemp(sp.dir, "adj-*")
-	if err != nil {
-		return nil, fmt.Errorf("graph: spill merge: %w", err)
-	}
-	defer adjF.Close()
-	cs.adjPath = adjF.Name()
-	adj := pageWriter{f: adjF, buf: sp.page(0)}
-	var wgt pageWriter
-	if b.weighted {
-		wF, err := os.CreateTemp(sp.dir, "wgt-*")
-		if err != nil {
-			return nil, fmt.Errorf("graph: spill merge: %w", err)
-		}
-		defer wF.Close()
-		cs.wPath = wF.Name()
-		wgt = pageWriter{f: wF, buf: sp.page(1)}
-	}
-
-	m, err := newKWay(runs, sp.runRecs)
-	if err != nil {
+	workers := make([]mergeWorker, p)
+	errs := make([]error, p)
+	par.Chunks(p, p, func(w, _, _ int) {
+		m := &workers[w]
+		*m = mergeWorker{b: b, w: w, ids: ids, index: index, off: cs.off, vcur: bounds[w]}
+		errs[w] = m.run(runs, cuts[w], cuts[w+1], bufRecs)
+	})
+	if err := firstError(errs); err != nil {
 		return nil, err
 	}
-	defer m.close()
-
-	// The current vertex's arcs arrive in seq order, so sorting the words
-	// neighbor<<32 | position orders them by (neighbor, seq): the first of
-	// equal neighbors is the first occurrence. weights is by position.
-	order := make([]uint64, 0, 1024)
-	var weights []float64
-	vcur := 0
-	flush := func(key int64) error {
-		if len(order) == 0 {
-			return nil
-		}
-		// Keys arrive ascending, so the vertex cursor only moves forward;
-		// every key is an endpoint, hence present in ids.
-		for ids[vcur] != key {
-			vcur++
-		}
-		slices.Sort(order)
-		kept := int64(0)
-		prev := int32(-1)
-		for _, o := range order {
-			v := int32(o >> 32)
-			if v == prev {
-				if !b.opts.DedupEdges {
-					a, c := key, ids[v]
-					if !b.directed && a > c {
-						a, c = c, a
-					}
-					return fmt.Errorf("%w: (%d, %d)", ErrDuplicateEdge, a, c)
-				}
-				continue
-			}
-			prev = v
-			adj.put32(uint32(v))
-			if b.weighted {
-				wgt.put64(math.Float64bits(weights[uint32(o)]))
-			}
-			kept++
-		}
-		cs.off[vcur+1] = kept
-		cs.arcs += kept
-		order, weights = order[:0], weights[:0]
-		return nil
+	for _, m := range workers {
+		cs.adjPaths = append(cs.adjPaths, m.adjPath)
+		cs.wPaths = append(cs.wPaths, m.wPath)
+		cs.arcs += m.kept
 	}
-
-	curKey := int64(0)
-	for !m.empty() {
-		rec, err := m.pop()
-		if err != nil {
-			return nil, err
-		}
-		if len(order) > 0 && rec.key != curKey {
-			if err := flush(curKey); err != nil {
-				return nil, err
-			}
-		}
-		curKey = rec.key
-		v, ok := index[rec.val]
-		if !ok {
-			return nil, fmt.Errorf("graph: spill merge: arc value %d missing from identifier table", rec.val)
-		}
-		order = append(order, uint64(v)<<32|uint64(len(order)))
-		if b.weighted {
-			weights = append(weights, rec.w)
-		}
-	}
-	if err := flush(curKey); err != nil {
-		return nil, err
-	}
-
 	for v := 0; v < len(ids); v++ {
 		cs.off[v+1] += cs.off[v]
-	}
-	if err := adj.flush(); err != nil {
-		return nil, fmt.Errorf("graph: spill merge: %w", err)
-	}
-	if b.weighted {
-		if err := wgt.flush(); err != nil {
-			return nil, fmt.Errorf("graph: spill merge: %w", err)
-		}
 	}
 	return cs, nil
 }
 
-// fileSection adapts a scratch file into a v2 section source.
-func fileSection(path string, size int64) v2SectionSource {
-	return v2SectionSource{size: size, emit: func(w io.Writer) error {
-		f, err := os.Open(path)
+// mergeWorker merges one key range: its sections' heap, the current
+// vertex's arcs and the writers of its scratch files.
+type mergeWorker struct {
+	b     *Builder
+	w     int // worker index: key ranges, scratch files and pages are in this order
+	ids   []int64
+	index *idTable
+	off   []int64 // shared; the worker writes only its vertices' entries
+	heap  mergeHeap
+	// The current vertex's arcs arrive in seq order, so sorting the words
+	// neighbor<<32 | position orders them by (neighbor, seq): the first of
+	// equal neighbors is the first occurrence. weights is by position.
+	order    []uint64
+	weights  []float64
+	key      int64 // the current vertex's id
+	vcur     int   // the current vertex's index, moving forward only
+	adj, wgt pageWriter
+
+	adjPath, wPath string // the scratch files, for fileSection
+	kept           int64  // arcs written
+}
+
+// run merges the sections [from[r], to[r]) of every run into the worker's
+// scratch files.
+func (m *mergeWorker) run(runs []runFile, from, to []int64, bufRecs int) error {
+	sp := m.b.spill
+	adjF, err := os.CreateTemp(sp.dir, "adj-*")
+	if err != nil {
+		return fmt.Errorf("graph: spill merge: %w", err)
+	}
+	defer adjF.Close()
+	m.adjPath = adjF.Name()
+	m.adj = pageWriter{f: adjF, buf: sp.page(m.w, 0)}
+	if m.b.weighted {
+		wF, err := os.CreateTemp(sp.dir, "wgt-*")
+		if err != nil {
+			return fmt.Errorf("graph: spill merge: %w", err)
+		}
+		defer wF.Close()
+		m.wPath = wF.Name()
+		m.wgt = pageWriter{f: wF, buf: sp.page(m.w, 1)}
+	}
+	if m.heap, err = newSections(runs, from, to, bufRecs); err != nil {
+		return err
+	}
+	m.order = make([]uint64, 0, 1024)
+	for len(m.heap) > 0 {
+		rec, err := m.heap.pop()
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		n, err := io.Copy(w, f)
-		if err != nil {
+		if err := m.add(rec); err != nil {
 			return err
+		}
+	}
+	if err := m.flushVertex(); err != nil {
+		return err
+	}
+	if err := m.adj.flush(); err != nil {
+		return fmt.Errorf("graph: spill merge: %w", err)
+	}
+	if m.b.weighted {
+		if err := m.wgt.flush(); err != nil {
+			return fmt.Errorf("graph: spill merge: %w", err)
+		}
+	}
+	return nil
+}
+
+// add takes the merge's next record: a new key closes the previous
+// vertex, and the arc joins the current one.
+//
+//graphalint:noalloc
+func (m *mergeWorker) add(rec arcRec) error {
+	if len(m.order) > 0 && rec.key != m.key {
+		if err := m.flushVertex(); err != nil {
+			return err
+		}
+	}
+	m.key = rec.key
+	v, ok := m.index.get(rec.val)
+	if !ok {
+		return missingArcValue(rec.val)
+	}
+	m.order = append(m.order, uint64(v)<<32|uint64(len(m.order)))
+	if m.b.weighted {
+		m.weights = append(m.weights, rec.w)
+	}
+	return nil
+}
+
+// missingArcValue builds add's error outside add, whose per-record path
+// must not box values into an error.
+func missingArcValue(val int64) error {
+	return fmt.Errorf("graph: spill merge: arc value %d missing from identifier table", val)
+}
+
+// flushVertex sorts, deduplicates and writes the current vertex's arcs.
+func (m *mergeWorker) flushVertex() error {
+	if len(m.order) == 0 {
+		return nil
+	}
+	// Keys arrive ascending, so the vertex cursor only moves forward;
+	// every key is an endpoint, hence present in ids.
+	for m.ids[m.vcur] != m.key {
+		m.vcur++
+	}
+	slices.Sort(m.order)
+	kept := int64(0)
+	prev := int32(-1)
+	for _, o := range m.order {
+		v := int32(o >> 32)
+		if v == prev {
+			if !m.b.opts.DedupEdges {
+				return m.b.duplicateEdge(m.key, m.ids[v])
+			}
+			continue
+		}
+		prev = v
+		m.adj.put32(uint32(v))
+		if m.b.weighted {
+			m.wgt.put64(math.Float64bits(m.weights[uint32(o)]))
+		}
+		kept++
+	}
+	m.off[m.vcur+1] = kept
+	m.kept += kept
+	m.order, m.weights = m.order[:0], m.weights[:0]
+	return nil
+}
+
+// fileSection adapts scratch files, concatenated in order, into a v2
+// section source.
+func fileSection(paths []string, size int64) v2SectionSource {
+	return v2SectionSource{size: size, emit: func(w io.Writer) error {
+		var n int64
+		for _, path := range paths {
+			c, err := copyFile(w, path)
+			n += c
+			if err != nil {
+				return err
+			}
 		}
 		if n != size {
-			return fmt.Errorf("scratch section %s is %d bytes, want %d", path, n, size)
+			return fmt.Errorf("scratch section is %d bytes, want %d", n, size)
 		}
 		return nil
 	}}
+}
+
+func copyFile(w io.Writer, path string) (int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	return io.Copy(w, f)
 }
 
 // BuildTo builds the graph directly into a v2 snapshot at path. For a
@@ -759,15 +937,15 @@ func (b *Builder) BuildTo(path string) error {
 	}
 	secs[secIDs] = int64Sec(ids)
 	secs[secOutOff] = int64Sec(out.off)
-	secs[secOutAdj] = fileSection(out.adjPath, 4*out.arcs)
+	secs[secOutAdj] = fileSection(out.adjPaths, 4*out.arcs)
 	if b.weighted {
-		secs[secOutW] = fileSection(out.wPath, 8*out.arcs)
+		secs[secOutW] = fileSection(out.wPaths, 8*out.arcs)
 	}
 	if b.directed {
 		secs[secInOff] = int64Sec(in.off)
-		secs[secInAdj] = fileSection(in.adjPath, 4*in.arcs)
+		secs[secInAdj] = fileSection(in.adjPaths, 4*in.arcs)
 		if b.weighted {
-			secs[secInW] = fileSection(in.wPath, 8*in.arcs)
+			secs[secInW] = fileSection(in.wPaths, 8*in.arcs)
 		}
 	}
 	return installSnapshot(path, func(f *os.File) error {

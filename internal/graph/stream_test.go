@@ -44,7 +44,8 @@ func feedIDs(b *graph.Builder, weighted bool, edges int, id func(*rand.Rand) int
 }
 
 // streamFixtures are the edge streams the equivalence test builds both
-// ways. Past the random one they aim at the run sort's edge cases.
+// ways. Past the random one they aim at the edge cases of the run sort
+// and of the merge's key-range split.
 var streamFixtures = []struct {
 	name string
 	feed func(b *graph.Builder, weighted bool)
@@ -83,6 +84,29 @@ var streamFixtures = []struct {
 	{"one-edge", func(b *graph.Builder, weighted bool) {
 		b.AddVertex(0)
 		b.AddWeightedEdge(3, -3, 1.5)
+	}},
+	// Edges in ascending source order with nearby destinations: each run
+	// covers its own key range, so a merge split balances across runs, and
+	// most runs hold no record of a given worker's range.
+	{"sorted", func(b *graph.Builder, weighted bool) {
+		rng := rand.New(rand.NewSource(17))
+		for i := 0; i < 3000; i++ {
+			src := int64(i / 3)
+			b.AddWeightedEdge(src, src+1+rng.Int63n(4), float64(i%29))
+		}
+	}},
+	// A hub near every eighth of the key space, each holding a large share
+	// of the arcs, so merge splits at 2 and 8 workers land on or next to
+	// a hub key.
+	{"hubs", func(b *graph.Builder, weighted bool) {
+		rng := rand.New(rand.NewSource(23))
+		for i := 0; i < 3000; i++ {
+			src, dst := rng.Int63n(800), rng.Int63n(800)
+			if i%2 == 0 {
+				src = 100*(1+rng.Int63n(7)) + rng.Int63n(3) - 1
+			}
+			b.AddWeightedEdge(src, dst, float64(i%31))
+		}
 	}},
 }
 
@@ -250,6 +274,43 @@ func TestBuildToStrictErrors(t *testing.T) {
 		err := b.BuildTo(filepath.Join(t.TempDir(), "g.snap"))
 		if !errors.Is(err, graph.ErrDuplicateEdge) {
 			t.Fatalf("err = %v, want ErrDuplicateEdge", err)
+		}
+	})
+	// Duplicates planted in the first and last quarters of the key space
+	// fall to different merge workers; the reported one must be Build's,
+	// the lowest vertex's, at every worker count. Undirected builds get
+	// the repeats reversed, which the message names smaller id first.
+	t.Run("duplicate-ranges", func(t *testing.T) {
+		feed := func(b *graph.Builder, dups [][2]int64, reverse bool) {
+			rng := rand.New(rand.NewSource(3))
+			for _, i := range rng.Perm(4000) {
+				b.AddEdge(int64(i), int64(i+1))
+			}
+			for _, d := range dups {
+				if reverse {
+					d[0], d[1] = d[1], d[0]
+				}
+				b.AddEdge(d[0], d[1])
+			}
+		}
+		for _, directed := range []bool{true, false} {
+			for _, dups := range [][][2]int64{{{3500, 3501}, {500, 501}}, {{3500, 3501}}} {
+				ref := graph.NewBuilder(directed, false)
+				feed(ref, dups, !directed)
+				_, want := ref.Build()
+				if !errors.Is(want, graph.ErrDuplicateEdge) {
+					t.Fatalf("Build: err = %v, want ErrDuplicateEdge", want)
+				}
+				for _, workers := range []int{1, 2, 8} {
+					b := graph.NewBuilder(directed, false)
+					b.SetSpill(graph.SpillOptions{Dir: t.TempDir(), BudgetBytes: 1 << 12, Workers: workers})
+					feed(b, dups, !directed)
+					err := b.BuildTo(filepath.Join(t.TempDir(), "g.snap"))
+					if err == nil || err.Error() != want.Error() {
+						t.Errorf("directed=%v dups=%v workers=%d: err = %v, want %q", directed, dups, workers, err, want)
+					}
+				}
+			}
 		}
 	})
 }

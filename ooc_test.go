@@ -3,6 +3,8 @@
 package graphalytics_test
 
 import (
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -18,8 +20,9 @@ import (
 
 // The out-of-core claim, end to end: a Graph500 scale-20 graph — whose
 // raw edge list alone is ~400 MB — builds through the spill-to-disk
-// BuildTo and runs BFS from an mmap'd snapshot under a heap limit far
-// below the edge-list size. Gated behind GRAPHALYTICS_OOC=1 because it
+// BuildTo, byte for byte the snapshot the build has always produced, and
+// runs BFS from an mmap'd snapshot under a heap limit far below the
+// edge-list size. Gated behind GRAPHALYTICS_OOC=1 because it
 // generates ~17M edges and external-sorts ~1 GB of arc records; CI runs
 // it in a dedicated GOMEMLIMIT-capped job.
 func TestOutOfCoreGraph500Scale20(t *testing.T) {
@@ -32,6 +35,9 @@ func TestOutOfCoreGraph500Scale20(t *testing.T) {
 		numEdges     = edgeFactor << scale  // 16.7M generated edges
 		rawEdgeBytes = int64(numEdges) * 24 // []graph.Edge footprint the heap never pays
 		heapCap      = int64(256) << 20     // well below rawEdgeBytes (~403 MB)
+		// The snapshot's IEEE CRC-32 and size, as the sequential merge wrote
+		// them: the ~32-run merge at any worker count must reproduce them.
+		wantCRC, wantSize = 0xe875829c, 142_381_072
 	)
 	if os.Getenv("GOMEMLIMIT") == "" {
 		// The CI job caps the whole process via GOMEMLIMIT; standalone runs
@@ -52,15 +58,20 @@ func TestOutOfCoreGraph500Scale20(t *testing.T) {
 		err = b.BuildTo(path)
 	}
 	peak := stopSampling()
+	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
+	crc, size := fileCRC32(t, path)
+	t.Logf("built scale-%d snapshot in %.1fs with peak heap %d MiB (edge list would be %d MiB), crc %08x, %d bytes",
+		scale, elapsed.Seconds(), peak>>20, rawEdgeBytes>>20, crc, size)
 	if int64(peak) >= rawEdgeBytes {
 		t.Fatalf("peak heap during Into + BuildTo = %d MiB, not below the raw edge list (%d MiB): the build was not out-of-core",
 			peak>>20, rawEdgeBytes>>20)
 	}
-	t.Logf("built scale-%d snapshot in %.1fs with peak heap %d MiB (edge list would be %d MiB)",
-		scale, time.Since(start).Seconds(), peak>>20, rawEdgeBytes>>20)
+	if crc != wantCRC || size != wantSize {
+		t.Fatalf("snapshot crc %08x, %d bytes; want %08x, %d bytes", crc, size, uint32(wantCRC), int64(wantSize))
+	}
 
 	g, err := graph.MapSnapshotFile(path)
 	if err != nil {
@@ -102,6 +113,23 @@ func TestOutOfCoreGraph500Scale20(t *testing.T) {
 			ms.HeapAlloc>>20, rawEdgeBytes>>20)
 	}
 	t.Logf("BFS reached %d/%d vertices with HeapAlloc=%d MiB", reached, g.NumVertices(), ms.HeapAlloc>>20)
+}
+
+// fileCRC32 streams the file at path through an IEEE CRC-32 and returns
+// the checksum and the byte count.
+func fileCRC32(t *testing.T, path string) (uint32, int64) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	h := crc32.NewIEEE()
+	n, err := io.Copy(h, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.Sum32(), n
 }
 
 // sampleHeapPeak reads the bytes of heap objects (live and not yet swept)
