@@ -41,6 +41,16 @@ import (
 	"graphalytics/internal/service"
 )
 
+// Connection timeouts. A client that trickles its request headers, or
+// leaves a keep-alive connection idle, cannot hold a connection and its
+// goroutine forever. There is no whole-response WriteTimeout: an events or
+// results stream lasts as long as its run, and a client that stops reading
+// one is cut off per batch by the service's own write deadline.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // tenantFlags collects repeated -tenant flags.
 type tenantFlags []service.Tenant
 
@@ -127,7 +137,12 @@ func run() error {
 		logger.Printf("catalog warmed in %v", time.Since(start).Round(time.Millisecond))
 	}
 
-	server := &http.Server{Addr: *addr, Handler: svc}
+	server := &http.Server{
+		Addr:              *addr,
+		Handler:           svc,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() {
 		logger.Printf("listening on http://%s (slots=%d quantum=%d tenants=%d)",

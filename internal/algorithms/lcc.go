@@ -191,9 +191,9 @@ func (o *LCCOrientation) Bounds(p int) []int {
 // number of probes made.
 //
 // count is added to, never read for control flow, and holds integers, so
-// chunks may share one array when they run one after another, or own one
-// each and be summed in any order when they run concurrently. mark must
-// be all-zero, chunk-private and n long; it is all-zero again on return.
+// chunks that run concurrently each own one, summed afterwards in any
+// order. mark must be all-zero, chunk-private and n long; it is all-zero
+// again on return.
 //
 //graphalint:noalloc per-chunk count step: writes only into the caller-owned counter and mark arrays
 func (o *LCCOrientation) CountRange(count []int64, mark []uint8, lo, hi int) (probes int64) {

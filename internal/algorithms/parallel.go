@@ -108,10 +108,11 @@ func ParPageRank(g *graph.Graph, iterations int, damping float64, workers int) [
 }
 
 // ParWCC is the parallel counterpart of RefWCC: a concurrent lock-free
-// union-find over the edge set followed by a sequential flattening pass.
-// Roots are always the smallest internal index of their component (links
-// go strictly from larger to smaller roots), so the output is the
-// canonical smallest-external-identifier labeling whatever the interleaving.
+// union-find over the edge set (WCCUniteRange) followed by a labeling pass
+// (WCCLabelRange), both over vertex chunks. Roots are always the smallest
+// internal index of their component (links go strictly from larger to
+// smaller roots), so the output is the canonical smallest-external-identifier
+// labeling whatever the interleaving.
 func ParWCC(g *graph.Graph, workers int) []int64 {
 	n := g.NumVertices()
 	p := par.Resolve(workers, n+int(g.NumEdges()))
@@ -119,20 +120,9 @@ func ParWCC(g *graph.Graph, workers int) []int64 {
 	for i := range parent {
 		parent[i] = int32(i)
 	}
-	par.Chunks(n, p, func(_, lo, hi int) {
-		for v := int32(lo); v < int32(hi); v++ {
-			for _, u := range g.OutNeighbors(v) {
-				unite(parent, v, u)
-			}
-		}
-	})
-	// Sequential tie-break/flatten pass: workers have joined, so plain
-	// path-halving finds are safe, and every vertex resolves to its
-	// component's minimal root.
+	par.Chunks(n, p, func(_, lo, hi int) { WCCUniteRange(g, parent, lo, hi) })
 	labels := make([]int64, n)
-	for v := int32(0); v < int32(n); v++ {
-		labels[v] = g.VertexID(findSeq(parent, v))
-	}
+	par.Chunks(n, p, func(_, lo, hi int) { WCCLabelRange(g, parent, labels, lo, hi) })
 	return labels
 }
 
@@ -171,15 +161,6 @@ func findCAS(parent []int32, v int32) int32 {
 		atomic.CompareAndSwapInt32(&parent[v], p, gp)
 		v = gp
 	}
-}
-
-// findSeq is the sequential path-halving find used after the fork-join.
-func findSeq(parent []int32, v int32) int32 {
-	for parent[v] != v {
-		parent[v] = parent[parent[v]]
-		v = parent[v]
-	}
-	return v
 }
 
 // ParCDLP is the parallel counterpart of RefCDLP: frontier-based

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"graphalytics/internal/cluster"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/mplane"
 )
@@ -16,8 +17,9 @@ import (
 //
 // Every step is safe to run concurrently on disjoint [lo, hi) ranges of
 // the same output arrays. Steps that may touch shared state across chunks
-// (BFSExpand's depth claims) use atomics; everything else writes only
-// inside its own range.
+// (BFSExpand's depth claims, WCCUniteRange's links, the SSSP relax
+// bodies' distance minima and claims) use atomics; everything else writes
+// only inside its own range or into a caller-owned per-worker buffer.
 
 // BFSExpand scans a slice of the current BFS frontier, claims every
 // still-unreached out-neighbor at the given level and returns out extended
@@ -40,6 +42,34 @@ func BFSExpand(g *graph.Graph, depth []int64, frontier []int32, level int64, out
 		}
 	}
 	return out
+}
+
+// WCCUniteRange unites every vertex in [lo, hi) with its out-neighbors in
+// the concurrent union-find parent (every vertex its own parent before the
+// first unite). Every arc is an out-arc of one vertex, so chunks covering
+// all vertices unite the whole edge set, and chunks may run concurrently:
+// links are CAS-guarded and always hang the larger root under the smaller.
+//
+//graphalint:noalloc per-chunk union-find body: CAS links on the shared parent array only
+func WCCUniteRange(g *graph.Graph, parent []int32, lo, hi int) {
+	for v := int32(lo); v < int32(hi); v++ {
+		for _, u := range g.OutNeighbors(v) {
+			unite(parent, v, u)
+		}
+	}
+}
+
+// WCCLabelRange labels every vertex in [lo, hi) with the external
+// identifier of its union-find root, once every WCCUniteRange chunk has
+// joined: the root is the component's smallest internal index, so the
+// label is its smallest external identifier. Finds halve paths with CAS,
+// so label chunks may also run concurrently.
+//
+//graphalint:noalloc per-chunk labeling body: writes only its own range of labels
+func WCCLabelRange(g *graph.Graph, parent []int32, labels []int64, lo, hi int) {
+	for v := int32(lo); v < int32(hi); v++ {
+		labels[v] = g.VertexID(findCAS(parent, v))
+	}
 }
 
 // PRContribRange fills contrib[v] = rank[v]/outdeg(v) for v in [lo, hi)
@@ -82,8 +112,7 @@ func PRPullRange(g *graph.Graph, contrib, next []float64, base, damping float64,
 // next[v] becomes the most frequent label among v's neighbors (counting a
 // neighbor on both an in- and an out-edge twice in directed graphs),
 // smallest label on ties. The histogram is chunk-private; callers that
-// chunk sequentially (the native engine's simulated threads) reuse one
-// via CDLPRangeHist.
+// keep one per worker reuse it via CDLPRangeHist.
 func CDLPRange(g *graph.Graph, labels, next []int64, lo, hi int) {
 	CDLPRangeHist(g, labels, next, lo, hi, mplane.NewHistogram(16))
 }
@@ -329,6 +358,14 @@ func CDLPScatterWorthwhile(changedCount, n int) bool {
 // weaker relaxation, and the improver has re-claimed the vertex for the
 // next phase, so the fixpoint is unaffected.
 //
+// Which vertices a phase discovers does depend on the interleaving: a
+// chunk that runs after another sees its improvements. The native engine
+// charges a round per delta-stepping bucket, and the bucket sequence does
+// not depend on the schedule; engines that charge one round per
+// Bellman-Ford phase (spmv, pushpull, and gas through SSSPRelaxArcs) run
+// these bodies in chunk order, so their frontiers and traffic cannot
+// change with the schedule either.
+//
 //graphalint:noalloc appends extend the caller's pooled out buffer in place
 func SSSPRelaxRange(g *graph.Graph, dist []uint64, frontier []int32, claimed []uint32, stamp uint32, out []int32) []int32 {
 	for _, v := range frontier {
@@ -344,22 +381,56 @@ func SSSPRelaxRange(g *graph.Graph, dist []uint64, frontier []int32, claimed []u
 					break
 				}
 				if atomic.CompareAndSwapUint64(&dist[u], old, ndBits) {
-					for {
-						c := atomic.LoadUint32(&claimed[u])
-						if c == stamp {
-							break
-						}
-						if atomic.CompareAndSwapUint32(&claimed[u], c, stamp) {
-							out = append(out, u)
-							break
-						}
-					}
+					out = ssspClaim(claimed, stamp, u, out)
 					break
 				}
 			}
 		}
 	}
 	return out
+}
+
+// SSSPRelaxArcs is the arc-list sibling of SSSPRelaxRange, for engines
+// that store a vertex's out-edges as arcs of an edge partition (gas's
+// vertex-cut) rather than as a CSR row: it relaxes the arcs out of one
+// frontier vertex v, with weights ws parallel to arcs, and returns out
+// extended with the vertices it improved and claimed, under the same CAS
+// and claim-stamp rules.
+//
+//graphalint:noalloc appends extend the caller's pooled out buffer in place
+func SSSPRelaxArcs(dist []uint64, v int32, arcs []cluster.Arc, ws []float64, claimed []uint32, stamp uint32, out []int32) []int32 {
+	dv := math.Float64frombits(atomic.LoadUint64(&dist[v]))
+	for i, a := range arcs {
+		nd := dv + ws[i]
+		for {
+			old := atomic.LoadUint64(&dist[a.Dst])
+			if nd >= math.Float64frombits(old) {
+				break
+			}
+			if atomic.CompareAndSwapUint64(&dist[a.Dst], old, math.Float64bits(nd)) {
+				out = ssspClaim(claimed, stamp, a.Dst, out)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// ssspClaim appends u to out unless it already carries this phase's
+// claim stamp, so each improved vertex enters the next frontier once.
+//
+//graphalint:noalloc appends extend the caller's pooled out buffer in place
+func ssspClaim(claimed []uint32, stamp uint32, u int32, out []int32) []int32 {
+	for {
+		c := atomic.LoadUint32(&claimed[u])
+		if c == stamp {
+			return out
+		}
+		if atomic.CompareAndSwapUint32(&claimed[u], c, stamp) {
+			out = append(out, u)
+			return out
+		}
+	}
 }
 
 // Neighborhood appends the union of a vertex's two sorted adjacency lists

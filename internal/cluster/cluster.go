@@ -70,6 +70,11 @@ type Config struct {
 	MemoryPerMachine int64
 	// Net is the interconnect model; the zero value disables network cost.
 	Net NetworkModel
+	// HostWorkers caps how many host goroutines one parallel region of a
+	// machine's simulated threads may run on (see Threads); 0 or 1 runs
+	// the chunks one after another on the calling goroutine. The engine
+	// driver sets it from the uploaded graph's size.
+	HostWorkers int
 }
 
 // Normalize returns cfg with zero fields replaced by minimal defaults
@@ -222,17 +227,19 @@ func (c *Cluster) Broadcast(from int, bytesPerPeer int64) {
 
 // RunRound executes fn for every machine, measures per-machine compute
 // time, closes the round's traffic, and charges the round to simulated
-// time as max(compute) + network. Machines run sequentially so that
-// per-machine timing is not distorted by host-core contention; fn
-// receives the machine's simulated thread pool, whose parallel regions
-// are discounted from the measured wall time (see Threads).
+// time as max(compute) + network. Machines run sequentially so that one
+// machine's timing is not distorted by another's; fn receives the
+// machine's simulated thread pool, whose parallel regions are discounted
+// from the measured wall time (see Threads).
 //
 // The first machine error aborts the round and is returned.
 func (c *Cluster) RunRound(fn func(machine int, th *Threads) error) error {
 	var maxCompute time.Duration
 	th := &c.threads
 	for m := 0; m < c.cfg.Machines; m++ {
-		*th = Threads{count: c.cfg.Threads}
+		// Reset the budget and the discount only: the handle's region
+		// buffers are reused by every round.
+		th.count, th.hostWorkers, th.discount = c.cfg.Threads, c.cfg.HostWorkers, 0
 		start := now()
 		if err := fn(m, th); err != nil {
 			return fmt.Errorf("cluster: machine %d: %w", m, err)

@@ -1,10 +1,14 @@
 package cluster_test
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"graphalytics/internal/cluster"
+	"graphalytics/internal/par"
 )
 
 // threadsOf builds a Threads handle through a cluster round, the only way
@@ -129,5 +133,165 @@ func TestThreadsSequentialWorkNotDiscounted(t *testing.T) {
 		if got, want := simTimeOnSteppingClock(t, count, sequential), 101*step; got != want {
 			t.Fatalf("%d simulated threads: sequential section charged %v, want %v", count, got, want)
 		}
+	}
+}
+
+// goid returns the calling goroutine's id, parsed from its stack header
+// ("goroutine 18 [running]:"), so a test can tell the caller's chunks from
+// the ones a helper ran.
+func goid() int { return goidInto(make([]byte, 32)) }
+
+// goidInto is goid reading the header into buf, which it does not
+// allocate.
+func goidInto(buf []byte) int {
+	n := runtime.Stack(buf, false)
+	id := 0
+	for _, b := range buf[len("goroutine "):n] {
+		if b < '0' || b > '9' {
+			break
+		}
+		id = id*10 + int(b-'0')
+	}
+	return id
+}
+
+// concurrentRound runs use in one round of a one-machine cluster whose
+// regions may run on up to hostWorkers host goroutines.
+func concurrentRound(t *testing.T, count, hostWorkers int, use func(th *cluster.Threads)) {
+	t.Helper()
+	c := cluster.New(cluster.Config{Threads: count, HostWorkers: hostWorkers})
+	if err := c.RunRound(func(_ int, th *cluster.Threads) error {
+		use(th)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestThreadsConcurrentChunksKeepTheirGeometry(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, hostWorkers := range []int{0, 2, 3, 8} {
+		for _, count := range []int{2, 3, 8} {
+			for _, n := range []int{1, 5, 100} {
+				chunks := min(count, n)
+				type chunk struct{ lo, hi, runs int }
+				got := make([]chunk, chunks)
+				concurrentRound(t, count, hostWorkers, func(th *cluster.Threads) {
+					th.ChunksIndexed(n, func(w, lo, hi int) {
+						got[w].lo, got[w].hi = lo, hi
+						got[w].runs++
+					})
+				})
+				for w, c := range got {
+					lo, hi := par.ChunkRange(n, chunks, w)
+					if c != (chunk{lo, hi, 1}) {
+						t.Fatalf("host workers %d, threads %d, n %d: worker %d ran [%d, %d) %d times, want [%d, %d) once",
+							hostWorkers, count, n, w, c.lo, c.hi, c.runs, lo, hi)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestThreadsChunksInOrderRunOnTheCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	caller := goid()
+	var order []int
+	concurrentRound(t, 8, 8, func(th *cluster.Threads) {
+		th.ChunksInOrder(100, func(w, lo, hi int) {
+			if id := goid(); id != caller {
+				t.Errorf("chunk %d ran on goroutine %d, want the caller %d", w, id, caller)
+			}
+			order = append(order, w)
+		})
+	})
+	for i, w := range order {
+		if w != i {
+			t.Fatalf("chunks ran in order %v, want 0..7", order)
+		}
+	}
+	if len(order) != 8 {
+		t.Fatalf("%d chunks ran, want 8", len(order))
+	}
+}
+
+// TestThreadsHelperBudget runs regions of two clusters at once, each
+// wanting more helpers than the host has: between them they never hold
+// more than GOMAXPROCS−1, counted by the bodies that run off their caller.
+func TestThreadsHelperBudget(t *testing.T) {
+	const procs = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	var inHelpers, most atomic.Int32
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			caller := goid()
+			for range 200 {
+				concurrentRound(t, 8, 8, func(th *cluster.Threads) {
+					th.ChunksIndexed(8, func(_, _, _ int) {
+						if goid() == caller {
+							return
+						}
+						now := inHelpers.Add(1)
+						for m := most.Load(); now > m && !most.CompareAndSwap(m, now); m = most.Load() {
+						}
+						time.Sleep(10 * time.Microsecond)
+						inHelpers.Add(-1)
+					})
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	if m := most.Load(); m < 1 || m > procs-1 {
+		t.Fatalf("at most %d helpers ran bodies at once, want between 1 and %d", m, procs-1)
+	}
+}
+
+func TestThreadsConcurrentRegionAllocatesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	caller := goid()
+	var offCaller atomic.Int32
+	sums := make([]int, 4)
+	bufs := make([][]byte, 4)
+	for w := range bufs {
+		bufs[w] = make([]byte, 32)
+	}
+	body := func(w, lo, hi int) {
+		if goidInto(bufs[w]) != caller {
+			offCaller.Add(1)
+		}
+		for i := lo; i < hi; i++ {
+			sums[w] += i
+		}
+	}
+	c := cluster.New(cluster.Config{Threads: 4, HostWorkers: 4})
+	round := func(_ int, th *cluster.Threads) error {
+		th.ChunksIndexed(1<<12, body)
+		return nil
+	}
+	if err := c.RunRound(round); err != nil { // warm-up: starts the helpers
+		t.Fatal(err)
+	}
+	// testing.AllocsPerRun would pin GOMAXPROCS to 1 and so run every
+	// region inline; count the heap objects around warm rounds instead.
+	const rounds = 100
+	offCaller.Store(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		if err := c.RunRound(round); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if offCaller.Load() == 0 {
+		t.Fatal("no chunk ran on a helper: the regions were not concurrent")
+	}
+	if allocs := (after.Mallocs - before.Mallocs) / rounds; allocs != 0 {
+		t.Fatalf("a warm concurrent round allocated %d objects, want 0", allocs)
 	}
 }

@@ -45,6 +45,40 @@ func (c *LabelCounts) Add(l int32) {
 // Len returns the number of distinct labels counted since the last reset.
 func (c *LabelCounts) Len() int { return len(c.touched) }
 
+// CacheLinePad, placed after the fields of a per-worker struct, keeps them
+// off the cache lines of the struct allocated after it, so workers that
+// write their own headers (a LabelCounts' touched slice, a Stage's
+// appends) do not slow each other down.
+type CacheLinePad struct{ _ [64]byte }
+
+// WorkerCounts is one LabelCounts per worker slot of a parallel region,
+// each on its own cache lines: chunks that run concurrently must not
+// share a counter, and counters allocated back to back would share a line.
+// Size it with Ensure before the region; At is then safe to call from
+// every chunk.
+type WorkerCounts struct {
+	slots []paddedCounts
+}
+
+type paddedCounts struct {
+	LabelCounts
+	_ CacheLinePad
+}
+
+// Ensure readies counters for worker slots [0, workers), each for labels
+// in [0, n) (see EnsureDomain). Steady-state calls allocate nothing.
+func (c *WorkerCounts) Ensure(workers, n int) {
+	if len(c.slots) < workers {
+		c.slots = append(c.slots, make([]paddedCounts, workers-len(c.slots))...)
+	}
+	for i := range c.slots[:workers] {
+		c.slots[i].EnsureDomain(n)
+	}
+}
+
+// At returns worker w's counter.
+func (c *WorkerCounts) At(w int) *LabelCounts { return &c.slots[w].LabelCounts }
+
 // BestAndReset returns the most frequent label, breaking ties toward the
 // smallest — the CDLP argmax on the dense domain — and clears the counts
 // in the same pass. With no counts it returns own (a vertex with no

@@ -39,9 +39,11 @@
 // Determinism contract: for a fixed sequence of operations, every type in
 // this package produces bit-identical results regardless of how often its
 // buffers were reused, grown, or recycled through a Pool. The package has
-// no goroutines and no locks except Pool's; callers own all sequencing
-// (the cluster simulator runs machines and simulated threads
-// sequentially).
+// no goroutines and no locks except Pool's; callers own all sequencing.
+// The cluster simulator runs machines one after another but a machine's
+// simulated threads concurrently, so a value is either written by one
+// machine's sequential delivery code or owned by one worker slot
+// (Stage per producer, WorkerCounts per thread).
 package mplane
 
 import (

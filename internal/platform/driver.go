@@ -9,6 +9,7 @@ import (
 	"graphalytics/internal/cluster"
 	"graphalytics/internal/granula"
 	"graphalytics/internal/graph"
+	"graphalytics/internal/par"
 )
 
 // upload is the handle type an Engine works on: an Uploaded that embeds
@@ -87,7 +88,11 @@ func (d *driver[U]) UploadContext(ctx context.Context, g *graph.Graph, cfg RunCo
 	if cfg.Machines > 1 && !d.e.Distributed {
 		return nil, fmt.Errorf("%w: %s runs on one machine", ErrNotDistributed, d.e.Name)
 	}
-	cl := cluster.New(cfg.ClusterConfig())
+	cc := cfg.ClusterConfig()
+	// The simulated threads run on as many host cores as the graph's size
+	// is worth, by the estimate the reference kernels size themselves with.
+	cc.HostWorkers = par.Workers(g.NumVertices() + int(g.NumEdges()))
+	cl := cluster.New(cc)
 	u, bytes, err := d.e.Load(ctx, g, cl)
 	if err != nil {
 		return nil, err

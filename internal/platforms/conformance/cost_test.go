@@ -70,12 +70,17 @@ func mappedCorpus(t *testing.T) []conformance.Case {
 // inter-machine traffic, modeled network time, peak memory registration
 // and the output's CRC. Measured compute time is the only cost left out.
 func costFingerprint(t *testing.T, corpus []conformance.Case) string {
+	return fingerprint(t, corpus, conformance.Configs)
+}
+
+// fingerprint is costFingerprint over the given configurations.
+func fingerprint(t *testing.T, corpus []conformance.Case, configs func(platform.Platform) []conformance.Config) string {
 	t.Helper()
 	ctx := context.Background()
 	var b strings.Builder
 	for _, p := range platform.All() {
 		for _, c := range corpus {
-			for _, cfg := range conformance.Configs(p) {
+			for _, cfg := range configs(p) {
 				rc := platform.RunConfig{Threads: cfg.Threads, Machines: cfg.Machines, Net: cluster.DefaultNetwork()}
 				up, err := platform.UploadContext(ctx, p, c.Graph, rc)
 				if err != nil {

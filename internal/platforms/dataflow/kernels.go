@@ -25,20 +25,84 @@ type dfScratch struct {
 	f64 mail[float64]
 	i32 mail[int32]
 
-	counts   mplane.LabelCounts
-	labels   []int32   // cdlp working labels (internal-index domain)
-	nextLab  []int32   //
-	perVPart []int     // per-vertex-partition update counters
-	active   []bool    // frontier flags (bfs, sssp)
-	nextActv []bool    //
-	hoods    [][]int32 // lcc: per-vertex neighborhood views into i32 inbox
+	counts   mplane.WorkerCounts // per-thread cdlp counters
+	labels   []int32             // cdlp working labels (internal-index domain)
+	nextLab  []int32             //
+	perVPart []int               // per-vertex-partition update counters
+	active   []bool              // frontier flags (bfs, sssp)
+	nextActv []bool              //
+	hoods    [][]int32           // lcc: per-vertex neighborhood views into i32 inbox
 }
 
 // mail is the shuffle state for one message type: a staging buffer per
-// edge partition and the shared CSR inbox they are delivered into.
+// edge partition and the shared CSR inbox they are delivered into, plus
+// the flow in progress. Its two region bodies read the flow from here, so
+// they are built once per mailbox and a flow allocates nothing for them.
 type mail[M any] struct {
-	stages []mplane.Stage[M]
+	stages []stage[M]
 	inbox  mplane.Inbox[M]
+
+	flow     flow[M]
+	u        *uploaded
+	mine     []int // the machine's edge or vertex partitions in this round
+	edges    func(lo, hi int)
+	vertices func(w, lo, hi int)
+}
+
+// stage is one edge partition's staging buffer. Partitions of a machine
+// stage concurrently and every Send writes the buffer's slice headers, so
+// the pad keeps neighboring partitions' headers on different cache lines.
+type stage[M any] struct {
+	mplane.Stage[M]
+	_ mplane.CacheLinePad
+}
+
+// flow is what one aggregateMessages dataflow does with the triplets and
+// the delivered messages. send stages a partition's messages. Then either
+// applySeg receives every vertex's delivered segment (with the simulated
+// thread slot it runs on, for per-thread scratch), or — a reduce-by-key
+// stage — the segment is folded left to right with merge in delivery
+// order, exactly the order the seed's per-partition hash maps merged in,
+// and joined with the vertex dataset via apply.
+type flow[M any] struct {
+	send     func(em *mplane.Stage[M], ep *edgePartition)
+	applySeg func(worker, vpart int, v int32, msgs []M)
+	merge    func(a, b M) M
+	apply    func(vpart int, v int32, msg M, has bool)
+}
+
+// stageEdges is the edge stage's body: it stages the messages of the
+// machine's edge partitions [lo, hi).
+func (mb *mail[M]) stageEdges(lo, hi int) {
+	for _, p := range mb.mine[lo:hi] {
+		st := &mb.stages[p].Stage
+		st.Reset()
+		mb.flow.send(st, mb.u.eparts[p])
+	}
+}
+
+// applyVertices is the vertex stage's body: it hands every vertex of the
+// machine's vertex partitions [lo, hi) its delivered segment.
+func (mb *mail[M]) applyVertices(w, lo, hi int) {
+	f := &mb.flow
+	for _, p := range mb.mine[lo:hi] {
+		for _, v := range mb.u.vparts[p] {
+			msgs := mb.inbox.At(v)
+			switch {
+			case f.applySeg != nil:
+				f.applySeg(w, p, v, msgs)
+			case len(msgs) == 0:
+				var zero M
+				f.apply(p, v, zero, false)
+			default:
+				acc := msgs[0]
+				for _, m := range msgs[1:] {
+					acc = f.merge(acc, m)
+				}
+				f.apply(p, v, acc, true)
+			}
+		}
+	}
 }
 
 // acquireScratch checks the scratch out of the upload's pool.
@@ -70,34 +134,34 @@ func (sc *dfScratch) frontier(n int) (active, next []bool) {
 // delivers the staged messages into the CSR inbox (machine-major,
 // partition-major — the stable order the seed's sequential appends
 // produced), and a vertex-stage round that hands every vertex its
-// delivered segment. shipFraction scales the attribute-shuffle traffic
-// (1 for dense iterations, the active fraction for sparse ones);
-// msgBytes is the wire size of one message.
-func runFlow[M any](ctx context.Context, u *uploaded, mb *mail[M], shipFraction float64, msgBytes int64,
-	send func(em *mplane.Stage[M], ep *edgePartition),
-	applySeg func(vpart int, v int32, msgs []M)) error {
-
+// delivered segment (see flow). shipFraction scales the attribute-shuffle
+// traffic (1 for dense iterations, the active fraction for sparse ones);
+// msgBytes is the wire size of one message. Callers build f's functions
+// once per job, not per flow: the mailbox holds them while the flow runs.
+func runFlow[M any](ctx context.Context, u *uploaded, mb *mail[M], shipFraction float64, msgBytes int64, f flow[M]) error {
 	if err := platform.CheckContext(ctx); err != nil {
 		return err
 	}
 	cl := u.Cl
 	if len(mb.stages) != len(u.eparts) {
-		mb.stages = make([]mplane.Stage[M], len(u.eparts))
+		mb.stages = make([]stage[M], len(u.eparts))
 	}
+	if mb.edges == nil {
+		mb.edges, mb.vertices = mb.stageEdges, mb.applyVertices
+	}
+	mb.flow, mb.u = f, u
+	defer func() { mb.flow, mb.u, mb.mine = flow[M]{}, nil, nil }()
 	mb.inbox.Begin(u.G.NumVertices())
 
 	// Edge stage: scan partitions, stage messages, account the shuffle.
 	if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
 		mine := u.machEparts[mach]
-		th.For(len(mine), func(i int) {
-			st := &mb.stages[mine[i]]
-			st.Reset()
-			send(st, u.eparts[mine[i]])
-		})
+		mb.mine = mine
+		th.Chunks(len(mine), mb.edges)
 		var wire int64
 		single := cl.Machines() == 1 // no message can be remote
 		for _, p := range mine {
-			st := &mb.stages[p]
+			st := &mb.stages[p].Stage
 			epMach := u.emachine[p]
 			if !single {
 				for _, dst := range st.Dst {
@@ -124,46 +188,25 @@ func runFlow[M any](ctx context.Context, u *uploaded, mb *mail[M], shipFraction 
 		mb.inbox.Seal()
 		for m := 0; m < cl.Machines(); m++ {
 			for _, p := range u.machEparts[m] {
-				mb.inbox.Scatter(&mb.stages[p])
+				mb.inbox.Scatter(&mb.stages[p].Stage)
 			}
 		}
 	})
 
 	// Vertex stage: hand every vertex its delivered segment.
 	return cl.RunRound(func(mach int, th *cluster.Threads) error {
-		mine := u.machVparts[mach]
-		th.For(len(mine), func(i int) {
-			p := mine[i]
-			for _, v := range u.vparts[p] {
-				applySeg(p, v, mb.inbox.At(v))
-			}
-		})
+		mb.mine = u.machVparts[mach]
+		th.ChunksIndexed(len(mb.mine), mb.vertices)
 		return nil
 	})
 }
 
-// aggregate is runFlow with a reduce-by-key stage: each vertex's segment
-// is folded left to right in delivery order — exactly the order the
-// seed's per-partition hash maps merged in — and joined with the vertex
-// dataset via apply.
-func aggregate[M any](ctx context.Context, u *uploaded, mb *mail[M], shipFraction float64, msgBytes int64,
-	send func(em *mplane.Stage[M], ep *edgePartition),
-	merge func(a, b M) M,
-	apply func(vpart int, v int32, msg M, has bool)) error {
-
-	return runFlow(ctx, u, mb, shipFraction, msgBytes, send,
-		func(vpart int, v int32, msgs []M) {
-			if len(msgs) == 0 {
-				var zero M
-				apply(vpart, v, zero, false)
-				return
-			}
-			acc := msgs[0]
-			for _, m := range msgs[1:] {
-				acc = merge(acc, m)
-			}
-			apply(vpart, v, acc, true)
-		})
+// minInt64 is the min reducer of the BFS and WCC flows.
+func minInt64(a, b int64) int64 {
+	if a < b {
+		return a
+	}
+	return b
 }
 
 // prFlow is PageRank as iterated aggregateMessages with a sum reducer.
@@ -191,38 +234,40 @@ func prFlow(ctx context.Context, u *uploaded, iterations int, damping float64) (
 			dangling += rank[v]
 		}
 	}
+	var base float64
+	f := flow[float64]{
+		send: func(em *mplane.Stage[float64], ep *edgePartition) {
+			for i, s := range ep.src {
+				d := ep.dst[i]
+				if dg := u.degrees[s]; dg > 0 {
+					em.Send(d, rank[s]/float64(dg))
+				}
+				if !directed {
+					if dg := u.degrees[d]; dg > 0 {
+						em.Send(s, rank[d]/float64(dg))
+					}
+				}
+			}
+		},
+		merge: func(a, b float64) float64 { return a + b },
+		apply: func(vp int, v int32, msg float64, has bool) {
+			nv := base
+			if has {
+				nv = base + damping*msg
+			}
+			rank[v] = nv
+			if u.degrees[v] == 0 {
+				//graphalint:orderfree delivery folds run once per vertex in the CSR inbox's fixed vpart-major, vertex-major order
+				danglingParts[vp] += nv
+			}
+		},
+	}
 	for it := 0; it < iterations; it++ {
-		base := (1-damping)*inv + damping*dangling*inv
+		base = (1-damping)*inv + damping*dangling*inv
 		for i := range danglingParts {
 			danglingParts[i] = 0
 		}
-		err := aggregate(ctx, u, &sc.f64, 1, 8,
-			func(em *mplane.Stage[float64], ep *edgePartition) {
-				for i, s := range ep.src {
-					d := ep.dst[i]
-					if dg := u.degrees[s]; dg > 0 {
-						em.Send(d, rank[s]/float64(dg))
-					}
-					if !directed {
-						if dg := u.degrees[d]; dg > 0 {
-							em.Send(s, rank[d]/float64(dg))
-						}
-					}
-				}
-			},
-			func(a, b float64) float64 { return a + b },
-			func(vp int, v int32, msg float64, has bool) {
-				nv := base
-				if has {
-					nv = base + damping*msg
-				}
-				rank[v] = nv
-				if u.degrees[v] == 0 {
-					//graphalint:orderfree delivery folds run once per vertex in the CSR inbox's fixed vpart-major, vertex-major order
-					danglingParts[vp] += nv
-				}
-			})
-		if err != nil {
+		if err := runFlow(ctx, u, &sc.f64, 1, 8, f); err != nil {
 			return nil, err
 		}
 		dangling = 0
@@ -249,36 +294,33 @@ func bfsFlow(ctx context.Context, u *uploaded, source int32) ([]int64, error) {
 	active, nextActive := sc.frontier(n)
 	active[source] = true
 	activeCount := 1
+	var updates []int
+	f := flow[int64]{
+		send: func(em *mplane.Stage[int64], ep *edgePartition) {
+			for i, s := range ep.src {
+				d := ep.dst[i]
+				if active[s] && depth[d] == algorithms.Unreachable {
+					em.Send(d, depth[s]+1)
+				}
+				if !directed && active[d] && depth[s] == algorithms.Unreachable {
+					em.Send(s, depth[d]+1)
+				}
+			}
+		},
+		merge: minInt64,
+		apply: func(vp int, v int32, msg int64, has bool) {
+			nextActive[v] = false
+			if has && depth[v] == algorithms.Unreachable {
+				depth[v] = msg
+				nextActive[v] = true
+				updates[vp]++
+			}
+		},
+	}
 	for activeCount > 0 {
-		updates := sc.counters(len(u.vparts))
+		updates = sc.counters(len(u.vparts))
 		frac := float64(activeCount) / float64(n)
-		err := aggregate(ctx, u, &sc.i64, frac, 8,
-			func(em *mplane.Stage[int64], ep *edgePartition) {
-				for i, s := range ep.src {
-					d := ep.dst[i]
-					if active[s] && depth[d] == algorithms.Unreachable {
-						em.Send(d, depth[s]+1)
-					}
-					if !directed && active[d] && depth[s] == algorithms.Unreachable {
-						em.Send(s, depth[d]+1)
-					}
-				}
-			},
-			func(a, b int64) int64 {
-				if a < b {
-					return a
-				}
-				return b
-			},
-			func(vp int, v int32, msg int64, has bool) {
-				nextActive[v] = false
-				if has && depth[v] == algorithms.Unreachable {
-					depth[v] = msg
-					nextActive[v] = true
-					updates[vp]++
-				}
-			})
-		if err != nil {
+		if err := runFlow(ctx, u, &sc.i64, frac, 8, f); err != nil {
 			return nil, err
 		}
 		active, nextActive = nextActive, active
@@ -300,30 +342,26 @@ func wccFlow(ctx context.Context, u *uploaded) ([]int64, error) {
 	for v := 0; v < n; v++ {
 		labels[v] = u.G.VertexID(int32(v))
 	}
-	minMerge := func(a, b int64) int64 {
-		if a < b {
-			return a
-		}
-		return b
+	var changes []int
+	f := flow[int64]{
+		send: func(em *mplane.Stage[int64], ep *edgePartition) {
+			for i, s := range ep.src {
+				d := ep.dst[i]
+				em.Send(d, labels[s])
+				em.Send(s, labels[d])
+			}
+		},
+		merge: minInt64,
+		apply: func(vp int, v int32, msg int64, has bool) {
+			if has && msg < labels[v] {
+				labels[v] = msg
+				changes[vp]++
+			}
+		},
 	}
 	for {
-		changes := sc.counters(len(u.vparts))
-		err := aggregate(ctx, u, &sc.i64, 1, 8,
-			func(em *mplane.Stage[int64], ep *edgePartition) {
-				for i, s := range ep.src {
-					d := ep.dst[i]
-					em.Send(d, labels[s])
-					em.Send(s, labels[d])
-				}
-			},
-			minMerge,
-			func(vp int, v int32, msg int64, has bool) {
-				if has && msg < labels[v] {
-					labels[v] = msg
-					changes[vp]++
-				}
-			})
-		if err != nil {
+		changes = sc.counters(len(u.vparts))
+		if err := runFlow(ctx, u, &sc.i64, 1, 8, f); err != nil {
 			return nil, err
 		}
 		total := 0
@@ -370,7 +408,7 @@ func cdlpFlow(ctx context.Context, u *uploaded, iterations int) ([]int64, error)
 	if n == 0 {
 		return out, nil
 	}
-	sc.counts.EnsureDomain(n)
+	sc.counts.Ensure(u.Cl.Threads(), n)
 	sc.labels = mplane.Grow(sc.labels, n)
 	sc.nextLab = mplane.Grow(sc.nextLab, n)
 	labels, next := sc.labels, sc.nextLab
@@ -380,42 +418,46 @@ func cdlpFlow(ctx context.Context, u *uploaded, iterations int) ([]int64, error)
 	dirty, changed := sc.frontier(n)
 	frac := 1.0
 	dense := true // round zero ships everything
+	var updates []int
+	masked := flow[int32]{
+		send: func(em *mplane.Stage[int32], ep *edgePartition) {
+			for i, s := range ep.src {
+				d := ep.dst[i]
+				if dirty[d] {
+					em.Send(d, labels[s])
+				}
+				if dirty[s] {
+					em.Send(s, labels[d])
+				}
+			}
+		},
+		applySeg: func(w, vp int, v int32, msgs []int32) {
+			if len(msgs) == 0 {
+				next[v] = labels[v]
+				changed[v] = false
+				return
+			}
+			counts := sc.counts.At(w)
+			for _, l := range msgs {
+				counts.Add(l)
+			}
+			nl := counts.BestAndReset(labels[v])
+			next[v] = nl
+			if nl != labels[v] {
+				changed[v] = true
+				updates[vp]++
+			} else {
+				changed[v] = false
+			}
+		},
+	}
 	for it := 0; it < iterations; it++ {
-		updates := sc.counters(len(u.vparts))
+		updates = sc.counters(len(u.vparts))
 		var err error
 		if dense {
 			err = cdlpDenseRound(ctx, u, &sc.counts, labels, next, changed, updates, frac, it == 0)
 		} else {
-			err = runFlow(ctx, u, &sc.i32, frac, 12,
-				func(em *mplane.Stage[int32], ep *edgePartition) {
-					for i, s := range ep.src {
-						d := ep.dst[i]
-						if dirty[d] {
-							em.Send(d, labels[s])
-						}
-						if dirty[s] {
-							em.Send(s, labels[d])
-						}
-					}
-				},
-				func(vp int, v int32, msgs []int32) {
-					if len(msgs) == 0 {
-						next[v] = labels[v]
-						changed[v] = false
-						return
-					}
-					for _, l := range msgs {
-						sc.counts.Add(l)
-					}
-					nl := sc.counts.BestAndReset(labels[v])
-					next[v] = nl
-					if nl != labels[v] {
-						changed[v] = true
-						updates[vp]++
-					} else {
-						changed[v] = false
-					}
-				})
+			err = runFlow(ctx, u, &sc.i32, frac, 12, masked)
 		}
 		if err != nil {
 			return nil, err
@@ -468,7 +510,7 @@ func cdlpFlow(ctx context.Context, u *uploaded, iterations int) ([]int64, error)
 // reduction only: the charged traffic, the outputs, and the round
 // structure are identical to the staged path, which still runs for every
 // frontier-masked round.
-func cdlpDenseRound(ctx context.Context, u *uploaded, counts *mplane.LabelCounts, labels, next []int32, changed []bool, updates []int, frac float64, first bool) error {
+func cdlpDenseRound(ctx context.Context, u *uploaded, counts *mplane.WorkerCounts, labels, next []int32, changed []bool, updates []int, frac float64, first bool) error {
 	if err := platform.CheckContext(ctx); err != nil {
 		return err
 	}
@@ -500,25 +542,26 @@ func cdlpDenseRound(ctx context.Context, u *uploaded, counts *mplane.LabelCounts
 	directed := g.Directed()
 	return cl.RunRound(func(mach int, th *cluster.Threads) error {
 		mine := u.machVparts[mach]
-		th.For(len(mine), func(i int) {
-			p := mine[i]
-			for _, v := range u.vparts[p] {
-				var nl int32
-				if first {
-					var in []int32
-					if directed {
-						in = g.InNeighbors(v)
+		th.ChunksIndexed(len(mine), func(w, lo, hi int) {
+			for _, p := range mine[lo:hi] {
+				for _, v := range u.vparts[p] {
+					var nl int32
+					if first {
+						var in []int32
+						if directed {
+							in = g.InNeighbors(v)
+						}
+						nl = algorithms.CDLPInitLabel(v, g.OutNeighbors(v), in, directed)
+					} else {
+						nl = algorithms.CDLPFoldVertex(g, labels, v, counts.At(w))
 					}
-					nl = algorithms.CDLPInitLabel(v, g.OutNeighbors(v), in, directed)
-				} else {
-					nl = algorithms.CDLPFoldVertex(g, labels, v, counts)
-				}
-				next[v] = nl
-				if nl != labels[v] {
-					changed[v] = true
-					updates[p]++
-				} else {
-					changed[v] = false
+					next[v] = nl
+					if nl != labels[v] {
+						changed[v] = true
+						updates[p]++
+					} else {
+						changed[v] = false
+					}
 				}
 			}
 		})
@@ -538,15 +581,15 @@ func lccFlow(ctx context.Context, u *uploaded) ([]float64, error) {
 	directed := u.G.Directed()
 	sc.hoods = mplane.GrowZero(sc.hoods, n)
 	hoods := sc.hoods
-	err := runFlow(ctx, u, &sc.i32, 1, 8,
-		func(em *mplane.Stage[int32], ep *edgePartition) {
+	err := runFlow(ctx, u, &sc.i32, 1, 8, flow[int32]{
+		send: func(em *mplane.Stage[int32], ep *edgePartition) {
 			for i, s := range ep.src {
 				d := ep.dst[i]
 				em.Send(d, s)
 				em.Send(s, d)
 			}
 		},
-		func(vp int, v int32, msg []int32) {
+		applySeg: func(_, _ int, v int32, msg []int32) {
 			if len(msg) == 0 {
 				hoods[v] = nil
 				return
@@ -566,13 +609,14 @@ func lccFlow(ctx context.Context, u *uploaded) ([]float64, error) {
 				uniq = append(uniq, x)
 			}
 			hoods[v] = uniq
-		})
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
 	credits := make([]int64, n)
-	err = aggregate(ctx, u, &sc.i64, 1, 12,
-		func(em *mplane.Stage[int64], ep *edgePartition) {
+	err = runFlow(ctx, u, &sc.i64, 1, 12, flow[int64]{
+		send: func(em *mplane.Stage[int64], ep *edgePartition) {
 			for i, a := range ep.src {
 				b := ep.dst[i]
 				weight := int64(1)
@@ -596,12 +640,13 @@ func lccFlow(ctx context.Context, u *uploaded) ([]float64, error) {
 				}
 			}
 		},
-		func(a, b int64) int64 { return a + b },
-		func(vp int, v int32, msg int64, has bool) {
+		merge: func(a, b int64) int64 { return a + b },
+		apply: func(vp int, v int32, msg int64, has bool) {
 			if has {
 				credits[v] = msg
 			}
-		})
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -629,32 +674,34 @@ func ssspFlow(ctx context.Context, u *uploaded, source int32) ([]float64, error)
 	active, nextActive := sc.frontier(n)
 	active[source] = true
 	activeCount := 1
+	var updates []int
+	f := flow[float64]{
+		send: func(em *mplane.Stage[float64], ep *edgePartition) {
+			for i, s := range ep.src {
+				d := ep.dst[i]
+				w := ep.w[i]
+				if active[s] {
+					em.Send(d, dist[s]+w)
+				}
+				if !directed && active[d] {
+					em.Send(s, dist[d]+w)
+				}
+			}
+		},
+		merge: math.Min,
+		apply: func(vp int, v int32, msg float64, has bool) {
+			nextActive[v] = false
+			if has && msg < dist[v] {
+				dist[v] = msg
+				nextActive[v] = true
+				updates[vp]++
+			}
+		},
+	}
 	for activeCount > 0 {
-		updates := sc.counters(len(u.vparts))
+		updates = sc.counters(len(u.vparts))
 		frac := float64(activeCount) / float64(n)
-		err := aggregate(ctx, u, &sc.f64, frac, 8,
-			func(em *mplane.Stage[float64], ep *edgePartition) {
-				for i, s := range ep.src {
-					d := ep.dst[i]
-					w := ep.w[i]
-					if active[s] {
-						em.Send(d, dist[s]+w)
-					}
-					if !directed && active[d] {
-						em.Send(s, dist[d]+w)
-					}
-				}
-			},
-			math.Min,
-			func(vp int, v int32, msg float64, has bool) {
-				nextActive[v] = false
-				if has && msg < dist[v] {
-					dist[v] = msg
-					nextActive[v] = true
-					updates[vp]++
-				}
-			})
-		if err != nil {
+		if err := runFlow(ctx, u, &sc.f64, frac, 8, f); err != nil {
 			return nil, err
 		}
 		active, nextActive = nextActive, active

@@ -23,7 +23,7 @@ type gasScratch struct {
 	labelBuf []int32 // gathered neighbor labels (internal-index domain)
 	labels   []int32 // CDLP working labels
 	pos      []int32
-	counts   mplane.LabelCounts
+	counts   mplane.WorkerCounts // per-thread apply counters
 	dirty    []bool
 	changed  []bool
 	// Per-round thread partials, pooled so rounds allocate nothing.
@@ -332,7 +332,7 @@ func cdlpGAS(ctx context.Context, u *uploaded, iterations int) ([]int64, error) 
 	if n == 0 {
 		return out, nil
 	}
-	sc.counts.EnsureDomain(n)
+	sc.counts.Ensure(cl.Threads(), n)
 	sc.labels = mplane.Grow(sc.labels, n)
 	labels := sc.labels
 	for v := int32(0); v < int32(n); v++ {
@@ -343,121 +343,133 @@ func cdlpGAS(ctx context.Context, u *uploaded, iterations int) ([]int64, error) 
 	copy(sc.pos, u.labelOff[:n])
 	sc.dirty = mplane.Grow(sc.dirty, n)
 	sc.changed = mplane.Grow(sc.changed, n)
+	tc := cl.Threads()
+	sc.wireParts = mplane.Grow(sc.wireParts, tc)
+	sc.bcastParts = mplane.Grow(sc.bcastParts, tc)
+	sc.countParts = mplane.Grow(sc.countParts, tc)
 	labelBuf, pos := sc.labelBuf, sc.pos
 	dirty, changed := sc.dirty, sc.changed
-	dense := true // round zero treats every vertex as dirty
+	wireParts, bcastParts, countParts := sc.wireParts, sc.bcastParts, sc.countParts
+	var (
+		dense = true // round zero treats every vertex as dirty
+		first bool
+		mach  int // the machine whose round the bodies below run in
+		ma    *machineArcs
+		verts []int32
+	)
+	gatherIn := func(w, lo, hi int) {
+		var bytes int64
+		for i := lo; i < hi; i++ {
+			dst := ma.dsts[i]
+			if !dense && !dirty[dst] {
+				continue
+			}
+			p := pos[dst]
+			for _, src := range ma.srcByDst[ma.doff[i]:ma.doff[i+1]] {
+				labelBuf[p] = labels[src]
+				p++
+			}
+			pos[dst] = p
+			if int(u.part.Master[dst]) != mach {
+				bytes += int64(ma.doff[i+1]-ma.doff[i]) * 8
+			}
+		}
+		wireParts[w] = bytes
+	}
+	// Out-neighbor labels also count in directed graphs.
+	gatherOut := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			src := ma.srcs[i]
+			if !dense && !dirty[src] {
+				continue
+			}
+			p := pos[src]
+			for _, a := range ma.arcs[ma.off[i]:ma.off[i+1]] {
+				labelBuf[p] = labels[a.Dst]
+				p++
+			}
+			pos[src] = p
+		}
+	}
+	apply := func(w, lo, hi int) {
+		var bc int64
+		cnt := 0
+		counts := sc.counts.At(w)
+		for _, v := range verts[lo:hi] {
+			if !dense && !dirty[v] {
+				changed[v] = false
+				continue
+			}
+			changed[v] = false
+			if seg := labelBuf[u.labelOff[v]:pos[v]]; len(seg) > 0 {
+				var nl int32
+				if first && !g.Directed() {
+					// Identity labels are all distinct, so the
+					// mode is the segment minimum.
+					nl = seg[0]
+					for _, l := range seg[1:] {
+						if l < nl {
+							nl = l
+						}
+					}
+				} else {
+					for _, l := range seg {
+						counts.Add(l)
+					}
+					nl = counts.BestAndReset(labels[v])
+				}
+				if nl != labels[v] {
+					labels[v] = nl
+					changed[v] = true
+					cnt++
+					bc += int64(u.replicaCount[v]-1) * 8
+				}
+				pos[v] = u.labelOff[v]
+			}
+		}
+		bcastParts[w] = bc
+		countParts[w] = cnt
+	}
+	gather := func(m int, th *cluster.Threads) error {
+		mach, ma = m, u.local[m]
+		clear(wireParts)
+		th.ChunksIndexed(len(ma.dsts), gatherIn)
+		if g.Directed() {
+			th.Chunks(len(ma.srcs), gatherOut)
+		}
+		var wire int64
+		for _, b := range wireParts {
+			wire += b
+		}
+		cl.Send(m, (m+1)%cl.Machines(), wire)
+		return nil
+	}
+	total := 0
+	applyRound := func(m int, th *cluster.Threads) error {
+		verts = u.masterVerts[m]
+		clear(bcastParts)
+		clear(countParts)
+		th.ChunksIndexed(len(verts), apply)
+		var bcast int64
+		for _, b := range bcastParts {
+			bcast += b
+		}
+		for _, c := range countParts {
+			total += c
+		}
+		cl.Send(m, (m+1)%cl.Machines(), bcast)
+		return nil
+	}
 	for it := 0; it < iterations; it++ {
 		if err := platform.CheckContext(ctx); err != nil {
 			return nil, err
 		}
-		first := it == 0
-		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-			ma := u.local[mach]
-			var wire int64
-			sc.wireParts = mplane.Grow(sc.wireParts, th.Count())
-			wireParts := sc.wireParts[:th.Count()]
-			clear(wireParts)
-			th.ChunksIndexed(len(ma.dsts), func(w, lo, hi int) {
-				var bytes int64
-				for i := lo; i < hi; i++ {
-					dst := ma.dsts[i]
-					if !dense && !dirty[dst] {
-						continue
-					}
-					p := pos[dst]
-					for _, src := range ma.srcByDst[ma.doff[i]:ma.doff[i+1]] {
-						labelBuf[p] = labels[src]
-						p++
-					}
-					pos[dst] = p
-					if int(u.part.Master[dst]) != mach {
-						bytes += int64(ma.doff[i+1]-ma.doff[i]) * 8
-					}
-				}
-				wireParts[w] = bytes
-			})
-			if g.Directed() {
-				// Out-neighbor labels also count in directed graphs.
-				th.Chunks(len(ma.srcs), func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						src := ma.srcs[i]
-						if !dense && !dirty[src] {
-							continue
-						}
-						p := pos[src]
-						for _, a := range ma.arcs[ma.off[i]:ma.off[i+1]] {
-							labelBuf[p] = labels[a.Dst]
-							p++
-						}
-						pos[src] = p
-					}
-				})
-			}
-			for _, b := range wireParts {
-				wire += b
-			}
-			cl.Send(mach, (mach+1)%cl.Machines(), wire)
-			return nil
-		}); err != nil {
+		first = it == 0
+		if err := cl.RunRound(gather); err != nil {
 			return nil, err
 		}
-		total := 0
-		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-			verts := u.masterVerts[mach]
-			var bcast int64
-			sc.bcastParts = mplane.Grow(sc.bcastParts, th.Count())
-			sc.countParts = mplane.Grow(sc.countParts, th.Count())
-			bcastParts := sc.bcastParts[:th.Count()]
-			countParts := sc.countParts[:th.Count()]
-			clear(bcastParts)
-			clear(countParts)
-			th.ChunksIndexed(len(verts), func(w, lo, hi int) {
-				var bc int64
-				cnt := 0
-				for _, v := range verts[lo:hi] {
-					if !dense && !dirty[v] {
-						changed[v] = false
-						continue
-					}
-					changed[v] = false
-					if seg := labelBuf[u.labelOff[v]:pos[v]]; len(seg) > 0 {
-						var nl int32
-						if first && !g.Directed() {
-							// Identity labels are all distinct, so the
-							// mode is the segment minimum.
-							nl = seg[0]
-							for _, l := range seg[1:] {
-								if l < nl {
-									nl = l
-								}
-							}
-						} else {
-							for _, l := range seg {
-								sc.counts.Add(l)
-							}
-							nl = sc.counts.BestAndReset(labels[v])
-						}
-						if nl != labels[v] {
-							labels[v] = nl
-							changed[v] = true
-							cnt++
-							bc += int64(u.replicaCount[v]-1) * 8
-						}
-						pos[v] = u.labelOff[v]
-					}
-				}
-				bcastParts[w] = bc
-				countParts[w] = cnt
-			})
-			for _, b := range bcastParts {
-				bcast += b
-			}
-			for _, c := range countParts {
-				total += c
-			}
-			cl.Send(mach, (mach+1)%cl.Machines(), bcast)
-			return nil
-		}); err != nil {
+		total = 0
+		if err := cl.RunRound(applyRound); err != nil {
 			return nil, err
 		}
 		if total == 0 {
@@ -600,11 +612,14 @@ func lccGAS(ctx context.Context, u *uploaded) ([]float64, error) {
 }
 
 // ssspGAS relaxes the out-arcs of frontier vertices with an atomic min on
-// the distance bits, synchronizing discoveries like bfsGAS. All working
-// state — distance bits, per-round claim stamps (replacing the seed's
-// clear-after-merge flags), per-thread relax outputs and per-machine
-// discovery lists — comes from the pooled scratch, so steady-state runs
-// allocate only the output array.
+// the distance bits (algorithms.SSSPRelaxArcs over each machine's local
+// arcs), synchronizing discoveries like bfsGAS. The rounds are
+// Bellman-Ford phases whose discoveries depend on what earlier chunks
+// already relaxed, so the chunks run in order (Threads.ChunksInOrder).
+// All working state — distance bits, per-round claim stamps (replacing the
+// seed's clear-after-merge flags), per-thread relax outputs and
+// per-machine discovery lists — comes from the pooled scratch, so
+// steady-state runs allocate only the output array.
 func ssspGAS(ctx context.Context, u *uploaded, source int32) ([]float64, error) {
 	g, cl := u.G, u.Cl
 	n := g.NumVertices()
@@ -628,65 +643,47 @@ func ssspGAS(ctx context.Context, u *uploaded, source int32) ([]float64, error) 
 		sc.disc = make([][]int32, cl.Machines())
 	}
 	frontier := append(sc.front[:0], source)
-	stamp := uint32(0)
+	var (
+		stamp uint32
+		ma    *machineArcs // the machine whose round relax runs in
+	)
+	relax := func(w, lo, hi int) {
+		buf := sc.parts[w][:0]
+		for _, v := range frontier[lo:hi] {
+			arcs, ws := ma.arcsOf(v)
+			buf = algorithms.SSSPRelaxArcs(bits, v, arcs, ws, claimed, stamp, buf)
+		}
+		sc.parts[w] = buf
+	}
+	round := func(mach int, th *cluster.Threads) error {
+		ma = u.local[mach]
+		for w := range sc.parts {
+			sc.parts[w] = sc.parts[w][:0]
+		}
+		th.ChunksInOrder(len(frontier), relax)
+		// Per-machine merge copies out of the per-thread buffers, which
+		// the next (sequential) machine body reuses.
+		merged := sc.disc[mach][:0]
+		for _, p := range sc.parts[:tc] {
+			merged = append(merged, p...)
+		}
+		sc.disc[mach] = merged
+		var wire int64
+		for _, d := range merged {
+			if int(u.part.Master[d]) != mach {
+				wire += 16
+			}
+			wire += int64(u.replicaCount[d]-1) * 16
+		}
+		cl.Send(mach, (mach+1)%cl.Machines(), wire)
+		return nil
+	}
 	for len(frontier) > 0 {
 		if err := platform.CheckContext(ctx); err != nil {
 			return nil, err
 		}
 		stamp++
-		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-			ma := u.local[mach]
-			parts := sc.parts
-			for w := range parts {
-				parts[w] = parts[w][:0]
-			}
-			th.ChunksIndexed(len(frontier), func(w, lo, hi int) {
-				buf := parts[w][:0]
-				for _, v := range frontier[lo:hi] {
-					arcs, ws := ma.arcsOf(v)
-					dv := math.Float64frombits(atomic.LoadUint64(&bits[v]))
-					for i, a := range arcs {
-						nd := dv + ws[i]
-						for {
-							old := atomic.LoadUint64(&bits[a.Dst])
-							if nd >= math.Float64frombits(old) {
-								break
-							}
-							if atomic.CompareAndSwapUint64(&bits[a.Dst], old, math.Float64bits(nd)) {
-								for {
-									c := atomic.LoadUint32(&claimed[a.Dst])
-									if c == stamp {
-										break
-									}
-									if atomic.CompareAndSwapUint32(&claimed[a.Dst], c, stamp) {
-										buf = append(buf, a.Dst)
-										break
-									}
-								}
-								break
-							}
-						}
-					}
-				}
-				parts[w] = buf
-			})
-			// Per-machine merge copies out of the per-thread buffers, which
-			// the next (sequential) machine body reuses.
-			merged := sc.disc[mach][:0]
-			for _, p := range parts[:th.Count()] {
-				merged = append(merged, p...)
-			}
-			sc.disc[mach] = merged
-			var wire int64
-			for _, d := range merged {
-				if int(u.part.Master[d]) != mach {
-					wire += 16
-				}
-				wire += int64(u.replicaCount[d]-1) * 16
-			}
-			cl.Send(mach, (mach+1)%cl.Machines(), wire)
-			return nil
-		}); err != nil {
+		if err := cl.RunRound(round); err != nil {
 			return nil, err
 		}
 		frontier = frontier[:0]

@@ -2,7 +2,6 @@ package native
 
 import (
 	"context"
-	"sync/atomic"
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
@@ -15,10 +14,17 @@ import (
 // iterations through cluster.RunRound so that the simulated thread pool
 // (see cluster.Threads) models vertical scalability uniformly across all
 // engines. The per-chunk kernel bodies are the shared step functions of
-// the algorithms package (BFSExpand, PRContribRange, ...), the same code
-// the parallel reference kernels fan out over internal/par — the engine
-// only contributes its own chunking, round accounting and engine-specific
-// algorithms (min-label WCC, Bellman-Ford SSSP).
+// the algorithms package (BFSExpand, PRContribRange, WCCUniteRange, ...),
+// the same code the parallel reference kernels fan out over internal/par —
+// the engine only contributes its own chunking and round accounting. The
+// simulated threads' chunks run concurrently on the host's cores, so every
+// body writes only its own range or worker slot (per-worker counters,
+// numerators and frontier parts), or uses order-free atomics: rounds,
+// outputs and memory charges do not depend on the schedule.
+//
+// Region bodies that a round loop runs many times are built once, before
+// the loop: a body escapes to the thread pool's helpers, so a closure
+// built per round would allocate per round.
 
 // bfs is a level-synchronous queue-based breadth-first search: only the
 // frontier is scanned each level, so partially covered graphs cost only the
@@ -41,10 +47,11 @@ func bfs(ctx context.Context, u *uploaded, source int32) ([]int64, error) {
 	// frontier through the variables it captured, so a search allocates
 	// the same whether it runs three levels or three thousand.
 	level := int64(1)
+	expand := func(w, lo, hi int) {
+		sc.parts[w] = algorithms.BFSExpand(g, depth, sc.frontier[lo:hi], level, sc.parts[w][:0])
+	}
 	round := func(_ int, th *cluster.Threads) error {
-		th.ChunksIndexed(len(sc.frontier), func(w, lo, hi int) {
-			sc.parts[w] = algorithms.BFSExpand(g, depth, sc.frontier[lo:hi], level, sc.parts[w][:0])
-		})
+		th.ChunksIndexed(len(sc.frontier), expand)
 		return nil
 	}
 	for ; len(sc.frontier) > 0; level++ {
@@ -77,28 +84,32 @@ func pagerank(ctx context.Context, g *graph.Graph, cl *cluster.Cluster, iteratio
 	for i := range rank {
 		rank[i] = inv
 	}
+	danglingParts := make([]float64, cl.Threads())
+	var base float64
+	contribute := func(w, lo, hi int) {
+		danglingParts[w] = algorithms.PRContribRange(g, rank, contrib, lo, hi)
+	}
+	pull := func(lo, hi int) {
+		algorithms.PRPullRange(g, contrib, next, base, damping, lo, hi)
+	}
+	round := func(_ int, th *cluster.Threads) error {
+		th.ChunksIndexed(n, contribute)
+		// Worker-ordered reduction; the engine is validated within
+		// epsilon, so it need not mirror the reference's block tree.
+		var dangling float64
+		//graphalint:orderfree chunk partials folded in worker-index order; geometry fixed by the simulated thread config, not host parallelism
+		for _, d := range danglingParts {
+			dangling += d
+		}
+		base = (1-damping)*inv + damping*dangling*inv
+		th.Chunks(n, pull)
+		return nil
+	}
 	for it := 0; it < iterations; it++ {
 		if err := platform.CheckContext(ctx); err != nil {
 			return nil, err
 		}
-		if err := cl.RunRound(func(_ int, th *cluster.Threads) error {
-			danglingParts := make([]float64, th.Count())
-			th.ChunksIndexed(n, func(w, lo, hi int) {
-				danglingParts[w] = algorithms.PRContribRange(g, rank, contrib, lo, hi)
-			})
-			// Worker-ordered reduction; the engine is validated within
-			// epsilon, so it need not mirror the reference's block tree.
-			var dangling float64
-			//graphalint:orderfree chunk partials folded in worker-index order; geometry fixed by the simulated thread config, not host parallelism
-			for _, d := range danglingParts {
-				dangling += d
-			}
-			base := (1-damping)*inv + damping*dangling*inv
-			th.Chunks(n, func(lo, hi int) {
-				algorithms.PRPullRange(g, contrib, next, base, damping, lo, hi)
-			})
-			return nil
-		}); err != nil {
+		if err := cl.RunRound(round); err != nil {
 			return nil, err
 		}
 		rank, next = next, rank
@@ -106,81 +117,38 @@ func pagerank(ctx context.Context, g *graph.Graph, cl *cluster.Cluster, iteratio
 	return rank, nil
 }
 
-// wcc propagates minimum labels over both edge directions until a
-// fixpoint; labels start as internal indices (whose order equals external
-// identifier order) and are translated to external identifiers at the end.
+// wcc is the reference kernel's concurrent union-find under the simulated
+// thread pool, in one charged round: every chunk unites its vertices with
+// their out-neighbors (algorithms.WCCUniteRange), then every chunk labels
+// its vertices with their roots (algorithms.WCCLabelRange). Roots are
+// component minima whatever the interleaving, so the labels are the
+// canonical smallest-identifier ones.
 func wcc(ctx context.Context, g *graph.Graph, cl *cluster.Cluster) ([]int64, error) {
-	n := g.NumVertices()
-	label := make([]int32, n)
-	for i := range label {
-		label[i] = int32(i)
+	if err := platform.CheckContext(ctx); err != nil {
+		return nil, err
 	}
-	for {
-		if err := platform.CheckContext(ctx); err != nil {
-			return nil, err
-		}
-		any := false
-		if err := cl.RunRound(func(_ int, th *cluster.Threads) error {
-			changedParts := make([]bool, th.Count())
-			th.ChunksIndexed(n, func(w, lo, hi int) {
-				changedParts[w] = wccRange(g, label, lo, hi)
-			})
-			for _, c := range changedParts {
-				any = any || c
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		if !any {
-			break
-		}
+	n := g.NumVertices()
+	parent := make([]int32, n)
+	for i := range parent {
+		parent[i] = int32(i)
 	}
 	out := make([]int64, n)
-	for v := 0; v < n; v++ {
-		out[v] = g.VertexID(label[v])
+	if err := cl.RunRound(func(_ int, th *cluster.Threads) error {
+		th.Chunks(n, func(lo, hi int) { algorithms.WCCUniteRange(g, parent, lo, hi) })
+		th.Chunks(n, func(lo, hi int) { algorithms.WCCLabelRange(g, parent, out, lo, hi) })
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-// wccRange runs one min-label sweep for v in [lo, hi): each vertex takes
-// the minimum label over itself and both neighbor directions, and the
-// return value reports whether any label in the range moved.
-//
-//graphalint:noalloc per-chunk superstep body: atomic loads and stores on the shared label array only
-func wccRange(g *graph.Graph, label []int32, lo, hi int) bool {
-	changed := false
-	for v := lo; v < hi; v++ {
-		orig := atomic.LoadInt32(&label[v])
-		m := orig
-		for _, u := range g.OutNeighbors(int32(v)) {
-			if l := atomic.LoadInt32(&label[u]); l < m {
-				m = l
-			}
-		}
-		if g.Directed() {
-			for _, u := range g.InNeighbors(int32(v)) {
-				if l := atomic.LoadInt32(&label[u]); l < m {
-					m = l
-				}
-			}
-		}
-		if m < orig {
-			// A concurrent smaller store may be overwritten here; that
-			// writer sets its changed flag, so the fixpoint loop runs
-			// again and re-lowers the label.
-			atomic.StoreInt32(&label[v], m)
-			changed = true
-		}
-	}
-	return changed
 }
 
 // nativeScratch is the pooled per-job working state of the BFS, CDLP, LCC
 // and SSSP kernels, hung off the upload so repeated Execute calls reuse it.
 type nativeScratch struct {
-	counts   mplane.LabelCounts
-	labels   []int32 // CDLP working labels (internal-index domain)
+	counts   mplane.WorkerCounts // per-worker CDLP counters
+	changes  []int               // per-worker CDLP changed-vertex counts
+	labels   []int32             // CDLP working labels (internal-index domain)
 	next     []int32
 	dirty    []uint32
 	changed  []bool
@@ -188,7 +156,7 @@ type nativeScratch struct {
 	parts    [][]int32 // per-worker BFS claims and SSSP relax outputs
 	frontier []int32   // BFS frontier
 	buckets  algorithms.SSSPBuckets
-	count    []int64   // LCC numerators
+	count    [][]int64 // per-thread LCC numerators
 	marks    [][]uint8 // per-thread LCC marks, all-zero between jobs
 }
 
@@ -201,9 +169,9 @@ func newNativeScratch() *nativeScratch { return &nativeScratch{} }
 // recomputes only the vertices whose neighborhood changed last round and
 // stamps the next frontier from the changed set, stopping early at a
 // fixpoint — all bit-identical to the dense rounds (see
-// algorithms.CDLPFrontierRange). The simulated threads run their chunks
-// sequentially, so one job-lifetime counter serves every chunk of every
-// iteration.
+// algorithms.CDLPFrontierRange). Each worker slot folds into its own
+// counter and counts its own changed vertices, so chunks can run
+// concurrently.
 func cdlp(ctx context.Context, u *uploaded, iterations int) ([]int64, error) {
 	g, cl := u.G, u.Cl
 	n := g.NumVertices()
@@ -213,7 +181,8 @@ func cdlp(ctx context.Context, u *uploaded, iterations int) ([]int64, error) {
 	}
 	sc := mplane.Acquire(&u.scratch, newNativeScratch)
 	defer u.scratch.Put(sc)
-	sc.counts.EnsureDomain(n)
+	sc.counts.Ensure(cl.Threads(), n)
+	sc.changes = mplane.Grow(sc.changes, cl.Threads())
 	sc.labels = mplane.Grow(sc.labels, n)
 	sc.next = mplane.Grow(sc.next, n)
 	labels, next := sc.labels, sc.next
@@ -223,45 +192,54 @@ func cdlp(ctx context.Context, u *uploaded, iterations int) ([]int64, error) {
 	sc.dirty = mplane.Grow(sc.dirty, n)
 	clear(sc.dirty) // stale stamps from a previous job must not leak in
 	sc.changed = mplane.Grow(sc.changed, n)
-	dense := true // round zero treats every vertex as dirty
-	for it := 0; it < iterations; it++ {
+	var (
+		it    int
+		dirty []uint32 // nil: every vertex is dirty (round zero, dense rounds)
+	)
+	fold := func(w, lo, hi int) {
+		if it == 0 {
+			// Identity labels admit a closed-form first round (see
+			// algorithms.CDLPInitRange).
+			sc.changes[w] = algorithms.CDLPInitRange(g, next, sc.changed, lo, hi)
+		} else {
+			sc.changes[w] = algorithms.CDLPFrontierRange(g, labels, next, lo, hi, sc.counts.At(w), dirty, uint32(it), sc.changed)
+		}
+	}
+	stamp := func(lo, hi int) {
+		algorithms.CDLPScatterRange(g, sc.changed, sc.dirty, uint32(it+1), lo, hi)
+	}
+	total, scatter := 0, false
+	round := func(_ int, th *cluster.Threads) error {
+		clear(sc.changes)
+		th.ChunksIndexed(n, fold)
+		total = 0
+		for _, c := range sc.changes {
+			total += c
+		}
+		// While the changed set is large its neighborhoods blanket the
+		// graph — skip the marking sweep and run the next round dense
+		// (over-marking is exact; see CDLPScatterWorthwhile).
+		scatter = total > 0 && algorithms.CDLPScatterWorthwhile(total, n) && it+1 < iterations
+		if scatter {
+			th.Chunks(n, stamp)
+		}
+		return nil
+	}
+	for ; it < iterations; it++ {
 		if err := platform.CheckContext(ctx); err != nil {
 			return nil, err
 		}
-		var d []uint32
-		if !dense {
-			d = sc.dirty
-		}
-		total := 0
-		scatter := false
-		if err := cl.RunRound(func(_ int, th *cluster.Threads) error {
-			th.Chunks(n, func(lo, hi int) {
-				if it == 0 {
-					// Identity labels admit a closed-form first round
-					// (see algorithms.CDLPInitRange).
-					total += algorithms.CDLPInitRange(g, next, sc.changed, lo, hi)
-				} else {
-					total += algorithms.CDLPFrontierRange(g, labels, next, lo, hi, &sc.counts, d, uint32(it), sc.changed)
-				}
-			})
-			// While the changed set is large its neighborhoods blanket the
-			// graph — skip the marking sweep and run the next round dense
-			// (over-marking is exact; see CDLPScatterWorthwhile).
-			scatter = total > 0 && algorithms.CDLPScatterWorthwhile(total, n) && it+1 < iterations
-			if scatter {
-				th.Chunks(n, func(lo, hi int) {
-					algorithms.CDLPScatterRange(g, sc.changed, sc.dirty, uint32(it+1), lo, hi)
-				})
-			}
-			return nil
-		}); err != nil {
+		if err := cl.RunRound(round); err != nil {
 			return nil, err
 		}
 		labels, next = next, labels
 		if total == 0 {
 			break
 		}
-		dense = !scatter
+		dirty = nil
+		if scatter {
+			dirty = sc.dirty
+		}
 	}
 	for v := 0; v < n; v++ {
 		out[v] = g.VertexID(labels[v])
@@ -273,10 +251,10 @@ func cdlp(ctx context.Context, u *uploaded, iterations int) ([]int64, error) {
 // algorithms.LCCOrientation) under the simulated thread pool: one charged
 // round counts triangles over chunks cut by probe work, so the modeled
 // slowest thread stays close to the mean on skewed graphs, then divides
-// the numerators over vertex chunks. The simulated threads run their
-// chunks one after another, so a single numerator array serves them all;
-// each thread keeps its own mark array, as real threads would. Everything
-// but the output is pooled.
+// the numerators over vertex chunks. As in algorithms.ParLCC, each thread
+// counts into its own numerator and mark arrays, and the ratio pass folds
+// the numerators in thread order — integer sums, so the order cannot move
+// a bit. Everything but the output is pooled.
 func lcc(ctx context.Context, u *uploaded) ([]float64, error) {
 	if err := platform.CheckContext(ctx); err != nil {
 		return nil, err
@@ -286,8 +264,8 @@ func lcc(ctx context.Context, u *uploaded) ([]float64, error) {
 	sc := mplane.Acquire(&u.scratch, newNativeScratch)
 	defer u.scratch.Put(sc)
 	tc := u.Cl.Threads()
-	sc.count = mplane.GrowZero(sc.count, n)
 	if sc.marks == nil {
+		sc.count = make([][]int64, tc)
 		sc.marks = make([][]uint8, tc)
 		for w := range sc.marks {
 			sc.marks[w] = make([]uint8, n)
@@ -297,12 +275,19 @@ func lcc(ctx context.Context, u *uploaded) ([]float64, error) {
 	out := make([]float64, n)
 	if err := u.Cl.RunRound(func(_ int, th *cluster.Threads) error {
 		th.ChunksIndexed(tc, func(w, lo, hi int) {
+			sc.count[w] = mplane.GrowZero(sc.count[w], n)
 			for c := lo; c < hi; c++ {
-				o.CountRange(sc.count, sc.marks[w], bounds[c], bounds[c+1])
+				o.CountRange(sc.count[w], sc.marks[w], bounds[c], bounds[c+1])
 			}
 		})
 		th.Chunks(n, func(lo, hi int) {
-			o.RatioRange(sc.count, out, lo, hi)
+			total := sc.count[0]
+			for _, c := range sc.count[1:] {
+				for v := lo; v < hi; v++ {
+					total[v] += c[v]
+				}
+			}
+			o.RatioRange(total, out, lo, hi)
 		})
 		return nil
 	}); err != nil {
@@ -316,13 +301,19 @@ func lcc(ctx context.Context, u *uploaded) ([]float64, error) {
 
 // sssp runs delta-stepping, mirroring algorithms.ParSSSP under the
 // simulated thread pool: one charged round computes the bucket width
-// (mean edge weight), then each relax phase of the current bucket is one
-// charged round over the frontier via the shared SSSPRelaxRange step,
-// with the sequential bucket bookkeeping (algorithms.SSSPBuckets) between
-// rounds — the engine-side analog of the reference kernels' frontier
-// merges. All working state is pooled, so steady-state runs allocate only
-// the output array. The fixpoint is the unique shortest-path distance
-// vector (see the determinism argument in algorithms/sssp.go).
+// (mean edge weight), then each bucket is one charged round that runs the
+// bucket's relax phases over the frontier via the shared SSSPRelaxRange
+// step, with the sequential bucket bookkeeping (algorithms.SSSPBuckets)
+// between phases — the engine-side analog of the reference kernels'
+// frontier merges. A round per bucket, not per phase, keeps the round
+// count schedule-free: how many phases a bucket takes depends on which
+// relaxations concurrent chunks happened to see, but once bucket b drains
+// every vertex below (b+1)·Δ is final and every other tentative distance
+// is the minimum over settled u of dist(u)+w, which the graph alone fixes
+// — so the sequence of buckets visited is the same under any schedule.
+// All working state is pooled, so steady-state runs allocate only the
+// output array. The fixpoint is the unique shortest-path distance vector
+// (see the determinism argument in algorithms/sssp.go).
 func sssp(ctx context.Context, u *uploaded, source int32) ([]float64, error) {
 	g, cl := u.G, u.Cl
 	n := g.NumVertices()
@@ -358,29 +349,36 @@ func sssp(ctx context.Context, u *uploaded, source int32) ([]float64, error) {
 	if len(sc.parts) < tc {
 		sc.parts = make([][]int32, tc)
 	}
-	for {
-		frontier, claimed, stamp := b.BeginPhase()
-		if len(frontier) == 0 {
-			if !b.Advance() {
-				break
+	var (
+		frontier []int32
+		claimed  []uint32
+		stamp    uint32
+	)
+	relax := func(w, lo, hi int) {
+		sc.parts[w] = algorithms.SSSPRelaxRange(g, b.Bits, frontier[lo:hi], claimed, stamp, sc.parts[w][:0])
+	}
+	bucket := func(_ int, th *cluster.Threads) error {
+		for {
+			if frontier, claimed, stamp = b.BeginPhase(); len(frontier) == 0 {
+				return nil
 			}
-			continue
+			for w := range sc.parts {
+				sc.parts[w] = sc.parts[w][:0]
+			}
+			th.ChunksIndexed(len(frontier), relax)
+			b.Absorb(sc.parts[:tc])
 		}
+	}
+	for {
 		if err := platform.CheckContext(ctx); err != nil {
 			return nil, err
 		}
-		for w := range sc.parts {
-			sc.parts[w] = sc.parts[w][:0]
-		}
-		if err := cl.RunRound(func(_ int, th *cluster.Threads) error {
-			th.ChunksIndexed(len(frontier), func(w, lo, hi int) {
-				sc.parts[w] = algorithms.SSSPRelaxRange(g, b.Bits, frontier[lo:hi], claimed, stamp, sc.parts[w][:0])
-			})
-			return nil
-		}); err != nil {
+		if err := cl.RunRound(bucket); err != nil {
 			return nil, err
 		}
-		b.Absorb(sc.parts[:tc])
+		if !b.Advance() {
+			break
+		}
 	}
 	return b.Distances(nil), nil
 }

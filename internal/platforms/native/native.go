@@ -4,7 +4,10 @@
 // against the CSR representation with explicit work queues and parallel
 // loops, which is why this engine sets the single-machine performance
 // baseline (and why its queue-based BFS wins on graphs where the search
-// covers only part of the vertices).
+// covers only part of the vertices). Its parallel loops are the simulated
+// thread pool's regions (cluster.Threads), whose chunks run on the host's
+// cores, so a native job at t threads takes about the wall time of the
+// reference kernels at t workers.
 package native
 
 import (

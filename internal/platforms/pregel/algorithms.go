@@ -163,12 +163,12 @@ func wccProgram(ctx context.Context, t *granula.Tracker, u *uploaded, combiners 
 }
 
 // cdlpScratch is the pooled per-job state of the frontier CDLP program:
-// the working labels, the previous superstep's label snapshot, and the
-// dense-domain fold counter.
+// the working labels, the previous superstep's label snapshot, and one
+// dense-domain fold counter per thread slot.
 type cdlpScratch struct {
 	labels []int32
 	prev   []int32
-	counts mplane.LabelCounts
+	counts mplane.WorkerCounts
 }
 
 // cdlpProgram runs frontier-based label propagation: messages are change
@@ -205,7 +205,7 @@ func cdlpProgram(ctx context.Context, t *granula.Tracker, u *uploaded, iteration
 		return &cdlpScratch{}
 	})
 	defer u.scratch.Put(sc)
-	sc.counts.EnsureDomain(n)
+	sc.counts.Ensure(u.Cl.Threads(), n)
 	sc.labels = mplane.Grow(sc.labels, n)
 	sc.prev = mplane.Grow(sc.prev, n)
 	labels, prev := sc.labels, sc.prev
@@ -232,13 +232,14 @@ func cdlpProgram(ctx context.Context, t *granula.Tracker, u *uploaded, iteration
 			if superstep == 1 {
 				nl = algorithms.CDLPInitLabel(v, u.verts[v].out, u.verts[v].in, directed)
 			} else {
+				counts := sc.counts.At(w.slot)
 				for _, dst := range u.verts[v].out {
-					sc.counts.Add(prev[dst])
+					counts.Add(prev[dst])
 				}
 				for _, dst := range u.verts[v].in {
-					sc.counts.Add(prev[dst])
+					counts.Add(prev[dst])
 				}
-				nl = sc.counts.BestAndReset(prev[v])
+				nl = counts.BestAndReset(prev[v])
 			}
 			if nl != labels[v] {
 				labels[v] = nl

@@ -58,12 +58,16 @@ type runner[T any] struct {
 
 // worker is the per-thread compute context handed to vertex programs; it
 // stages outgoing messages, halt votes and aggregator contributions so
-// that no locks are taken inside the compute loop.
+// that no locks are taken inside the compute loop. Workers of one machine
+// compute concurrently and each appends to its own stage, so the
+// trailing pad keeps one worker's headers off the next one's cache lines.
 type worker[T any] struct {
 	r     *runner[T]
+	slot  int // thread slot, for programs that keep per-thread scratch
 	stage mplane.Stage[T]
 	halts []int32
 	agg   float64
+	_     mplane.CacheLinePad
 }
 
 // Send queues a message to dst for the next superstep.
@@ -124,7 +128,7 @@ func newRunner[T any](u *uploaded, msgSize func(T) int64, combine func(a, b T) T
 		if len(r.workers[m]) != cl.Threads() {
 			r.workers[m] = make([]*worker[T], cl.Threads())
 			for i := range r.workers[m] {
-				r.workers[m][i] = &worker[T]{r: r}
+				r.workers[m][i] = &worker[T]{r: r, slot: i}
 			}
 		}
 	}
@@ -166,7 +170,6 @@ func (r *runner[T]) run(ctx context.Context, compute func(w *worker[T], v int32,
 	cl := r.u.Cl
 	part := r.u.part
 	n := len(r.u.verts)
-	superstep := 0
 	// Superstep 0 has an empty inbox on both paths.
 	r.slots.Begin(n)
 	r.inbox.Begin(n)
@@ -174,6 +177,58 @@ func (r *runner[T]) run(ctx context.Context, compute func(w *worker[T], v int32,
 	// Active vertex lists per machine; initially all vertices.
 	for m := range r.active {
 		r.active[m] = append(r.active[m][:0], part.Verts[m]...)
+	}
+	var (
+		superstep int
+		messages  int64
+		verts     []int32      // the active vertices of the machine whose round it is
+		workers   []*worker[T] // and its thread slots
+	)
+	// One compute body serves every superstep, so a superstep allocates
+	// nothing for it.
+	body := func(wi, lo, hi int) {
+		w := workers[wi]
+		for _, v := range verts[lo:hi] {
+			compute(w, v, r.msgs(v), superstep)
+		}
+	}
+	round := func(mach int, th *cluster.Threads) error {
+		verts, workers = r.active[mach], r.workers[mach]
+		for _, w := range workers {
+			w.reset()
+		}
+		th.ChunksIndexed(len(verts), body)
+		// Deliver staged messages; machines run sequentially, so the
+		// shared slots / counters are written race-free, in machine-
+		// major, worker-major, staging order — the same order the
+		// seed's sequential appends delivered in.
+		wire := r.wire[:cl.Machines()]
+		for i := range wire {
+			wire[i] = 0
+		}
+		for _, w := range workers {
+			//graphalint:orderfree aggregator folded in worker-index order (see the delivery-order comment above)
+			r.aggNext += w.agg
+			for i, dst := range w.stage.Dst {
+				if o := int(part.Owner[dst]); o != mach {
+					wire[o] += r.msgSize(w.stage.Msg[i]) + 4 // payload + recipient id
+				}
+				if r.combine != nil {
+					r.slotsNext.Put(dst, w.stage.Msg[i], r.combine)
+				}
+			}
+			if r.combine == nil {
+				r.inbox.Count(&w.stage)
+			}
+			for _, v := range w.halts {
+				r.halted[v] = true
+			}
+			messages += int64(w.stage.Len())
+		}
+		for o := 0; o < cl.Machines(); o++ {
+			cl.Send(mach, o, wire[o])
+		}
+		return nil
 	}
 	total := n
 	for total > 0 {
@@ -192,51 +247,8 @@ func (r *runner[T]) run(ctx context.Context, compute func(w *worker[T], v int32,
 		} else {
 			r.inbox.Begin(n)
 		}
-		var messages int64
-		err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-			verts := r.active[mach]
-			workers := r.workers[mach]
-			for _, w := range workers {
-				w.reset()
-			}
-			th.ChunksIndexed(len(verts), func(wi, lo, hi int) {
-				w := workers[wi]
-				for _, v := range verts[lo:hi] {
-					compute(w, v, r.msgs(v), superstep)
-				}
-			})
-			// Deliver staged messages; machines run sequentially, so the
-			// shared slots / counters are written race-free, in machine-
-			// major, worker-major, staging order — the same order the
-			// seed's sequential appends delivered in.
-			wire := r.wire[:cl.Machines()]
-			for i := range wire {
-				wire[i] = 0
-			}
-			for _, w := range workers {
-				//graphalint:orderfree aggregator folded in worker-index order (see the delivery-order comment above)
-				r.aggNext += w.agg
-				for i, dst := range w.stage.Dst {
-					if o := int(part.Owner[dst]); o != mach {
-						wire[o] += r.msgSize(w.stage.Msg[i]) + 4 // payload + recipient id
-					}
-					if r.combine != nil {
-						r.slotsNext.Put(dst, w.stage.Msg[i], r.combine)
-					}
-				}
-				if r.combine == nil {
-					r.inbox.Count(&w.stage)
-				}
-				for _, v := range w.halts {
-					r.halted[v] = true
-				}
-				messages += int64(w.stage.Len())
-			}
-			for o := 0; o < cl.Machines(); o++ {
-				cl.Send(mach, o, wire[o])
-			}
-			return nil
-		})
+		messages = 0
+		err := cl.RunRound(round)
 		if r.tracker != nil {
 			r.tracker.Annotate("messages_sent", fmt.Sprint(messages))
 			r.tracker.End()

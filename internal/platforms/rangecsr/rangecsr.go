@@ -52,8 +52,9 @@ func (l *Layout) Range(mach int) (lo, hi int) {
 // Scratch is the pooled per-job working state of the CDLP and SSSP
 // kernels, hung off the layout so repeated jobs on one upload reuse it.
 type Scratch struct {
-	counts  mplane.LabelCounts
-	labels  []int32 // CDLP working labels (internal-index domain)
+	counts  mplane.WorkerCounts // per-thread CDLP counters
+	changes []int               // per-thread CDLP changed-vertex counts
+	labels  []int32             // CDLP working labels (internal-index domain)
 	nextLab []int32
 	dirty   []uint32 // CDLP frontier stamps: recompute v this round
 	changed []bool   // CDLP: v's label moved this round
@@ -167,7 +168,7 @@ func (l *Layout) WCC(ctx context.Context, cl *cluster.Cluster) ([]int64, int, er
 // changed set still blankets the graph (algorithms.CDLPScatterWorthwhile).
 // The allgather shrinks with the frontier: instead of its dense label
 // slice, a machine ships one sparse (id, label) update per changed vertex.
-// The simulated threads run sequentially, so one counter serves them all.
+// Each thread folds into its own counter and counts its own changes.
 func (l *Layout) CDLP(ctx context.Context, cl *cluster.Cluster, iterations int) ([]int64, error) {
 	g := l.G
 	n := g.NumVertices()
@@ -176,7 +177,8 @@ func (l *Layout) CDLP(ctx context.Context, cl *cluster.Cluster, iterations int) 
 	}
 	sc := l.acquire()
 	defer l.Release(sc)
-	sc.counts.EnsureDomain(n)
+	sc.counts.Ensure(cl.Threads(), n)
+	sc.changes = mplane.Grow(sc.changes, cl.Threads())
 	sc.labels = mplane.Grow(sc.labels, n)
 	sc.nextLab = mplane.Grow(sc.nextLab, n)
 	labels, next := sc.labels, sc.nextLab
@@ -185,26 +187,38 @@ func (l *Layout) CDLP(ctx context.Context, cl *cluster.Cluster, iterations int) 
 	}
 	sc.dirty = mplane.GrowZero(sc.dirty, n) // stale stamps from a previous job must not leak in
 	sc.changed = mplane.Grow(sc.changed, n)
-	var dirty []uint32 // nil: every vertex is dirty (round zero, dense rounds)
-	for it := 0; it < iterations; it++ {
+	var (
+		it    int
+		base  int      // first vertex of the machine in the round
+		dirty []uint32 // nil: every vertex is dirty (round zero, dense rounds)
+	)
+	fold := func(w, lo, hi int) {
+		if it == 0 {
+			sc.changes[w] = algorithms.CDLPInitRange(g, next, sc.changed, base+lo, base+hi)
+		} else {
+			sc.changes[w] = algorithms.CDLPFrontierRange(g, labels, next, base+lo, base+hi, sc.counts.At(w), dirty, uint32(it), sc.changed)
+		}
+	}
+	total := 0
+	round := func(mach int, th *cluster.Threads) error {
+		var end int
+		base, end = l.Range(mach)
+		clear(sc.changes)
+		th.ChunksIndexed(end-base, fold)
+		updates := 0
+		for _, c := range sc.changes {
+			updates += c
+		}
+		total += updates
+		cl.Broadcast(mach, int64(updates)*12)
+		return nil
+	}
+	for ; it < iterations; it++ {
 		if err := platform.CheckContext(ctx); err != nil {
 			return nil, err
 		}
-		total := 0
-		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-			base, end := l.Range(mach)
-			updates := 0
-			th.Chunks(end-base, func(lo, hi int) {
-				if it == 0 {
-					updates += algorithms.CDLPInitRange(g, next, sc.changed, base+lo, base+hi)
-				} else {
-					updates += algorithms.CDLPFrontierRange(g, labels, next, base+lo, base+hi, &sc.counts, dirty, uint32(it), sc.changed)
-				}
-			})
-			total += updates
-			cl.Broadcast(mach, int64(updates)*12)
-			return nil
-		}); err != nil {
+		total = 0
+		if err := cl.RunRound(round); err != nil {
 			return nil, err
 		}
 		labels, next = next, labels
@@ -244,7 +258,10 @@ func (l *Layout) StartSSSP(source int32) *Scratch {
 // local are relaxed under th's chunks (algorithms.SSSPRelaxRange) into the
 // pooled per-thread buffers, and the vertices whose distance improved —
 // each claimed once per stamp across all machines — are returned merged in
-// thread order onto merged[:0].
+// thread order onto merged[:0]. The rounds are Bellman-Ford phases whose
+// discoveries, and so the next frontier and its traffic, depend on what
+// earlier chunks already relaxed, so the chunks run in order
+// (Threads.ChunksInOrder).
 func (sc *Scratch) Relax(g *graph.Graph, th *cluster.Threads, local []int32, stamp uint32, merged []int32) []int32 {
 	tc := th.Count()
 	if len(sc.parts) < tc {
@@ -253,7 +270,7 @@ func (sc *Scratch) Relax(g *graph.Graph, th *cluster.Threads, local []int32, sta
 	for w := range sc.parts[:tc] {
 		sc.parts[w] = sc.parts[w][:0]
 	}
-	th.ChunksIndexed(len(local), func(w, lo, hi int) {
+	th.ChunksInOrder(len(local), func(w, lo, hi int) {
 		sc.parts[w] = algorithms.SSSPRelaxRange(g, sc.bits, local[lo:hi], sc.claimed, stamp, sc.parts[w])
 	})
 	merged = merged[:0]

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -425,6 +426,126 @@ func TestTwoTenantsConcurrent(t *testing.T) {
 	for i, state := range states {
 		if state != RunDone {
 			t.Fatalf("tenant %d run finished %s, want %s", i, state, RunDone)
+		}
+	}
+}
+
+// smallBuffers shrinks the send buffer of every accepted connection, so a
+// client that stops reading stalls the server's writes after a few
+// kilobytes rather than after whatever the host's autotuning allows.
+type smallBuffers struct{ net.Listener }
+
+func (l smallBuffers) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		_ = tc.SetWriteBuffer(4096)
+	}
+	return c, err
+}
+
+// TestStalledClientCannotWedgeStreams connects one client that requests a
+// run's event stream and never reads it while the log holds far more than
+// the socket buffers take: its handler must return once a batch misses
+// the write deadline, the run must still complete, and a second client
+// streaming at the same time must still read the whole log.
+func TestStalledClientCannotWedgeStreams(t *testing.T) {
+	defer func(d time.Duration) { writeTimeout = d }(writeTimeout)
+	writeTimeout = 100 * time.Millisecond
+
+	const events = 2000
+	emitted, finish := make(chan struct{}), make(chan struct{})
+	s := newTestService(t, Config{Tenants: []Tenant{{Name: "a"}}, Slots: 1})
+	s.exec = func(ctx context.Context, run *Run, obs core.Observer, sink core.Sink) error {
+		for i := range events {
+			obs.Observe(core.Event{Type: core.EventJobFinished, Index: i, Total: events})
+		}
+		close(emitted)
+		<-finish
+		return nil
+	}
+	stalledReturned := make(chan struct{})
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.ServeHTTP(w, r)
+		if r.Header.Get("X-Stalled") != "" {
+			close(stalledReturned)
+		}
+	}))
+	srv.Listener = smallBuffers{srv.Listener}
+	srv.Start()
+	defer srv.Close()
+	// Let the run end before the server closes, also on a failure, or the
+	// second client's live stream would keep Close waiting.
+	finishRun := sync.OnceFunc(func() { close(finish) })
+	defer finishRun()
+
+	rec := submitSpec(t, srv.Client(), srv.URL, "", testSpecJSON)
+	select {
+	case <-emitted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("run did not emit its events")
+	}
+
+	// The stalled client: a raw connection with a small receive buffer that
+	// sends its request and never reads a byte.
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.(*net.TCPConn).SetReadBuffer(4096)
+	fmt.Fprintf(conn, "GET /v1/runs/%s/events HTTP/1.1\r\nHost: test\r\nX-Stalled: 1\r\n\r\n", rec.ID)
+
+	// The second client follows the same stream live.
+	type streamed struct {
+		ids  []int
+		last string
+		err  error
+	}
+	second := make(chan streamed, 1)
+	go func() {
+		var got streamed
+		resp, err := srv.Client().Get(srv.URL + "/v1/runs/" + rec.ID + "/events")
+		if err != nil {
+			got.err = err
+			second <- got
+			return
+		}
+		defer resp.Body.Close()
+		got.err = collectSSE(resp.Body, func(ev sseTestEvent) bool {
+			got.ids = append(got.ids, ev.id)
+			got.last = ev.typ
+			return ev.typ != eventRunFinished
+		})
+		second <- got
+	}()
+
+	select {
+	case <-stalledReturned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the handler of a client that stopped reading did not return")
+	}
+	finishRun()
+	s.mu.Lock()
+	run := s.runs[rec.ID]
+	s.mu.Unlock()
+	if state := waitTerminal(t, s, run); state != RunDone {
+		t.Fatalf("run finished %s, want %s", state, RunDone)
+	}
+	var got streamed
+	select {
+	case got = <-second:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the second client's stream did not end")
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if got.last != eventRunFinished {
+		t.Fatalf("second stream ended with %q after %d events, want %q", got.last, len(got.ids), eventRunFinished)
+	}
+	for i, id := range got.ids {
+		if id != i+1 {
+			t.Fatalf("second stream's event ids have a gap or duplicate at %d: %d", i, id)
 		}
 	}
 }

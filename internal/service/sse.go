@@ -2,10 +2,12 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"time"
 )
 
 // This file is the SSE side of the service: encoding a run's event log
@@ -22,6 +24,27 @@ import (
 // exactly the records after n — no gaps, no duplicates — because the
 // stream is served from the run's append-only event log, not from a
 // live tap. The stream ends after the terminal "run-finished" record.
+
+// writeTimeout bounds how long one batch of a stream may take to reach
+// its client. A client that stops reading fills the socket buffers and
+// blocks the handler's next write; the deadline fails that write, so the
+// handler returns instead of holding its goroutine, its connection and
+// its place on the run's log forever. A variable so the package's tests
+// can shorten it.
+var writeTimeout = 30 * time.Second
+
+// sendBatch writes one batch of a stream under a fresh write deadline and
+// flushes it. It reports false once the client can take no more: it left,
+// or it stopped reading and the deadline expired.
+func sendBatch(rc *http.ResponseController, write func() error) bool {
+	// A writer that cannot take deadlines streams without one.
+	_ = rc.SetWriteDeadline(time.Now().Add(writeTimeout))
+	if err := write(); err != nil {
+		return false
+	}
+	err := rc.Flush()
+	return err == nil || errors.Is(err, http.ErrNotSupported)
+}
 
 // writeSSE encodes one record in SSE framing.
 func writeSSE(w io.Writer, rec EventRecord) error {
@@ -59,22 +82,26 @@ func streamEvents(w http.ResponseWriter, r *http.Request, run *Run, after int) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
 	// Ask reconnecting EventSource clients to back off a moment.
-	fmt.Fprint(w, "retry: 1000\n\n")
-	if flusher != nil {
-		flusher.Flush()
+	if !sendBatch(rc, func() error {
+		_, err := fmt.Fprint(w, "retry: 1000\n\n")
+		return err
+	}) {
+		return
 	}
 	for {
 		items, closed, updated := run.events.wait(after)
-		for _, rec := range items {
-			if err := writeSSE(w, rec); err != nil {
-				return
+		if len(items) > 0 && !sendBatch(rc, func() error {
+			for _, rec := range items {
+				if err := writeSSE(w, rec); err != nil {
+					return err
+				}
+				after++
 			}
-			after++
-		}
-		if flusher != nil && len(items) > 0 {
-			flusher.Flush()
+			return nil
+		}) {
+			return
 		}
 		if closed && len(items) == 0 {
 			return
@@ -99,19 +126,21 @@ func streamResults(w http.ResponseWriter, r *http.Request, run *Run) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
 	after := 0
 	for {
 		items, closed, updated := run.results.wait(after)
-		for _, res := range items {
-			if err := enc.Encode(res); err != nil {
-				return
+		if len(items) > 0 && !sendBatch(rc, func() error {
+			for _, res := range items {
+				if err := enc.Encode(res); err != nil {
+					return err
+				}
+				after++
 			}
-			after++
-		}
-		if flusher != nil && len(items) > 0 {
-			flusher.Flush()
+			return nil
+		}) {
+			return
 		}
 		if closed && len(items) == 0 {
 			return
