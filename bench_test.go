@@ -453,28 +453,6 @@ func BenchmarkBuilderBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotLoad decodes the binary CSR snapshot of the largest
-// stand-in: the warm-cache materialization path.
-func BenchmarkSnapshotLoad(b *testing.B) {
-	g, _ := loadBench(b, largestStandIn)
-	path := filepath.Join(b.TempDir(), "g.gsnap")
-	if err := graph.WriteSnapshotFile(path, g); err != nil {
-		b.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(raw)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := graph.DecodeSnapshot(bytes.NewReader(raw)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // writeGraph500Snapshot generates a Graph500 graph at the given scale and
 // writes its v2 snapshot into the benchmark's temp dir.
 func writeGraph500Snapshot(b *testing.B, scale int) string {
@@ -494,8 +472,8 @@ func writeGraph500Snapshot(b *testing.B, scale int) string {
 // sizes (scale 16 carries 16x the edges of scale 12). Open validates the
 // header and slices the sections over the mapping — O(header) work — so
 // ns/op must be size-independent; CI asserts the two sub-benchmarks stay
-// within a small ratio, in contrast to the copying
-// BenchmarkSnapshotHeapLoad, which scales linearly with the file.
+// within a small ratio, in contrast to BenchmarkSnapshotHeapLoad, which
+// reads and verifies the whole file and so scales linearly with it.
 func BenchmarkSnapshotMapOpen(b *testing.B) {
 	for _, scale := range []int{12, 16} {
 		b.Run(fmt.Sprintf("scale%d", scale), func(b *testing.B) {
@@ -515,8 +493,9 @@ func BenchmarkSnapshotMapOpen(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotHeapLoad is the copying decode of the same snapshot
-// files: the baseline the O(header) map-open beats by orders of
+// BenchmarkSnapshotHeapLoad is ReadSnapshotFile on the same snapshot
+// files — one read into a heap buffer, then every CRC and the shape
+// checked: the baseline the O(header) map-open beats by orders of
 // magnitude on warm caches.
 func BenchmarkSnapshotHeapLoad(b *testing.B) {
 	for _, scale := range []int{12, 16} {

@@ -132,6 +132,7 @@ type region struct {
 	next      atomic.Int32
 	durs      []time.Duration // per-chunk durations
 	join      sync.WaitGroup
+	fault     par.Panics // what the helpers' goroutine slots panicked with
 }
 
 // call runs the region's body on one chunk.
@@ -162,9 +163,13 @@ func (r *region) runGroup(g int) {
 }
 
 // fork hands goroutines 1..k-1 to the borrowed helpers, runs goroutine 0
-// itself, and returns the region's wall time once all have joined.
+// itself, and returns the region's wall time once all have joined. A
+// panic in a helper's chunk is re-raised here, after the join; with
+// panics in several goroutines the lowest one's wins, which is the
+// caller's own when goroutine 0 panicked.
 func (r *region) fork() time.Duration {
 	r.next.Store(0)
+	r.fault = par.Panics{} // the last fork's record, if it panicked
 	r.join.Add(r.k - 1)
 	defer r.release(r.k - 1)
 	start := now()
@@ -173,6 +178,7 @@ func (r *region) fork() time.Duration {
 	}
 	r.runGroup(0)
 	r.join.Wait()
+	r.fault.Repanic()
 	return now().Sub(start)
 }
 
@@ -225,7 +231,15 @@ func startHelpers(n int32) {
 // helper runs goroutine slots of the regions it is handed, one at a time.
 func helper() {
 	for r := range helpers.work {
-		r.runGroup(int(r.next.Add(1)))
-		r.join.Done()
+		r.runHelped(int(r.next.Add(1)))
 	}
+}
+
+// runHelped runs goroutine g on a helper, recording a panic for the
+// region's caller instead of ending the process, so the helper stays in
+// the pool.
+func (r *region) runHelped(g int) {
+	defer r.join.Done()
+	defer r.fault.Catch(g)
+	r.runGroup(g)
 }

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -248,6 +249,50 @@ func TestThreadsHelperBudget(t *testing.T) {
 	wg.Wait()
 	if m := most.Load(); m < 1 || m > procs-1 {
 		t.Fatalf("at most %d helpers ran bodies at once, want between 1 and %d", m, procs-1)
+	}
+}
+
+// A panic in a chunk that a helper runs reaches the region's caller after
+// the join — the lowest goroutine's value when several panic — and the
+// helper goes back to the pool: with GOMAXPROCS 2 there is exactly one,
+// so the next region's second chunk running off the caller shows it is
+// both alive and lendable again.
+func TestThreadsHelperPanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	caller := goid()
+	c := cluster.New(cluster.Config{Threads: 2, HostWorkers: 2})
+	region := func(panics map[int]any) (helped bool, recovered any) {
+		defer func() { recovered = recover() }()
+		_ = c.RunRound(func(_ int, th *cluster.Threads) error {
+			th.ChunksIndexed(2, func(w, _, _ int) {
+				if w == 1 {
+					helped = goid() != caller
+				}
+				if v, ok := panics[w]; ok {
+					panic(v)
+				}
+			})
+			return nil
+		})
+		return helped, nil
+	}
+	inHelper, inCaller := errors.New("chunk 1"), errors.New("chunk 0")
+	for _, tc := range []struct {
+		panics map[int]any
+		want   any
+	}{
+		{map[int]any{1: inHelper}, inHelper},
+		{nil, nil},
+		{map[int]any{0: inCaller, 1: inHelper}, inCaller},
+		{nil, nil},
+	} {
+		helped, got := region(tc.panics)
+		if !helped {
+			t.Fatalf("panics %v: chunk 1 ran on the caller, want a helper", tc.panics)
+		}
+		if got != tc.want {
+			t.Fatalf("panics %v: caller recovered %v, want %v", tc.panics, got, tc.want)
+		}
 	}
 }
 

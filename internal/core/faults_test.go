@@ -11,6 +11,7 @@ import (
 	"graphalytics/internal/cluster"
 	"graphalytics/internal/core"
 	"graphalytics/internal/graph"
+	"graphalytics/internal/par"
 	"graphalytics/internal/platform"
 )
 
@@ -22,7 +23,7 @@ import (
 type faultyPlatform struct {
 	platform.Platform
 	name string
-	mode string // "wrong-output", "error", "hang", "panic", "upload-error", "upload-panic"
+	mode string // "wrong-output", "error", "hang", "panic", "chunk-panic", "upload-error", "upload-panic"
 }
 
 func (f *faultyPlatform) Name() string { return f.name }
@@ -56,6 +57,15 @@ func (f *faultyPlatform) Execute(ctx context.Context, up platform.Uploaded, a al
 	case "panic":
 		if a == algorithms.BFS {
 			panic("injected engine panic")
+		}
+		fallthrough
+	case "chunk-panic":
+		if a == algorithms.BFS {
+			par.Chunks(2, 2, func(w, _, _ int) {
+				if w == 1 {
+					panic("injected chunk panic")
+				}
+			})
 		}
 		fallthrough
 	default:
@@ -134,8 +144,9 @@ func TestHarnessClassifiesUploadOOM(t *testing.T) {
 
 // A panicking engine fails its jobs, never the harness. In a three-job
 // deployment, a panic in Upload fails all three jobs and leaves no handle
-// to Free; a panic in job 1's Execute fails that job alone, jobs 2 and 3
-// run on the shared upload, and the lease Frees it exactly once.
+// to Free; a panic in job 1's Execute — on the calling goroutine or on a
+// par.Chunks worker — fails that job alone, jobs 2 and 3 run on the shared
+// upload, and the lease Frees it exactly once.
 func TestHarnessIsolatesEnginePanics(t *testing.T) {
 	for _, tc := range []struct {
 		mode           string
@@ -144,6 +155,7 @@ func TestHarnessIsolatesEnginePanics(t *testing.T) {
 	}{
 		{"upload-panic", 0, 0, func(algorithms.Algorithm) bool { return true }},
 		{"panic", 1, 1, func(a algorithms.Algorithm) bool { return a == algorithms.BFS }},
+		{"chunk-panic", 1, 1, func(a algorithms.Algorithm) bool { return a == algorithms.BFS }},
 	} {
 		t.Run(tc.mode, func(t *testing.T) {
 			name, c := registerFaulty(t, tc.mode)

@@ -2,13 +2,15 @@
 
 package graph
 
-import "os"
+import (
+	"errors"
+	"os"
+)
 
-// mmapSupported reports whether this platform can map snapshot files.
-const mmapSupported = false
-
+// mmapFile fails on platforms without mmap, which sends MapSnapshotFile to
+// the heap read.
 func mmapFile(f *os.File, size int64) ([]byte, error) {
-	return nil, ErrMapUnsupported
+	return nil, errors.ErrUnsupported
 }
 
 func munmapFile(data []byte) error { return nil }

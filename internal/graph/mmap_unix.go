@@ -9,9 +9,6 @@ import (
 	"syscall"
 )
 
-// mmapSupported reports whether this platform can map snapshot files.
-const mmapSupported = true
-
 // mmapFile maps size bytes of f read-only and shared, so cold graph pages
 // stream in through the page cache on first touch instead of being copied
 // up front.

@@ -1,7 +1,6 @@
 package graph_test
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -85,11 +84,22 @@ func snapshotBytes(t *testing.T, g *graph.Graph) []byte {
 	return raw
 }
 
+// readSnapshotBytes writes raw to a file and reads it back with
+// ReadSnapshotFile.
+func readSnapshotBytes(t *testing.T, raw []byte) (*graph.Graph, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "raw.snap")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return graph.ReadSnapshotFile(path)
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	for _, directed := range []bool{true, false} {
 		for _, weighted := range []bool{true, false} {
 			want := snapshotFixture(t, directed, weighted)
-			got, err := graph.DecodeSnapshot(bytes.NewReader(snapshotBytes(t, want)))
+			got, err := readSnapshotBytes(t, snapshotBytes(t, want))
 			if err != nil {
 				t.Fatalf("directed=%v weighted=%v: decode: %v", directed, weighted, err)
 			}
@@ -105,7 +115,7 @@ func TestSnapshotRoundTripEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := graph.DecodeSnapshot(bytes.NewReader(snapshotBytes(t, want)))
+	got, err := readSnapshotBytes(t, snapshotBytes(t, want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +141,7 @@ func TestSnapshotTruncatedIsBadSnapshot(t *testing.T) {
 	// Cut at a spread of prefixes: inside the magic, the header, the
 	// sections, and one byte short.
 	for _, n := range []int{0, 4, 11, 40, len(full) / 2, len(full) - 1} {
-		if _, err := graph.DecodeSnapshot(bytes.NewReader(full[:n])); !errors.Is(err, graph.ErrBadSnapshot) {
+		if _, err := readSnapshotBytes(t, full[:n]); !errors.Is(err, graph.ErrBadSnapshot) {
 			t.Errorf("truncated at %d: err = %v, want ErrBadSnapshot", n, err)
 		}
 	}
@@ -145,7 +155,7 @@ func TestSnapshotBitFlipIsBadSnapshot(t *testing.T) {
 	for _, off := range []int{0, 9, 30, len(full) / 3, 2 * len(full) / 3, len(full) - 2} {
 		mut := append([]byte(nil), full...)
 		mut[off] ^= 0x10
-		if _, err := graph.DecodeSnapshot(bytes.NewReader(mut)); !errors.Is(err, graph.ErrBadSnapshot) {
+		if _, err := readSnapshotBytes(t, mut); !errors.Is(err, graph.ErrBadSnapshot) {
 			t.Errorf("bit flip at %d: err = %v, want ErrBadSnapshot", off, err)
 		}
 	}
@@ -155,12 +165,12 @@ func TestSnapshotWrongVersionIsBadSnapshot(t *testing.T) {
 	want := snapshotFixture(t, false, false)
 	full := snapshotBytes(t, want)
 	full[8] = 0xFF // version field follows the 8-byte magic
-	if _, err := graph.DecodeSnapshot(bytes.NewReader(full)); !errors.Is(err, graph.ErrBadSnapshot) {
+	if _, err := readSnapshotBytes(t, full); !errors.Is(err, graph.ErrBadSnapshot) {
 		t.Fatalf("err = %v, want ErrBadSnapshot", err)
 	}
 	// Format v1 — what builds before the page-aligned layout wrote — is a
 	// wrong version like any other.
-	if _, err := graph.DecodeSnapshot(bytes.NewReader(v1Header())); !errors.Is(err, graph.ErrBadSnapshot) {
+	if _, err := readSnapshotBytes(t, v1Header()); !errors.Is(err, graph.ErrBadSnapshot) {
 		t.Fatalf("v1 header: err = %v, want ErrBadSnapshot", err)
 	}
 }
@@ -173,7 +183,7 @@ func v1Header() []byte {
 }
 
 func TestSnapshotGarbageIsBadSnapshot(t *testing.T) {
-	if _, err := graph.DecodeSnapshot(bytes.NewReader([]byte("not a snapshot at all"))); !errors.Is(err, graph.ErrBadSnapshot) {
+	if _, err := readSnapshotBytes(t, []byte("not a snapshot at all")); !errors.Is(err, graph.ErrBadSnapshot) {
 		t.Fatalf("err = %v, want ErrBadSnapshot", err)
 	}
 }

@@ -14,9 +14,9 @@ import (
 // Snapshot format v2 is built for out-of-core use: every CSR array lives
 // in its own page-aligned section whose file offset, byte length and
 // CRC-32C are declared up front in a fixed-shape header, so a reader can
-// validate the header in O(1) and then either mmap the sections in place
-// (MapSnapshotFile) or stream-decode them into fresh allocations
-// (ReadSnapshotFile's copying decoder). Layout (little-endian):
+// validate the header in O(1) and then overlay the sections in place on
+// the file's bytes, whether those are an mmap (MapSnapshotFile) or one
+// heap buffer (ReadSnapshotFile). Layout (little-endian):
 //
 //	magic        [8]byte  "GLYTSNAP"
 //	version      uint32   (2)
@@ -37,13 +37,14 @@ import (
 //	sections, each starting on a snapPageSize boundary, gaps zeroed
 //
 // The header CRC covers the section table, so a corrupt or truncated
-// header fails before any offset is trusted; section offsets and lengths
-// are additionally required to be consistent with the declared counts and
-// to lie inside fileSize, so a map-open can never slice past the mapping
-// (no SIGBUS paths). Section CRCs let the copying decoder — and
-// MapSnapshotFileVerified — check the payload; the plain map-open skips
-// them by design, which is what makes open time independent of graph
-// size.
+// header fails before any offset is trusted. The layout is canonical: the
+// section table and fileSize must equal what layout() derives from the
+// declared counts and flags, so every section lies inside fileSize (a
+// map-open can never slice past the mapping: no SIGBUS paths) and a graph
+// has exactly one v2 byte representation. Section CRCs let
+// ReadSnapshotFile and MapSnapshotFileVerified check the payload; the
+// plain map-open skips them by design, which is what makes open time
+// independent of graph size.
 
 const (
 	snapshotVersion2 = 2
@@ -170,52 +171,50 @@ func (h *v2Header) marshal() []byte {
 	return buf
 }
 
-// parseV2Header validates and parses a complete v2 header (magic through
-// header CRC). Every failure wraps ErrBadSnapshot. On success the header
-// is internally consistent: counts are bounded, section sizes match the
-// counts, offsets are page-aligned, strictly ascending in table order,
-// non-overlapping, and every section lies inside fileSize — the
-// invariants that make the subsequent mmap slicing SIGBUS-free.
-func parseV2Header(hdr []byte) (*v2Header, error) {
-	if len(hdr) < snapV2NameOff+4 {
-		return nil, badSnapshot("v2 header truncated at %d bytes", len(hdr))
+// parseV2Header validates and parses the v2 header (magic through header
+// CRC) at the start of data. Every failure wraps ErrBadSnapshot. On
+// success the header is canonical: counts are bounded and consistent, no
+// unknown flag bit or reserved bit is set, and the section table and
+// fileSize are exactly layout()'s — page-aligned, ascending,
+// non-overlapping sections inside fileSize, the invariants that make the
+// overlay slicing SIGBUS-free.
+func parseV2Header(data []byte) (*v2Header, error) {
+	if len(data) < snapV2NameOff+4 {
+		return nil, badSnapshot("v2 header truncated at %d bytes", len(data))
 	}
-	if string(hdr[:8]) != snapshotMagic {
-		return nil, badSnapshot("magic %q", hdr[:8])
+	if string(data[:8]) != snapshotMagic {
+		return nil, badSnapshot("magic %q", data[:8])
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != snapshotVersion2 {
+	if v := binary.LittleEndian.Uint32(data[8:12]); v != snapshotVersion2 {
 		return nil, badSnapshot("version %d, want %d", v, snapshotVersion2)
 	}
-	nameLen := binary.LittleEndian.Uint32(hdr[16:20])
+	nameLen := binary.LittleEndian.Uint32(data[16:20])
 	if nameLen > 1<<20 {
 		return nil, badSnapshot("name length %d", nameLen)
 	}
-	want := snapV2NameOff + int(nameLen) + 4
-	if len(hdr) != want {
-		return nil, badSnapshot("v2 header length %d, want %d", len(hdr), want)
+	end := snapV2NameOff + int(nameLen) + 4
+	if len(data) < end {
+		return nil, badSnapshot("v2 header truncated at %d bytes, want %d", len(data), end)
 	}
-	gotCRC := binary.LittleEndian.Uint32(hdr[want-4:])
-	if wantCRC := crc32.Checksum(hdr[:want-4], crcTable); gotCRC != wantCRC {
+	gotCRC := binary.LittleEndian.Uint32(data[end-4:])
+	if wantCRC := crc32.Checksum(data[:end-4], crcTable); gotCRC != wantCRC {
 		return nil, badSnapshot("header checksum %08x, want %08x", gotCRC, wantCRC)
 	}
 
 	h := &v2Header{
-		flags: binary.LittleEndian.Uint32(hdr[12:16]),
-		name:  string(hdr[snapV2NameOff : snapV2NameOff+int(nameLen)]),
+		flags: binary.LittleEndian.Uint32(data[12:16]),
+		name:  string(data[snapV2NameOff : end-4]),
 	}
-	u64 := func(off int) (int64, bool) {
-		v := binary.LittleEndian.Uint64(hdr[off : off+8])
-		return int64(v), v < 1<<62
+	if h.flags&^(snapFlagDirected|snapFlagWeighted) != 0 {
+		return nil, badSnapshot("unknown flags %#x", h.flags)
 	}
-	var ok [4]bool
-	h.nVerts, ok[0] = u64(24)
-	h.numEdges, ok[1] = u64(32)
-	h.arcs, ok[2] = u64(40)
-	h.fileSize, ok[3] = u64(48)
-	if !ok[0] || !ok[1] || !ok[2] || !ok[3] {
-		return nil, badSnapshot("v2 header counts out of range")
+	if r := binary.LittleEndian.Uint32(data[20:24]); r != 0 {
+		return nil, badSnapshot("reserved word %#x", r)
 	}
-	if h.nVerts > math.MaxInt32 || h.arcs > snapshotMaxElems || h.numEdges > h.arcs {
+	u64 := func(off int) int64 { return int64(binary.LittleEndian.Uint64(data[off : off+8])) }
+	h.nVerts, h.numEdges, h.arcs = u64(24), u64(32), u64(40)
+	if h.nVerts < 0 || h.nVerts > math.MaxInt32 || h.arcs < 0 || h.arcs > snapshotMaxElems ||
+		h.numEdges < 0 || h.numEdges > h.arcs {
 		return nil, badSnapshot("sizes |V|=%d |E|=%d arcs=%d", h.nVerts, h.numEdges, h.arcs)
 	}
 	if h.directed() {
@@ -226,43 +225,20 @@ func parseV2Header(hdr []byte) (*v2Header, error) {
 		return nil, badSnapshot("undirected arcs=%d != 2x|E|=%d", h.arcs, h.numEdges)
 	}
 
-	sizes := h.sectionSizes()
-	prevEnd := h.headerLen()
-	maxEnd := prevEnd
-	for i := 0; i < snapV2SectionCount; i++ {
-		off, okOff := u64(snapV2FixedBytes + 20*i)
-		size, okSize := u64(snapV2FixedBytes + 20*i + 8)
-		crc := binary.LittleEndian.Uint32(hdr[snapV2FixedBytes+20*i+16 : snapV2FixedBytes+20*i+20])
-		if !okOff || !okSize {
-			return nil, badSnapshot("section %d out of range", i)
-		}
-		if size != sizes[i] {
-			return nil, badSnapshot("section %d length %d, want %d", i, size, sizes[i])
-		}
-		if size == 0 {
-			if off != 0 || crc != 0 {
-				return nil, badSnapshot("empty section %d has off=%d crc=%08x", i, off, crc)
-			}
-			h.secs[i] = v2Section{}
-			continue
-		}
-		if off%snapPageSize != 0 {
-			return nil, badSnapshot("section %d offset %d not page-aligned", i, off)
-		}
-		if off < prevEnd {
-			return nil, badSnapshot("section %d offset %d overlaps previous end %d", i, off, prevEnd)
-		}
-		if off+size > h.fileSize {
-			return nil, badSnapshot("section %d [%d, %d) beyond file size %d", i, off, off+size, h.fileSize)
-		}
-		h.secs[i] = v2Section{off: off, size: size, crc: crc}
-		prevEnd = off + size
-		if prevEnd > maxEnd {
-			maxEnd = prevEnd
-		}
+	h.layout()
+	if got := u64(48); got != h.fileSize {
+		return nil, badSnapshot("file size %d, canonical %d", got, h.fileSize)
 	}
-	if h.fileSize != maxEnd {
-		return nil, badSnapshot("file size %d, sections end at %d", h.fileSize, maxEnd)
+	for i := range h.secs {
+		row := snapV2FixedBytes + 20*i
+		off, size := u64(row), u64(row+8)
+		if off != h.secs[i].off || size != h.secs[i].size {
+			return nil, badSnapshot("section %d at [%d, +%d), canonical [%d, +%d)", i, off, size, h.secs[i].off, h.secs[i].size)
+		}
+		h.secs[i].crc = binary.LittleEndian.Uint32(data[row+16 : row+20])
+		if size == 0 && h.secs[i].crc != 0 {
+			return nil, badSnapshot("empty section %d has crc %08x", i, h.secs[i].crc)
+		}
 	}
 	return h, nil
 }
@@ -411,150 +387,4 @@ func installSnapshot(path string, build func(*os.File) error) error {
 		return fmt.Errorf("graph: install snapshot: %w", err)
 	}
 	return nil
-}
-
-// DecodeSnapshot reads a graph from the binary snapshot format, streaming
-// the sections into fresh heap allocations and verifying the header CRC,
-// every section CRC and the structural shape — the full-trust path,
-// available on any platform (mmap or not). Corrupt, truncated or
-// version-mismatched input yields an error wrapping ErrBadSnapshot.
-func DecodeSnapshot(r io.Reader) (*Graph, error) {
-	raw := bufio.NewReaderSize(r, 1<<16)
-	var fixed [snapV2NameOff]byte
-	if _, err := io.ReadFull(raw, fixed[:]); err != nil {
-		return nil, badSnapshot("reading v2 header: %v", err)
-	}
-	nameLen := binary.LittleEndian.Uint32(fixed[16:20])
-	if nameLen > 1<<20 {
-		return nil, badSnapshot("name length %d", nameLen)
-	}
-	hdr := make([]byte, snapV2NameOff+int(nameLen)+4)
-	copy(hdr, fixed[:])
-	if _, err := io.ReadFull(raw, hdr[snapV2NameOff:]); err != nil {
-		return nil, badSnapshot("reading v2 header: %v", err)
-	}
-	h, err := parseV2Header(hdr)
-	if err != nil {
-		return nil, err
-	}
-
-	g := &Graph{
-		name:     h.name,
-		directed: h.directed(),
-		weighted: h.weighted(),
-		numEdges: h.numEdges,
-	}
-	pos := h.headerLen()
-	section := func(i int) (*crcReader, error) {
-		// Alignment padding must be zero: it is the one region no section
-		// CRC covers, and the determinism contract says a graph has
-		// exactly one v2 byte representation.
-		for pad := h.secs[i].off - pos; pad > 0; {
-			var buf [snapPageSize]byte
-			n := min(pad, int64(len(buf)))
-			if _, err := io.ReadFull(raw, buf[:n]); err != nil {
-				return nil, badSnapshot("section %d padding: %v", i, err)
-			}
-			if !allZero(buf[:n]) {
-				return nil, badSnapshot("nonzero padding before section %d", i)
-			}
-			pad -= n
-		}
-		pos = h.secs[i].off + h.secs[i].size
-		return &crcReader{r: raw}, nil
-	}
-	finish := func(i int, cr *crcReader) error {
-		if cr.crc != h.secs[i].crc {
-			return badSnapshot("section %d checksum %08x, want %08x", i, cr.crc, h.secs[i].crc)
-		}
-		return nil
-	}
-	readI64 := func(i int, n int64) ([]int64, error) {
-		cr, err := section(i)
-		if err != nil {
-			return nil, err
-		}
-		a, err := readInt64s(cr, int(n))
-		if err != nil {
-			return nil, err
-		}
-		return a, finish(i, cr)
-	}
-	readI32 := func(i int, n int64) ([]int32, error) {
-		cr, err := section(i)
-		if err != nil {
-			return nil, err
-		}
-		a, err := readInt32s(cr, int(n))
-		if err != nil {
-			return nil, err
-		}
-		return a, finish(i, cr)
-	}
-	readF64 := func(i int, n int64) ([]float64, error) {
-		cr, err := section(i)
-		if err != nil {
-			return nil, err
-		}
-		a, err := readFloat64s(cr, int(n))
-		if err != nil {
-			return nil, err
-		}
-		return a, finish(i, cr)
-	}
-
-	if g.ids, err = readI64(secIDs, h.nVerts); err != nil {
-		return nil, err
-	}
-	if g.outOff, err = readI64(secOutOff, h.nVerts+1); err != nil {
-		return nil, err
-	}
-	if g.outAdj, err = readI32(secOutAdj, h.arcs); err != nil {
-		return nil, err
-	}
-	if g.weighted {
-		if g.outW, err = readF64(secOutW, h.arcs); err != nil {
-			return nil, err
-		}
-	}
-	if g.directed {
-		if g.inOff, err = readI64(secInOff, h.nVerts+1); err != nil {
-			return nil, err
-		}
-		if g.inAdj, err = readI32(secInAdj, h.arcs); err != nil {
-			return nil, err
-		}
-		if g.weighted {
-			if g.inW, err = readF64(secInW, h.arcs); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		g.inOff, g.inAdj, g.inW = g.outOff, g.outAdj, g.outW
-	}
-	if err := g.checkShape(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// crcReader computes a running CRC-32C over everything read through it.
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, crcTable, p[:n])
-	return n, err
-}
-
-func allZero(b []byte) bool {
-	for _, x := range b {
-		if x != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -2,7 +2,9 @@ package graph_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -56,7 +58,7 @@ func TestSnapshotV2EmptyGraph(t *testing.T) {
 }
 
 // Truncations anywhere — mid-header, mid-section, one byte short — must
-// fail cleanly with ErrBadSnapshot from both the copying decoder and the
+// fail cleanly with ErrBadSnapshot from both the heap read and the
 // map-open path. MapSnapshotFile in particular must reject the file
 // during header validation, before any mmap slice escapes: this is the
 // no-SIGBUS guarantee.
@@ -88,7 +90,7 @@ func TestSnapshotV2TruncatedIsBadSnapshot(t *testing.T) {
 }
 
 // Bit flips in the header fail both open paths; flips in section payloads
-// fail the copying decoder and MapSnapshotFileVerified (the plain
+// fail the heap read and MapSnapshotFileVerified (the plain
 // map-open intentionally skips payload CRCs).
 func TestSnapshotV2CorruptIsBadSnapshot(t *testing.T) {
 	path, _ := writeV2Fixture(t, false, true)
@@ -130,6 +132,61 @@ func TestSnapshotV2CorruptIsBadSnapshot(t *testing.T) {
 				g.Close()
 			}
 			t.Errorf("verified map with payload flip at %d: err = %v, want ErrBadSnapshot", off, err)
+		}
+	}
+}
+
+// A v2 file whose header is intact (its CRC recomputed) but not the one
+// the writer lays out for those counts is rejected by every open path: a
+// graph has exactly one v2 byte representation.
+func TestSnapshotV2NonCanonicalIsBadSnapshot(t *testing.T) {
+	path, _ := writeV2Fixture(t, true, true)
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	const table, fileSize = 56, 48
+	reseal := func(b []byte) []byte {
+		end := table + 7*20 + int(le.Uint32(b[16:20])) + 4
+		le.PutUint32(b[end-4:], crc32.Checksum(b[:end-4], crc32.MakeTable(crc32.Castagnoli)))
+		return b
+	}
+	// One zero page inserted before the last section, whose offset and
+	// the file size move with it.
+	last := table
+	for row := table; row < table+7*20; row += 20 {
+		if le.Uint64(full[row:]) > le.Uint64(full[last:]) {
+			last = row
+		}
+	}
+	off := le.Uint64(full[last:])
+	gap := append(append(append([]byte(nil), full[:off]...), make([]byte, 4096)...), full[off:]...)
+	le.PutUint64(gap[last:], off+4096)
+	le.PutUint64(gap[fileSize:], uint64(len(gap)))
+	unknownFlag := append([]byte(nil), full...)
+	unknownFlag[12] |= 1 << 2
+	reserved := append([]byte(nil), full...)
+	reserved[20] = 1
+
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		raw  []byte
+	}{{"gap", gap}, {"flag", unknownFlag}, {"reserved", reserved}} {
+		p := filepath.Join(dir, c.name+".snap")
+		if err := os.WriteFile(p, reseal(c.raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for i, open := range []func(string) (*graph.Graph, error){
+			graph.ReadSnapshotFile, graph.MapSnapshotFile, graph.MapSnapshotFileVerified,
+		} {
+			if g, err := open(p); !errors.Is(err, graph.ErrBadSnapshot) {
+				if g != nil {
+					g.Close()
+				}
+				t.Errorf("%s, open path %d: err = %v, want ErrBadSnapshot", c.name, i, err)
+			}
 		}
 	}
 }

@@ -1,10 +1,12 @@
+//go:build linux || darwin
+
+// These tests assert that MapSnapshots serves mapped graphs, which only
+// hosts with mmap do.
+
 package graphstore_test
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"sync/atomic"
 	"testing"
 
 	"graphalytics/internal/graph"
@@ -51,48 +53,6 @@ func TestMapSnapshotsResidency(t *testing.T) {
 	// Element-wise identical to the built graph.
 	if r.Graph.NumVertices() != want.NumVertices() || r.Graph.NumEdges() != want.NumEdges() {
 		t.Fatal("mapped graph differs from built graph")
-	}
-}
-
-// A format-v1 file left in the directory by an older build is a corrupt
-// snapshot like any other, in heap and mmap mode alike: the store falls
-// back to one corrupt event, a rebuild, and a current-format file in its
-// place.
-func TestMapSnapshotsV1Fallback(t *testing.T) {
-	// Magic, version 1, then a plausible v1 header tail.
-	v1 := append([]byte("GLYTSNAP"), 1, 0, 0, 0)
-	v1 = append(v1, make([]byte, 8+24)...)
-	for _, mapped := range []bool{false, true} {
-		t.Run(fmt.Sprintf("mapped=%v", mapped), func(t *testing.T) {
-			var corrupt atomic.Int32
-			s := graphstore.New(graphstore.Options{Dir: t.TempDir(), MapSnapshots: mapped, OnEvent: func(e graphstore.Event) {
-				if e.Type == graphstore.EventSnapshotCorrupt {
-					corrupt.Add(1)
-					if !errors.Is(e.Err, graph.ErrBadSnapshot) {
-						t.Errorf("corrupt event error = %v, want ErrBadSnapshot", e.Err)
-					}
-				}
-			}})
-			path := s.SnapshotPath("k@g1")
-			if err := os.WriteFile(path, v1, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			r, err := s.Get("k@g1", func() (*graph.Graph, error) { return testGraph(t, 2), nil })
-			if err != nil {
-				t.Fatalf("v1 snapshot must not fail the load: %v", err)
-			}
-			if r.Source != graphstore.SourceBuilt {
-				t.Fatalf("source = %v, want built", r.Source)
-			}
-			if got := corrupt.Load(); got != 1 {
-				t.Fatalf("%d corrupt events, want exactly 1", got)
-			}
-			g, err := graph.MapSnapshotFile(path)
-			if err != nil {
-				t.Fatalf("rewritten snapshot does not map: %v", err)
-			}
-			g.Close()
-		})
 	}
 }
 
@@ -213,12 +173,5 @@ func TestGetStreamed(t *testing.T) {
 	}
 	if r2.Graph.NumEdges() != r.Graph.NumEdges() || r2.Graph.NumVertices() != r.Graph.NumVertices() {
 		t.Fatal("streamed graph mismatch across stores")
-	}
-}
-
-func TestGetStreamedRequiresDir(t *testing.T) {
-	s := graphstore.New(graphstore.Options{})
-	if _, err := s.GetStreamed("xl@g1", func(string) error { return nil }); err == nil {
-		t.Fatal("GetStreamed without a snapshot dir must fail")
 	}
 }

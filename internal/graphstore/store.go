@@ -81,12 +81,12 @@ type Options struct {
 	// directory (created on demand).
 	Dir string
 	// MapSnapshots serves v2 snapshots as mmap-backed graphs
-	// (graph.MapSnapshotFile) instead of copying them onto the heap: open
+	// (graph.MapSnapshotFile) instead of reading them onto the heap: open
 	// cost is O(header) and resident cost is page-cache pages the OS can
 	// reclaim. Where a snapshot cannot be mapped (platforms without
-	// mmap) the copying decoder serves it transparently. Snapshot files in
-	// Dir are written by this store with fsync+rename, which is why the
-	// mmap fast path may skip payload checksums.
+	// mmap) MapSnapshotFile itself serves the verified heap read. Snapshot
+	// files in Dir are written by this store with fsync+rename, which is
+	// why the mmap fast path may skip payload checksums.
 	MapSnapshots bool
 	// MappedBudget bounds the mapped resident set in bytes, accounted
 	// separately from MemoryBudget: mapped pages are reclaimable by the
@@ -317,17 +317,13 @@ func (s *Store) materializeStreamed(key string, buildTo func(path string) error)
 	return g, SourceBuilt, nil
 }
 
-// openSnapshot opens a snapshot file, mmap-backed when configured. Any
-// map failure other than a missing file — a platform without mmap, a
-// corrupt header — falls through to the copying decoder, whose verdict
-// (ErrBadSnapshot for corruption or an outdated format version, which
-// the caller answers by regenerating) is final.
+// openSnapshot opens a snapshot file, mmap-backed when configured. Both
+// readers run the same parser, so their verdict is final: ErrBadSnapshot
+// for corruption or an outdated format version, which the caller answers
+// by regenerating.
 func (s *Store) openSnapshot(path string) (*graph.Graph, error) {
 	if s.opts.MapSnapshots {
-		g, err := graph.MapSnapshotFile(path)
-		if err == nil || errors.Is(err, fs.ErrNotExist) {
-			return g, err
-		}
+		return graph.MapSnapshotFile(path)
 	}
 	return graph.ReadSnapshotFile(path)
 }

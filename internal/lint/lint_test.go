@@ -296,7 +296,7 @@ func TestEnginesKeepNoDriver(t *testing.T) {
 // package graphalytics — the public surface every user sees. Like the
 // waiver ceilings it only ever goes down: lower it when you remove a
 // name; a new name needs a reviewer to raise it here.
-const facadeCeiling = 129
+const facadeCeiling = 128
 
 // TestFacadeBudget counts the exported funcs, types, vars and consts the
 // root package declares in its non-test files against facadeCeiling.

@@ -74,7 +74,8 @@ func ChunkRange(n, p, w int) (lo, hi int) {
 // worker indices stay aligned with chunk indices — even when p > 1 and
 // only one chunk is non-empty, that chunk keeps its own index so ordered
 // reductions attribute it correctly. Chunks returns when all workers have
-// finished (fork-join).
+// finished (fork-join). If workers panic, Chunks re-raises the lowest
+// worker's panic value on the caller once all have finished.
 func Chunks(n, p int, fn func(worker, lo, hi int)) {
 	if p <= 1 {
 		if n > 0 {
@@ -82,19 +83,61 @@ func Chunks(n, p int, fn func(worker, lo, hi int)) {
 		}
 		return
 	}
-	var wg sync.WaitGroup
+	// One struct, so the join and the panic record escape as one
+	// allocation.
+	var j struct {
+		wg    sync.WaitGroup
+		fault Panics
+	}
 	for w := 0; w < p; w++ {
 		lo, hi := ChunkRange(n, p, w)
 		if lo == hi {
 			continue
 		}
-		wg.Add(1)
+		j.wg.Add(1)
 		go func(w, lo, hi int) {
-			defer wg.Done()
+			defer j.wg.Done()
+			defer j.fault.Catch(w)
 			fn(w, lo, hi)
 		}(w, lo, hi)
 	}
-	wg.Wait()
+	j.wg.Wait()
+	j.fault.Repanic()
+}
+
+// Panics carries a panic from the goroutines of a fork-join region to the
+// goroutine that joins them. A panic left on a goroutine of its own ends
+// the process, beyond any caller's recover; re-raising it after the join
+// lets the caller fail one job instead. Of several panics the lowest
+// slot's is kept, so which value the caller sees does not depend on the
+// schedule. The zero value records no panic.
+type Panics struct {
+	mu   sync.Mutex
+	set  bool
+	slot int
+	val  any
+}
+
+// Catch recovers a panic of the goroutine running slot and records it. It
+// must be deferred directly by that goroutine.
+func (p *Panics) Catch(slot int) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.set || slot < p.slot {
+		p.set, p.slot, p.val = true, slot, v
+	}
+}
+
+// Repanic re-raises the recorded panic, if any. Call it once every
+// goroutine that may Catch has been joined.
+func (p *Panics) Repanic() {
+	if p.set {
+		panic(p.val)
+	}
 }
 
 // Accumulate runs fn over p stable chunks of [0, n) and returns the

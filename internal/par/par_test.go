@@ -187,6 +187,32 @@ func TestSortInt64sMatchesSlicesSort(t *testing.T) {
 	}
 }
 
+// A panic on a worker goroutine reaches Chunks' caller after the join, as
+// the lowest panicking worker's value whatever the schedule, and the next
+// region runs normally.
+func TestChunksPanicReachesCaller(t *testing.T) {
+	forceProcs(t, 2)
+	for range 50 {
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			Chunks(4, 4, func(w, _, _ int) {
+				if w > 0 {
+					panic(w)
+				}
+			})
+			return nil
+		}()
+		if got != 1 {
+			t.Fatalf("caller recovered %v, want worker 1's panic", got)
+		}
+	}
+	var visited atomic.Int64
+	Chunks(100, 4, func(_, lo, hi int) { visited.Add(int64(hi - lo)) })
+	if visited.Load() != 100 {
+		t.Fatalf("region after the panics visited %d elements, want 100", visited.Load())
+	}
+}
+
 // TestChunksSingleElementKeepsChunkIndex pins worker/chunk alignment in
 // the degenerate case: with n=1 and p=4 the only non-empty chunk is the
 // last one, and it must be delivered under its own index, not worker 0.

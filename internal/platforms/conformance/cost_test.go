@@ -51,9 +51,6 @@ func mappedCorpus(t *testing.T) []conformance.Case {
 			t.Fatal(err)
 		}
 		mapped, err := graph.MapSnapshotFile(path)
-		if errors.Is(err, graph.ErrMapUnsupported) {
-			t.Skip("no mmap on this platform")
-		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package graphalytics_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
@@ -41,9 +40,6 @@ func TestEnginesCRCIdenticalOnMappedGraphs(t *testing.T) {
 				t.Fatal(err)
 			}
 			mapped, err := graph.MapSnapshotFile(path)
-			if errors.Is(err, graph.ErrMapUnsupported) {
-				t.Skip("mmap unsupported on this platform")
-			}
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -93,10 +93,7 @@ func LoadGraphSnapshot(path string) (*Graph, error) { return graph.ReadSnapshotF
 // MapGraphSnapshot opens a snapshot as an mmap-backed graph: the
 // header is validated eagerly, the CSR arrays are served zero-copy from
 // the page cache, and open cost is O(header) regardless of graph size.
-// Release the graph with Close when done. Fails with ErrMapUnsupported
-// off Linux/macOS — fall back to LoadGraphSnapshot.
+// Release the graph with Close when done. Where the file cannot be
+// mapped (off Linux/macOS), it is read onto the heap as by
+// LoadGraphSnapshot.
 func MapGraphSnapshot(path string) (*Graph, error) { return graph.MapSnapshotFile(path) }
-
-// ErrMapUnsupported reports that snapshot mapping is unavailable on this
-// platform; use LoadGraphSnapshot instead.
-var ErrMapUnsupported = graph.ErrMapUnsupported
