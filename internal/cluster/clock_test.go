@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"graphalytics/internal/clock"
 	"graphalytics/internal/cluster"
 )
 
@@ -20,13 +21,13 @@ func steppingClock(step time.Duration) func() time.Time {
 }
 
 // TestFrozenClockMeasuresNothing pins the wallclock contract the lint
-// suite enforces: all compute-time measurement goes through the injected
-// seam, so with a frozen clock the compute component of simulated time
-// is exactly zero no matter how much host time the round really burned —
-// only the modeled network cost remains.
+// suite enforces: all compute-time measurement goes through
+// internal/clock, so with a frozen clock the compute component of
+// simulated time is exactly zero no matter how much host time the round
+// really burned — only the modeled network cost remains.
 func TestFrozenClockMeasuresNothing(t *testing.T) {
 	frozen := time.Unix(42, 0)
-	restore := cluster.SetClockForTesting(func() time.Time { return frozen })
+	restore := clock.SetForTesting(func() time.Time { return frozen })
 	defer restore()
 
 	c := cluster.New(cluster.Config{Machines: 2, Threads: 4, Net: cluster.DefaultNetwork()})
@@ -59,7 +60,7 @@ func TestFrozenClockMeasuresNothing(t *testing.T) {
 func TestSteppingClockReplaysExactly(t *testing.T) {
 	const step = 5 * time.Millisecond
 	run := func() time.Duration {
-		restore := cluster.SetClockForTesting(steppingClock(step))
+		restore := clock.SetForTesting(steppingClock(step))
 		defer restore()
 		c := cluster.New(cluster.Config{Machines: 1, Threads: 1})
 		for r := 0; r < 3; r++ {

@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"graphalytics/internal/clock"
 )
 
 // NetworkModel converts recorded traffic into modeled transfer time.
@@ -240,11 +242,11 @@ func (c *Cluster) RunRound(fn func(machine int, th *Threads) error) error {
 		// Reset the budget and the discount only: the handle's region
 		// buffers are reused by every round.
 		th.count, th.hostWorkers, th.discount = c.cfg.Threads, c.cfg.HostWorkers, 0
-		start := now()
+		start := clock.Now()
 		if err := fn(m, th); err != nil {
 			return fmt.Errorf("cluster: machine %d: %w", m, err)
 		}
-		d := now().Sub(start) - th.discount
+		d := clock.Now().Sub(start) - th.discount
 		if d < 0 {
 			d = 0
 		}
@@ -281,9 +283,9 @@ func (c *Cluster) RunRound(fn func(machine int, th *Threads) error) error {
 // processing time, where the equivalent per-machine delivery work of an
 // append-based inbox would have been.
 func (c *Cluster) RunBarrier(fn func()) {
-	start := now()
+	start := clock.Now()
 	fn()
-	d := now().Sub(start)
+	d := clock.Now().Sub(start)
 	c.mu.Lock()
 	c.simTime += d
 	c.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"graphalytics/internal/clock"
 	"graphalytics/internal/par"
 )
 
@@ -147,9 +148,9 @@ func (r *region) call(w, lo, hi int) {
 // timeChunk runs chunk w, records its duration and returns it.
 func (r *region) timeChunk(w int) time.Duration {
 	lo, hi := par.ChunkRange(r.n, r.chunks, w)
-	start := now()
+	start := clock.Now()
 	r.call(w, lo, hi)
-	d := now().Sub(start)
+	d := clock.Now().Sub(start)
 	r.durs[w] = d
 	return d
 }
@@ -172,14 +173,14 @@ func (r *region) fork() time.Duration {
 	r.fault = par.Panics{} // the last fork's record, if it panicked
 	r.join.Add(r.k - 1)
 	defer r.release(r.k - 1)
-	start := now()
+	start := clock.Now()
 	for range r.k - 1 {
 		helpers.work <- r
 	}
 	r.runGroup(0)
 	r.join.Wait()
 	r.fault.Repanic()
-	return now().Sub(start)
+	return clock.Now().Sub(start)
 }
 
 // release waits for the helpers — also when the caller's own chunks

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"graphalytics/internal/clock"
 	"graphalytics/internal/cluster"
 	"graphalytics/internal/par"
 )
@@ -94,10 +95,10 @@ const (
 // cluster makes itself.
 func simTimeOnSteppingClock(t *testing.T, count int, use func(th *cluster.Threads, burn func())) time.Duration {
 	t.Helper()
-	clock := steppingClock(step)
-	defer cluster.SetClockForTesting(clock)()
+	stepping := steppingClock(step)
+	defer clock.SetForTesting(stepping)()
 	return threadsOf(t, count, func(th *cluster.Threads) {
-		use(th, func() { clock() })
+		use(th, func() { stepping() })
 	})
 }
 

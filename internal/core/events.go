@@ -47,7 +47,8 @@ type Event struct {
 	// consumer (e.g. an SSE bridge) resume after a disconnect and
 	// attribute durations between events.
 	Seq uint64
-	// Time is the delivery wall-clock timestamp, stamped by the session.
+	// Time is the delivery timestamp, stamped by the session from the
+	// clock seam (internal/clock).
 	Time time.Time
 
 	// Job events.

@@ -103,7 +103,12 @@ func renderThroughput(spec BenchSpec, results []JobResult) *Report {
 	for _, p := range spec.Platforms {
 		for _, r := range results {
 			if r.Spec.Platform == p && r.Spec.Algorithm == algorithms.BFS && r.Spec.Machines == 1 && r.Status == StatusOK {
-				rep.Rows = append(rep.Rows, []string{r.Spec.Dataset, p, fmtRate(r.EPS), fmtRate(r.EVPS)})
+				// A zero Tproc measured no throughput: its rates are undefined.
+				eps, evps := "-", "-"
+				if r.ProcessingTime > 0 {
+					eps, evps = fmtRate(r.EPS), fmtRate(r.EVPS)
+				}
+				rep.Rows = append(rep.Rows, []string{r.Spec.Dataset, p, eps, evps})
 			}
 		}
 	}
@@ -222,7 +227,7 @@ func renderWeakScaling(spec BenchSpec, results []JobResult) *Report {
 func renderStressTest(spec BenchSpec, results []JobResult) *Report {
 	rep := &Report{
 		ID:      "table10",
-		Title:   fmt.Sprintf("Stress test: smallest dataset failing BFS on one machine (budget %d MiB)", first(spec.Configs).MemoryPerMachine>>20),
+		Title:   fmt.Sprintf("Stress test: smallest dataset failing BFS on one machine (budget %s)", fmtBytes(first(spec.Configs).MemoryPerMachine)),
 		Columns: []string{"platform", "smallest failing dataset", "scale", "class"},
 		Notes:   []string{"datasets probed in ascending scale order; '-' means every dataset completed"},
 	}
@@ -264,7 +269,11 @@ func renderVariability(spec BenchSpec, results []JobResult) *Report {
 			}
 			row := []string{p, label, "F", "-"}
 			if len(samples) > 0 {
-				row = []string{p, label, fmtDuration(metrics.Mean(samples)), fmt.Sprintf("%.1f%%", 100*metrics.CV(samples))}
+				mean, cv := metrics.Mean(samples), "-" // a zero mean leaves the CV undefined
+				if mean > 0 {
+					cv = fmt.Sprintf("%.1f%%", 100*metrics.CV(samples))
+				}
+				row = []string{p, label, fmtDuration(mean), cv}
 			}
 			rep.Rows = append(rep.Rows, row)
 		}
@@ -297,13 +306,17 @@ func renderMakespanBreakdown(spec BenchSpec, results []JobResult) *Report {
 		// The paper's makespan covers the whole job, including the
 		// platform-specific conversion this harness performs at upload.
 		total := res.UploadTime + res.Makespan
+		ratio := "-" // 0/0 when nothing was measured
+		if total > 0 {
+			ratio = fmt.Sprintf("%.1f%%", float64(res.ProcessingTime)/float64(total)*100)
+		}
 		rep.Rows = append(rep.Rows, []string{
 			p,
 			fmtDuration(res.UploadTime),
 			fmtDuration(res.Makespan),
 			fmtDuration(total),
 			fmtDuration(res.ProcessingTime),
-			fmt.Sprintf("%.1f%%", float64(res.ProcessingTime)/float64(total)*100),
+			ratio,
 		})
 	}
 	return rep

@@ -144,3 +144,16 @@ func fmtRate(v float64) string {
 		return fmt.Sprintf("%.1f/s", v)
 	}
 }
+
+// fmtBytes renders a byte count exactly, in the largest binary unit that
+// divides it ("2 MiB", "200 KiB", "1500 B").
+func fmtBytes(n int64) string {
+	switch {
+	case n%(1<<20) == 0:
+		return fmt.Sprintf("%d MiB", n>>20)
+	case n%(1<<10) == 0:
+		return fmt.Sprintf("%d KiB", n>>10)
+	default:
+		return fmt.Sprintf("%d B", n)
+	}
+}

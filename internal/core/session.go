@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"graphalytics/internal/algorithms"
+	"graphalytics/internal/clock"
 	"graphalytics/internal/cluster"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/graphstore"
@@ -218,7 +219,7 @@ func (s *Session) loadGraph(d workload.Dataset) (*graph.Graph, error) {
 }
 
 // emit delivers an event to the observer, serialized, stamped with the
-// session's next sequence number and the wall-clock time. Delivery is
+// session's next sequence number and clock.Now. Delivery is
 // panic-recovered: a faulty observer loses the event, not the run (see
 // the Observer contract). The sequence advances under emitMu so Seq
 // order equals delivery order, gap-free — events are only numbered when
@@ -230,7 +231,7 @@ func (s *Session) emit(e Event) {
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
 	e.Seq = s.eventSeq.Add(1)
-	e.Time = time.Now()
+	e.Time = clock.Now()
 	safeObserve(s.cfg.observer, e)
 }
 
@@ -355,7 +356,7 @@ func (s *Session) execute(ctx context.Context, spec JobSpec, pos batchPos, lease
 		s.emit(Event{Type: EventJobFinished, Spec: spec, Result: &r, Err: err, Index: pos.index, Total: pos.total})
 	}()
 
-	res = JobResult{Spec: spec, Timestamp: time.Now()}
+	res = JobResult{Spec: spec, Timestamp: clock.Now()}
 	if cerr := ctx.Err(); cerr != nil {
 		// The caller's context ended before this job started. Whether it
 		// was canceled or its deadline expired, the batch stopped — this
@@ -409,9 +410,9 @@ func (s *Session) execute(ctx context.Context, spec JobSpec, pos batchPos, lease
 	up, res.UploadTime, res.UploadShared, err = lease.upload(func() (platform.Uploaded, time.Duration, error) {
 		uctx, ucancel := context.WithTimeout(ctx, sla)
 		defer ucancel()
-		start := time.Now()
+		start := clock.Now()
 		u, uerr := recovered(func() (platform.Uploaded, error) { return platform.UploadContext(uctx, p, g, cfg) })
-		dur := time.Since(start)
+		dur := clock.Now().Sub(start)
 		if uerr == nil {
 			s.emit(Event{Type: EventDeploymentUploaded, Spec: spec, Elapsed: dur})
 		}
@@ -434,9 +435,9 @@ func (s *Session) execute(ctx context.Context, spec JobSpec, pos batchPos, lease
 		return res, nil
 	}
 
-	execStart := time.Now()
+	execStart := clock.Now()
 	out, err := recovered(func() (*platform.Result, error) { return p.Execute(jctx, up, spec.Algorithm, d.Params) })
-	res.Makespan = time.Since(execStart)
+	res.Makespan = clock.Now().Sub(execStart)
 	if err != nil {
 		if ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			// The context error came from the caller, not the SLA timer.

@@ -21,6 +21,8 @@ import (
 	"io"
 	"sort"
 	"time"
+
+	"graphalytics/internal/clock"
 )
 
 // Standard phase names used by all platform performance models. Platforms
@@ -142,23 +144,18 @@ func ReadArchive(r io.Reader) (*Archive, error) {
 type Tracker struct {
 	archive *Archive
 	stack   []*Operation
-	now     func() time.Time
 }
 
 // NewTracker starts tracking a job on a platform; the root operation opens
 // immediately.
 func NewTracker(job, platform string) *Tracker {
-	t := &Tracker{now: time.Now}
-	root := &Operation{Name: job}
-	t.archive = &Archive{Job: job, Platform: platform, Root: root}
-	t.stack = []*Operation{root}
-	root.Start = t.now()
-	return t
+	root := &Operation{Name: job, Start: clock.Now()}
+	return &Tracker{archive: &Archive{Job: job, Platform: platform, Root: root}, stack: []*Operation{root}}
 }
 
 // Begin opens a sub-phase under the current phase.
 func (t *Tracker) Begin(name string) {
-	op := &Operation{Name: name, Start: t.now()}
+	op := &Operation{Name: name, Start: clock.Now()}
 	cur := t.stack[len(t.stack)-1]
 	cur.Children = append(cur.Children, op)
 	t.stack = append(t.stack, op)
@@ -171,7 +168,7 @@ func (t *Tracker) End() {
 		return
 	}
 	op := t.stack[len(t.stack)-1]
-	op.End = t.now()
+	op.End = clock.Now()
 	t.stack = t.stack[:len(t.stack)-1]
 }
 
@@ -194,7 +191,7 @@ func (t *Tracker) Annotate(key, value string) { t.Current().SetInfo(key, value) 
 // stripped), so durations computed from a serialized archive match the
 // live ones — a requirement for examinable, traceable archives.
 func (t *Tracker) Finish() *Archive {
-	end := t.now()
+	end := clock.Now()
 	for i := len(t.stack) - 1; i >= 0; i-- {
 		if t.stack[i].End.IsZero() {
 			t.stack[i].End = end

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"graphalytics/internal/clock"
 	"graphalytics/internal/granula"
 )
 
@@ -70,6 +71,28 @@ func TestModeledDurationOverride(t *testing.T) {
 	if proc.Measured() >= 5*time.Second {
 		t.Fatal("measured duration should remain the stopwatch value")
 	}
+}
+
+// TestFrozenClockMeasuresNothing holds the tracker to the clock seam:
+// under a frozen clock every phase of a finished archive, the root
+// included, measures exactly zero however long the job really took.
+func TestFrozenClockMeasuresNothing(t *testing.T) {
+	defer clock.SetForTesting(func() time.Time { return time.Unix(42, 0) })()
+	tr := granula.NewTracker("j", "p")
+	tr.Phase(granula.PhaseProcess, func() {
+		tr.Phase("Superstep-0", func() { time.Sleep(time.Millisecond) })
+	})
+	tr.Begin(granula.PhaseOffload) // left open: Finish closes it
+	var walk func(op *granula.Operation)
+	walk = func(op *granula.Operation) {
+		if d := op.Measured(); d != 0 {
+			t.Errorf("phase %s measured %v under a frozen clock, want 0", op.Name, d)
+		}
+		for _, c := range op.Children {
+			walk(c)
+		}
+	}
+	walk(tr.Finish().Root)
 }
 
 func TestFinishClosesOpenPhases(t *testing.T) {

@@ -22,13 +22,17 @@ var determinismPkgs = []string{
 	module + "/internal/platforms/",
 }
 
-// simTimePkgs compute simulated cost: machine rounds, thread discounts and
-// the granula model must read the injected clock seam so replays and tests
-// can substitute deterministic time. The engines run inside RunRound's
+// simTimePkgs compute simulated cost or stamp benchmark records: machine
+// rounds, thread discounts, the granula model and the session's stopwatches
+// and timestamps must read internal/clock so replays and tests can
+// substitute deterministic time. The engines run inside RunRound's
 // measured window, and the driver in internal/platform brackets it with
 // the Granula phases; neither may consult the wall clock itself.
+// internal/clock is deliberately absent: it is the one package that reads
+// the wall clock.
 var simTimePkgs = []string{
 	module + "/internal/cluster",
+	module + "/internal/core",
 	module + "/internal/granula",
 	module + "/internal/platform",
 	module + "/internal/platforms",

@@ -48,8 +48,8 @@ type Contracts struct {
 	// Determinism: results must be bit-identical at any worker count
 	// (mapiter, floatsum).
 	Determinism bool
-	// SimTime: the package computes simulated cost and must use the
-	// injected clock seam, never raw wall-clock reads (wallclock).
+	// SimTime: the package computes simulated cost or stamps records and
+	// must read internal/clock, never the wall clock itself (wallclock).
 	SimTime bool
 	// Internal: non-test library code that must thread the caller's
 	// context instead of minting context.Background/TODO (ctxfirst).

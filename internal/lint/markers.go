@@ -27,8 +27,9 @@ const (
 	// enclosing loop/function) it annotates: the author asserts the fold is
 	// order-insensitive or its order is fixed independently of worker count.
 	MarkerOrderFree = "orderfree"
-	// MarkerWallClock waives the wallclock analyzer: the annotated call is
-	// the clock seam's own default or otherwise outside simulated cost.
+	// MarkerWallClock waives the wallclock analyzer: the annotated use of
+	// the wall clock is outside simulated cost (internal/clock itself needs
+	// no waiver; it is outside the contract).
 	MarkerWallClock = "wallclock"
 	// MarkerCtxBG waives the context.Background/TODO ban: the annotated
 	// call is a process root or a documented compatibility shim.

@@ -2,17 +2,18 @@ package lint
 
 import "go/ast"
 
-// WallClock forbids raw wall-clock reads — time.Now, time.Since,
-// time.Until calls — in simulated-cost code. The cluster's rounds, the
-// thread-pool discount, and the granula model must read their injected
-// clock seam (a `now func() time.Time` field or package seam defaulting to
-// time.Now) so tests and replays can substitute deterministic time.
-// Referencing `time.Now` as a value to *install* it in a seam is allowed;
-// only calls are findings. The service and CLI layers are outside the
-// contract and keep using the wall clock freely.
+// WallClock forbids the wall clock in simulated-cost code: any use of
+// time.Now, time.Since or time.Until — a call, or a reference such as a
+// `now: time.Now` field default, which is how a package quietly grows a
+// clock of its own. The cluster's rounds, the thread-pool discount, the
+// granula model and the session's stopwatches and stamps read
+// internal/clock instead, so tests and replays can substitute
+// deterministic time for every package at once. internal/clock is outside
+// the contract and is the one reader of time.Now; so are the service and
+// CLI layers, which keep using the wall clock freely.
 var WallClock = &Analyzer{
 	Name:   "wallclock",
-	Doc:    "forbids raw time.Now/Since/Until calls in simulated-cost packages",
+	Doc:    "forbids any use of time.Now/Since/Until in simulated-cost packages",
 	Marker: MarkerWallClock,
 	Run:    runWallClock,
 }
@@ -23,14 +24,14 @@ func runWallClock(p *Pass) {
 	}
 	for _, f := range p.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
+			id, ok := n.(*ast.Ident)
 			if !ok {
 				return true
 			}
-			obj := calleeOf(p.Pkg.Info, call)
+			obj := p.Pkg.Info.Uses[id]
 			for _, name := range [...]string{"Now", "Since", "Until"} {
 				if isPkgFunc(obj, "time", name) {
-					p.Report(call, "raw time.%s call in simulated-cost code: read the injected clock seam so simulated time stays deterministic under test clocks; waive with //graphalint:wallclock <reason>", name)
+					p.Report(id, "raw time.%s in simulated-cost code: read internal/clock so simulated time stays deterministic under test clocks; waive with //graphalint:wallclock <reason>", name)
 				}
 			}
 			return true
