@@ -218,38 +218,83 @@ func TestThreadsChunksInOrderRunOnTheCaller(t *testing.T) {
 	}
 }
 
-// TestThreadsHelperBudget runs regions of two clusters at once, each
+// TestThreadsHelperBudget runs regions of two callers at once — one a
+// cluster's simulated threads, the other plain par.Chunks calls — each
 // wanting more helpers than the host has: between them they never hold
 // more than GOMAXPROCS−1, counted by the bodies that run off their caller.
 func TestThreadsHelperBudget(t *testing.T) {
 	const procs = 3
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	var inHelpers, most atomic.Int32
+	body := func(caller int) {
+		if goid() == caller {
+			return
+		}
+		now := inHelpers.Add(1)
+		for m := most.Load(); now > m && !most.CompareAndSwap(m, now); m = most.Load() {
+		}
+		time.Sleep(10 * time.Microsecond)
+		inHelpers.Add(-1)
+	}
 	var wg sync.WaitGroup
-	for range 2 {
+	for i := range 2 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			caller := goid()
 			for range 200 {
-				concurrentRound(t, 8, 8, func(th *cluster.Threads) {
-					th.ChunksIndexed(8, func(_, _, _ int) {
-						if goid() == caller {
-							return
-						}
-						now := inHelpers.Add(1)
-						for m := most.Load(); now > m && !most.CompareAndSwap(m, now); m = most.Load() {
-						}
-						time.Sleep(10 * time.Microsecond)
-						inHelpers.Add(-1)
+				if i == 0 {
+					concurrentRound(t, 8, 8, func(th *cluster.Threads) {
+						th.ChunksIndexed(8, func(_, _, _ int) { body(caller) })
 					})
-				})
+					continue
+				}
+				par.Chunks(8, 8, func(_, _, _ int) { body(caller) })
 			}
 		}()
 	}
 	wg.Wait()
 	if m := most.Load(); m < 1 || m > procs-1 {
 		t.Fatalf("at most %d helpers ran bodies at once, want between 1 and %d", m, procs-1)
+	}
+}
+
+// TestNestedRegionsUnderExhaustedPool runs eight callers at once, each a
+// simulated-thread region whose chunks nest par.Chunks two deep, with a
+// single helper to share between them: whoever cannot borrow runs its
+// chunks itself, so every caller finishes and every innermost chunk runs
+// once.
+func TestNestedRegionsUnderExhaustedPool(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const callers, fan = 8, 4
+	var leaves atomic.Int64
+	errs := make(chan error, callers)
+	for range callers {
+		go func() {
+			c := cluster.New(cluster.Config{Threads: fan, HostWorkers: fan})
+			errs <- c.RunRound(func(_ int, th *cluster.Threads) error {
+				th.ChunksIndexed(fan, func(_, _, _ int) {
+					par.Chunks(fan, fan, func(_, _, _ int) {
+						par.Chunks(fan, fan, func(_, lo, hi int) { leaves.Add(int64(hi - lo)) })
+					})
+				})
+				return nil
+			})
+		}()
+	}
+	timeout := time.After(time.Minute)
+	for range callers {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-timeout:
+			t.Fatal("nested regions did not finish within a minute: the pool deadlocked")
+		}
+	}
+	if got, want := leaves.Load(), int64(callers*fan*fan*fan); got != want {
+		t.Fatalf("innermost chunks covered %d elements, want %d", got, want)
 	}
 }
 

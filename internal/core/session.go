@@ -490,10 +490,11 @@ func (s *Session) execute(ctx context.Context, spec JobSpec, pos batchPos, lease
 // recovered makes a platform call whose panic fails the job instead of the
 // process: the panic becomes an error reading "panic: <value>", which
 // classifies as StatusFailed. It guards the session's two call sites, so
-// it covers every Platform, wrapped or third-party. par.Chunks and
-// cluster.Threads re-raise their goroutines' panics on the calling one, so
-// those reach it too; a goroutine an engine starts with its own go
-// statement is beyond any caller's recover. The error does
+// it covers every Platform, wrapped or third-party. The helpers of par's
+// pool run the chunks of both par.Chunks and cluster.Threads regions;
+// they recover a chunk's panic and par.Chunks re-raises it on the calling
+// goroutine, so those reach it too; a goroutine an engine starts with its
+// own go statement is beyond any caller's recover. The error does
 // not wrap the panic value, so what an engine panics with cannot pass for
 // a cancellation or an OOM, and it carries no stack, so result streams
 // stay identical from run to run.

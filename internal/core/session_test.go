@@ -2,7 +2,9 @@ package core_test
 
 import (
 	"context"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -393,5 +395,72 @@ func TestWithReferenceParallelism(t *testing.T) {
 			t.Fatalf("workers=%d: status=%s validated=%v ok=%v (%s)",
 				workers, res.Status, res.Validated, res.ValidationOK, res.Error)
 		}
+	}
+}
+
+// TestSessionHostGoroutinesBounded runs a plan with eight RunPlan workers
+// and eight reference workers on a four-core host and samples the
+// process's goroutines throughout: every parallel region — the engines'
+// simulated threads and the reference kernels' par.Chunks calls — borrows
+// from par's one pool, so beyond a warm baseline the run never adds more
+// than its workers, GOMAXPROCS−1 helpers and the fixed goroutines below.
+func TestSessionHostGoroutinesBounded(t *testing.T) {
+	const procs, parallelism = 4, 8
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	plan, err := core.CompileSpec(core.BenchSpec{
+		Name:       "goroutines",
+		Platforms:  []string{"native", "spmv-s", "pregel"},
+		Datasets:   core.DatasetSelector{IDs: []string{"R1", "R2", "R3", "R4"}},
+		Algorithms: algorithms.All,
+		Configs:    []core.ResourceSpec{{Threads: 4, Machines: 1}},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		// A new session each time, so its reference cache is cold and
+		// every reference kernel runs again.
+		s := core.NewSession(core.WithSLA(2*time.Minute), core.WithParallelism(parallelism), core.WithReferenceParallelism(parallelism))
+		results, err := s.RunPlan(context.Background(), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range results {
+			if res.Status != core.StatusOK && res.Status != core.StatusUnsupported {
+				t.Fatalf("%s on %s: status %s (%s)", res.Spec.Algorithm, res.Spec.Dataset, res.Status, res.Error)
+			}
+		}
+	}
+	run() // warm-up: loads the graphs and starts the pool's helpers
+	baseline := runtime.NumGoroutine()
+	// The fixed goroutines the baseline does not hold: this sampler, and
+	// nothing of the session's — it has no BufferedObserver to drain, and
+	// no SLA timer fires under a two-minute SLA. RunPlan's caller, this
+	// test's goroutine, is in the baseline.
+	const fixed = 1
+	var peak atomic.Int64
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(50 * time.Microsecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if n := int64(runtime.NumGoroutine()); n > peak.Load() {
+					peak.Store(n)
+				}
+			}
+		}
+	}()
+	run()
+	close(stop)
+	<-done
+	workers := min(parallelism, len(plan.Deployments))
+	if extra, bound := int(peak.Load())-baseline, workers+procs-1+fixed; extra > bound {
+		t.Fatalf("the run added up to %d goroutines to a baseline of %d, want at most %d (%d RunPlan workers, %d helpers, %d fixed)",
+			extra, baseline, bound, workers, procs-1, fixed)
 	}
 }

@@ -1,7 +1,14 @@
-// Package par is the repository's shared deterministic fork-join runtime.
-// It grew out of the graph builder's private helpers and now backs every
-// parallel hot path on the harness side: the CSR builder, the parallel
-// reference kernels, and the simulated thread pool's chunk geometry.
+// Package par is the repository's one host fork-join runtime. It grew out
+// of the graph builder's private helpers and now backs every parallel hot
+// path in the process: the CSR builder, the parallel reference kernels,
+// and the simulated thread pool (cluster.Threads), whose regions run as
+// Chunks calls.
+//
+// It owns the process's only worker pool, and host concurrency is bounded:
+// however many callers run Chunks at once, and however deeply they nest,
+// at most GOMAXPROCS−1 helpers run chunks beside them. A call borrows the
+// helpers that are free and never waits for one; the caller runs what it
+// could not hand out.
 //
 // The package's contract is determinism: for a fixed input, every exported
 // function produces bit-identical results at any worker count, including
@@ -23,6 +30,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // MinGrain is the smallest per-worker share of work units worth a
@@ -70,73 +78,141 @@ func ChunkRange(n, p, w int) (lo, hi int) {
 }
 
 // Chunks splits [0, n) into p stable chunks and runs fn(worker, lo, hi)
-// for each, concurrently when p > 1. Empty chunks (p > n) are skipped but
-// worker indices stay aligned with chunk indices — even when p > 1 and
-// only one chunk is non-empty, that chunk keeps its own index so ordered
-// reductions attribute it correctly. Chunks returns when all workers have
-// finished (fork-join). If workers panic, Chunks re-raises the lowest
-// worker's panic value on the caller once all have finished.
+// for each. Empty chunks (p > n) are skipped but worker indices stay
+// aligned with chunk indices — even when p > 1 and only one chunk is
+// non-empty, that chunk keeps its own index so ordered reductions
+// attribute it correctly.
+//
+// The chunks are spread over k goroutines: the caller plus up to p−1
+// helpers borrowed, without blocking, from the process-wide pool, and
+// goroutine g runs chunks ChunkRange(p, k, g) in index order. What the
+// pool cannot lend, the caller runs itself, so nested calls cannot
+// deadlock and at GOMAXPROCS=1 every chunk runs inline. Chunks returns
+// when all chunks have finished (fork-join). If chunks panic, Chunks
+// re-raises the lowest panicking chunk's value on the caller once all
+// goroutines have finished, whatever k turned out to be.
 func Chunks(n, p int, fn func(worker, lo, hi int)) {
+	if n <= 0 {
+		return
+	}
 	if p <= 1 {
-		if n > 0 {
-			fn(0, 0, n)
-		}
+		fn(0, 0, n)
 		return
 	}
-	// One struct, so the join and the panic record escape as one
-	// allocation.
-	var j struct {
-		wg    sync.WaitGroup
-		fault Panics
+	r := regions.Get().(*region)
+	// Only min(p, n) chunks are non-empty.
+	r.fn, r.n, r.p, r.k = fn, n, p, 1+borrow(min(p, n)-1)
+	r.fork()
+}
+
+// region is one Chunks call's dispatch state, shared by the caller and
+// the helpers it borrowed. Regions are recycled through a sync.Pool, so a
+// warm call allocates nothing.
+type region struct {
+	fn   func(worker, lo, hi int)
+	n, p int          // chunk w is ChunkRange(n, p, w)
+	k    int          // goroutines: g runs chunks ChunkRange(p, k, g)
+	next atomic.Int32 // the last goroutine index a helper took
+	join sync.WaitGroup
+	// A panic left on a helper would end the process, beyond any caller's
+	// recover, so the helper records it for the caller to re-raise after
+	// the join. Of several, the lowest goroutine's is kept, so which value
+	// the caller sees does not depend on the schedule.
+	mu      sync.Mutex
+	faultAt int // the lowest helper goroutine that panicked; 0 for none
+	fault   any
+}
+
+var regions = sync.Pool{New: func() any { return new(region) }}
+
+// fork hands goroutines 1..k-1 to the borrowed helpers, runs goroutine 0
+// itself and re-raises a helper's panic once all have joined. When the
+// caller's own chunks panic, that value wins: they are the lowest.
+func (r *region) fork() {
+	r.next.Store(0)
+	r.join.Add(r.k - 1)
+	defer r.release()
+	for range r.k - 1 {
+		pool.work <- r
 	}
-	for w := 0; w < p; w++ {
-		lo, hi := ChunkRange(n, p, w)
-		if lo == hi {
-			continue
+	r.runGroup(0)
+	r.join.Wait()
+	if r.faultAt > 0 {
+		panic(r.fault)
+	}
+}
+
+// runGroup runs goroutine g's chunks in index order.
+func (r *region) runGroup(g int) {
+	lo, hi := ChunkRange(r.p, r.k, g)
+	for w := lo; w < hi; w++ {
+		if clo, chi := ChunkRange(r.n, r.p, w); clo < chi {
+			r.fn(w, clo, chi)
 		}
-		j.wg.Add(1)
-		go func(w, lo, hi int) {
-			defer j.wg.Done()
-			defer j.fault.Catch(w)
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	j.wg.Wait()
-	j.fault.Repanic()
-}
-
-// Panics carries a panic from the goroutines of a fork-join region to the
-// goroutine that joins them. A panic left on a goroutine of its own ends
-// the process, beyond any caller's recover; re-raising it after the join
-// lets the caller fail one job instead. Of several panics the lowest
-// slot's is kept, so which value the caller sees does not depend on the
-// schedule. The zero value records no panic.
-type Panics struct {
-	mu   sync.Mutex
-	set  bool
-	slot int
-	val  any
-}
-
-// Catch recovers a panic of the goroutine running slot and records it. It
-// must be deferred directly by that goroutine.
-func (p *Panics) Catch(slot int) {
-	v := recover()
-	if v == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.set || slot < p.slot {
-		p.set, p.slot, p.val = true, slot, v
 	}
 }
 
-// Repanic re-raises the recorded panic, if any. Call it once every
-// goroutine that may Catch has been joined.
-func (p *Panics) Repanic() {
-	if p.set {
-		panic(p.val)
+// runHelped runs goroutine g on a helper, recording a panic for the
+// region's caller instead of ending the process, so the helper stays in
+// the pool.
+func (r *region) runHelped(g int) {
+	defer r.join.Done()
+	defer func() {
+		if v := recover(); v != nil {
+			r.mu.Lock()
+			if r.faultAt == 0 || g < r.faultAt {
+				r.faultAt, r.fault = g, v
+			}
+			r.mu.Unlock()
+		}
+	}()
+	r.runGroup(g)
+}
+
+// release waits for the helpers — also when the caller's own chunks
+// panicked, so none is left running a finished region — returns them to
+// the pool and recycles the region.
+func (r *region) release() {
+	r.join.Wait()
+	pool.lent.Add(int32(1 - r.k))
+	r.fn, r.faultAt, r.fault = nil, 0, nil
+	regions.Put(r)
+}
+
+// pool is the process-wide set of helpers every fork-join region borrows
+// from: Chunks' and, through it, every cluster's simulated threads.
+var pool = struct {
+	work    chan *region
+	lent    atomic.Int32 // helpers working for a region
+	started atomic.Int32
+}{work: make(chan *region)}
+
+// borrow takes up to want helpers without blocking, so that no more than
+// GOMAXPROCS−1 work for regions at once, and returns how many it got.
+// Helpers are started lazily and then live for the process.
+func borrow(want int) int {
+	budget := int32(runtime.GOMAXPROCS(0) - 1)
+	for {
+		lent := pool.lent.Load()
+		got := min(int32(want), budget-lent)
+		if got <= 0 {
+			return 0
+		}
+		if pool.lent.CompareAndSwap(lent, lent+got) {
+			for s := pool.started.Load(); s < lent+got; s = pool.started.Load() {
+				if pool.started.CompareAndSwap(s, s+1) {
+					go helper()
+				}
+			}
+			return int(got)
+		}
+	}
+}
+
+// helper runs goroutines of the regions it is handed, one at a time.
+func helper() {
+	for r := range pool.work {
+		r.runHelped(int(r.next.Add(1)))
 	}
 }
 

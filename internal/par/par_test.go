@@ -187,29 +187,88 @@ func TestSortInt64sMatchesSlicesSort(t *testing.T) {
 	}
 }
 
-// A panic on a worker goroutine reaches Chunks' caller after the join, as
-// the lowest panicking worker's value whatever the schedule, and the next
-// region runs normally.
+// A panic in a chunk reaches Chunks' caller after the join, as the lowest
+// panicking chunk's value whatever the schedule and however many helpers
+// the call borrowed — none at GOMAXPROCS=1 — and the next region runs
+// normally.
 func TestChunksPanicReachesCaller(t *testing.T) {
-	forceProcs(t, 2)
-	for range 50 {
-		got := func() (v any) {
-			defer func() { v = recover() }()
-			Chunks(4, 4, func(w, _, _ int) {
-				if w > 0 {
-					panic(w)
+	for _, procs := range []int{1, 2, 4} {
+		forceProcs(t, procs)
+		for _, p := range []int{4, 9} {
+			for _, first := range []int{1, p - 2} {
+				for range 50 {
+					got := func() (v any) {
+						defer func() { v = recover() }()
+						Chunks(p, p, func(w, _, _ int) {
+							if w >= first {
+								panic(w)
+							}
+						})
+						return nil
+					}()
+					if got != first {
+						t.Fatalf("GOMAXPROCS=%d p=%d: caller recovered %v, want chunk %d's panic", procs, p, got, first)
+					}
 				}
-			})
-			return nil
-		}()
-		if got != 1 {
-			t.Fatalf("caller recovered %v, want worker 1's panic", got)
+			}
+		}
+		var visited atomic.Int64
+		Chunks(100, 4, func(_, lo, hi int) { visited.Add(int64(hi - lo)) })
+		if visited.Load() != 100 {
+			t.Fatalf("GOMAXPROCS=%d: region after the panics visited %d elements, want 100", procs, visited.Load())
 		}
 	}
-	var visited atomic.Int64
-	Chunks(100, 4, func(_, lo, hi int) { visited.Add(int64(hi - lo)) })
-	if visited.Load() != 100 {
-		t.Fatalf("region after the panics visited %d elements, want 100", visited.Load())
+}
+
+// goidInto returns the calling goroutine's id, parsed from its stack
+// header ("goroutine 18 [running]:") read into buf, which it does not
+// allocate; it tells the caller's chunks from the ones a helper ran.
+func goidInto(buf []byte) int {
+	n := runtime.Stack(buf, false)
+	id := 0
+	for _, b := range buf[len("goroutine "):n] {
+		if b < '0' || b > '9' {
+			break
+		}
+		id = id*10 + int(b-'0')
+	}
+	return id
+}
+
+func TestChunksWarmCallAllocatesNothing(t *testing.T) {
+	forceProcs(t, 4)
+	const p = 4
+	caller := goidInto(make([]byte, 32))
+	var offCaller atomic.Int32
+	sums := make([]int, p)
+	bufs := make([][]byte, p)
+	for w := range bufs {
+		bufs[w] = make([]byte, 32)
+	}
+	body := func(w, lo, hi int) {
+		if goidInto(bufs[w]) != caller {
+			offCaller.Add(1)
+		}
+		for i := lo; i < hi; i++ {
+			sums[w] += i
+		}
+	}
+	Chunks(1<<12, p, body) // warm-up: starts the helpers, fills the region pool
+	// testing.AllocsPerRun would pin GOMAXPROCS to 1 and so run every
+	// call inline; count the heap objects around warm calls instead.
+	const calls = 100
+	offCaller.Store(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		Chunks(1<<12, p, body)
+	}
+	runtime.ReadMemStats(&after)
+	if offCaller.Load() == 0 {
+		t.Fatal("no chunk ran on a helper: the calls were not concurrent")
+	}
+	if allocs := (after.Mallocs - before.Mallocs) / calls; allocs != 0 {
+		t.Fatalf("a warm Chunks call allocated %d objects, want 0", allocs)
 	}
 }
 
