@@ -43,20 +43,21 @@ const ssspMaxBucket = int64(math.MaxInt64) / 4
 // SSSPBuckets is the delta-stepping state machine shared by ParSSSP and
 // the native engine's SSSP kernel: tentative distances as raw float64
 // bits (Bits, CAS-minimized by SSSPRelaxRange), the current bucket's
-// frontier, and the deferred list of vertices whose last improvement
-// landed in a future bucket. The caller drives it:
+// frontier with its phase-start distances, and the deferred list of
+// vertices whose last improvement landed in a future bucket. The caller
+// drives it:
 //
-//	b.Init(g, source, workers)
+//	b.Init(g, source, delta)
 //	for {
-//		frontier, claimed, stamp := b.BeginPhase()
+//		frontier, starts, claimed, stamp := b.BeginPhase()
 //		if len(frontier) == 0 {
 //			if !b.Advance() {
 //				break
 //			}
 //			continue
 //		}
-//		parts := ... SSSPRelaxRange over frontier chunks ...
-//		b.Absorb(parts)
+//		improved := ... SSSPRelaxRange over frontier and starts chunks, concatenated ...
+//		b.Absorb(improved)
 //	}
 //
 // All methods are sequential (called between fork-join phases); only Bits
@@ -71,9 +72,10 @@ type SSSPBuckets struct {
 	seen     []uint32 // dedup generations for Advance's deferred scan
 	stamp    uint32
 	gen      uint32
-	cur      []int32 // current bucket's frontier
-	deferred []int32 // improved vertices parked for future buckets
-	bucket   int64   // current bucket index
+	cur      []int32   // current bucket's frontier
+	starts   []float64 // cur's distances when the phase began
+	deferred []int32   // improved vertices parked for future buckets
+	bucket   int64     // current bucket index
 }
 
 // SSSPDelta computes the bucket width for g: the mean edge weight,
@@ -141,29 +143,31 @@ func (b *SSSPBuckets) Init(g *graph.Graph, source int32, delta float64) {
 	b.Bits[source] = 0 // math.Float64bits(0)
 }
 
-// BeginPhase starts one relax phase: it returns the current frontier and
-// a fresh claim stamp for SSSPRelaxRange.
-func (b *SSSPBuckets) BeginPhase() (frontier []int32, claimed []uint32, stamp uint32) {
+// BeginPhase starts one relax phase: it returns the current frontier, its
+// phase-start distances and a fresh claim stamp for SSSPRelaxRange.
+func (b *SSSPBuckets) BeginPhase() (frontier []int32, starts []float64, claimed []uint32, stamp uint32) {
 	b.stamp++
-	return b.cur, b.claimed, b.stamp
+	b.starts = b.starts[:0]
+	for _, v := range b.cur {
+		b.starts = append(b.starts, math.Float64frombits(b.Bits[v]))
+	}
+	return b.cur, b.starts, b.claimed, b.stamp
 }
 
-// Absorb partitions a phase's improved vertices (the per-chunk slices
-// returned by SSSPRelaxRange, in chunk order): improvements that landed in
-// the current bucket feed the next phase's frontier, the rest are parked
-// on the deferred list. Claim stamps guarantee each vertex appears at most
-// once per phase, and an improvement made while bucket i is current is
-// >= i*Delta (the relaxing source was), so freshly improved vertices never
-// belong to an already-drained bucket.
-func (b *SSSPBuckets) Absorb(parts [][]int32) {
+// Absorb partitions a phase's improved vertices (what SSSPRelaxRange
+// returned over the phase's chunks, concatenated): improvements that
+// landed in the current bucket feed the next phase's frontier, the rest
+// are parked on the deferred list. Claim stamps guarantee each vertex
+// appears at most once per phase, and an improvement made while bucket i
+// is current is >= i*Delta (the relaxing source was), so freshly improved
+// vertices never belong to an already-drained bucket.
+func (b *SSSPBuckets) Absorb(improved []int32) {
 	cur := b.cur[:0]
-	for _, part := range parts {
-		for _, v := range part {
-			if b.bucketOf(b.Bits[v]) == b.bucket {
-				cur = append(cur, v)
-			} else {
-				b.deferred = append(b.deferred, v)
-			}
+	for _, v := range improved {
+		if b.bucketOf(b.Bits[v]) == b.bucket {
+			cur = append(cur, v)
+		} else {
+			b.deferred = append(b.deferred, v)
 		}
 	}
 	b.cur = cur
@@ -258,8 +262,9 @@ func ParSSSP(g *graph.Graph, source int32, workers int) []float64 {
 	var b SSSPBuckets
 	b.Init(g, source, SSSPDelta(g, workers))
 	bufs := make([][]int32, p) // per-worker relax outputs, reused across phases
+	var improved []int32
 	for {
-		frontier, claimed, stamp := b.BeginPhase()
+		frontier, starts, claimed, stamp := b.BeginPhase()
 		if len(frontier) == 0 {
 			if !b.Advance() {
 				break
@@ -273,11 +278,15 @@ func ParSSSP(g *graph.Graph, source int32, workers int) []float64 {
 			}
 		}
 		parts := par.Accumulate(len(frontier), pl, func(w, lo, hi int) []int32 {
-			out := SSSPRelaxRange(g, b.Bits, frontier[lo:hi], claimed, stamp, bufs[w][:0])
+			out := SSSPRelaxRange(g, b.Bits, frontier[lo:hi], starts[lo:hi], claimed, stamp, bufs[w][:0])
 			bufs[w] = out
 			return out
 		})
-		b.Absorb(parts)
+		improved = improved[:0]
+		for _, part := range parts {
+			improved = append(improved, part...)
+		}
+		b.Absorb(improved)
 	}
 	return b.Distances(nil)
 }

@@ -346,30 +346,26 @@ func CDLPScatterWorthwhile(changedCount, n int) bool {
 	return changedCount*8 <= n
 }
 
-// SSSPRelaxRange relaxes the out-edges of a slice of the current
-// delta-stepping frontier against the shared distance array (float64 bits;
-// see SSSPBuckets) and returns out extended with every vertex whose
-// distance improved, claimed exactly once per relax phase. Improvements
-// are CAS-min loops on the raw bits — non-negative floats order the same
-// as their bit patterns' values, and distances only decrease — and the
-// claim is a CAS on the phase stamp so concurrent chunks never append the
-// same vertex twice in one phase. A frontier vertex whose own distance
-// improves mid-scan may relax with a stale (larger) value; that is just a
-// weaker relaxation, and the improver has re-claimed the vertex for the
-// next phase, so the fixpoint is unaffected.
-//
-// Which vertices a phase discovers does depend on the interleaving: a
-// chunk that runs after another sees its improvements. The native engine
-// charges a round per delta-stepping bucket, and the bucket sequence does
-// not depend on the schedule; engines that charge one round per
-// Bellman-Ford phase (spmv, pushpull, and gas through SSSPRelaxArcs) run
-// these bodies in chunk order, so their frontiers and traffic cannot
-// change with the schedule either.
+// SSSPRelaxRange relaxes the out-edges of a slice of the current frontier
+// against the shared distance array (float64 bits; see SSSPBuckets) and
+// returns out extended with every vertex whose distance improved, claimed
+// exactly once per relax phase. Each frontier vertex relaxes from starts,
+// parallel to frontier: not its live distance but the one it had when the
+// phase began, which the caller snapshots between phases. Improvements are
+// CAS-min loops on the raw bits — non-negative floats order the same as
+// their bit patterns' values, and distances only decrease — and the claim
+// is a CAS on the phase stamp, so concurrent chunks never append the same
+// vertex twice in one phase. CAS minima commute, so a vertex is claimed
+// exactly when the phase's best offer beats its phase-start distance:
+// which vertices a phase discovers, and their final distances, depend on
+// the graph and the phase's frontier alone, not on the interleaving. A
+// frontier vertex improved during the phase has been claimed for the next
+// one, so the fixpoint is unaffected.
 //
 //graphalint:noalloc appends extend the caller's pooled out buffer in place
-func SSSPRelaxRange(g *graph.Graph, dist []uint64, frontier []int32, claimed []uint32, stamp uint32, out []int32) []int32 {
-	for _, v := range frontier {
-		dv := math.Float64frombits(atomic.LoadUint64(&dist[v]))
+func SSSPRelaxRange(g *graph.Graph, dist []uint64, frontier []int32, starts []float64, claimed []uint32, stamp uint32, out []int32) []int32 {
+	for k, v := range frontier {
+		dv := starts[k]
 		ns := g.OutNeighbors(v)
 		ws := g.OutWeights(v)
 		for i, u := range ns {
@@ -393,13 +389,12 @@ func SSSPRelaxRange(g *graph.Graph, dist []uint64, frontier []int32, claimed []u
 // SSSPRelaxArcs is the arc-list sibling of SSSPRelaxRange, for engines
 // that store a vertex's out-edges as arcs of an edge partition (gas's
 // vertex-cut) rather than as a CSR row: it relaxes the arcs out of one
-// frontier vertex v, with weights ws parallel to arcs, and returns out
-// extended with the vertices it improved and claimed, under the same CAS
-// and claim-stamp rules.
+// frontier vertex from its phase-start distance dv, with weights ws
+// parallel to arcs, and returns out extended with the vertices it improved
+// and claimed, under the same CAS and claim-stamp rules.
 //
 //graphalint:noalloc appends extend the caller's pooled out buffer in place
-func SSSPRelaxArcs(dist []uint64, v int32, arcs []cluster.Arc, ws []float64, claimed []uint32, stamp uint32, out []int32) []int32 {
-	dv := math.Float64frombits(atomic.LoadUint64(&dist[v]))
+func SSSPRelaxArcs(dist []uint64, dv float64, arcs []cluster.Arc, ws []float64, claimed []uint32, stamp uint32, out []int32) []int32 {
 	for i, a := range arcs {
 		nd := dv + ws[i]
 		for {

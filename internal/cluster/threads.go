@@ -36,8 +36,9 @@ import (
 //
 // Because chunks may run concurrently, a chunk body must not depend on
 // the schedule: it writes only its own range or worker slot, or uses
-// atomics whose outcome is order-free. Gauss–Seidel bodies, whose chunks
-// read what earlier chunks wrote, use ChunksInOrder instead.
+// atomics whose outcome is order-free. Where a body's result would depend
+// on values other chunks write in the same round, as SSSP's distances do,
+// it reads them as they stood when the round began.
 type Threads struct {
 	count       int
 	hostWorkers int
@@ -51,6 +52,11 @@ type Threads struct {
 	chunks    int                      // simulated threads: chunk w is par.ChunkRange(n, chunks, w)
 	durs      []time.Duration          // per-chunk durations
 	group     func(worker, lo, hi int) // timeGroup, bound once
+	// Collect's region: the caller's body, one output buffer per worker,
+	// and collectInto bound once.
+	collect     func(worker, lo, hi int, out []int32) []int32
+	outs        [][]int32
+	collectBody func(worker, lo, hi int)
 }
 
 // spawnCost is the modeled per-additional-thread coordination cost of one
@@ -62,17 +68,35 @@ func (t *Threads) Count() int { return t.count }
 
 // Chunks partitions [0, n) into at most Count contiguous ranges and runs
 // fn for each, modeling their parallel execution.
-func (t *Threads) Chunks(n int, fn func(lo, hi int)) { t.run(n, nil, fn, false) }
+func (t *Threads) Chunks(n int, fn func(lo, hi int)) { t.run(n, nil, fn) }
 
 // ChunksIndexed is Chunks with the worker slot exposed. Worker indices are
 // in [0, min(Count, n)), and chunk w is always par.ChunkRange(n, chunks, w).
-func (t *Threads) ChunksIndexed(n int, fn func(worker, lo, hi int)) { t.run(n, fn, nil, false) }
+func (t *Threads) ChunksIndexed(n int, fn func(worker, lo, hi int)) { t.run(n, fn, nil) }
 
-// ChunksInOrder is ChunksIndexed with the chunks run one after another, in
-// index order, on the calling goroutine. It is for Gauss–Seidel bodies,
-// whose chunks read what earlier chunks wrote, so that what a round
-// computes does not depend on the host's schedule.
-func (t *Threads) ChunksInOrder(n int, fn func(worker, lo, hi int)) { t.run(n, fn, nil, true) }
+// Collect runs fn over [0, n) like ChunksIndexed, handing each worker its
+// own buffer, empty and owned by the handle, to extend and return. After
+// the join it returns dst[:0] extended with the workers' buffers in worker
+// order, so dst may alias what the chunks read. A warm call allocates
+// nothing beyond what dst and fn do.
+func (t *Threads) Collect(n int, dst []int32, fn func(worker, lo, hi int, out []int32) []int32) []int32 {
+	chunks, dst := min(t.count, n), dst[:0]
+	for len(t.outs) < chunks {
+		t.outs = append(t.outs, nil)
+	}
+	if t.collectBody == nil {
+		t.collectBody = t.collectInto
+	}
+	t.collect = fn
+	t.run(n, t.collectBody, nil)
+	for _, out := range t.outs[:chunks] {
+		dst = append(dst, out...)
+	}
+	return dst
+}
+
+// collectInto runs Collect's body on chunk w into the worker's buffer.
+func (t *Threads) collectInto(w, lo, hi int) { t.outs[w] = t.collect(w, lo, hi, t.outs[w][:0]) }
 
 // For runs fn(i) for every i in [0, n) across the simulated threads.
 func (t *Threads) For(n int, fn func(i int)) {
@@ -85,7 +109,7 @@ func (t *Threads) For(n int, fn func(i int)) {
 
 // run runs one parallel region over [0, n); exactly one of body and
 // rangeBody is set.
-func (t *Threads) run(n int, body func(worker, lo, hi int), rangeBody func(lo, hi int), inOrder bool) {
+func (t *Threads) run(n int, body func(worker, lo, hi int), rangeBody func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -102,7 +126,7 @@ func (t *Threads) run(n int, body func(worker, lo, hi int), rangeBody func(lo, h
 	}
 	t.durs = t.durs[:chunks]
 	var wall time.Duration
-	if host := min(chunks, t.hostWorkers); host <= 1 || inOrder {
+	if host := min(chunks, t.hostWorkers); host <= 1 {
 		for w := range chunks {
 			wall += t.timeChunk(w)
 		}
@@ -152,4 +176,4 @@ func (t *Threads) timeGroup(_, lo, hi int) {
 }
 
 // drop forgets the body, so a pooled handle keeps no caller state alive.
-func (t *Threads) drop() { t.body, t.rangeBody = nil, nil }
+func (t *Threads) drop() { t.body, t.rangeBody, t.collect = nil, nil, nil }

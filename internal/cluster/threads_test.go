@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -196,25 +197,71 @@ func TestThreadsConcurrentChunksKeepTheirGeometry(t *testing.T) {
 	}
 }
 
-func TestThreadsChunksInOrderRunOnTheCaller(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	caller := goid()
-	var order []int
-	concurrentRound(t, 8, 8, func(th *cluster.Threads) {
-		th.ChunksInOrder(100, func(w, lo, hi int) {
-			if id := goid(); id != caller {
-				t.Errorf("chunk %d ran on goroutine %d, want the caller %d", w, id, caller)
-			}
-			order = append(order, w)
-		})
-	})
-	for i, w := range order {
-		if w != i {
-			t.Fatalf("chunks ran in order %v, want 0..7", order)
+// TestThreadsCollect checks Collect inline and on helpers: the result is
+// every chunk's items in worker order, dst may be the very slice the
+// chunks read, and a warm call allocates nothing.
+func TestThreadsCollect(t *testing.T) {
+	const n, count = 1000, 4
+	for _, procs := range []int{1, 4} {
+		for _, hostWorkers := range []int{1, 4} {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				c := cluster.New(cluster.Config{Threads: count, HostWorkers: hostWorkers})
+				in := make([]int32, n)
+				for i := range in {
+					in[i] = int32(i)
+				}
+				var want []int32
+				for w := range count {
+					lo, hi := par.ChunkRange(n, count, w)
+					for i := lo; i < hi; i++ {
+						want = append(want, int32(w*n+i))
+					}
+				}
+				// Each chunk tags its items with its worker index, so a
+				// result out of worker order cannot compare equal.
+				tag := func(w, lo, hi int, out []int32) []int32 {
+					for _, v := range in[lo:hi] {
+						out = append(out, int32(w*n)+v)
+					}
+					return out
+				}
+				out := make([]int32, 0, n)
+				round := func(_ int, th *cluster.Threads) error {
+					out = th.Collect(n, out, tag)
+					return nil
+				}
+				if err := c.RunRound(round); err != nil { // warm-up: grows the worker buffers
+					t.Fatal(err)
+				}
+				if !slices.Equal(out, want) {
+					t.Fatalf("GOMAXPROCS %d, host workers %d: Collect = %v..., want %v...", procs, hostWorkers, out[:8], want[:8])
+				}
+				const rounds = 100
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for range rounds {
+					if err := c.RunRound(round); err != nil {
+						t.Fatal(err)
+					}
+				}
+				runtime.ReadMemStats(&after)
+				if allocs := (after.Mallocs - before.Mallocs) / rounds; allocs != 0 {
+					t.Fatalf("GOMAXPROCS %d, host workers %d: a warm Collect allocated %d objects, want 0", procs, hostWorkers, allocs)
+				}
+				// dst aliases the chunks' input: the copy into it waits for
+				// the join, so every chunk still reads the original items.
+				if err := c.RunRound(func(_ int, th *cluster.Threads) error {
+					in = th.Collect(n, in, tag)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(in, want) {
+					t.Fatalf("GOMAXPROCS %d, host workers %d: Collect into its own input = %v..., want %v...", procs, hostWorkers, in[:8], want[:8])
+				}
+			}()
 		}
-	}
-	if len(order) != 8 {
-		t.Fatalf("%d chunks ran, want 8", len(order))
 	}
 }
 

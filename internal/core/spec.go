@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -253,14 +254,19 @@ func WriteSpec(w io.Writer, sp *BenchSpec) error {
 // rules as LoadSpec: unknown fields are rejected, because empty axes
 // default to "everything" and a misspelled key ("platform" for
 // "platforms") would otherwise silently expand the benchmark instead of
-// erroring. This is the decoding surface the service daemon applies to
-// request bodies, so a POSTed spec gets exactly the file-spec treatment.
+// erroring. For the same reason the spec must be the whole input: anything
+// after it but white space is an error, not silently dropped. This is the
+// decoding surface the service daemon applies to request bodies, so a
+// POSTed spec gets exactly the file-spec treatment.
 func DecodeSpec(r io.Reader) (*BenchSpec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var sp BenchSpec
 	if err := dec.Decode(&sp); err != nil {
 		return nil, fmt.Errorf("core: decode spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("core: decode spec: trailing data after the spec")
 	}
 	return &sp, nil
 }

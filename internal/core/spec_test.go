@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -430,4 +431,70 @@ func TestDescriptionJSONRoundTrip(t *testing.T) {
 	if _, err := core.LoadSpec(path); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+}
+
+// TestDecodeSpecRejectsTrailingData: the spec must be the whole input, so
+// a second object, a stray delimiter or junk after it is an error rather
+// than silently dropped; trailing white space stays legal.
+func TestDecodeSpecRejectsTrailingData(t *testing.T) {
+	const spec = `{"name":"n","platforms":["native"]}`
+	for _, trailer := range []string{`{"platforms":["pregel"]}`, `}`, `x`} {
+		if _, err := core.DecodeSpec(strings.NewReader(spec + trailer)); err == nil {
+			t.Errorf("spec followed by %q accepted", trailer)
+		}
+	}
+	sp, err := core.DecodeSpec(strings.NewReader(spec + " \n\t\n"))
+	if err != nil {
+		t.Fatalf("spec followed by white space rejected: %v", err)
+	}
+	if sp.Name != "n" || !reflect.DeepEqual(sp.Platforms, []string{"native"}) {
+		t.Fatalf("decoded %+v", *sp)
+	}
+}
+
+// FuzzDecodeSpec holds the spec decoder to two properties: no input makes
+// it panic, and a spec it accepts and that validates survives WriteSpec →
+// DecodeSpec unchanged, but for empty lists, which WriteSpec omits and
+// which so decode back as nil. The seed corpus in
+// testdata/fuzz/FuzzDecodeSpec holds the benchmark's suite spec, durations
+// as a string and as integer nanoseconds, an unknown field, and the three
+// trailing-data cases.
+func FuzzDecodeSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sp, err := core.DecodeSpec(bytes.NewReader(data))
+		if err != nil || sp.Validate() != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := core.WriteSpec(&buf, sp); err != nil {
+			t.Fatal(err)
+		}
+		back, err := core.DecodeSpec(&buf)
+		if err != nil {
+			t.Fatalf("written spec does not decode: %v", err)
+		}
+		if want := withoutEmptyLists(*sp); !reflect.DeepEqual(*back, want) {
+			t.Fatalf("round trip changed the spec:\n%+v\n%+v", want, *back)
+		}
+	})
+}
+
+// withoutEmptyLists returns sp with every empty list set to nil.
+func withoutEmptyLists(sp core.BenchSpec) core.BenchSpec {
+	sp.Platforms, sp.Algorithms, sp.Configs = orNil(sp.Platforms), orNil(sp.Algorithms), orNil(sp.Configs)
+	sp.Datasets.IDs = orNil(sp.Datasets.IDs)
+	sp.Sweeps = orNil(slices.Clone(sp.Sweeps))
+	for i := range sp.Sweeps {
+		sw := &sp.Sweeps[i]
+		sw.Platforms, sw.Algorithms, sw.Configs = orNil(sw.Platforms), orNil(sw.Algorithms), orNil(sw.Configs)
+		sw.Datasets.IDs = orNil(sw.Datasets.IDs)
+	}
+	return sp
+}
+
+func orNil[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }

@@ -1,6 +1,8 @@
 package conformance_test
 
 import (
+	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -71,6 +73,44 @@ func TestEnginesAreScheduleIndependent(t *testing.T) {
 	for pass := 1; pass <= 2; pass++ {
 		if got := run(4); got != inline {
 			t.Errorf("pass %d at GOMAXPROCS 4 differs from GOMAXPROCS 1:\n%s", pass, lineDiff(inline, got))
+		}
+	}
+}
+
+// TestSSSPRoundsDoNotDependOnTheDeployment runs SSSP on the engines that
+// charge one round per Bellman-Ford phase, over the corpus and the
+// schedule corpus, in every conformance configuration at GOMAXPROCS 4.
+// Each round relaxes from the distances it began with, so the round count
+// is fixed by the graph and the source: the same on every deployment and
+// on every one of these engines.
+func TestSSSPRoundsDoNotDependOnTheDeployment(t *testing.T) {
+	platforms.RegisterAll()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	ctx := context.Background()
+	for _, c := range append(conformance.Corpus(), scheduleCorpus(t)...) {
+		want, wantAt := -1, ""
+		for _, name := range []string{"spmv-d", "pushpull", "gas"} {
+			p, err := platform.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cfg := range conformance.Configs(p) {
+				at := fmt.Sprintf("%s t%d-m%d", name, cfg.Threads, cfg.Machines)
+				up, err := platform.UploadContext(ctx, p, c.Graph, platform.RunConfig{Threads: cfg.Threads, Machines: cfg.Machines})
+				if err != nil {
+					t.Fatalf("%s: upload %s: %v", at, c.Name, err)
+				}
+				res, err := p.Execute(ctx, up, algorithms.SSSP, c.Params)
+				up.Free()
+				if err != nil {
+					t.Fatalf("%s: SSSP on %s: %v", at, c.Name, err)
+				}
+				if want < 0 {
+					want, wantAt = res.Rounds, at
+				} else if res.Rounds != want {
+					t.Errorf("%s: SSSP took %d rounds on %s, %s took %d", at, res.Rounds, c.Name, wantAt, want)
+				}
+			}
 		}
 	}
 }

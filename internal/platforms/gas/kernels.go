@@ -16,9 +16,9 @@ import (
 // SSSP: the flat label buffer laid out by the upload's static CSR
 // offsets, the per-vertex write cursors, the dense label histogram, the
 // CDLP frontier flags, and the SSSP relaxation plane (distance bits,
-// claim stamps, per-thread and per-machine discovery lists). Checked out
-// of the uploaded state's pool per Execute, so steady-state iterations
-// allocate nothing.
+// claim stamps, per-machine discovery lists, the frontier and its
+// round-start distances). Checked out of the uploaded state's pool per
+// Execute, so steady-state iterations allocate nothing.
 type gasScratch struct {
 	labelBuf []int32 // gathered neighbor labels (internal-index domain)
 	labels   []int32 // CDLP working labels
@@ -33,9 +33,9 @@ type gasScratch struct {
 
 	bits    []uint64  // sssp tentative distances (float64 bits)
 	claimed []uint32  // per-round discovery claims
-	parts   [][]int32 // per-thread relax outputs, reused machine to machine
 	disc    [][]int32 // per-machine discovered lists
 	front   []int32   // global frontier
+	starts  []float64 // front's distances when the round began
 }
 
 func acquireScratch(u *uploaded) *gasScratch {
@@ -153,33 +153,26 @@ func bfsGAS(ctx context.Context, u *uploaded, source int32) ([]int64, error) {
 	}
 	depth[source] = 0
 	frontier := []int32{source}
+	discovered := make([][]int32, cl.Machines())
 	for level := int64(1); len(frontier) > 0; level++ {
 		if err := platform.CheckContext(ctx); err != nil {
 			return nil, err
 		}
-		discovered := make([][]int32, cl.Machines())
 		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
 			ma := u.local[mach]
-			parts := make([][]int32, th.Count())
-			th.ChunksIndexed(len(frontier), func(w, lo, hi int) {
-				var buf []int32
+			discovered[mach] = th.Collect(len(frontier), discovered[mach], func(_, lo, hi int, out []int32) []int32 {
 				for _, v := range frontier[lo:hi] {
 					arcs, _ := ma.arcsOf(v)
 					for _, a := range arcs {
 						if atomic.CompareAndSwapInt64(&depth[a.Dst], algorithms.Unreachable, level) {
-							buf = append(buf, a.Dst)
+							out = append(out, a.Dst)
 						}
 					}
 				}
-				parts[w] = buf
+				return out
 			})
-			var merged []int32
-			for _, p := range parts {
-				merged = append(merged, p...)
-			}
-			discovered[mach] = merged
 			var toMasters, bcast int64
-			for _, d := range merged {
+			for _, d := range discovered[mach] {
 				if int(u.part.Master[d]) != mach {
 					toMasters += 12
 				}
@@ -613,13 +606,13 @@ func lccGAS(ctx context.Context, u *uploaded) ([]float64, error) {
 
 // ssspGAS relaxes the out-arcs of frontier vertices with an atomic min on
 // the distance bits (algorithms.SSSPRelaxArcs over each machine's local
-// arcs), synchronizing discoveries like bfsGAS. The rounds are
-// Bellman-Ford phases whose discoveries depend on what earlier chunks
-// already relaxed, so the chunks run in order (Threads.ChunksInOrder).
-// All working state — distance bits, per-round claim stamps (replacing the
-// seed's clear-after-merge flags), per-thread relax outputs and
-// per-machine discovery lists — comes from the pooled scratch, so
-// steady-state runs allocate only the output array.
+// arcs), synchronizing discoveries like bfsGAS. Every machine relaxes a
+// frontier vertex from the distance it had when the frontier was
+// assembled, so the rounds are synchronous Bellman-Ford phases. All
+// working state — distance bits, per-round claim stamps (replacing the
+// seed's clear-after-merge flags), per-machine discovery lists, the
+// frontier and its round-start distances — comes from the pooled scratch,
+// so steady-state runs allocate only the output array.
 func ssspGAS(ctx context.Context, u *uploaded, source int32) ([]float64, error) {
 	g, cl := u.G, u.Cl
 	n := g.NumVertices()
@@ -635,41 +628,27 @@ func ssspGAS(ctx context.Context, u *uploaded, source int32) ([]float64, error) 
 	sc.claimed = mplane.Grow(sc.claimed, n)
 	clear(sc.claimed)
 	claimed := sc.claimed
-	tc := cl.Threads()
-	if len(sc.parts) < tc {
-		sc.parts = make([][]int32, tc)
-	}
 	if len(sc.disc) != cl.Machines() {
 		sc.disc = make([][]int32, cl.Machines())
 	}
 	frontier := append(sc.front[:0], source)
+	sc.starts = append(sc.starts[:0], 0)
 	var (
 		stamp uint32
 		ma    *machineArcs // the machine whose round relax runs in
 	)
-	relax := func(w, lo, hi int) {
-		buf := sc.parts[w][:0]
-		for _, v := range frontier[lo:hi] {
+	relax := func(_, lo, hi int, out []int32) []int32 {
+		for i, v := range frontier[lo:hi] {
 			arcs, ws := ma.arcsOf(v)
-			buf = algorithms.SSSPRelaxArcs(bits, v, arcs, ws, claimed, stamp, buf)
+			out = algorithms.SSSPRelaxArcs(bits, sc.starts[lo+i], arcs, ws, claimed, stamp, out)
 		}
-		sc.parts[w] = buf
+		return out
 	}
 	round := func(mach int, th *cluster.Threads) error {
 		ma = u.local[mach]
-		for w := range sc.parts {
-			sc.parts[w] = sc.parts[w][:0]
-		}
-		th.ChunksInOrder(len(frontier), relax)
-		// Per-machine merge copies out of the per-thread buffers, which
-		// the next (sequential) machine body reuses.
-		merged := sc.disc[mach][:0]
-		for _, p := range sc.parts[:tc] {
-			merged = append(merged, p...)
-		}
-		sc.disc[mach] = merged
+		sc.disc[mach] = th.Collect(len(frontier), sc.disc[mach], relax)
 		var wire int64
-		for _, d := range merged {
+		for _, d := range sc.disc[mach] {
 			if int(u.part.Master[d]) != mach {
 				wire += 16
 			}
@@ -686,9 +665,12 @@ func ssspGAS(ctx context.Context, u *uploaded, source int32) ([]float64, error) 
 		if err := cl.RunRound(round); err != nil {
 			return nil, err
 		}
-		frontier = frontier[:0]
+		frontier, sc.starts = frontier[:0], sc.starts[:0]
 		for _, list := range sc.disc {
-			frontier = append(frontier, list...)
+			for _, v := range list {
+				frontier = append(frontier, v)
+				sc.starts = append(sc.starts, math.Float64frombits(bits[v]))
+			}
 		}
 	}
 	sc.front = frontier

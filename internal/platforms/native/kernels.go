@@ -39,19 +39,16 @@ func bfs(ctx context.Context, u *uploaded, source int32) ([]int64, error) {
 	depth[source] = 0
 	sc := mplane.Acquire(&u.scratch, newNativeScratch)
 	defer u.scratch.Put(sc)
-	if len(sc.parts) < cl.Threads() {
-		sc.parts = make([][]int32, cl.Threads())
-	}
 	sc.frontier = append(sc.frontier[:0], source)
 	// One round body serves every level: it reads the level and the
 	// frontier through the variables it captured, so a search allocates
 	// the same whether it runs three levels or three thousand.
 	level := int64(1)
-	expand := func(w, lo, hi int) {
-		sc.parts[w] = algorithms.BFSExpand(g, depth, sc.frontier[lo:hi], level, sc.parts[w][:0])
+	expand := func(_, lo, hi int, out []int32) []int32 {
+		return algorithms.BFSExpand(g, depth, sc.frontier[lo:hi], level, out)
 	}
 	round := func(_ int, th *cluster.Threads) error {
-		th.ChunksIndexed(len(sc.frontier), expand)
+		sc.frontier = th.Collect(len(sc.frontier), sc.frontier, expand)
 		return nil
 	}
 	for ; len(sc.frontier) > 0; level++ {
@@ -60,11 +57,6 @@ func bfs(ctx context.Context, u *uploaded, source int32) ([]int64, error) {
 		}
 		if err := cl.RunRound(round); err != nil {
 			return nil, err
-		}
-		sc.frontier = sc.frontier[:0]
-		for w := range sc.parts {
-			sc.frontier = append(sc.frontier, sc.parts[w]...)
-			sc.parts[w] = sc.parts[w][:0] // a narrower next level leaves some slots unwritten
 		}
 	}
 	return depth, nil
@@ -153,8 +145,7 @@ type nativeScratch struct {
 	dirty    []uint32
 	changed  []bool
 	sums     []float64 // per-worker weight partials for the Delta round
-	parts    [][]int32 // per-worker BFS claims and SSSP relax outputs
-	frontier []int32   // BFS frontier
+	frontier []int32   // BFS frontier, SSSP phase discoveries
 	buckets  algorithms.SSSPBuckets
 	count    [][]int64 // per-thread LCC numerators
 	marks    [][]uint8 // per-thread LCC marks, all-zero between jobs
@@ -305,15 +296,15 @@ func lcc(ctx context.Context, u *uploaded) ([]float64, error) {
 // bucket's relax phases over the frontier via the shared SSSPRelaxRange
 // step, with the sequential bucket bookkeeping (algorithms.SSSPBuckets)
 // between phases — the engine-side analog of the reference kernels'
-// frontier merges. A round per bucket, not per phase, keeps the round
-// count schedule-free: how many phases a bucket takes depends on which
-// relaxations concurrent chunks happened to see, but once bucket b drains
-// every vertex below (b+1)·Δ is final and every other tentative distance
-// is the minimum over settled u of dist(u)+w, which the graph alone fixes
-// — so the sequence of buckets visited is the same under any schedule.
-// All working state is pooled, so steady-state runs allocate only the
-// output array. The fixpoint is the unique shortest-path distance vector
-// (see the determinism argument in algorithms/sssp.go).
+// frontier merges. Every phase relaxes from the distances its frontier had
+// when the phase began, so what a phase discovers does not depend on the
+// schedule; and once bucket b drains every vertex below (b+1)·Δ is final
+// and every other tentative distance is the minimum over settled u of
+// dist(u)+w, which the graph alone fixes — so the sequence of buckets,
+// and with it the round count, is fixed by the graph. All working state
+// is pooled, so steady-state runs allocate only the output array. The
+// fixpoint is the unique shortest-path distance vector (see the
+// determinism argument in algorithms/sssp.go).
 func sssp(ctx context.Context, u *uploaded, source int32) ([]float64, error) {
 	g, cl := u.G, u.Cl
 	n := g.NumVertices()
@@ -345,28 +336,22 @@ func sssp(ctx context.Context, u *uploaded, source int32) ([]float64, error) {
 
 	b := &sc.buckets
 	b.Init(g, source, delta)
-	tc := cl.Threads()
-	if len(sc.parts) < tc {
-		sc.parts = make([][]int32, tc)
-	}
 	var (
 		frontier []int32
+		starts   []float64
 		claimed  []uint32
 		stamp    uint32
 	)
-	relax := func(w, lo, hi int) {
-		sc.parts[w] = algorithms.SSSPRelaxRange(g, b.Bits, frontier[lo:hi], claimed, stamp, sc.parts[w][:0])
+	relax := func(_, lo, hi int, out []int32) []int32 {
+		return algorithms.SSSPRelaxRange(g, b.Bits, frontier[lo:hi], starts[lo:hi], claimed, stamp, out)
 	}
 	bucket := func(_ int, th *cluster.Threads) error {
 		for {
-			if frontier, claimed, stamp = b.BeginPhase(); len(frontier) == 0 {
+			if frontier, starts, claimed, stamp = b.BeginPhase(); len(frontier) == 0 {
 				return nil
 			}
-			for w := range sc.parts {
-				sc.parts[w] = sc.parts[w][:0]
-			}
-			th.ChunksIndexed(len(frontier), relax)
-			b.Absorb(sc.parts[:tc])
+			sc.frontier = th.Collect(len(frontier), sc.frontier, relax)
+			b.Absorb(sc.frontier)
 		}
 	}
 	for {

@@ -59,20 +59,13 @@ func bfs(ctx context.Context, u *uploaded, source int32, force string) (depth []
 					}
 				}
 			}
-			parts := make([][]int32, th.Count())
-			th.ChunksIndexed(len(work), func(w, lo, hi int) {
+			discovered[mach] = th.Collect(len(work), discovered[mach], func(_, lo, hi int, out []int32) []int32 {
 				if pull {
-					parts[w] = pullScan(g, depth, work[lo:hi], level)
-				} else {
-					parts[w] = algorithms.BFSExpand(g, depth, work[lo:hi], level, nil)
+					return pullScan(g, depth, work[lo:hi], level, out)
 				}
+				return algorithms.BFSExpand(g, depth, work[lo:hi], level, out)
 			})
-			var merged []int32
-			for _, p := range parts {
-				merged = append(merged, p...)
-			}
-			discovered[mach] = merged
-			cl.Broadcast(mach, int64(len(merged))*12)
+			cl.Broadcast(mach, int64(len(discovered[mach]))*12)
 			return nil
 		}); err != nil {
 			return nil, 0, 0, err
@@ -87,9 +80,9 @@ func bfs(ctx context.Context, u *uploaded, source int32, force string) (depth []
 
 // pullScan checks the still-unvisited vertices of verts against the
 // previous level: the first in-neighbor found at depth level-1 claims the
-// vertex for this level. It returns the claimed vertices in scan order.
-func pullScan(g *graph.Graph, depth []int64, verts []int32, level int64) []int32 {
-	var claimed []int32
+// vertex for this level. It returns claimed extended with the claimed
+// vertices in scan order.
+func pullScan(g *graph.Graph, depth []int64, verts []int32, level int64, claimed []int32) []int32 {
 	for _, v := range verts {
 		if depth[v] != algorithms.Unreachable {
 			continue
@@ -154,40 +147,11 @@ func pagerank(ctx context.Context, u *uploaded, iterations int, damping float64)
 	return rank, nil
 }
 
-// sssp pushes relaxations from the frontier with atomic minimums, every
-// machine relaxing its owned slice of the broadcast frontier. All
-// per-round buffers come from the layout's scratch pool, so steady-state
-// runs allocate only the output vector.
+// sssp pushes relaxations from the frontier with atomic minimums (the
+// layout's Bellman-Ford rounds): every machine broadcasts its
+// discoveries, and each relaxes the ones it owns in the next round.
 func sssp(ctx context.Context, u *uploaded, source int32) ([]float64, int, error) {
-	g, cl, part := u.lay.G, u.Cl, u.lay.Part
-	sc := u.lay.StartSSSP(source)
-	defer u.lay.Release(sc)
-	frontier := append(sc.Front[:0], source)
-	rounds := 0
-	for stamp := uint32(1); len(frontier) > 0; stamp++ {
-		if err := platform.CheckContext(ctx); err != nil {
-			return nil, 0, err
-		}
-		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-			local := sc.Local[:0]
-			for _, v := range frontier {
-				if int(part.Owner[v]) == mach {
-					local = append(local, v)
-				}
-			}
-			sc.Local = local
-			sc.Disc[mach] = sc.Relax(g, th, local, stamp, sc.Disc[mach])
-			cl.Broadcast(mach, int64(len(sc.Disc[mach]))*16)
-			return nil
-		}); err != nil {
-			return nil, 0, err
-		}
-		frontier = frontier[:0]
-		for _, list := range sc.Disc {
-			frontier = append(frontier, list...)
-		}
-		rounds++
-	}
-	sc.Front = frontier
-	return sc.Distances(), rounds, nil
+	return u.lay.SSSP(ctx, u.Cl, source, func(mach int, discovered []int32) {
+		u.Cl.Broadcast(mach, int64(len(discovered))*16)
+	})
 }

@@ -1,11 +1,13 @@
 // Package rangecsr is what the spmv and pushpull engines have in common:
 // both keep a private CSR copy of the graph in both directions, split the
-// vertices into contiguous edge-balanced ranges, one per machine, and run
-// WCC and CDLP as dense pulls over the owned range followed by an
-// allgather. The layout, the pooled per-job scratch and those two kernels
-// live here once. Everything that makes the engines different — names and
-// backends, what a machine is charged for the layout, the BFS / PageRank /
-// SSSP / LCC round loops and their traffic — stays in the engine packages.
+// vertices into contiguous edge-balanced ranges, one per machine, run WCC
+// and CDLP as dense pulls over the owned range followed by an allgather,
+// and run SSSP as synchronous Bellman-Ford rounds over each machine's
+// owned frontier. The layout, the pooled per-job scratch, those three
+// kernels and the frontier delivery live here once. Everything that makes
+// the engines different — names and backends, what a machine is charged
+// for the layout, the BFS / PageRank / LCC round loops, and the traffic of
+// their rounds and of SSSP's — stays in the engine packages.
 package rangecsr
 
 import (
@@ -27,8 +29,8 @@ type Layout struct {
 	G *graph.Graph
 	// Part assigns each machine one contiguous vertex range.
 	Part *cluster.VertexPartition
-	// scratch caches the CDLP/SSSP working buffers between jobs.
-	scratch mplane.Pool
+	// pool caches the CDLP/SSSP working buffers between jobs.
+	pool mplane.Pool
 }
 
 // New copies g into engine storage and partitions it over the machines.
@@ -49,9 +51,9 @@ func (l *Layout) Range(mach int) (lo, hi int) {
 	return int(verts[0]), int(verts[0]) + len(verts)
 }
 
-// Scratch is the pooled per-job working state of the CDLP and SSSP
+// scratch is the pooled per-job working state of the CDLP and SSSP
 // kernels, hung off the layout so repeated jobs on one upload reuse it.
-type Scratch struct {
+type scratch struct {
 	counts  mplane.WorkerCounts // per-thread CDLP counters
 	changes []int               // per-thread CDLP changed-vertex counts
 	labels  []int32             // CDLP working labels (internal-index domain)
@@ -59,24 +61,22 @@ type Scratch struct {
 	dirty   []uint32 // CDLP frontier stamps: recompute v this round
 	changed []bool   // CDLP: v's label moved this round
 
-	// SSSP state; the round loops that use it are the engines' own.
-	bits    []uint64  // tentative distances as float bits
-	claimed []uint32  // per-round discovery claim stamps
-	parts   [][]int32 // per-thread relax buffers
-	Disc    [][]int32 // per-machine merged discoveries
-	Fronts  [][]int32 // per-machine frontiers (routed discoveries)
-	Routing []int64   // per-destination-machine byte staging
-	Front   []int32   // the global frontier (broadcast discoveries)
-	Local   []int32   // a machine's owned slice of Front
+	// SSSP state: distances, claims, and per machine its frontier with
+	// the frontier's round-start distances and the round's discoveries.
+	bits    []uint64    // tentative distances as float bits
+	claimed []uint32    // per-round discovery claim stamps
+	fronts  [][]int32   // per-machine frontiers
+	starts  [][]float64 // parallel to fronts
+	disc    [][]int32   // per-machine discoveries
 }
 
 // acquire checks the layout's scratch out for one job.
-func (l *Layout) acquire() *Scratch {
-	return mplane.Acquire(&l.scratch, func() *Scratch { return &Scratch{} })
+func (l *Layout) acquire() *scratch {
+	return mplane.Acquire(&l.pool, func() *scratch { return &scratch{} })
 }
 
-// Release returns a job's scratch for the next job on this layout.
-func (l *Layout) Release(sc *Scratch) { l.scratch.Put(sc) }
+// release returns a job's scratch for the next job on this layout.
+func (l *Layout) release(sc *scratch) { l.pool.Put(sc) }
 
 // externalIDs translates dense labels (internal vertex indices) into the
 // external identifiers the output carries.
@@ -176,7 +176,7 @@ func (l *Layout) CDLP(ctx context.Context, cl *cluster.Cluster, iterations int) 
 		return []int64{}, nil
 	}
 	sc := l.acquire()
-	defer l.Release(sc)
+	defer l.release(sc)
 	sc.counts.Ensure(cl.Threads(), n)
 	sc.changes = mplane.Grow(sc.changes, cl.Threads())
 	sc.labels = mplane.Grow(sc.labels, n)
@@ -234,57 +234,88 @@ func (l *Layout) CDLP(ctx context.Context, cl *cluster.Cluster, iterations int) 
 	return l.externalIDs(labels), nil
 }
 
-// StartSSSP checks the scratch out for one SSSP job (the caller Releases
-// it): every distance +Inf but the source's 0, no vertex claimed, one
-// discovery list per machine. Relax stamps its claims with a value that
-// changes every round, so the claim array is cleared here, once per job,
-// rather than between rounds.
-func (l *Layout) StartSSSP(source int32) *Scratch {
-	sc, n, machines := l.acquire(), l.G.NumVertices(), l.Part.Machines
+// SSSP runs single-source shortest paths as synchronous Bellman-Ford
+// rounds, a sparse SpMSpV over the (min, +) semiring. In a round every
+// machine relaxes the out-edges of the frontier vertices it owns under
+// its threads' chunks (algorithms.SSSPRelaxRange), from the distances they
+// had when the round began, and hands the vertices it improved — each
+// claimed once per round across all machines — to charge, which accounts
+// the engine's traffic for them. Between rounds the discoveries are
+// delivered to their owners as the next frontier, and its distances are
+// snapshotted. Which vertices a round discovers, and so the round count,
+// depend on the graph and the source alone; their order may depend on the
+// schedule. It returns the distances and the number of rounds; every
+// per-round buffer comes from the pooled scratch.
+func (l *Layout) SSSP(ctx context.Context, cl *cluster.Cluster, source int32, charge func(mach int, discovered []int32)) ([]float64, int, error) {
+	g, n, machines := l.G, l.G.NumVertices(), l.Part.Machines
+	sc := l.acquire()
+	defer l.release(sc)
 	sc.bits = mplane.Grow(sc.bits, n)
 	inf := math.Float64bits(math.Inf(1))
 	for i := range sc.bits {
 		sc.bits[i] = inf
 	}
 	sc.bits[source] = math.Float64bits(0)
+	// Claims carry a stamp that changes every round, so the claim array is
+	// cleared once per job rather than between rounds.
 	sc.claimed = mplane.GrowZero(sc.claimed, n)
-	if len(sc.Disc) != machines {
-		sc.Disc = make([][]int32, machines)
+	if len(sc.disc) != machines {
+		sc.disc, sc.fronts, sc.starts = make([][]int32, machines), make([][]int32, machines), make([][]float64, machines)
 	}
-	return sc
-}
-
-// Relax runs one machine's share of a relaxation round: the out-edges of
-// local are relaxed under th's chunks (algorithms.SSSPRelaxRange) into the
-// pooled per-thread buffers, and the vertices whose distance improved —
-// each claimed once per stamp across all machines — are returned merged in
-// thread order onto merged[:0]. The rounds are Bellman-Ford phases whose
-// discoveries, and so the next frontier and its traffic, depend on what
-// earlier chunks already relaxed, so the chunks run in order
-// (Threads.ChunksInOrder).
-func (sc *Scratch) Relax(g *graph.Graph, th *cluster.Threads, local []int32, stamp uint32, merged []int32) []int32 {
-	tc := th.Count()
-	if len(sc.parts) < tc {
-		sc.parts = make([][]int32, tc)
+	for m := range sc.disc {
+		sc.disc[m] = sc.disc[m][:0]
 	}
-	for w := range sc.parts[:tc] {
-		sc.parts[w] = sc.parts[w][:0]
+	sc.disc[0] = append(sc.disc[0], source) // delivered to its owner below
+	var (
+		stamp  uint32
+		local  []int32
+		starts []float64
+	)
+	relax := func(_, lo, hi int, out []int32) []int32 {
+		return algorithms.SSSPRelaxRange(g, sc.bits, local[lo:hi], starts[lo:hi], sc.claimed, stamp, out)
 	}
-	th.ChunksInOrder(len(local), func(w, lo, hi int) {
-		sc.parts[w] = algorithms.SSSPRelaxRange(g, sc.bits, local[lo:hi], sc.claimed, stamp, sc.parts[w])
-	})
-	merged = merged[:0]
-	for _, p := range sc.parts[:tc] {
-		merged = append(merged, p...)
+	round := func(mach int, th *cluster.Threads) error {
+		local, starts = sc.fronts[mach], sc.starts[mach]
+		sc.disc[mach] = th.Collect(len(local), sc.disc[mach], relax)
+		charge(mach, sc.disc[mach])
+		return nil
 	}
-	return merged
-}
-
-// Distances decodes the job's final distance vector.
-func (sc *Scratch) Distances() []float64 {
-	dist := make([]float64, len(sc.bits))
+	rounds := 0
+	for ; l.Deliver(sc.disc, sc.fronts) > 0; rounds++ {
+		for m, front := range sc.fronts {
+			sc.starts[m] = sc.starts[m][:0]
+			for _, v := range front {
+				sc.starts[m] = append(sc.starts[m], math.Float64frombits(sc.bits[v]))
+			}
+		}
+		if err := platform.CheckContext(ctx); err != nil {
+			return nil, 0, err
+		}
+		stamp++
+		if err := cl.RunRound(round); err != nil {
+			return nil, 0, err
+		}
+	}
+	dist := make([]float64, n)
 	for i, b := range sc.bits {
 		dist[i] = math.Float64frombits(b)
 	}
-	return dist
+	return dist, rounds, nil
+}
+
+// Deliver replaces the per-machine frontiers with a round's discoveries,
+// each at the machine that owns it, and returns how many there are.
+func (l *Layout) Deliver(discovered, frontiers [][]int32) int {
+	for m := range frontiers {
+		frontiers[m] = frontiers[m][:0]
+	}
+	total := 0
+	for _, list := range discovered {
+		for _, v := range list {
+			o := l.Part.Owner[v]
+			frontiers[o] = append(frontiers[o], v)
+		}
+		total += len(list)
+	}
+	return total
 }

@@ -90,3 +90,28 @@ func TestSSSPSteadyStateAllocs(t *testing.T) {
 			"(per-round allocation has regressed)", allocs)
 	}
 }
+
+// TestBFSSteadyStateAllocs guards the pooled discovery merge: every level
+// collects each machine's discoveries into a buffer the run reuses, so
+// after warm-up a run allocates its output, its per-run frontier lists and
+// their growth, and no merge buffers per level.
+func TestBFSSteadyStateAllocs(t *testing.T) {
+	g := allocGraph(t, 4000, 4, false)
+	up, err := New(BackendD).Upload(g, platform.RunConfig{Threads: 4, Machines: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := up.(*uploaded)
+	defer u.Free()
+	run := func() {
+		if _, err := bfs(context.Background(), u, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm-up: grows the threads' discovery buffers
+	allocs := testing.AllocsPerRun(3, run)
+	if allocs > 128 {
+		t.Fatalf("steady-state BFS run allocated %.0f objects, want <= 128 "+
+			"(per-level allocation has regressed)", allocs)
+	}
+}

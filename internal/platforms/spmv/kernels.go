@@ -5,7 +5,6 @@ import (
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
-	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
 )
 
@@ -83,23 +82,6 @@ func route(u *uploaded, mach int, discovered []int32, each int64, staging []int6
 	}
 }
 
-// deliver replaces the per-machine frontiers with the round's discoveries,
-// each at its owner, and returns how many there are.
-func deliver(u *uploaded, discovered, frontiers [][]int32) int {
-	for mach := range frontiers {
-		frontiers[mach] = frontiers[mach][:0]
-	}
-	total := 0
-	for _, list := range discovered {
-		for _, d := range list {
-			o := u.lay.Part.Owner[d]
-			frontiers[o] = append(frontiers[o], d)
-		}
-		total += len(list)
-	}
-	return total
-}
-
 // bfs is a sparse frontier SpMSpV over the (select, min) semiring: each
 // level, the machines push from their owned frontier rows; discovered
 // vertices are routed to their owning machines for the next level.
@@ -121,21 +103,15 @@ func bfs(ctx context.Context, u *uploaded, source int32) ([]int64, error) {
 		}
 		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
 			local := frontiers[mach]
-			parts := make([][]int32, th.Count())
-			th.ChunksIndexed(len(local), func(w, lo, hi int) {
-				parts[w] = algorithms.BFSExpand(g, depth, local[lo:hi], level, nil)
+			discovered[mach] = th.Collect(len(local), discovered[mach], func(_, lo, hi int, out []int32) []int32 {
+				return algorithms.BFSExpand(g, depth, local[lo:hi], level, out)
 			})
-			var merged []int32
-			for _, p := range parts {
-				merged = append(merged, p...)
-			}
-			discovered[mach] = merged
-			route(u, mach, merged, 12, staging) // vertex id + level
+			route(u, mach, discovered[mach], 12, staging) // vertex id + level
 			return nil
 		}); err != nil {
 			return nil, err
 		}
-		total = deliver(u, discovered, frontiers)
+		total = u.lay.Deliver(discovered, frontiers)
 	}
 	return depth, nil
 }
@@ -188,36 +164,13 @@ func lcc(ctx context.Context, u *uploaded) ([]float64, error) {
 	return out, nil
 }
 
-// sssp is a sparse Bellman-Ford SpMSpV over the (min, +) semiring with
-// frontier routing identical to bfs. All per-round buffers come from the
-// layout's scratch pool, so steady-state runs allocate only the output
-// vector.
+// sssp is the layout's Bellman-Ford SpMSpV over the (min, +) semiring,
+// with frontier routing identical to bfs: a machine ships every
+// discovery it does not own to the owner.
 func sssp(ctx context.Context, u *uploaded, source int32) ([]float64, error) {
-	g, cl := u.lay.G, u.Cl
-	sc := u.lay.StartSSSP(source)
-	defer u.lay.Release(sc)
-	if len(sc.Fronts) != cl.Machines() {
-		sc.Fronts = make([][]int32, cl.Machines())
-	}
-	for mach := range sc.Fronts {
-		sc.Fronts[mach] = sc.Fronts[mach][:0]
-	}
-	owner := u.lay.Part.Owner[source]
-	sc.Fronts[owner] = append(sc.Fronts[owner], source)
-	sc.Routing = mplane.Grow(sc.Routing, cl.Machines())
-	total := 1
-	for stamp := uint32(1); total > 0; stamp++ {
-		if err := platform.CheckContext(ctx); err != nil {
-			return nil, err
-		}
-		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-			sc.Disc[mach] = sc.Relax(g, th, sc.Fronts[mach], stamp, sc.Disc[mach])
-			route(u, mach, sc.Disc[mach], 16, sc.Routing) // vertex id + distance
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		total = deliver(u, sc.Disc, sc.Fronts)
-	}
-	return sc.Distances(), nil
+	staging := make([]int64, u.Cl.Machines())
+	dist, _, err := u.lay.SSSP(ctx, u.Cl, source, func(mach int, discovered []int32) {
+		route(u, mach, discovered, 16, staging) // vertex id + distance
+	})
+	return dist, err
 }

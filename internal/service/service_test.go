@@ -133,6 +133,9 @@ func TestHTTPAdmission(t *testing.T) {
 	if resp := doJSON(t, client, "POST", srv.URL+"/v1/runs", "ka", strings.NewReader(`{"name":"x","unknown_field":1}`), nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("strict decoding: status %d, want 400", resp.StatusCode)
 	}
+	if resp := doJSON(t, client, "POST", srv.URL+"/v1/runs", "ka", strings.NewReader(testSpecJSON+`{"platforms":["pregel"]}`), nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("spec followed by a second object: status %d, want 400", resp.StatusCode)
+	}
 
 	r1 := submitSpec(t, client, srv.URL, "ka", testSpecJSON) // occupies the slot
 	r2 := submitSpec(t, client, srv.URL, "ka", testSpecJSON) // queued (quota 1)
