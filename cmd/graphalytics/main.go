@@ -273,8 +273,8 @@ func runSpec(ctx context.Context, specPath, out string, parallel int, progress b
 		graphalytics.WithParallelism(parallel),
 	}
 	if asink != nil {
-		// A FinalSink: the session delivers it after the -out stream, and
-		// it buffers until the explicit Commit below.
+		// It buffers until the explicit Commit below, after the run and
+		// its -out stream have finished.
 		opts = append(opts, graphalytics.WithSink(asink))
 	}
 	if progress {

@@ -1,0 +1,345 @@
+package algorithms
+
+import (
+	"graphalytics/internal/graph"
+	"graphalytics/internal/mplane"
+	"graphalytics/internal/par"
+)
+
+// The six kernels' round loops, written once. Each Kernels method runs one
+// algorithm over a Runtime: the parallel reference kernels (Par*) run it on
+// internal/par, and the native engine runs it on its simulated machine, one
+// charged cluster round per Round call. The loop, its per-chunk step
+// bodies (steps.go) and its reductions are the same code on both, so the
+// engine's output is the reference output, bit for bit, at every thread
+// count.
+//
+// Rounds follow the engine's accounting: one per BFS level, per PageRank
+// iteration and per CDLP iteration; one for WCC and for LCC; one for SSSP's
+// bucket width plus one per delta-stepping bucket.
+//
+// Float sums that cross chunks — PageRank's dangling mass and SSSP's bucket
+// width — follow par.SumBlocked's reduction tree: partials over blocks of
+// a fixed length, added in block order, so their value does not depend on
+// how many workers share the work. Every pass over the vertices runs over
+// vertex chunks, so it splits across as many simulated threads as a graph
+// of any size can feed.
+
+// Runtime runs a kernel's rounds and the parallel regions inside them.
+// Chunks and Collect may only be called from inside a Round body.
+type Runtime interface {
+	// Round runs body as one synchronization round. It fails only when
+	// the job is abandoned (the native engine checks its context first).
+	Round(body func()) error
+	// Chunks runs fn over [0, n) split into at most Workers contiguous
+	// chunks, worker w covering par.ChunkRange(n, chunks, w), and returns
+	// once every chunk has finished.
+	Chunks(n int, fn func(worker, lo, hi int))
+	// Collect runs fn over [0, n) like Chunks, handing each worker an
+	// empty buffer of its own to extend and return. After the join it
+	// returns dst[:0] extended with the workers' buffers in worker order,
+	// so dst may alias what the chunks read.
+	Collect(n int, dst []int32, fn func(worker, lo, hi int, out []int32) []int32) []int32
+	// Workers is the number of worker slots a body may index.
+	Workers() int
+}
+
+// Kernels runs the six algorithms over a Runtime and keeps their working
+// state between jobs: an engine pools one per upload, so steady-state runs
+// allocate little beyond their outputs. The zero value is ready to use; a
+// Kernels must not run two jobs at once.
+type Kernels struct {
+	counts   mplane.WorkerCounts // per-worker CDLP counters
+	changes  []int               // per-worker CDLP changed-vertex counts
+	labels   []int32             // CDLP working labels (internal-index domain)
+	next     []int32
+	dirty    []uint32
+	changed  []bool
+	dangling []int32   // PageRank's dangling vertices, ascending
+	sums     []float64 // block partials of SSSP's bucket width
+	frontier []int32   // BFS frontier, SSSP phase discoveries
+	buckets  ssspBuckets
+	count    [][]int64 // per-worker LCC numerators
+	marks    [][]uint8 // per-worker LCC marks, all-zero between jobs
+}
+
+// BFS is a level-synchronous queue-based breadth-first search, one round
+// per level: only the frontier is scanned, so partially covered graphs
+// cost only the covered portion. Claims are atomic and the merged frontier
+// is a set, so depths do not depend on the chunking.
+func (k *Kernels) BFS(rt Runtime, g *graph.Graph, source int32) ([]int64, error) {
+	depth := make([]int64, g.NumVertices())
+	for i := range depth {
+		depth[i] = Unreachable
+	}
+	depth[source] = 0
+	k.frontier = append(k.frontier[:0], source)
+	// One round body serves every level: it reads the level and the
+	// frontier through the variables it captured, so a search allocates
+	// the same whether it runs three levels or three thousand.
+	level := int64(1)
+	expand := func(_, lo, hi int, out []int32) []int32 {
+		return BFSExpand(g, depth, k.frontier[lo:hi], level, out)
+	}
+	round := func() { k.frontier = rt.Collect(len(k.frontier), k.frontier, expand) }
+	for ; len(k.frontier) > 0; level++ {
+		if err := rt.Round(round); err != nil {
+			return nil, err
+		}
+	}
+	return depth, nil
+}
+
+// PageRank is the specification's fixed-iteration synchronous PageRank,
+// one round per iteration: a pass over vertex chunks computes every
+// vertex's contribution, then a pull over in-edges computes the next
+// ranks. The dangling mass is folded from the job's ascending list of
+// dangling vertices, gathered in the first round, through
+// par.SumBlockedAt: RefPageRank's block tree, so the ranks are
+// RefPageRank's bits.
+func (k *Kernels) PageRank(rt Runtime, g *graph.Graph, iterations int, damping float64) ([]float64, error) {
+	n := g.NumVertices()
+	if n == 0 {
+		return nil, nil
+	}
+	rank := make([]float64, n)
+	next := make([]float64, n)
+	contrib := make([]float64, n) // rank[v]/outdeg(v), recomputed per iteration
+	inv := 1.0 / float64(n)
+	for i := range rank {
+		rank[i] = inv
+	}
+	gather := func(_, lo, hi int, out []int32) []int32 {
+		for v := int32(lo); v < int32(hi); v++ {
+			if g.OutDegree(v) == 0 {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	// PRContribRange's own dangling partial is chunk-shaped; the mass is
+	// folded from the list instead.
+	contribute := func(_, lo, hi int) { PRContribRange(g, rank, contrib, lo, hi) }
+	var base float64
+	pull := func(_, lo, hi int) { PRPullRange(g, contrib, next, base, damping, lo, hi) }
+	it := 0
+	iteration := func() {
+		if it == 0 {
+			// Workers' lists join in worker order, which is vertex order.
+			k.dangling = rt.Collect(n, k.dangling, gather)
+		}
+		rt.Chunks(n, contribute)
+		base = (1-damping)*inv + damping*par.SumBlockedAt(rank, k.dangling)*inv
+		rt.Chunks(n, pull)
+	}
+	for ; it < iterations; it++ {
+		if err := rt.Round(iteration); err != nil {
+			return nil, err
+		}
+		rank, next = next, rank
+	}
+	return rank, nil
+}
+
+// WCC is a concurrent lock-free union-find over the edge set followed by a
+// labeling pass, both over vertex chunks, in one round. Roots are always
+// the smallest internal index of their component (links go strictly from
+// larger to smaller roots), so the output is the canonical
+// smallest-external-identifier labeling whatever the interleaving.
+func (k *Kernels) WCC(rt Runtime, g *graph.Graph) ([]int64, error) {
+	n := g.NumVertices()
+	parent := make([]int32, n)
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	out := make([]int64, n)
+	if err := rt.Round(func() {
+		rt.Chunks(n, func(_, lo, hi int) { wccUniteRange(g, parent, lo, hi) })
+		rt.Chunks(n, func(_, lo, hi int) { wccLabelRange(g, parent, out, lo, hi) })
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// CDLP is the specification's synchronous label propagation, one round per
+// iteration, frontier-based on the dense label domain. Labels are internal
+// vertex indices throughout (translated to external IDs once at the end;
+// the builder assigns indices in ascending ID order, so the argmax is
+// isomorphic — see mplane.LabelCounts). Each round recomputes only the
+// vertices whose neighborhood changed last round (CDLPFrontierRange; round
+// zero is CDLPInitRange's closed form) and stamps the next round's
+// frontier from the changed set (CDLPScatterRange), and the loop stops
+// early at a fixpoint — all bit-identical to the dense rounds, since a
+// skipped vertex folds an unchanged multiset and a converged round
+// persists forever. Each worker folds into its own counter and counts its
+// own changed vertices.
+func (k *Kernels) CDLP(rt Runtime, g *graph.Graph, iterations int) ([]int64, error) {
+	n := g.NumVertices()
+	out := make([]int64, n)
+	if n == 0 {
+		return out, nil
+	}
+	p := rt.Workers()
+	k.counts.Ensure(p, n)
+	k.changes = mplane.Grow(k.changes, p)
+	k.labels = mplane.Grow(k.labels, n)
+	k.next = mplane.Grow(k.next, n)
+	labels, next := k.labels, k.next
+	for v := int32(0); v < int32(n); v++ {
+		labels[v] = v
+	}
+	k.dirty = mplane.GrowZero(k.dirty, n) // stale stamps from a previous job must not leak in
+	k.changed = mplane.Grow(k.changed, n)
+	var (
+		it    int
+		dirty []uint32 // nil: every vertex is dirty (round zero, dense rounds)
+	)
+	fold := func(w, lo, hi int) {
+		if it == 0 {
+			k.changes[w] = CDLPInitRange(g, next, k.changed, lo, hi)
+		} else {
+			k.changes[w] = CDLPFrontierRange(g, labels, next, lo, hi, k.counts.At(w), dirty, uint32(it), k.changed)
+		}
+	}
+	stamp := func(_, lo, hi int) {
+		CDLPScatterRange(g, k.changed, k.dirty, uint32(it+1), lo, hi)
+	}
+	total, scatter := 0, false
+	round := func() {
+		clear(k.changes)
+		rt.Chunks(n, fold)
+		total = 0
+		for _, c := range k.changes {
+			total += c
+		}
+		// While the changed set is large its neighborhoods blanket the
+		// graph: skip the marking sweep and run the next round dense
+		// (over-marking is exact; see CDLPScatterWorthwhile).
+		scatter = total > 0 && CDLPScatterWorthwhile(total, n) && it+1 < iterations
+		if scatter {
+			rt.Chunks(n, stamp)
+		}
+	}
+	for ; it < iterations; it++ {
+		if err := rt.Round(round); err != nil {
+			return nil, err
+		}
+		labels, next = next, labels
+		if total == 0 {
+			break
+		}
+		dirty = nil
+		if scatter {
+			dirty = k.dirty
+		}
+	}
+	for v := 0; v < n; v++ {
+		out[v] = g.VertexID(labels[v])
+	}
+	return out, nil
+}
+
+// LCC is the degree-ordered triangle count of o (see LCCOrientation) in one
+// round: every worker counts the chunk of lowest corners o.Bounds cut for
+// it, by probe work rather than vertex count, into its own numerators,
+// then vertex chunks fold the numerators in worker order and divide
+// exactly as RefLCC divides. Integer addition is associative, so the
+// coefficients are RefLCC's bits at every worker count.
+func (k *Kernels) LCC(rt Runtime, o *LCCOrientation) ([]float64, error) {
+	n := len(o.deg)
+	p := rt.Workers()
+	bounds := o.Bounds(p)
+	for len(k.marks) < p {
+		k.count = append(k.count, nil)
+		k.marks = append(k.marks, nil)
+	}
+	// Mark arrays outlive the job (they are all-zero again when it ends),
+	// so they are allocated outside the round, like the orientation.
+	for w, marks := range k.marks[:p] {
+		if len(marks) != n {
+			k.marks[w] = make([]uint8, n)
+		}
+	}
+	count := k.count[:p]
+	out := make([]float64, n)
+	if err := rt.Round(func() {
+		rt.Chunks(p, func(w, lo, hi int) {
+			count[w] = mplane.GrowZero(count[w], n)
+			for c := lo; c < hi; c++ {
+				o.CountRange(count[w], k.marks[w], bounds[c], bounds[c+1])
+			}
+		})
+		rt.Chunks(n, func(_, lo, hi int) {
+			total := count[0]
+			for _, c := range count[1:] {
+				for v := lo; v < hi; v++ {
+					total[v] += c[v]
+				}
+			}
+			o.RatioRange(total, out, lo, hi)
+		})
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// SSSP is deterministic delta-stepping (see sssp.go): one round computes
+// the bucket width Δ, the mean edge weight, then each bucket is one round
+// that runs the bucket's relax phases over the frontier, with the
+// sequential bucket bookkeeping between phases. Every phase relaxes from
+// the distances its frontier had when the phase began, so what a phase
+// discovers does not depend on the schedule; and the sequence of buckets,
+// and with it the round count, is fixed by the graph. The distances are
+// the unique fixpoint of edge relaxation, RefSSSP's bits.
+func (k *Kernels) SSSP(rt Runtime, g *graph.Graph, source int32) ([]float64, error) {
+	n := g.NumVertices()
+	if n == 0 {
+		return nil, nil
+	}
+	arcs := int64(g.NumEdges())
+	if !g.Directed() {
+		arcs *= 2
+	}
+	weights := func(lo, hi int) float64 { return ssspWeightRange(g, lo, hi) }
+	var delta float64
+	if err := rt.Round(func() {
+		var total float64
+		total, k.sums = par.SumBlocks(n, ssspWeightBlock, rt.Chunks, k.sums, weights)
+		if arcs > 0 {
+			delta = total / float64(arcs)
+		}
+	}); err != nil {
+		return nil, err
+	}
+
+	b := &k.buckets
+	b.Init(g, source, delta)
+	var (
+		frontier []int32
+		starts   []float64
+		claimed  []uint32
+		stamp    uint32
+	)
+	relax := func(_, lo, hi int, out []int32) []int32 {
+		return SSSPRelaxRange(g, b.Bits, frontier[lo:hi], starts[lo:hi], claimed, stamp, out)
+	}
+	bucket := func() {
+		for {
+			if frontier, starts, claimed, stamp = b.BeginPhase(); len(frontier) == 0 {
+				return
+			}
+			k.frontier = rt.Collect(len(frontier), k.frontier, relax)
+			b.Absorb(k.frontier)
+		}
+	}
+	for {
+		if err := rt.Round(bucket); err != nil {
+			return nil, err
+		}
+		if !b.Advance() {
+			return b.Distances(nil), nil
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -52,8 +53,13 @@ func WriteOutput(w io.Writer, ids []int64, out *Output) error {
 }
 
 // ReadOutput parses an output file for the given algorithm, returning the
-// vertex identifiers in file order and the parsed values.
+// vertex identifiers in file order and the parsed values. A name outside
+// All fails with ErrUnknownAlgorithm: the name decides whether values
+// parse as integers or floats.
 func ReadOutput(r io.Reader, a Algorithm) ([]int64, *Output, error) {
+	if !slices.Contains(All, a) {
+		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownAlgorithm, a)
+	}
 	isFloat := a == PR || a == LCC || a == SSSP
 	out := &Output{Algorithm: a}
 	var ids []int64

@@ -2,6 +2,7 @@ package algorithms_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -73,6 +74,17 @@ func TestReadOutputErrors(t *testing.T) {
 				t.Fatal("expected parse error")
 			}
 		})
+	}
+}
+
+// TestReadOutputUnknownAlgorithm: a name outside algorithms.All, such as
+// a lower-case "sssp", must not be read as integer output.
+func TestReadOutputUnknownAlgorithm(t *testing.T) {
+	for _, a := range []algorithms.Algorithm{"sssp", "", "PageRank"} {
+		_, _, err := algorithms.ReadOutput(strings.NewReader("1 0.25\n"), a)
+		if !errors.Is(err, algorithms.ErrUnknownAlgorithm) {
+			t.Errorf("ReadOutput(%q) err = %v, want ErrUnknownAlgorithm", a, err)
+		}
 	}
 }
 
@@ -153,4 +165,39 @@ func TestOutputRejectsNonFinite(t *testing.T) {
 			t.Fatalf("ReadOutput(%q) = %v, %v; want +Inf", in, got, err)
 		}
 	}
+}
+
+// FuzzReadOutput holds the output reader to two properties: no input and
+// no algorithm name makes it panic, and an input it accepts survives
+// WriteOutput → ReadOutput with the same identifiers and the same value
+// bits. The seed corpus in testdata/fuzz/FuzzReadOutput holds an integer
+// and a float file, infinity with comments and blank lines, a three-field
+// line, nan, -inf, and an unknown algorithm.
+func FuzzReadOutput(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, alg string) {
+		a := algorithms.Algorithm(alg)
+		ids, out, err := algorithms.ReadOutput(bytes.NewReader(data), a)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := algorithms.WriteOutput(&buf, ids, out); err != nil {
+			t.Fatalf("accepted output does not write: %v", err)
+		}
+		backIDs, back, err := algorithms.ReadOutput(&buf, a)
+		if err != nil {
+			t.Fatalf("written output does not read: %v", err)
+		}
+		if !slices.Equal(backIDs, ids) || !slices.Equal(back.Int, out.Int) || !slices.Equal(valueBits(back.Float), valueBits(out.Float)) {
+			t.Fatalf("round trip changed the output:\n%v %v %v\n%v %v %v", ids, out.Int, out.Float, backIDs, back.Int, back.Float)
+		}
+	})
+}
+
+func valueBits(fs []float64) []uint64 {
+	bits := make([]uint64, len(fs))
+	for i, f := range fs {
+		bits[i] = math.Float64bits(f)
+	}
+	return bits
 }

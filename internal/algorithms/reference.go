@@ -138,7 +138,7 @@ func RefCDLP(g *graph.Graph, iterations int) []int64 {
 	}
 	hist := mplane.NewHistogram(16)
 	for it := 0; it < iterations; it++ {
-		CDLPRangeHist(g, labels, next, 0, n, hist)
+		cdlpRangeHist(g, labels, next, 0, n, hist)
 		labels, next = next, labels
 	}
 	return labels

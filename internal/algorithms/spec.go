@@ -5,7 +5,9 @@
 // sequential oracles (Ref*) in reference.go, and parallel kernels (Par*)
 // on the shared internal/par runtime that reproduce the oracles bit for
 // bit at any worker count (parallel.go; the oracle remains the arbiter in
-// tests).
+// tests). The parallel kernels' round loops (kernels.go) are written once
+// over a Runtime seam, and the native engine runs the same loops on its
+// simulated machine.
 //
 // The algorithm definitions are abstract (Section 2.2.3 of the paper):
 // platforms may implement them any way they like, and correctness is

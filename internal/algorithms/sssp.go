@@ -5,7 +5,6 @@ import (
 
 	"graphalytics/internal/graph"
 	"graphalytics/internal/mplane"
-	"graphalytics/internal/par"
 )
 
 // Deterministic delta-stepping SSSP.
@@ -21,12 +20,12 @@ import (
 //     monotone (x1 <= x2 implies x1+w <= x2+w) and inflationary
 //     (x+w >= x), so every relax-until-fixpoint order — Dijkstra's
 //     priority order, delta-stepping's bucket order, any interleaving the
-//     scheduler produces — converges to the same bits. ParSSSP is
+//     scheduler produces — converges to the same bits. Kernels.SSSP is
 //     therefore bit-identical to RefSSSP at every worker count.
-//   - Delta itself must not depend on the worker count, since it shapes
-//     the rounding-free bucket boundaries only through comparisons; it is
-//     the mean edge weight computed with par.SumBlocked's fixed reduction
-//     tree, so every worker count sums the same blocks in the same order.
+//   - Delta itself does not depend on the worker count, so neither do
+//     the bucket boundaries it shapes through comparisons: it is the mean
+//     edge weight summed with par.SumBlocks' fixed reduction tree, so
+//     every worker count sums the same blocks in the same order.
 //
 // Termination: within a bucket, a vertex re-enters the frontier only when
 // its distance strictly decreased, and float64 has finitely many values in
@@ -40,12 +39,11 @@ import (
 // frontier, so the clamp only has to keep comparisons well-defined.
 const ssspMaxBucket = int64(math.MaxInt64) / 4
 
-// SSSPBuckets is the delta-stepping state machine shared by ParSSSP and
-// the native engine's SSSP kernel: tentative distances as raw float64
-// bits (Bits, CAS-minimized by SSSPRelaxRange), the current bucket's
-// frontier with its phase-start distances, and the deferred list of
-// vertices whose last improvement landed in a future bucket. The caller
-// drives it:
+// ssspBuckets is Kernels.SSSP's delta-stepping state machine: tentative
+// distances as raw float64 bits (Bits, CAS-minimized by SSSPRelaxRange),
+// the current bucket's frontier with its phase-start distances, and the
+// deferred list of vertices whose last improvement landed in a future
+// bucket. The caller drives it:
 //
 //	b.Init(g, source, delta)
 //	for {
@@ -64,7 +62,7 @@ const ssspMaxBucket = int64(math.MaxInt64) / 4
 // and the claimed array are touched concurrently, inside SSSPRelaxRange.
 // The zero value is usable and all buffers are retained across Init calls,
 // so pooled reuse (mplane.Pool) reaches a zero-allocation steady state.
-type SSSPBuckets struct {
+type ssspBuckets struct {
 	Bits  []uint64 // tentative distances as math.Float64bits, +Inf init
 	Delta float64  // bucket width: mean edge weight via fixed-tree sum
 
@@ -78,38 +76,16 @@ type SSSPBuckets struct {
 	bucket   int64     // current bucket index
 }
 
-// SSSPDelta computes the bucket width for g: the mean edge weight,
-// summed through par.SumBlocked's fixed reduction tree so the value — and
-// with it every bucket boundary — is bit-identical at any worker count.
-// Degenerate distributions (all-zero weights, empty graphs, overflow to
-// +Inf) fall back to a width of 1; the choice only shapes scheduling,
-// never the output.
-func SSSPDelta(g *graph.Graph, workers int) float64 {
-	n := g.NumVertices()
-	arcs := int64(g.NumEdges())
-	if !g.Directed() {
-		arcs *= 2
-	}
-	p := par.Resolve(workers, n+int(arcs))
-	total := par.SumBlocked(n, p, func(lo, hi int) float64 {
-		return SSSPWeightRange(g, lo, hi)
-	})
-	delta := 0.0
-	if arcs > 0 {
-		delta = total / float64(arcs)
-	}
-	if !(delta > 0) || math.IsInf(delta, 1) {
-		return 1
-	}
-	return delta
-}
+// ssspWeightBlock is the vertex block length of the Delta reduction. It is
+// short so that the pass splits across many threads on small graphs; the
+// width only shapes scheduling, so the length moves no output bit.
+const ssspWeightBlock = 64
 
-// SSSPWeightRange sums the out-edge weights of vertices in [lo, hi),
-// left to right — the per-chunk body engines use to compute the Delta
-// reduction under their own (charged) thread pools.
+// ssspWeightRange sums the out-edge weights of vertices in [lo, hi),
+// left to right: the block partial of the Delta reduction.
 //
-//graphalint:orderfree block partial: left-to-right fold over a fixed [lo, hi) chunk in CSR order, summed by callers in chunk order
-func SSSPWeightRange(g *graph.Graph, lo, hi int) float64 {
+//graphalint:orderfree block partial: left-to-right fold within one fixed [lo, hi) block in CSR order, summed by callers in block order
+func ssspWeightRange(g *graph.Graph, lo, hi int) float64 {
 	s := 0.0
 	for v := lo; v < hi; v++ {
 		for _, w := range g.OutWeights(int32(v)) {
@@ -119,9 +95,11 @@ func SSSPWeightRange(g *graph.Graph, lo, hi int) float64 {
 	return s
 }
 
-// Init (re)sizes the state for g with the given bucket width (see
-// SSSPDelta) and seeds the source frontier.
-func (b *SSSPBuckets) Init(g *graph.Graph, source int32, delta float64) {
+// Init (re)sizes the state for g with the given bucket width and seeds
+// the source frontier. Degenerate widths (all-zero weights, empty graphs,
+// overflow to +Inf) fall back to 1; the width only shapes scheduling,
+// never the output.
+func (b *ssspBuckets) Init(g *graph.Graph, source int32, delta float64) {
 	n := g.NumVertices()
 	if !(delta > 0) || math.IsInf(delta, 1) {
 		delta = 1
@@ -145,7 +123,7 @@ func (b *SSSPBuckets) Init(g *graph.Graph, source int32, delta float64) {
 
 // BeginPhase starts one relax phase: it returns the current frontier, its
 // phase-start distances and a fresh claim stamp for SSSPRelaxRange.
-func (b *SSSPBuckets) BeginPhase() (frontier []int32, starts []float64, claimed []uint32, stamp uint32) {
+func (b *ssspBuckets) BeginPhase() (frontier []int32, starts []float64, claimed []uint32, stamp uint32) {
 	b.stamp++
 	b.starts = b.starts[:0]
 	for _, v := range b.cur {
@@ -161,7 +139,7 @@ func (b *SSSPBuckets) BeginPhase() (frontier []int32, starts []float64, claimed 
 // appears at most once per phase, and an improvement made while bucket i
 // is current is >= i*Delta (the relaxing source was), so freshly improved
 // vertices never belong to an already-drained bucket.
-func (b *SSSPBuckets) Absorb(improved []int32) {
+func (b *ssspBuckets) Absorb(improved []int32) {
 	cur := b.cur[:0]
 	for _, v := range improved {
 		if b.bucketOf(b.Bits[v]) == b.bucket {
@@ -180,7 +158,7 @@ func (b *SSSPBuckets) Absorb(improved []int32) {
 // whose bucket is not past the one just drained are dropped — every
 // improvement event was claimed into a frontier at the time it happened,
 // so a distance now sitting in a drained bucket was already relaxed from.
-func (b *SSSPBuckets) Advance() bool {
+func (b *ssspBuckets) Advance() bool {
 	if len(b.deferred) == 0 {
 		return false
 	}
@@ -226,7 +204,7 @@ func (b *SSSPBuckets) Advance() bool {
 
 // Distances decodes the final bit patterns into dst (grown as needed) and
 // returns it.
-func (b *SSSPBuckets) Distances(dst []float64) []float64 {
+func (b *ssspBuckets) Distances(dst []float64) []float64 {
 	dst = mplane.Grow(dst, len(b.Bits))
 	for i, bits := range b.Bits {
 		dst[i] = math.Float64frombits(bits)
@@ -234,59 +212,10 @@ func (b *SSSPBuckets) Distances(dst []float64) []float64 {
 	return dst
 }
 
-func (b *SSSPBuckets) bucketOf(bits uint64) int64 {
+func (b *ssspBuckets) bucketOf(bits uint64) int64 {
 	q := math.Float64frombits(bits) / b.Delta
 	if q >= float64(ssspMaxBucket) {
 		return ssspMaxBucket
 	}
 	return int64(q)
-}
-
-// ParSSSP is the parallel counterpart of RefSSSP: deterministic
-// delta-stepping over the shared par runtime, bit-identical to the
-// sequential Dijkstra oracle at every worker count (see the package-level
-// argument above). As in ParBFS, automatic sizing (workers <= 0) adapts
-// the per-phase worker count to the frontier's estimated edge work, while
-// an explicit count is honored on every phase.
-func ParSSSP(g *graph.Graph, source int32, workers int) []float64 {
-	n := g.NumVertices()
-	if n == 0 {
-		return nil
-	}
-	arcs := int(g.NumEdges())
-	if !g.Directed() {
-		arcs *= 2
-	}
-	p := par.Resolve(workers, n+arcs)
-	arcsPerVertex := 1 + arcs/n
-	var b SSSPBuckets
-	b.Init(g, source, SSSPDelta(g, workers))
-	bufs := make([][]int32, p) // per-worker relax outputs, reused across phases
-	var improved []int32
-	for {
-		frontier, starts, claimed, stamp := b.BeginPhase()
-		if len(frontier) == 0 {
-			if !b.Advance() {
-				break
-			}
-			continue
-		}
-		pl := p
-		if workers <= 0 {
-			if auto := par.Workers(len(frontier) * arcsPerVertex); auto < pl {
-				pl = auto
-			}
-		}
-		parts := par.Accumulate(len(frontier), pl, func(w, lo, hi int) []int32 {
-			out := SSSPRelaxRange(g, b.Bits, frontier[lo:hi], starts[lo:hi], claimed, stamp, bufs[w][:0])
-			bufs[w] = out
-			return out
-		})
-		improved = improved[:0]
-		for _, part := range parts {
-			improved = append(improved, part...)
-		}
-		b.Absorb(improved)
-	}
-	return b.Distances(nil)
 }

@@ -9,15 +9,12 @@ import (
 	"graphalytics/internal/mplane"
 )
 
-// Kernel steps: the per-chunk bodies of the parallel reference kernels,
-// exported so engines can reuse them under their own chunking. The
-// parallel kernels in parallel.go run these under par.Chunks; the native
-// engine runs the same functions under its simulated thread pool
-// (cluster.Threads), so both execute one shared, well-tested kernel body.
+// Kernel steps: the per-chunk bodies of the round loops in kernels.go,
+// exported so the other engines can reuse them under their own chunking.
 //
 // Every step is safe to run concurrently on disjoint [lo, hi) ranges of
 // the same output arrays. Steps that may touch shared state across chunks
-// (BFSExpand's depth claims, WCCUniteRange's links, the SSSP relax
+// (BFSExpand's depth claims, wccUniteRange's links, the SSSP relax
 // bodies' distance minima and claims) use atomics; everything else writes
 // only inside its own range or into a caller-owned per-worker buffer.
 
@@ -44,14 +41,14 @@ func BFSExpand(g *graph.Graph, depth []int64, frontier []int32, level int64, out
 	return out
 }
 
-// WCCUniteRange unites every vertex in [lo, hi) with its out-neighbors in
+// wccUniteRange unites every vertex in [lo, hi) with its out-neighbors in
 // the concurrent union-find parent (every vertex its own parent before the
 // first unite). Every arc is an out-arc of one vertex, so chunks covering
 // all vertices unite the whole edge set, and chunks may run concurrently:
 // links are CAS-guarded and always hang the larger root under the smaller.
 //
 //graphalint:noalloc per-chunk union-find body: CAS links on the shared parent array only
-func WCCUniteRange(g *graph.Graph, parent []int32, lo, hi int) {
+func wccUniteRange(g *graph.Graph, parent []int32, lo, hi int) {
 	for v := int32(lo); v < int32(hi); v++ {
 		for _, u := range g.OutNeighbors(v) {
 			unite(parent, v, u)
@@ -59,14 +56,14 @@ func WCCUniteRange(g *graph.Graph, parent []int32, lo, hi int) {
 	}
 }
 
-// WCCLabelRange labels every vertex in [lo, hi) with the external
-// identifier of its union-find root, once every WCCUniteRange chunk has
+// wccLabelRange labels every vertex in [lo, hi) with the external
+// identifier of its union-find root, once every wccUniteRange chunk has
 // joined: the root is the component's smallest internal index, so the
 // label is its smallest external identifier. Finds halve paths with CAS,
 // so label chunks may also run concurrently.
 //
 //graphalint:noalloc per-chunk labeling body: writes only its own range of labels
-func WCCLabelRange(g *graph.Graph, parent []int32, labels []int64, lo, hi int) {
+func wccLabelRange(g *graph.Graph, parent []int32, labels []int64, lo, hi int) {
 	for v := int32(lo); v < int32(hi); v++ {
 		labels[v] = g.VertexID(findCAS(parent, v))
 	}
@@ -74,11 +71,11 @@ func WCCLabelRange(g *graph.Graph, parent []int32, labels []int64, lo, hi int) {
 
 // PRContribRange fills contrib[v] = rank[v]/outdeg(v) for v in [lo, hi)
 // (zero for dangling vertices) and returns the range's dangling rank mass,
-// accumulated left to right — the block partial of the fixed reduction
-// tree the PageRank kernels sum dangling mass with.
+// accumulated left to right. Kernels.PageRank ignores it (it folds the
+// mass from its dangling list); spmv folds the ranges in thread order.
 //
 //graphalint:noalloc per-chunk superstep body: writes only into caller-owned arrays
-//graphalint:orderfree block partial: left-to-right fold within one fixed [lo, hi) block, summed by callers in block order
+//graphalint:orderfree left-to-right fold within one [lo, hi) range; callers fold the ranges in a fixed order
 func PRContribRange(g *graph.Graph, rank, contrib []float64, lo, hi int) float64 {
 	var dangling float64
 	for v := lo; v < hi; v++ {
@@ -108,21 +105,15 @@ func PRPullRange(g *graph.Graph, contrib, next []float64, base, damping float64,
 	}
 }
 
-// CDLPRange runs one synchronous label-propagation step for v in [lo, hi):
-// next[v] becomes the most frequent label among v's neighbors (counting a
-// neighbor on both an in- and an out-edge twice in directed graphs),
-// smallest label on ties. The histogram is chunk-private; callers that
-// keep one per worker reuse it via CDLPRangeHist.
-func CDLPRange(g *graph.Graph, labels, next []int64, lo, hi int) {
-	CDLPRangeHist(g, labels, next, lo, hi, mplane.NewHistogram(16))
-}
-
-// CDLPRangeHist is CDLPRange counting into a caller-owned histogram. The
-// histogram's (highest count, smallest label) argmax is order-independent,
-// so the result is identical to the map-based fold it replaced.
+// cdlpRangeHist runs one synchronous label-propagation step for v in
+// [lo, hi): next[v] becomes the most frequent label among v's neighbors
+// (counting a neighbor on both an in- and an out-edge twice in directed
+// graphs), smallest label on ties, counted in the caller-owned histogram.
+// The histogram's (highest count, smallest label) argmax is
+// order-independent, so the result does not depend on neighbor order.
 //
 //graphalint:noalloc per-chunk superstep body: counts into the caller-owned histogram
-func CDLPRangeHist(g *graph.Graph, labels, next []int64, lo, hi int, h *mplane.Histogram) {
+func cdlpRangeHist(g *graph.Graph, labels, next []int64, lo, hi int, h *mplane.Histogram) {
 	for v := lo; v < hi; v++ {
 		h.Reset()
 		for _, u := range g.OutNeighbors(int32(v)) {
@@ -137,7 +128,7 @@ func CDLPRangeHist(g *graph.Graph, labels, next []int64, lo, hi int, h *mplane.H
 	}
 }
 
-// CDLPFrontierRange is the frontier-gated variant of CDLPRangeHist on the
+// CDLPFrontierRange is the frontier-gated variant of cdlpRangeHist on the
 // dense label domain: labels are internal vertex indices (monotone with
 // external IDs, so the (count, smallest) argmax is isomorphic — see
 // mplane.LabelCounts), counted by direct indexing instead of hashing. It
@@ -347,7 +338,7 @@ func CDLPScatterWorthwhile(changedCount, n int) bool {
 }
 
 // SSSPRelaxRange relaxes the out-edges of a slice of the current frontier
-// against the shared distance array (float64 bits; see SSSPBuckets) and
+// against the shared distance array (float64 bits; see ssspBuckets) and
 // returns out extended with every vertex whose distance improved, claimed
 // exactly once per relax phase. Each frontier vertex relaxes from starts,
 // parallel to frontier: not its live distance but the one it had when the

@@ -98,15 +98,6 @@ func (t *Threads) Collect(n int, dst []int32, fn func(worker, lo, hi int, out []
 // collectInto runs Collect's body on chunk w into the worker's buffer.
 func (t *Threads) collectInto(w, lo, hi int) { t.outs[w] = t.collect(w, lo, hi, t.outs[w][:0]) }
 
-// For runs fn(i) for every i in [0, n) across the simulated threads.
-func (t *Threads) For(n int, fn func(i int)) {
-	t.Chunks(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
-
 // run runs one parallel region over [0, n); exactly one of body and
 // rangeBody is set.
 func (t *Threads) run(n int, body func(worker, lo, hi int), rangeBody func(lo, hi int)) {

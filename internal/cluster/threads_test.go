@@ -67,16 +67,6 @@ func TestThreadsIndexedWorkersDistinct(t *testing.T) {
 	})
 }
 
-func TestThreadsFor(t *testing.T) {
-	sum := 0
-	threadsOf(t, 4, func(th *cluster.Threads) {
-		th.For(10, func(i int) { sum += i })
-	})
-	if sum != 45 {
-		t.Fatalf("sum = %d, want 45", sum)
-	}
-}
-
 func TestThreadsZeroWork(t *testing.T) {
 	threadsOf(t, 4, func(th *cluster.Threads) {
 		th.Chunks(0, func(lo, hi int) { t.Fatal("must not run for n=0") })
@@ -106,7 +96,11 @@ func simTimeOnSteppingClock(t *testing.T, count int, use func(th *cluster.Thread
 func TestThreadsDiscountReducesSimulatedTime(t *testing.T) {
 	// A perfectly parallel region of 64 one-step elements.
 	region := func(th *cluster.Threads, burn func()) {
-		th.For(64, func(int) { burn() })
+		th.Chunks(64, func(lo, hi int) {
+			for range hi - lo {
+				burn()
+			}
+		})
 	}
 	// One thread: no chunk measurement, the round's own clock pair
 	// brackets the 64 element reads.

@@ -15,14 +15,12 @@ type ResultsArchiver interface {
 }
 
 // ArchiveSink buffers a run's results in commit order and seals them
-// into the archive as one batch when the run finishes. It is a
-// FinalSink: the session delivers to it after every ordinary sink, so
-// a result rejected by an earlier sink reaches the archive only after
-// that failure is already part of the run's joined error — the archive
-// can never hold a sealed commit the rest of the fan-out did not see.
+// into the archive as one batch when the run finishes.
 //
-// Consume only buffers; nothing is written until Commit, so a
-// canceled or crashed run leaves no partial commit behind.
+// Consume only buffers; nothing is written until Commit, which callers
+// make once the run has returned, so the delivery order among sinks
+// cannot be observed in the archive, and a canceled or crashed run
+// leaves no partial commit behind.
 type ArchiveSink struct {
 	archiver ResultsArchiver
 	name     string
@@ -46,9 +44,6 @@ func (k *ArchiveSink) Consume(r JobResult) error {
 	k.results = append(k.results, r)
 	return nil
 }
-
-// Final marks the sink as a FinalSink: it is delivered to last.
-func (k *ArchiveSink) Final() {}
 
 // Len returns the number of buffered results.
 func (k *ArchiveSink) Len() int {

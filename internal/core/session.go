@@ -304,10 +304,8 @@ func (s *Session) RunJob(ctx context.Context, spec JobSpec) (JobResult, error) {
 	return res, errors.Join(err, s.record(res))
 }
 
-// record delivers a finished job to the session's sinks — ordinary sinks
-// in registration order, then FinalSinks (the archive) in registration
-// order, so an archive sink only ever observes results that every other
-// sink has already been offered. Jobs that hit a harness-level error before running carry no
+// record delivers a finished job to the session's sinks in registration
+// order. Jobs that hit a harness-level error before running carry no
 // status and are not recorded. recordMu — shared by every batch of one
 // session — serializes delivery, which is what gives sinks their
 // lock-free contract; within a batch the commit reorder buffer
@@ -321,9 +319,9 @@ func (s *Session) record(res JobResult) error {
 	s.recordMu.Lock()
 	defer s.recordMu.Unlock()
 	var errs []error
-	for _, i := range sinkPhases(s.cfg.sinks) {
-		if err := s.cfg.sinks[i].Consume(res); err != nil {
-			errs = append(errs, fmt.Errorf("%w: sink %d (%T): %w", ErrSink, i+1, s.cfg.sinks[i], err))
+	for i, k := range s.cfg.sinks {
+		if err := k.Consume(res); err != nil {
+			errs = append(errs, fmt.Errorf("%w: sink %d (%T): %w", ErrSink, i+1, k, err))
 		}
 	}
 	return errors.Join(errs...)

@@ -64,48 +64,15 @@ type SinkFunc func(JobResult) error
 // Consume calls f(r).
 func (f SinkFunc) Consume(r JobResult) error { return f(r) }
 
-// FinalSink marks a sink that must observe a result only after every
-// ordinary sink has: MultiSink and the session deliver final sinks
-// last, in registration order. The archive sink is final, so a result
-// that an earlier sink rejected still reaches the archive *after* that
-// failure is already recorded in the joined error — a failed delivery
-// can never follow a sealed commit and leave the archive claiming more
-// than the sinks saw.
-type FinalSink interface {
-	Sink
-	// Final is a marker; implementations need not do anything.
-	Final()
-}
-
-// sinkPhases returns the delivery order over sinks as indices:
-// ordinary sinks first, then FinalSinks, registration order preserved
-// inside each phase.
-func sinkPhases(sinks []Sink) []int {
-	order := make([]int, 0, len(sinks))
-	for i, k := range sinks {
-		if _, ok := k.(FinalSink); !ok {
-			order = append(order, i)
-		}
-	}
-	for i, k := range sinks {
-		if _, ok := k.(FinalSink); ok {
-			order = append(order, i)
-		}
-	}
-	return order
-}
-
-// MultiSink fans results out to every sink — ordinary sinks first in
-// order, then FinalSinks in order — joining their errors. Each sink's
-// error is wrapped with its registration position and type, so a fan-out
-// failure names which sink rejected the result.
+// MultiSink fans results out to every sink in order, joining their
+// errors. Each sink's error is wrapped with its registration position and
+// type, so a fan-out failure names which sink rejected the result.
 func MultiSink(sinks ...Sink) Sink {
-	order := sinkPhases(sinks)
 	return SinkFunc(func(r JobResult) error {
 		var errs []error
-		for _, i := range order {
-			if err := sinks[i].Consume(r); err != nil {
-				errs = append(errs, fmt.Errorf("sink %d (%T): %w", i+1, sinks[i], err))
+		for i, k := range sinks {
+			if err := k.Consume(r); err != nil {
+				errs = append(errs, fmt.Errorf("sink %d (%T): %w", i+1, k, err))
 			}
 		}
 		return errors.Join(errs...)

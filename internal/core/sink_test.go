@@ -158,46 +158,17 @@ func (f *fakeArchiver) ArchiveResults(name string, spec *core.BenchSpec, results
 	return "deadbeef", nil
 }
 
-// TestArchiveSinkDeliveredLast is the sink-ordering contract: the
-// archive sink is a FinalSink, so the session must deliver every result
-// to it only after all ordinary sinks — regardless of registration
-// order — and a failed ordinary sink must never be able to run after
-// the archive observed the result.
-func TestArchiveSinkDeliveredLast(t *testing.T) {
+// TestArchiveSinkSealsOnCommit: the archive sink seals nothing while the
+// session delivers, and Commit seals exactly the delivered batch, in
+// commit order, once.
+func TestArchiveSinkSealsOnCommit(t *testing.T) {
 	plan := sinkTestPlan(t)
 	arch := &fakeArchiver{}
 	sink := core.NewArchiveSink(arch, "run", nil)
-	var order []string
-	probe := func(tag string) core.Sink {
-		return core.SinkFunc(func(core.JobResult) error {
-			order = append(order, tag)
-			return nil
-		})
-	}
-	spy := core.SinkFunc(func(r core.JobResult) error {
-		order = append(order, "archive")
-		return sink.Consume(r)
-	})
-	// Register the archive spy FIRST: ordering must come from the
-	// FinalSink contract, not from registration order.
-	s := core.NewSession(
-		core.WithSink(finalSink{spy}),
-		core.WithSink(probe("a")),
-		core.WithSink(probe("b")),
-	)
-	results, err := s.RunPlan(context.Background(), plan)
+	results, err := core.NewSession(core.WithSink(sink)).RunPlan(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 3*len(results) {
-		t.Fatalf("saw %d deliveries, want %d", len(order), 3*len(results))
-	}
-	for i := 0; i < len(order); i += 3 {
-		if order[i] != "a" || order[i+1] != "b" || order[i+2] != "archive" {
-			t.Fatalf("delivery %d ordered %v, want [a b archive]", i/3, order[i:i+3])
-		}
-	}
-	// Nothing committed yet; Commit seals exactly the delivered batch.
 	if arch.calls != 0 {
 		t.Fatal("archive sealed before Commit")
 	}
@@ -219,30 +190,6 @@ func TestArchiveSinkDeliveredLast(t *testing.T) {
 	// Commit is idempotent.
 	if root, err := sink.Commit(); err != nil || root != "deadbeef" || arch.calls != 1 {
 		t.Errorf("second Commit resealed: %q, %v, calls=%d", root, err, arch.calls)
-	}
-}
-
-// finalSink promotes any sink to a FinalSink for ordering tests.
-type finalSink struct{ core.Sink }
-
-func (finalSink) Final() {}
-
-// TestMultiSinkFinalLast: MultiSink applies the same final-last phase
-// split as the session.
-func TestMultiSinkFinalLast(t *testing.T) {
-	var order []string
-	tag := func(s string) core.Sink {
-		return core.SinkFunc(func(core.JobResult) error { order = append(order, s); return nil })
-	}
-	m := core.MultiSink(finalSink{tag("fin1")}, tag("ord1"), finalSink{tag("fin2")}, tag("ord2"))
-	if err := m.Consume(core.JobResult{}); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"ord1", "ord2", "fin1", "fin2"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("MultiSink order %v, want %v", order, want)
-		}
 	}
 }
 

@@ -234,35 +234,58 @@ func Accumulate[T any](n, p int, fn func(worker, lo, hi int) T) []T {
 // the partials are added in block order. Block boundaries are independent
 // of p, so the result is bit-identical at every worker count — the
 // determinism contract parallel float kernels are validated under.
+func SumBlocked(n, p int, sum func(lo, hi int) float64) float64 {
+	total, _ := SumBlocks(n, SumBlock, func(blocks int, fn func(worker, lo, hi int)) { Chunks(blocks, p, fn) }, nil, sum)
+	return total
+}
+
+// SumBlocks is SumBlocked's reduction tree at block length block, run by
+// the caller's runtime: chunks must run fn over [0, blocks) as Chunks
+// does, and sum(lo, hi) computes block [lo, hi)'s partial into parts.
+// parts is grown as needed and returned, so a caller that keeps it sums
+// without allocating it again.
 //
 //graphalint:orderfree the fixed reduction tree itself: block boundaries are worker-count independent and partials are added in block order
-func SumBlocked(n, p int, sum func(lo, hi int) float64) float64 {
+func SumBlocks(n, block int, chunks func(blocks int, fn func(worker, lo, hi int)), parts []float64, sum func(lo, hi int) float64) (float64, []float64) {
 	if n <= 0 {
-		return 0
+		return 0, parts
 	}
-	blocks := (n + SumBlock - 1) / SumBlock
-	if p <= 1 || blocks == 1 {
-		var total float64
-		for b := 0; b < blocks; b++ {
-			lo := b * SumBlock
-			hi := min(lo+SumBlock, n)
-			total += sum(lo, hi)
-		}
-		return total
+	blocks := (n + block - 1) / block
+	if cap(parts) < blocks {
+		parts = make([]float64, blocks)
 	}
-	parts := make([]float64, blocks)
-	Chunks(blocks, p, func(_, blo, bhi int) {
+	parts = parts[:blocks]
+	chunks(blocks, func(_, blo, bhi int) {
 		for b := blo; b < bhi; b++ {
-			lo := b * SumBlock
-			hi := min(lo+SumBlock, n)
-			parts[b] = sum(lo, hi)
+			lo := b * block
+			parts[b] = sum(lo, min(lo+block, n))
 		}
 	})
 	var total float64
 	for _, s := range parts {
 		total += s
 	}
-	return total
+	return total, parts
+}
+
+// SumBlockedAt is SumBlocked's value for the sum of x[i] over the
+// ascending indices idx, in one sequential pass over idx: each SumBlock
+// block's indices are added left to right, and the block partials in
+// block order. Blocks after the last index are not added; their zero
+// partials could only turn a −0 total into +0.
+//
+//graphalint:orderfree SumBlocked's tree over a sparse index list: fixed SumBlock boundaries, partials added in block order
+func SumBlockedAt(x []float64, idx []int32) float64 {
+	var total, part float64
+	end := int32(SumBlock)
+	for _, i := range idx {
+		for i >= end {
+			total += part
+			part, end = 0, end+SumBlock
+		}
+		part += x[i]
+	}
+	return total + part
 }
 
 // radixSortMin is the input length below which SortInt64s hands the slice

@@ -144,6 +144,78 @@ func TestSumBlockedWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestSumBlocksIsSumBlockedAtAnyBlockLength holds SumBlocks to SumBlocked
+// at SumBlock, whatever runs its chunks, and to its own worker invariance
+// at a short block length; a warm call reuses the caller's parts.
+func TestSumBlocksIsSumBlockedAtAnyBlockLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	n := 2*SumBlock + 300
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = rng.NormFloat64()
+	}
+	sum := func(lo, hi int) float64 {
+		var s float64
+		for i := lo; i < hi; i++ {
+			s += vals[i]
+		}
+		return s
+	}
+	on := func(p int) func(int, func(int, int, int)) {
+		return func(blocks int, fn func(worker, lo, hi int)) { Chunks(blocks, p, fn) }
+	}
+	if got, _ := SumBlocks(n, SumBlock, on(3), nil, sum); got != SumBlocked(n, 1, sum) {
+		t.Fatalf("SumBlocks at SumBlock = %x, want SumBlocked's %x", got, SumBlocked(n, 1, sum))
+	}
+	want, parts := SumBlocks(n, 64, on(1), nil, sum)
+	for _, p := range []int{2, 5, 64} {
+		got, again := SumBlocks(n, 64, on(p), parts, sum)
+		if got != want {
+			t.Fatalf("block 64, p=%d: %x, want %x", p, got, want)
+		}
+		if &again[0] != &parts[0] {
+			t.Fatalf("p=%d: parts reallocated", p)
+		}
+	}
+}
+
+// TestSumBlockedAtMatchesSumBlocked holds the sparse fold to SumBlocked
+// over the same indices, bit for bit, including index lists that skip
+// whole blocks and end before the last one.
+func TestSumBlockedAtMatchesSumBlocked(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	n := 4*SumBlock + 17
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = rng.ExpFloat64() / float64(n)
+	}
+	for _, keep := range []func(i int) bool{
+		func(int) bool { return false },
+		func(int) bool { return rng.Intn(3) == 0 },
+		func(i int) bool { return i < SumBlock/2 || (i >= 2*SumBlock && i < 3*SumBlock) },
+		func(i int) bool { return i == n-1 },
+	} {
+		var idx []int32
+		for i := range x {
+			if keep(i) {
+				idx = append(idx, int32(i))
+			}
+		}
+		want := SumBlocked(n, 4, func(lo, hi int) float64 {
+			var s float64
+			for _, i := range idx {
+				if int(i) >= lo && int(i) < hi {
+					s += x[i]
+				}
+			}
+			return s
+		})
+		if got := SumBlockedAt(x, idx); got != want {
+			t.Fatalf("%d indices: SumBlockedAt = %x, want %x", len(idx), got, want)
+		}
+	}
+}
+
 // TestSortInt64sMatchesSlicesSort holds the radix sort to slices.Sort on
 // the inputs its sign flip and digit skipping could get wrong, on both
 // sides of radixSortMin and large enough for eight workers.

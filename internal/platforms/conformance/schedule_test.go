@@ -3,7 +3,9 @@ package conformance_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"graphalytics/internal/algorithms"
@@ -113,4 +115,72 @@ func TestSSSPRoundsDoNotDependOnTheDeployment(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNativeMatchesOracleBitForBit holds the native engine to the
+// sequential oracles (Ref*), not to RunReference: native runs the same
+// round loops as the parallel reference kernels, so comparing the two
+// would check the loops against themselves. Every algorithm, on the corpus
+// and the schedule corpus, at 1, 3 and 8 threads with chunks running
+// concurrently, must reproduce the oracle exactly, floats bit for bit.
+func TestNativeMatchesOracleBitForBit(t *testing.T) {
+	platforms.RegisterAll()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	p, err := platform.Get("native")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, c := range append(conformance.Corpus(), scheduleCorpus(t)...) {
+		for _, threads := range []int{1, 3, 8} {
+			up, err := platform.UploadContext(ctx, p, c.Graph, platform.RunConfig{Threads: threads, Machines: 1})
+			if err != nil {
+				t.Fatalf("upload %s: %v", c.Name, err)
+			}
+			for _, a := range algorithms.All {
+				at := fmt.Sprintf("%s (directed=%v) %s t%d", c.Name, c.Graph.Directed(), a, threads)
+				res, err := p.Execute(ctx, up, a, c.Params)
+				if err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				want := oracle(t, c, a)
+				if !slices.Equal(res.Output.Int, want.Int) || !slices.Equal(floatBits(res.Output.Float), floatBits(want.Float)) {
+					t.Errorf("%s: output differs from the sequential oracle", at)
+				}
+			}
+			up.Free()
+		}
+	}
+}
+
+// oracle is the sequential oracle's output for algorithm a on case c.
+func oracle(t *testing.T, c conformance.Case, a algorithms.Algorithm) *algorithms.Output {
+	t.Helper()
+	j, err := algorithms.Resolve(c.Graph, a, c.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := c.Graph
+	switch a {
+	case algorithms.BFS:
+		return &algorithms.Output{Int: algorithms.RefBFS(g, j.SourceIndex)}
+	case algorithms.PR:
+		return &algorithms.Output{Float: algorithms.RefPageRank(g, j.Iterations, j.Damping)}
+	case algorithms.WCC:
+		return &algorithms.Output{Int: algorithms.RefWCC(g)}
+	case algorithms.CDLP:
+		return &algorithms.Output{Int: algorithms.RefCDLP(g, j.Iterations)}
+	case algorithms.LCC:
+		return &algorithms.Output{Float: algorithms.RefLCC(g)}
+	default:
+		return &algorithms.Output{Float: algorithms.RefSSSP(g, j.SourceIndex)}
+	}
+}
+
+func floatBits(fs []float64) []uint64 {
+	out := make([]uint64, len(fs))
+	for i, f := range fs {
+		out[i] = math.Float64bits(f)
+	}
+	return out
 }

@@ -1,13 +1,15 @@
 // Package native implements the hand-optimized single-machine engine,
 // standing in for OpenG/GraphBIG in the paper's evaluation. There is no
-// programming-model abstraction: every algorithm is written directly
-// against the CSR representation with explicit work queues and parallel
-// loops, which is why this engine sets the single-machine performance
-// baseline (and why its queue-based BFS wins on graphs where the search
-// covers only part of the vertices). Its parallel loops are the simulated
-// thread pool's regions (cluster.Threads), whose chunks run on the host's
-// cores, so a native job at t threads takes about the wall time of the
-// reference kernels at t workers.
+// programming-model abstraction: every algorithm runs directly against
+// the CSR representation with explicit work queues and parallel loops,
+// which is why this engine sets the single-machine performance baseline
+// (and why its queue-based BFS wins on graphs where the search covers only
+// part of the vertices). Those loops are the parallel reference kernels'
+// own (algorithms.Kernels): the engine supplies only the runtime they run
+// on, whose rounds are charged cluster rounds and whose parallel loops are
+// the simulated thread pool's regions (cluster.Threads), run on the host's
+// cores. So a native job at t threads takes about the wall time of the
+// reference kernels at t workers, and its output is theirs, bit for bit.
 package native
 
 import (
@@ -29,22 +31,22 @@ func New() platform.Platform {
 		Load:        load,
 		Kernels: map[algorithms.Algorithm]platform.Kernel[*uploaded]{
 			algorithms.BFS: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Ints(bfs(ctx, u, j.SourceIndex))
+				return j.Ints(run(ctx, u, func(r *runner) ([]int64, error) { return r.kernels.BFS(r, u.G, j.SourceIndex) }))
 			},
 			algorithms.PR: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Floats(pagerank(ctx, u.G, u.Cl, j.Iterations, j.Damping))
+				return j.Floats(run(ctx, u, func(r *runner) ([]float64, error) { return r.kernels.PageRank(r, u.G, j.Iterations, j.Damping) }))
 			},
 			algorithms.WCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Ints(wcc(ctx, u.G, u.Cl))
+				return j.Ints(run(ctx, u, func(r *runner) ([]int64, error) { return r.kernels.WCC(r, u.G) }))
 			},
 			algorithms.CDLP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Ints(cdlp(ctx, u, j.Iterations))
+				return j.Ints(run(ctx, u, func(r *runner) ([]int64, error) { return r.kernels.CDLP(r, u.G, j.Iterations) }))
 			},
 			algorithms.LCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Floats(lcc(ctx, u))
+				return j.Floats(run(ctx, u, func(r *runner) ([]float64, error) { return r.kernels.LCC(r, u.orient) }))
 			},
 			algorithms.SSSP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Floats(sssp(ctx, u, j.SourceIndex))
+				return j.Floats(run(ctx, u, func(r *runner) ([]float64, error) { return r.kernels.SSSP(r, u.G, j.SourceIndex) }))
 			},
 		},
 		State: func(u *uploaded, j *platform.Job) int64 {
@@ -64,10 +66,10 @@ func New() platform.Platform {
 
 type uploaded struct {
 	platform.BaseUpload
-	// scratch caches the kernels' per-job working buffers (delta-stepping
-	// bucket state, CDLP frontier stamps and histogram) across Execute
-	// calls on one upload, so steady-state runs allocate only their output
-	// arrays.
+	// scratch caches the kernels' runner and working buffers
+	// (delta-stepping bucket state, CDLP frontier stamps and histogram,
+	// LCC numerators and marks) across Execute calls on one upload, so
+	// steady-state runs allocate little beyond their output arrays.
 	scratch mplane.Pool
 	// orient is the LCC kernel's degree-ordered view of the graph, built
 	// by the upload's first LCC job and kept for its later ones; its

@@ -132,9 +132,10 @@ func (s *Service) execute(ctx context.Context, run *Run) {
 	}))
 	var asink *core.ArchiveSink
 	if s.archive != nil {
-		// The archive sink is a FinalSink: MultiSink delivers it after
-		// the streaming log, so a client can never observe an archived
-		// result the result stream has not served.
+		// The archive sink only buffers; the run is sealed below, after
+		// exec has returned and the result stream holds every result, so
+		// a client can never observe an archived result the stream has
+		// not served.
 		asink = core.NewArchiveSink(s.archive, run.id+"/"+run.plan.Name, run.spec)
 		sink = core.MultiSink(sink, asink)
 	}
