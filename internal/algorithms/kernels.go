@@ -8,11 +8,11 @@ import (
 
 // The six kernels' round loops, written once. Each Kernels method runs one
 // algorithm over a Runtime: the parallel reference kernels (Par*) run it on
-// internal/par, and the native engine runs it on its simulated machine, one
-// charged cluster round per Round call. The loop, its per-chunk step
-// bodies (steps.go) and its reductions are the same code on both, so the
-// engine's output is the reference output, bit for bit, at every thread
-// count.
+// internal/par, and the cluster engines run it on their simulated
+// machines (platform.Run), one charged cluster round per Round call. The
+// loop, its per-chunk step bodies (steps.go) and its reductions are the
+// same code on every runtime, so a single-machine engine's output is the
+// reference output, bit for bit, at every thread count.
 //
 // Rounds follow the engine's accounting: one per BFS level, per PageRank
 // iteration and per CDLP iteration; one for WCC and for LCC; one for SSSP's
@@ -26,10 +26,14 @@ import (
 // of any size can feed.
 
 // Runtime runs a kernel's rounds and the parallel regions inside them.
-// Chunks and Collect may only be called from inside a Round body.
+// Chunks, Collect, Owned and Report may only be called inside a Round body.
+//
+// A runtime may span machines: Round then runs the body on each in turn,
+// and each run owns a contiguous vertex range. CDLP is written for that;
+// the other kernels assume one machine, which owns every vertex.
 type Runtime interface {
 	// Round runs body as one synchronization round. It fails only when
-	// the job is abandoned (the native engine checks its context first).
+	// the job is abandoned (the engines check their context first).
 	Round(body func()) error
 	// Chunks runs fn over [0, n) split into at most Workers contiguous
 	// chunks, worker w covering par.ChunkRange(n, chunks, w), and returns
@@ -42,6 +46,12 @@ type Runtime interface {
 	Collect(n int, dst []int32, fn func(worker, lo, hi int, out []int32) []int32) []int32
 	// Workers is the number of worker slots a body may index.
 	Workers() int
+	// Owned is the vertex range [lo, hi) the running body's machine owns:
+	// every vertex on a runtime of one machine.
+	Owned() (lo, hi int)
+	// Report hands the engine what the running body's machine produced
+	// this round, for it to price as traffic; it is free on one machine.
+	Report(updates int)
 }
 
 // Kernels runs the six algorithms over a Runtime and keeps their working
@@ -117,8 +127,6 @@ func (k *Kernels) PageRank(rt Runtime, g *graph.Graph, iterations int, damping f
 		}
 		return out
 	}
-	// PRContribRange's own dangling partial is chunk-shaped; the mass is
-	// folded from the list instead.
 	contribute := func(_, lo, hi int) { PRContribRange(g, rank, contrib, lo, hi) }
 	var base float64
 	pull := func(_, lo, hi int) { PRPullRange(g, contrib, next, base, damping, lo, hi) }
@@ -167,13 +175,21 @@ func (k *Kernels) WCC(rt Runtime, g *graph.Graph) ([]int64, error) {
 // vertex indices throughout (translated to external IDs once at the end;
 // the builder assigns indices in ascending ID order, so the argmax is
 // isomorphic — see mplane.LabelCounts). Each round recomputes only the
-// vertices whose neighborhood changed last round (CDLPFrontierRange; round
-// zero is CDLPInitRange's closed form) and stamps the next round's
-// frontier from the changed set (CDLPScatterRange), and the loop stops
+// vertices whose neighborhood changed last round (cdlpFrontierRange; round
+// zero is cdlpInitRange's closed form) and stamps the next round's
+// frontier from the changed set (cdlpScatterRange), and the loop stops
 // early at a fixpoint — all bit-identical to the dense rounds, since a
 // skipped vertex folds an unchanged multiset and a converged round
 // persists forever. Each worker folds into its own counter and counts its
 // own changed vertices.
+//
+// Every machine folds and stamps its owned range and reports its changed
+// count. Machines run in turn within a round, so an earlier machine may
+// stamp round it+1 onto a vertex a later one has yet to fold in round it:
+// the fold takes any stamp at or past its round as dirty, which only
+// over-marks. A machine whose changed set is too large skips its sweep,
+// and the next round runs dense everywhere; on one machine both rules are
+// the single-range ones.
 func (k *Kernels) CDLP(rt Runtime, g *graph.Graph, iterations int) ([]int64, error) {
 	n := g.NumVertices()
 	out := make([]int64, n)
@@ -193,35 +209,45 @@ func (k *Kernels) CDLP(rt Runtime, g *graph.Graph, iterations int) ([]int64, err
 	k.changed = mplane.Grow(k.changed, n)
 	var (
 		it    int
+		base  int      // first vertex of the running machine's range
 		dirty []uint32 // nil: every vertex is dirty (round zero, dense rounds)
 	)
 	fold := func(w, lo, hi int) {
 		if it == 0 {
-			k.changes[w] = CDLPInitRange(g, next, k.changed, lo, hi)
+			k.changes[w] = cdlpInitRange(g, next, k.changed, base+lo, base+hi)
 		} else {
-			k.changes[w] = CDLPFrontierRange(g, labels, next, lo, hi, k.counts.At(w), dirty, uint32(it), k.changed)
+			k.changes[w] = cdlpFrontierRange(g, labels, next, base+lo, base+hi, k.counts.At(w), dirty, uint32(it), k.changed)
 		}
 	}
 	stamp := func(_, lo, hi int) {
-		CDLPScatterRange(g, k.changed, k.dirty, uint32(it+1), lo, hi)
+		cdlpScatterRange(g, k.changed, k.dirty, uint32(it+1), base+lo, base+hi)
 	}
-	total, scatter := 0, false
+	total, sparse := 0, false
 	round := func() {
+		var end int
+		base, end = rt.Owned()
 		clear(k.changes)
-		rt.Chunks(n, fold)
-		total = 0
+		rt.Chunks(end-base, fold)
+		updates := 0
 		for _, c := range k.changes {
-			total += c
+			updates += c
+		}
+		total += updates
+		rt.Report(updates)
+		if updates == 0 {
+			return
 		}
 		// While the changed set is large its neighborhoods blanket the
 		// graph: skip the marking sweep and run the next round dense
 		// (over-marking is exact; see CDLPScatterWorthwhile).
-		scatter = total > 0 && CDLPScatterWorthwhile(total, n) && it+1 < iterations
-		if scatter {
-			rt.Chunks(n, stamp)
+		if CDLPScatterWorthwhile(updates, n) && it+1 < iterations {
+			rt.Chunks(end-base, stamp)
+		} else {
+			sparse = false
 		}
 	}
 	for ; it < iterations; it++ {
+		total, sparse = 0, true
 		if err := rt.Round(round); err != nil {
 			return nil, err
 		}
@@ -230,7 +256,7 @@ func (k *Kernels) CDLP(rt Runtime, g *graph.Graph, iterations int) ([]int64, err
 			break
 		}
 		dirty = nil
-		if scatter {
+		if sparse {
 			dirty = k.dirty
 		}
 	}
@@ -277,7 +303,7 @@ func (k *Kernels) LCC(rt Runtime, o *LCCOrientation) ([]float64, error) {
 					total[v] += c[v]
 				}
 			}
-			o.RatioRange(total, out, lo, hi)
+			o.ratioRange(total, out, lo, hi)
 		})
 	}); err != nil {
 		return nil, err

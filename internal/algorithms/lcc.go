@@ -233,13 +233,13 @@ func (o *LCCOrientation) CountRange(count []int64, mark []uint8, lo, hi int) (pr
 	return probes
 }
 
-// RatioRange turns the numerators into coefficients for v in [lo, hi):
+// ratioRange turns the numerators into coefficients for v in [lo, hi):
 // out[v] = count[v] / (d·(d−1)) over the union degree d, zero below two
 // neighbors — the same integer numerator and the same float expression
 // as RefLCC, hence the same bits.
 //
 //graphalint:noalloc per-chunk step: writes only into the caller-owned output
-func (o *LCCOrientation) RatioRange(count []int64, out []float64, lo, hi int) {
+func (o *LCCOrientation) ratioRange(count []int64, out []float64, lo, hi int) {
 	for v := lo; v < hi; v++ {
 		d := int(o.deg[v])
 		if d < 2 {

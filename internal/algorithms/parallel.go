@@ -29,14 +29,16 @@ import (
 // Each kernel takes an explicit worker count; workers <= 0 selects
 // par.Workers sizing from |V|+|E|.
 
-// parRuntime is the Runtime of the Par* kernels: a round is a plain call
-// and a region is one par.Chunks call over p workers. With automatic
+// parRuntime is the Runtime of the Par* kernels: one machine that owns
+// every vertex, where a round is a plain call and a region is one
+// par.Chunks call over p workers. With automatic
 // sizing, Collect — the BFS level and the SSSP phase — adapts its worker
 // count to the frontier's estimated edge work: high-diameter graphs spend
 // most levels on tiny frontiers that would otherwise pay a full
 // fork-join. An explicit count is honored on every region. Outputs do not
 // depend on the chunking, so both modes are bit-identical.
 type parRuntime struct {
+	n             int // vertices, all owned
 	p             int
 	auto          bool // size each Collect from its frontier's work
 	arcsPerVertex int
@@ -45,7 +47,7 @@ type parRuntime struct {
 
 func newParRuntime(g *graph.Graph, workers int) *parRuntime {
 	n := g.NumVertices()
-	r := &parRuntime{p: par.Resolve(workers, n+int(g.NumEdges())), auto: workers <= 0, arcsPerVertex: 1}
+	r := &parRuntime{n: n, p: par.Resolve(workers, n+int(g.NumEdges())), auto: workers <= 0, arcsPerVertex: 1}
 	if n > 0 {
 		arcs := int(g.NumEdges())
 		if !g.Directed() {
@@ -62,6 +64,10 @@ func (r *parRuntime) Round(body func()) error { body(); return nil }
 func (r *parRuntime) Chunks(n int, fn func(worker, lo, hi int)) { par.Chunks(n, r.p, fn) }
 
 func (r *parRuntime) Workers() int { return r.p }
+
+func (r *parRuntime) Owned() (lo, hi int) { return 0, r.n }
+
+func (r *parRuntime) Report(int) {}
 
 func (r *parRuntime) Collect(n int, dst []int32, fn func(worker, lo, hi int, out []int32) []int32) []int32 {
 	p := r.p

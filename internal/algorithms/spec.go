@@ -204,6 +204,3 @@ func RunReferenceWorkers(g *graph.Graph, a Algorithm, p Params, workers int) (*O
 		return j.Floats(ParSSSP(g, j.SourceIndex, workers), nil)
 	}
 }
-
-// Weighted reports whether the algorithm operates on weighted graphs.
-func Weighted(a Algorithm) bool { return a == SSSP }

@@ -69,24 +69,19 @@ func wccLabelRange(g *graph.Graph, parent []int32, labels []int64, lo, hi int) {
 	}
 }
 
-// PRContribRange fills contrib[v] = rank[v]/outdeg(v) for v in [lo, hi)
-// (zero for dangling vertices) and returns the range's dangling rank mass,
-// accumulated left to right. Kernels.PageRank ignores it (it folds the
-// mass from its dangling list); spmv folds the ranges in thread order.
+// PRContribRange fills contrib[v] = rank[v]/outdeg(v) for v in [lo, hi),
+// zero for dangling vertices; their mass is folded separately, through
+// the oracle's block tree.
 //
 //graphalint:noalloc per-chunk superstep body: writes only into caller-owned arrays
-//graphalint:orderfree left-to-right fold within one [lo, hi) range; callers fold the ranges in a fixed order
-func PRContribRange(g *graph.Graph, rank, contrib []float64, lo, hi int) float64 {
-	var dangling float64
+func PRContribRange(g *graph.Graph, rank, contrib []float64, lo, hi int) {
 	for v := lo; v < hi; v++ {
 		if deg := g.OutDegree(int32(v)); deg == 0 {
-			dangling += rank[v]
 			contrib[v] = 0
 		} else {
 			contrib[v] = rank[v] / float64(deg)
 		}
 	}
-	return dangling
 }
 
 // PRPullRange computes next[v] = base + damping * sum of contrib over v's
@@ -128,15 +123,17 @@ func cdlpRangeHist(g *graph.Graph, labels, next []int64, lo, hi int, h *mplane.H
 	}
 }
 
-// CDLPFrontierRange is the frontier-gated variant of cdlpRangeHist on the
+// cdlpFrontierRange is the frontier-gated variant of cdlpRangeHist on the
 // dense label domain: labels are internal vertex indices (monotone with
 // external IDs, so the (count, smallest) argmax is isomorphic — see
 // mplane.LabelCounts), counted by direct indexing instead of hashing. It
-// recomputes only the vertices in [lo, hi) whose dirty stamp matches this
-// round (a neighbor changed last round) and copies labels through for the
-// rest. A nil dirty slice means every vertex is dirty (round zero).
+// recomputes only the vertices in [lo, hi) whose dirty stamp is this
+// round's or a later one (a neighbor changed last round; a later stamp,
+// left by a machine that ran earlier in this round, only over-marks) and
+// copies labels through for the rest. A nil dirty slice means every
+// vertex is dirty (round zero).
 // changed[v] records whether v's label moved this round — the input to the
-// next round's CDLPScatterRange — and the return value counts the changed
+// next round's cdlpScatterRange — and the return value counts the changed
 // vertices in the range, so callers can stop at a fixpoint: once a round
 // changes nothing, every future round would also change nothing, and the
 // early exit is bit-identical to running all remaining rounds.
@@ -148,11 +145,11 @@ func cdlpRangeHist(g *graph.Graph, labels, next []int64, lo, hi int, h *mplane.H
 // too), so recomputing would reproduce labels[v] bit for bit.
 //
 //graphalint:noalloc per-chunk superstep body: counts into the caller-owned dense counter
-func CDLPFrontierRange(g *graph.Graph, labels, next []int32, lo, hi int, c *mplane.LabelCounts, dirty []uint32, stamp uint32, changed []bool) int {
+func cdlpFrontierRange(g *graph.Graph, labels, next []int32, lo, hi int, c *mplane.LabelCounts, dirty []uint32, stamp uint32, changed []bool) int {
 	cnt := 0
 	directed := g.Directed()
 	for v := lo; v < hi; v++ {
-		if dirty != nil && dirty[v] != stamp {
+		if dirty != nil && dirty[v] < stamp {
 			next[v] = labels[v]
 			changed[v] = false
 			continue
@@ -169,7 +166,7 @@ func CDLPFrontierRange(g *graph.Graph, labels, next []int32, lo, hi int, c *mpla
 	return cnt
 }
 
-// CDLPInitRange runs CDLP's round zero in closed form, assuming identity
+// cdlpInitRange runs CDLP's round zero in closed form, assuming identity
 // labels (labels[u] == u, the initial state). Every label in the multiset
 // is then distinct per neighbor and adjacency lists are sorted ascending,
 // so the argmax needs no counter: on undirected graphs every count is 1
@@ -181,7 +178,7 @@ func CDLPFrontierRange(g *graph.Graph, labels, next []int32, lo, hi int, c *mpla
 // whether it moved, and the return value counts the changed vertices.
 //
 //graphalint:noalloc per-chunk superstep body: the closed form never touches a counter
-func CDLPInitRange(g *graph.Graph, next []int32, changed []bool, lo, hi int) int {
+func cdlpInitRange(g *graph.Graph, next []int32, changed []bool, lo, hi int) int {
 	cnt := 0
 	directed := g.Directed()
 	for v := lo; v < hi; v++ {
@@ -290,7 +287,7 @@ func cdlpFold(g *graph.Graph, labels []int32, v int32, directed bool, c *mplane.
 	return c.BestAndReset(labels[v])
 }
 
-// CDLPScatterRange marks the next round's frontier: every neighbor of a
+// cdlpScatterRange marks the next round's frontier: every neighbor of a
 // vertex that changed this round gets its dirty slot stamped with the next
 // round's stamp. The dependency set of a vertex is its out- plus
 // in-neighborhood (both directions count in CDLP), and adjacency is
@@ -302,10 +299,10 @@ func cdlpFold(g *graph.Graph, labels []int32, v int32, directed bool, c *mplane.
 // stamp, so the outcome is order-independent, and the load-before-store
 // turns the common already-marked case (shared neighbors of hubs) into a
 // read instead of a contended write. Stamps make clearing unnecessary: a
-// slot is dirty only if it holds exactly this round's stamp.
+// slot is dirty only if it holds this round's stamp or a later one.
 //
 //graphalint:noalloc per-chunk superstep body: atomic stamp stores only
-func CDLPScatterRange(g *graph.Graph, changed []bool, dirty []uint32, stamp uint32, lo, hi int) {
+func cdlpScatterRange(g *graph.Graph, changed []bool, dirty []uint32, stamp uint32, lo, hi int) {
 	for v := lo; v < hi; v++ {
 		if !changed[v] {
 			continue

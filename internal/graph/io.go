@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -12,8 +13,9 @@ import (
 // The Graphalytics text interchange format stores a graph as two files: a
 // vertex file (conventionally ".v") with one vertex identifier per line,
 // and an edge file (".e") with one edge per line as "src dst" or
-// "src dst weight" for weighted graphs. Lines starting with '#' and blank
-// lines are ignored.
+// "src dst weight" for weighted graphs, where a weight is a finite
+// non-negative number. Lines starting with '#' and blank lines are
+// ignored.
 
 // maxLineBytes bounds a single input line; graph lines are tiny, but the
 // scanner needs headroom for comments.
@@ -59,6 +61,11 @@ func ReadVE(vr, er io.Reader, name string, directed, weighted bool, opts BuildOp
 			w, err := strconv.ParseFloat(fields[2], 64)
 			if err != nil {
 				return fmt.Errorf("edge line %d: %w", lineNo, err)
+			}
+			// The kernels assume non-negative weights: on a negative
+			// cycle shortest paths never settle.
+			if !(w >= 0) || math.IsInf(w, 1) {
+				return fmt.Errorf("edge line %d: weight %s is not a finite non-negative number", lineNo, fields[2])
 			}
 			b.AddWeightedEdge(src, dst, w)
 		} else {

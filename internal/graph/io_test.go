@@ -1,7 +1,10 @@
 package graph_test
 
 import (
+	"bytes"
+	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -47,6 +50,28 @@ func TestReadVEErrors(t *testing.T) {
 	}
 }
 
+// TestReadVERejectsUnusableWeights: the kernels assume non-negative
+// weights (a negative cycle never settles), so a weight that is negative,
+// NaN or infinite fails the read with an error naming its edge line.
+func TestReadVERejectsUnusableWeights(t *testing.T) {
+	for _, w := range []string{"-1", "-0.5", "NaN", "nan", "inf", "+Inf", "-inf"} {
+		t.Run(w, func(t *testing.T) {
+			e := "# weights\n1 2 0.5\n2 1 " + w + "\n"
+			_, err := graph.ReadVE(strings.NewReader("1\n2\n"), strings.NewReader(e), "t", true, true, graph.BuildOptions{})
+			if err == nil || !strings.Contains(err.Error(), "edge line 3") {
+				t.Fatalf("weight %s: err = %v, want an error naming edge line 3", w, err)
+			}
+		})
+	}
+	// Zero, and the negative zero it equals, are valid weights.
+	for _, w := range []string{"0", "-0"} {
+		e := "1 2 " + w + "\n"
+		if _, err := graph.ReadVE(strings.NewReader("1\n2\n"), strings.NewReader(e), "t", true, true, graph.BuildOptions{}); err != nil {
+			t.Fatalf("weight %s: %v", w, err)
+		}
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	vPath := filepath.Join(dir, "g.v")
@@ -84,4 +109,40 @@ func TestLoadVEMissingFile(t *testing.T) {
 	if _, err := graph.LoadVE("/nonexistent.v", "/nonexistent.e", true, false, graph.BuildOptions{}); err == nil {
 		t.Fatal("expected an error for a missing file")
 	}
+}
+
+// FuzzReadVE holds the edge-list reader to two properties: no vertex or
+// edge file makes it panic, and a graph it accepts survives WriteVE →
+// ReadVE with the same identifiers, the same edges and the same weight
+// bits. The seed corpus in testdata/fuzz/FuzzReadVE holds comments and
+// blank lines, a weighted file, a missing weight, -1, NaN and inf
+// weights, an edge endpoint missing from the vertex file, and a
+// three-field line in an unweighted file.
+func FuzzReadVE(f *testing.F) {
+	f.Fuzz(func(t *testing.T, v, e []byte, directed, weighted bool) {
+		g, err := graph.ReadVE(bytes.NewReader(v), bytes.NewReader(e), "fuzz", directed, weighted, graph.BuildOptions{})
+		if err != nil {
+			return
+		}
+		var vb, eb bytes.Buffer
+		if err := graph.WriteVE(g, &vb, &eb); err != nil {
+			t.Fatalf("accepted graph does not write: %v", err)
+		}
+		back, err := graph.ReadVE(&vb, &eb, "fuzz", directed, weighted, graph.BuildOptions{})
+		if err != nil {
+			t.Fatalf("written graph does not read: %v", err)
+		}
+		if !slices.Equal(back.IDs(), g.IDs()) {
+			t.Fatalf("round trip changed the identifiers: %v, then %v", g.IDs(), back.IDs())
+		}
+		want, got := g.Edges(), back.Edges()
+		if len(got) != len(want) {
+			t.Fatalf("round trip changed the edge count: %d, then %d", len(want), len(got))
+		}
+		for i := range want {
+			if got[i].Src != want[i].Src || got[i].Dst != want[i].Dst || math.Float64bits(got[i].Weight) != math.Float64bits(want[i].Weight) {
+				t.Fatalf("round trip changed edge %d: %v, then %v", i, want[i], got[i])
+			}
+		}
+	})
 }

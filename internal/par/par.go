@@ -271,17 +271,18 @@ func SumBlocks(n, block int, chunks func(blocks int, fn func(worker, lo, hi int)
 // SumBlockedAt is SumBlocked's value for the sum of x[i] over the
 // ascending indices idx, in one sequential pass over idx: each SumBlock
 // block's indices are added left to right, and the block partials in
-// block order. Blocks after the last index are not added; their zero
-// partials could only turn a −0 total into +0.
+// block order. Blocks without an index are not added; their zero
+// partials could only turn a −0 total into +0. The pass skips them, so
+// its cost is len(idx) wherever the indices start.
 //
 //graphalint:orderfree SumBlocked's tree over a sparse index list: fixed SumBlock boundaries, partials added in block order
 func SumBlockedAt(x []float64, idx []int32) float64 {
 	var total, part float64
 	end := int32(SumBlock)
 	for _, i := range idx {
-		for i >= end {
+		if i >= end {
 			total += part
-			part, end = 0, end+SumBlock
+			part, end = 0, (i/SumBlock+1)*SumBlock
 		}
 		part += x[i]
 	}

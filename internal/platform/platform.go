@@ -22,6 +22,7 @@ import (
 	"graphalytics/internal/cluster"
 	"graphalytics/internal/granula"
 	"graphalytics/internal/graph"
+	"graphalytics/internal/mplane"
 )
 
 // RunConfig selects the resources for a job: the system under test.
@@ -143,14 +144,16 @@ var ErrNotDistributed = fmt.Errorf("platform: not a distributed platform")
 var ErrUnsupported = fmt.Errorf("platform: algorithm not supported")
 
 // BaseUpload is the embedding every Uploaded implementation shares: the
-// graph, its simulated deployment, and the per-machine bytes registered
-// against the deployment for the life of the upload. Engines driven by New
-// leave its fields to the driver.
+// graph, its simulated deployment, the per-machine bytes registered
+// against the deployment for the life of the upload, and the pooled
+// runtimes Run executes kernels on. Engines driven by New leave its fields
+// to the driver.
 type BaseUpload struct {
 	G  *graph.Graph
 	Cl *cluster.Cluster
 	// bytes[m] is what Free releases on machine m.
-	bytes []int64
+	bytes    []int64
+	runtimes mplane.Pool
 }
 
 func (b *BaseUpload) base() *BaseUpload { return b }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"graphalytics/internal/algorithms"
+	"graphalytics/internal/graph"
 	"graphalytics/internal/graph500"
 	"graphalytics/internal/par"
 	"graphalytics/internal/platform"
@@ -151,6 +152,77 @@ func TestNativeMatchesOracleBitForBit(t *testing.T) {
 			up.Free()
 		}
 	}
+}
+
+// TestRangeEnginesMatchOracleBitForBit holds spmv and pushpull PageRank
+// and CDLP to the sequential oracles, floats bit for bit, on one machine
+// and on three. PageRank folds the dangling mass from one ascending list
+// through the oracle's block tree and every per-vertex sum follows
+// adjacency order; on the corpus that tree is one block, so a graph of
+// three blocks, whose machine ranges do not line up with them, checks
+// that spmv folds every block exactly once and pushpull's fold crosses
+// block boundaries. CDLP is the reference kernel on the cluster runtime,
+// its machines folding their ranges in turn within a round: a frontier
+// stamp an earlier machine leaves for the next round must not hide a
+// vertex a later machine still has to fold in this one.
+func TestRangeEnginesMatchOracleBitForBit(t *testing.T) {
+	platforms.RegisterAll()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	ctx := context.Background()
+	deployments := []struct {
+		name     string
+		machines int
+	}{{"spmv-s", 1}, {"spmv-d", 1}, {"spmv-d", 3}, {"pushpull", 1}, {"pushpull", 3}}
+	for _, c := range append(conformance.Corpus(), append(scheduleCorpus(t), blocksCase(t))...) {
+		for _, a := range []algorithms.Algorithm{algorithms.PR, algorithms.CDLP} {
+			want := oracle(t, c, a)
+			for _, d := range deployments {
+				p, err := platform.Get(d.name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, threads := range []int{1, 3, 8} {
+					at := fmt.Sprintf("%s %s %s t%d-m%d", d.name, c.Name, a, threads, d.machines)
+					up, err := platform.UploadContext(ctx, p, c.Graph, platform.RunConfig{Threads: threads, Machines: d.machines})
+					if err != nil {
+						t.Fatalf("%s: upload: %v", at, err)
+					}
+					res, err := p.Execute(ctx, up, a, c.Params)
+					up.Free()
+					if err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					if !slices.Equal(res.Output.Int, want.Int) || !slices.Equal(floatBits(res.Output.Float), floatBits(want.Float)) {
+						t.Errorf("%s: output differs from the sequential oracle", at)
+					}
+				}
+			}
+		}
+	}
+}
+
+// blocksCase is a directed graph of two and a half par.SumBlock blocks of
+// vertices, every third one dangling.
+func blocksCase(t *testing.T) conformance.Case {
+	t.Helper()
+	n := 2*par.SumBlock + 1500
+	b := graph.NewBuilder(true, false)
+	b.SetName("three-blocks")
+	b.SetOptions(graph.BuildOptions{DedupEdges: true})
+	for v := 0; v < n; v++ {
+		b.AddVertex(int64(v))
+	}
+	for v := 0; v < n; v++ {
+		if v%3 != 0 {
+			b.AddEdge(int64(v), int64((7*v+1)%n))
+			b.AddEdge(int64(v), int64((13*v+5)%n))
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conformance.Case{Name: g.Name(), Graph: g, Params: algorithms.Params{Iterations: 10}}
 }
 
 // oracle is the sequential oracle's output for algorithm a on case c.

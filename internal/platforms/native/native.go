@@ -5,9 +5,10 @@
 // which is why this engine sets the single-machine performance baseline
 // (and why its queue-based BFS wins on graphs where the search covers only
 // part of the vertices). Those loops are the parallel reference kernels'
-// own (algorithms.Kernels): the engine supplies only the runtime they run
-// on, whose rounds are charged cluster rounds and whose parallel loops are
-// the simulated thread pool's regions (cluster.Threads), run on the host's
+// own (algorithms.Kernels), run on the cluster runtime every engine shares
+// (platform.Run) over the engine's one machine, which owns every vertex:
+// its rounds are charged cluster rounds and its parallel loops the
+// simulated thread pool's regions (cluster.Threads), run on the host's
 // cores. So a native job at t threads takes about the wall time of the
 // reference kernels at t workers, and its output is theirs, bit for bit.
 package native
@@ -19,7 +20,6 @@ import (
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
 	"graphalytics/internal/graph"
-	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
 )
 
@@ -31,22 +31,30 @@ func New() platform.Platform {
 		Load:        load,
 		Kernels: map[algorithms.Algorithm]platform.Kernel[*uploaded]{
 			algorithms.BFS: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Ints(run(ctx, u, func(r *runner) ([]int64, error) { return r.kernels.BFS(r, u.G, j.SourceIndex) }))
+				return j.Ints(run(ctx, u, func(k *algorithms.Kernels, rt algorithms.Runtime) ([]int64, error) {
+					return k.BFS(rt, u.G, j.SourceIndex)
+				}))
 			},
 			algorithms.PR: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Floats(run(ctx, u, func(r *runner) ([]float64, error) { return r.kernels.PageRank(r, u.G, j.Iterations, j.Damping) }))
+				return j.Floats(run(ctx, u, func(k *algorithms.Kernels, rt algorithms.Runtime) ([]float64, error) {
+					return k.PageRank(rt, u.G, j.Iterations, j.Damping)
+				}))
 			},
 			algorithms.WCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Ints(run(ctx, u, func(r *runner) ([]int64, error) { return r.kernels.WCC(r, u.G) }))
+				return j.Ints(run(ctx, u, func(k *algorithms.Kernels, rt algorithms.Runtime) ([]int64, error) { return k.WCC(rt, u.G) }))
 			},
 			algorithms.CDLP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Ints(run(ctx, u, func(r *runner) ([]int64, error) { return r.kernels.CDLP(r, u.G, j.Iterations) }))
+				return j.Ints(run(ctx, u, func(k *algorithms.Kernels, rt algorithms.Runtime) ([]int64, error) {
+					return k.CDLP(rt, u.G, j.Iterations)
+				}))
 			},
 			algorithms.LCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Floats(run(ctx, u, func(r *runner) ([]float64, error) { return r.kernels.LCC(r, u.orient) }))
+				return j.Floats(run(ctx, u, func(k *algorithms.Kernels, rt algorithms.Runtime) ([]float64, error) { return k.LCC(rt, u.orient) }))
 			},
 			algorithms.SSSP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Floats(run(ctx, u, func(r *runner) ([]float64, error) { return r.kernels.SSSP(r, u.G, j.SourceIndex) }))
+				return j.Floats(run(ctx, u, func(k *algorithms.Kernels, rt algorithms.Runtime) ([]float64, error) {
+					return k.SSSP(rt, u.G, j.SourceIndex)
+				}))
 			},
 		},
 		State: func(u *uploaded, j *platform.Job) int64 {
@@ -64,13 +72,13 @@ func New() platform.Platform {
 	})
 }
 
+// run runs a reference kernel on the engine's one machine, traffic-free.
+func run[T any](ctx context.Context, u *uploaded, kernel func(*algorithms.Kernels, algorithms.Runtime) (T, error)) (T, error) {
+	return platform.Run(ctx, &u.BaseUpload, nil, nil, kernel)
+}
+
 type uploaded struct {
 	platform.BaseUpload
-	// scratch caches the kernels' runner and working buffers
-	// (delta-stepping bucket state, CDLP frontier stamps and histogram,
-	// LCC numerators and marks) across Execute calls on one upload, so
-	// steady-state runs allocate little beyond their output arrays.
-	scratch mplane.Pool
 	// orient is the LCC kernel's degree-ordered view of the graph, built
 	// by the upload's first LCC job and kept for its later ones; its
 	// footprint is registered with the graph's, in bytes.

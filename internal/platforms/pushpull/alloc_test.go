@@ -6,6 +6,7 @@ import (
 
 	"graphalytics/internal/graph"
 	"graphalytics/internal/platform"
+	"graphalytics/internal/platforms/rangecsr"
 )
 
 // allocGraph builds a deterministic pseudo-random graph big enough that a
@@ -53,7 +54,7 @@ func TestCDLPSteadyStateAllocs(t *testing.T) {
 	u := up.(*uploaded)
 	defer u.Free()
 	run := func() {
-		if _, err := u.lay.CDLP(context.Background(), u.Cl, 10); err != nil {
+		if _, err := rangecsr.CDLP(context.Background(), &u.BaseUpload, u.lay, 10); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
 	"graphalytics/internal/graph"
+	"graphalytics/internal/par"
 	"graphalytics/internal/platform"
 )
 
@@ -98,9 +99,10 @@ func pullScan(g *graph.Graph, depth []int64, verts []int32, level int64, claimed
 	return claimed
 }
 
-// pagerank pulls rank over in-edges; the dangling-vertex list is
-// replicated so every machine computes the dangling mass locally,
-// avoiding a second synchronization round per iteration.
+// pagerank pulls rank over in-edges; the layout's dangling-vertex list is
+// replicated so every machine folds the dangling mass locally, through
+// the oracle's block tree (par.SumBlockedAt), avoiding a second
+// synchronization round per iteration.
 func pagerank(ctx context.Context, u *uploaded, iterations int, damping float64) ([]float64, error) {
 	g, cl, part := u.lay.G, u.Cl, u.lay.Part
 	n := g.NumVertices()
@@ -120,12 +122,7 @@ func pagerank(ctx context.Context, u *uploaded, iterations int, damping float64)
 		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
 			// Replicated dangling-mass computation (same result on every
 			// machine, no traffic).
-			var dangling float64
-			//graphalint:orderfree fold over the precomputed danglingVerts list in its fixed upload-time order
-			for _, v := range u.danglingVerts {
-				dangling += rank[v]
-			}
-			base := (1-damping)*inv + damping*dangling*inv
+			base := (1-damping)*inv + damping*par.SumBlockedAt(rank, u.lay.Dangling)*inv
 			verts := part.Verts[mach]
 			th.Chunks(len(verts), func(lo, hi int) {
 				//graphalint:orderfree per-vertex fold follows CSR in-neighbor order, fixed by the snapshot

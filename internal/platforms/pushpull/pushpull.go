@@ -53,7 +53,7 @@ func NewForced(direction string) platform.Platform {
 				return j.Ints(vals, err)
 			},
 			algorithms.CDLP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				vals, err := u.lay.CDLP(ctx, u.Cl, j.Iterations)
+				vals, err := rangecsr.CDLP(ctx, &u.BaseUpload, u.lay, j.Iterations)
 				annotateDirections(j, 0, j.Iterations)
 				return j.Ints(vals, err)
 			},
@@ -78,9 +78,8 @@ type uploaded struct {
 	platform.BaseUpload
 	// lay is the engine's own graph storage: both adjacency directions
 	// are replicated into engine-private arrays during upload.
-	lay           *rangecsr.Layout
-	arcs          int64 // stored out-adjacency entries: |E| directed, 2|E| undirected
-	danglingVerts []int32
+	lay  *rangecsr.Layout
+	arcs int64 // stored out-adjacency entries: |E| directed, 2|E| undirected
 }
 
 // load copies the graph into engine storage; both adjacency directions
@@ -94,11 +93,7 @@ func load(ctx context.Context, g *graph.Graph, cl *cluster.Cluster) (*uploaded, 
 	}
 	n := int64(g.NumVertices())
 	for v := int32(0); v < int32(n); v++ {
-		deg := u.lay.G.OutDegree(v)
-		if deg == 0 {
-			u.danglingVerts = append(u.danglingVerts, v)
-		}
-		u.arcs += int64(deg)
+		u.arcs += int64(u.lay.G.OutDegree(v))
 	}
 	// Out- and in-adjacency, out-weights and both offset arrays. The
 	// modelled engine stores a pull copy of every edge list, so both

@@ -56,7 +56,7 @@ func TestDanglingVertexList(t *testing.T) {
 	defer up.Free()
 	u := up.(*uploaded)
 	// Vertices 1 and 2 have no out-edges.
-	if len(u.danglingVerts) != 2 {
-		t.Fatalf("dangling = %v, want the two sinks", u.danglingVerts)
+	if len(u.lay.Dangling) != 2 {
+		t.Fatalf("dangling = %v, want the two sinks", u.lay.Dangling)
 	}
 }

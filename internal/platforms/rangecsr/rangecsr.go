@@ -1,13 +1,17 @@
 // Package rangecsr is what the spmv and pushpull engines have in common:
 // both keep a private CSR copy of the graph in both directions, split the
 // vertices into contiguous edge-balanced ranges, one per machine, run WCC
-// and CDLP as dense pulls over the owned range followed by an allgather,
+// as dense min-label pulls over the owned range followed by an allgather,
 // and run SSSP as synchronous Bellman-Ford rounds over each machine's
-// owned frontier. The layout, the pooled per-job scratch, those three
-// kernels and the frontier delivery live here once. Everything that makes
-// the engines different — names and backends, what a machine is charged
-// for the layout, the BFS / PageRank / LCC round loops, and the traffic of
-// their rounds and of SSSP's — stays in the engine packages.
+// owned frontier. The layout with its ascending dangling-vertex list, the
+// pooled per-job scratch, those two kernels and the frontier delivery
+// live here once, as does CDLP: the reference kernel
+// (algorithms.Kernels.CDLP) on the shared cluster runtime (platform.Run),
+// each machine folding its Range and broadcasting its changed labels.
+// Everything that makes the engines different — names and backends, what
+// a machine is charged for the layout, the BFS / PageRank / LCC round
+// loops, and the traffic of their rounds and of SSSP's — stays in the
+// engine packages.
 package rangecsr
 
 import (
@@ -29,7 +33,10 @@ type Layout struct {
 	G *graph.Graph
 	// Part assigns each machine one contiguous vertex range.
 	Part *cluster.VertexPartition
-	// pool caches the CDLP/SSSP working buffers between jobs.
+	// Dangling lists the vertices without out-edges in ascending order:
+	// PageRank folds their mass with par.SumBlockedAt, the oracle's tree.
+	Dangling []int32
+	// pool caches the WCC/SSSP working buffers between jobs.
 	pool mplane.Pool
 }
 
@@ -38,7 +45,13 @@ type Layout struct {
 // off a mapped dataset's pages.
 func New(g *graph.Graph, machines int) *Layout {
 	c := g.Clone()
-	return &Layout{G: c, Part: cluster.PartitionVerticesRange(c, machines)}
+	l := &Layout{G: c, Part: cluster.PartitionVerticesRange(c, machines)}
+	for v := int32(0); v < int32(c.NumVertices()); v++ {
+		if c.OutDegree(v) == 0 {
+			l.Dangling = append(l.Dangling, v)
+		}
+	}
+	return l
 }
 
 // Range returns the vertex range [lo, hi) machine mach owns; it is empty
@@ -51,15 +64,21 @@ func (l *Layout) Range(mach int) (lo, hi int) {
 	return int(verts[0]), int(verts[0]) + len(verts)
 }
 
-// scratch is the pooled per-job working state of the CDLP and SSSP
+// CDLP is the reference kernel's frontier label propagation on the
+// upload's machines, each folding its Range; a machine broadcasts one
+// sparse (id, label) update, 12 bytes, per changed vertex rather than its
+// dense label slice.
+func CDLP(ctx context.Context, b *platform.BaseUpload, l *Layout, iterations int) ([]int64, error) {
+	broadcast := func(mach, updates int) { b.Cl.Broadcast(mach, int64(updates)*12) }
+	return platform.Run(ctx, b, l.Range, broadcast, func(k *algorithms.Kernels, rt algorithms.Runtime) ([]int64, error) {
+		return k.CDLP(rt, l.G, iterations)
+	})
+}
+
+// scratch is the pooled per-job working state of the WCC and SSSP
 // kernels, hung off the layout so repeated jobs on one upload reuse it.
 type scratch struct {
-	counts  mplane.WorkerCounts // per-thread CDLP counters
-	changes []int               // per-thread CDLP changed-vertex counts
-	labels  []int32             // CDLP working labels (internal-index domain)
-	nextLab []int32
-	dirty   []uint32 // CDLP frontier stamps: recompute v this round
-	changed []bool   // CDLP: v's label moved this round
+	moved []bool // per-thread WCC flags: a label in the chunk moved
 
 	// SSSP state: distances, claims, and per machine its frontier with
 	// the frontier's round-start distances and the round's discoveries.
@@ -70,28 +89,14 @@ type scratch struct {
 	disc    [][]int32   // per-machine discoveries
 }
 
-// acquire checks the layout's scratch out for one job.
-func (l *Layout) acquire() *scratch {
-	return mplane.Acquire(&l.pool, func() *scratch { return &scratch{} })
-}
-
-// release returns a job's scratch for the next job on this layout.
-func (l *Layout) release(sc *scratch) { l.pool.Put(sc) }
-
-// externalIDs translates dense labels (internal vertex indices) into the
-// external identifiers the output carries.
-func (l *Layout) externalIDs(labels []int32) []int64 {
-	out := make([]int64, len(labels))
-	for v, lab := range labels {
-		out[v] = l.G.VertexID(lab)
-	}
-	return out
-}
+func newScratch() *scratch { return &scratch{} }
 
 // WCC pulls minimum labels over both directions — a dense min-SpMV over
 // columns plus, on directed graphs, rows — until the label vector reaches
 // its fixpoint, allgathering each machine's label slice per round. It
-// returns the component labels and the number of rounds run.
+// returns the component labels and the number of rounds run. The round
+// and its chunk body are bound once and their flags pooled, so a job
+// allocates the same however many rounds it runs.
 func (l *Layout) WCC(ctx context.Context, cl *cluster.Cluster) ([]int64, int, error) {
 	g, part := l.G, l.Part
 	n := g.NumVertices()
@@ -101,137 +106,64 @@ func (l *Layout) WCC(ctx context.Context, cl *cluster.Cluster) ([]int64, int, er
 	for i := range labels {
 		labels[i] = int32(i)
 	}
-	changed := make([]bool, cl.Machines())
+	sc := mplane.Acquire(&l.pool, newScratch)
+	defer l.pool.Put(sc)
+	sc.moved = mplane.Grow(sc.moved, cl.Threads())
+	var verts []int32 // the running machine's vertices
+	pull := func(w, lo, hi int) {
+		moved := false
+		for _, v := range verts[lo:hi] {
+			best := labels[v]
+			for _, in := range g.InNeighbors(v) {
+				if lab := labels[in]; lab < best {
+					best = lab
+				}
+			}
+			if directed {
+				for _, out := range g.OutNeighbors(v) {
+					if lab := labels[out]; lab < best {
+						best = lab
+					}
+				}
+			}
+			next[v] = best
+			if best != labels[v] {
+				moved = true
+			}
+		}
+		sc.moved[w] = moved
+	}
+	changed := false
+	round := func(mach int, th *cluster.Threads) error {
+		verts = part.Verts[mach]
+		clear(sc.moved)
+		th.ChunksIndexed(len(verts), pull)
+		for _, m := range sc.moved {
+			changed = changed || m
+		}
+		cl.Broadcast(mach, int64(len(verts))*4)
+		return nil
+	}
 	rounds := 0
 	for {
 		if err := platform.CheckContext(ctx); err != nil {
 			return nil, 0, err
 		}
-		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-			verts := part.Verts[mach]
-			parts := make([]bool, th.Count())
-			th.ChunksIndexed(len(verts), func(w, lo, hi int) {
-				ch := false
-				for _, v := range verts[lo:hi] {
-					best := labels[v]
-					for _, in := range g.InNeighbors(v) {
-						if lab := labels[in]; lab < best {
-							best = lab
-						}
-					}
-					if directed {
-						for _, out := range g.OutNeighbors(v) {
-							if lab := labels[out]; lab < best {
-								best = lab
-							}
-						}
-					}
-					next[v] = best
-					if best != labels[v] {
-						ch = true
-					}
-				}
-				parts[w] = ch
-			})
-			ch := false
-			for _, p := range parts {
-				ch = ch || p
-			}
-			changed[mach] = ch
-			cl.Broadcast(mach, int64(len(verts))*4)
-			return nil
-		}); err != nil {
+		changed = false
+		if err := cl.RunRound(round); err != nil {
 			return nil, 0, err
 		}
 		labels, next = next, labels
 		rounds++
-		any := false
-		for _, c := range changed {
-			any = any || c
-		}
-		if !any {
+		if !changed {
 			break
 		}
 	}
-	return l.externalIDs(labels), rounds, nil
-}
-
-// CDLP runs the deterministic label-propagation iterations as frontier-
-// masked pulls on the dense label domain: labels are internal vertex
-// indices (translated once at the end — the argmax is isomorphic, see
-// mplane.LabelCounts). Round zero uses the closed form over the sorted
-// adjacency; later rounds recompute only the vertices whose neighborhood
-// changed last round, and stop early once a round changes nothing — all
-// bit-identical to the dense schedule (see algorithms.CDLPFrontierRange).
-// The frontier is stamped between rounds as uncharged harness bookkeeping,
-// like the pregel engine's active-list rebuild, and skipped while the
-// changed set still blankets the graph (algorithms.CDLPScatterWorthwhile).
-// The allgather shrinks with the frontier: instead of its dense label
-// slice, a machine ships one sparse (id, label) update per changed vertex.
-// Each thread folds into its own counter and counts its own changes.
-func (l *Layout) CDLP(ctx context.Context, cl *cluster.Cluster, iterations int) ([]int64, error) {
-	g := l.G
-	n := g.NumVertices()
-	if n == 0 {
-		return []int64{}, nil
+	out := make([]int64, n)
+	for v, lab := range labels {
+		out[v] = g.VertexID(lab)
 	}
-	sc := l.acquire()
-	defer l.release(sc)
-	sc.counts.Ensure(cl.Threads(), n)
-	sc.changes = mplane.Grow(sc.changes, cl.Threads())
-	sc.labels = mplane.Grow(sc.labels, n)
-	sc.nextLab = mplane.Grow(sc.nextLab, n)
-	labels, next := sc.labels, sc.nextLab
-	for v := int32(0); v < int32(n); v++ {
-		labels[v] = v
-	}
-	sc.dirty = mplane.GrowZero(sc.dirty, n) // stale stamps from a previous job must not leak in
-	sc.changed = mplane.Grow(sc.changed, n)
-	var (
-		it    int
-		base  int      // first vertex of the machine in the round
-		dirty []uint32 // nil: every vertex is dirty (round zero, dense rounds)
-	)
-	fold := func(w, lo, hi int) {
-		if it == 0 {
-			sc.changes[w] = algorithms.CDLPInitRange(g, next, sc.changed, base+lo, base+hi)
-		} else {
-			sc.changes[w] = algorithms.CDLPFrontierRange(g, labels, next, base+lo, base+hi, sc.counts.At(w), dirty, uint32(it), sc.changed)
-		}
-	}
-	total := 0
-	round := func(mach int, th *cluster.Threads) error {
-		var end int
-		base, end = l.Range(mach)
-		clear(sc.changes)
-		th.ChunksIndexed(end-base, fold)
-		updates := 0
-		for _, c := range sc.changes {
-			updates += c
-		}
-		total += updates
-		cl.Broadcast(mach, int64(updates)*12)
-		return nil
-	}
-	for ; it < iterations; it++ {
-		if err := platform.CheckContext(ctx); err != nil {
-			return nil, err
-		}
-		total = 0
-		if err := cl.RunRound(round); err != nil {
-			return nil, err
-		}
-		labels, next = next, labels
-		if total == 0 {
-			break
-		}
-		dirty = nil
-		if algorithms.CDLPScatterWorthwhile(total, n) && it+1 < iterations {
-			dirty = sc.dirty
-			algorithms.CDLPScatterRange(g, sc.changed, dirty, uint32(it+1), 0, n)
-		}
-	}
-	return l.externalIDs(labels), nil
+	return out, rounds, nil
 }
 
 // SSSP runs single-source shortest paths as synchronous Bellman-Ford
@@ -248,8 +180,8 @@ func (l *Layout) CDLP(ctx context.Context, cl *cluster.Cluster, iterations int) 
 // per-round buffer comes from the pooled scratch.
 func (l *Layout) SSSP(ctx context.Context, cl *cluster.Cluster, source int32, charge func(mach int, discovered []int32)) ([]float64, int, error) {
 	g, n, machines := l.G, l.G.NumVertices(), l.Part.Machines
-	sc := l.acquire()
-	defer l.release(sc)
+	sc := mplane.Acquire(&l.pool, newScratch)
+	defer l.pool.Put(sc)
 	sc.bits = mplane.Grow(sc.bits, n)
 	inf := math.Float64bits(math.Inf(1))
 	for i := range sc.bits {

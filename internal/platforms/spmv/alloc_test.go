@@ -6,6 +6,7 @@ import (
 
 	"graphalytics/internal/graph"
 	"graphalytics/internal/platform"
+	"graphalytics/internal/platforms/rangecsr"
 )
 
 // allocGraph builds a deterministic pseudo-random graph big enough that a
@@ -53,7 +54,7 @@ func TestCDLPSteadyStateAllocs(t *testing.T) {
 	u := up.(*uploaded)
 	defer u.Free()
 	run := func() {
-		if _, err := u.lay.CDLP(context.Background(), u.Cl, 10); err != nil {
+		if _, err := rangecsr.CDLP(context.Background(), &u.BaseUpload, u.lay, 10); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,5 +114,38 @@ func TestBFSSteadyStateAllocs(t *testing.T) {
 	if allocs > 128 {
 		t.Fatalf("steady-state BFS run allocated %.0f objects, want <= 128 "+
 			"(per-level allocation has regressed)", allocs)
+	}
+}
+
+// TestWCCAllocsIndependentOfRounds guards the min-label pull: its round
+// and chunk body are bound once and its per-thread flags pooled, so WCC on
+// a path, which runs one round per vertex, allocates the same at 50 and at
+// 500 rounds.
+func TestWCCAllocsIndependentOfRounds(t *testing.T) {
+	allocs := func(n int) float64 {
+		edges := make([]graph.Edge, 0, n-1)
+		for v := 1; v < n; v++ {
+			edges = append(edges, graph.Edge{Src: int64(v - 1), Dst: int64(v)})
+		}
+		g, err := graph.FromEdges("path", false, false, edges, graph.BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		up, err := New(BackendD).Upload(g, platform.RunConfig{Threads: 4, Machines: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := up.(*uploaded)
+		defer u.Free()
+		run := func() {
+			if _, rounds, err := u.lay.WCC(context.Background(), u.Cl); err != nil || rounds < n {
+				t.Fatalf("WCC on a %d-vertex path: %d rounds, %v", n, rounds, err)
+			}
+		}
+		run() // warm-up: grows the pooled scratch
+		return testing.AllocsPerRun(3, run)
+	}
+	if short, long := allocs(50), allocs(500); long != short {
+		t.Fatalf("WCC allocated %.0f objects at 50 rounds and %.0f at 500: a round allocates", short, long)
 	}
 }

@@ -2,18 +2,24 @@ package spmv
 
 import (
 	"context"
+	"slices"
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
+	"graphalytics/internal/par"
 	"graphalytics/internal/platform"
 )
 
 // pagerank is a dense pull SpMV: every iteration runs one "apply" round
-// computing the contribution vector rank/outdeg plus the dangling mass,
-// then one "gather" round computing A^T * contrib per owned row. Each
-// round ends with an allgather of the machine's vector slice.
+// computing the contribution vector rank/outdeg, then one "gather" round
+// computing A^T * contrib per owned row. Each round ends with an allgather
+// of the machine's vector slice. The apply round is also the chunk runner
+// of the dangling mass's fold, the oracle's tree (par.SumBlocks over
+// SumBlock vertex blocks): each machine sums, on its threads, the dangling
+// ranks of the blocks that start in its range, so the machines' block
+// spans tile the blocks as their ranges tile the vertices.
 func pagerank(ctx context.Context, u *uploaded, iterations int, damping float64) ([]float64, error) {
-	g, cl := u.lay.G, u.Cl
+	g, cl, dangling := u.lay.G, u.Cl, u.lay.Dangling
 	n := g.NumVertices()
 	if n == 0 {
 		return nil, nil
@@ -25,34 +31,34 @@ func pagerank(ctx context.Context, u *uploaded, iterations int, damping float64)
 	for i := range rank {
 		rank[i] = inv
 	}
-	danglingParts := make([]float64, cl.Machines())
+	danglingMass := func(lo, hi int) float64 { // ascending, as RefPageRank adds them
+		i, _ := slices.BinarySearch(dangling, int32(lo))
+		j, _ := slices.BinarySearch(dangling, int32(hi))
+		return par.SumBlockedAt(rank, dangling[i:j])
+	}
+	var err error
+	apply := func(_ int, fold func(worker, lo, hi int)) {
+		err = cl.RunRound(func(mach int, th *cluster.Threads) error {
+			first, end := u.lay.Range(mach)
+			th.Chunks(end-first, func(lo, hi int) {
+				algorithms.PRContribRange(g, rank, contrib, first+lo, first+hi)
+			})
+			blo, bhi := (first+par.SumBlock-1)/par.SumBlock, (end+par.SumBlock-1)/par.SumBlock
+			th.ChunksIndexed(bhi-blo, func(w, lo, hi int) { fold(w, blo+lo, blo+hi) })
+			cl.Broadcast(mach, int64(end-first)*8)
+			return nil
+		})
+	}
+	var parts []float64
 	for it := 0; it < iterations; it++ {
 		if err := platform.CheckContext(ctx); err != nil {
 			return nil, err
 		}
-		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-			first, end := u.lay.Range(mach)
-			parts := make([]float64, th.Count())
-			th.ChunksIndexed(end-first, func(w, lo, hi int) {
-				parts[w] = algorithms.PRContribRange(g, rank, contrib, first+lo, first+hi)
-			})
-			var d float64
-			//graphalint:orderfree chunk partials folded in worker-index order; geometry fixed by the simulated thread config, not host parallelism
-			for _, x := range parts {
-				d += x
-			}
-			danglingParts[mach] = d
-			cl.Broadcast(mach, int64(end-first)*8)
-			return nil
-		}); err != nil {
+		var mass float64
+		if mass, parts = par.SumBlocks(n, par.SumBlock, apply, parts, danglingMass); err != nil {
 			return nil, err
 		}
-		var dangling float64
-		//graphalint:orderfree partials folded in machine-index order; machine count is deployment config, not host parallelism
-		for _, d := range danglingParts {
-			dangling += d
-		}
-		base := (1-damping)*inv + damping*dangling*inv
+		base := (1-damping)*inv + damping*mass*inv
 		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
 			first, end := u.lay.Range(mach)
 			th.Chunks(end-first, func(lo, hi int) {

@@ -53,7 +53,7 @@ func New(b Backend) platform.Platform {
 				return j.Ints(vals, err)
 			},
 			algorithms.CDLP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Ints(u.lay.CDLP(ctx, u.Cl, j.Iterations))
+				return j.Ints(rangecsr.CDLP(ctx, &u.BaseUpload, u.lay, j.Iterations))
 			},
 			algorithms.LCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
 				return j.Floats(lcc(ctx, u))
