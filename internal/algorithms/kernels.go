@@ -311,14 +311,16 @@ func (k *Kernels) LCC(rt Runtime, o *LCCOrientation) ([]float64, error) {
 	return out, nil
 }
 
-// SSSP is deterministic delta-stepping (see sssp.go): one round computes
-// the bucket width Δ, the mean edge weight, then each bucket is one round
-// that runs the bucket's relax phases over the frontier, with the
+// SSSP is deterministic two-level delta-stepping (see sssp.go): one round
+// computes the bucket width Δ, the mean edge weight, then each bucket is
+// one round that drains the bucket's ssspSubBuckets sub-buckets in
+// ascending order, each by relax phases over its frontier, with the
 // sequential bucket bookkeeping between phases. Every phase relaxes from
 // the distances its frontier had when the phase began, so what a phase
 // discovers does not depend on the schedule; and the sequence of buckets,
-// and with it the round count, is fixed by the graph. The distances are
-// the unique fixpoint of edge relaxation, RefSSSP's bits.
+// and with it the round count, is fixed by the graph: one round per Δ
+// bucket that holds a final distance. The distances are the unique
+// fixpoint of edge relaxation, RefSSSP's bits.
 func (k *Kernels) SSSP(rt Runtime, g *graph.Graph, source int32) ([]float64, error) {
 	n := g.NumVertices()
 	if n == 0 {
@@ -354,7 +356,10 @@ func (k *Kernels) SSSP(rt Runtime, g *graph.Graph, source int32) ([]float64, err
 	bucket := func() {
 		for {
 			if frontier, starts, claimed, stamp = b.BeginPhase(); len(frontier) == 0 {
-				return
+				if !b.NextSub() {
+					return
+				}
+				continue
 			}
 			k.frontier = rt.Collect(len(frontier), k.frontier, relax)
 			b.Absorb(k.frontier)

@@ -27,36 +27,71 @@ import (
 //     edge weight summed with par.SumBlocks' fixed reduction tree, so
 //     every worker count sums the same blocks in the same order.
 //
-// Termination: within a bucket, a vertex re-enters the frontier only when
-// its distance strictly decreased, and float64 has finitely many values in
-// [bucket*Delta, +Inf); across buckets, the current bucket index strictly
-// increases. Zero-weight edges cannot cycle (relaxing x+0 = x is not an
-// improvement), and negative weights are out of scope (Dijkstra's
-// contract).
+// Two levels of buckets. A Delta bucket is one runtime round, but inside
+// it the vertices are relaxed in near-distance order: each bucket is split
+// into ssspSubBuckets sub-buckets of width Delta/ssspSubBuckets, drained
+// in ascending order. When Delta is wide compared with the distances, a
+// single bucket holds most of the graph, and relaxing it as one
+// Bellman-Ford frontier scans every arc several times over; the sub-buckets
+// settle most vertices before they relax. With q = d/Delta (rounded) and
+// K = ssspSubBuckets, the key of a distance d is (c, f) with c = floor(q)
+// and f = floor((q - c)*K): the subtraction is exact (Sterbenz: c <= q <
+// c+1 and q/2 <= c when c >= 1), and K is a power of two, so f is the
+// exact floor, and since q is monotone in d, (c, f) is lexicographically
+// monotone in d. The sub-buckets change only which vertices share a
+// phase, never what a phase computes, so the rounds and the output bits
+// are those of one-level delta-stepping.
+//
+// Termination: within a sub-bucket, a vertex re-enters the frontier only
+// when its distance strictly decreased, and float64 has finitely many
+// values in [bucket*Delta, +Inf); across sub-buckets and buckets, the
+// current key strictly increases. Zero-weight edges cannot cycle (relaxing
+// x+0 = x is not an improvement), and negative weights are out of scope
+// (Dijkstra's contract).
 
 // ssspMaxBucket clamps bucket indices so +Inf and pathologically large
 // distances stay representable; unreachable vertices never enter a
 // frontier, so the clamp only has to keep comparisons well-defined.
 const ssspMaxBucket = int64(math.MaxInt64) / 4
 
+// ssspSubBuckets is the number of sub-buckets per Delta bucket, a power
+// of two so that keyOf's sub-bucket index is exact. On a scale-18
+// Graph500 graph, SSSP's time falls steeply with it up to 64 and is flat
+// past it, while the phase count, each phase a fork-join, keeps doubling
+// (DESIGN.md has the sweep).
+const ssspSubBuckets = 64
+
 // ssspBuckets is Kernels.SSSP's delta-stepping state machine: tentative
 // distances as raw float64 bits (Bits, CAS-minimized by SSSPRelaxRange),
-// the current bucket's frontier with its phase-start distances, and the
-// deferred list of vertices whose last improvement landed in a future
-// bucket. The caller drives it:
+// the current sub-bucket's frontier with its phase-start distances, one
+// list per later sub-bucket of the current bucket, and the deferred list
+// of vertices whose last improvement landed in a future bucket. The
+// caller runs one round per bucket:
 //
 //	b.Init(g, source, delta)
 //	for {
-//		frontier, starts, claimed, stamp := b.BeginPhase()
-//		if len(frontier) == 0 {
-//			if !b.Advance() {
-//				break
+//		// one round:
+//		for {
+//			frontier, starts, claimed, stamp := b.BeginPhase()
+//			if len(frontier) == 0 {
+//				if !b.NextSub() {
+//					break
+//				}
+//				continue
 //			}
-//			continue
+//			improved := ... SSSPRelaxRange over frontier and starts chunks, concatenated ...
+//			b.Absorb(improved)
 //		}
-//		improved := ... SSSPRelaxRange over frontier and starts chunks, concatenated ...
-//		b.Absorb(improved)
+//		if !b.Advance() {
+//			break
+//		}
 //	}
+//
+// Every vertex is filed under the key of the distance it had when it
+// improved, and an entry is kept only if the vertex still has that key
+// when its list is popped: a later improvement filed it again under a
+// lower key, which was drained first. So the bookkeeping costs
+// O(improvements), with no rescan per sub-bucket.
 //
 // All methods are sequential (called between fork-join phases); only Bits
 // and the claimed array are touched concurrently, inside SSSPRelaxRange.
@@ -67,13 +102,15 @@ type ssspBuckets struct {
 	Delta float64  // bucket width: mean edge weight via fixed-tree sum
 
 	claimed  []uint32 // per-phase claim stamps (SSSPRelaxRange)
-	seen     []uint32 // dedup generations for Advance's deferred scan
+	seen     []uint32 // dedup generations for NextSub and Advance
 	stamp    uint32
 	gen      uint32
-	cur      []int32   // current bucket's frontier
-	starts   []float64 // cur's distances when the phase began
-	deferred []int32   // improved vertices parked for future buckets
-	bucket   int64     // current bucket index
+	cur      []int32                 // current sub-bucket's frontier
+	starts   []float64               // cur's distances when the phase began
+	subs     [ssspSubBuckets][]int32 // improved vertices parked for later sub-buckets
+	deferred []int32                 // improved vertices parked for future buckets
+	bucket   int64                   // current bucket index
+	sub      int                     // current sub-bucket index
 }
 
 // ssspWeightBlock is the vertex block length of the Delta reduction. It is
@@ -115,10 +152,13 @@ func (b *ssspBuckets) Init(g *graph.Graph, source int32, delta float64) {
 	b.seen = mplane.Grow(b.seen, n)
 	clear(b.seen)
 	b.stamp, b.gen = 0, 0
-	b.bucket = 0
+	b.bucket, b.sub = 0, 0
+	for f := range b.subs {
+		b.subs[f] = b.subs[f][:0]
+	}
 	b.deferred = b.deferred[:0]
 	b.cur = append(b.cur[:0], source)
-	b.Bits[source] = 0 // math.Float64bits(0)
+	b.Bits[source] = 0 // math.Float64bits(0): key (0, 0)
 }
 
 // BeginPhase starts one relax phase: it returns the current frontier, its
@@ -132,41 +172,75 @@ func (b *ssspBuckets) BeginPhase() (frontier []int32, starts []float64, claimed 
 	return b.cur, b.starts, b.claimed, b.stamp
 }
 
-// Absorb partitions a phase's improved vertices (what SSSPRelaxRange
-// returned over the phase's chunks, concatenated): improvements that
-// landed in the current bucket feed the next phase's frontier, the rest
-// are parked on the deferred list. Claim stamps guarantee each vertex
-// appears at most once per phase, and an improvement made while bucket i
-// is current is >= i*Delta (the relaxing source was), so freshly improved
-// vertices never belong to an already-drained bucket.
+// Absorb files a phase's improved vertices (what SSSPRelaxRange returned
+// over the phase's chunks, concatenated) by the key of their distance:
+// the current key feeds the next phase's frontier, a later sub-bucket of
+// the current bucket its list, and a later bucket the deferred list.
+// Claim stamps guarantee each vertex appears at most once per phase, and
+// an improvement made while key (c, f) is current has a key of at least
+// (c, f) (the relaxing source had that key, and keys are monotone), so
+// freshly improved vertices never belong to an already-drained sub-bucket.
 func (b *ssspBuckets) Absorb(improved []int32) {
 	cur := b.cur[:0]
 	for _, v := range improved {
-		if b.bucketOf(b.Bits[v]) == b.bucket {
-			cur = append(cur, v)
-		} else {
+		switch c, f := b.keyOf(b.Bits[v]); {
+		case c != b.bucket:
 			b.deferred = append(b.deferred, v)
+		case f == b.sub:
+			cur = append(cur, v)
+		default:
+			b.subs[f] = append(b.subs[f], v)
 		}
 	}
 	b.cur = cur
 }
 
+// NextSub moves to the next non-empty sub-bucket of the current bucket
+// and rebuilds the frontier from its list, reporting false when the
+// bucket is drained. Entries are deduplicated (a vertex may have been
+// filed once per phase), and an entry whose vertex has since improved to
+// a lower key is dropped: it was filed again under that key, and was
+// relaxed from there.
+func (b *ssspBuckets) NextSub() bool {
+	for b.sub+1 < ssspSubBuckets {
+		b.sub++
+		list := b.subs[b.sub]
+		if len(list) == 0 {
+			continue
+		}
+		b.nextGen()
+		cur := b.cur[:0]
+		for _, v := range list {
+			if b.seen[v] == b.gen {
+				continue
+			}
+			b.seen[v] = b.gen
+			if c, f := b.keyOf(b.Bits[v]); c == b.bucket && f == b.sub {
+				cur = append(cur, v)
+			}
+		}
+		b.subs[b.sub] = list[:0]
+		b.cur = cur
+		if len(cur) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Advance moves to the lowest bucket still holding deferred work and
-// rebuilds the frontier from it, reporting false when the computation is
-// done. Deferred entries are deduplicated (a vertex may have been parked
-// once per phase) and re-bucketed from their *current* distance; entries
-// whose bucket is not past the one just drained are dropped — every
-// improvement event was claimed into a frontier at the time it happened,
+// files its vertices under their sub-buckets, for NextSub to pop,
+// reporting false when the computation is done. Deferred entries are
+// deduplicated (a vertex may have been parked once per phase) and
+// re-bucketed from their *current* distance; entries whose bucket is not
+// past the one just drained are dropped — every improvement event was
+// claimed into a frontier or a sub-bucket list at the time it happened,
 // so a distance now sitting in a drained bucket was already relaxed from.
 func (b *ssspBuckets) Advance() bool {
 	if len(b.deferred) == 0 {
 		return false
 	}
-	b.gen++
-	if b.gen == 0 { // generation counter wrapped: re-zero the stamps
-		clear(b.seen)
-		b.gen = 1
-	}
+	b.nextGen()
 	keep := b.deferred[:0]
 	minBucket := ssspMaxBucket + 1
 	for _, v := range b.deferred {
@@ -174,7 +248,7 @@ func (b *ssspBuckets) Advance() bool {
 			continue
 		}
 		b.seen[v] = b.gen
-		bk := b.bucketOf(b.Bits[v])
+		bk, _ := b.keyOf(b.Bits[v])
 		if bk <= b.bucket {
 			continue
 		}
@@ -187,19 +261,27 @@ func (b *ssspBuckets) Advance() bool {
 		b.deferred = keep
 		return false
 	}
-	b.bucket = minBucket
-	cur := b.cur[:0]
+	b.bucket, b.sub = minBucket, -1
 	rest := keep[:0]
 	for _, v := range keep {
-		if b.bucketOf(b.Bits[v]) == minBucket {
-			cur = append(cur, v)
+		if c, f := b.keyOf(b.Bits[v]); c == minBucket {
+			b.subs[f] = append(b.subs[f], v)
 		} else {
 			rest = append(rest, v)
 		}
 	}
-	b.cur = cur
+	b.cur = b.cur[:0]
 	b.deferred = rest
 	return true
+}
+
+// nextGen starts a fresh dedup generation over seen.
+func (b *ssspBuckets) nextGen() {
+	b.gen++
+	if b.gen == 0 { // generation counter wrapped: re-zero the stamps
+		clear(b.seen)
+		b.gen = 1
+	}
 }
 
 // Distances decodes the final bit patterns into dst (grown as needed) and
@@ -212,10 +294,15 @@ func (b *ssspBuckets) Distances(dst []float64) []float64 {
 	return dst
 }
 
-func (b *ssspBuckets) bucketOf(bits uint64) int64 {
+// keyOf is the (bucket, sub-bucket) key of a distance: the bucket
+// c = floor(d/Delta), and the sub-bucket floor((d/Delta - c)*ssspSubBuckets),
+// computed exactly (see the top of this file), so keys order as distances
+// do. Clamped distances, +Inf among them, share the key (ssspMaxBucket, 0).
+func (b *ssspBuckets) keyOf(bits uint64) (bucket int64, sub int) {
 	q := math.Float64frombits(bits) / b.Delta
 	if q >= float64(ssspMaxBucket) {
-		return ssspMaxBucket
+		return ssspMaxBucket, 0
 	}
-	return int64(q)
+	c := int64(q)
+	return c, int((q - float64(c)) * ssspSubBuckets)
 }

@@ -165,6 +165,9 @@ func trimSpace(s string) string {
 // ID is recomputed from the file bytes; a mismatch with the requested ID
 // means the record was tampered with and is reported as an error.
 func (a *Archive) Load(id string) (*Commit, error) {
+	if !IsCommitID(id) {
+		return nil, fmt.Errorf("archive: commit ID %q is not %d lowercase hex digits", id, sha256.Size*2)
+	}
 	b, err := os.ReadFile(a.commitPath(id))
 	if err != nil {
 		return nil, fmt.Errorf("archive: load commit %s: %w", short(id), err)
@@ -194,6 +197,9 @@ func (a *Archive) Resolve(ref string) (string, error) {
 		return id, nil
 	}
 	if len(ref) == sha256.Size*2 {
+		if !IsCommitID(ref) {
+			return "", fmt.Errorf("archive: commit ref %q is not %d lowercase hex digits", ref, sha256.Size*2)
+		}
 		return ref, nil
 	}
 	if len(ref) < 4 {
@@ -219,6 +225,12 @@ func (a *Archive) Resolve(ref string) (string, error) {
 		sort.Strings(matches)
 		return "", fmt.Errorf("archive: ref %q is ambiguous (%d matches)", ref, len(matches))
 	}
+}
+
+// IsCommitID reports whether s is a full commit ID: 64 lowercase hex
+// digits, the only form that is ever joined into a path under commits/.
+func IsCommitID(s string) bool {
+	return len(s) == sha256.Size*2 && strings.Trim(s, "0123456789abcdef") == ""
 }
 
 func cutSuffix(s, suffix string) string {

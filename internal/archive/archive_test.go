@@ -211,6 +211,43 @@ func TestResolve(t *testing.T) {
 	}
 }
 
+// TestResolveRejectsNonHexFullRefs checks that a 64-character ref is a
+// commit ID only if it is lowercase hex: a ref that climbs out of commits/
+// must not reach a record planted next to the archive.
+func TestResolveRejectsNonHexFullRefs(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(filepath.Join(dir, "archive"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := a.CommitBench("snap", []byte("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := os.ReadFile(a.commitPath(c.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	escape := "../../" + strings.Repeat("x", 58)
+	if err := os.WriteFile(filepath.Join(dir, strings.Repeat("x", 58)+".json"), rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, ref := range []string{escape, strings.ToUpper(c.ID), c.ID[:63] + "g"} {
+		if len(ref) != 64 {
+			t.Fatalf("test ref %q is %d characters, want 64", ref, len(ref))
+		}
+		if id, err := a.Resolve(ref); err == nil || !strings.Contains(err.Error(), "hex") {
+			t.Errorf("Resolve(%q) = %q, %v; want a not-hex error", ref, id, err)
+		}
+		if _, err := a.Load(ref); err == nil || !strings.Contains(err.Error(), "hex") {
+			t.Errorf("Load(%q) = %v; want a not-hex error", ref, err)
+		}
+	}
+	if !IsCommitID(c.ID) {
+		t.Errorf("IsCommitID(%q) = false for a sealed commit's ID", c.ID)
+	}
+}
+
 // corrupt locates the stored chunk with the given logical name and
 // applies damage to its file.
 func corruptChunk(t *testing.T, a *Archive, c *Commit, name string, damage func(path string, data []byte)) Chunk {

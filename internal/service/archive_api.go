@@ -2,7 +2,6 @@ package service
 
 import (
 	"net/http"
-	"strings"
 
 	"graphalytics/internal/archive"
 )
@@ -23,7 +22,7 @@ func (s *Service) archiveCommit(w http.ResponseWriter, r *http.Request) (*archiv
 		return nil, false
 	}
 	root := r.PathValue("root")
-	if len(root) != 64 || strings.Trim(root, "0123456789abcdef") != "" {
+	if !archive.IsCommitID(root) {
 		writeError(w, http.StatusBadRequest, "archive commit ID must be 64 hex digits")
 		return nil, false
 	}
