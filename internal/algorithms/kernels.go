@@ -1,6 +1,9 @@
 package algorithms
 
 import (
+	"math"
+	"slices"
+
 	"graphalytics/internal/graph"
 	"graphalytics/internal/mplane"
 	"graphalytics/internal/par"
@@ -16,7 +19,9 @@ import (
 //
 // Rounds follow the engine's accounting: one per BFS level, per PageRank
 // iteration and per CDLP iteration; one for WCC and for LCC; one for SSSP's
-// bucket width plus one per delta-stepping bucket.
+// bucket width plus one per delta-stepping bucket. The range engines'
+// variants take one round per min-label pass (MinLabelWCC) and per
+// frontier (PushBFS, BellmanFordSSSP).
 //
 // Float sums that cross chunks — PageRank's dangling mass and SSSP's bucket
 // width — follow par.SumBlocked's reduction tree: partials over blocks of
@@ -29,7 +34,8 @@ import (
 // Chunks, Collect, Owned and Report may only be called inside a Round body.
 //
 // A runtime may span machines: Round then runs the body on each in turn,
-// and each run owns a contiguous vertex range. CDLP is written for that;
+// and each run owns a contiguous vertex range. CDLP and the range engines'
+// variants (MinLabelWCC, PushBFS, BellmanFordSSSP) are written for that;
 // the other kernels assume one machine, which owns every vertex.
 type Runtime interface {
 	// Round runs body as one synchronization round. It fails only when
@@ -50,8 +56,10 @@ type Runtime interface {
 	// every vertex on a runtime of one machine.
 	Owned() (lo, hi int)
 	// Report hands the engine what the running body's machine produced
-	// this round, for it to price as traffic; it is free on one machine.
-	Report(updates int)
+	// this round, for it to price as traffic: n updates and, when they are
+	// discoveries an engine may route to their owners, the vertices (nil
+	// otherwise). It is free on one machine.
+	Report(n int, vertices []int32)
 }
 
 // Kernels runs the six algorithms over a Runtime and keeps their working
@@ -60,15 +68,19 @@ type Runtime interface {
 // Kernels must not run two jobs at once.
 type Kernels struct {
 	counts   mplane.WorkerCounts // per-worker CDLP counters
-	changes  []int               // per-worker CDLP changed-vertex counts
-	labels   []int32             // CDLP working labels (internal-index domain)
+	changes  []int               // per-worker CDLP and min-label WCC changed-vertex counts
+	labels   []int32             // CDLP and min-label WCC working labels (internal-index domain)
 	next     []int32
 	dirty    []uint32
 	changed  []bool
 	dangling []int32   // PageRank's dangling vertices, ascending
 	sums     []float64 // block partials of SSSP's bucket width
-	frontier []int32   // BFS frontier, SSSP phase discoveries
+	frontier []int32   // BFS and Bellman-Ford frontier, SSSP phase discoveries
+	found    []int32   // frontierRounds' next frontier
 	buckets  ssspBuckets
+	dist     []uint64  // Bellman-Ford distances as float bits
+	claims   []uint32  // Bellman-Ford per-round claim stamps
+	starts   []float64 // Bellman-Ford frontier's round-start distances
 	count    [][]int64 // per-worker LCC numerators
 	marks    [][]uint8 // per-worker LCC marks, all-zero between jobs
 }
@@ -170,6 +182,47 @@ func (k *Kernels) WCC(rt Runtime, g *graph.Graph) ([]int64, error) {
 	return out, nil
 }
 
+// MinLabelWCC is WCC by min-label propagation, the variant the range
+// engines run: in every round each machine pulls, for every vertex it
+// owns, the least label over the vertex and its neighbors in both
+// directions from the previous round's labels (wccMinRange), and reports
+// its owned count, the label slice it allgathers. Labels start as internal
+// indices and the loop stops after the first round in which none moved, so
+// every component ends at its smallest index: RefWCC's labeling.
+func (k *Kernels) MinLabelWCC(rt Runtime, g *graph.Graph) ([]int64, error) {
+	n := g.NumVertices()
+	k.changes = mplane.Grow(k.changes, rt.Workers())
+	k.labels = mplane.Grow(k.labels, n)
+	k.next = mplane.Grow(k.next, n)
+	labels, next := k.labels, k.next
+	for v := range labels {
+		labels[v] = int32(v)
+	}
+	base, moved := 0, false
+	pull := func(w, lo, hi int) { k.changes[w] = wccMinRange(g, labels, next, base+lo, base+hi) }
+	round := func() {
+		var end int
+		base, end = rt.Owned()
+		clear(k.changes)
+		rt.Chunks(end-base, pull)
+		for _, c := range k.changes {
+			moved = moved || c > 0
+		}
+		rt.Report(end-base, nil)
+	}
+	for moved = true; moved; labels, next = next, labels {
+		moved = false
+		if err := rt.Round(round); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]int64, n)
+	for v, lab := range labels {
+		out[v] = g.VertexID(lab)
+	}
+	return out, nil
+}
+
 // CDLP is the specification's synchronous label propagation, one round per
 // iteration, frontier-based on the dense label domain. Labels are internal
 // vertex indices throughout (translated to external IDs once at the end;
@@ -233,7 +286,7 @@ func (k *Kernels) CDLP(rt Runtime, g *graph.Graph, iterations int) ([]int64, err
 			updates += c
 		}
 		total += updates
-		rt.Report(updates)
+		rt.Report(updates, nil)
 		if updates == 0 {
 			return
 		}
@@ -351,7 +404,7 @@ func (k *Kernels) SSSP(rt Runtime, g *graph.Graph, source int32) ([]float64, err
 		stamp    uint32
 	)
 	relax := func(_, lo, hi int, out []int32) []int32 {
-		return SSSPRelaxRange(g, b.Bits, frontier[lo:hi], starts[lo:hi], claimed, stamp, out)
+		return ssspRelaxRange(g, b.Bits, frontier[lo:hi], starts[lo:hi], claimed, stamp, out)
 	}
 	bucket := func() {
 		for {
@@ -373,4 +426,92 @@ func (k *Kernels) SSSP(rt Runtime, g *graph.Graph, source int32) ([]float64, err
 			return b.Distances(nil), nil
 		}
 	}
+}
+
+// PushBFS is the range engines' level-synchronous BFS, one round per
+// level (frontierRounds): each machine expands the frontier vertices it
+// owns and reports the vertices it claimed, for the engine to route.
+func (k *Kernels) PushBFS(rt Runtime, g *graph.Graph, source int32) ([]int64, error) {
+	depth := make([]int64, g.NumVertices())
+	for i := range depth {
+		depth[i] = Unreachable
+	}
+	depth[source] = 0
+	level := int64(0)
+	err := k.frontierRounds(rt, source, func() { level++ }, func(lo, hi int, out []int32) []int32 {
+		return BFSExpand(g, depth, k.frontier[lo:hi], level, out)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return depth, nil
+}
+
+// BellmanFordSSSP is the range engines' SSSP, synchronous Bellman-Ford
+// with one round per frontier (frontierRounds): each machine relaxes the
+// out-edges of the frontier vertices it owns (ssspRelaxRange) from their
+// distances at the round's start and reports the vertices it improved,
+// each claimed once per round. What a round discovers, and so the round
+// count, depends on the graph and the source alone, and the distances are
+// the fixpoint of edge relaxation, RefSSSP's bits.
+func (k *Kernels) BellmanFordSSSP(rt Runtime, g *graph.Graph, source int32) ([]float64, error) {
+	n := g.NumVertices()
+	k.dist = mplane.Grow(k.dist, n)
+	inf := math.Float64bits(math.Inf(1))
+	for i := range k.dist {
+		k.dist[i] = inf
+	}
+	k.dist[source] = math.Float64bits(0)
+	k.claims = mplane.GrowZero(k.claims, n) // stamped per round, cleared per job
+	var stamp uint32
+	begin := func() {
+		stamp++
+		k.starts = k.starts[:0]
+		for _, v := range k.frontier {
+			k.starts = append(k.starts, math.Float64frombits(k.dist[v]))
+		}
+	}
+	relax := func(lo, hi int, out []int32) []int32 {
+		return ssspRelaxRange(g, k.dist, k.frontier[lo:hi], k.starts[lo:hi], k.claims, stamp, out)
+	}
+	if err := k.frontierRounds(rt, source, begin, relax); err != nil {
+		return nil, err
+	}
+	dist := make([]float64, n)
+	for i, b := range k.dist {
+		dist[i] = math.Float64frombits(b)
+	}
+	return dist, nil
+}
+
+// frontierRounds is the machine-frontier loop of PushBFS and
+// BellmanFordSSSP: from the frontier {source}, one round per frontier
+// until a round discovers nothing, begin running before each, outside it.
+// In a round every machine runs expand over worker chunks of the frontier
+// vertices in its Owned range — their positions [lo, hi) in k.frontier —
+// and reports the vertices they claimed. A round claims each vertex once,
+// so the claims, sorted between rounds, are the next frontier, in which a
+// machine finds its part by binary search: delivery is uncharged.
+func (k *Kernels) frontierRounds(rt Runtime, source int32, begin func(), expand func(lo, hi int, out []int32) []int32) error {
+	k.frontier = append(k.frontier[:0], source)
+	first := 0 // position in k.frontier of the running machine's first vertex
+	chunk := func(_, lo, hi int, out []int32) []int32 { return expand(first+lo, first+hi, out) }
+	round := func() {
+		lo, hi := rt.Owned()
+		first, _ = slices.BinarySearch(k.frontier, int32(lo))
+		end, _ := slices.BinarySearch(k.frontier, int32(hi))
+		claimed := rt.Collect(end-first, k.found[len(k.found):], chunk) // into found's spare capacity
+		rt.Report(len(claimed), claimed)
+		k.found = append(k.found, claimed...)
+	}
+	for len(k.frontier) > 0 {
+		begin()
+		k.found = k.found[:0]
+		if err := rt.Round(round); err != nil {
+			return err
+		}
+		slices.Sort(k.found)
+		k.frontier, k.found = k.found, k.frontier
+	}
+	return nil
 }

@@ -67,7 +67,7 @@ func (r *parRuntime) Workers() int { return r.p }
 
 func (r *parRuntime) Owned() (lo, hi int) { return 0, r.n }
 
-func (r *parRuntime) Report(int) {}
+func (r *parRuntime) Report(int, []int32) {}
 
 func (r *parRuntime) Collect(n int, dst []int32, fn func(worker, lo, hi int, out []int32) []int32) []int32 {
 	p := r.p

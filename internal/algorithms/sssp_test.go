@@ -1,11 +1,13 @@
 package algorithms_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/graph"
+	"graphalytics/internal/par"
 )
 
 // fuzzSSSPGraph decodes bytes into a small weighted graph for
@@ -58,14 +60,17 @@ func fuzzSSSPGraph(data []byte) (*graph.Graph, error) {
 	return b.Build()
 }
 
-// FuzzSSSPMatchesOracle holds delta-stepping to Dijkstra's bits on the
-// graphs where its bucket arithmetic is most exposed: zero and tied
+// FuzzSSSPMatchesOracle holds both SSSP variants to Dijkstra's bits on
+// the graphs where their arithmetic is most exposed: zero and tied
 // weights, distances exactly on bucket and sub-bucket edges, and weights
-// large enough to overflow Δ or reach the bucket clamp. ParSSSP at one
-// and three workers must equal RefSSSP bit for bit from vertex 0. The
-// seed corpus in testdata/fuzz/FuzzSSSPMatchesOracle covers every extra
-// edge mode, directed and undirected, a zero-weight path and a graph
-// whose edge is unreachable from the source.
+// large enough to overflow Δ or reach the bucket clamp. ParSSSP
+// (delta-stepping) at one and three workers, and BellmanFordSSSP at one
+// and three workers on one, three and 32 machines — more machines than
+// the graph has vertices, so some own empty ranges — must equal RefSSSP
+// bit for bit from vertex 0. The seed corpus in
+// testdata/fuzz/FuzzSSSPMatchesOracle covers every extra edge mode,
+// directed and undirected, a zero-weight path and a graph whose edge is
+// unreachable from the source.
 func FuzzSSSPMatchesOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := fuzzSSSPGraph(data)
@@ -77,13 +82,59 @@ func FuzzSSSPMatchesOracle(f *testing.F) {
 		}
 		src, _ := g.Index(0)
 		want := algorithms.RefSSSP(g, src)
-		for _, workers := range []int{1, 3} {
-			got := algorithms.ParSSSP(g, src, workers)
+		check := func(at string, got []float64) {
+			t.Helper()
 			for v := range want {
 				if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-					t.Fatalf("workers=%d: vertex %d at %v, RefSSSP has %v", workers, g.VertexID(int32(v)), got[v], want[v])
+					t.Fatalf("%s: vertex %d at %v, RefSSSP has %v", at, g.VertexID(int32(v)), got[v], want[v])
 				}
+			}
+		}
+		for _, workers := range []int{1, 3} {
+			check(fmt.Sprintf("ParSSSP workers=%d", workers), algorithms.ParSSSP(g, src, workers))
+			for _, machines := range []int{1, 3, 32} {
+				rt := &rangeRuntime{n: g.NumVertices(), machines: machines, workers: workers}
+				got, err := new(algorithms.Kernels).BellmanFordSSSP(rt, g, src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("BellmanFordSSSP workers=%d machines=%d", workers, machines), got)
 			}
 		}
 	})
 }
+
+// rangeRuntime is an algorithms.Runtime of several machines, each owning
+// a contiguous vertex range (par.ChunkRange, so some are empty when there
+// are more machines than vertices): a round runs the body on each machine
+// in turn, and a region runs workers chunks through par.Chunks. It is the
+// range engines' deployment without the cluster's accounting.
+type rangeRuntime struct {
+	n, machines, workers, mach int
+	bufs                       [][]int32
+}
+
+func (r *rangeRuntime) Round(body func()) error {
+	for r.mach = 0; r.mach < r.machines; r.mach++ {
+		body()
+	}
+	return nil
+}
+
+func (r *rangeRuntime) Chunks(n int, fn func(worker, lo, hi int)) { par.Chunks(n, r.workers, fn) }
+
+func (r *rangeRuntime) Collect(n int, dst []int32, fn func(worker, lo, hi int, out []int32) []int32) []int32 {
+	r.bufs = make([][]int32, r.workers)
+	par.Chunks(n, r.workers, func(w, lo, hi int) { r.bufs[w] = fn(w, lo, hi, nil) })
+	dst = dst[:0]
+	for _, buf := range r.bufs {
+		dst = append(dst, buf...)
+	}
+	return dst
+}
+
+func (r *rangeRuntime) Workers() int { return r.workers }
+
+func (r *rangeRuntime) Owned() (lo, hi int) { return par.ChunkRange(r.n, r.machines, r.mach) }
+
+func (r *rangeRuntime) Report(int, []int32) {}

@@ -69,6 +69,31 @@ func wccLabelRange(g *graph.Graph, parent []int32, labels []int64, lo, hi int) {
 	}
 }
 
+// wccMinRange sets next[v], for every v in [lo, hi), to the least label
+// in labels over v and its neighbors in both directions, and returns how
+// many of those vertices' labels moved: MinLabelWCC's pull.
+//
+//graphalint:noalloc per-chunk min-label pull: writes only its own range of next
+func wccMinRange(g *graph.Graph, labels, next []int32, lo, hi int) int {
+	directed, moved := g.Directed(), 0
+	for v := int32(lo); v < int32(hi); v++ {
+		best := labels[v]
+		for _, u := range g.InNeighbors(v) {
+			best = min(best, labels[u])
+		}
+		if directed {
+			for _, u := range g.OutNeighbors(v) {
+				best = min(best, labels[u])
+			}
+		}
+		next[v] = best
+		if best != labels[v] {
+			moved++
+		}
+	}
+	return moved
+}
+
 // PRContribRange fills contrib[v] = rank[v]/outdeg(v) for v in [lo, hi),
 // zero for dangling vertices; their mass is folded separately, through
 // the oracle's block tree.
@@ -334,7 +359,7 @@ func CDLPScatterWorthwhile(changedCount, n int) bool {
 	return changedCount*8 <= n
 }
 
-// SSSPRelaxRange relaxes the out-edges of a slice of the current frontier
+// ssspRelaxRange relaxes the out-edges of a slice of the current frontier
 // against the shared distance array (float64 bits; see ssspBuckets) and
 // returns out extended with every vertex whose distance improved, claimed
 // exactly once per relax phase. Each frontier vertex relaxes from starts,
@@ -351,7 +376,7 @@ func CDLPScatterWorthwhile(changedCount, n int) bool {
 // one, so the fixpoint is unaffected.
 //
 //graphalint:noalloc appends extend the caller's pooled out buffer in place
-func SSSPRelaxRange(g *graph.Graph, dist []uint64, frontier []int32, starts []float64, claimed []uint32, stamp uint32, out []int32) []int32 {
+func ssspRelaxRange(g *graph.Graph, dist []uint64, frontier []int32, starts []float64, claimed []uint32, stamp uint32, out []int32) []int32 {
 	for k, v := range frontier {
 		dv := starts[k]
 		ns := g.OutNeighbors(v)
@@ -374,7 +399,7 @@ func SSSPRelaxRange(g *graph.Graph, dist []uint64, frontier []int32, starts []fl
 	return out
 }
 
-// SSSPRelaxArcs is the arc-list sibling of SSSPRelaxRange, for engines
+// SSSPRelaxArcs is the arc-list sibling of ssspRelaxRange, for engines
 // that store a vertex's out-edges as arcs of an edge partition (gas's
 // vertex-cut) rather than as a CSR row: it relaxes the arcs out of one
 // frontier vertex from its phase-start distance dv, with weights ws

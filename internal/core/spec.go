@@ -126,6 +126,11 @@ type ResourceSpec struct {
 	MemoryPerMachine int64 `json:"memory_per_machine,omitempty"`
 }
 
+// maxResources bounds a config's threads and machines: engines keep
+// per-thread state as large as the graph, and the paper's largest
+// deployment is 16 machines of 32 threads.
+const maxResources = 1024
+
 // Sweep is one cross-product unit of a BenchSpec: platforms × datasets ×
 // configs × algorithms × repetitions. Empty axes select everything
 // (every registered platform, the full catalog, all six algorithms, one
@@ -198,9 +203,10 @@ func (sp *BenchSpec) sweeps() []Sweep {
 	return append(out, sp.Sweeps...)
 }
 
-// Validate checks the spec's platforms, algorithms, explicit dataset IDs
-// and validation policy against the registry and catalog before anything
-// is compiled, so configuration errors surface immediately.
+// Validate checks the spec's platforms, algorithms, explicit dataset IDs,
+// resources and validation policy against the registry, the catalog and
+// maxResources before anything is compiled, so configuration errors
+// surface immediately.
 func (sp *BenchSpec) Validate() error {
 	known := map[algorithms.Algorithm]bool{}
 	for _, a := range algorithms.All {
@@ -227,6 +233,11 @@ func (sp *BenchSpec) Validate() error {
 		}
 		if sw.Repetitions < 0 {
 			return fmt.Errorf("core: spec %q sweep %d: negative repetitions", sp.Name, si)
+		}
+		for _, c := range sw.Configs {
+			if c.Threads < 0 || c.Machines < 0 || c.MemoryPerMachine < 0 || max(c.Threads, c.Machines) > maxResources {
+				return fmt.Errorf("core: spec %q sweep %d: config %+v: threads and machines must be in [0, %d], memory_per_machine not negative", sp.Name, si, c, maxResources)
+			}
 		}
 	}
 	switch sp.Validation {

@@ -166,6 +166,11 @@ func TestSpecValidateErrors(t *testing.T) {
 		{"unknown algorithm", core.BenchSpec{Algorithms: []algorithms.Algorithm{"nope"}}},
 		{"bad policy", core.BenchSpec{Platforms: []string{"native"}, Validation: "sometimes"}},
 		{"negative reps", core.BenchSpec{Platforms: []string{"native"}, Repetitions: -1}},
+		{"negative threads", core.BenchSpec{Platforms: []string{"native"}, Configs: []core.ResourceSpec{{Threads: -3, Machines: 1}}}},
+		{"negative machines", core.BenchSpec{Sweeps: []core.Sweep{{Configs: []core.ResourceSpec{{Threads: 1, Machines: -1}}}}}},
+		{"negative memory", core.BenchSpec{Platforms: []string{"native"}, Configs: []core.ResourceSpec{{Threads: 1, Machines: 1, MemoryPerMachine: -1}}}},
+		{"2^30 threads", core.BenchSpec{Platforms: []string{"native"}, Configs: []core.ResourceSpec{{Threads: 1 << 30, Machines: 1}}}},
+		{"1025 machines", core.BenchSpec{Sweeps: []core.Sweep{{Configs: []core.ResourceSpec{{Threads: 1, Machines: 1025}}}}}},
 	}
 	for _, tc := range cases {
 		if err := tc.spec.Validate(); err == nil {
@@ -178,6 +183,10 @@ func TestSpecValidateErrors(t *testing.T) {
 	ok := goldenSpec()
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
+	}
+	bound := core.BenchSpec{Platforms: []string{"native"}, Configs: []core.ResourceSpec{{Threads: 1024, Machines: 1024}}}
+	if err := bound.Validate(); err != nil {
+		t.Errorf("1024 threads on 1024 machines rejected: %v", err)
 	}
 }
 

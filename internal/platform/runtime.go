@@ -25,7 +25,7 @@ import (
 // upload's pool, so steady-state jobs allocate little beyond their
 // outputs, and the round callback is bound once, so a round allocates
 // nothing.
-func Run[T any](ctx context.Context, b *BaseUpload, owned func(mach int) (lo, hi int), traffic func(mach, updates int),
+func Run[T any](ctx context.Context, b *BaseUpload, owned func(mach int) (lo, hi int), traffic func(mach, n int, vertices []int32),
 	kernel func(*algorithms.Kernels, algorithms.Runtime) (T, error)) (T, error) {
 	r := mplane.Acquire(&b.runtimes, newRuntime)
 	r.cl, r.ctx, r.n, r.owned, r.traffic = b.Cl, ctx, b.G.NumVertices(), owned, traffic
@@ -43,7 +43,7 @@ type runtime struct {
 	ctx     context.Context
 	n       int
 	owned   func(mach int) (lo, hi int)
-	traffic func(mach, updates int)
+	traffic func(mach, n int, vertices []int32)
 	body    func()           // the round in flight
 	mach    int              // the machine running it
 	th      *cluster.Threads // that machine's thread pool
@@ -88,8 +88,8 @@ func (r *runtime) Owned() (lo, hi int) {
 	return r.owned(r.mach)
 }
 
-func (r *runtime) Report(updates int) {
+func (r *runtime) Report(n int, vertices []int32) {
 	if r.traffic != nil {
-		r.traffic(r.mach, updates)
+		r.traffic(r.mach, n, vertices)
 	}
 }

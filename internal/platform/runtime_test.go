@@ -43,7 +43,7 @@ func TestRunSpansMachines(t *testing.T) {
 				covered  [n]int
 				reported []int
 			)
-			hook := func(mach, updates int) {
+			hook := func(mach, updates int, _ []int32) {
 				reported = append(reported, mach)
 				if lo, hi := owned(mach); updates != hi-lo {
 					t.Errorf("%s: machine %d reported %d updates, owns %d vertices", at, mach, updates, hi-lo)
@@ -65,7 +65,7 @@ func TestRunSpansMachines(t *testing.T) {
 							if want := min(threads, hi-lo); int(chunks.Load()) != want {
 								t.Errorf("%s: a pass over %d owned vertices ran %d chunks, want %d", at, hi-lo, chunks.Load(), want)
 							}
-							rt.Report(hi - lo)
+							rt.Report(hi-lo, nil)
 						}); err != nil {
 							return struct{}{}, err
 						}

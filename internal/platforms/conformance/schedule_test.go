@@ -154,17 +154,20 @@ func TestNativeMatchesOracleBitForBit(t *testing.T) {
 	}
 }
 
-// TestRangeEnginesMatchOracleBitForBit holds spmv and pushpull PageRank
-// and CDLP to the sequential oracles, floats bit for bit, on one machine
-// and on three. PageRank folds the dangling mass from one ascending list
-// through the oracle's block tree and every per-vertex sum follows
-// adjacency order; on the corpus that tree is one block, so a graph of
-// three blocks, whose machine ranges do not line up with them, checks
-// that spmv folds every block exactly once and pushpull's fold crosses
-// block boundaries. CDLP is the reference kernel on the cluster runtime,
-// its machines folding their ranges in turn within a round: a frontier
-// stamp an earlier machine leaves for the next round must not hide a
-// vertex a later machine still has to fold in this one.
+// TestRangeEnginesMatchOracleBitForBit holds spmv and pushpull BFS,
+// PageRank, WCC, CDLP and SSSP to the sequential oracles, floats bit for
+// bit, on one machine, on three, and on eight — more machines than
+// directed-small has vertices, so some own empty ranges. PageRank folds
+// the dangling mass from one ascending list through the oracle's block
+// tree and every per-vertex sum follows adjacency order; on the corpus
+// that tree is one block, so a graph of three blocks, whose machine ranges
+// do not line up with them, checks that spmv folds every block exactly
+// once and pushpull's fold crosses block boundaries. The other four are
+// reference kernels on the cluster runtime, its machines running their
+// ranges in turn within a round: a frontier stamp an earlier machine
+// leaves for the next CDLP round must not hide a vertex a later machine
+// still has to fold in this one, and every BFS and SSSP frontier vertex
+// must be expanded by exactly the machine that owns it.
 func TestRangeEnginesMatchOracleBitForBit(t *testing.T) {
 	platforms.RegisterAll()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
@@ -172,14 +175,21 @@ func TestRangeEnginesMatchOracleBitForBit(t *testing.T) {
 	deployments := []struct {
 		name     string
 		machines int
-	}{{"spmv-s", 1}, {"spmv-d", 1}, {"spmv-d", 3}, {"pushpull", 1}, {"pushpull", 3}}
+	}{{"spmv-s", 1}, {"spmv-d", 1}, {"spmv-d", 3}, {"spmv-d", 8}, {"pushpull", 1}, {"pushpull", 3}, {"pushpull", 8}}
+	algos := []algorithms.Algorithm{algorithms.BFS, algorithms.PR, algorithms.WCC, algorithms.CDLP, algorithms.SSSP}
 	for _, c := range append(conformance.Corpus(), append(scheduleCorpus(t), blocksCase(t))...) {
-		for _, a := range []algorithms.Algorithm{algorithms.PR, algorithms.CDLP} {
+		for _, a := range algos {
+			if a == algorithms.SSSP && !c.Graph.Weighted() {
+				continue
+			}
 			want := oracle(t, c, a)
 			for _, d := range deployments {
 				p, err := platform.Get(d.name)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if !p.Supports(a) {
+					continue // spmv-s has no SSSP
 				}
 				for _, threads := range []int{1, 3, 8} {
 					at := fmt.Sprintf("%s %s %s t%d-m%d", d.name, c.Name, a, threads, d.machines)

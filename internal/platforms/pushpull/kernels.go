@@ -144,11 +144,13 @@ func pagerank(ctx context.Context, u *uploaded, iterations int, damping float64)
 	return rank, nil
 }
 
-// sssp pushes relaxations from the frontier with atomic minimums (the
-// layout's Bellman-Ford rounds): every machine broadcasts its
-// discoveries, and each relaxes the ones it owns in the next round.
-func sssp(ctx context.Context, u *uploaded, source int32) ([]float64, int, error) {
-	return u.lay.SSSP(ctx, u.Cl, source, func(mach int, discovered []int32) {
-		u.Cl.Broadcast(mach, int64(len(discovered))*16)
+// sssp pushes relaxations from the frontier with atomic minimums
+// (algorithms.Kernels.BellmanFordSSSP): every machine broadcasts its
+// discoveries, 16 bytes each, and each relaxes the ones it owns in the
+// next round.
+func sssp(ctx context.Context, u *uploaded, source int32) ([]float64, error) {
+	broadcast := func(mach, n int, _ []int32) { u.Cl.Broadcast(mach, int64(n)*16) }
+	return platform.Run(ctx, &u.BaseUpload, u.lay.Range, broadcast, func(k *algorithms.Kernels, rt algorithms.Runtime) ([]float64, error) {
+		return k.BellmanFordSSSP(rt, u.lay.G, source)
 	})
 }

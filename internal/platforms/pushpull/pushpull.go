@@ -10,6 +10,12 @@
 // per-vertex state and ghost caches on every machine, and is therefore the
 // first to hit memory limits in the stress test), and it does not
 // implement LCC.
+//
+// The layout is rangecsr's. WCC (min-label pulls), CDLP and SSSP
+// (Bellman-Ford pushes) are the reference kernels' loops on the shared
+// cluster runtime (platform.Run), each machine broadcasting what it
+// produced; the direction-optimizing BFS and the PageRank rounds are the
+// engine's own.
 package pushpull
 
 import (
@@ -48,8 +54,8 @@ func NewForced(direction string) platform.Platform {
 				return j.Floats(vals, err)
 			},
 			algorithms.WCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				vals, rounds, err := u.lay.WCC(ctx, u.Cl)
-				annotateDirections(j, 0, rounds)
+				vals, err := rangecsr.WCC(ctx, &u.BaseUpload, u.lay)
+				annotateDirections(j, 0, u.Cl.Rounds())
 				return j.Ints(vals, err)
 			},
 			algorithms.CDLP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
@@ -58,8 +64,8 @@ func NewForced(direction string) platform.Platform {
 				return j.Ints(vals, err)
 			},
 			algorithms.SSSP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				vals, rounds, err := sssp(ctx, u, j.SourceIndex)
-				annotateDirections(j, rounds, 0)
+				vals, err := sssp(ctx, u, j.SourceIndex)
+				annotateDirections(j, u.Cl.Rounds(), 0)
 				return j.Floats(vals, err)
 			},
 		},

@@ -67,10 +67,10 @@ func TestCDLPSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSSSPSteadyStateAllocs guards the sparse Bellman-Ford SpMSpV: the
-// distance bits, claim stamps, per-thread relax buffers, per-machine
-// frontiers and routing counters all come from the scratch pool, so after
-// warm-up a run allocates only the output vector plus one round
-// descriptor per frontier round.
+// distance bits, claim stamps, round-start distances and frontiers live in
+// the kernel state the upload pools and the relax buffers in the threads,
+// so after warm-up a run allocates its output, its routing counters and a
+// few per-job closures, however many rounds it runs.
 func TestSSSPSteadyStateAllocs(t *testing.T) {
 	g := allocGraph(t, 4000, 4, true)
 	up, err := New(BackendD).Upload(g, platform.RunConfig{Threads: 4, Machines: 2})
@@ -93,9 +93,9 @@ func TestSSSPSteadyStateAllocs(t *testing.T) {
 }
 
 // TestBFSSteadyStateAllocs guards the pooled discovery merge: every level
-// collects each machine's discoveries into a buffer the run reuses, so
-// after warm-up a run allocates its output, its per-run frontier lists and
-// their growth, and no merge buffers per level.
+// collects each machine's discoveries into the pooled kernel state's next
+// frontier, so after warm-up a run allocates its output and a few per-job
+// closures, and no merge buffers per level.
 func TestBFSSteadyStateAllocs(t *testing.T) {
 	g := allocGraph(t, 4000, 4, false)
 	up, err := New(BackendD).Upload(g, platform.RunConfig{Threads: 4, Machines: 2})
@@ -118,9 +118,9 @@ func TestBFSSteadyStateAllocs(t *testing.T) {
 }
 
 // TestWCCAllocsIndependentOfRounds guards the min-label pull: its round
-// and chunk body are bound once and its per-thread flags pooled, so WCC on
-// a path, which runs one round per vertex, allocates the same at 50 and at
-// 500 rounds.
+// and chunk body are bound once and its per-thread counts pooled, so WCC
+// on a path, which runs one round per vertex, allocates the same at 50 and
+// at 500 rounds.
 func TestWCCAllocsIndependentOfRounds(t *testing.T) {
 	allocs := func(n int) float64 {
 		edges := make([]graph.Edge, 0, n-1)
@@ -138,8 +138,9 @@ func TestWCCAllocsIndependentOfRounds(t *testing.T) {
 		u := up.(*uploaded)
 		defer u.Free()
 		run := func() {
-			if _, rounds, err := u.lay.WCC(context.Background(), u.Cl); err != nil || rounds < n {
-				t.Fatalf("WCC on a %d-vertex path: %d rounds, %v", n, rounds, err)
+			u.Cl.ResetTime()
+			if _, err := rangecsr.WCC(context.Background(), &u.BaseUpload, u.lay); err != nil || u.Cl.Rounds() < n {
+				t.Fatalf("WCC on a %d-vertex path: %d rounds, %v", n, u.Cl.Rounds(), err)
 			}
 		}
 		run() // warm-up: grows the pooled scratch
@@ -147,5 +148,40 @@ func TestWCCAllocsIndependentOfRounds(t *testing.T) {
 	}
 	if short, long := allocs(50), allocs(500); long != short {
 		t.Fatalf("WCC allocated %.0f objects at 50 rounds and %.0f at 500: a round allocates", short, long)
+	}
+}
+
+// TestSSSPAllocsIndependentOfRounds guards the Bellman-Ford frontier
+// loop: its round and chunk bodies are bound once and its distances,
+// claims, round-start snapshot and frontiers live in the pooled kernel
+// state, so SSSP on a weighted path, which runs one round per vertex,
+// allocates the same at 50 and at 500 rounds.
+func TestSSSPAllocsIndependentOfRounds(t *testing.T) {
+	allocs := func(n int) float64 {
+		edges := make([]graph.Edge, 0, n-1)
+		for v := 1; v < n; v++ {
+			edges = append(edges, graph.Edge{Src: int64(v - 1), Dst: int64(v), Weight: float64(v%7) + 0.5})
+		}
+		g, err := graph.FromEdges("weighted-path", true, true, edges, graph.BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		up, err := New(BackendD).Upload(g, platform.RunConfig{Threads: 4, Machines: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := up.(*uploaded)
+		defer u.Free()
+		run := func() {
+			u.Cl.ResetTime()
+			if _, err := sssp(context.Background(), u, 0); err != nil || u.Cl.Rounds() < n {
+				t.Fatalf("SSSP on a %d-vertex path: %d rounds, %v", n, u.Cl.Rounds(), err)
+			}
+		}
+		run() // warm-up: grows the pooled kernel state
+		return testing.AllocsPerRun(3, run)
+	}
+	if short, long := allocs(50), allocs(500); long != short {
+		t.Fatalf("SSSP allocated %.0f objects at 50 rounds and %.0f at 500: a round allocates", short, long)
 	}
 }

@@ -73,53 +73,31 @@ func pagerank(ctx context.Context, u *uploaded, iterations int, damping float64)
 	return rank, nil
 }
 
-// route charges machine mach for shipping every discovery it does not own
-// to the owning machine, each bytes wide; staging (one slot per machine)
-// holds the per-destination totals.
-func route(u *uploaded, mach int, discovered []int32, each int64, staging []int64) {
-	clear(staging)
-	for _, d := range discovered {
-		if o := u.lay.Part.Owner[d]; int(o) != mach {
-			staging[o] += each
+// route is the traffic rule of the frontier rounds: a machine ships
+// every discovery it does not own to the owning machine, each bytes wide.
+func route(u *uploaded, each int64) func(mach, n int, discovered []int32) {
+	staging := make([]int64, u.Cl.Machines()) // per-destination totals
+	return func(mach, _ int, discovered []int32) {
+		clear(staging)
+		for _, d := range discovered {
+			if o := u.lay.Part.Owner[d]; int(o) != mach {
+				staging[o] += each
+			}
 		}
-	}
-	for o, b := range staging {
-		u.Cl.Send(mach, o, b)
+		for o, b := range staging {
+			u.Cl.Send(mach, o, b)
+		}
 	}
 }
 
-// bfs is a sparse frontier SpMSpV over the (select, min) semiring: each
-// level, the machines push from their owned frontier rows; discovered
-// vertices are routed to their owning machines for the next level.
+// bfs is a sparse frontier SpMSpV over the (select, min) semiring
+// (algorithms.Kernels.PushBFS): each level, the machines push from their
+// owned frontier rows, and discovered vertices are routed to their owning
+// machines for the next level, 12 bytes each (vertex id + level).
 func bfs(ctx context.Context, u *uploaded, source int32) ([]int64, error) {
-	g, cl := u.lay.G, u.Cl
-	depth := make([]int64, g.NumVertices())
-	for i := range depth {
-		depth[i] = algorithms.Unreachable
-	}
-	depth[source] = 0
-	frontiers := make([][]int32, cl.Machines())
-	frontiers[u.lay.Part.Owner[source]] = []int32{source}
-	discovered := make([][]int32, cl.Machines())
-	staging := make([]int64, cl.Machines())
-	total := 1
-	for level := int64(1); total > 0; level++ {
-		if err := platform.CheckContext(ctx); err != nil {
-			return nil, err
-		}
-		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-			local := frontiers[mach]
-			discovered[mach] = th.Collect(len(local), discovered[mach], func(_, lo, hi int, out []int32) []int32 {
-				return algorithms.BFSExpand(g, depth, local[lo:hi], level, out)
-			})
-			route(u, mach, discovered[mach], 12, staging) // vertex id + level
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		total = u.lay.Deliver(discovered, frontiers)
-	}
-	return depth, nil
+	return platform.Run(ctx, &u.BaseUpload, u.lay.Range, route(u, 12), func(k *algorithms.Kernels, rt algorithms.Runtime) ([]int64, error) {
+		return k.PushBFS(rt, u.lay.G, source)
+	})
 }
 
 // lcc counts triangles as masked sparse row intersections: for vertex v
@@ -170,13 +148,11 @@ func lcc(ctx context.Context, u *uploaded) ([]float64, error) {
 	return out, nil
 }
 
-// sssp is the layout's Bellman-Ford SpMSpV over the (min, +) semiring,
-// with frontier routing identical to bfs: a machine ships every
-// discovery it does not own to the owner.
+// sssp is Bellman-Ford over the (min, +) semiring
+// (algorithms.Kernels.BellmanFordSSSP), with frontier routing identical to
+// bfs, 16 bytes per discovery (vertex id + distance).
 func sssp(ctx context.Context, u *uploaded, source int32) ([]float64, error) {
-	staging := make([]int64, u.Cl.Machines())
-	dist, _, err := u.lay.SSSP(ctx, u.Cl, source, func(mach int, discovered []int32) {
-		route(u, mach, discovered, 16, staging) // vertex id + distance
+	return platform.Run(ctx, &u.BaseUpload, u.lay.Range, route(u, 16), func(k *algorithms.Kernels, rt algorithms.Runtime) ([]float64, error) {
+		return k.BellmanFordSSSP(rt, u.lay.G, source)
 	})
-	return dist, err
 }

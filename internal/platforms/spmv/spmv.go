@@ -11,6 +11,12 @@
 // backend (D) with 1-D row partitioning and an allgather of the operand
 // vector per iteration. SSSP is only available on the D backend, mirroring
 // the paper's setup.
+//
+// The layout is rangecsr's. BFS (push SpMSpV), WCC (min-label SpMV), CDLP
+// and SSSP (Bellman-Ford SpMSpV) are the reference kernels' loops on the
+// shared cluster runtime (platform.Run); the engine keeps their traffic
+// rules — frontier discoveries routed to their owners, label vectors
+// allgathered — and its own PageRank and LCC rounds.
 package spmv
 
 import (
@@ -49,8 +55,7 @@ func New(b Backend) platform.Platform {
 				return j.Floats(pagerank(ctx, u, j.Iterations, j.Damping))
 			},
 			algorithms.WCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				vals, _, err := u.lay.WCC(ctx, u.Cl)
-				return j.Ints(vals, err)
+				return j.Ints(rangecsr.WCC(ctx, &u.BaseUpload, u.lay))
 			},
 			algorithms.CDLP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
 				return j.Ints(rangecsr.CDLP(ctx, &u.BaseUpload, u.lay, j.Iterations))

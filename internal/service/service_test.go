@@ -114,8 +114,9 @@ func submitSpec(t *testing.T, client *http.Client, base, key, spec string) RunRe
 }
 
 // TestHTTPAdmission covers the admission surface end to end: tenant
-// authentication, queue quotas answering 429 + Retry-After, and the
-// unauthenticated health probe.
+// authentication, strict decoding and spec validation answering 400
+// (unbounded resources among them), queue quotas answering 429 +
+// Retry-After, and the unauthenticated health probe.
 func TestHTTPAdmission(t *testing.T) {
 	fake := newBlockingExec()
 	s := newTestService(t, Config{
@@ -135,6 +136,12 @@ func TestHTTPAdmission(t *testing.T) {
 	}
 	if resp := doJSON(t, client, "POST", srv.URL+"/v1/runs", "ka", strings.NewReader(testSpecJSON+`{"platforms":["pregel"]}`), nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("spec followed by a second object: status %d, want 400", resp.StatusCode)
+	}
+	for _, threads := range []string{"-3", "1073741824"} {
+		body := strings.Replace(testSpecJSON, `"threads": 2`, `"threads": `+threads, 1)
+		if resp := doJSON(t, client, "POST", srv.URL+"/v1/runs", "ka", strings.NewReader(body), nil); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("threads %s: status %d, want 400", threads, resp.StatusCode)
+		}
 	}
 
 	r1 := submitSpec(t, client, srv.URL, "ka", testSpecJSON) // occupies the slot
