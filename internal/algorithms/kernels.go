@@ -68,7 +68,7 @@ type Runtime interface {
 // Kernels must not run two jobs at once.
 type Kernels struct {
 	counts   mplane.WorkerCounts // per-worker CDLP counters
-	changes  []int               // per-worker CDLP and min-label WCC changed-vertex counts
+	changes  []int               // per-worker CDLP and min-label WCC changed-vertex counts, BFS frontier arcs
 	labels   []int32             // CDLP and min-label WCC working labels (internal-index domain)
 	next     []int32
 	dirty    []uint32
@@ -76,6 +76,7 @@ type Kernels struct {
 	dangling []int32   // PageRank's dangling vertices, ascending
 	sums     []float64 // block partials of SSSP's bucket width
 	frontier []int32   // BFS and Bellman-Ford frontier, SSSP phase discoveries
+	bits     []uint64  // BFS frontier bitmap of a bottom-up level
 	found    []int32   // frontierRounds' next frontier
 	buckets  ssspBuckets
 	dist     []uint64  // Bellman-Ford distances as float bits
@@ -85,25 +86,77 @@ type Kernels struct {
 	marks    [][]uint8 // per-worker LCC marks, all-zero between jobs
 }
 
-// BFS is a level-synchronous queue-based breadth-first search, one round
-// per level: only the frontier is scanned, so partially covered graphs
-// cost only the covered portion. Claims are atomic and the merged frontier
-// is a set, so depths do not depend on the chunking.
+// Direction-optimizing BFS (Beamer et al., SC'12): a level runs
+// bottom-up once the frontier's out-arcs exceed the unexplored arcs over
+// bfsAlpha, and returns to top-down once the frontier holds fewer than
+// the vertices over bfsBeta.
+const (
+	bfsAlpha = 14
+	bfsBeta  = 24
+)
+
+// BFS is a level-synchronous direction-optimizing breadth-first search,
+// one round per level. A top-down level expands only the frontier
+// (BFSExpand: atomic claims, so partially covered graphs cost only the
+// covered portion); a bottom-up level marks the frontier in a bitmap and
+// lets every unreached vertex look for a parent among its in-neighbors
+// (BFSPullRange), which saves the scan of the many arcs into the visited
+// set when the frontier is large. The direction is picked before each
+// level from counts of the graph and the search alone — the frontier's
+// out-arcs, summed by the chunks that found it, and its size — so it does
+// not depend on the chunking either, and a vertex's depth is its level
+// whichever way the level ran.
 func (k *Kernels) BFS(rt Runtime, g *graph.Graph, source int32) ([]int64, error) {
-	depth := make([]int64, g.NumVertices())
+	n := g.NumVertices()
+	depth := make([]int64, n)
 	for i := range depth {
 		depth[i] = Unreachable
 	}
 	depth[source] = 0
 	k.frontier = append(k.frontier[:0], source)
-	// One round body serves every level: it reads the level and the
-	// frontier through the variables it captured, so a search allocates
-	// the same whether it runs three levels or three thousand.
-	level := int64(1)
-	expand := func(_, lo, hi int, out []int32) []int32 {
-		return BFSExpand(g, depth, k.frontier[lo:hi], level, out)
+	k.changes = mplane.Grow(k.changes, rt.Workers())
+	clear(k.changes)
+	k.changes[0] = g.OutDegree(source) // the out-arcs of each worker's part of the frontier
+	k.bits = mplane.Grow(k.bits, (n+63)/64)
+	unexplored := int64(g.NumEdges())
+	if !g.Directed() {
+		unexplored *= 2
 	}
-	round := func() { k.frontier = rt.Collect(len(k.frontier), k.frontier, expand) }
+	// One round body serves every level: it reads the level, the frontier
+	// and the direction through the variables it captured, so a search
+	// allocates the same whether it runs three levels or three thousand.
+	level, bottomUp := int64(1), false
+	expand := func(w, lo, hi int, out []int32) []int32 {
+		out = BFSExpand(g, depth, k.frontier[lo:hi], level, out)
+		k.changes[w] = outArcs(g, out)
+		return out
+	}
+	pull := func(w, lo, hi int, out []int32) []int32 {
+		out = BFSPullRange(g, depth, k.bits, level, lo, hi, out)
+		k.changes[w] = outArcs(g, out)
+		return out
+	}
+	mark := func(_, lo, hi int) { bfsMarkRange(k.bits, k.frontier[lo:hi]) }
+	round := func() {
+		scout := int64(0)
+		for _, arcs := range k.changes {
+			scout += int64(arcs)
+		}
+		clear(k.changes)
+		if bottomUp {
+			bottomUp = int64(len(k.frontier))*bfsBeta >= int64(n)
+		} else {
+			bottomUp = scout*bfsAlpha > unexplored
+		}
+		unexplored -= scout
+		if !bottomUp {
+			k.frontier = rt.Collect(len(k.frontier), k.frontier, expand)
+			return
+		}
+		clear(k.bits)
+		rt.Chunks(len(k.frontier), mark)
+		k.frontier = rt.Collect(n, k.frontier, pull)
+	}
 	for ; len(k.frontier) > 0; level++ {
 		if err := rt.Round(round); err != nil {
 			return nil, err
@@ -161,10 +214,23 @@ func (k *Kernels) PageRank(rt Runtime, g *graph.Graph, iterations int, damping f
 	return rank, nil
 }
 
-// WCC is a concurrent lock-free union-find over the edge set followed by a
-// labeling pass, both over vertex chunks, in one round. Roots are always
-// the smallest internal index of their component (links go strictly from
-// larger to smaller roots), so the output is the canonical
+// Afforest's sampling: every vertex first links to this many of its
+// out-neighbors, and the roots of this many evenly spaced vertices elect
+// the giant tree whose vertices the finishing pass skips.
+const (
+	wccLinkNeighbors = 2
+	wccSamples       = 1024
+)
+
+// WCC is Afforest (Sutton et al., IPDPS'18), a concurrent lock-free
+// union-find over vertex chunks in one round: every vertex links to its
+// first wccLinkNeighbors out-neighbors (wccLinkRange), the trees are
+// compressed (wccCompressRange), the most frequent root of a fixed sample
+// names the giant tree (wccGiantRoot), and only the vertices outside it
+// unite their remaining arcs (wccFinishRange), so the giant component's
+// arcs are mostly never touched. A labeling pass follows. Roots are
+// always the smallest internal index of their component (links go
+// strictly from larger to smaller roots), so the output is the canonical
 // smallest-external-identifier labeling whatever the interleaving.
 func (k *Kernels) WCC(rt Runtime, g *graph.Graph) ([]int64, error) {
 	n := g.NumVertices()
@@ -174,12 +240,23 @@ func (k *Kernels) WCC(rt Runtime, g *graph.Graph) ([]int64, error) {
 	}
 	out := make([]int64, n)
 	if err := rt.Round(func() {
-		rt.Chunks(n, func(_, lo, hi int) { wccUniteRange(g, parent, lo, hi) })
+		giant := wccSample(rt, g, parent)
+		rt.Chunks(n, func(_, lo, hi int) { wccFinishRange(g, parent, giant, lo, hi) })
 		rt.Chunks(n, func(_, lo, hi int) { wccLabelRange(g, parent, out, lo, hi) })
 	}); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// wccSample runs Afforest's sampling steps inside a round, on a parent
+// array of singletons: the links, the compression and the election. It
+// returns the giant tree's root, the parent of every vertex in the tree.
+func wccSample(rt Runtime, g *graph.Graph, parent []int32) int32 {
+	n := len(parent)
+	rt.Chunks(n, func(_, lo, hi int) { wccLinkRange(g, parent, lo, hi) })
+	rt.Chunks(n, func(_, lo, hi int) { wccCompressRange(parent, lo, hi) })
+	return wccGiantRoot(parent)
 }
 
 // MinLabelWCC is WCC by min-label propagation, the variant the range

@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"graphalytics/internal/cluster"
@@ -14,9 +15,10 @@ import (
 //
 // Every step is safe to run concurrently on disjoint [lo, hi) ranges of
 // the same output arrays. Steps that may touch shared state across chunks
-// (BFSExpand's depth claims, wccUniteRange's links, the SSSP relax
-// bodies' distance minima and claims) use atomics; everything else writes
-// only inside its own range or into a caller-owned per-worker buffer.
+// (BFSExpand's depth claims, bfsMarkRange's bits, the WCC union-find
+// links, the SSSP relax bodies' distance minima and claims) use atomics;
+// everything else writes only inside its own range or into a caller-owned
+// per-worker buffer.
 
 // BFSExpand scans a slice of the current BFS frontier, claims every
 // still-unreached out-neighbor at the given level and returns out extended
@@ -41,23 +43,139 @@ func BFSExpand(g *graph.Graph, depth []int64, frontier []int32, level int64, out
 	return out
 }
 
-// wccUniteRange unites every vertex in [lo, hi) with its out-neighbors in
-// the concurrent union-find parent (every vertex its own parent before the
-// first unite). Every arc is an out-arc of one vertex, so chunks covering
-// all vertices unite the whole edge set, and chunks may run concurrently:
-// links are CAS-guarded and always hang the larger root under the smaller.
+// BFSPullRange is a bottom-up BFS level over the vertices [lo, hi): every
+// still-unreached vertex scans its in-neighbors for one in the frontier
+// bitmap (bit u set when u is at depth level-1) and, at the first it
+// finds, takes the given level. It returns out extended with the vertices
+// it reached, in vertex order. A vertex's depth is read and written only
+// by the chunk holding the vertex, and the bitmap is read-only during the
+// level, so chunks need no atomics; the depth a vertex takes does not
+// depend on which in-neighbor is found first.
+//
+//graphalint:noalloc appends extend the caller's pooled out buffer in place
+func BFSPullRange(g *graph.Graph, depth []int64, frontier []uint64, level int64, lo, hi int, out []int32) []int32 {
+	for v := int32(lo); v < int32(hi); v++ {
+		if depth[v] != Unreachable {
+			continue
+		}
+		for _, u := range g.InNeighbors(v) {
+			if frontier[u>>6]&(1<<(u&63)) != 0 {
+				depth[v] = level
+				out = append(out, v)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// bfsMarkRange sets the bit of every vertex of a frontier slice in the
+// bitmap. Chunks of one frontier may share a word, so the bits are set
+// with atomic ORs.
+//
+//graphalint:noalloc per-chunk bitmap build: atomic ORs on the caller's bitmap
+func bfsMarkRange(bits []uint64, frontier []int32) {
+	for _, v := range frontier {
+		atomic.OrUint64(&bits[v>>6], 1<<(v&63))
+	}
+}
+
+// outArcs returns the out-arcs of a list of vertices: the top-down scan
+// they would cost as a BFS frontier.
+//
+//graphalint:noalloc
+func outArcs(g *graph.Graph, vertices []int32) int {
+	arcs := 0
+	for _, v := range vertices {
+		arcs += g.OutDegree(v)
+	}
+	return arcs
+}
+
+// wccLinkRange unites every vertex in [lo, hi) with its first
+// wccLinkNeighbors out-neighbors in the concurrent union-find parent:
+// Afforest's sampling pass. Links are CAS-guarded and always hang the
+// larger root under the smaller, so chunks may run concurrently.
 //
 //graphalint:noalloc per-chunk union-find body: CAS links on the shared parent array only
-func wccUniteRange(g *graph.Graph, parent []int32, lo, hi int) {
+func wccLinkRange(g *graph.Graph, parent []int32, lo, hi int) {
 	for v := int32(lo); v < int32(hi); v++ {
-		for _, u := range g.OutNeighbors(v) {
+		ns := g.OutNeighbors(v)
+		for _, u := range ns[:min(len(ns), wccLinkNeighbors)] {
 			unite(parent, v, u)
 		}
 	}
 }
 
+// wccCompressRange points every vertex in [lo, hi) straight at its root,
+// once every link has joined. Roots do not move while it runs, so
+// concurrent chunks store exact roots.
+//
+//graphalint:noalloc per-chunk compression: atomic stores into its own range of parent
+func wccCompressRange(parent []int32, lo, hi int) {
+	for v := int32(lo); v < int32(hi); v++ {
+		atomic.StoreInt32(&parent[v], findCAS(parent, v))
+	}
+}
+
+// wccGiantRoot returns the most frequent parent among wccSamples evenly
+// spaced vertices, the smallest on ties (-1 for an empty graph): after
+// compression, the root of the tree most likely to hold the giant
+// component. The sample is fixed by n, so the choice is deterministic.
+//
+//graphalint:noalloc the sample is a fixed-size array on the stack
+func wccGiantRoot(parent []int32) int32 {
+	n := len(parent)
+	if n == 0 {
+		return -1
+	}
+	var sample [wccSamples]int32
+	for i := range sample {
+		sample[i] = parent[i*n/wccSamples]
+	}
+	slices.Sort(sample[:])
+	best, bestRun, run := sample[0], 0, 0
+	for i, r := range sample {
+		if i > 0 && r != sample[i-1] {
+			run = 0
+		}
+		if run++; run > bestRun {
+			best, bestRun = r, run
+		}
+	}
+	return best
+}
+
+// wccFinishRange completes the union-find for every vertex in [lo, hi)
+// outside the giant tree (parent giant): it unites the vertex with its
+// out-neighbors past the first wccLinkNeighbors and, on directed graphs,
+// with all its in-neighbors. Every arc then has an endpoint that unites
+// it or two endpoints both already joined to giant: an arc out of a
+// giant-tree vertex into a vertex outside is united from the arc's head,
+// which is why directed graphs scan in-arcs. A vertex whose parent moved
+// off giant since compression is simply not skipped.
+//
+//graphalint:noalloc per-chunk union-find body: CAS links on the shared parent array only
+func wccFinishRange(g *graph.Graph, parent []int32, giant int32, lo, hi int) {
+	directed := g.Directed()
+	for v := int32(lo); v < int32(hi); v++ {
+		if atomic.LoadInt32(&parent[v]) == giant {
+			continue
+		}
+		ns := g.OutNeighbors(v)
+		for _, u := range ns[min(len(ns), wccLinkNeighbors):] {
+			unite(parent, v, u)
+		}
+		if directed {
+			for _, u := range g.InNeighbors(v) {
+				unite(parent, v, u)
+			}
+		}
+	}
+}
+
 // wccLabelRange labels every vertex in [lo, hi) with the external
-// identifier of its union-find root, once every wccUniteRange chunk has
+// identifier of its union-find root, once every wccFinishRange chunk has
 // joined: the root is the component's smallest internal index, so the
 // label is its smallest external identifier. Finds halve paths with CAS,
 // so label chunks may also run concurrently.

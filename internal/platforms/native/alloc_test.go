@@ -201,6 +201,48 @@ func TestBFSAllocsIndependentOfLevels(t *testing.T) {
 	}
 }
 
+// TestWCCSteadyStateAllocs guards Afforest's fixed-size sample: on graphs
+// of vertex pairs, where every sampled vertex can have a root of its own,
+// a warm WCC allocates the same on a graph sixteen times larger — its
+// parent and label arrays, its round and chunk bodies and the job's
+// bookkeeping, seven objects — so neither the sample nor the election of
+// the giant tree allocates per call or per root. It runs on one thread:
+// wider regions recycle through a sync.Pool, which the race detector
+// makes drop at random.
+func TestWCCSteadyStateAllocs(t *testing.T) {
+	warmAllocs := func(n int) float64 {
+		b := graph.NewBuilder(false, false)
+		for v := 0; v < n; v += 2 {
+			b.AddEdge(int64(v), int64(v+1))
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		up, err := New().Upload(g, platform.RunConfig{Threads: 1, Machines: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := up.(*uploaded)
+		defer u.Free()
+		run := func() {
+			if _, err := wcc(context.Background(), u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm-up: grows the pooled scratch
+		return testing.AllocsPerRun(3, run)
+	}
+	small, large := warmAllocs(500), warmAllocs(8000)
+	if small != large {
+		t.Fatalf("warm WCC allocated %.0f objects on 500 vertices but %.0f on 8000: "+
+			"allocation grows with the graph", small, large)
+	}
+	if small > 7 {
+		t.Fatalf("warm WCC allocated %.0f objects, want <= 7 (a per-call sample or map has crept in)", small)
+	}
+}
+
 // TestLCCMemoryAccounting checks that the triangle kernel's memory is
 // charged as it is held: the orientation for the life of the upload, the
 // numerators and marks for the job, and that a budget either does not fit

@@ -110,12 +110,13 @@ func load(_ context.Context, g *graph.Graph, _ *cluster.Cluster) (*uploaded, []i
 }
 
 // stateFootprint estimates the engine's per-run working memory: native
-// kernels keep one or two flat arrays per vertex plus frontier queues.
+// kernels keep one or two flat arrays per vertex plus frontier queues,
+// and BFS a frontier bitmap for its bottom-up levels.
 func stateFootprint(g *graph.Graph, a algorithms.Algorithm, threads int) int64 {
 	n := int64(g.NumVertices())
 	switch a {
 	case algorithms.BFS:
-		return n * (8 + 2*4) // depth + two frontier queues
+		return n*(8+2*4) + (n+63)/64*8 // depth + two frontier queues + frontier bitmap
 	case algorithms.PR:
 		return n * 16 // two rank arrays
 	case algorithms.WCC, algorithms.CDLP:

@@ -2,11 +2,9 @@ package pushpull
 
 import (
 	"context"
-	"sync/atomic"
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
-	"graphalytics/internal/graph"
 	"graphalytics/internal/par"
 	"graphalytics/internal/platform"
 )
@@ -18,7 +16,8 @@ const pullThresholdDivisor = 20
 
 // bfs is the engine's hallmark direction-optimizing BFS. The direction is
 // decided once per level, for all machines; pushes and pulls count the
-// levels run each way.
+// levels run each way. A pull level marks the frontier in a bitmap, and
+// every machine runs the bottom-up step over its owned range.
 func bfs(ctx context.Context, u *uploaded, source int32, force string) (depth []int64, pushes, pulls int, err error) {
 	g, cl, part := u.lay.G, u.Cl, u.lay.Part
 	depth = make([]int64, g.NumVertices())
@@ -27,6 +26,7 @@ func bfs(ctx context.Context, u *uploaded, source int32, force string) (depth []
 	}
 	depth[source] = 0
 	frontier := []int32{source}
+	bits := make([]uint64, (g.NumVertices()+63)/64)
 	discovered := make([][]int32, cl.Machines())
 	for level := int64(1); len(frontier) > 0; level++ {
 		if err := platform.CheckContext(ctx); err != nil {
@@ -45,11 +45,15 @@ func bfs(ctx context.Context, u *uploaded, source int32, force string) (depth []
 		}
 		if pull {
 			pulls++
+			clear(bits)
+			for _, v := range frontier {
+				bits[v>>6] |= 1 << (v & 63)
+			}
 		} else {
 			pushes++
 		}
 		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-			// Pull scans the machine's owned vertices, push expands its
+			// Pull scans the machine's owned range, push expands its
 			// owned slice of the frontier.
 			work := part.Verts[mach]
 			if !pull {
@@ -60,9 +64,10 @@ func bfs(ctx context.Context, u *uploaded, source int32, force string) (depth []
 					}
 				}
 			}
+			first, _ := u.lay.Range(mach)
 			discovered[mach] = th.Collect(len(work), discovered[mach], func(_, lo, hi int, out []int32) []int32 {
 				if pull {
-					return pullScan(g, depth, work[lo:hi], level, out)
+					return algorithms.BFSPullRange(g, depth, bits, level, first+lo, first+hi, out)
 				}
 				return algorithms.BFSExpand(g, depth, work[lo:hi], level, out)
 			})
@@ -77,26 +82,6 @@ func bfs(ctx context.Context, u *uploaded, source int32, force string) (depth []
 		}
 	}
 	return depth, pushes, pulls, nil
-}
-
-// pullScan checks the still-unvisited vertices of verts against the
-// previous level: the first in-neighbor found at depth level-1 claims the
-// vertex for this level. It returns claimed extended with the claimed
-// vertices in scan order.
-func pullScan(g *graph.Graph, depth []int64, verts []int32, level int64, claimed []int32) []int32 {
-	for _, v := range verts {
-		if depth[v] != algorithms.Unreachable {
-			continue
-		}
-		for _, in := range g.InNeighbors(v) {
-			if atomic.LoadInt64(&depth[in]) == level-1 {
-				atomic.StoreInt64(&depth[v], level)
-				claimed = append(claimed, v)
-				break
-			}
-		}
-	}
-	return claimed
 }
 
 // pagerank pulls rank over in-edges; the layout's dangling-vertex list is
