@@ -481,7 +481,7 @@ func (k *Kernels) SSSP(rt Runtime, g *graph.Graph, source int32) ([]float64, err
 		stamp    uint32
 	)
 	relax := func(_, lo, hi int, out []int32) []int32 {
-		return ssspRelaxRange(g, b.Bits, frontier[lo:hi], starts[lo:hi], claimed, stamp, out)
+		return SSSPRelaxRange(g, b.Bits, frontier[lo:hi], starts[lo:hi], claimed, stamp, out)
 	}
 	bucket := func() {
 		for {
@@ -526,7 +526,7 @@ func (k *Kernels) PushBFS(rt Runtime, g *graph.Graph, source int32) ([]int64, er
 
 // BellmanFordSSSP is the range engines' SSSP, synchronous Bellman-Ford
 // with one round per frontier (frontierRounds): each machine relaxes the
-// out-edges of the frontier vertices it owns (ssspRelaxRange) from their
+// out-edges of the frontier vertices it owns (SSSPRelaxRange) from their
 // distances at the round's start and reports the vertices it improved,
 // each claimed once per round. What a round discovers, and so the round
 // count, depends on the graph and the source alone, and the distances are
@@ -549,7 +549,7 @@ func (k *Kernels) BellmanFordSSSP(rt Runtime, g *graph.Graph, source int32) ([]f
 		}
 	}
 	relax := func(lo, hi int, out []int32) []int32 {
-		return ssspRelaxRange(g, k.dist, k.frontier[lo:hi], k.starts[lo:hi], k.claims, stamp, out)
+		return SSSPRelaxRange(g, k.dist, k.frontier[lo:hi], k.starts[lo:hi], k.claims, stamp, out)
 	}
 	if err := k.frontierRounds(rt, source, begin, relax); err != nil {
 		return nil, err

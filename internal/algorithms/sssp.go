@@ -62,7 +62,7 @@ const ssspMaxBucket = int64(math.MaxInt64) / 4
 const ssspSubBuckets = 64
 
 // ssspBuckets is Kernels.SSSP's delta-stepping state machine: tentative
-// distances as raw float64 bits (Bits, CAS-minimized by ssspRelaxRange),
+// distances as raw float64 bits (Bits, CAS-minimized by SSSPRelaxRange),
 // the current sub-bucket's frontier with its phase-start distances, one
 // list per later sub-bucket of the current bucket, and the deferred list
 // of vertices whose last improvement landed in a future bucket. The
@@ -79,7 +79,7 @@ const ssspSubBuckets = 64
 //				}
 //				continue
 //			}
-//			improved := ... ssspRelaxRange over frontier and starts chunks, concatenated ...
+//			improved := ... SSSPRelaxRange over frontier and starts chunks, concatenated ...
 //			b.Absorb(improved)
 //		}
 //		if !b.Advance() {
@@ -94,14 +94,14 @@ const ssspSubBuckets = 64
 // O(improvements), with no rescan per sub-bucket.
 //
 // All methods are sequential (called between fork-join phases); only Bits
-// and the claimed array are touched concurrently, inside ssspRelaxRange.
+// and the claimed array are touched concurrently, inside SSSPRelaxRange.
 // The zero value is usable and all buffers are retained across Init calls,
 // so pooled reuse (mplane.Pool) reaches a zero-allocation steady state.
 type ssspBuckets struct {
 	Bits  []uint64 // tentative distances as math.Float64bits, +Inf init
 	Delta float64  // bucket width: mean edge weight via fixed-tree sum
 
-	claimed  []uint32 // per-phase claim stamps (ssspRelaxRange)
+	claimed  []uint32 // per-phase claim stamps (SSSPRelaxRange)
 	seen     []uint32 // dedup generations for NextSub and Advance
 	stamp    uint32
 	gen      uint32
@@ -162,7 +162,7 @@ func (b *ssspBuckets) Init(g *graph.Graph, source int32, delta float64) {
 }
 
 // BeginPhase starts one relax phase: it returns the current frontier, its
-// phase-start distances and a fresh claim stamp for ssspRelaxRange.
+// phase-start distances and a fresh claim stamp for SSSPRelaxRange.
 func (b *ssspBuckets) BeginPhase() (frontier []int32, starts []float64, claimed []uint32, stamp uint32) {
 	b.stamp++
 	b.starts = b.starts[:0]
@@ -172,7 +172,7 @@ func (b *ssspBuckets) BeginPhase() (frontier []int32, starts []float64, claimed 
 	return b.cur, b.starts, b.claimed, b.stamp
 }
 
-// Absorb files a phase's improved vertices (what ssspRelaxRange returned
+// Absorb files a phase's improved vertices (what SSSPRelaxRange returned
 // over the phase's chunks, concatenated) by the key of their distance:
 // the current key feeds the next phase's frontier, a later sub-bucket of
 // the current bucket its list, and a later bucket the deferred list.

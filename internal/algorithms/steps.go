@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"graphalytics/internal/cluster"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/mplane"
 )
@@ -16,7 +15,7 @@ import (
 // Every step is safe to run concurrently on disjoint [lo, hi) ranges of
 // the same output arrays. Steps that may touch shared state across chunks
 // (BFSExpand's depth claims, bfsMarkRange's bits, the WCC union-find
-// links, the SSSP relax bodies' distance minima and claims) use atomics;
+// links, SSSPRelaxRange's distance minima and claims) use atomics;
 // everything else writes only inside its own range or into a caller-owned
 // per-worker buffer.
 
@@ -477,7 +476,7 @@ func CDLPScatterWorthwhile(changedCount, n int) bool {
 	return changedCount*8 <= n
 }
 
-// ssspRelaxRange relaxes the out-edges of a slice of the current frontier
+// SSSPRelaxRange relaxes the out-edges of a slice of the current frontier
 // against the shared distance array (float64 bits; see ssspBuckets) and
 // returns out extended with every vertex whose distance improved, claimed
 // exactly once per relax phase. Each frontier vertex relaxes from starts,
@@ -494,7 +493,7 @@ func CDLPScatterWorthwhile(changedCount, n int) bool {
 // one, so the fixpoint is unaffected.
 //
 //graphalint:noalloc appends extend the caller's pooled out buffer in place
-func ssspRelaxRange(g *graph.Graph, dist []uint64, frontier []int32, starts []float64, claimed []uint32, stamp uint32, out []int32) []int32 {
+func SSSPRelaxRange(g *graph.Graph, dist []uint64, frontier []int32, starts []float64, claimed []uint32, stamp uint32, out []int32) []int32 {
 	for k, v := range frontier {
 		dv := starts[k]
 		ns := g.OutNeighbors(v)
@@ -511,31 +510,6 @@ func ssspRelaxRange(g *graph.Graph, dist []uint64, frontier []int32, starts []fl
 					out = ssspClaim(claimed, stamp, u, out)
 					break
 				}
-			}
-		}
-	}
-	return out
-}
-
-// SSSPRelaxArcs is the arc-list sibling of ssspRelaxRange, for engines
-// that store a vertex's out-edges as arcs of an edge partition (gas's
-// vertex-cut) rather than as a CSR row: it relaxes the arcs out of one
-// frontier vertex from its phase-start distance dv, with weights ws
-// parallel to arcs, and returns out extended with the vertices it improved
-// and claimed, under the same CAS and claim-stamp rules.
-//
-//graphalint:noalloc appends extend the caller's pooled out buffer in place
-func SSSPRelaxArcs(dist []uint64, dv float64, arcs []cluster.Arc, ws []float64, claimed []uint32, stamp uint32, out []int32) []int32 {
-	for i, a := range arcs {
-		nd := dv + ws[i]
-		for {
-			old := atomic.LoadUint64(&dist[a.Dst])
-			if nd >= math.Float64frombits(old) {
-				break
-			}
-			if atomic.CompareAndSwapUint64(&dist[a.Dst], old, math.Float64bits(nd)) {
-				out = ssspClaim(claimed, stamp, a.Dst, out)
-				break
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -212,31 +213,28 @@ func TestPartitionEdgesInvariants(t *testing.T) {
 		t.Run(fmt.Sprintf("directed=%v", directed), func(t *testing.T) {
 			g := buildTestGraph(t, directed)
 			p := cluster.PartitionEdges(g, 4)
-			var arcs int64
-			for _, list := range p.Arcs {
-				arcs += int64(len(list))
+			var edges int64
+			for _, lg := range p.Local {
+				edges += lg.NumEdges()
 			}
-			wantArcs := g.NumEdges()
-			if !directed {
-				wantArcs *= 2
-			}
-			if arcs != wantArcs {
-				t.Fatalf("total arcs = %d, want %d", arcs, wantArcs)
+			if edges != g.NumEdges() {
+				t.Fatalf("total edges = %d, want %d", edges, g.NumEdges())
 			}
 			rf := p.ReplicationFactor()
 			if rf < 1 || rf > 4 {
 				t.Fatalf("replication factor = %v, out of [1, machines]", rf)
 			}
-			// Every vertex's master must be among its replicas.
+			// A vertex's replicas are its master plus every machine with a
+			// local arc of it, ascending.
 			for v, reps := range p.Replicas {
-				found := false
-				for _, m := range reps {
-					if m == p.Master[v] {
-						found = true
+				var want []int32
+				for m, lg := range p.Local {
+					if int32(m) == p.Master[v] || lg.OutDegree(int32(v)) > 0 || lg.InDegree(int32(v)) > 0 {
+						want = append(want, int32(m))
 					}
 				}
-				if !found {
-					t.Fatalf("vertex %d: master %d not in replicas %v", v, p.Master[v], reps)
+				if !slices.Equal(reps, want) {
+					t.Fatalf("vertex %d: replicas %v, want %v (master %d)", v, reps, want, p.Master[v])
 				}
 			}
 		})

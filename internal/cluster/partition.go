@@ -80,16 +80,15 @@ func (p *VertexPartition) CutEdges(g *graph.Graph) int64 {
 // least one of its arcs.
 type EdgePartition struct {
 	Machines int
-	// Arcs[m] lists (src, dst) internal-index pairs assigned to machine m.
-	Arcs [][]Arc
+	// Local[m] is machine m's share of the arcs: a graph over all the
+	// vertices (graph.Split) holding the arcs placed on m.
+	Local []*graph.Graph
 	// Master[v] is the machine holding vertex v's master replica.
 	Master []int32
-	// Replicas[v] lists machines (including the master) holding v.
+	// Replicas[v] lists, ascending, the machines holding v: its master and
+	// every machine with a local arc of v.
 	Replicas [][]int32
 }
-
-// Arc is one directed arc in internal-index space.
-type Arc struct{ Src, Dst int32 }
 
 // PartitionEdges builds a vertex-cut: arcs are placed by a deterministic
 // hash of the edge, masters by vertex hash. For undirected graphs each
@@ -98,35 +97,14 @@ func PartitionEdges(g *graph.Graph, machines int) *EdgePartition {
 	n := g.NumVertices()
 	p := &EdgePartition{
 		Machines: machines,
-		Arcs:     make([][]Arc, machines),
+		Local:    g.Split(machines, func(src, dst int32) int { return edgeMachine(src, dst, machines) }),
 		Master:   make([]int32, n),
 		Replicas: make([][]int32, n),
 	}
-	present := make([][]bool, machines)
-	for m := range present {
-		present[m] = make([]bool, n)
-	}
 	for v := int32(0); v < int32(n); v++ {
 		p.Master[v] = int32(int(v) % machines)
-		present[p.Master[v]][v] = true
-	}
-	for v := int32(0); v < int32(n); v++ {
-		for _, u := range g.OutNeighbors(v) {
-			if !g.Directed() && u < v {
-				continue // place each undirected edge once
-			}
-			m := edgeMachine(v, u, machines)
-			p.Arcs[m] = append(p.Arcs[m], Arc{Src: v, Dst: u})
-			if !g.Directed() {
-				p.Arcs[m] = append(p.Arcs[m], Arc{Src: u, Dst: v})
-			}
-			present[m][v] = true
-			present[m][u] = true
-		}
-	}
-	for v := int32(0); v < int32(n); v++ {
-		for m := 0; m < machines; m++ {
-			if present[m][v] {
+		for m, lg := range p.Local {
+			if int32(m) == p.Master[v] || lg.OutDegree(v) > 0 || lg.InDegree(v) > 0 {
 				p.Replicas[v] = append(p.Replicas[v], int32(m))
 			}
 		}

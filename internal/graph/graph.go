@@ -170,6 +170,82 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
+// Split divides g's arcs among parts graphs: part p holds the arcs that
+// place puts on it. A directed arc (src, dst) goes to place(src, dst); an
+// undirected edge goes whole, both directions, to place(lo, hi) of its
+// endpoint indices. Every part has g's vertex indices and shares g's
+// identifier table, so it must not outlive g; its adjacency arrays are
+// its own, on the heap. A part's rows are the subsequences of g's rows,
+// in g's order, so they stay ascending. Two counting passes build each
+// direction, in O(n·parts + E) time and with no sort.
+func (g *Graph) Split(parts int, place func(src, dst int32) int) []*Graph {
+	out := func(v, u int32) int {
+		if !g.directed && u < v {
+			return place(u, v)
+		}
+		return place(v, u)
+	}
+	outOff, outAdj, outW := g.splitRows(parts, g.outOff, g.outAdj, g.outW, out)
+	inOff, inAdj, inW := outOff, outAdj, outW
+	if g.directed {
+		inOff, inAdj, inW = g.splitRows(parts, g.inOff, g.inAdj, g.inW, func(v, u int32) int { return place(u, v) })
+	}
+	gs := make([]*Graph, parts)
+	for p := range gs {
+		arcs := int64(len(outAdj[p]))
+		if !g.directed {
+			arcs /= 2
+		}
+		gs[p] = &Graph{
+			name: g.name, directed: g.directed, weighted: g.weighted, numEdges: arcs, ids: g.ids,
+			outOff: outOff[p], outAdj: outAdj[p], outW: outW[p],
+			inOff: inOff[p], inAdj: inAdj[p], inW: inW[p],
+		}
+	}
+	return gs
+}
+
+// splitRows distributes the CSR rows off/adj/w among parts: the entry u of
+// row v goes to part place(v, u). The first pass counts each part's row
+// lengths, the second copies every entry to its part's cursor in row
+// order.
+func (g *Graph) splitRows(parts int, off []int64, adj []int32, w []float64, place func(v, u int32) int) ([][]int64, [][]int32, [][]float64) {
+	n := len(g.ids)
+	offs, adjs, ws := make([][]int64, parts), make([][]int32, parts), make([][]float64, parts)
+	for p := range offs {
+		offs[p] = make([]int64, n+1)
+	}
+	for v := int32(0); v < int32(n); v++ {
+		for _, u := range adj[off[v]:off[v+1]] {
+			offs[place(v, u)][v+1]++
+		}
+	}
+	for p, o := range offs {
+		for v := 0; v < n; v++ {
+			o[v+1] += o[v]
+		}
+		adjs[p] = make([]int32, o[n])
+		if g.weighted {
+			ws[p] = make([]float64, o[n])
+		}
+	}
+	cur := make([]int64, parts)
+	for v := int32(0); v < int32(n); v++ {
+		for p := range cur {
+			cur[p] = offs[p][v]
+		}
+		for k := off[v]; k < off[v+1]; k++ {
+			p := place(v, adj[k])
+			adjs[p][cur[p]] = adj[k]
+			if g.weighted {
+				ws[p][cur[p]] = w[k]
+			}
+			cur[p]++
+		}
+	}
+	return offs, adjs, ws
+}
+
 // Edge is a single edge in external-identifier space, used by builders,
 // generators and the text formats.
 type Edge struct {

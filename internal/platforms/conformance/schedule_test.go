@@ -155,30 +155,40 @@ func TestNativeMatchesOracleBitForBit(t *testing.T) {
 }
 
 // TestRangeEnginesMatchOracleBitForBit holds spmv and pushpull BFS,
-// PageRank, WCC, CDLP and SSSP to the sequential oracles, floats bit for
-// bit, on one machine, on three, and on eight — more machines than
-// directed-small has vertices, so some own empty ranges. PageRank folds
-// the dangling mass from one ascending list through the oracle's block
-// tree and every per-vertex sum follows adjacency order; on the corpus
-// that tree is one block, so a graph of three blocks, whose machine ranges
-// do not line up with them, checks that spmv folds every block exactly
-// once and pushpull's fold crosses block boundaries. The other four are
-// reference kernels on the cluster runtime, its machines running their
-// ranges in turn within a round: a frontier stamp an earlier machine
-// leaves for the next CDLP round must not hide a vertex a later machine
-// still has to fold in this one, and every BFS and SSSP frontier vertex
-// must be expanded by exactly the machine that owns it.
+// PageRank, WCC, CDLP and SSSP, and gas BFS, WCC, CDLP, LCC and SSSP, to
+// the sequential oracles, floats bit for bit, on one machine, on three,
+// and on eight — more machines than directed-small has vertices, so some
+// own empty ranges. PageRank folds the dangling mass from one ascending
+// list through the oracle's block tree and every per-vertex sum follows
+// adjacency order; on the corpus that tree is one block, so a graph of
+// three blocks, whose machine ranges do not line up with them, checks
+// that spmv folds every block exactly once and pushpull's fold crosses
+// block boundaries. The other four are reference kernels on the cluster
+// runtime, its machines running their ranges in turn within a round: a
+// frontier stamp an earlier machine leaves for the next CDLP round must
+// not hide a vertex a later machine still has to fold in this one, and
+// every BFS and SSSP frontier vertex must be expanded by exactly the
+// machine that owns it. gas runs its own loops over a vertex-cut, every
+// machine expanding the whole frontier against its share of the arcs;
+// its PageRank adds per-machine partial sums, so its ranks are validated
+// within epsilon and stay out of this test.
 func TestRangeEnginesMatchOracleBitForBit(t *testing.T) {
 	platforms.RegisterAll()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	ctx := context.Background()
+	rangeAlgos := []algorithms.Algorithm{algorithms.BFS, algorithms.PR, algorithms.WCC, algorithms.CDLP, algorithms.SSSP}
+	gasAlgos := []algorithms.Algorithm{algorithms.BFS, algorithms.WCC, algorithms.CDLP, algorithms.LCC, algorithms.SSSP}
 	deployments := []struct {
 		name     string
 		machines int
-	}{{"spmv-s", 1}, {"spmv-d", 1}, {"spmv-d", 3}, {"spmv-d", 8}, {"pushpull", 1}, {"pushpull", 3}, {"pushpull", 8}}
-	algos := []algorithms.Algorithm{algorithms.BFS, algorithms.PR, algorithms.WCC, algorithms.CDLP, algorithms.SSSP}
+		algos    []algorithms.Algorithm
+	}{
+		{"spmv-s", 1, rangeAlgos}, {"spmv-d", 1, rangeAlgos}, {"spmv-d", 3, rangeAlgos}, {"spmv-d", 8, rangeAlgos},
+		{"pushpull", 1, rangeAlgos}, {"pushpull", 3, rangeAlgos}, {"pushpull", 8, rangeAlgos},
+		{"gas", 1, gasAlgos}, {"gas", 3, gasAlgos}, {"gas", 8, gasAlgos},
+	}
 	for _, c := range append(conformance.Corpus(), append(scheduleCorpus(t), blocksCase(t))...) {
-		for _, a := range algos {
+		for _, a := range algorithms.All {
 			if a == algorithms.SSSP && !c.Graph.Weighted() {
 				continue
 			}
@@ -188,7 +198,7 @@ func TestRangeEnginesMatchOracleBitForBit(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !p.Supports(a) {
+				if !slices.Contains(d.algos, a) || !p.Supports(a) {
 					continue // spmv-s has no SSSP
 				}
 				for _, threads := range []int{1, 3, 8} {

@@ -2,6 +2,7 @@ package gas
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"graphalytics/internal/graph"
@@ -38,6 +39,15 @@ func allocGraph(t testing.TB, n, deg int, weighted bool) *graph.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// oneHostWorker runs the test's uploads on one host goroutine, so every
+// simulated thread's chunk runs inline and an exact allocation count is
+// the engine's own: a region that borrows helpers takes its dispatch
+// state from a sync.Pool, which the race detector empties at random.
+func oneHostWorker(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // TestCDLPSteadyStateAllocs guards the frontier CDLP path: the dirty and
@@ -113,5 +123,59 @@ func TestBFSSteadyStateAllocs(t *testing.T) {
 	if allocs > 128 {
 		t.Fatalf("steady-state BFS run allocated %.0f objects, want <= 128 "+
 			"(per-level allocation has regressed)", allocs)
+	}
+}
+
+// TestPRSteadyStateAllocs guards the bound PageRank rounds: the round
+// bodies are built once per run and the dangling partials pooled, so a
+// run of 40 iterations allocates exactly what a run of 5 does.
+func TestPRSteadyStateAllocs(t *testing.T) {
+	oneHostWorker(t)
+	g := allocGraph(t, 4000, 4, false)
+	up, err := New().Upload(g, platform.RunConfig{Threads: 4, Machines: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := up.(*uploaded)
+	defer u.Free()
+	allocs := func(iterations int) float64 {
+		run := func() {
+			if _, err := prGAS(context.Background(), u, iterations, 0.85); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm-up: grows the pooled partials
+		return testing.AllocsPerRun(3, run)
+	}
+	if short, long := allocs(5), allocs(40); short != long {
+		t.Fatalf("PageRank allocated %.0f objects at 5 iterations and %.0f at 40 "+
+			"(per-iteration allocation has regressed)", short, long)
+	}
+}
+
+// TestLCCSteadyStateAllocs guards the pooled LCC gather: neighborhoods
+// land in one buffer at the CDLP layout's offsets and are sorted and
+// deduplicated in place, so after warm-up a run on 8 000 vertices
+// allocates exactly what a run on 500 does.
+func TestLCCSteadyStateAllocs(t *testing.T) {
+	oneHostWorker(t)
+	allocs := func(n int) float64 {
+		up, err := New().Upload(allocGraph(t, n, 4, false), platform.RunConfig{Threads: 4, Machines: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := up.(*uploaded)
+		defer u.Free()
+		run := func() {
+			if _, err := lccGAS(context.Background(), u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm-up: grows the pooled scratch
+		return testing.AllocsPerRun(3, run)
+	}
+	if small, large := allocs(500), allocs(8000); small != large {
+		t.Fatalf("LCC allocated %.0f objects on 500 vertices and %.0f on 8 000 "+
+			"(per-vertex allocation has regressed)", small, large)
 	}
 }

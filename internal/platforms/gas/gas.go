@@ -17,8 +17,6 @@ package gas
 import (
 	"context"
 	"fmt"
-	"slices"
-	"sort"
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
@@ -66,48 +64,12 @@ func New() platform.Platform {
 	})
 }
 
-// machineArcs holds one machine's share of the vertex-cut: arcs sorted by
-// (src, dst) with parallel weights, plus a compacted by-source index so
-// frontier algorithms can expand only active sources.
-type machineArcs struct {
-	arcs []cluster.Arc
-	w    []float64 // nil when unweighted
-	srcs []int32   // distinct sources, ascending
-	off  []int32   // arc range of srcs[i] is arcs[off[i]:off[i+1]]
-
-	// dstOrder is a permutation of arc indices sorted by (dst, src); it
-	// drives the gather phase, in which each destination group is folded
-	// by exactly one thread, keeping accumulation deterministic without a
-	// second copy of the arc array. srcByDst materializes the arc sources
-	// in that order so label gathers read one flat int32 array instead of
-	// chasing the permutation into the arc structs.
-	dstOrder []int32
-	srcByDst []int32
-	dsts     []int32
-	doff     []int32
-}
-
-// arcByDst returns the k-th arc in destination order.
-func (ma *machineArcs) arcByDst(k int32) cluster.Arc { return ma.arcs[ma.dstOrder[k]] }
-
-// arcsOf returns the local arcs and weights out of source v.
-func (ma *machineArcs) arcsOf(v int32) ([]cluster.Arc, []float64) {
-	i := sort.Search(len(ma.srcs), func(i int) bool { return ma.srcs[i] >= v })
-	if i == len(ma.srcs) || ma.srcs[i] != v {
-		return nil, nil
-	}
-	lo, hi := ma.off[i], ma.off[i+1]
-	if ma.w == nil {
-		return ma.arcs[lo:hi], nil
-	}
-	return ma.arcs[lo:hi], ma.w[lo:hi]
-}
-
 type uploaded struct {
 	platform.BaseUpload
+	// part is the vertex-cut: machine m's arcs are the graph part.Local[m],
+	// over all the vertices, so the kernels' gathers and frontiers read
+	// neighbour slices.
 	part *cluster.EdgePartition
-	// local[m] is machine m's arc store.
-	local []*machineArcs
 	// replicaCount[v] = number of machines holding v.
 	replicaCount []int32
 	// mirrorCount[m] = number of vertices mirrored (non-master) on m,
@@ -117,30 +79,34 @@ type uploaded struct {
 	bcastCount  []int64
 	// masterVerts[m] lists the vertices mastered on machine m.
 	masterVerts [][]int32
-	// labelOff is the static CSR layout of the CDLP label gather: vertex
-	// v's incoming labels land in labelBuf[labelOff[v]:labelOff[v+1]].
+	// labelOff is the static CSR layout of the CDLP label gather and the
+	// LCC neighbourhood gather: vertex v's entries land in
+	// labelBuf[labelOff[v]:labelOff[v+1]], one per in-arc, plus one per
+	// out-arc in directed graphs, on whichever machine the arc sits.
 	// Every iteration gathers every arc, so the per-vertex capacity is a
-	// property of the partition, computed once here; the flat buffer
-	// itself is job-lifetime scratch.
-	labelOff   []int32
-	labelTotal int
+	// property of the graph, computed once here; the flat buffer itself
+	// is job-lifetime scratch.
+	labelOff []int32
 	// scratch caches the gather plane (flat label buffer, write cursors,
 	// label histogram) between Execute calls.
 	scratch mplane.Pool
 }
 
-// load builds the vertex-cut and each machine's sorted arc store; the
-// context is checked between per-machine arc-store builds (the expensive
-// sorts) and before the label layout.
+// load builds the vertex-cut, one graph per machine (graph.Split, no
+// sort), and the gather layout.
 func load(ctx context.Context, g *graph.Graph, cl *cluster.Cluster) (*uploaded, []int64, error) {
 	part := cluster.PartitionEdges(g, cl.Machines())
+	if err := platform.CheckContext(ctx); err != nil {
+		return nil, nil, err
+	}
+	n := g.NumVertices()
 	u := &uploaded{
 		part:         part,
-		local:        make([]*machineArcs, cl.Machines()),
-		replicaCount: make([]int32, g.NumVertices()),
+		replicaCount: make([]int32, n),
 		mirrorCount:  make([]int64, cl.Machines()),
 		bcastCount:   make([]int64, cl.Machines()),
 		masterVerts:  make([][]int32, cl.Machines()),
+		labelOff:     make([]int32, n+1),
 	}
 	for v, reps := range part.Replicas {
 		u.replicaCount[v] = int32(len(reps))
@@ -153,107 +119,27 @@ func load(ctx context.Context, g *graph.Graph, cl *cluster.Cluster) (*uploaded, 
 			}
 		}
 	}
-	bytes := make([]int64, cl.Machines())
-	for m := range u.local {
-		if err := platform.CheckContext(ctx); err != nil {
-			return nil, nil, err
-		}
-		u.local[m] = buildMachineArcs(g, part.Arcs[m])
-		// Arc array, weights, destination-order index, mirror tables.
-		perArc := int64(12)
-		if g.Weighted() {
-			perArc += 8
-		}
-		bytes[m] = int64(len(u.local[m].arcs))*perArc + int64(u.mirrorCount[m])*16
-	}
-	if err := platform.CheckContext(ctx); err != nil {
-		return nil, nil, err
-	}
-	u.buildLabelLayout(g)
-	return u, bytes, nil
-}
-
-// buildLabelLayout sizes the CDLP gather: vertex v receives one label per
-// local in-arc on every machine, plus one per local out-arc in directed
-// graphs — mirroring exactly the writes cdlpGAS performs each iteration.
-func (u *uploaded) buildLabelLayout(g *graph.Graph) {
-	n := g.NumVertices()
-	cnt := make([]int32, n)
-	for _, ma := range u.local {
-		for i, dst := range ma.dsts {
-			cnt[dst] += ma.doff[i+1] - ma.doff[i]
-		}
+	for v := int32(0); v < int32(n); v++ {
+		d := g.InDegree(v)
 		if g.Directed() {
-			for i, src := range ma.srcs {
-				cnt[src] += ma.off[i+1] - ma.off[i]
-			}
+			d += g.OutDegree(v)
 		}
+		u.labelOff[v+1] = u.labelOff[v] + int32(d)
 	}
-	u.labelOff = make([]int32, n+1)
-	var total int32
-	for v := 0; v < n; v++ {
-		u.labelOff[v] = total
-		total += cnt[v]
-	}
-	u.labelOff[n] = total
-	u.labelTotal = int(total)
-}
-
-// buildMachineArcs sorts a machine's arcs by source and attaches weights
-// and the by-source index.
-func buildMachineArcs(g *graph.Graph, arcs []cluster.Arc) *machineArcs {
-	sorted := append([]cluster.Arc(nil), arcs...)
-	slices.SortFunc(sorted, func(a, b cluster.Arc) int {
-		if a.Src != b.Src {
-			return int(a.Src) - int(b.Src)
-		}
-		return int(a.Dst) - int(b.Dst)
-	})
-	ma := &machineArcs{arcs: sorted}
+	// The bytes model PowerGraph's layout, not this one: an arc array,
+	// weights and a destination-order index per local arc, and the mirror
+	// tables.
+	perArc := int64(12)
 	if g.Weighted() {
-		ma.w = make([]float64, len(sorted))
-		for i, a := range sorted {
-			ma.w[i] = edgeWeight(g, a.Src, a.Dst)
+		perArc += 8
+	}
+	bytes := make([]int64, cl.Machines())
+	for m, lg := range part.Local {
+		arcs := lg.NumEdges()
+		if !g.Directed() {
+			arcs *= 2
 		}
+		bytes[m] = arcs*perArc + u.mirrorCount[m]*16
 	}
-	for i, a := range sorted {
-		if i == 0 || a.Src != sorted[i-1].Src {
-			ma.srcs = append(ma.srcs, a.Src)
-			ma.off = append(ma.off, int32(i))
-		}
-	}
-	ma.off = append(ma.off, int32(len(sorted)))
-
-	ma.dstOrder = make([]int32, len(sorted))
-	for i := range ma.dstOrder {
-		ma.dstOrder[i] = int32(i)
-	}
-	slices.SortFunc(ma.dstOrder, func(i, j int32) int {
-		a, b := sorted[i], sorted[j]
-		if a.Dst != b.Dst {
-			return int(a.Dst) - int(b.Dst)
-		}
-		return int(a.Src) - int(b.Src)
-	})
-	ma.srcByDst = make([]int32, len(sorted))
-	for i, k := range ma.dstOrder {
-		a := sorted[k]
-		ma.srcByDst[i] = a.Src
-		if i == 0 || a.Dst != sorted[ma.dstOrder[i-1]].Dst {
-			ma.dsts = append(ma.dsts, a.Dst)
-			ma.doff = append(ma.doff, int32(i))
-		}
-	}
-	ma.doff = append(ma.doff, int32(len(sorted)))
-	return ma
-}
-
-// edgeWeight looks up the weight of arc (src, dst) in the original graph.
-func edgeWeight(g *graph.Graph, src, dst int32) float64 {
-	adj := g.OutNeighbors(src)
-	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= dst })
-	if i < len(adj) && adj[i] == dst {
-		return g.OutWeights(src)[i]
-	}
-	return 0
+	return u, bytes, nil
 }

@@ -4,23 +4,24 @@ import (
 	"context"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
+	"graphalytics/internal/graph"
 	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
 )
 
-// gasScratch is the engine's job-lifetime working state for CDLP and
-// SSSP: the flat label buffer laid out by the upload's static CSR
-// offsets, the per-vertex write cursors, the dense label histogram, the
-// CDLP frontier flags, and the SSSP relaxation plane (distance bits,
-// claim stamps, per-machine discovery lists, the frontier and its
-// round-start distances). Checked out of the uploaded state's pool per
-// Execute, so steady-state iterations allocate nothing.
+// gasScratch is the engine's job-lifetime working state: the flat gather
+// buffer laid out by the upload's static CSR offsets (CDLP's labels,
+// LCC's neighbourhoods), the per-vertex write cursors, the dense label
+// histogram, the CDLP frontier flags, the per-thread round partials, and
+// the traversal plane (SSSP's distance bits and claim stamps, the
+// per-machine discovery lists, the frontier and its round-start
+// distances). Checked out of the uploaded state's pool per Execute, so
+// steady-state iterations allocate nothing.
 type gasScratch struct {
-	labelBuf []int32 // gathered neighbor labels (internal-index domain)
+	labelBuf []int32 // gathered neighbor labels (internal-index domain) or neighbours
 	labels   []int32 // CDLP working labels
 	pos      []int32
 	counts   mplane.WorkerCounts // per-thread apply counters
@@ -30,6 +31,7 @@ type gasScratch struct {
 	wireParts  []int64
 	bcastParts []int64
 	countParts []int
+	rankParts  []float64
 
 	bits    []uint64  // sssp tentative distances (float64 bits)
 	claimed []uint32  // per-round discovery claims
@@ -45,15 +47,20 @@ func acquireScratch(u *uploaded) *gasScratch {
 }
 
 // prGAS runs PageRank as dense synchronous GAS iterations: the gather
-// round folds contrib over each machine's destination groups, the apply
-// round updates mastered vertices and recomputes contributions for the
-// broadcast back to mirrors.
+// round folds contrib over each machine's local in-rows, the apply round
+// updates mastered vertices and recomputes contributions for the
+// broadcast back to mirrors. The round bodies are bound once and the
+// dangling partials pooled, so an iteration allocates nothing.
 func prGAS(ctx context.Context, u *uploaded, iterations int, damping float64) ([]float64, error) {
 	g, cl := u.G, u.Cl
 	n := g.NumVertices()
 	if n == 0 {
 		return nil, nil
 	}
+	sc := acquireScratch(u)
+	defer u.scratch.Put(sc)
+	sc.rankParts = mplane.Grow(sc.rankParts, cl.Threads())
+	parts := sc.rankParts
 	inv := 1.0 / float64(n)
 	rank := make([]float64, n)
 	contrib := make([]float64, n)
@@ -69,59 +76,68 @@ func prGAS(ctx context.Context, u *uploaded, iterations int, damping float64) ([
 		}
 	}
 	danglingParts := make([]float64, cl.Machines())
+	var (
+		lg    *graph.Graph // the machine whose gather runs
+		verts []int32      // the vertices mastered by the machine whose apply runs
+		base  float64
+	)
+	gatherChunk := func(lo, hi int) {
+		//graphalint:orderfree one thread folds each in-row in ascending source order; machines add their row sums sequentially in machine order (RunRound contract)
+		for v := int32(lo); v < int32(hi); v++ {
+			if ns := lg.InNeighbors(v); len(ns) > 0 {
+				sum := 0.0
+				for _, src := range ns {
+					sum += contrib[src]
+				}
+				acc[v] += sum // sequential machines: no cross-machine race
+			}
+		}
+	}
+	gather := func(mach int, th *cluster.Threads) error {
+		lg = u.part.Local[mach]
+		th.Chunks(n, gatherChunk)
+		mirrorGatherBytes(u, mach, 8)
+		return nil
+	}
+	applyChunk := func(w, lo, hi int) {
+		var d float64
+		//graphalint:orderfree per-chunk fold in vertex order over a fixed [lo, hi) chunk
+		for _, v := range verts[lo:hi] {
+			nv := base + damping*acc[v]
+			rank[v] = nv
+			acc[v] = 0
+			if deg := g.OutDegree(v); deg > 0 {
+				contrib[v] = nv / float64(deg)
+			} else {
+				d += nv
+			}
+		}
+		parts[w] = d
+	}
+	// Apply + scatter: masters update their vertices, recompute
+	// contributions and dangling mass, and broadcast to mirrors.
+	apply := func(mach int, th *cluster.Threads) error {
+		verts = u.masterVerts[mach]
+		clear(parts)
+		th.ChunksIndexed(len(verts), applyChunk)
+		var d float64
+		//graphalint:orderfree chunk partials folded in worker-index order; geometry fixed by the simulated thread config, not host parallelism
+		for _, x := range parts {
+			d += x
+		}
+		danglingParts[mach] = d
+		cl.Send(mach, (mach+1)%cl.Machines(), u.bcastCount[mach]*8)
+		return nil
+	}
 	for it := 0; it < iterations; it++ {
 		if err := platform.CheckContext(ctx); err != nil {
 			return nil, err
 		}
-		// Gather: fold local arcs by destination group.
-		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-			ma := u.local[mach]
-			th.Chunks(len(ma.dsts), func(lo, hi int) {
-				//graphalint:orderfree arc fold follows the materialized doff order; machines add their group sums sequentially in machine order (RunRound contract)
-				for i := lo; i < hi; i++ {
-					dst := ma.dsts[i]
-					sum := 0.0
-					for k := ma.doff[i]; k < ma.doff[i+1]; k++ {
-						sum += contrib[ma.arcByDst(k).Src]
-					}
-					acc[dst] += sum // sequential machines: no cross-machine race
-				}
-			})
-			mirrorGatherBytes(u, mach, 8)
-			return nil
-		}); err != nil {
+		if err := cl.RunRound(gather); err != nil {
 			return nil, err
 		}
-		base := (1-damping)*inv + damping*dangling*inv
-		// Apply + scatter: masters update their vertices, recompute
-		// contributions and dangling mass, and broadcast to mirrors.
-		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-			verts := u.masterVerts[mach]
-			parts := make([]float64, th.Count())
-			th.ChunksIndexed(len(verts), func(w, lo, hi int) {
-				var d float64
-				//graphalint:orderfree per-chunk fold in vertex order over a fixed [lo, hi) chunk
-				for _, v := range verts[lo:hi] {
-					nv := base + damping*acc[v]
-					rank[v] = nv
-					acc[v] = 0
-					if deg := g.OutDegree(v); deg > 0 {
-						contrib[v] = nv / float64(deg)
-					} else {
-						d += nv
-					}
-				}
-				parts[w] += d
-			})
-			var d float64
-			//graphalint:orderfree chunk partials folded in worker-index order; geometry fixed by the simulated thread config, not host parallelism
-			for _, x := range parts {
-				d += x
-			}
-			danglingParts[mach] = d
-			cl.Send(mach, (mach+1)%cl.Machines(), u.bcastCount[mach]*8)
-			return nil
-		}); err != nil {
+		base = (1-damping)*inv + damping*dangling*inv
+		if err := cl.RunRound(apply); err != nil {
 			return nil, err
 		}
 		dangling = 0
@@ -141,52 +157,68 @@ func mirrorGatherBytes(u *uploaded, mach int, valueBytes int64) {
 	u.Cl.Send(mach, (mach+1)%u.Cl.Machines(), u.mirrorCount[mach]*valueBytes)
 }
 
-// bfsGAS expands a global frontier over each machine's local arcs; newly
-// discovered vertices are synchronized master-to-mirror before the next
-// level.
+// frontierRounds is the traversal loop of bfsGAS and ssspGAS: from the
+// frontier {source}, one round per frontier until a round discovers
+// nothing, begin running before each. In a round every machine runs
+// expand over worker chunks of the whole frontier, positions [lo, hi) of
+// sc.front, against its local graph, and sends each vertex it claimed
+// to the vertex's master, unless it is that master, and to every other
+// replica, at each bytes a copy. The next frontier is the machines'
+// claims in machine order.
+func (u *uploaded) frontierRounds(ctx context.Context, sc *gasScratch, source int32, each int64, begin func(), expand func(lg *graph.Graph, lo, hi int, out []int32) []int32) error {
+	cl := u.Cl
+	if len(sc.disc) != cl.Machines() {
+		sc.disc = make([][]int32, cl.Machines())
+	}
+	sc.front = append(sc.front[:0], source)
+	var lg *graph.Graph // the machine whose round runs
+	chunk := func(_, lo, hi int, out []int32) []int32 { return expand(lg, lo, hi, out) }
+	round := func(mach int, th *cluster.Threads) error {
+		lg = u.part.Local[mach]
+		sc.disc[mach] = th.Collect(len(sc.front), sc.disc[mach], chunk)
+		var wire int64
+		for _, d := range sc.disc[mach] {
+			if int(u.part.Master[d]) != mach {
+				wire += each
+			}
+			wire += int64(u.replicaCount[d]-1) * each
+		}
+		cl.Send(mach, (mach+1)%cl.Machines(), wire)
+		return nil
+	}
+	for len(sc.front) > 0 {
+		if err := platform.CheckContext(ctx); err != nil {
+			return err
+		}
+		begin()
+		if err := cl.RunRound(round); err != nil {
+			return err
+		}
+		sc.front = sc.front[:0]
+		for _, list := range sc.disc {
+			sc.front = append(sc.front, list...)
+		}
+	}
+	return nil
+}
+
+// bfsGAS expands the frontier level by level (algorithms.BFSExpand over
+// each machine's local graph); newly discovered vertices are synchronized
+// master-to-mirror before the next level.
 func bfsGAS(ctx context.Context, u *uploaded, source int32) ([]int64, error) {
-	g, cl := u.G, u.Cl
-	n := g.NumVertices()
-	depth := make([]int64, n)
+	sc := acquireScratch(u)
+	defer u.scratch.Put(sc)
+	depth := make([]int64, u.G.NumVertices())
 	for i := range depth {
 		depth[i] = algorithms.Unreachable
 	}
 	depth[source] = 0
-	frontier := []int32{source}
-	discovered := make([][]int32, cl.Machines())
-	for level := int64(1); len(frontier) > 0; level++ {
-		if err := platform.CheckContext(ctx); err != nil {
-			return nil, err
-		}
-		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-			ma := u.local[mach]
-			discovered[mach] = th.Collect(len(frontier), discovered[mach], func(_, lo, hi int, out []int32) []int32 {
-				for _, v := range frontier[lo:hi] {
-					arcs, _ := ma.arcsOf(v)
-					for _, a := range arcs {
-						if atomic.CompareAndSwapInt64(&depth[a.Dst], algorithms.Unreachable, level) {
-							out = append(out, a.Dst)
-						}
-					}
-				}
-				return out
-			})
-			var toMasters, bcast int64
-			for _, d := range discovered[mach] {
-				if int(u.part.Master[d]) != mach {
-					toMasters += 12
-				}
-				bcast += int64(u.replicaCount[d]-1) * 12
-			}
-			cl.Send(mach, (mach+1)%cl.Machines(), toMasters+bcast)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		frontier = frontier[:0]
-		for _, list := range discovered {
-			frontier = append(frontier, list...)
-		}
+	level := int64(0)
+	err := u.frontierRounds(ctx, sc, source, 12, func() { level++ }, func(lg *graph.Graph, lo, hi int, out []int32) []int32 {
+		return algorithms.BFSExpand(lg, depth, sc.front[lo:hi], level, out)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return depth, nil
 }
@@ -196,6 +228,11 @@ func bfsGAS(ctx context.Context, u *uploaded, source int32) ([]int64, error) {
 func wccGAS(ctx context.Context, u *uploaded) ([]int64, error) {
 	g, cl := u.G, u.Cl
 	n := g.NumVertices()
+	sc := acquireScratch(u)
+	defer u.scratch.Put(sc)
+	sc.bcastParts = mplane.Grow(sc.bcastParts, cl.Threads())
+	sc.countParts = mplane.Grow(sc.countParts, cl.Threads())
+	bcastParts, countParts := sc.bcastParts, sc.countParts
 	const maxLabel = int32(math.MaxInt32)
 	labels := make([]int32, n)
 	acc := make([]int32, n)
@@ -203,84 +240,72 @@ func wccGAS(ctx context.Context, u *uploaded) ([]int64, error) {
 		labels[i] = int32(i)
 		acc[i] = maxLabel
 	}
-	changed := make([]bool, cl.Machines())
+	var (
+		lg      *graph.Graph // the machine whose gather runs
+		verts   []int32      // the vertices mastered by the machine whose apply runs
+		changed int
+	)
+	// Gather: min over in-arcs and, because components are weak, over
+	// out-arcs.
+	gatherChunk := func(lo, hi int) {
+		for v := int32(lo); v < int32(hi); v++ {
+			best := acc[v]
+			for _, src := range lg.InNeighbors(v) {
+				best = min(best, labels[src])
+			}
+			if g.Directed() {
+				for _, dst := range lg.OutNeighbors(v) {
+					best = min(best, labels[dst])
+				}
+			}
+			acc[v] = best
+		}
+	}
+	gather := func(mach int, th *cluster.Threads) error {
+		lg = u.part.Local[mach]
+		th.Chunks(n, gatherChunk)
+		mirrorGatherBytes(u, mach, 4)
+		return nil
+	}
+	applyChunk := func(w, lo, hi int) {
+		cnt := 0
+		var bc int64
+		for _, v := range verts[lo:hi] {
+			if acc[v] < labels[v] {
+				labels[v] = acc[v]
+				cnt++
+				bc += int64(u.replicaCount[v]-1) * 8
+			}
+			acc[v] = maxLabel
+		}
+		countParts[w], bcastParts[w] = cnt, bc
+	}
+	// Apply on masters; broadcast changed labels.
+	apply := func(mach int, th *cluster.Threads) error {
+		verts = u.masterVerts[mach]
+		clear(bcastParts)
+		clear(countParts)
+		th.ChunksIndexed(len(verts), applyChunk)
+		var bcast int64
+		for w, b := range bcastParts {
+			bcast += b
+			changed += countParts[w]
+		}
+		cl.Send(mach, (mach+1)%cl.Machines(), bcast)
+		return nil
+	}
 	for {
 		if err := platform.CheckContext(ctx); err != nil {
 			return nil, err
 		}
-		// Gather: min over in-arcs (by-dst groups) and, because components
-		// are weak, min over out-arcs (by-src groups).
-		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-			ma := u.local[mach]
-			th.Chunks(len(ma.dsts), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					dst := ma.dsts[i]
-					best := acc[dst]
-					for k := ma.doff[i]; k < ma.doff[i+1]; k++ {
-						if l := labels[ma.arcByDst(k).Src]; l < best {
-							best = l
-						}
-					}
-					acc[dst] = best
-				}
-			})
-			if g.Directed() {
-				th.Chunks(len(ma.srcs), func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						src := ma.srcs[i]
-						best := acc[src]
-						for _, a := range ma.arcs[ma.off[i]:ma.off[i+1]] {
-							if l := labels[a.Dst]; l < best {
-								best = l
-							}
-						}
-						acc[src] = best
-					}
-				})
-			}
-			mirrorGatherBytes(u, mach, 4)
-			return nil
-		}); err != nil {
+		if err := cl.RunRound(gather); err != nil {
 			return nil, err
 		}
-		// Apply on masters; broadcast changed labels.
-		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-			verts := u.masterVerts[mach]
-			parts := make([]bool, th.Count())
-			var bcast int64
-			bcastParts := make([]int64, th.Count())
-			th.ChunksIndexed(len(verts), func(w, lo, hi int) {
-				ch := false
-				var bc int64
-				for _, v := range verts[lo:hi] {
-					if acc[v] < labels[v] {
-						labels[v] = acc[v]
-						ch = true
-						bc += int64(u.replicaCount[v]-1) * 8
-					}
-					acc[v] = maxLabel
-				}
-				parts[w] = ch
-				bcastParts[w] = bc
-			})
-			ch := false
-			for _, p := range parts {
-				ch = ch || p
-			}
-			for _, b := range bcastParts {
-				bcast += b
-			}
-			changed[mach] = ch
-			cl.Send(mach, (mach+1)%cl.Machines(), bcast)
-			return nil
-		}); err != nil {
+		changed = 0
+		if err := cl.RunRound(apply); err != nil {
 			return nil, err
 		}
-		any := false
-		for _, c := range changed {
-			any = any || c
-		}
-		if !any {
+		if changed == 0 {
 			break
 		}
 	}
@@ -310,12 +335,13 @@ func wccGAS(ctx context.Context, u *uploaded) ([]int64, error) {
 // the master broadcast shrink to the changed set (mirror updates are
 // charged per changed replica, as in wccGAS, instead of the dense
 // bcastCount), and the loop ends early at a fixpoint. The dirty flags are
-// rebuilt between rounds from the changed set by rescanning the local arc
-// groups — uncharged harness bookkeeping, like pregel's active-list
-// rebuild; the modeled frontier-maintenance cost is the gated
-// gather/broadcast traffic itself. While the changed set still blankets
-// the graph the rebuild is skipped and the next round runs dense
-// (algorithms.CDLPScatterWorthwhile; over-marking is exact).
+// rebuilt between rounds from the changed set by rescanning the graph's
+// rows, which the machines' local rows partition — uncharged harness
+// bookkeeping, like pregel's active-list rebuild; the modeled
+// frontier-maintenance cost is the gated gather/broadcast traffic itself.
+// While the changed set still blankets the graph the rebuild is skipped
+// and the next round runs dense (algorithms.CDLPScatterWorthwhile;
+// over-marking is exact).
 func cdlpGAS(ctx context.Context, u *uploaded, iterations int) ([]int64, error) {
 	g, cl := u.G, u.Cl
 	n := g.NumVertices()
@@ -331,7 +357,7 @@ func cdlpGAS(ctx context.Context, u *uploaded, iterations int) ([]int64, error) 
 	for v := int32(0); v < int32(n); v++ {
 		labels[v] = v
 	}
-	sc.labelBuf = mplane.Grow(sc.labelBuf, u.labelTotal)
+	sc.labelBuf = mplane.Grow(sc.labelBuf, int(u.labelOff[n]))
 	sc.pos = mplane.Grow(sc.pos, n)
 	copy(sc.pos, u.labelOff[:n])
 	sc.dirty = mplane.Grow(sc.dirty, n)
@@ -346,43 +372,37 @@ func cdlpGAS(ctx context.Context, u *uploaded, iterations int) ([]int64, error) 
 	var (
 		dense = true // round zero treats every vertex as dirty
 		first bool
-		mach  int // the machine whose round the bodies below run in
-		ma    *machineArcs
+		mach  int          // the machine whose round the bodies below run in
+		lg    *graph.Graph // its local graph
 		verts []int32
 	)
-	gatherIn := func(w, lo, hi int) {
+	// A vertex gathers the labels of its local in-neighbors and, in
+	// directed graphs, out-neighbors; only the in-neighbors' labels are
+	// charged as wire bytes.
+	gatherChunk := func(w, lo, hi int) {
 		var bytes int64
-		for i := lo; i < hi; i++ {
-			dst := ma.dsts[i]
-			if !dense && !dirty[dst] {
+		for v := int32(lo); v < int32(hi); v++ {
+			if !dense && !dirty[v] {
 				continue
 			}
-			p := pos[dst]
-			for _, src := range ma.srcByDst[ma.doff[i]:ma.doff[i+1]] {
+			p := pos[v]
+			in := lg.InNeighbors(v)
+			for _, src := range in {
 				labelBuf[p] = labels[src]
 				p++
 			}
-			pos[dst] = p
-			if int(u.part.Master[dst]) != mach {
-				bytes += int64(ma.doff[i+1]-ma.doff[i]) * 8
+			if g.Directed() {
+				for _, dst := range lg.OutNeighbors(v) {
+					labelBuf[p] = labels[dst]
+					p++
+				}
+			}
+			pos[v] = p
+			if int(u.part.Master[v]) != mach {
+				bytes += int64(len(in)) * 8
 			}
 		}
 		wireParts[w] = bytes
-	}
-	// Out-neighbor labels also count in directed graphs.
-	gatherOut := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			src := ma.srcs[i]
-			if !dense && !dirty[src] {
-				continue
-			}
-			p := pos[src]
-			for _, a := range ma.arcs[ma.off[i]:ma.off[i+1]] {
-				labelBuf[p] = labels[a.Dst]
-				p++
-			}
-			pos[src] = p
-		}
 	}
 	apply := func(w, lo, hi int) {
 		var bc int64
@@ -399,12 +419,7 @@ func cdlpGAS(ctx context.Context, u *uploaded, iterations int) ([]int64, error) 
 				if first && !g.Directed() {
 					// Identity labels are all distinct, so the
 					// mode is the segment minimum.
-					nl = seg[0]
-					for _, l := range seg[1:] {
-						if l < nl {
-							nl = l
-						}
-					}
+					nl = slices.Min(seg)
 				} else {
 					for _, l := range seg {
 						counts.Add(l)
@@ -424,12 +439,9 @@ func cdlpGAS(ctx context.Context, u *uploaded, iterations int) ([]int64, error) 
 		countParts[w] = cnt
 	}
 	gather := func(m int, th *cluster.Threads) error {
-		mach, ma = m, u.local[m]
+		mach, lg = m, u.part.Local[m]
 		clear(wireParts)
-		th.ChunksIndexed(len(ma.dsts), gatherIn)
-		if g.Directed() {
-			th.Chunks(len(ma.srcs), gatherOut)
-		}
+		th.ChunksIndexed(n, gatherChunk)
 		var wire int64
 		for _, b := range wireParts {
 			wire += b
@@ -453,6 +465,7 @@ func cdlpGAS(ctx context.Context, u *uploaded, iterations int) ([]int64, error) 
 		cl.Send(m, (m+1)%cl.Machines(), bcast)
 		return nil
 	}
+	isChanged := func(v int32) bool { return changed[v] }
 	for it := 0; it < iterations; it++ {
 		if err := platform.CheckContext(ctx); err != nil {
 			return nil, err
@@ -472,33 +485,9 @@ func cdlpGAS(ctx context.Context, u *uploaded, iterations int) ([]int64, error) 
 		if !dense && it+1 < iterations {
 			// Uncharged frontier rebuild: a vertex is dirty next round iff
 			// one of the endpoints its gather reads from changed this round.
-			clear(dirty)
-			for m := 0; m < cl.Machines(); m++ {
-				ma := u.local[m]
-				for i, dst := range ma.dsts {
-					if dirty[dst] {
-						continue
-					}
-					for _, src := range ma.srcByDst[ma.doff[i]:ma.doff[i+1]] {
-						if changed[src] {
-							dirty[dst] = true
-							break
-						}
-					}
-				}
-				if g.Directed() {
-					for i, src := range ma.srcs {
-						if dirty[src] {
-							continue
-						}
-						for _, a := range ma.arcs[ma.off[i]:ma.off[i+1]] {
-							if changed[a.Dst] {
-								dirty[src] = true
-								break
-							}
-						}
-					}
-				}
+			for v := int32(0); v < int32(n); v++ {
+				dirty[v] = slices.ContainsFunc(g.InNeighbors(v), isChanged) ||
+					g.Directed() && slices.ContainsFunc(g.OutNeighbors(v), isChanged)
 			}
 		}
 	}
@@ -508,174 +497,146 @@ func cdlpGAS(ctx context.Context, u *uploaded, iterations int) ([]int64, error) 
 	return out, nil
 }
 
-// lccGAS builds each vertex's neighborhood from the local arcs (gather),
-// then masters intersect neighbor adjacency, accounting remote adjacency
+// lccGAS gathers each vertex's neighborhood from every machine's local
+// rows into the pooled buffer at the CDLP gather's offsets, which size
+// exactly these neighbors; masters sort and deduplicate their segments in
+// place, then intersect neighbor adjacency, accounting remote adjacency
 // fetches as traffic from the owning replicas.
 func lccGAS(ctx context.Context, u *uploaded) ([]float64, error) {
 	g, cl := u.G, u.Cl
 	n := g.NumVertices()
-	hoods := make([][]int32, n)
-	// Gather round: collect neighbor candidates from both arc endpoints.
-	if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-		ma := u.local[mach]
-		th.Chunks(len(ma.dsts), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dst := ma.dsts[i]
-				for k := ma.doff[i]; k < ma.doff[i+1]; k++ {
-					hoods[dst] = append(hoods[dst], ma.arcByDst(k).Src)
+	sc := acquireScratch(u)
+	defer u.scratch.Put(sc)
+	sc.labelBuf = mplane.Grow(sc.labelBuf, int(u.labelOff[n]))
+	sc.pos = mplane.Grow(sc.pos, n)
+	copy(sc.pos, u.labelOff[:n])
+	sc.wireParts = mplane.Grow(sc.wireParts, cl.Threads())
+	// v's neighborhood is hoods[labelOff[v]:pos[v]].
+	hoods, pos, fetchParts := sc.labelBuf, sc.pos, sc.wireParts
+	out := make([]float64, n)
+	var (
+		mach  int          // the machine whose round the bodies below run in
+		lg    *graph.Graph // its local graph
+		verts []int32      // the vertices it masters
+	)
+	// Gather: collect neighbor candidates from both arc endpoints.
+	gatherChunk := func(lo, hi int) {
+		for v := int32(lo); v < int32(hi); v++ {
+			p := pos[v] + int32(copy(hoods[pos[v]:], lg.InNeighbors(v)))
+			if g.Directed() {
+				p += int32(copy(hoods[p:], lg.OutNeighbors(v)))
+			}
+			pos[v] = p
+		}
+	}
+	gather := func(m int, th *cluster.Threads) error {
+		lg = u.part.Local[m]
+		th.Chunks(n, gatherChunk)
+		mirrorGatherBytes(u, m, 8)
+		return nil
+	}
+	// Normalize: sort each mastered neighborhood and drop duplicates and
+	// the vertex itself.
+	normalizeChunk := func(lo, hi int) {
+		for _, v := range verts[lo:hi] {
+			h := hoods[u.labelOff[v]:pos[v]]
+			slices.Sort(h)
+			k := 0
+			for _, x := range h {
+				if x != v && (k == 0 || h[k-1] != x) {
+					h[k] = x
+					k++
 				}
 			}
-		})
-		if g.Directed() {
-			th.Chunks(len(ma.srcs), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					src := ma.srcs[i]
-					for _, a := range ma.arcs[ma.off[i]:ma.off[i+1]] {
-						hoods[src] = append(hoods[src], a.Dst)
-					}
-				}
-			})
+			pos[v] = u.labelOff[v] + int32(k)
 		}
-		mirrorGatherBytes(u, mach, 8)
+	}
+	normalize := func(m int, th *cluster.Threads) error {
+		verts = u.masterVerts[m]
+		th.Chunks(len(verts), normalizeChunk)
 		return nil
-	}); err != nil {
+	}
+	// Intersect: count arcs among neighbors.
+	intersectChunk := func(w, lo, hi int) {
+		var fetch int64
+		for _, v := range verts[lo:hi] {
+			hood := hoods[u.labelOff[v]:pos[v]]
+			d := len(hood)
+			if d < 2 {
+				continue
+			}
+			arcs := 0
+			for _, nb := range hood {
+				if int(u.part.Master[nb]) != mach {
+					fetch += int64(g.OutDegree(nb)) * 4
+				}
+				arcs += algorithms.IntersectCount(g.OutNeighbors(nb), hood, v)
+			}
+			out[v] = float64(arcs) / (float64(d) * float64(d-1))
+		}
+		fetchParts[w] = fetch
+	}
+	intersect := func(m int, th *cluster.Threads) error {
+		mach, verts = m, u.masterVerts[m]
+		clear(fetchParts)
+		th.ChunksIndexed(len(verts), intersectChunk)
+		var fetch int64
+		for _, f := range fetchParts {
+			fetch += f
+		}
+		cl.Send((m+1)%cl.Machines(), m, fetch)
+		return nil
+	}
+	if err := cl.RunRound(gather); err != nil {
 		return nil, err
 	}
-	// Normalize round: sort and deduplicate neighborhoods on masters.
-	if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-		verts := u.masterVerts[mach]
-		th.Chunks(len(verts), func(lo, hi int) {
-			for _, v := range verts[lo:hi] {
-				h := hoods[v]
-				slices.Sort(h)
-				uniq := h[:0]
-				for k, x := range h {
-					if x == v {
-						continue
-					}
-					if len(uniq) > 0 && uniq[len(uniq)-1] == x {
-						continue
-					}
-					uniq = append(uniq, h[k])
-				}
-				hoods[v] = uniq
-			}
-		})
-		return nil
-	}); err != nil {
+	if err := cl.RunRound(normalize); err != nil {
 		return nil, err
 	}
 	if err := platform.CheckContext(ctx); err != nil {
 		return nil, err
 	}
-	// Intersect round: count arcs among neighbors.
-	out := make([]float64, n)
-	if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-		verts := u.masterVerts[mach]
-		fetchParts := make([]int64, th.Count())
-		th.ChunksIndexed(len(verts), func(w, lo, hi int) {
-			var fetch int64
-			for _, v := range verts[lo:hi] {
-				hood := hoods[v]
-				d := len(hood)
-				if d < 2 {
-					continue
-				}
-				arcs := 0
-				for _, nb := range hood {
-					if int(u.part.Master[nb]) != mach {
-						fetch += int64(g.OutDegree(nb)) * 4
-					}
-					arcs += algorithms.IntersectCount(g.OutNeighbors(nb), hood, v)
-				}
-				out[v] = float64(arcs) / (float64(d) * float64(d-1))
-			}
-			fetchParts[w] = fetch
-		})
-		var fetch int64
-		for _, f := range fetchParts {
-			fetch += f
-		}
-		cl.Send((mach+1)%cl.Machines(), mach, fetch)
-		return nil
-	}); err != nil {
+	if err := cl.RunRound(intersect); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// ssspGAS relaxes the out-arcs of frontier vertices with an atomic min on
-// the distance bits (algorithms.SSSPRelaxArcs over each machine's local
-// arcs), synchronizing discoveries like bfsGAS. Every machine relaxes a
-// frontier vertex from the distance it had when the frontier was
-// assembled, so the rounds are synchronous Bellman-Ford phases. All
-// working state — distance bits, per-round claim stamps (replacing the
-// seed's clear-after-merge flags), per-machine discovery lists, the
-// frontier and its round-start distances — comes from the pooled scratch,
-// so steady-state runs allocate only the output array.
+// ssspGAS runs synchronous Bellman-Ford phases on the frontier loop of
+// bfsGAS: every machine relaxes its local out-arcs of every frontier
+// vertex (algorithms.SSSPRelaxRange over its local graph) from the
+// distance the vertex had when the round began, with an atomic min on the
+// distance bits, and synchronizes its claims like bfsGAS. All working
+// state — distance bits, per-round claim stamps, per-machine discovery
+// lists, the frontier and its round-start distances — comes from the
+// pooled scratch, so steady-state runs allocate only the output array.
 func ssspGAS(ctx context.Context, u *uploaded, source int32) ([]float64, error) {
-	g, cl := u.G, u.Cl
-	n := g.NumVertices()
+	n := u.G.NumVertices()
 	sc := acquireScratch(u)
 	defer u.scratch.Put(sc)
 	sc.bits = mplane.Grow(sc.bits, n)
-	bits := sc.bits
 	inf := math.Float64bits(math.Inf(1))
-	for i := range bits {
-		bits[i] = inf
+	for i := range sc.bits {
+		sc.bits[i] = inf
 	}
-	bits[source] = math.Float64bits(0)
-	sc.claimed = mplane.Grow(sc.claimed, n)
-	clear(sc.claimed)
-	claimed := sc.claimed
-	if len(sc.disc) != cl.Machines() {
-		sc.disc = make([][]int32, cl.Machines())
-	}
-	frontier := append(sc.front[:0], source)
-	sc.starts = append(sc.starts[:0], 0)
-	var (
-		stamp uint32
-		ma    *machineArcs // the machine whose round relax runs in
-	)
-	relax := func(_, lo, hi int, out []int32) []int32 {
-		for i, v := range frontier[lo:hi] {
-			arcs, ws := ma.arcsOf(v)
-			out = algorithms.SSSPRelaxArcs(bits, sc.starts[lo+i], arcs, ws, claimed, stamp, out)
-		}
-		return out
-	}
-	round := func(mach int, th *cluster.Threads) error {
-		ma = u.local[mach]
-		sc.disc[mach] = th.Collect(len(frontier), sc.disc[mach], relax)
-		var wire int64
-		for _, d := range sc.disc[mach] {
-			if int(u.part.Master[d]) != mach {
-				wire += 16
-			}
-			wire += int64(u.replicaCount[d]-1) * 16
-		}
-		cl.Send(mach, (mach+1)%cl.Machines(), wire)
-		return nil
-	}
-	for len(frontier) > 0 {
-		if err := platform.CheckContext(ctx); err != nil {
-			return nil, err
-		}
+	sc.bits[source] = math.Float64bits(0)
+	sc.claimed = mplane.GrowZero(sc.claimed, n) // stamped per round, cleared per job
+	var stamp uint32
+	begin := func() {
 		stamp++
-		if err := cl.RunRound(round); err != nil {
-			return nil, err
-		}
-		frontier, sc.starts = frontier[:0], sc.starts[:0]
-		for _, list := range sc.disc {
-			for _, v := range list {
-				frontier = append(frontier, v)
-				sc.starts = append(sc.starts, math.Float64frombits(bits[v]))
-			}
+		sc.starts = sc.starts[:0]
+		for _, v := range sc.front {
+			sc.starts = append(sc.starts, math.Float64frombits(sc.bits[v]))
 		}
 	}
-	sc.front = frontier
+	relax := func(lg *graph.Graph, lo, hi int, out []int32) []int32 {
+		return algorithms.SSSPRelaxRange(lg, sc.bits, sc.front[lo:hi], sc.starts[lo:hi], sc.claimed, stamp, out)
+	}
+	if err := u.frontierRounds(ctx, sc, source, 16, begin, relax); err != nil {
+		return nil, err
+	}
 	dist := make([]float64, n)
-	for i, b := range bits {
+	for i, b := range sc.bits {
 		dist[i] = math.Float64frombits(b)
 	}
 	return dist, nil
