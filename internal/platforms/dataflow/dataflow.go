@@ -83,12 +83,12 @@ type edgePartition struct {
 type uploaded struct {
 	platform.BaseUpload
 	eparts []*edgePartition
-	// vparts[p] lists the vertices of vertex partition p.
+	// vparts[p] lists the vertices of vertex partition p, v mod 2M.
 	vparts [][]int32
-	// vpartOf[v] is the vertex partition of v; machineOfV[v] its machine.
-	vpartOf   []int32
-	machineOf []int32 // machine of vertex partition p
-	emachine  []int32 // machine of edge partition p
+	// owner[v] is the machine of vertex v: vertex partition p lives on
+	// machine p mod M, so v lives on (v mod 2M) mod M = v mod M. Edge
+	// partition p lives on machine p mod M.
+	owner []int32
 	// machEparts[m] / machVparts[m] list the edge / vertex partitions
 	// hosted on machine m, ascending — the per-stage task lists, built
 	// once here instead of rediscovered every dataflow stage.
@@ -98,7 +98,7 @@ type uploaded struct {
 	// machine m, precomputed from the routing tables.
 	shipBytes []int64
 	degrees   []int32 // out-degrees dataset, precomputed at load
-	// scratch caches the shuffle plane (staging buffers, CSR inbox,
+	// scratch caches the shuffle plane (message exchanges,
 	// frontier flags, label histogram) between Execute calls.
 	scratch mplane.Pool
 }
@@ -124,27 +124,22 @@ func load(ctx context.Context, g *graph.Graph, cl *cluster.Cluster) (*uploaded, 
 	u := &uploaded{
 		eparts:    make([]*edgePartition, nep),
 		vparts:    make([][]int32, nvp),
-		vpartOf:   make([]int32, n),
-		machineOf: make([]int32, nvp),
-		emachine:  make([]int32, nep),
+		owner:     make([]int32, n),
 		shipBytes: make([]int64, M),
 		degrees:   make([]int32, n),
 	}
 	u.machEparts = make([][]int, M)
 	u.machVparts = make([][]int, M)
 	for p := 0; p < nvp; p++ {
-		u.machineOf[p] = int32(p % M)
 		u.machVparts[p%M] = append(u.machVparts[p%M], p)
 	}
 	for p := 0; p < nep; p++ {
-		u.emachine[p] = int32(p % M)
 		u.eparts[p] = &edgePartition{}
 		u.machEparts[p%M] = append(u.machEparts[p%M], p)
 	}
 	for v := 0; v < n; v++ {
-		p := int32(v % nvp)
-		u.vpartOf[v] = p
-		u.vparts[p] = append(u.vparts[p], int32(v))
+		u.owner[v] = int32(v % M)
+		u.vparts[v%nvp] = append(u.vparts[v%nvp], int32(v))
 		u.degrees[v] = int32(g.OutDegree(int32(v)))
 	}
 	// Round-robin arcs over edge partitions. Undirected edges are stored
@@ -177,14 +172,14 @@ func load(ctx context.Context, g *graph.Graph, cl *cluster.Cluster) (*uploaded, 
 		}
 		ep.needSrc = distinct(ep.src)
 		ep.needDst = distinct(ep.dst)
-		em := u.emachine[p]
+		em := int32(p % M)
 		for _, v := range ep.needSrc {
-			if vm := u.machineOf[u.vpartOf[v]]; vm != em {
+			if vm := u.owner[v]; vm != em {
 				u.shipBytes[vm] += 12
 			}
 		}
 		for _, v := range ep.needDst {
-			if vm := u.machineOf[u.vpartOf[v]]; vm != em {
+			if vm := u.owner[v]; vm != em {
 				u.shipBytes[vm] += 12
 			}
 		}
@@ -194,10 +189,10 @@ func load(ctx context.Context, g *graph.Graph, cl *cluster.Cluster) (*uploaded, 
 	perMachine := make([]int64, M)
 	for p, ep := range u.eparts {
 		b := int64(len(ep.src))*(8+16) + int64(len(ep.needSrc)+len(ep.needDst))*4 + int64(len(ep.w))*8
-		perMachine[u.emachine[p]] += b
+		perMachine[p%M] += b
 	}
 	for p, verts := range u.vparts {
-		perMachine[u.machineOf[p]] += int64(len(verts)) * 24
+		perMachine[p%M] += int64(len(verts)) * 24
 	}
 	return u, perMachine, nil
 }

@@ -52,8 +52,8 @@ func TestUploadRoutingTables(t *testing.T) {
 				t.Fatalf("vertex %d in two partitions", v)
 			}
 			seen[v] = true
-			if u.vpartOf[v] != int32(p) {
-				t.Fatalf("vpartOf[%d] inconsistent", v)
+			if int(v)%len(u.vparts) != p || int(u.owner[v]) != p%2 {
+				t.Fatalf("vertex %d in partition %d, owned by machine %d", v, p, u.owner[v])
 			}
 		}
 	}

@@ -12,14 +12,14 @@ import (
 )
 
 // dfScratch is the engine's job-lifetime shuffle plane: one typed mailbox
-// per message width (staging buffers plus a CSR inbox), the frontier
-// flags of the sparse flows, and the CDLP label histogram. It is checked
-// out of the uploaded state's pool per Execute and reset — never
-// reallocated — per dataflow stage, so steady-state iterations allocate
-// nothing. The seed engine re-materialized a map[int32]M per vertex
-// partition per iteration instead; that "fresh hash maps" cost is still
-// modeled (the shuffle volume and the Alloc registration are unchanged) —
-// only the Go-side garbage is gone.
+// per message width (a message exchange), the frontier flags of the
+// sparse flows, and the CDLP label histogram. It is checked out of the
+// uploaded state's pool per Execute and reset — never reallocated — per
+// dataflow stage, so steady-state iterations allocate nothing. The seed
+// engine re-materialized a map[int32]M per vertex partition per iteration
+// instead; that "fresh hash maps" cost is still modeled (the shuffle
+// volume and the Alloc registration are unchanged) — only the Go-side
+// garbage is gone.
 type dfScratch struct {
 	i64 mail[int64]
 	f64 mail[float64]
@@ -34,76 +34,57 @@ type dfScratch struct {
 	hoods    [][]int32           // lcc: per-vertex neighborhood views into i32 inbox
 }
 
-// mail is the shuffle state for one message type: a staging buffer per
-// edge partition and the shared CSR inbox they are delivered into, plus
-// the flow in progress. Its two region bodies read the flow from here, so
-// they are built once per mailbox and a flow allocates nothing for them.
+// mail is the shuffle state for one message type: a message exchange
+// whose producers are a machine's edge partitions, plus the flow in
+// progress. Its region bodies and message size read the flow from here,
+// so they are bound once per mailbox and a flow allocates nothing for
+// them.
 type mail[M any] struct {
-	stages []stage[M]
-	inbox  mplane.Inbox[M]
+	ex platform.Exchange[M]
 
 	flow     flow[M]
 	u        *uploaded
-	mine     []int // the machine's edge or vertex partitions in this round
+	bytes    int64 // the wire size of one message of the flow
+	mach     int   // the machine whose round it is
+	mine     []int // its edge or vertex partitions
 	edges    func(lo, hi int)
 	vertices func(w, lo, hi int)
-}
-
-// stage is one edge partition's staging buffer. Partitions of a machine
-// stage concurrently and every Send writes the buffer's slice headers, so
-// the pad keeps neighboring partitions' headers on different cache lines.
-type stage[M any] struct {
-	mplane.Stage[M]
-	_ mplane.CacheLinePad
+	size     func(M) int64
 }
 
 // flow is what one aggregateMessages dataflow does with the triplets and
-// the delivered messages. send stages a partition's messages. Then either
-// applySeg receives every vertex's delivered segment (with the simulated
-// thread slot it runs on, for per-thread scratch), or — a reduce-by-key
-// stage — the segment is folded left to right with merge in delivery
-// order, exactly the order the seed's per-partition hash maps merged in,
-// and joined with the vertex dataset via apply.
+// the delivered messages. send stages a partition's messages; apply
+// receives every vertex's delivered messages, with the simulated thread
+// slot it runs on (for per-thread scratch). In a reduce-by-key stage
+// merge folds a vertex's messages left to right in delivery order,
+// exactly the order the seed's per-partition hash maps merged in, so
+// apply receives at most one.
 type flow[M any] struct {
-	send     func(em *mplane.Stage[M], ep *edgePartition)
-	applySeg func(worker, vpart int, v int32, msgs []M)
-	merge    func(a, b M) M
-	apply    func(vpart int, v int32, msg M, has bool)
+	send  func(em *mplane.Stage[M], ep *edgePartition)
+	merge func(a, b M) M
+	apply func(worker, vpart int, v int32, msgs []M)
 }
 
 // stageEdges is the edge stage's body: it stages the messages of the
-// machine's edge partitions [lo, hi).
+// machine's edge partitions [lo, hi), each into its own stage.
 func (mb *mail[M]) stageEdges(lo, hi int) {
-	for _, p := range mb.mine[lo:hi] {
-		st := &mb.stages[p].Stage
-		st.Reset()
-		mb.flow.send(st, mb.u.eparts[p])
+	for k := lo; k < hi; k++ {
+		mb.flow.send(mb.ex.Stage(mb.mach, k), mb.u.eparts[mb.mine[k]])
 	}
 }
 
 // applyVertices is the vertex stage's body: it hands every vertex of the
-// machine's vertex partitions [lo, hi) its delivered segment.
+// machine's vertex partitions [lo, hi) its delivered messages.
 func (mb *mail[M]) applyVertices(w, lo, hi int) {
-	f := &mb.flow
 	for _, p := range mb.mine[lo:hi] {
 		for _, v := range mb.u.vparts[p] {
-			msgs := mb.inbox.At(v)
-			switch {
-			case f.applySeg != nil:
-				f.applySeg(w, p, v, msgs)
-			case len(msgs) == 0:
-				var zero M
-				f.apply(p, v, zero, false)
-			default:
-				acc := msgs[0]
-				for _, m := range msgs[1:] {
-					acc = f.merge(acc, m)
-				}
-				f.apply(p, v, acc, true)
-			}
+			mb.flow.apply(w, p, v, mb.ex.At(v))
 		}
 	}
 }
+
+// msgSize is the wire size of every message of the flow.
+func (mb *mail[M]) msgSize(M) int64 { return mb.bytes }
 
 // acquireScratch checks the scratch out of the upload's pool.
 func acquireScratch(u *uploaded) *dfScratch {
@@ -131,10 +112,10 @@ func (sc *dfScratch) frontier(n int) (active, next []bool) {
 
 // runFlow executes one aggregateMessages dataflow: an edge-stage round
 // that scans every edge partition and stages messages, a shuffle that
-// delivers the staged messages into the CSR inbox (machine-major,
+// delivers them through the mailbox's exchange (machine-major,
 // partition-major — the stable order the seed's sequential appends
 // produced), and a vertex-stage round that hands every vertex its
-// delivered segment (see flow). shipFraction scales the attribute-shuffle
+// delivered messages (see flow). shipFraction scales the attribute-shuffle
 // traffic (1 for dense iterations, the active fraction for sparse ones);
 // msgBytes is the wire size of one message. Callers build f's functions
 // once per job, not per flow: the mailbox holds them while the flow runs.
@@ -143,36 +124,20 @@ func runFlow[M any](ctx context.Context, u *uploaded, mb *mail[M], shipFraction 
 		return err
 	}
 	cl := u.Cl
-	if len(mb.stages) != len(u.eparts) {
-		mb.stages = make([]stage[M], len(u.eparts))
-	}
 	if mb.edges == nil {
-		mb.edges, mb.vertices = mb.stageEdges, mb.applyVertices
+		mb.edges, mb.vertices, mb.size = mb.stageEdges, mb.applyVertices, mb.msgSize
 	}
-	mb.flow, mb.u = f, u
+	mb.flow, mb.u, mb.bytes = f, u, msgBytes
 	defer func() { mb.flow, mb.u, mb.mine = flow[M]{}, nil, nil }()
-	mb.inbox.Begin(u.G.NumVertices())
+	mb.ex.Begin(u.G.NumVertices(), u.owner, cl.Machines(), edgePartsPerMachine, mb.size, f.merge)
+	mb.ex.Open()
 
-	// Edge stage: scan partitions, stage messages, account the shuffle.
+	// Edge stage: scan partitions, stage and deliver messages, account
+	// the attribute shuffle.
 	if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-		mine := u.machEparts[mach]
-		mb.mine = mine
-		th.Chunks(len(mine), mb.edges)
-		var wire int64
-		single := cl.Machines() == 1 // no message can be remote
-		for _, p := range mine {
-			st := &mb.stages[p].Stage
-			epMach := u.emachine[p]
-			if !single {
-				for _, dst := range st.Dst {
-					if u.machineOf[u.vpartOf[dst]] != epMach {
-						wire += msgBytes + 4
-					}
-				}
-			}
-			mb.inbox.Count(st)
-		}
-		cl.Send(mach, (mach+1)%cl.Machines(), wire)
+		mb.mach, mb.mine = mach, u.machEparts[mach]
+		th.Chunks(len(mb.mine), mb.edges)
+		mb.ex.Deliver(cl, mach)
 		if shipFraction > 0 {
 			cl.Send(mach, (mach+1)%cl.Machines(), int64(float64(u.shipBytes[mach])*shipFraction))
 		}
@@ -180,20 +145,9 @@ func runFlow[M any](ctx context.Context, u *uploaded, mb *mail[M], shipFraction 
 	}); err != nil {
 		return err
 	}
+	mb.ex.Barrier(cl)
 
-	// Shuffle barrier: scatter stages in the order they were counted.
-	// The scatter is global (it needs every machine's counts), so it runs
-	// as measured barrier work rather than inside one machine's round.
-	cl.RunBarrier(func() {
-		mb.inbox.Seal()
-		for m := 0; m < cl.Machines(); m++ {
-			for _, p := range u.machEparts[m] {
-				mb.inbox.Scatter(&mb.stages[p].Stage)
-			}
-		}
-	})
-
-	// Vertex stage: hand every vertex its delivered segment.
+	// Vertex stage: hand every vertex its delivered messages.
 	return cl.RunRound(func(mach int, th *cluster.Threads) error {
 		mb.mine = u.machVparts[mach]
 		th.ChunksIndexed(len(mb.mine), mb.vertices)
@@ -250,10 +204,10 @@ func prFlow(ctx context.Context, u *uploaded, iterations int, damping float64) (
 			}
 		},
 		merge: func(a, b float64) float64 { return a + b },
-		apply: func(vp int, v int32, msg float64, has bool) {
+		apply: func(_, vp int, v int32, msgs []float64) {
 			nv := base
-			if has {
-				nv = base + damping*msg
+			if len(msgs) > 0 {
+				nv = base + damping*msgs[0]
 			}
 			rank[v] = nv
 			if u.degrees[v] == 0 {
@@ -308,10 +262,10 @@ func bfsFlow(ctx context.Context, u *uploaded, source int32) ([]int64, error) {
 			}
 		},
 		merge: minInt64,
-		apply: func(vp int, v int32, msg int64, has bool) {
+		apply: func(_, vp int, v int32, msgs []int64) {
 			nextActive[v] = false
-			if has && depth[v] == algorithms.Unreachable {
-				depth[v] = msg
+			if len(msgs) > 0 && depth[v] == algorithms.Unreachable {
+				depth[v] = msgs[0]
 				nextActive[v] = true
 				updates[vp]++
 			}
@@ -352,9 +306,9 @@ func wccFlow(ctx context.Context, u *uploaded) ([]int64, error) {
 			}
 		},
 		merge: minInt64,
-		apply: func(vp int, v int32, msg int64, has bool) {
-			if has && msg < labels[v] {
-				labels[v] = msg
+		apply: func(_, vp int, v int32, msgs []int64) {
+			if len(msgs) > 0 && msgs[0] < labels[v] {
+				labels[v] = msgs[0]
 				changes[vp]++
 			}
 		},
@@ -431,7 +385,7 @@ func cdlpFlow(ctx context.Context, u *uploaded, iterations int) ([]int64, error)
 				}
 			}
 		},
-		applySeg: func(w, vp int, v int32, msgs []int32) {
+		apply: func(w, vp int, v int32, msgs []int32) {
 			if len(msgs) == 0 {
 				next[v] = labels[v]
 				changed[v] = false
@@ -520,12 +474,11 @@ func cdlpDenseRound(ctx context.Context, u *uploaded, counts *mplane.WorkerCount
 		if cl.Machines() > 1 {
 			for _, p := range u.machEparts[mach] {
 				ep := u.eparts[p]
-				epMach := u.emachine[p]
 				for i := range ep.src {
-					if u.machineOf[u.vpartOf[ep.dst[i]]] != epMach {
+					if int(u.owner[ep.dst[i]]) != mach {
 						wire += 16
 					}
-					if u.machineOf[u.vpartOf[ep.src[i]]] != epMach {
+					if int(u.owner[ep.src[i]]) != mach {
 						wire += 16
 					}
 				}
@@ -589,7 +542,7 @@ func lccFlow(ctx context.Context, u *uploaded) ([]float64, error) {
 				em.Send(s, d)
 			}
 		},
-		applySeg: func(_, _ int, v int32, msg []int32) {
+		apply: func(_, _ int, v int32, msg []int32) {
 			if len(msg) == 0 {
 				hoods[v] = nil
 				return
@@ -641,9 +594,9 @@ func lccFlow(ctx context.Context, u *uploaded) ([]float64, error) {
 			}
 		},
 		merge: func(a, b int64) int64 { return a + b },
-		apply: func(vp int, v int32, msg int64, has bool) {
-			if has {
-				credits[v] = msg
+		apply: func(_, _ int, v int32, msgs []int64) {
+			if len(msgs) > 0 {
+				credits[v] = msgs[0]
 			}
 		},
 	})
@@ -689,10 +642,10 @@ func ssspFlow(ctx context.Context, u *uploaded, source int32) ([]float64, error)
 			}
 		},
 		merge: math.Min,
-		apply: func(vp int, v int32, msg float64, has bool) {
+		apply: func(_, vp int, v int32, msgs []float64) {
 			nextActive[v] = false
-			if has && msg < dist[v] {
-				dist[v] = msg
+			if len(msgs) > 0 && msgs[0] < dist[v] {
+				dist[v] = msgs[0]
 				nextActive[v] = true
 				updates[vp]++
 			}

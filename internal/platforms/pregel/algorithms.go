@@ -6,6 +6,7 @@ import (
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/granula"
+	"graphalytics/internal/graph"
 	"graphalytics/internal/mplane"
 )
 
@@ -13,28 +14,19 @@ import (
 // other vertex halts immediately and is reactivated by the first message,
 // which (with the min combiner) is its BFS depth.
 func bfsProgram(ctx context.Context, t *granula.Tracker, u *uploaded, source int32, combiners bool) ([]int64, error) {
-	n := len(u.verts)
+	n := u.G.NumVertices()
 	depth := make([]int64, n)
 	for i := range depth {
 		depth[i] = algorithms.Unreachable
 	}
-	var combine func(a, b int64) int64
-	if combiners {
-		combine = func(a, b int64) int64 {
-			if a < b {
-				return a
-			}
-			return b
-		}
-	}
-	r := newRunner[int64](u, fixedSize[int64](8), combine)
+	r := newRunner[int64](u, fixedSize[int64](8), combiner(combiners, minInt64))
 	r.tracker = t
 	defer r.release()
 	compute := func(w *worker[int64], v int32, msgs []int64, superstep int) {
 		if superstep == 0 {
 			if v == source {
 				depth[v] = 0
-				for _, dst := range u.verts[v].out {
+				for _, dst := range u.G.OutNeighbors(v) {
 					w.Send(dst, 1)
 				}
 			}
@@ -49,7 +41,7 @@ func bfsProgram(ctx context.Context, t *granula.Tracker, u *uploaded, source int
 				}
 			}
 			depth[v] = level
-			for _, dst := range u.verts[v].out {
+			for _, dst := range u.G.OutNeighbors(v) {
 				w.Send(dst, level+1)
 			}
 		}
@@ -65,7 +57,7 @@ func bfsProgram(ctx context.Context, t *granula.Tracker, u *uploaded, source int
 // apply the update rule using the sum combiner and the dangling-mass
 // aggregator from the previous superstep; superstep k votes to halt.
 func prProgram(ctx context.Context, t *granula.Tracker, u *uploaded, iterations int, damping float64, combiners bool) ([]float64, error) {
-	n := len(u.verts)
+	n := u.G.NumVertices()
 	if n == 0 {
 		return nil, nil
 	}
@@ -74,11 +66,7 @@ func prProgram(ctx context.Context, t *granula.Tracker, u *uploaded, iterations 
 	for i := range rank {
 		rank[i] = inv
 	}
-	var combine func(a, b float64) float64
-	if combiners {
-		combine = func(a, b float64) float64 { return a + b }
-	}
-	r := newRunner[float64](u, fixedSize[float64](8), combine)
+	r := newRunner[float64](u, fixedSize[float64](8), combiner(combiners, func(a, b float64) float64 { return a + b }))
 	r.tracker = t
 	defer r.release()
 	compute := func(w *worker[float64], v int32, msgs []float64, superstep int) {
@@ -91,7 +79,7 @@ func prProgram(ctx context.Context, t *granula.Tracker, u *uploaded, iterations 
 			rank[v] = (1-damping)*inv + damping*(sum+w.Agg()*inv)
 		}
 		if superstep < iterations {
-			out := u.verts[v].out
+			out := u.G.OutNeighbors(v)
 			if len(out) == 0 {
 				w.Aggregate(rank[v])
 			} else {
@@ -113,34 +101,17 @@ func prProgram(ctx context.Context, t *granula.Tracker, u *uploaded, iterations 
 // wccProgram floods minimum external identifiers over all edges (both
 // directions for directed graphs, since components are weak).
 func wccProgram(ctx context.Context, t *granula.Tracker, u *uploaded, combiners bool) ([]int64, error) {
-	n := len(u.verts)
+	n := u.G.NumVertices()
 	labels := make([]int64, n)
 	for v := 0; v < n; v++ {
 		labels[v] = u.G.VertexID(int32(v))
 	}
-	var combine func(a, b int64) int64
-	if combiners {
-		combine = func(a, b int64) int64 {
-			if a < b {
-				return a
-			}
-			return b
-		}
-	}
-	r := newRunner[int64](u, fixedSize[int64](8), combine)
+	r := newRunner[int64](u, fixedSize[int64](8), combiner(combiners, minInt64))
 	r.tracker = t
 	defer r.release()
-	sendAll := func(w *worker[int64], v int32, label int64) {
-		for _, dst := range u.verts[v].out {
-			w.Send(dst, label)
-		}
-		for _, dst := range u.verts[v].in {
-			w.Send(dst, label)
-		}
-	}
 	compute := func(w *worker[int64], v int32, msgs []int64, superstep int) {
 		if superstep == 0 {
-			sendAll(w, v, labels[v])
+			sendAll(w, u.G, v, labels[v])
 			w.VoteToHalt(v)
 			return
 		}
@@ -152,7 +123,7 @@ func wccProgram(ctx context.Context, t *granula.Tracker, u *uploaded, combiners 
 		}
 		if best < labels[v] {
 			labels[v] = best
-			sendAll(w, v, best)
+			sendAll(w, u.G, v, best)
 		}
 		w.VoteToHalt(v)
 	}
@@ -196,7 +167,7 @@ type cdlpScratch struct {
 // label only decides the empty case), so skipped vertices would have
 // recomputed exactly their current label.
 func cdlpProgram(ctx context.Context, t *granula.Tracker, u *uploaded, iterations int) ([]int64, error) {
-	n := len(u.verts)
+	n := u.G.NumVertices()
 	out := make([]int64, n)
 	r := newRunner[int64](u, fixedSize[int64](8), nil)
 	r.tracker = t
@@ -215,28 +186,20 @@ func cdlpProgram(ctx context.Context, t *granula.Tracker, u *uploaded, iteration
 	copy(prev, labels[:n])
 	r.onBarrier = func(int) { copy(prev, labels[:n]) }
 	directed := u.G.Directed()
-	sendAll := func(w *worker[int64], v int32, label int64) {
-		for _, dst := range u.verts[v].out {
-			w.Send(dst, label)
-		}
-		for _, dst := range u.verts[v].in {
-			w.Send(dst, label)
-		}
-	}
 	compute := func(w *worker[int64], v int32, msgs []int64, superstep int) {
 		switch {
 		case superstep == 0:
-			sendAll(w, v, int64(u.G.VertexID(v)))
+			sendAll(w, u.G, v, int64(u.G.VertexID(v)))
 		case len(msgs) > 0 && superstep <= iterations:
 			var nl int32
 			if superstep == 1 {
-				nl = algorithms.CDLPInitLabel(v, u.verts[v].out, u.verts[v].in, directed)
+				nl = algorithms.CDLPInitLabel(v, u.G.OutNeighbors(v), inNeighbors(u.G, v), directed)
 			} else {
 				counts := sc.counts.At(w.slot)
-				for _, dst := range u.verts[v].out {
+				for _, dst := range u.G.OutNeighbors(v) {
 					counts.Add(prev[dst])
 				}
-				for _, dst := range u.verts[v].in {
+				for _, dst := range inNeighbors(u.G, v) {
 					counts.Add(prev[dst])
 				}
 				nl = counts.BestAndReset(prev[v])
@@ -244,7 +207,7 @@ func cdlpProgram(ctx context.Context, t *granula.Tracker, u *uploaded, iteration
 			if nl != labels[v] {
 				labels[v] = nl
 				if superstep < iterations {
-					sendAll(w, v, int64(u.G.VertexID(nl)))
+					sendAll(w, u.G, v, int64(u.G.VertexID(nl)))
 				}
 			}
 		}
@@ -265,11 +228,25 @@ func cdlpProgram(ctx context.Context, t *granula.Tracker, u *uploaded, iteration
 // memory-hungry job, matching the paper's LCC failures on message-passing
 // platforms.
 func lccProgram(ctx context.Context, t *granula.Tracker, u *uploaded) ([]float64, error) {
-	n := len(u.verts)
+	g := u.G
+	n := g.NumVertices()
 	out := make([]float64, n)
-	hoods := make([][]int32, n)
-	for v := 0; v < n; v++ {
-		hoods[v] = neighborhoodOf(u, int32(v))
+	// An undirected vertex's neighborhood is its out-neighbors. A directed
+	// one's is the sorted union of its in- and out-neighbors without
+	// itself, merged into one pooled buffer: the degree sum bounds every
+	// union, so each fits after the last.
+	hoodOf := g.OutNeighbors
+	if g.Directed() {
+		sc := mplane.Acquire(&u.scratch, func() *lccScratch { return &lccScratch{} })
+		defer u.scratch.Put(sc)
+		sc.off = mplane.Grow(sc.off, n+1)
+		sc.buf = mplane.Grow(sc.buf, 2*int(g.NumEdges()))
+		sc.off[0] = 0
+		for v := int32(0); v < int32(n); v++ {
+			at := sc.off[v]
+			sc.off[v+1] = at + int32(len(algorithms.Neighborhood(g.OutNeighbors(v), g.InNeighbors(v), v, true, sc.buf[at:at])))
+		}
+		hoodOf = func(v int32) []int32 { return sc.buf[sc.off[v]:sc.off[v+1]] }
 	}
 	sizeOf := func(list []int32) int64 { return int64(len(list))*4 + 4 }
 	r := newRunner[[]int32](u, sizeOf, nil)
@@ -277,14 +254,14 @@ func lccProgram(ctx context.Context, t *granula.Tracker, u *uploaded) ([]float64
 	defer r.release()
 	compute := func(w *worker[[]int32], v int32, msgs [][]int32, superstep int) {
 		if superstep == 0 {
-			adj := u.verts[v].out
-			for _, dst := range hoods[v] {
+			adj := g.OutNeighbors(v)
+			for _, dst := range hoodOf(v) {
 				w.Send(dst, adj)
 			}
 			w.VoteToHalt(v)
 			return
 		}
-		hood := hoods[v]
+		hood := hoodOf(v)
 		d := len(hood)
 		if d >= 2 {
 			arcs := 0
@@ -301,35 +278,59 @@ func lccProgram(ctx context.Context, t *granula.Tracker, u *uploaded) ([]float64
 	return out, nil
 }
 
-// neighborhoodOf returns the sorted union of in- and out-neighbors of v,
-// excluding v.
-func neighborhoodOf(u *uploaded, v int32) []int32 {
-	vd := u.verts[v]
-	if vd.in == nil {
-		return vd.out // undirected, or no in-edges: out is the union already
+// lccScratch is the pooled neighborhood buffer of directed LCC: v's
+// neighborhood is buf[off[v]:off[v+1]].
+type lccScratch struct {
+	buf []int32
+	off []int32
+}
+
+// minInt64 is the min combiner of BFS and WCC.
+func minInt64(a, b int64) int64 { return min(a, b) }
+
+// combiner returns c when combiners are enabled and nil otherwise.
+func combiner[T any](enabled bool, c func(a, b T) T) func(a, b T) T {
+	if !enabled {
+		return nil
 	}
-	return algorithms.Neighborhood(vd.out, vd.in, v, true, make([]int32, 0, len(vd.out)+len(vd.in)))
+	return c
+}
+
+// sendAll sends label to every neighbor of v, in both directions on a
+// directed graph.
+func sendAll(w *worker[int64], g *graph.Graph, v int32, label int64) {
+	for _, dst := range g.OutNeighbors(v) {
+		w.Send(dst, label)
+	}
+	for _, dst := range inNeighbors(g, v) {
+		w.Send(dst, label)
+	}
+}
+
+// inNeighbors returns v's in-neighbors on a directed graph and nil on an
+// undirected one, whose out-neighbors are all of its neighbors.
+func inNeighbors(g *graph.Graph, v int32) []int32 {
+	if g.Directed() {
+		return g.InNeighbors(v)
+	}
+	return nil
 }
 
 // ssspProgram is the classic Pregel SSSP: distance relaxations flow as
 // messages with a min combiner.
 func ssspProgram(ctx context.Context, t *granula.Tracker, u *uploaded, source int32, combiners bool) ([]float64, error) {
-	n := len(u.verts)
+	n := u.G.NumVertices()
 	dist := make([]float64, n)
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
-	var combine func(a, b float64) float64
-	if combiners {
-		combine = func(a, b float64) float64 { return math.Min(a, b) }
-	}
-	r := newRunner[float64](u, fixedSize[float64](8), combine)
+	r := newRunner[float64](u, fixedSize[float64](8), combiner(combiners, math.Min))
 	r.tracker = t
 	defer r.release()
 	relax := func(w *worker[float64], v int32, d float64) {
-		vd := u.verts[v]
-		for i, dst := range vd.out {
-			w.Send(dst, d+vd.w[i])
+		ws := u.G.OutWeights(v)
+		for i, dst := range u.G.OutNeighbors(v) {
+			w.Send(dst, d+ws[i])
 		}
 	}
 	compute := func(w *worker[float64], v int32, msgs []float64, superstep int) {

@@ -138,3 +138,50 @@ func TestCDLPSteadyStateAllocs(t *testing.T) {
 			"(per-superstep allocation has regressed)", allocs)
 	}
 }
+
+// TestUploadAllocs guards the upload: vertex programs read the graph's
+// rows in place, so an upload allocates the partition and a constant
+// number of other objects, not one adjacency copy per vertex.
+func TestUploadAllocs(t *testing.T) {
+	for _, n := range []int{500, 8000} {
+		g := allocGraph(t, n, 4)
+		allocs := testing.AllocsPerRun(3, func() {
+			up, err := New().Upload(g, platform.RunConfig{Threads: 4, Machines: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			up.Free()
+		})
+		if allocs > 64 {
+			t.Errorf("uploading %d vertices allocated %.0f objects, want <= 64", n, allocs)
+		}
+	}
+}
+
+// TestLCCDirectedAllocsDoNotGrowWithTheGraph guards the directed LCC
+// neighborhoods: they are merged into one pooled buffer, so after a
+// warm-up a job allocates the same on a graph of 500 vertices and on one
+// of 8 000. One thread keeps the regions inline, so no goroutine the host
+// may start for the larger graph's chunks is counted.
+func TestLCCDirectedAllocsDoNotGrowWithTheGraph(t *testing.T) {
+	var got []float64
+	for _, n := range []int{500, 8000} {
+		g := allocGraph(t, n, 4)
+		up, err := New().Upload(g, platform.RunConfig{Threads: 1, Machines: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := up.(*uploaded)
+		run := func() {
+			if _, err := lccProgram(context.Background(), nil, u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm-up: grows the message exchange and the neighborhoods
+		got = append(got, testing.AllocsPerRun(3, run))
+		u.Free()
+	}
+	if got[0] != got[1] {
+		t.Fatalf("directed LCC allocated %.0f objects at 500 vertices and %.0f at 8000, want the same", got[0], got[1])
+	}
+}

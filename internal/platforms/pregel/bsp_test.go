@@ -141,17 +141,3 @@ func TestBSPContextCancellation(t *testing.T) {
 		t.Fatal("cancelled context must abort the superstep loop")
 	}
 }
-
-func TestUploadAdjacency(t *testing.T) {
-	u := uploadFor(t, chainGraph(t))
-	defer u.Free()
-	if len(u.verts) != 4 {
-		t.Fatalf("verts = %d, want 4", len(u.verts))
-	}
-	if len(u.verts[1].out) != 1 || u.verts[1].out[0] != 2 {
-		t.Fatalf("vertex 1 out = %v, want [2]", u.verts[1].out)
-	}
-	if len(u.verts[1].in) != 1 || u.verts[1].in[0] != 0 {
-		t.Fatalf("vertex 1 in = %v, want [0]", u.verts[1].in)
-	}
-}

@@ -7,11 +7,13 @@
 // are separated by global barriers.
 //
 // The engine is deliberately faithful to the model's cost profile:
-// messages are materialized per destination vertex, adjacency is stored as
-// one object per vertex, and cross-machine messages are serialized sizes
-// accounted against the interconnect. This is why — like Giraph in the
-// paper — the engine is orders of magnitude slower than the hand-tuned and
-// matrix engines while still scaling out.
+// messages are materialized per destination vertex, the memory model
+// charges one adjacency object per vertex, and cross-machine messages are
+// serialized sizes accounted against the interconnect. This is why — like
+// Giraph in the paper — the engine is orders of magnitude slower than the
+// hand-tuned and matrix engines while still scaling out. The adjacency
+// objects are priced, not stored: vertex programs read the uploaded
+// graph's rows in place.
 package pregel
 
 import (
@@ -68,48 +70,41 @@ func NewWithOptions(useCombiners bool) platform.Platform {
 	})
 }
 
-// vertexData is the per-vertex adjacency object; the engine pays one object
-// per vertex like JVM-based vertex-centric systems do.
-type vertexData struct {
-	out []int32   // out-neighbors (all neighbors for undirected graphs)
-	w   []float64 // out-edge weights, nil when unweighted
-	in  []int32   // in-neighbors, nil for undirected graphs
-}
-
 type uploaded struct {
 	platform.BaseUpload
-	part  *cluster.VertexPartition
-	verts []vertexData
-	// scratch caches the BSP runner (message plane, frontier lists, halt
-	// bitmap) between Execute calls, so repeated jobs on one upload run
-	// allocation-free in steady state.
+	part *cluster.VertexPartition
+	// scratch caches the BSP runner (message exchange, frontier lists,
+	// halt bitmap) between Execute calls, so repeated jobs on one upload
+	// run allocation-free in steady state.
 	scratch mplane.Pool
 }
 
-// load explodes the graph into per-vertex adjacency objects
-// hash-partitioned over the machines; the context is checked periodically
-// inside the per-vertex loop, the bulk of the upload work.
+// load hash-partitions the vertices over the machines and charges each
+// machine one adjacency object per vertex it owns, the way JVM-based
+// vertex-centric systems store them: a header and three slice headers,
+// the out-neighbours (all neighbours of an undirected graph), the
+// in-neighbours of a directed graph, and the out-weights. The context is
+// checked periodically inside the per-vertex loop.
 func load(ctx context.Context, g *graph.Graph, cl *cluster.Cluster) (*uploaded, []int64, error) {
 	n := g.NumVertices()
 	part := cluster.PartitionVerticesHash(n, cl.Machines())
-	verts := make([]vertexData, n)
 	perMachine := make([]int64, cl.Machines())
 	const vertexOverhead = 88 // object header + three slice headers + value slot
+	arcBytes := int64(4)
+	if g.Weighted() {
+		arcBytes += 8
+	}
 	for v := int32(0); v < int32(n); v++ {
 		if v&0xffff == 0 {
 			if err := platform.CheckContext(ctx); err != nil {
 				return nil, nil, err
 			}
 		}
-		vd := vertexData{out: append([]int32(nil), g.OutNeighbors(v)...)}
-		if g.Weighted() {
-			vd.w = append([]float64(nil), g.OutWeights(v)...)
-		}
+		b := vertexOverhead + int64(g.OutDegree(v))*arcBytes
 		if g.Directed() {
-			vd.in = append([]int32(nil), g.InNeighbors(v)...)
+			b += int64(g.InDegree(v)) * 4
 		}
-		verts[v] = vd
-		perMachine[part.Owner[v]] += vertexOverhead + int64(len(vd.out))*4 + int64(len(vd.in))*4 + int64(len(vd.w))*8
+		perMachine[part.Owner[v]] += b
 	}
-	return &uploaded{part: part, verts: verts}, perMachine, nil
+	return &uploaded{part: part}, perMachine, nil
 }
