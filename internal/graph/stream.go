@@ -124,11 +124,12 @@ func (sp *spillState) page(w, i int) []byte {
 // SetSpill switches the builder to the out-of-core path: subsequent
 // AddEdge calls stream through bounded spill runs and the graph is
 // produced by BuildTo instead of Build. Must be called before any edge is
-// added.
+// added. It releases any edge capacity an earlier Grow reserved.
 func (b *Builder) SetSpill(opts SpillOptions) *Builder {
 	if len(b.edges) > 0 {
 		panic("graph: SetSpill after AddEdge")
 	}
+	b.edges = nil
 	if opts.BudgetBytes <= 0 {
 		opts.BudgetBytes = defaultSpillBudget
 	}
@@ -718,8 +719,10 @@ type mergeWorker struct {
 	heap  mergeHeap
 	// The current vertex's arcs arrive in seq order, so sorting the words
 	// neighbor<<32 | position orders them by (neighbor, seq): the first of
-	// equal neighbors is the first occurrence. weights is by position.
-	order    []uint64
+	// equal neighbors is the first occurrence. weights is by position, and
+	// tmp is sortByNeighbor's scatter target.
+	order    []int64
+	tmp      []int64
 	weights  []float64
 	key      int64 // the current vertex's id
 	vcur     int   // the current vertex's index, moving forward only
@@ -752,7 +755,7 @@ func (m *mergeWorker) run(runs []runFile, from, to []int64, bufRecs int) error {
 	if m.heap, err = newSections(runs, from, to, bufRecs); err != nil {
 		return err
 	}
-	m.order = make([]uint64, 0, 1024)
+	m.order = make([]int64, 0, 1024)
 	for len(m.heap) > 0 {
 		rec, err := m.heap.pop()
 		if err != nil {
@@ -791,7 +794,7 @@ func (m *mergeWorker) add(rec arcRec) error {
 	if !ok {
 		return missingArcValue(rec.val)
 	}
-	m.order = append(m.order, uint64(v)<<32|uint64(len(m.order)))
+	m.order = append(m.order, int64(v)<<32|int64(len(m.order)))
 	if m.b.weighted {
 		m.weights = append(m.weights, rec.w)
 	}
@@ -814,10 +817,9 @@ func (m *mergeWorker) flushVertex() error {
 	for m.ids[m.vcur] != m.key {
 		m.vcur++
 	}
-	slices.Sort(m.order)
 	kept := int64(0)
 	prev := int32(-1)
-	for _, o := range m.order {
+	for _, o := range sortByNeighbor(m.order, &m.tmp) {
 		v := int32(o >> 32)
 		if v == prev {
 			if !m.b.opts.DedupEdges {

@@ -38,6 +38,28 @@ func TestSpillBuffersWithinBudget(t *testing.T) {
 	}
 }
 
+// Grow before SetSpill reserves edge capacity for an in-memory build. A
+// spilling builder never holds its edges, so SetSpill releases it: the
+// bounded-memory path keeps no O(edges) buffer.
+func TestSetSpillAfterGrowReleasesEdges(t *testing.T) {
+	b := NewBuilder(false, true)
+	b.Grow(16, 1<<16)
+	if cap(b.edges) < 1<<16 {
+		t.Fatalf("Grow reserved %d edges, want %d", cap(b.edges), 1<<16)
+	}
+	b.SetSpill(SpillOptions{Dir: t.TempDir(), BudgetBytes: 1 << 12})
+	if b.edges != nil {
+		t.Fatalf("after SetSpill the builder keeps an edge buffer of capacity %d", cap(b.edges))
+	}
+	b.AddEdge(1, 2)
+	if err := b.BuildTo(filepath.Join(t.TempDir(), "g.snap")); err != nil {
+		t.Fatal(err)
+	}
+	if b.edges != nil {
+		t.Fatalf("after BuildTo the builder keeps an edge buffer of capacity %d", cap(b.edges))
+	}
+}
+
 // The merge's read buffers share the budget: p workers × runs readers of
 // mergeBufRecs records never exceed it unless every reader is at the
 // one-record floor, and no buffer exceeds a page.

@@ -340,6 +340,38 @@ func SortInt64s(a []int64) []int64 {
 	return a
 }
 
+// SortInt64sFrom sorts a stably by the bits of its keys from bit low up,
+// on the calling goroutine: the LSD radix sort of SortInt64s, scattering
+// between a and tmp (len(tmp) >= len(a)), whose digits start at bit low.
+// Bits below low are never read or compared, so keys equal from low up
+// keep their input order, and digits every key shares are skipped. It
+// returns the slice holding the result, a or tmp[:len(a)]. It allocates
+// nothing, so a caller sorting many short slices reuses one tmp.
+//
+//graphalint:noalloc
+func SortInt64sFrom(a, tmp []int64, low uint) []int64 {
+	if len(a) < 2 {
+		return a
+	}
+	diff := bitsDiffering(a, a[0]) &^ (1<<low - 1)
+	tmp = tmp[:len(a)]
+	for shift := low; shift < 64; shift += 8 {
+		if (diff>>shift)&0xff == 0 {
+			continue
+		}
+		var pos [256]int
+		countDigits(a, &pos, shift)
+		at := 0
+		for d, c := range pos {
+			pos[d] = at
+			at += c
+		}
+		scatterDigits(a, tmp, &pos, shift)
+		a, tmp = tmp, a
+	}
+	return a
+}
+
 // bitsDiffering ORs together every key's bits that differ from first: a
 // digit that is zero in the result is shared by all keys.
 //

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"runtime"
@@ -256,6 +257,42 @@ func TestSortInt64sMatchesSlicesSort(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSortInt64sFromIsStable holds the sequential radix sort to a stable
+// comparison sort on the bits from low up: keys carry their input position
+// below low, so any reordering of equal keys shows, and a sort that read
+// the low bits would reorder them too.
+func TestSortInt64sFromIsStable(t *testing.T) {
+	for _, low := range []uint{0, 5, 32} {
+		for _, n := range []int{0, 1, 2, 47, 48, 1000} {
+			for _, span := range []int64{1, 3, 1 << 17, 1 << 30} {
+				rng := rand.New(rand.NewSource(int64(n) + span))
+				a := make([]int64, n)
+				for i := range a {
+					key := rng.Int63n(span) - span/2
+					if low == 32 {
+						key = rng.Int63n(min(span, 1<<31)) // the builder's neighbor<<32 | position words
+					}
+					a[i] = key<<low | int64(i)&(1<<low-1)
+				}
+				want := slices.Clone(a)
+				slices.SortStableFunc(want, func(x, y int64) int { return cmp.Compare(x>>low, y>>low) })
+				tmp := make([]int64, n)
+				got := SortInt64sFrom(a, tmp, low)
+				if !slices.Equal(got, want) {
+					t.Fatalf("low=%d n=%d span=%d: SortInt64sFrom is not a stable sort on the high bits", low, n, span)
+				}
+				if n > 0 && &got[0] != &a[0] && &got[0] != &tmp[0] {
+					t.Fatalf("low=%d n=%d: result is neither a nor tmp", low, n)
+				}
+			}
+		}
+	}
+	a, tmp := make([]int64, 1000), make([]int64, 1000)
+	if allocs := testing.AllocsPerRun(10, func() { SortInt64sFrom(a, tmp, 32) }); allocs != 0 {
+		t.Fatalf("SortInt64sFrom allocates %v objects, want 0", allocs)
 	}
 }
 
