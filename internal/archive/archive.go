@@ -229,6 +229,8 @@ func (a *Archive) Resolve(ref string) (string, error) {
 
 // IsCommitID reports whether s is a full commit ID: 64 lowercase hex
 // digits, the only form that is ever joined into a path under commits/.
+// A chunk digest has the same form and is held to it before it names a
+// file under chunks/.
 func IsCommitID(s string) bool {
 	return len(s) == sha256.Size*2 && strings.Trim(s, "0123456789abcdef") == ""
 }
@@ -270,8 +272,8 @@ func (a *Archive) Log(limit int) ([]*Commit, error) {
 // ChunkBytes reads a stored chunk by its SHA-256 digest and verifies the
 // bytes still hash to it.
 func (a *Archive) ChunkBytes(sha string) ([]byte, error) {
-	if len(sha) != sha256.Size*2 {
-		return nil, fmt.Errorf("archive: bad chunk digest %q", sha)
+	if !IsCommitID(sha) {
+		return nil, fmt.Errorf("archive: bad chunk digest %q: not %d lowercase hex digits", sha, sha256.Size*2)
 	}
 	b, err := os.ReadFile(a.chunkPath(sha))
 	if err != nil {

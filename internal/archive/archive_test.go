@@ -248,6 +248,39 @@ func TestResolveRejectsNonHexFullRefs(t *testing.T) {
 	}
 }
 
+// TestChunkBytesRejectsNonHexDigests checks that a chunk digest names a
+// file only if it is 64 lowercase hex digits: a commit record that hashes
+// correctly but records a digest climbing out of chunks/ must not reach a
+// file planted next to the archive.
+func TestChunkBytesRejectsNonHexDigests(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(filepath.Join(dir, "archive"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := a.CommitBench("snap", []byte("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := []byte("planted\n")
+	if err := os.WriteFile(filepath.Join(dir, "planted"), planted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// chunks/./<the rest> resolves to <dir>/planted.
+	escape := "./" + strings.Repeat("./", 24) + "../..//planted"
+	for _, sha := range []string{escape, strings.ToUpper(shaHex(planted)), c.Chunks[0].SHA256[:63] + "g"} {
+		if len(sha) != 64 {
+			t.Fatalf("test digest %q is %d characters, want 64", sha, len(sha))
+		}
+		if _, err := a.ChunkBytes(sha); err == nil || !strings.Contains(err.Error(), "bad chunk digest") {
+			t.Errorf("ChunkBytes(%q) = %v; want a bad-digest error", sha, err)
+		}
+	}
+	if _, err := a.ChunkBytes(c.Chunks[0].SHA256); err != nil {
+		t.Errorf("ChunkBytes of a sealed chunk: %v", err)
+	}
+}
+
 // corrupt locates the stored chunk with the given logical name and
 // applies damage to its file.
 func corruptChunk(t *testing.T, a *Archive, c *Commit, name string, damage func(path string, data []byte)) Chunk {

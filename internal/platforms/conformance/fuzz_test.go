@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -172,8 +173,10 @@ func encodeCorpusCase(c conformance.Case, e, d int) []byte {
 // graphs only — on 1, 3 or 8 machines of 1, 3 or 8 threads. Where the
 // oracle tests already hold an engine to the sequential oracle's bits,
 // so does this; every other output must pass validation.Validate against
-// the reference. The seeds are every corpus graph (its first 64 vertices)
-// on every engine, spread over the deployments.
+// the reference. The graph is also written as a snapshot and mapped, and
+// the engine's outputs on the mapped view must be the heap graph's bits.
+// The seeds are every corpus graph (its first 64 vertices) on every
+// engine, spread over the deployments.
 func FuzzEnginesMatchOracle(f *testing.F) {
 	engines := fuzzEngines(f)
 	for i, c := range conformance.Corpus() {
@@ -192,11 +195,26 @@ func FuzzEnginesMatchOracle(f *testing.F) {
 		e := engines[c.engine]
 		p := e.p
 		ctx := context.Background()
-		up, err := platform.UploadContext(ctx, p, c.g, platform.RunConfig{Threads: c.threads, Machines: c.machines})
+		path := filepath.Join(t.TempDir(), "g.gsnap")
+		if err := graph.WriteSnapshotFile(path, c.g); err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := graph.MapSnapshotFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mapped.Close()
+		rc := platform.RunConfig{Threads: c.threads, Machines: c.machines}
+		up, err := platform.UploadContext(ctx, p, c.g, rc)
 		if err != nil {
 			t.Fatalf("%s: upload: %v", e.name, err)
 		}
 		defer up.Free()
+		upMapped, err := platform.UploadContext(ctx, p, mapped, rc)
+		if err != nil {
+			t.Fatalf("%s: upload mapped: %v", e.name, err)
+		}
+		defer upMapped.Free()
 		cs := conformance.Case{Name: "fuzz", Graph: c.g, Params: c.params}
 		for _, a := range algorithms.All {
 			if !p.Supports(a) || (a == algorithms.SSSP && !c.g.Weighted()) {
@@ -207,9 +225,16 @@ func FuzzEnginesMatchOracle(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: %v", at, err)
 			}
+			resMapped, err := p.Execute(ctx, upMapped, a, c.params)
+			if err != nil {
+				t.Fatalf("%s mapped: %v", at, err)
+			}
+			if !sameBits(res.Output, resMapped.Output) {
+				t.Fatalf("%s: output on the mapped graph differs from the heap graph's", at)
+			}
 			if slices.Contains(e.bits, a) {
 				want := oracle(t, cs, a)
-				if !slices.Equal(res.Output.Int, want.Int) || !slices.Equal(floatBits(res.Output.Float), floatBits(want.Float)) {
+				if !sameBits(res.Output, want) {
 					t.Fatalf("%s: output differs from the sequential oracle", at)
 				}
 				continue

@@ -145,7 +145,7 @@ func TestNativeMatchesOracleBitForBit(t *testing.T) {
 					t.Fatalf("%s: %v", at, err)
 				}
 				want := oracle(t, c, a)
-				if !slices.Equal(res.Output.Int, want.Int) || !slices.Equal(floatBits(res.Output.Float), floatBits(want.Float)) {
+				if !sameBits(res.Output, want) {
 					t.Errorf("%s: output differs from the sequential oracle", at)
 				}
 			}
@@ -212,7 +212,7 @@ func TestRangeEnginesMatchOracleBitForBit(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", at, err)
 					}
-					if !slices.Equal(res.Output.Int, want.Int) || !slices.Equal(floatBits(res.Output.Float), floatBits(want.Float)) {
+					if !sameBits(res.Output, want) {
 						t.Errorf("%s: output differs from the sequential oracle", at)
 					}
 				}
@@ -267,6 +267,12 @@ func oracle(t *testing.T, c conformance.Case, a algorithms.Algorithm) *algorithm
 	default:
 		return &algorithms.Output{Float: algorithms.RefSSSP(g, j.SourceIndex)}
 	}
+}
+
+// sameBits reports whether two outputs hold the same values, floats
+// compared by their bits.
+func sameBits(a, b *algorithms.Output) bool {
+	return slices.Equal(a.Int, b.Int) && slices.Equal(floatBits(a.Float), floatBits(b.Float))
 }
 
 func floatBits(fs []float64) []uint64 {

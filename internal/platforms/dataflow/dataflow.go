@@ -2,11 +2,12 @@
 // style of Apache Spark GraphX, standing in for GraphX in the paper's
 // evaluation. The graph is a pair of partitioned immutable datasets — a
 // vertex dataset hash-partitioned by vertex id and an edge dataset cut
-// into edge partitions — and every algorithm iteration is expressed as
-// dataset operations:
+// into edge partitions, both residue classes of the graph's vertex and
+// stored-arc numbering, read in place — and every algorithm iteration is
+// expressed as dataset operations:
 //
 //	ship:    vertex attributes are shuffled to the edge partitions that
-//	         reference them (via routing tables built at load time);
+//	         reference them (via routing tables counted at load time);
 //	send:    each edge partition scans its triplets and emits messages;
 //	reduce:  messages are shuffled to vertex partitions and merged by key
 //	         into fresh hash maps;
@@ -23,6 +24,7 @@ package dataflow
 import (
 	"context"
 	"fmt"
+	"iter"
 	"slices"
 
 	"graphalytics/internal/algorithms"
@@ -70,37 +72,51 @@ func New() platform.Platform {
 	})
 }
 
-// edgePartition is one partition of the edge dataset.
-type edgePartition struct {
-	src, dst []int32
-	w        []float64 // nil when unweighted
-	// needSrc / needDst are the routing tables: the distinct vertices
-	// whose attributes this partition needs on the source / destination
-	// side of its triplets.
-	needSrc, needDst []int32
-}
+// edgePartition is one partition of the edge dataset, read in place from
+// g. The stored arcs — every out-arc of a directed graph, the arc to the
+// higher (or equal) index of an undirected one — are numbered row-major
+// in g's order, and edge partition p holds those whose number is
+// ≡ p (mod len(eparts)). Within a row these are every len(eparts)-th
+// position from the first, so a partition is one rowStart per source row
+// it touches, ascending: its routing table on the source side.
+type edgePartition []rowStart
+
+// rowStart is a source row of an edge partition and the position of the
+// partition's first arc in g's out-row of it.
+type rowStart struct{ row, first int32 }
 
 type uploaded struct {
 	platform.BaseUpload
-	eparts []*edgePartition
-	// vparts[p] lists the vertices of vertex partition p, v mod 2M.
-	vparts [][]int32
+	eparts []edgePartition
+	// nvp is the number of vertex partitions: vertex partition p is the
+	// vertices v ≡ p (mod nvp), nvp = 2M.
+	nvp int
 	// owner[v] is the machine of vertex v: vertex partition p lives on
 	// machine p mod M, so v lives on (v mod 2M) mod M = v mod M. Edge
-	// partition p lives on machine p mod M.
+	// partition p lives on machine p mod M: machine m's k-th edge or
+	// vertex partition is m + kM.
 	owner []int32
-	// machEparts[m] / machVparts[m] list the edge / vertex partitions
-	// hosted on machine m, ascending — the per-stage task lists, built
-	// once here instead of rediscovered every dataflow stage.
-	machEparts [][]int
-	machVparts [][]int
 	// shipBytes[m] is the per-dense-iteration attribute-shuffle egress of
 	// machine m, precomputed from the routing tables.
 	shipBytes []int64
-	degrees   []int32 // out-degrees dataset, precomputed at load
 	// scratch caches the shuffle plane (message exchanges,
 	// frontier flags, label histogram) between Execute calls.
 	scratch mplane.Pool
+}
+
+// arcs yields edge partition p's arcs (src, dst) in row-major order.
+func (u *uploaded) arcs(p int) iter.Seq2[int32, int32] {
+	return func(yield func(int32, int32) bool) {
+		g, stride := u.G, len(u.eparts)
+		for _, r := range u.eparts[p] {
+			nb := g.OutNeighbors(r.row)
+			for i := int(r.first); i < len(nb); i += stride {
+				if !yield(r.row, nb[i]) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // partitioning constants: like Spark, the engine over-partitions relative
@@ -110,105 +126,79 @@ const (
 	vertexPartsPerMachine = 2
 )
 
-// load materializes the edge and vertex datasets and builds routing
+// load lays the edge and vertex datasets over g and builds the routing
 // tables, and reports the (substantial) memory the dataflow representation
-// occupies. The context is checked between the materialization phases and
-// periodically inside the per-vertex edge scan, so an SLA timer cancels a
+// occupies: triplets, routing tables and the vertex dataset, counted as
+// if materialized. The context is checked between the phases and
+// periodically inside the row scan, so an SLA timer cancels a
 // pathological upload mid-flight.
 func load(ctx context.Context, g *graph.Graph, cl *cluster.Cluster) (*uploaded, []int64, error) {
 	M := cl.Machines()
 	nep := M * edgePartsPerMachine
-	nvp := M * vertexPartsPerMachine
 	n := g.NumVertices()
 
 	u := &uploaded{
-		eparts:    make([]*edgePartition, nep),
-		vparts:    make([][]int32, nvp),
-		owner:     make([]int32, n),
-		shipBytes: make([]int64, M),
-		degrees:   make([]int32, n),
+		// The driver sets G too; the routing pass reads arcs through it.
+		BaseUpload: platform.BaseUpload{G: g},
+		eparts:     make([]edgePartition, nep),
+		nvp:        M * vertexPartsPerMachine,
+		owner:      make([]int32, n),
+		shipBytes:  make([]int64, M),
 	}
-	u.machEparts = make([][]int, M)
-	u.machVparts = make([][]int, M)
-	for p := 0; p < nvp; p++ {
-		u.machVparts[p%M] = append(u.machVparts[p%M], p)
-	}
-	for p := 0; p < nep; p++ {
-		u.eparts[p] = &edgePartition{}
-		u.machEparts[p%M] = append(u.machEparts[p%M], p)
-	}
-	for v := 0; v < n; v++ {
-		u.owner[v] = int32(v % M)
-		u.vparts[v%nvp] = append(u.vparts[v%nvp], int32(v))
-		u.degrees[v] = int32(g.OutDegree(int32(v)))
-	}
-	// Round-robin arcs over edge partitions. Undirected edges are stored
-	// once and expanded to both triplet directions by the send stage.
-	idx := 0
+	perMachine := make([]int64, M)
+	k := 0 // the number of the row's first stored arc
 	for v := int32(0); v < int32(n); v++ {
 		if v&0xffff == 0 {
 			if err := platform.CheckContext(ctx); err != nil {
 				return nil, nil, err
 			}
 		}
-		ws := g.OutWeights(v)
-		for i, d := range g.OutNeighbors(v) {
-			if !g.Directed() && d < v {
-				continue
-			}
-			ep := u.eparts[idx%nep]
-			ep.src = append(ep.src, v)
-			ep.dst = append(ep.dst, d)
-			if ws != nil {
-				ep.w = append(ep.w, ws[i])
-			}
-			idx++
+		u.owner[v] = v % int32(M)
+		perMachine[u.owner[v]] += 24
+		nb := g.OutNeighbors(v)
+		lo := 0
+		if !g.Directed() {
+			lo, _ = slices.BinarySearch(nb, v)
 		}
+		for i := lo; i < min(len(nb), lo+nep); i++ {
+			p := (k + i - lo) % nep
+			u.eparts[p] = append(u.eparts[p], rowStart{v, int32(i)})
+		}
+		k += len(nb) - lo
 	}
-	// Routing tables and per-iteration shuffle volume.
+	// Routing tables and per-iteration shuffle volume: a partition's rows
+	// are its distinct sources, and seen[d] = p+1 marks d a destination of
+	// partition p.
+	seen := make([]int32, n)
 	for p, ep := range u.eparts {
 		if err := platform.CheckContext(ctx); err != nil {
 			return nil, nil, err
 		}
-		ep.needSrc = distinct(ep.src)
-		ep.needDst = distinct(ep.dst)
 		em := int32(p % M)
-		for _, v := range ep.needSrc {
+		ship := func(v int32) {
 			if vm := u.owner[v]; vm != em {
 				u.shipBytes[vm] += 12
 			}
 		}
-		for _, v := range ep.needDst {
-			if vm := u.owner[v]; vm != em {
-				u.shipBytes[vm] += 12
+		for _, r := range ep {
+			ship(r.row)
+		}
+		arcs, need := int64(0), int64(len(ep))
+		for _, d := range u.arcs(p) {
+			arcs++
+			if seen[d] != int32(p+1) {
+				seen[d] = int32(p + 1)
+				need++
+				ship(d)
 			}
 		}
-	}
-	// Memory: triplet storage (src, dst, weight and two attribute slots
-	// per stored edge) plus routing tables plus the vertex dataset.
-	perMachine := make([]int64, M)
-	for p, ep := range u.eparts {
-		b := int64(len(ep.src))*(8+16) + int64(len(ep.needSrc)+len(ep.needDst))*4 + int64(len(ep.w))*8
-		perMachine[p%M] += b
-	}
-	for p, verts := range u.vparts {
-		perMachine[p%M] += int64(len(verts)) * 24
+		// Triplet storage: src, dst, weight and two attribute slots per
+		// stored arc, plus the routing tables.
+		b := arcs*(8+16) + need*4
+		if g.Weighted() {
+			b += arcs * 8
+		}
+		perMachine[em] += b
 	}
 	return u, perMachine, nil
-}
-
-// distinct returns the sorted distinct values of xs.
-func distinct(xs []int32) []int32 {
-	if len(xs) == 0 {
-		return nil
-	}
-	out := append([]int32(nil), xs...)
-	slices.Sort(out)
-	uniq := out[:0]
-	for i, x := range out {
-		if i == 0 || x != out[i-1] {
-			uniq = append(uniq, x)
-		}
-	}
-	return uniq
 }

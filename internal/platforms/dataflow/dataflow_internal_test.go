@@ -1,82 +1,103 @@
 package dataflow
 
 import (
+	"fmt"
 	"testing"
 
 	"graphalytics/internal/graph"
 	"graphalytics/internal/platform"
 )
 
-func TestUploadRoutingTables(t *testing.T) {
-	g, err := graph.FromEdges("g", true, false, []graph.Edge{
-		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, {Src: 0, Dst: 2},
-	}, graph.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
+// TestPartitionsAreResidueClasses checks the edge and vertex datasets
+// laid over g: every stored arc — numbered row-major, every out-arc of a
+// directed graph and the arc to the higher index of an undirected one —
+// is in exactly one edge partition, the one its number is ≡ to modulo
+// the partition count; each partition's rows ascend; and the vertex
+// partitions cover V once.
+func TestPartitionsAreResidueClasses(t *testing.T) {
+	edges := []graph.Edge{
+		{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 2}, {Src: 2, Dst: 5, Weight: 3},
+		{Src: 0, Dst: 2, Weight: 4}, {Src: 3, Dst: 0, Weight: 5}, {Src: 3, Dst: 4, Weight: 6},
+		{Src: 4, Dst: 1, Weight: 7}, {Src: 4, Dst: 2, Weight: 8}, {Src: 5, Dst: 3, Weight: 9},
 	}
-	up, err := New().Upload(g, platform.RunConfig{Threads: 1, Machines: 2})
-	if err != nil {
-		t.Fatal(err)
+	// A hub of 30 arcs gives rows longer than the partition count.
+	for d := int64(6); d < 36; d++ {
+		edges = append(edges, graph.Edge{Src: 2, Dst: d, Weight: float64(d)})
 	}
-	defer up.Free()
-	u := up.(*uploaded)
-
-	if len(u.eparts) != 2*edgePartsPerMachine {
-		t.Fatalf("edge partitions = %d, want %d", len(u.eparts), 2*edgePartsPerMachine)
-	}
-	if len(u.vparts) != 2*vertexPartsPerMachine {
-		t.Fatalf("vertex partitions = %d, want %d", len(u.vparts), 2*vertexPartsPerMachine)
-	}
-	// Every stored edge's endpoints must appear in its partition's
-	// routing tables, and all 4 arcs must be stored exactly once.
-	total := 0
-	for _, ep := range u.eparts {
-		total += len(ep.src)
-		for i, s := range ep.src {
-			if !containsInt32(ep.needSrc, s) {
-				t.Fatalf("needSrc misses %d", s)
-			}
-			if !containsInt32(ep.needDst, ep.dst[i]) {
-				t.Fatalf("needDst misses %d", ep.dst[i])
-			}
+	for _, kind := range []struct {
+		name               string
+		directed, weighted bool
+	}{{"directed", true, false}, {"undirected", false, false}, {"weighted", false, true}} {
+		g, err := graph.FromEdges(kind.name, kind.directed, kind.weighted, edges, graph.BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if total != 4 {
-		t.Fatalf("stored arcs = %d, want 4", total)
-	}
-	// Vertex partitions must cover all vertices exactly once.
-	seen := make(map[int32]bool)
-	for p, verts := range u.vparts {
-		for _, v := range verts {
-			if seen[v] {
-				t.Fatalf("vertex %d in two partitions", v)
-			}
-			seen[v] = true
-			if int(v)%len(u.vparts) != p || int(u.owner[v]) != p%2 {
-				t.Fatalf("vertex %d in partition %d, owned by machine %d", v, p, u.owner[v])
-			}
+		for _, machines := range []int{1, 2, 3} {
+			t.Run(fmt.Sprintf("%s/m%d", kind.name, machines), func(t *testing.T) {
+				up, err := New().Upload(g, platform.RunConfig{Threads: 1, Machines: machines})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer up.Free()
+				checkPartitions(t, g, up.(*uploaded), machines)
+			})
 		}
-	}
-	if len(seen) != g.NumVertices() {
-		t.Fatalf("vertex partitions cover %d vertices, want %d", len(seen), g.NumVertices())
 	}
 }
 
-func containsInt32(xs []int32, x int32) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
+func checkPartitions(t *testing.T, g *graph.Graph, u *uploaded, machines int) {
+	t.Helper()
+	nep := machines * edgePartsPerMachine
+	if len(u.eparts) != nep || u.nvp != machines*vertexPartsPerMachine {
+		t.Fatalf("%d edge and %d vertex partitions, want %d and %d",
+			len(u.eparts), u.nvp, nep, machines*vertexPartsPerMachine)
+	}
+	type arc struct{ src, dst int32 }
+	part := map[arc]int{} // the partition of each stored arc, by its number
+	k := 0
+	for v := int32(0); v < int32(g.NumVertices()); v++ {
+		for _, d := range g.OutNeighbors(v) {
+			if g.Directed() || d >= v {
+				part[arc{v, d}] = k % nep
+				k++
+			}
 		}
 	}
-	return false
-}
-
-func TestDistinct(t *testing.T) {
-	got := distinct([]int32{3, 1, 3, 2, 1})
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("distinct = %v", got)
+	seen := map[arc]bool{}
+	for p, ep := range u.eparts {
+		for i, r := range ep {
+			if i > 0 && r.row <= ep[i-1].row {
+				t.Fatalf("partition %d: row %d after row %d", p, r.row, ep[i-1].row)
+			}
+		}
+		for s, d := range u.arcs(p) {
+			a := arc{s, d}
+			want, stored := part[a]
+			if !stored || seen[a] {
+				t.Fatalf("partition %d: arc %v not stored or in two partitions", p, a)
+			}
+			if want != p {
+				t.Fatalf("arc %v in partition %d, its number is ≡ %d", a, p, want)
+			}
+			seen[a] = true
+		}
 	}
-	if distinct(nil) != nil {
-		t.Fatal("distinct(nil) must be nil")
+	if len(seen) != len(part) {
+		t.Fatalf("partitions hold %d of %d stored arcs", len(seen), len(part))
+	}
+	// Vertex partitions: each vertex once, on its owner's machine.
+	covered := make([]int, g.NumVertices())
+	for p := 0; p < u.nvp; p++ {
+		for v := int32(p); v < int32(g.NumVertices()); v += int32(u.nvp) {
+			covered[v]++
+			if int(u.owner[v]) != p%machines {
+				t.Fatalf("vertex %d of partition %d owned by machine %d", v, p, u.owner[v])
+			}
+		}
+	}
+	for v, c := range covered {
+		if c != 1 {
+			t.Fatalf("vertex %d is in %d vertex partitions", v, c)
+		}
 	}
 }

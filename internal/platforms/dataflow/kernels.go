@@ -46,7 +46,6 @@ type mail[M any] struct {
 	u        *uploaded
 	bytes    int64 // the wire size of one message of the flow
 	mach     int   // the machine whose round it is
-	mine     []int // its edge or vertex partitions
 	edges    func(lo, hi int)
 	vertices func(w, lo, hi int)
 	size     func(M) int64
@@ -60,7 +59,7 @@ type mail[M any] struct {
 // exactly the order the seed's per-partition hash maps merged in, so
 // apply receives at most one.
 type flow[M any] struct {
-	send  func(em *mplane.Stage[M], ep *edgePartition)
+	send  func(em *mplane.Stage[M], p int)
 	merge func(a, b M) M
 	apply func(worker, vpart int, v int32, msgs []M)
 }
@@ -69,15 +68,17 @@ type flow[M any] struct {
 // machine's edge partitions [lo, hi), each into its own stage.
 func (mb *mail[M]) stageEdges(lo, hi int) {
 	for k := lo; k < hi; k++ {
-		mb.flow.send(mb.ex.Stage(mb.mach, k), mb.u.eparts[mb.mine[k]])
+		mb.flow.send(mb.ex.Stage(mb.mach, k), mb.mach+k*mb.u.Cl.Machines())
 	}
 }
 
 // applyVertices is the vertex stage's body: it hands every vertex of the
 // machine's vertex partitions [lo, hi) its delivered messages.
 func (mb *mail[M]) applyVertices(w, lo, hi int) {
-	for _, p := range mb.mine[lo:hi] {
-		for _, v := range mb.u.vparts[p] {
+	n, nvp := int32(mb.u.G.NumVertices()), int32(mb.u.nvp)
+	for k := lo; k < hi; k++ {
+		p := mb.mach + k*mb.u.Cl.Machines()
+		for v := int32(p); v < n; v += nvp {
 			mb.flow.apply(w, p, v, mb.ex.At(v))
 		}
 	}
@@ -128,15 +129,15 @@ func runFlow[M any](ctx context.Context, u *uploaded, mb *mail[M], shipFraction 
 		mb.edges, mb.vertices, mb.size = mb.stageEdges, mb.applyVertices, mb.msgSize
 	}
 	mb.flow, mb.u, mb.bytes = f, u, msgBytes
-	defer func() { mb.flow, mb.u, mb.mine = flow[M]{}, nil, nil }()
+	defer func() { mb.flow, mb.u = flow[M]{}, nil }()
 	mb.ex.Begin(u.G.NumVertices(), u.owner, cl.Machines(), edgePartsPerMachine, mb.size, f.merge)
 	mb.ex.Open()
 
 	// Edge stage: scan partitions, stage and deliver messages, account
 	// the attribute shuffle.
 	if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-		mb.mach, mb.mine = mach, u.machEparts[mach]
-		th.Chunks(len(mb.mine), mb.edges)
+		mb.mach = mach
+		th.Chunks(edgePartsPerMachine, mb.edges)
 		mb.ex.Deliver(cl, mach)
 		if shipFraction > 0 {
 			cl.Send(mach, (mach+1)%cl.Machines(), int64(float64(u.shipBytes[mach])*shipFraction))
@@ -149,8 +150,8 @@ func runFlow[M any](ctx context.Context, u *uploaded, mb *mail[M], shipFraction 
 
 	// Vertex stage: hand every vertex its delivered messages.
 	return cl.RunRound(func(mach int, th *cluster.Threads) error {
-		mb.mine = u.machVparts[mach]
-		th.ChunksIndexed(len(mb.mine), mb.vertices)
+		mb.mach = mach
+		th.ChunksIndexed(vertexPartsPerMachine, mb.vertices)
 		return nil
 	})
 }
@@ -164,7 +165,7 @@ func minInt64(a, b int64) int64 {
 }
 
 // prFlow is PageRank as iterated aggregateMessages with a sum reducer.
-// Source attributes are read straight from the rank vector; the ship
+// Source attributes are read straight from the share vector; the ship
 // stage that would move them to the edge partitions is accounted through
 // shipBytes, as in the seed.
 func prFlow(ctx context.Context, u *uploaded, iterations int, damping float64) ([]float64, error) {
@@ -177,29 +178,27 @@ func prFlow(ctx context.Context, u *uploaded, iterations int, damping float64) (
 	directed := u.G.Directed()
 	inv := 1.0 / float64(n)
 	rank := make([]float64, n)
-	for i := range rank {
-		rank[i] = inv
-	}
-	danglingParts := make([]float64, len(u.vparts))
+	// share[v] is rank[v] / outdegree(v), what v sends along each arc. Both
+	// ends of a stored arc have one, so every sender's share is set.
+	share := make([]float64, n)
+	danglingParts := make([]float64, u.nvp)
 	dangling := 0.0
 	//graphalint:orderfree sequential single pass in vertex index order
-	for v := 0; v < n; v++ {
-		if u.degrees[v] == 0 {
-			dangling += rank[v]
+	for v := int32(0); v < int32(n); v++ {
+		rank[v] = inv
+		if dg := u.G.OutDegree(v); dg > 0 {
+			share[v] = inv / float64(dg)
+		} else {
+			dangling += inv
 		}
 	}
 	var base float64
 	f := flow[float64]{
-		send: func(em *mplane.Stage[float64], ep *edgePartition) {
-			for i, s := range ep.src {
-				d := ep.dst[i]
-				if dg := u.degrees[s]; dg > 0 {
-					em.Send(d, rank[s]/float64(dg))
-				}
+		send: func(em *mplane.Stage[float64], p int) {
+			for s, d := range u.arcs(p) {
+				em.Send(d, share[s])
 				if !directed {
-					if dg := u.degrees[d]; dg > 0 {
-						em.Send(s, rank[d]/float64(dg))
-					}
+					em.Send(s, share[d])
 				}
 			}
 		},
@@ -210,7 +209,9 @@ func prFlow(ctx context.Context, u *uploaded, iterations int, damping float64) (
 				nv = base + damping*msgs[0]
 			}
 			rank[v] = nv
-			if u.degrees[v] == 0 {
+			if dg := u.G.OutDegree(v); dg > 0 {
+				share[v] = nv / float64(dg)
+			} else {
 				//graphalint:orderfree delivery folds run once per vertex in the CSR inbox's fixed vpart-major, vertex-major order
 				danglingParts[vp] += nv
 			}
@@ -250,9 +251,8 @@ func bfsFlow(ctx context.Context, u *uploaded, source int32) ([]int64, error) {
 	activeCount := 1
 	var updates []int
 	f := flow[int64]{
-		send: func(em *mplane.Stage[int64], ep *edgePartition) {
-			for i, s := range ep.src {
-				d := ep.dst[i]
+		send: func(em *mplane.Stage[int64], p int) {
+			for s, d := range u.arcs(p) {
 				if active[s] && depth[d] == algorithms.Unreachable {
 					em.Send(d, depth[s]+1)
 				}
@@ -272,7 +272,7 @@ func bfsFlow(ctx context.Context, u *uploaded, source int32) ([]int64, error) {
 		},
 	}
 	for activeCount > 0 {
-		updates = sc.counters(len(u.vparts))
+		updates = sc.counters(u.nvp)
 		frac := float64(activeCount) / float64(n)
 		if err := runFlow(ctx, u, &sc.i64, frac, 8, f); err != nil {
 			return nil, err
@@ -298,9 +298,8 @@ func wccFlow(ctx context.Context, u *uploaded) ([]int64, error) {
 	}
 	var changes []int
 	f := flow[int64]{
-		send: func(em *mplane.Stage[int64], ep *edgePartition) {
-			for i, s := range ep.src {
-				d := ep.dst[i]
+		send: func(em *mplane.Stage[int64], p int) {
+			for s, d := range u.arcs(p) {
 				em.Send(d, labels[s])
 				em.Send(s, labels[d])
 			}
@@ -314,7 +313,7 @@ func wccFlow(ctx context.Context, u *uploaded) ([]int64, error) {
 		},
 	}
 	for {
-		changes = sc.counters(len(u.vparts))
+		changes = sc.counters(u.nvp)
 		if err := runFlow(ctx, u, &sc.i64, 1, 8, f); err != nil {
 			return nil, err
 		}
@@ -374,9 +373,8 @@ func cdlpFlow(ctx context.Context, u *uploaded, iterations int) ([]int64, error)
 	dense := true // round zero ships everything
 	var updates []int
 	masked := flow[int32]{
-		send: func(em *mplane.Stage[int32], ep *edgePartition) {
-			for i, s := range ep.src {
-				d := ep.dst[i]
+		send: func(em *mplane.Stage[int32], p int) {
+			for s, d := range u.arcs(p) {
 				if dirty[d] {
 					em.Send(d, labels[s])
 				}
@@ -406,7 +404,7 @@ func cdlpFlow(ctx context.Context, u *uploaded, iterations int) ([]int64, error)
 		},
 	}
 	for it := 0; it < iterations; it++ {
-		updates = sc.counters(len(u.vparts))
+		updates = sc.counters(u.nvp)
 		var err error
 		if dense {
 			err = cdlpDenseRound(ctx, u, &sc.counts, labels, next, changed, updates, frac, it == 0)
@@ -431,9 +429,8 @@ func cdlpFlow(ctx context.Context, u *uploaded, iterations int) ([]int64, error)
 		dense = !algorithms.CDLPScatterWorthwhile(total, n)
 		if !dense && it+1 < iterations {
 			clear(dirty)
-			for _, ep := range u.eparts {
-				for i, s := range ep.src {
-					d := ep.dst[i]
+			for p := range u.eparts {
+				for s, d := range u.arcs(p) {
 					if changed[s] {
 						dirty[d] = true
 					}
@@ -472,13 +469,12 @@ func cdlpDenseRound(ctx context.Context, u *uploaded, counts *mplane.WorkerCount
 	if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
 		var wire int64
 		if cl.Machines() > 1 {
-			for _, p := range u.machEparts[mach] {
-				ep := u.eparts[p]
-				for i := range ep.src {
-					if int(u.owner[ep.dst[i]]) != mach {
+			for p := mach; p < len(u.eparts); p += cl.Machines() {
+				for s, d := range u.arcs(p) {
+					if int(u.owner[d]) != mach {
 						wire += 16
 					}
-					if int(u.owner[ep.src[i]]) != mach {
+					if int(u.owner[s]) != mach {
 						wire += 16
 					}
 				}
@@ -493,11 +489,12 @@ func cdlpDenseRound(ctx context.Context, u *uploaded, counts *mplane.WorkerCount
 	cl.RunBarrier(func() {}) // the shuffle barrier; nothing staged
 	g := u.G
 	directed := g.Directed()
+	n, nvp := int32(g.NumVertices()), int32(u.nvp)
 	return cl.RunRound(func(mach int, th *cluster.Threads) error {
-		mine := u.machVparts[mach]
-		th.ChunksIndexed(len(mine), func(w, lo, hi int) {
-			for _, p := range mine[lo:hi] {
-				for _, v := range u.vparts[p] {
+		th.ChunksIndexed(vertexPartsPerMachine, func(w, lo, hi int) {
+			for k := lo; k < hi; k++ {
+				p := mach + k*cl.Machines()
+				for v := int32(p); v < n; v += nvp {
 					var nl int32
 					if first {
 						var in []int32
@@ -535,9 +532,8 @@ func lccFlow(ctx context.Context, u *uploaded) ([]float64, error) {
 	sc.hoods = mplane.GrowZero(sc.hoods, n)
 	hoods := sc.hoods
 	err := runFlow(ctx, u, &sc.i32, 1, 8, flow[int32]{
-		send: func(em *mplane.Stage[int32], ep *edgePartition) {
-			for i, s := range ep.src {
-				d := ep.dst[i]
+		send: func(em *mplane.Stage[int32], p int) {
+			for s, d := range u.arcs(p) {
 				em.Send(d, s)
 				em.Send(s, d)
 			}
@@ -569,9 +565,8 @@ func lccFlow(ctx context.Context, u *uploaded) ([]float64, error) {
 	}
 	credits := make([]int64, n)
 	err = runFlow(ctx, u, &sc.i64, 1, 12, flow[int64]{
-		send: func(em *mplane.Stage[int64], ep *edgePartition) {
-			for i, a := range ep.src {
-				b := ep.dst[i]
+		send: func(em *mplane.Stage[int64], p int) {
+			for a, b := range u.arcs(p) {
 				weight := int64(1)
 				if !directed {
 					// A stored undirected edge represents both arcs.
@@ -629,15 +624,20 @@ func ssspFlow(ctx context.Context, u *uploaded, source int32) ([]float64, error)
 	activeCount := 1
 	var updates []int
 	f := flow[float64]{
-		send: func(em *mplane.Stage[float64], ep *edgePartition) {
-			for i, s := range ep.src {
-				d := ep.dst[i]
-				w := ep.w[i]
-				if active[s] {
-					em.Send(d, dist[s]+w)
-				}
-				if !directed && active[d] {
-					em.Send(s, dist[d]+w)
+		// The arcs of u.arcs(p), with their weights read at the same
+		// positions of g's out-rows.
+		send: func(em *mplane.Stage[float64], p int) {
+			g, stride := u.G, len(u.eparts)
+			for _, r := range u.eparts[p] {
+				s, nb, ws := r.row, g.OutNeighbors(r.row), g.OutWeights(r.row)
+				for i := int(r.first); i < len(nb); i += stride {
+					d, w := nb[i], ws[i]
+					if active[s] {
+						em.Send(d, dist[s]+w)
+					}
+					if !directed && active[d] {
+						em.Send(s, dist[d]+w)
+					}
 				}
 			}
 		},
@@ -652,7 +652,7 @@ func ssspFlow(ctx context.Context, u *uploaded, source int32) ([]float64, error)
 		},
 	}
 	for activeCount > 0 {
-		updates = sc.counters(len(u.vparts))
+		updates = sc.counters(u.nvp)
 		frac := float64(activeCount) / float64(n)
 		if err := runFlow(ctx, u, &sc.f64, frac, 8, f); err != nil {
 			return nil, err
