@@ -58,16 +58,6 @@ type (
 	EventType    = core.EventType
 )
 
-// BufferedObserver decouples a slow event consumer from the session's
-// synchronous delivery: events are forwarded in order through a bounded
-// buffer and dropped (counted, never blocking the run) on overflow.
-type BufferedObserver = core.BufferedObserver
-
-// NewBufferedObserver wraps target with a drop-on-overflow buffer.
-func NewBufferedObserver(target Observer, size int) *BufferedObserver {
-	return core.NewBufferedObserver(target, size)
-}
-
 // MultiObserver fans one event stream out to several observers.
 func MultiObserver(obs ...Observer) Observer { return core.MultiObserver(obs...) }
 

@@ -193,12 +193,11 @@ func (c *serviceClient) followEvents(ctx context.Context, runID string, w io.Wri
 // eventRecord mirrors the service's EventRecord wire form (the fields
 // the progress renderer uses).
 type eventRecord struct {
-	Seq     uint64    `json:"seq"`
-	Time    time.Time `json:"time"`
-	Type    string    `json:"type"`
-	Run     string    `json:"run"`
-	State   string    `json:"state"`
-	Dropped uint64    `json:"dropped"`
+	Seq   uint64    `json:"seq"`
+	Time  time.Time `json:"time"`
+	Type  string    `json:"type"`
+	Run   string    `json:"run"`
+	State string    `json:"state"`
 	// ArchiveRoot is the archive commit ID sealing a completed run's
 	// results, carried on the final run-finished event.
 	ArchiveRoot string `json:"archive_root"`
@@ -228,11 +227,7 @@ func renderEventRecord(w io.Writer, ev sseEvent) (string, error) {
 	case "run-started":
 		fmt.Fprintf(w, "%s >> run %s started\n", stamp, rec.Run)
 	case "run-finished":
-		if rec.Dropped > 0 {
-			fmt.Fprintf(w, "%s >> run %s %s (%d events dropped under load)\n", stamp, rec.Run, rec.State, rec.Dropped)
-		} else {
-			fmt.Fprintf(w, "%s >> run %s %s\n", stamp, rec.Run, rec.State)
-		}
+		fmt.Fprintf(w, "%s >> run %s %s\n", stamp, rec.Run, rec.State)
 		if rec.ArchiveRoot != "" {
 			// The daemon sealed the run: print the commit ID so the
 			// watcher can verify the published results offline

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // EventType names a progress event emitted by a Session.
 type EventType string
@@ -44,7 +40,7 @@ type Event struct {
 	// delivery order. Batches derived from one session (RunAll/RunPlan
 	// per-call options) share the session's counter, so Seq totally
 	// orders the whole session's stream — which is what lets a streaming
-	// consumer (e.g. an SSE bridge) resume after a disconnect and
+	// consumer (e.g. the daemon's SSE stream) resume after a disconnect and
 	// attribute durations between events.
 	Seq uint64
 	// Time is the delivery timestamp, stamped by the session from the
@@ -79,11 +75,12 @@ type Event struct {
 // implementations need no internal locking and always see Seq in
 // increasing order. The flip side of synchronous delivery is that a slow
 // observer backpressures job completion — observers should return
-// quickly, and consumers that cannot keep up (network writers, UIs)
-// should be wrapped in NewBufferedObserver, which decouples them from
-// the run loop and drops rather than stalls. A panicking observer does
-// not kill the run: the session recovers panics at the delivery site and
-// keeps going (the event is lost for that observer).
+// quickly. A consumer that cannot keep up (a network writer, a UI)
+// appends the event to a log of its own and serves it from there, at
+// its own pace: the daemon's per-run event log is that shape, and no
+// event is lost to a slow reader. A panicking observer does not kill
+// the run: the session recovers panics at the delivery site and keeps
+// going (the event is lost for that observer).
 type Observer interface {
 	Observe(Event)
 }
@@ -112,89 +109,3 @@ func safeObserve(o Observer, e Event) {
 	defer func() { _ = recover() }()
 	o.Observe(e)
 }
-
-// BufferedObserver decouples a slow consumer from the session's
-// synchronous event delivery: Observe enqueues into a bounded buffer and
-// never blocks, a drain goroutine forwards events to the wrapped
-// observer in order, and when the buffer is full the event is counted
-// and dropped instead of stalling the run loop. This is the wrapper the
-// service layer's SSE bridge uses — the run keeps its pace no matter how
-// slow the network reader is, and Dropped reports how much the consumer
-// missed.
-//
-// Close stops the drain goroutine after flushing everything already
-// buffered and waits for it; Observe calls after (or racing) Close count
-// as drops. Closing twice is safe.
-type BufferedObserver struct {
-	target  Observer
-	ch      chan Event
-	stop    chan struct{}
-	done    chan struct{}
-	dropped atomic.Uint64
-	once    sync.Once
-}
-
-// NewBufferedObserver wraps target with a drop-on-overflow buffer of the
-// given size (minimum 1).
-func NewBufferedObserver(target Observer, size int) *BufferedObserver {
-	if size < 1 {
-		size = 1
-	}
-	b := &BufferedObserver{
-		target: target,
-		ch:     make(chan Event, size),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	go b.drain()
-	return b
-}
-
-// Observe implements Observer: non-blocking enqueue, dropping (and
-// counting) when the buffer is full or the wrapper is closed.
-func (b *BufferedObserver) Observe(e Event) {
-	select {
-	case <-b.stop:
-		b.dropped.Add(1)
-		return
-	default:
-	}
-	select {
-	case b.ch <- e:
-	default:
-		b.dropped.Add(1)
-	}
-}
-
-// drain forwards buffered events until Close, then flushes what is still
-// queued.
-func (b *BufferedObserver) drain() {
-	defer close(b.done)
-	for {
-		select {
-		case e := <-b.ch:
-			safeObserve(b.target, e)
-		case <-b.stop:
-			for {
-				select {
-				case e := <-b.ch:
-					safeObserve(b.target, e)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// Close flushes buffered events to the target, stops the drain goroutine
-// and waits for it. After Close returns, the target receives no further
-// events.
-func (b *BufferedObserver) Close() {
-	b.once.Do(func() { close(b.stop) })
-	<-b.done
-}
-
-// Dropped returns how many events were discarded because the buffer was
-// full (or the wrapper closed).
-func (b *BufferedObserver) Dropped() uint64 { return b.dropped.Load() }

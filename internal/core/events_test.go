@@ -82,94 +82,3 @@ func TestObserverPanicRecovered(t *testing.T) {
 		t.Fatal("healthy co-observer received no events despite panicking sibling")
 	}
 }
-
-// TestBufferedObserverOrderAndFlush checks that the buffered wrapper
-// forwards events in order and that Close flushes everything already
-// buffered before returning.
-func TestBufferedObserverOrderAndFlush(t *testing.T) {
-	var mu sync.Mutex
-	var got []uint64
-	slowish := core.ObserverFunc(func(e core.Event) {
-		mu.Lock()
-		got = append(got, e.Seq)
-		mu.Unlock()
-	})
-	b := core.NewBufferedObserver(slowish, 64)
-	const n = 50
-	for i := 1; i <= n; i++ {
-		b.Observe(core.Event{Seq: uint64(i)})
-	}
-	b.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got)+int(b.Dropped()) != n {
-		t.Fatalf("delivered %d + dropped %d != sent %d", len(got), b.Dropped(), n)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("out-of-order delivery: %d after %d", got[i], got[i-1])
-		}
-	}
-	// Close is idempotent and post-Close events are counted drops.
-	b.Close()
-	before := b.Dropped()
-	b.Observe(core.Event{Seq: n + 1})
-	if b.Dropped() != before+1 {
-		t.Fatalf("post-Close Observe not counted as drop")
-	}
-}
-
-// TestBufferedObserverDropsInsteadOfStalling checks the overflow
-// contract: with the consumer blocked, Observe never blocks and the
-// overflow is counted.
-func TestBufferedObserverDropsInsteadOfStalling(t *testing.T) {
-	release := make(chan struct{})
-	started := make(chan struct{})
-	var once sync.Once
-	blocked := core.ObserverFunc(func(core.Event) {
-		once.Do(func() { close(started) })
-		<-release
-	})
-	b := core.NewBufferedObserver(blocked, 2)
-	b.Observe(core.Event{Seq: 1}) // taken by the drain goroutine, blocks
-	<-started
-	// Fill the buffer, then overflow it; none of these may block.
-	done := make(chan struct{})
-	go func() {
-		for i := 2; i <= 10; i++ {
-			b.Observe(core.Event{Seq: uint64(i)})
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Observe blocked on a full buffer")
-	}
-	if b.Dropped() == 0 {
-		t.Fatal("overflow not counted as drops")
-	}
-	close(release)
-	b.Close()
-}
-
-// TestBufferedObserverShieldsPanic checks that a panicking wrapped
-// target does not kill the drain goroutine.
-func TestBufferedObserverShieldsPanic(t *testing.T) {
-	var mu sync.Mutex
-	calls := 0
-	b := core.NewBufferedObserver(core.ObserverFunc(func(core.Event) {
-		mu.Lock()
-		calls++
-		mu.Unlock()
-		panic("target bug")
-	}), 8)
-	b.Observe(core.Event{Seq: 1})
-	b.Observe(core.Event{Seq: 2})
-	b.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	if calls != 2 {
-		t.Fatalf("target called %d times, want 2 (drain must survive panics)", calls)
-	}
-}

@@ -434,8 +434,8 @@ func TestSessionHostGoroutinesBounded(t *testing.T) {
 	run() // warm-up: loads the graphs and starts the pool's helpers
 	baseline := runtime.NumGoroutine()
 	// The fixed goroutines the baseline does not hold: this sampler, and
-	// nothing of the session's — it has no BufferedObserver to drain, and
-	// no SLA timer fires under a two-minute SLA. RunPlan's caller, this
+	// nothing of the session's — it delivers events synchronously, on the
+	// emitting goroutine, and no SLA timer fires under a two-minute SLA. RunPlan's caller, this
 	// test's goroutine, is in the baseline.
 	const fixed = 1
 	var peak atomic.Int64

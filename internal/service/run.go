@@ -49,7 +49,6 @@ type Run struct {
 	cancel          func()
 	cancelRequested bool
 	errMsg          string
-	dropped         uint64 // events the SSE bridge dropped (overflow)
 	// archiveRoot is the archive commit ID sealing this run's results
 	// ("" until a completed run is committed, or with no archive).
 	archiveRoot string
@@ -64,8 +63,8 @@ func (r *Run) ID() string { return r.id }
 // Plan returns the run's compiled plan.
 func (r *Run) Plan() *core.Plan { return r.plan }
 
-// Results returns a snapshot of the results recorded so far, in plan
-// commit order.
+// Results returns the results recorded so far, in plan commit order, as
+// a read-only view of the run's result log.
 func (r *Run) Results() []core.JobResult {
 	snap, _, _ := r.results.wait(0)
 	return snap
@@ -86,9 +85,6 @@ type EventRecord struct {
 
 	// Lifecycle records ("run-queued", "run-started", "run-finished").
 	State RunState `json:"state,omitempty"`
-	// Dropped reports, on the final record, how many core events the
-	// SSE bridge discarded because its buffer overflowed.
-	Dropped uint64 `json:"dropped,omitempty"`
 	// ArchiveRoot is, on the final record of a completed run, the
 	// archive commit ID sealing its results — the Merkle root chain
 	// handle to verify the published results against, servable via
@@ -118,8 +114,8 @@ const (
 )
 
 // appendCoreEvent projects a core session event into the run's event
-// log. It runs on the SSE bridge's drain goroutine, decoupled from the
-// session's emit path.
+// log. It is the run's core.Observer: the session calls it on its
+// serialized emit path, so appends arrive in Seq order and none is lost.
 func (r *Run) appendCoreEvent(e core.Event) {
 	rec := EventRecord{
 		Seq:        e.Seq,
@@ -158,7 +154,7 @@ func (r *Run) appendCoreEvent(e core.Event) {
 
 // appendLifecycle appends a run lifecycle marker to the event log; root
 // carries the archive commit ID on a completed run's final record.
-func (r *Run) appendLifecycle(typ string, state RunState, dropped uint64, root string) {
+func (r *Run) appendLifecycle(typ string, state RunState, root string) {
 	r.events.append(func(id int) EventRecord {
 		return EventRecord{
 			ID:          uint64(id),
@@ -166,7 +162,6 @@ func (r *Run) appendLifecycle(typ string, state RunState, dropped uint64, root s
 			Type:        typ,
 			Run:         r.id,
 			State:       state,
-			Dropped:     dropped,
 			ArchiveRoot: root,
 		}
 	})
@@ -194,8 +189,7 @@ type RunRecord struct {
 	Results  int            `json:"results"`
 	Statuses map[string]int `json:"statuses,omitempty"`
 
-	Error         string `json:"error,omitempty"`
-	EventsDropped uint64 `json:"events_dropped,omitempty"`
+	Error string `json:"error,omitempty"`
 	// ArchiveRoot is the archive commit ID sealing a completed run's
 	// results (empty until done, or when the daemon runs without an
 	// archive).
@@ -205,17 +199,16 @@ type RunRecord struct {
 // recordLocked builds the wire view; the caller holds the service mutex.
 func (r *Run) recordLocked() RunRecord {
 	rec := RunRecord{
-		ID:            r.id,
-		Tenant:        r.tenant.Name,
-		Name:          r.plan.Name,
-		State:         r.state,
-		Created:       r.created,
-		StartOrder:    r.startOrder,
-		Jobs:          len(r.plan.Jobs),
-		Deployments:   len(r.plan.Deployments),
-		Error:         r.errMsg,
-		EventsDropped: r.dropped,
-		ArchiveRoot:   r.archiveRoot,
+		ID:          r.id,
+		Tenant:      r.tenant.Name,
+		Name:        r.plan.Name,
+		State:       r.state,
+		Created:     r.created,
+		StartOrder:  r.startOrder,
+		Jobs:        len(r.plan.Jobs),
+		Deployments: len(r.plan.Deployments),
+		Error:       r.errMsg,
+		ArchiveRoot: r.archiveRoot,
 	}
 	if !r.started.IsZero() {
 		t := r.started
@@ -237,11 +230,11 @@ func (r *Run) recordLocked() RunRecord {
 }
 
 // streamLog is an append-only, closable log with broadcast wakeups — the
-// shared shape of a run's event log and result log. Readers snapshot a
-// suffix and receive a channel that is closed on the next change, so a
-// streaming handler can wait for more items or the log's close without
-// polling, and a reconnecting client can resume from any index with no
-// gaps and no duplicates.
+// shared shape of a run's event log and result log. Readers take a view
+// of a suffix and receive a channel that is closed on the next change,
+// so a streaming handler can wait for more items or the log's close
+// without polling, and a reconnecting client can resume from any index
+// with no gaps and no duplicates.
 type streamLog[T any] struct {
 	mu      sync.Mutex
 	items   []T
@@ -281,14 +274,18 @@ func (l *streamLog[T]) broadcastLocked() {
 	l.updated = make(chan struct{})
 }
 
-// wait snapshots the items after index `from` (0-based count already
-// consumed) and returns whether the log is closed plus a channel closed
-// on the next change — the select loop of every streaming handler.
+// wait returns the items after index `from` (0-based count already
+// consumed), whether the log is closed, and a channel closed on the next
+// change — the select loop of every streaming handler. The items are a
+// read-only view capped at the current length, not a copy: the log only
+// ever appends, so no item below that length is written again, and a
+// reader holding the view never holds the lock the run's emit path
+// appends under.
 func (l *streamLog[T]) wait(from int) (items []T, closed bool, updated <-chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if from < len(l.items) {
-		items = append(items, l.items[from:]...)
+	if n := len(l.items); from < n {
+		items = l.items[from:n:n]
 	}
 	return items, l.closed, l.updated
 }

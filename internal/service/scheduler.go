@@ -58,7 +58,7 @@ func (s *Service) submit(t *tenantState, sp *core.BenchSpec, plan *core.Plan) (*
 	s.runs[run.id] = run
 	s.order = append(s.order, run)
 	t.queue = append(t.queue, run)
-	run.appendLifecycle(eventRunQueued, RunQueued, 0, "")
+	run.appendLifecycle(eventRunQueued, RunQueued, "")
 	s.dispatchLocked()
 	return run, nil
 }
@@ -116,16 +116,15 @@ func (s *Service) startLocked(t *tenantState, run *Run) {
 	t.running++
 	s.running++
 	s.wg.Add(1)
-	run.appendLifecycle(eventRunStarted, RunRunning, 0, "")
+	run.appendLifecycle(eventRunStarted, RunRunning, "")
 	go s.execute(ctx, run)
 }
 
-// execute runs one dispatched run to completion: the SSE bridge decouples
-// event delivery from the session's emit path, the result sink feeds the
-// run's streaming log, and finalization frees the slot and re-dispatches.
+// execute runs one dispatched run to completion: the session's events
+// and results are appended to the run's streaming logs as they are
+// emitted, and finalization frees the slot and re-dispatches.
 func (s *Service) execute(ctx context.Context, run *Run) {
 	defer s.wg.Done()
-	bridge := core.NewBufferedObserver(core.ObserverFunc(run.appendCoreEvent), s.eventBuffer)
 	sink := core.Sink(core.SinkFunc(func(r core.JobResult) error {
 		run.results.append(func(int) core.JobResult { return r })
 		return nil
@@ -139,10 +138,9 @@ func (s *Service) execute(ctx context.Context, run *Run) {
 		asink = core.NewArchiveSink(s.archive, run.id+"/"+run.plan.Name, run.spec)
 		sink = core.MultiSink(sink, asink)
 	}
-	err := s.exec(ctx, run, bridge, sink)
-	// Flush every buffered event before the terminal record, so the SSE
-	// stream always ends with run-finished.
-	bridge.Close()
+	// Every event is in the log once exec returns, so the terminal record
+	// appended below is the stream's last.
+	err := s.exec(ctx, run, core.ObserverFunc(run.appendCoreEvent), sink)
 
 	// Seal completed runs into the archive before finalizing, outside the
 	// service mutex (commits hash and write files). The pre-lock guard
@@ -157,7 +155,6 @@ func (s *Service) execute(ctx context.Context, run *Run) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	run.dropped = bridge.Dropped()
 	switch {
 	case run.cancelRequested || ctx.Err() != nil:
 		// Cancellation wins over any error the cancel itself provoked;
@@ -188,7 +185,7 @@ func (s *Service) execute(ctx context.Context, run *Run) {
 	}
 	run.finished = time.Now()
 	run.cancel()
-	run.appendLifecycle(eventRunFinished, run.state, run.dropped, run.archiveRoot)
+	run.appendLifecycle(eventRunFinished, run.state, run.archiveRoot)
 	run.events.close()
 	run.results.close()
 	run.tenant.running--
@@ -215,7 +212,7 @@ func (s *Service) cancelRun(t *tenantState, id string) (*Run, bool) {
 		run.state = RunCanceled
 		run.finished = time.Now()
 		run.errMsg = "canceled before start"
-		run.appendLifecycle(eventRunFinished, RunCanceled, 0, "")
+		run.appendLifecycle(eventRunFinished, RunCanceled, "")
 		run.events.close()
 		run.results.close()
 	case RunRunning:

@@ -332,3 +332,54 @@ func TestShutdownDrains(t *testing.T) {
 		t.Fatal("submit succeeded after shutdown; want draining rejection")
 	}
 }
+
+// TestHeldEventLogLosesNoEvents holds the run's event log lock from
+// another goroutine for 50 ms while the exec emits 2 000 events: the
+// emitter must wait for the lock rather than lose events, so the log
+// ends with every event, in order, between the run's lifecycle records.
+func TestHeldEventLogLosesNoEvents(t *testing.T) {
+	const events = 2000
+	s := newTestService(t, Config{Tenants: []Tenant{{Name: "a"}}, Slots: 1})
+	s.exec = func(ctx context.Context, run *Run, obs core.Observer, sink core.Sink) error {
+		held := make(chan struct{})
+		go func() {
+			run.events.mu.Lock()
+			close(held)
+			time.Sleep(50 * time.Millisecond)
+			run.events.mu.Unlock()
+		}()
+		<-held
+		for i := range events {
+			obs.Observe(core.Event{Type: core.EventJobFinished, Index: i, Total: events})
+		}
+		return nil
+	}
+	run, err := s.submit(s.tenants["a"], &core.BenchSpec{}, testPlan(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state := waitTerminal(t, s, run); state != RunDone {
+		t.Fatalf("run finished %s, want %s", state, RunDone)
+	}
+	recs, _, _ := run.events.wait(0)
+	if len(recs) != events+3 {
+		t.Fatalf("event log holds %d records, want %d", len(recs), events+3)
+	}
+	for i, rec := range recs {
+		want := string(core.EventJobFinished)
+		switch i {
+		case 0:
+			want = eventRunQueued
+		case 1:
+			want = eventRunStarted
+		case len(recs) - 1:
+			want = eventRunFinished
+		}
+		if rec.ID != uint64(i+1) || rec.Type != want {
+			t.Fatalf("record %d: id %d type %q, want id %d type %q", i, rec.ID, rec.Type, i+1, want)
+		}
+		if rec.Type == string(core.EventJobFinished) && rec.Index != i-2 {
+			t.Fatalf("record %d carries event %d, want %d", i, rec.Index, i-2)
+		}
+	}
+}

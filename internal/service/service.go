@@ -10,11 +10,12 @@
 //     core.Session, so all tenants share the session's graph store (a
 //     cross-tenant warm snapshot cache), its single-flight reference
 //     cache, and its daemon-wide sinks.
-//   - Progress streaming bridges the core Observer event stream into a
-//     per-run append-only event log through a core.BufferedObserver, so
-//     a slow SSE reader can never backpressure the run loop; per-run
-//     event ids are gap-free, and SSE reconnects resume via
-//     Last-Event-ID with no gaps and no duplicates.
+//   - Each run's core Observer appends every session event to the run's
+//     append-only event log as it is emitted, so the log is complete;
+//     SSE readers follow the log at their own pace and never
+//     backpressure the run loop. Per-run event ids are gap-free, and SSE
+//     reconnects resume via Last-Event-ID with no gaps and no
+//     duplicates.
 //   - Results stream through a per-run buffering core.Sink delivered in
 //     plan commit order; GET /v1/runs/{id}/results re-encodes exactly
 //     the JSONL a local `graphalytics run -spec -out` would write.
@@ -44,8 +45,6 @@ const (
 	DefaultSlots = 2
 	// DefaultQuantum is the deficit-round-robin quantum in job units.
 	DefaultQuantum = 4
-	// DefaultEventBuffer sizes the per-run SSE bridge buffer.
-	DefaultEventBuffer = 1024
 )
 
 // Config parameterizes a Service.
@@ -61,10 +60,6 @@ type Config struct {
 	// DefaultQuantum): how much credit a tenant accrues per scheduler
 	// visit. Smaller values interleave tenants more finely.
 	Quantum int
-	// EventBuffer sizes each run's buffered SSE bridge (default
-	// DefaultEventBuffer). On overflow events are dropped and counted,
-	// never blocking the run.
-	EventBuffer int
 	// SessionOptions configure the shared session every run executes
 	// on: graph store or cache dir, SLA, validation, parallelism,
 	// and daemon-wide sinks. WithObserver and WithSink are
@@ -92,9 +87,8 @@ type Service struct {
 	mux     *http.ServeMux
 	exec    execFunc
 
-	slots       int
-	quantum     int
-	eventBuffer int
+	slots   int
+	quantum int
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -128,21 +122,17 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Quantum < 1 {
 		cfg.Quantum = DefaultQuantum
 	}
-	if cfg.EventBuffer < 1 {
-		cfg.EventBuffer = DefaultEventBuffer
-	}
 	//graphalint:ctxbg process root: the service owns the daemon-lifetime context; every run derives from it and Shutdown cancels it
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
-		session:     core.NewSession(cfg.SessionOptions...),
-		slots:       cfg.Slots,
-		quantum:     cfg.Quantum,
-		eventBuffer: cfg.EventBuffer,
-		baseCtx:     ctx,
-		baseCancel:  cancel,
-		tenants:     make(map[string]*tenantState),
-		byKey:       make(map[string]*tenantState),
-		runs:        make(map[string]*Run),
+		session:    core.NewSession(cfg.SessionOptions...),
+		slots:      cfg.Slots,
+		quantum:    cfg.Quantum,
+		baseCtx:    ctx,
+		baseCancel: cancel,
+		tenants:    make(map[string]*tenantState),
+		byKey:      make(map[string]*tenantState),
+		runs:       make(map[string]*Run),
 	}
 	s.exec = s.runPlanExec
 	if cfg.ArchiveDir != "" {
@@ -189,7 +179,7 @@ func (s *Service) Session() *core.Session { return s.session }
 func (s *Service) Archive() *archive.Archive { return s.archive }
 
 // runPlanExec is the production executor: one RunPlan batch on the
-// shared session, with the run's SSE bridge as the batch observer and
+// shared session, with the run's event log as the batch observer and
 // the run's buffering result log as an extra sink. Session-level sinks
 // (the daemon's JSONL file) still receive every result —
 // per-run sink scoping is exactly RunPlan's per-call option surface.
@@ -220,7 +210,7 @@ func (s *Service) Shutdown(ctx context.Context) error {
 			run.state = RunCanceled
 			run.finished = time.Now()
 			run.errMsg = "canceled: service shutting down"
-			run.appendLifecycle(eventRunFinished, RunCanceled, 0, "")
+			run.appendLifecycle(eventRunFinished, RunCanceled, "")
 			run.events.close()
 			run.results.close()
 		}

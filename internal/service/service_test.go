@@ -457,7 +457,8 @@ func (l smallBuffers) Accept() (net.Conn, error) {
 // run's event stream and never reads it while the log holds far more than
 // the socket buffers take: its handler must return once a batch misses
 // the write deadline, the run must still complete, and a second client
-// streaming at the same time must still read the whole log.
+// streaming at the same time must still read the whole log — every
+// event and the three lifecycle records, ids 1 to events+3.
 func TestStalledClientCannotWedgeStreams(t *testing.T) {
 	defer func(d time.Duration) { writeTimeout = d }(writeTimeout)
 	writeTimeout = 100 * time.Millisecond
@@ -552,6 +553,9 @@ func TestStalledClientCannotWedgeStreams(t *testing.T) {
 	}
 	if got.last != eventRunFinished {
 		t.Fatalf("second stream ended with %q after %d events, want %q", got.last, len(got.ids), eventRunFinished)
+	}
+	if len(got.ids) != events+3 {
+		t.Fatalf("second stream read %d records, want %d (every event and the three lifecycle records)", len(got.ids), events+3)
 	}
 	for i, id := range got.ids {
 		if id != i+1 {

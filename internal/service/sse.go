@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"graphalytics/internal/core"
 )
 
 // This file is the SSE side of the service: encoding a run's event log
@@ -82,39 +84,14 @@ func streamEvents(w http.ResponseWriter, r *http.Request, run *Run, after int) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
 	// Ask reconnecting EventSource clients to back off a moment.
-	if !sendBatch(rc, func() error {
+	if !sendBatch(http.NewResponseController(w), func() error {
 		_, err := fmt.Fprint(w, "retry: 1000\n\n")
 		return err
 	}) {
 		return
 	}
-	for {
-		items, closed, updated := run.events.wait(after)
-		if len(items) > 0 && !sendBatch(rc, func() error {
-			for _, rec := range items {
-				if err := writeSSE(w, rec); err != nil {
-					return err
-				}
-				after++
-			}
-			return nil
-		}) {
-			return
-		}
-		if closed && len(items) == 0 {
-			return
-		}
-		if closed {
-			continue // drain whatever was appended between wait and close
-		}
-		select {
-		case <-updated:
-		case <-r.Context().Done():
-			return
-		}
-	}
+	follow(w, r, run.events, after, func(rec EventRecord) error { return writeSSE(w, rec) })
 }
 
 // streamResults serves a run's results as JSON Lines from the per-run
@@ -126,28 +103,33 @@ func streamResults(w http.ResponseWriter, r *http.Request, run *Run) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
-	after := 0
+	follow(w, r, run.results, 0, func(res core.JobResult) error { return enc.Encode(res) })
+}
+
+// follow writes the items of log after index `after` with write, one
+// sendBatch per wakeup, and waits for more until the log closes or the
+// client leaves. wait reads the items and the closed flag under one
+// lock and a closed log takes no appends, so the batch read with closed
+// set is the log's last.
+func follow[T any](w http.ResponseWriter, r *http.Request, log *streamLog[T], after int, write func(T) error) {
+	rc := http.NewResponseController(w)
 	for {
-		items, closed, updated := run.results.wait(after)
+		items, closed, updated := log.wait(after)
 		if len(items) > 0 && !sendBatch(rc, func() error {
-			for _, res := range items {
-				if err := enc.Encode(res); err != nil {
+			for _, it := range items {
+				if err := write(it); err != nil {
 					return err
 				}
-				after++
 			}
 			return nil
 		}) {
 			return
 		}
-		if closed && len(items) == 0 {
+		if closed {
 			return
 		}
-		if closed {
-			continue
-		}
+		after += len(items)
 		select {
 		case <-updated:
 		case <-r.Context().Done():
