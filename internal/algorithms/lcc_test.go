@@ -2,6 +2,7 @@ package algorithms_test
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -91,6 +92,64 @@ func TestParLCCMatchesOracleOnRandomGraphs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestHoodMarksCountsIntersection holds HoodMarks.Count to a naive count
+// of |list ∩ hood| over random sorted, duplicate-free lists. One HoodMarks
+// serves every case: hundreds of Marks, whose stale stamps must not
+// count; a grow to a larger vertex count; and Marks across the epoch's
+// wrap, whose first epoch after the wrap every vertex is stamped with.
+func TestHoodMarksCountsIntersection(t *testing.T) {
+	r := xrand.New(45)
+	// set draws a sorted, duplicate-free list of vertices below n, each
+	// present with one density per list, from empty to full.
+	set := func(n int) []int32 {
+		density := r.Intn(9)
+		var s []int32
+		for w := int32(0); w < int32(n); w++ {
+			if r.Intn(8) < density {
+				s = append(s, w)
+			}
+		}
+		return s
+	}
+	var m algorithms.HoodMarks
+	check := func(name string, n, marks int) {
+		t.Helper()
+		for i := 0; i < marks; i++ {
+			hood := set(n)
+			m.Mark(n, hood)
+			in := make([]bool, n)
+			for _, u := range hood {
+				in[u] = true
+			}
+			for range 4 {
+				list := set(n)
+				want := 0
+				for _, w := range list {
+					if in[w] {
+						want++
+					}
+				}
+				if got := m.Count(list); got != want {
+					t.Fatalf("%s, mark %d: Count = %d, want %d (|hood| = %d, |list| = %d)", name, i, got, want, len(hood), len(list))
+				}
+			}
+		}
+	}
+	check("stale stamps", 64, 500)
+	check("grown", 1000, 200)
+	// Stamp every vertex with epoch 1, the first epoch after the wrap,
+	// and wrap at the next Mark: unless the wrap clears the stamps, every
+	// vertex counts after it.
+	all := make([]int32, 1000)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	algorithms.SetHoodEpoch(&m, 0)
+	m.Mark(len(all), all)
+	algorithms.SetHoodEpoch(&m, math.MaxUint32)
+	check("epoch wrap", 1000, 200)
 }
 
 // TestLCCProbeWork guards the kernel's work bound without a stopwatch.

@@ -572,24 +572,50 @@ func Neighborhood(fwd, rev []int32, v int32, directed bool, buf []int32) []int32
 	return buf
 }
 
-// IntersectCount returns |a ∩ b| excluding the vertex v, for two ascending
-// lists: the arc count of the modelled engines' neighbourhood-exchange LCC.
+// HoodMarks is one worker's membership test for a vertex's neighborhood,
+// the mark array of RefLCC: Mark stamps the neighborhood's vertices with
+// a fresh epoch, and Count then counts a list's stamped entries, so the
+// arcs among v's neighbors cost one read per entry of the neighbors' lists
+// instead of a merge of each list with the neighborhood. Stamps left by
+// an earlier Mark carry an older epoch and do not count; when the epoch
+// wraps the stamps are cleared. The neighborhood must not hold v itself,
+// which holds for Neighborhood and for the builder's adjacency lists
+// (without self-loops). The trailing pad lets a slice of them serve one
+// worker slot each without sharing cache lines.
+type HoodMarks struct {
+	stamp []uint32
+	epoch uint32
+	_     mplane.CacheLinePad
+}
+
+// Mark stamps hood, a list of vertices below n, as the neighborhood the
+// following Count calls test against. It allocates only when n exceeds
+// every earlier n.
+func (m *HoodMarks) Mark(n int, hood []int32) {
+	if len(m.stamp) < n {
+		m.stamp, m.epoch = make([]uint32, n), 0
+	}
+	m.epoch++
+	if m.epoch == 0 {
+		clear(m.stamp)
+		m.epoch = 1
+	}
+	stamp, epoch := m.stamp, m.epoch
+	for _, u := range hood {
+		stamp[u] = epoch
+	}
+}
+
+// Count returns how many entries of list the last Mark stamped: for a
+// duplicate-free list, |list ∩ hood|.
 //
-//graphalint:noalloc LCC inner loop: runs once per neighbor pair
-func IntersectCount(a, b []int32, v int32) int {
-	count, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case b[j] < a[i]:
-			j++
-		default:
-			if a[i] != v {
-				count++
-			}
-			i++
-			j++
+//graphalint:noalloc LCC inner loop: runs once per neighbor
+func (m *HoodMarks) Count(list []int32) int {
+	stamp, epoch := m.stamp, m.epoch
+	count := 0
+	for _, w := range list {
+		if stamp[w] == epoch {
+			count++
 		}
 	}
 	return count

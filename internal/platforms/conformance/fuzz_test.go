@@ -28,7 +28,8 @@ type fuzzEngine struct {
 // fuzzEngines are the seven registered engines and pregel without
 // combiners. The bit-for-bit algorithms are those
 // TestNativeMatchesOracleBitForBit and TestRangeEnginesMatchOracleBitForBit
-// assert bits for.
+// assert bits for, and pregel's LCC, whose numerator is the oracle's
+// exact integer and whose quotient is the oracle's expression.
 func fuzzEngines(t testing.TB) []fuzzEngine {
 	platforms.RegisterAll()
 	get := func(name string) platform.Platform {
@@ -39,14 +40,15 @@ func fuzzEngines(t testing.TB) []fuzzEngine {
 		return p
 	}
 	ranges := []algorithms.Algorithm{algorithms.BFS, algorithms.PR, algorithms.WCC, algorithms.CDLP, algorithms.SSSP}
+	lcc := []algorithms.Algorithm{algorithms.LCC}
 	return []fuzzEngine{
 		{"native", get("native"), algorithms.All},
-		{"spmv-s", get("spmv-s"), ranges},
-		{"spmv-d", get("spmv-d"), ranges},
+		{"spmv-s", get("spmv-s"), algorithms.All},
+		{"spmv-d", get("spmv-d"), algorithms.All},
 		{"pushpull", get("pushpull"), ranges},
 		{"gas", get("gas"), []algorithms.Algorithm{algorithms.BFS, algorithms.WCC, algorithms.CDLP, algorithms.LCC, algorithms.SSSP}},
-		{"pregel", get("pregel"), nil},
-		{"pregel-nocombine", pregel.NewWithOptions(false), nil},
+		{"pregel", get("pregel"), lcc},
+		{"pregel-nocombine", pregel.NewWithOptions(false), lcc},
 		{"dataflow", get("dataflow"), nil},
 	}
 }

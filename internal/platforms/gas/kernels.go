@@ -15,16 +15,17 @@ import (
 // gasScratch is the engine's job-lifetime working state: the flat gather
 // buffer laid out by the upload's static CSR offsets (CDLP's labels,
 // LCC's neighbourhoods), the per-vertex write cursors, the dense label
-// histogram, the CDLP frontier flags, the per-thread round partials, and
-// the traversal plane (SSSP's distance bits and claim stamps, the
-// per-machine discovery lists, the frontier and its round-start
-// distances). Checked out of the uploaded state's pool per Execute, so
-// steady-state iterations allocate nothing.
+// histogram, LCC's per-thread neighbourhood marks, the CDLP frontier
+// flags, the per-thread round partials, and the traversal plane (SSSP's
+// distance bits and claim stamps, the per-machine discovery lists, the
+// frontier and its round-start distances). Checked out of the uploaded
+// state's pool per Execute, so steady-state iterations allocate nothing.
 type gasScratch struct {
 	labelBuf []int32 // gathered neighbor labels (internal-index domain) or neighbours
 	labels   []int32 // CDLP working labels
 	pos      []int32
-	counts   mplane.WorkerCounts // per-thread apply counters
+	counts   mplane.WorkerCounts    // per-thread apply counters
+	marks    []algorithms.HoodMarks // per-thread LCC neighbourhood marks
 	dirty    []bool
 	changed  []bool
 	// Per-round thread partials, pooled so rounds allocate nothing.
@@ -500,8 +501,9 @@ func cdlpGAS(ctx context.Context, u *uploaded, iterations int) ([]int64, error) 
 // lccGAS gathers each vertex's neighborhood from every machine's local
 // rows into the pooled buffer at the CDLP gather's offsets, which size
 // exactly these neighbors; masters sort and deduplicate their segments in
-// place, then intersect neighbor adjacency, accounting remote adjacency
-// fetches as traffic from the owning replicas.
+// place, then count each neighbor's adjacency entries inside the marked
+// neighborhood, accounting remote adjacency fetches as traffic from the
+// owning replicas.
 func lccGAS(ctx context.Context, u *uploaded) ([]float64, error) {
 	g, cl := u.G, u.Cl
 	n := g.NumVertices()
@@ -511,6 +513,7 @@ func lccGAS(ctx context.Context, u *uploaded) ([]float64, error) {
 	sc.pos = mplane.Grow(sc.pos, n)
 	copy(sc.pos, u.labelOff[:n])
 	sc.wireParts = mplane.Grow(sc.wireParts, cl.Threads())
+	sc.marks = mplane.Grow(sc.marks, cl.Threads())
 	// v's neighborhood is hoods[labelOff[v]:pos[v]].
 	hoods, pos, fetchParts := sc.labelBuf, sc.pos, sc.wireParts
 	out := make([]float64, n)
@@ -556,21 +559,24 @@ func lccGAS(ctx context.Context, u *uploaded) ([]float64, error) {
 		th.Chunks(len(verts), normalizeChunk)
 		return nil
 	}
-	// Intersect: count arcs among neighbors.
+	// Intersect: count arcs among neighbors, each against the thread
+	// slot's marks of the neighborhood.
 	intersectChunk := func(w, lo, hi int) {
 		var fetch int64
+		marks := &sc.marks[w]
 		for _, v := range verts[lo:hi] {
 			hood := hoods[u.labelOff[v]:pos[v]]
 			d := len(hood)
 			if d < 2 {
 				continue
 			}
+			marks.Mark(n, hood)
 			arcs := 0
 			for _, nb := range hood {
 				if int(u.part.Master[nb]) != mach {
 					fetch += int64(g.OutDegree(nb)) * 4
 				}
-				arcs += algorithms.IntersectCount(g.OutNeighbors(nb), hood, v)
+				arcs += marks.Count(g.OutNeighbors(nb))
 			}
 			out[v] = float64(arcs) / (float64(d) * float64(d-1))
 		}

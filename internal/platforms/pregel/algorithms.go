@@ -223,22 +223,23 @@ func cdlpProgram(ctx context.Context, t *granula.Tracker, u *uploaded, iteration
 }
 
 // lccProgram: superstep 0 sends every vertex's sorted out-adjacency to all
-// neighbors; superstep 1 intersects each received list with the local
-// neighborhood. Neighbor-list messages make this the engine's most
-// memory-hungry job, matching the paper's LCC failures on message-passing
-// platforms.
+// neighbors; superstep 1 counts, for each received list, the entries that
+// lie in the local neighborhood, against the thread slot's marks of it.
+// Neighbor-list messages make this the engine's most memory-hungry job,
+// matching the paper's LCC failures on message-passing platforms.
 func lccProgram(ctx context.Context, t *granula.Tracker, u *uploaded) ([]float64, error) {
 	g := u.G
 	n := g.NumVertices()
 	out := make([]float64, n)
+	sc := mplane.Acquire(&u.scratch, func() *lccScratch { return &lccScratch{} })
+	defer u.scratch.Put(sc)
+	sc.marks = mplane.Grow(sc.marks, u.Cl.Threads())
 	// An undirected vertex's neighborhood is its out-neighbors. A directed
 	// one's is the sorted union of its in- and out-neighbors without
 	// itself, merged into one pooled buffer: the degree sum bounds every
 	// union, so each fits after the last.
 	hoodOf := g.OutNeighbors
 	if g.Directed() {
-		sc := mplane.Acquire(&u.scratch, func() *lccScratch { return &lccScratch{} })
-		defer u.scratch.Put(sc)
 		sc.off = mplane.Grow(sc.off, n+1)
 		sc.buf = mplane.Grow(sc.buf, 2*int(g.NumEdges()))
 		sc.off[0] = 0
@@ -264,9 +265,11 @@ func lccProgram(ctx context.Context, t *granula.Tracker, u *uploaded) ([]float64
 		hood := hoodOf(v)
 		d := len(hood)
 		if d >= 2 {
+			marks := &sc.marks[w.slot]
+			marks.Mark(n, hood)
 			arcs := 0
 			for _, list := range msgs {
-				arcs += algorithms.IntersectCount(list, hood, v)
+				arcs += marks.Count(list)
 			}
 			out[v] = float64(arcs) / (float64(d) * float64(d-1))
 		}
@@ -278,11 +281,14 @@ func lccProgram(ctx context.Context, t *granula.Tracker, u *uploaded) ([]float64
 	return out, nil
 }
 
-// lccScratch is the pooled neighborhood buffer of directed LCC: v's
-// neighborhood is buf[off[v]:off[v+1]].
+// lccScratch is LCC's pooled state: one neighborhood mark array per
+// thread slot (machines run one after another, so they share them), and
+// the neighborhood buffer of a directed graph, where v's neighborhood is
+// buf[off[v]:off[v+1]].
 type lccScratch struct {
-	buf []int32
-	off []int32
+	marks []algorithms.HoodMarks
+	buf   []int32
+	off   []int32
 }
 
 // minInt64 is the min combiner of BFS and WCC.

@@ -2,6 +2,7 @@ package pregel
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"graphalytics/internal/graph"
@@ -58,9 +59,9 @@ func TestBSPCombinerFoldOrderAndSlotReuse(t *testing.T) {
 
 // allocGraph builds a deterministic pseudo-random graph big enough that a
 // per-vertex or per-message allocation would dwarf the assertion budget.
-func allocGraph(t testing.TB, n, deg int) *graph.Graph {
+func allocGraph(t testing.TB, n, deg int, directed bool) *graph.Graph {
 	t.Helper()
-	b := graph.NewBuilder(true, false)
+	b := graph.NewBuilder(directed, false)
 	b.SetName("alloc-test")
 	b.SetOptions(graph.BuildOptions{DedupEdges: true, DropSelfLoops: true})
 	for v := 0; v < n; v++ {
@@ -88,7 +89,7 @@ func allocGraph(t testing.TB, n, deg int) *graph.Graph {
 // implementation allocated fresh staging slices and inbox rows every
 // superstep, tens of thousands of objects on this graph.
 func TestPageRankSteadyStateAllocs(t *testing.T) {
-	g := allocGraph(t, 4000, 4)
+	g := allocGraph(t, 4000, 4, true)
 	up, err := New().Upload(g, platform.RunConfig{Threads: 4, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +120,7 @@ func TestPageRankSteadyStateAllocs(t *testing.T) {
 // barrier snapshot copies, early convergence — allocates only the label
 // array plus a constant number of superstep descriptors.
 func TestCDLPSteadyStateAllocs(t *testing.T) {
-	g := allocGraph(t, 4000, 4)
+	g := allocGraph(t, 4000, 4, true)
 	up, err := New().Upload(g, platform.RunConfig{Threads: 4, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +145,7 @@ func TestCDLPSteadyStateAllocs(t *testing.T) {
 // number of other objects, not one adjacency copy per vertex.
 func TestUploadAllocs(t *testing.T) {
 	for _, n := range []int{500, 8000} {
-		g := allocGraph(t, n, 4)
+		g := allocGraph(t, n, 4, true)
 		allocs := testing.AllocsPerRun(3, func() {
 			up, err := New().Upload(g, platform.RunConfig{Threads: 4, Machines: 1})
 			if err != nil {
@@ -166,7 +167,7 @@ func TestUploadAllocs(t *testing.T) {
 func TestLCCDirectedAllocsDoNotGrowWithTheGraph(t *testing.T) {
 	var got []float64
 	for _, n := range []int{500, 8000} {
-		g := allocGraph(t, n, 4)
+		g := allocGraph(t, n, 4, true)
 		up, err := New().Upload(g, platform.RunConfig{Threads: 1, Machines: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -183,5 +184,41 @@ func TestLCCDirectedAllocsDoNotGrowWithTheGraph(t *testing.T) {
 	}
 	if got[0] != got[1] {
 		t.Fatalf("directed LCC allocated %.0f objects at 500 vertices and %.0f at 8000, want the same", got[0], got[1])
+	}
+}
+
+// TestLCCSteadyStateAllocs guards LCC's per-thread neighborhood marks:
+// they are pooled with the upload's scratch, so after a warm-up a run on
+// a directed and on an undirected graph allocates the output array, a
+// small constant number of objects, and a small constant number of bytes
+// beyond the output: marks allocated per Execute would add a vertex-sized
+// array per thread, and per chunk or per vertex, far more.
+func TestLCCSteadyStateAllocs(t *testing.T) {
+	const n = 4000
+	for _, directed := range []bool{true, false} {
+		g := allocGraph(t, n, 4, directed)
+		up, err := New().Upload(g, platform.RunConfig{Threads: 4, Machines: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := up.(*uploaded)
+		run := func() {
+			if _, err := lccProgram(context.Background(), nil, u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm-up: grows the message exchange, the marks and the neighborhoods
+		allocs := testing.AllocsPerRun(3, run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		u.Free()
+		if allocs > 16 {
+			t.Errorf("directed=%v: steady-state LCC run allocated %.0f objects, want <= 16", directed, allocs)
+		}
+		if bytes, budget := after.TotalAlloc-before.TotalAlloc, uint64(n*8+8<<10); bytes > budget {
+			t.Errorf("directed=%v: steady-state LCC run allocated %d bytes, want <= %d (the output and 8 KiB)", directed, bytes, budget)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
+	"graphalytics/internal/mplane"
 	"graphalytics/internal/par"
 	"graphalytics/internal/platform"
 )
@@ -102,35 +103,45 @@ func bfs(ctx context.Context, u *uploaded, source int32) ([]int64, error) {
 
 // lcc counts triangles as masked sparse row intersections: for vertex v
 // with neighborhood N(v), the number of closed wedges is the sum over
-// u in N(v) of |row(u) ∩ N(v)|, computed by sorted-list merges. Remote
-// rows must be fetched, which the engine accounts as traffic from the row
-// owner.
+// u in N(v) of |row(u) ∩ N(v)|, each row's entries tested against the
+// thread slot's marks of N(v). Remote rows must be fetched, which the
+// engine accounts as traffic from the row owner.
 func lcc(ctx context.Context, u *uploaded) ([]float64, error) {
 	g, cl, part := u.lay.G, u.Cl, u.lay.Part
-	out := make([]float64, g.NumVertices())
+	n := g.NumVertices()
+	out := make([]float64, n)
+	sc := mplane.Acquire(&u.scratch, func() *lccScratch { return &lccScratch{} })
+	defer u.scratch.Put(sc)
+	sc.marks = mplane.Grow(sc.marks, cl.Threads())
+	sc.hoods = mplane.Grow(sc.hoods, cl.Threads())
+	sc.fetched = mplane.Grow(sc.fetched, cl.Threads())
+	for w := range sc.fetched {
+		sc.fetched[w] = mplane.Grow(sc.fetched[w], cl.Machines())
+	}
 	err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-		verts := part.Verts[mach]
-		fetched := make([][]int64, th.Count())
-		for w := range fetched {
-			fetched[w] = make([]int64, cl.Machines())
+		verts, fetched := part.Verts[mach], sc.fetched
+		for _, f := range fetched {
+			clear(f)
 		}
 		th.ChunksIndexed(len(verts), func(w, lo, hi int) {
-			var hood []int32
+			marks, hood := &sc.marks[w], sc.hoods[w]
 			for _, v := range verts[lo:hi] {
 				hood = algorithms.Neighborhood(g.OutNeighbors(v), g.InNeighbors(v), v, g.Directed(), hood[:0])
 				d := len(hood)
 				if d < 2 {
 					continue
 				}
+				marks.Mark(n, hood)
 				arcs := 0
 				for _, uix := range hood {
 					if o := part.Owner[uix]; int(o) != mach {
 						fetched[w][o] += int64(g.OutDegree(uix)) * 4
 					}
-					arcs += algorithms.IntersectCount(g.OutNeighbors(uix), hood, v)
+					arcs += marks.Count(g.OutNeighbors(uix))
 				}
 				out[v] = float64(arcs) / (float64(d) * float64(d-1))
 			}
+			sc.hoods[w] = hood
 		})
 		for w := range fetched {
 			for o, b := range fetched[w] {
@@ -146,6 +157,15 @@ func lcc(ctx context.Context, u *uploaded) ([]float64, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// lccScratch is lcc's pooled state, one entry per thread slot (machines
+// run one after another, so they share them): the neighborhood marks,
+// the neighborhood buffer, and the bytes fetched from each machine.
+type lccScratch struct {
+	marks   []algorithms.HoodMarks
+	hoods   [][]int32
+	fetched [][]int64
 }
 
 // sssp is Bellman-Ford over the (min, +) semiring
