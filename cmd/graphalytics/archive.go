@@ -160,7 +160,7 @@ func archiveShow(args []string) error {
 	}
 	fmt.Printf("commit %s\nkind   %s\nname   %s\nmerkle %s\nparent %s\n", c.ID, c.Kind, c.Name, c.Root, orDash(c.Parent))
 	for _, ch := range c.Chunks {
-		fmt.Printf("  %s  %8d  %s\n", ch.SHA256[:12], ch.Size, ch.Name)
+		fmt.Printf("  %s  %8d  %s\n", ch.SHA256[:min(len(ch.SHA256), 12)], ch.Size, ch.Name)
 	}
 	return nil
 }

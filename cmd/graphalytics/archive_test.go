@@ -57,7 +57,7 @@ func TestArchiveCLIVerifyNamesCorruptChunk(t *testing.T) {
 		t.Fatalf("verify on pristine archive: %v", err)
 	}
 
-	// Flip one byte of the bench chunk on disk.
+	// Flip one byte of the bench chunk in its pack.
 	a, err := archive.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -70,18 +70,15 @@ func TestArchiveCLIVerifyNamesCorruptChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sha string
-	for _, ch := range c.Chunks {
-		if ch.Name == archive.ChunkBench {
-			sha = ch.SHA256
-		}
+	path, off, end, err := a.ChunkRange(c, archive.ChunkBench)
+	if err != nil {
+		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "chunks", sha[:2], sha)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0x01
+	data[(off+end)/2] ^= 0x01
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -3,16 +3,17 @@
 //
 // Every completed run commits a record batch — the results, the
 // environment they were measured in, and the spec that produced them —
-// as a set of chunks stored by their SHA-256 digest, sealed under a
+// as a set of chunks recorded by SHA-256 digest and size, sealed under a
 // Merkle root and chained to the previous commit. Because every byte in
 // the store is reachable only through a hash that covers it, Verify can
 // re-derive the entire archive offline and name the exact chunk that
 // was tampered with or rotted.
 //
-// Layout on disk (all writes are write-then-rename, files are never
-// rewritten):
+// Layout on disk (a commit writes these three files, each written then
+// renamed into place and never rewritten):
 //
-//	<dir>/chunks/<hex[:2]>/<hex>   chunk payload, named by its SHA-256
+//	<dir>/packs/<id>.pack          the chunks' bytes in batch order, indexed
+//	                               by the record's sizes
 //	<dir>/commits/<id>.json        canonical commit record, id = SHA-256
 //	                               of the record's own bytes
 //	<dir>/HEAD                     hex id of the latest commit
@@ -32,8 +33,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -101,9 +104,13 @@ type Archive struct {
 	mu  sync.Mutex
 }
 
-// Open opens (creating if needed) the archive at dir.
+// Open opens (creating if needed) the archive at dir. An archive in the
+// loose layout, one file per chunk under chunks/, is refused.
 func Open(dir string) (*Archive, error) {
-	for _, sub := range []string{"chunks", "commits"} {
+	if _, err := os.Lstat(filepath.Join(dir, "chunks")); !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("archive: open %s: it has a chunks/ entry, the pre-pack loose layout, which this archive does not read", dir)
+	}
+	for _, sub := range []string{"packs", "commits"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("archive: open %s: %w", dir, err)
 		}
@@ -114,8 +121,8 @@ func Open(dir string) (*Archive, error) {
 // Dir returns the archive's root directory.
 func (a *Archive) Dir() string { return a.dir }
 
-func (a *Archive) chunkPath(sha string) string {
-	return filepath.Join(a.dir, "chunks", sha[:2], sha)
+func (a *Archive) packPath(id string) string {
+	return filepath.Join(a.dir, "packs", id+".pack")
 }
 
 func (a *Archive) commitPath(id string) string {
@@ -151,14 +158,7 @@ func (a *Archive) Head() (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("archive: read HEAD: %w", err)
 	}
-	return trimSpace(string(b)), nil
-}
-
-func trimSpace(s string) string {
-	for len(s) > 0 && (s[len(s)-1] == '\n' || s[len(s)-1] == '\r' || s[len(s)-1] == ' ') {
-		s = s[:len(s)-1]
-	}
-	return s
+	return strings.TrimRight(string(b), "\n\r "), nil
 }
 
 // Load reads and decodes one commit record by ID. The returned commit's
@@ -211,8 +211,8 @@ func (a *Archive) Resolve(ref string) (string, error) {
 	}
 	var matches []string
 	for _, e := range entries {
-		id := cutSuffix(e.Name(), ".json")
-		if len(id) >= len(ref) && id[:len(ref)] == ref {
+		id := strings.TrimSuffix(e.Name(), ".json")
+		if strings.HasPrefix(id, ref) {
 			matches = append(matches, id)
 		}
 	}
@@ -229,17 +229,9 @@ func (a *Archive) Resolve(ref string) (string, error) {
 
 // IsCommitID reports whether s is a full commit ID: 64 lowercase hex
 // digits, the only form that is ever joined into a path under commits/.
-// A chunk digest has the same form and is held to it before it names a
-// file under chunks/.
+// A pack is read only under a commit ID of this form.
 func IsCommitID(s string) bool {
 	return len(s) == sha256.Size*2 && strings.Trim(s, "0123456789abcdef") == ""
-}
-
-func cutSuffix(s, suffix string) string {
-	if len(s) >= len(suffix) && s[len(s)-len(suffix):] == suffix {
-		return s[:len(s)-len(suffix)]
-	}
-	return s
 }
 
 // Log walks the commit chain from HEAD toward the first commit,
@@ -269,34 +261,88 @@ func (a *Archive) Log(limit int) ([]*Commit, error) {
 	return out, nil
 }
 
-// ChunkBytes reads a stored chunk by its SHA-256 digest and verifies the
-// bytes still hash to it.
-func (a *Archive) ChunkBytes(sha string) ([]byte, error) {
-	if !IsCommitID(sha) {
-		return nil, fmt.Errorf("archive: bad chunk digest %q: not %d lowercase hex digits", sha, sha256.Size*2)
+// readPack reads commit id's pack, the one file chunks are read from.
+func (a *Archive) readPack(id string) ([]byte, error) {
+	if !IsCommitID(id) {
+		return nil, fmt.Errorf("commit ID %q is not %d lowercase hex digits", id, sha256.Size*2)
 	}
-	b, err := os.ReadFile(a.chunkPath(sha))
-	if err != nil {
-		return nil, fmt.Errorf("archive: read chunk %s: %w", short(sha), err)
-	}
-	if got := shaHex(b); got != sha {
-		return nil, fmt.Errorf("archive: chunk %s: bytes hash to %s (corrupt chunk)", short(sha), short(got))
-	}
-	return b, nil
+	return os.ReadFile(a.packPath(id))
 }
 
-// PayloadBytes reads the chunk named name from commit c, verified
-// against its recorded digest.
+// split cuts pack into c's chunks: the record is the pack's index, chunk
+// i being pack[Σ size(<i) : Σ size(≤i)]. It returns the chunks that lie
+// inside the pack and, at the first that does not (a negative size, or
+// one running past the end), a problem naming it. Digests are not
+// checked, and bytes past the last chunk are left to Verify.
+func split(c *Commit, pack []byte) ([][]byte, *Problem) {
+	parts := make([][]byte, 0, len(c.Chunks))
+	var off int64
+	for _, ch := range c.Chunks {
+		if ch.Size < 0 || ch.Size > int64(len(pack))-off {
+			return parts, &Problem{Commit: c.ID, Chunk: ch.Name, Detail: fmt.Sprintf(
+				"chunk truncated or mis-sized: recorded %d bytes at offset %d, pack holds %d", ch.Size, off, len(pack))}
+		}
+		parts = append(parts, pack[off:off+ch.Size:off+ch.Size])
+		off += ch.Size
+	}
+	return parts, nil
+}
+
+// check reports a problem unless b hashes to ch's recorded digest.
+func check(c *Commit, ch Chunk, b []byte) *Problem {
+	if got := shaHex(b); got != ch.SHA256 {
+		return &Problem{Commit: c.ID, Chunk: ch.Name,
+			Detail: fmt.Sprintf("chunk corrupt: bytes hash to %s, recorded %s", short(got), short(ch.SHA256))}
+	}
+	return nil
+}
+
+// chunks reads c's pack and cuts it into c's chunks (see split),
+// refusing the commit if any chunk does not lie inside the pack.
+func (a *Archive) chunks(c *Commit) ([][]byte, error) {
+	pack, err := a.readPack(c.ID)
+	if err != nil {
+		return nil, fmt.Errorf("archive: commit %s: read pack: %w", short(c.ID), err)
+	}
+	parts, p := split(c, pack)
+	if p != nil {
+		return nil, p.err()
+	}
+	return parts, nil
+}
+
+// PayloadBytes reads the chunk named name from commit c's pack,
+// verified against its recorded digest.
 func (a *Archive) PayloadBytes(c *Commit, name string) ([]byte, error) {
+	i := slices.IndexFunc(c.Chunks, func(ch Chunk) bool { return ch.Name == name })
+	if i < 0 {
+		return nil, fmt.Errorf("archive: commit %s has no chunk %q", short(c.ID), name)
+	}
+	parts, err := a.chunks(c)
+	if err != nil {
+		return nil, err
+	}
+	if p := check(c, c.Chunks[i], parts[i]); p != nil {
+		return nil, p.err()
+	}
+	return parts[i], nil
+}
+
+// ChunkRange locates the chunk named name of commit c as PayloadBytes
+// reads it: the pack's path and the chunk's byte range [off, end) in it.
+func (a *Archive) ChunkRange(c *Commit, name string) (path string, off, end int64, err error) {
+	b, err := a.PayloadBytes(c, name)
 	for _, ch := range c.Chunks {
 		if ch.Name == name {
-			return a.ChunkBytes(ch.SHA256)
+			break
 		}
+		off += ch.Size
 	}
-	return nil, fmt.Errorf("archive: commit %s has no chunk %q", short(c.ID), name)
+	return a.packPath(c.ID), off, off + int64(len(b)), err
 }
 
-// commit seals payloads into a new commit chained to the current HEAD.
+// commit seals payloads into a new commit chained to the current HEAD:
+// their pack, the record, then HEAD.
 func (a *Archive) commit(kind, name string, payloads []Payload) (*Commit, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -307,14 +353,12 @@ func (a *Archive) commit(kind, name string, payloads []Payload) (*Commit, error)
 	}
 	c := &Commit{Version: Version, Kind: kind, Name: name, Parent: parent}
 	leaves := make([][]byte, 0, len(payloads))
+	var pack []byte
 	for _, p := range payloads {
 		sum := sha256.Sum256(p.Data)
-		sha := hex.EncodeToString(sum[:])
-		if err := a.writeChunk(sha, p.Data); err != nil {
-			return nil, err
-		}
-		c.Chunks = append(c.Chunks, Chunk{Name: p.Name, SHA256: sha, Size: int64(len(p.Data))})
+		c.Chunks = append(c.Chunks, Chunk{Name: p.Name, SHA256: hex.EncodeToString(sum[:]), Size: int64(len(p.Data))})
 		leaves = append(leaves, sum[:])
+		pack = append(pack, p.Data...)
 	}
 	c.Root = hex.EncodeToString(merkleRoot(leaves))
 
@@ -323,6 +367,9 @@ func (a *Archive) commit(kind, name string, payloads []Payload) (*Commit, error)
 		return nil, err
 	}
 	c.ID = shaHex(rec)
+	if err := writeFileAtomic(a.packPath(c.ID), pack); err != nil {
+		return nil, err
+	}
 	if err := writeFileAtomic(a.commitPath(c.ID), rec); err != nil {
 		return nil, err
 	}
@@ -330,20 +377,6 @@ func (a *Archive) commit(kind, name string, payloads []Payload) (*Commit, error)
 		return nil, err
 	}
 	return c, nil
-}
-
-// writeChunk stores data under its digest. Content addressing makes the
-// write idempotent: an existing chunk file with this name already holds
-// these bytes, so it is never rewritten (append-only store).
-func (a *Archive) writeChunk(sha string, data []byte) error {
-	path := a.chunkPath(sha)
-	if _, err := os.Stat(path); err == nil {
-		return nil
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("archive: write chunk %s: %w", short(sha), err)
-	}
-	return writeFileAtomic(path, data)
 }
 
 // writeFileAtomic writes data to path via a temp file and rename, so a
@@ -424,17 +457,20 @@ func (a *Archive) Results(c *Commit) ([]core.JobResult, error) {
 	if c.Kind != KindResults {
 		return nil, fmt.Errorf("archive: commit %s is a %q commit, not %q", short(c.ID), c.Kind, KindResults)
 	}
+	parts, err := a.chunks(c)
+	if err != nil {
+		return nil, err
+	}
 	var out []core.JobResult
-	for _, ch := range c.Chunks {
+	for i, ch := range c.Chunks {
 		if !isResultChunk(ch.Name) {
 			continue
 		}
-		b, err := a.ChunkBytes(ch.SHA256)
-		if err != nil {
-			return nil, err
+		if p := check(c, ch, parts[i]); p != nil {
+			return nil, p.err()
 		}
 		var r core.JobResult
-		if err := json.Unmarshal(b, &r); err != nil {
+		if err := json.Unmarshal(parts[i], &r); err != nil {
 			return nil, fmt.Errorf("archive: decode %s: %w", ch.Name, err)
 		}
 		out = append(out, r)
@@ -462,13 +498,7 @@ func (a *Archive) Env(c *Commit) (Environment, error) {
 // Spec decodes the spec chunk of a results commit, or nil if the batch
 // carried none (a spec chunk is optional; ad-hoc runs have no spec).
 func (a *Archive) Spec(c *Commit) (*core.BenchSpec, error) {
-	var found bool
-	for _, ch := range c.Chunks {
-		if ch.Name == ChunkSpec {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.ContainsFunc(c.Chunks, func(ch Chunk) bool { return ch.Name == ChunkSpec }) {
 		return nil, nil
 	}
 	b, err := a.PayloadBytes(c, ChunkSpec)
@@ -483,8 +513,5 @@ func (a *Archive) Spec(c *Commit) (*core.BenchSpec, error) {
 }
 
 func short(id string) string {
-	if len(id) > 12 {
-		return id[:12]
-	}
-	return id
+	return id[:min(len(id), 12)]
 }

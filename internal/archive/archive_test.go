@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -123,7 +124,7 @@ func TestChainHeadAndLog(t *testing.T) {
 		t.Fatalf("Log order wrong: %+v", log)
 	}
 	// Same-content bench commits chain, not dedup: the second has a
-	// parent, so its ID differs while its chunks are shared.
+	// parent, so its ID differs while its Merkle root is the same.
 	c3, err := a.CommitBench("bench-1", []byte(`{"results":[]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -248,61 +249,217 @@ func TestResolveRejectsNonHexFullRefs(t *testing.T) {
 	}
 }
 
-// TestChunkBytesRejectsNonHexDigests checks that a chunk digest names a
-// file only if it is 64 lowercase hex digits: a commit record that hashes
-// correctly but records a digest climbing out of chunks/ must not reach a
-// file planted next to the archive.
-func TestChunkBytesRejectsNonHexDigests(t *testing.T) {
+// reseal writes an edited copy of commit c's record under its own hash,
+// with c's pack beside it, so the edit reaches the readers past Load.
+func reseal(t *testing.T, a *Archive, c *Commit, edit func(*Commit)) *Commit {
+	t.Helper()
+	e := *c
+	e.Chunks = append([]Chunk(nil), c.Chunks...)
+	edit(&e)
+	rec, err := canonical(&e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pack, err := os.ReadFile(a.packPath(c.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.ID = shaHex(rec)
+	if err := os.WriteFile(a.commitPath(e.ID), rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(a.packPath(e.ID), pack, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := a.Load(e.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loaded
+}
+
+// TestPackReadsStayInsidePack checks that the recorded sizes, which the
+// readers turn into offsets in the pack, cannot reach past it: a record
+// that hashes correctly but carries a negative size, a size past the
+// pack's end, or sizes whose sum overflows int64 is refused by
+// PayloadBytes, Results, Env, Spec and Verify with a problem naming the
+// chunk, without a panic. A commit ID that is not 64 lowercase hex
+// digits names no pack.
+func TestPackReadsStayInsidePack(t *testing.T) {
 	dir := t.TempDir()
 	a, err := Open(filepath.Join(dir, "archive"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := a.CommitBench("snap", []byte("{}"))
+	c, err := a.CommitResults("sweep", sampleSpec(), sampleResults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	planted := []byte("planted\n")
-	if err := os.WriteFile(filepath.Join(dir, "planted"), planted, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// chunks/./<the rest> resolves to <dir>/planted.
-	escape := "./" + strings.Repeat("./", 24) + "../..//planted"
-	for _, sha := range []string{escape, strings.ToUpper(shaHex(planted)), c.Chunks[0].SHA256[:63] + "g"} {
-		if len(sha) != 64 {
-			t.Fatalf("test digest %q is %d characters, want 64", sha, len(sha))
-		}
-		if _, err := a.ChunkBytes(sha); err == nil || !strings.Contains(err.Error(), "bad chunk digest") {
-			t.Errorf("ChunkBytes(%q) = %v; want a bad-digest error", sha, err)
-		}
-	}
-	if _, err := a.ChunkBytes(c.Chunks[0].SHA256); err != nil {
-		t.Errorf("ChunkBytes of a sealed chunk: %v", err)
-	}
-}
-
-// corrupt locates the stored chunk with the given logical name and
-// applies damage to its file.
-func corruptChunk(t *testing.T, a *Archive, c *Commit, name string, damage func(path string, data []byte)) Chunk {
-	t.Helper()
-	for _, ch := range c.Chunks {
-		if ch.Name == name {
-			b, err := os.ReadFile(a.chunkPath(ch.SHA256))
+	bad := c.Chunks[3].Name
+	for _, tc := range []struct {
+		name string
+		edit func(cs []Chunk)
+	}{
+		{"negative size", func(cs []Chunk) { cs[3].Size = -1 }},
+		{"size past the pack", func(cs []Chunk) { cs[3].Size = 1 << 62 }},
+		{"sum overflows int64", func(cs []Chunk) { cs[3].Size = math.MaxInt64 - cs[0].Size - cs[1].Size - cs[2].Size + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := reseal(t, a, c, func(e *Commit) { tc.edit(e.Chunks) })
+			defer os.Remove(a.commitPath(h.ID))
+			defer os.Remove(a.packPath(h.ID))
+			readers := map[string]func() error{
+				"PayloadBytes": func() error { _, err := a.PayloadBytes(h, ChunkEnv); return err },
+				"Results":      func() error { _, err := a.Results(h); return err },
+				"Env":          func() error { _, err := a.Env(h); return err },
+				"Spec":         func() error { _, err := a.Spec(h); return err },
+			}
+			for name, read := range readers {
+				if err := read(); err == nil || !strings.Contains(err.Error(), "chunk "+bad) {
+					t.Errorf("%s = %v; want an error naming chunk %s", name, err, bad)
+				}
+			}
+			rep, err := a.Verify()
 			if err != nil {
 				t.Fatal(err)
 			}
-			damage(a.chunkPath(ch.SHA256), b)
-			return ch
+			named := false
+			for _, p := range rep.Problems {
+				named = named || (p.Commit == h.ID && p.Chunk == bad)
+			}
+			if !named {
+				t.Errorf("Verify problems %+v name no chunk %s of %s", rep.Problems, bad, short(h.ID))
+			}
+		})
+	}
+
+	planted := filepath.Join(dir, "planted.pack")
+	if err := os.WriteFile(planted, []byte("planted\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// packs/<id>.pack with this id resolves to planted.pack.
+	escape := *c
+	escape.ID = "./" + strings.Repeat("./", 24) + "../..//planted"
+	for _, id := range []string{escape.ID, strings.ToUpper(c.ID), c.ID[:63] + "g"} {
+		if len(id) != 64 {
+			t.Fatalf("test ID %q is %d characters, want 64", id, len(id))
+		}
+		escape.ID = id
+		if _, err := a.PayloadBytes(&escape, ChunkEnv); err == nil || !strings.Contains(err.Error(), "hex") {
+			t.Errorf("PayloadBytes under commit ID %q = %v; want a not-hex error", id, err)
 		}
 	}
-	t.Fatalf("no chunk %q in commit", name)
-	return Chunk{}
+}
+
+// TestCommitIDsUnchangedByPackLayout pins the commit IDs and Merkle roots
+// of fixed payloads to the values the loose chunk layout gave them: the
+// pack changes where chunks are stored, not what is hashed.
+func TestCommitIDsUnchangedByPackLayout(t *testing.T) {
+	a, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := []Payload{
+		{Name: ChunkEnv, Data: []byte(`{"go":"go1.24"}` + "\n")},
+		{Name: ChunkBench, Data: []byte(`{"results":[]}` + "\n")},
+		{Name: "empty", Data: nil},
+	}
+	const root = "a45ae094eca2f3f6b98ec2231a1e50ac22fb7c0406f969daa24fc50b2dc3f4c8"
+	for _, want := range []struct {
+		kind, name string
+		payloads   []Payload
+		id, root   string
+	}{
+		{KindBench, "first", payloads, "63a755e918fcbd577497b1721e0eb9103c1ba74d4990522c692497407dd11f1b", root},
+		{KindBench, "second", payloads, "ab554f28dc0e4b3838564b3ac5d2ded2c33fcc30848e9dea459bde4d68404cda", root},
+		{KindResults, "none", nil, "37d767d6f77432866f9f76e5d46001955c09845d6f6fab62df77d42ea7e5d7b9",
+			"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+	} {
+		c, err := a.commit(want.kind, want.name, want.payloads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.ID != want.id || c.Root != want.root {
+			t.Errorf("commit %q: ID %s root %s, want ID %s root %s", want.name, c.ID, c.Root, want.id, want.root)
+		}
+	}
+	if rep, err := a.Verify(); err != nil || !rep.OK() {
+		t.Fatalf("Verify = %+v, %v", rep, err)
+	}
+}
+
+// TestResultsCommitWritesOnePack checks the seal's footprint: a results
+// commit of N jobs leaves exactly one pack and one record (plus HEAD),
+// the pack holding every chunk back to back.
+func TestResultsCommitWritesOnePack(t *testing.T) {
+	a, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := sampleResults()
+	c, err := a.CommitResults("sweep", sampleSpec(), results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Chunks) != len(results)+2 {
+		t.Fatalf("%d chunks for %d jobs, want %d", len(c.Chunks), len(results), len(results)+2)
+	}
+	for sub, want := range map[string]string{"packs": c.ID + ".pack", "commits": c.ID + ".json"} {
+		entries, err := os.ReadDir(filepath.Join(a.Dir(), sub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != want {
+			t.Errorf("%s/ holds %v, want only %s", sub, entries, want)
+		}
+	}
+	fi, err := os.Stat(a.packPath(c.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size int64
+	for _, ch := range c.Chunks {
+		size += ch.Size
+	}
+	if fi.Size() != size {
+		t.Errorf("pack holds %d bytes, chunks sum to %d", fi.Size(), size)
+	}
+}
+
+// TestOpenRefusesLooseLayout checks that an archive in the pre-pack
+// layout, one file per chunk under chunks/, fails loudly at Open rather
+// than verifying as one missing pack per commit.
+func TestOpenRefusesLooseLayout(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "chunks", "4f"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "loose layout") {
+		t.Fatalf("Open of a loose-layout archive = %v; want a loose-layout error", err)
+	}
+}
+
+// corruptChunk locates the chunk with the given logical name in its
+// commit's pack and applies damage to the pack: data is the whole pack,
+// [off, end) the chunk's bytes in it.
+func corruptChunk(t *testing.T, a *Archive, c *Commit, name string, damage func(path string, data []byte, off, end int64)) {
+	t.Helper()
+	path, off, end, err := a.ChunkRange(c, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damage(path, b, off, end)
 }
 
 // TestVerifyCorruptionMatrix is the corruption acceptance matrix: a
-// flipped chunk byte, a truncated chunk, a deleted chunk, a tampered
-// commit record, and a broken parent chain must each be detected, and
-// chunk damage must name the exact chunk.
+// flipped chunk byte, a truncated pack, a chunk cut out of its pack, a
+// deleted pack, a pack grown by trailing bytes, a tampered commit
+// record, a broken parent chain and a dangling HEAD must each be
+// detected, and chunk damage must name the exact chunk.
 func TestVerifyCorruptionMatrix(t *testing.T) {
 	build := func(t *testing.T) (*Archive, *Commit, *Commit) {
 		a, err := Open(t.TempDir())
@@ -349,37 +506,78 @@ func TestVerifyCorruptionMatrix(t *testing.T) {
 			short(wantCommit), wantChunk, wantDetail, rep.Problems)
 	}
 
+	write := func(t *testing.T, path string, b []byte) {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	t.Run("flipped chunk byte", func(t *testing.T) {
 		a, _, c2 := build(t)
 		name := "result-000003.json"
-		corruptChunk(t, a, c2, name, func(path string, b []byte) {
-			b[len(b)/2] ^= 0x01
-			if err := os.WriteFile(path, b, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		corruptChunk(t, a, c2, name, func(path string, b []byte, off, end int64) {
+			b[(off+end)/2] ^= 0x01
+			write(t, path, b)
 		})
-		mustProblem(t, a, c2.ID, name, "chunk corrupt")
+		rep, err := a.Verify()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Problems) != 1 || rep.Problems[0].Chunk != name || !strings.Contains(rep.Problems[0].Detail, "chunk corrupt") {
+			t.Errorf("problems %+v, want exactly chunk %s corrupt", rep.Problems, name)
+		}
 	})
 
 	t.Run("truncated chunk", func(t *testing.T) {
 		a, c1, _ := build(t)
-		corruptChunk(t, a, c1, ChunkBench, func(path string, b []byte) {
-			if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
-				t.Fatal(err)
-			}
+		corruptChunk(t, a, c1, ChunkBench, func(path string, b []byte, off, end int64) {
+			write(t, path, b[:(off+end)/2])
 		})
 		mustProblem(t, a, c1.ID, ChunkBench, "truncated")
-		mustProblem(t, a, c1.ID, ChunkBench, "chunk corrupt")
 	})
 
 	t.Run("deleted chunk", func(t *testing.T) {
 		a, _, c2 := build(t)
-		corruptChunk(t, a, c2, ChunkSpec, func(path string, _ []byte) {
-			if err := os.Remove(path); err != nil {
+		corruptChunk(t, a, c2, ChunkSpec, func(path string, b []byte, off, end int64) {
+			write(t, path, append(b[:off:off], b[end:]...))
+		})
+		mustProblem(t, a, c2.ID, ChunkSpec, "chunk corrupt")
+		mustProblem(t, a, c2.ID, c2.Chunks[len(c2.Chunks)-1].Name, "truncated")
+	})
+
+	t.Run("deleted pack", func(t *testing.T) {
+		a, c1, c2 := build(t)
+		for _, c := range []*Commit{c1, c2} {
+			if err := os.Remove(a.packPath(c.ID)); err != nil {
 				t.Fatal(err)
 			}
+		}
+		rep, err := a.Verify()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Problems) != 2 {
+			t.Errorf("problems %+v, want one per commit", rep.Problems)
+		}
+		mustProblem(t, a, c1.ID, "", "pack unreadable")
+		mustProblem(t, a, c2.ID, "", "pack unreadable")
+	})
+
+	t.Run("pack grown by trailing bytes", func(t *testing.T) {
+		a, c1, _ := build(t)
+		corruptChunk(t, a, c1, ChunkBench, func(path string, b []byte, _, _ int64) {
+			write(t, path, append(b, "trailing"...))
 		})
-		mustProblem(t, a, c2.ID, ChunkSpec, "chunk missing")
+		rep, err := a.Verify()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Problems) != 1 || rep.Problems[0].Chunk != "" || !strings.Contains(rep.Problems[0].Detail, "pack grown: 8 bytes") {
+			t.Errorf("problems %+v, want one commit-level grown-pack problem", rep.Problems)
+		}
+		if _, err := a.PayloadBytes(c1, ChunkBench); err != nil {
+			t.Errorf("PayloadBytes past a grown pack's chunks: %v", err)
+		}
 	})
 
 	t.Run("tampered commit record", func(t *testing.T) {

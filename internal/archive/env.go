@@ -37,8 +37,7 @@ var (
 
 // CaptureEnv captures the process environment once and returns the same
 // value for the process lifetime, so every commit in one run embeds
-// identical environment bytes (which content addressing then stores
-// exactly once).
+// identical environment bytes.
 func CaptureEnv() Environment {
 	envOnce.Do(func() {
 		envVal = Environment{

@@ -4,8 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"regexp"
-	"sort"
+	"slices"
 	"strings"
 	"text/tabwriter"
 )
@@ -27,8 +28,7 @@ type Gate struct {
 // ParseGate parses "regex" or "regex=pct" into a gate, defaulting the
 // threshold to def percent.
 func ParseGate(s string, def float64) (Gate, error) {
-	pat := s
-	thr := def
+	pat, thr := s, def
 	if i := strings.LastIndex(s, "="); i >= 0 {
 		pat = s[:i]
 		if _, err := fmt.Sscanf(s[i+1:], "%f", &thr); err != nil {
@@ -140,12 +140,7 @@ func (r *RegressReport) OK() bool { return r.Regressions == 0 }
 // from the latest snapshot is a regression.
 func Regress(baseline, latest map[string]float64, gates []Gate) *RegressReport {
 	rep := &RegressReport{}
-	keys := make([]string, 0, len(baseline))
-	for k := range baseline {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(baseline)) {
 		old := baseline[k]
 		gate, gated := matchGate(gates, k)
 		now, ok := latest[k]
@@ -158,17 +153,13 @@ func Regress(baseline, latest map[string]float64, gates []Gate) *RegressReport {
 		}
 		d := Delta{Metric: k, Old: old, New: now}
 		switch {
-		case old == 0 && now == 0:
-			d.Percent = 0
-		case old == 0:
-			d.Percent = 100 // from zero: treat any growth as +100%
-		default:
+		case old != 0:
 			d.Percent = (now - old) / old * 100
+		case now != 0:
+			d.Percent = 100 // from zero: treat any growth as +100%
 		}
 		if gated {
-			d.Gated = true
-			d.Threshold = gate.Threshold
-			d.Regressed = d.Percent > gate.Threshold
+			d.Gated, d.Threshold, d.Regressed = true, gate.Threshold, d.Percent > gate.Threshold
 			if d.Regressed {
 				rep.Regressions++
 			}

@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -255,16 +257,12 @@ func buildReport(c *Commit, results []core.JobResult, env Environment, spec *cor
 }
 
 func platformInfo(results []core.JobResult) PlatformInfo {
-	seen := map[string]bool{}
-	var names []string
+	names := make([]string, 0, len(results))
 	for _, r := range results {
-		if !seen[r.Spec.Platform] {
-			seen[r.Spec.Platform] = true
-			names = append(names, r.Spec.Platform)
-		}
+		names = append(names, r.Spec.Platform)
 	}
-	sort.Strings(names)
-	name := strings.Join(names, "+")
+	slices.Sort(names)
+	name := strings.Join(slices.Compact(names), "+")
 	if name == "" {
 		name = "unknown"
 	}
@@ -274,29 +272,20 @@ func platformInfo(results []core.JobResult) PlatformInfo {
 
 // targetScale is the largest T-shirt class seen across the results.
 func targetScale(results []core.JobResult) string {
-	best := ""
-	var bestScale float64 = -1
+	best, bestScale := "", -1.0
 	for _, r := range results {
 		if r.Scale > bestScale {
-			bestScale = r.Scale
-			best = string(r.Class)
+			best, bestScale = string(r.Class), r.Scale
 		}
 	}
-	if best == "" {
-		best = "?"
-	}
-	return best
+	return cmp.Or(best, "?")
 }
 
 func resources(results []core.JobResult) map[string]Resource {
 	maxThreads, maxMachines := 0, 0
 	for _, r := range results {
-		if r.Spec.Threads > maxThreads {
-			maxThreads = r.Spec.Threads
-		}
-		if r.Spec.Machines > maxMachines {
-			maxMachines = r.Spec.Machines
-		}
+		maxThreads = max(maxThreads, r.Spec.Threads)
+		maxMachines = max(maxMachines, r.Spec.Machines)
 	}
 	return map[string]Resource{
 		"cpu-core":     {Name: "cpu-core", Baseline: float64(maxThreads), Scalability: true},
@@ -305,13 +294,10 @@ func resources(results []core.JobResult) map[string]Resource {
 }
 
 func shortGit(rev string) string {
-	if len(rev) > 8 {
-		return rev[:8]
-	}
 	if rev == "" {
 		return "unknown"
 	}
-	return rev
+	return rev[:min(len(rev), 8)]
 }
 
 // WriteReportJS writes the data file: "var results = <json>;" — the
@@ -382,11 +368,7 @@ func (a *Archive) WriteReportDir(ref, dir string) error {
 	if err := writeFileAtomic(filepath.Join(dir, "benchmark-results.js"), []byte(js.String())); err != nil {
 		return err
 	}
-	var html strings.Builder
-	if err := WriteReportHTML(&html); err != nil {
-		return err
-	}
-	if err := writeFileAtomic(filepath.Join(dir, "index.html"), []byte(html.String())); err != nil {
+	if err := writeFileAtomic(filepath.Join(dir, "index.html"), []byte(reportHTML)); err != nil {
 		return err
 	}
 	var txt strings.Builder

@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -8,7 +9,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -34,6 +35,8 @@ func (p Problem) String() string {
 	}
 	return fmt.Sprintf("commit %s: %s", short(p.Commit), p.Detail)
 }
+
+func (p *Problem) err() error { return errors.New("archive: " + p.String()) }
 
 // VerifyReport is the outcome of a full offline re-derivation of the
 // archive: counts of what was checked, and every problem found.
@@ -64,8 +67,8 @@ func (r *VerifyReport) Render(w io.Writer) {
 // Verify re-derives every hash in the archive from the bytes on disk:
 // each commit record must hash to its own ID (which seals the parent
 // chain, since the parent ID is part of those bytes), each commit's
-// Merkle root must re-derive from its chunk digests, and each chunk's
-// bytes must hash to the digest and size the commit recorded. It checks
+// Merkle root must re-derive from its chunk digests, and the commit's
+// pack must hold exactly its chunks (see verifyPack). It checks
 // every commit file in the store — not just the chain from HEAD — then
 // walks the chain to catch missing parents, cycles, and a HEAD that
 // points nowhere. All problems are collected rather than failing fast,
@@ -76,33 +79,28 @@ func (a *Archive) Verify() (*VerifyReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("archive: list commits: %w", err)
 	}
-	checkedChunks := make(map[string]bool)
 	commits := make(map[string]*Commit)
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".json") {
+		id, ok := strings.CutSuffix(e.Name(), ".json")
+		if !ok {
 			continue
 		}
-		id := cutSuffix(name, ".json")
 		rep.Commits++
-		c := a.verifyCommit(id, rep, checkedChunks)
+		c := a.verifyCommit(id, rep)
 		if c != nil {
 			commits[id] = c
 		}
 	}
 	a.verifyChain(rep, commits)
-	sort.SliceStable(rep.Problems, func(i, j int) bool {
-		if rep.Problems[i].Commit != rep.Problems[j].Commit {
-			return rep.Problems[i].Commit < rep.Problems[j].Commit
-		}
-		return rep.Problems[i].Chunk < rep.Problems[j].Chunk
+	slices.SortStableFunc(rep.Problems, func(p, q Problem) int {
+		return cmp.Or(strings.Compare(p.Commit, q.Commit), strings.Compare(p.Chunk, q.Chunk))
 	})
 	return rep, nil
 }
 
-// verifyCommit re-derives one commit: record hash, Merkle root, and
-// every chunk. Returns the decoded commit (nil when unreadable).
-func (a *Archive) verifyCommit(id string, rep *VerifyReport, checkedChunks map[string]bool) *Commit {
+// verifyCommit re-derives one commit: record hash, Merkle root and
+// pack. Returns the decoded commit (nil when unreadable).
+func (a *Archive) verifyCommit(id string, rep *VerifyReport) *Commit {
 	b, err := os.ReadFile(a.commitPath(id))
 	if err != nil {
 		rep.Problems = append(rep.Problems, Problem{Commit: id, Detail: "commit record unreadable: " + errString(err)})
@@ -130,37 +128,40 @@ func (a *Archive) verifyCommit(id string, rep *VerifyReport, checkedChunks map[s
 			continue
 		}
 		leaves = append(leaves, raw)
-		a.verifyChunk(id, ch, rep, checkedChunks)
 	}
 	if root := hex.EncodeToString(merkleRoot(leaves)); root != c.Root {
 		rep.Problems = append(rep.Problems, Problem{Commit: id,
 			Detail: fmt.Sprintf("merkle root mismatch: recorded %s, re-derived %s", short(c.Root), short(root))})
 	}
+	a.verifyPack(&c, rep)
 	return &c
 }
 
-// verifyChunk re-hashes one chunk's bytes against the digest and size
-// the commit recorded. A chunk shared by several commits is read once;
-// problems are still attributed to every commit that references it.
-func (a *Archive) verifyChunk(commitID string, ch Chunk, rep *VerifyReport, checked map[string]bool) {
-	b, err := os.ReadFile(a.chunkPath(ch.SHA256))
+// verifyPack checks c's chunks against its pack: each must lie inside
+// it where the recorded sizes put it and hash to its recorded digest,
+// and the pack must end where the last chunk does.
+func (a *Archive) verifyPack(c *Commit, rep *VerifyReport) {
+	pack, err := a.readPack(c.ID)
 	if err != nil {
-		rep.Problems = append(rep.Problems, Problem{Commit: commitID, Chunk: ch.Name,
-			Detail: "chunk missing: " + errString(err)})
+		rep.Problems = append(rep.Problems, Problem{Commit: c.ID, Detail: "pack unreadable: " + errString(err)})
 		return
 	}
-	if !checked[ch.SHA256] {
-		checked[ch.SHA256] = true
+	rep.Bytes += int64(len(pack))
+	parts, p := split(c, pack)
+	if p != nil {
+		rep.Problems = append(rep.Problems, *p)
+	}
+	end := 0
+	for i, b := range parts {
 		rep.Chunks++
-		rep.Bytes += int64(len(b))
+		end += len(b)
+		if p := check(c, c.Chunks[i], b); p != nil {
+			rep.Problems = append(rep.Problems, *p)
+		}
 	}
-	if int64(len(b)) != ch.Size {
-		rep.Problems = append(rep.Problems, Problem{Commit: commitID, Chunk: ch.Name,
-			Detail: fmt.Sprintf("chunk truncated or grown: recorded %d bytes, found %d", ch.Size, len(b))})
-	}
-	if got := shaHex(b); got != ch.SHA256 {
-		rep.Problems = append(rep.Problems, Problem{Commit: commitID, Chunk: ch.Name,
-			Detail: fmt.Sprintf("chunk corrupt: bytes hash to %s, recorded %s", short(got), short(ch.SHA256))})
+	if p == nil && end < len(pack) {
+		rep.Problems = append(rep.Problems, Problem{Commit: c.ID,
+			Detail: fmt.Sprintf("pack grown: %d bytes past its last chunk", len(pack)-end)})
 	}
 }
 
