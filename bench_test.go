@@ -610,7 +610,7 @@ var engineBenchAlgorithms = []algorithms.Algorithm{
 
 // BenchmarkEngineExecute measures steady-state Execute on the largest
 // stand-in for every engine x algorithm pair. The upload is shared across
-// iterations, so after the first (warm-up) run the engines' job-lifetime
+// iterations, so after the first (warm-up) run the engines' pooled
 // arenas are populated and allocs/op reflects the per-superstep residue —
 // the number the zero-allocation message plane is accountable for.
 func BenchmarkEngineExecute(b *testing.B) {

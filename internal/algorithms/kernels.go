@@ -63,8 +63,10 @@ type Runtime interface {
 }
 
 // Kernels runs the six algorithms over a Runtime and keeps their working
-// state between jobs: an engine pools one per upload, so steady-state runs
-// allocate little beyond their outputs. The zero value is ready to use; a
+// state between jobs: engines pool them for their lifetime, so runs
+// allocate little beyond their outputs whatever graph ran before. Every
+// array is sized, overwritten or cleared by the job that reads it, and
+// none holds a pointer into a graph. The zero value is ready to use; a
 // Kernels must not run two jobs at once.
 type Kernels struct {
 	counts   mplane.WorkerCounts // per-worker CDLP counters
@@ -74,6 +76,8 @@ type Kernels struct {
 	dirty    []uint32
 	changed  []bool
 	dangling []int32   // PageRank's dangling vertices, ascending
+	ranks    []float64 // PageRank's ranks, alternating with the output
+	contrib  []float64 // PageRank's per-arc contributions
 	sums     []float64 // block partials of SSSP's bucket width
 	frontier []int32   // BFS and Bellman-Ford frontier, SSSP phase discoveries
 	bits     []uint64  // BFS frontier bitmap of a bottom-up level
@@ -177,9 +181,13 @@ func (k *Kernels) PageRank(rt Runtime, g *graph.Graph, iterations int, damping f
 	if n == 0 {
 		return nil, nil
 	}
-	rank := make([]float64, n)
-	next := make([]float64, n)
-	contrib := make([]float64, n) // rank[v]/outdeg(v), recomputed per iteration
+	// The ranks alternate between the output and a pooled array; contrib
+	// is rank[v]/outdeg(v), recomputed per iteration. Every iteration
+	// writes both pooled arrays in full before it reads them.
+	out := make([]float64, n)
+	k.ranks = mplane.Grow(k.ranks, n)
+	k.contrib = mplane.Grow(k.contrib, n)
+	rank, next, contrib := out, k.ranks, k.contrib
 	inv := 1.0 / float64(n)
 	for i := range rank {
 		rank[i] = inv
@@ -211,7 +219,10 @@ func (k *Kernels) PageRank(rt Runtime, g *graph.Graph, iterations int, damping f
 		}
 		rank, next = next, rank
 	}
-	return rank, nil
+	if iterations%2 == 1 { // the last iteration wrote the pooled array
+		copy(out, rank)
+	}
+	return out, nil
 }
 
 // Afforest's sampling: every vertex first links to this many of its
@@ -410,12 +421,11 @@ func (k *Kernels) LCC(rt Runtime, o *LCCOrientation) ([]float64, error) {
 		k.count = append(k.count, nil)
 		k.marks = append(k.marks, nil)
 	}
-	// Mark arrays outlive the job (they are all-zero again when it ends),
-	// so they are allocated outside the round, like the orientation.
+	// Mark arrays outlive the job (they are all-zero again when it ends,
+	// over their whole capacity), so they are allocated outside the round,
+	// like the orientation, and only when n exceeds every earlier n.
 	for w, marks := range k.marks[:p] {
-		if len(marks) != n {
-			k.marks[w] = make([]uint8, n)
-		}
+		k.marks[w] = mplane.Grow(marks, n)
 	}
 	count := k.count[:p]
 	out := make([]float64, n)

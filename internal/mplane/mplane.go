@@ -30,11 +30,20 @@
 //     specification's (highest count, smallest label) tie-break, which is
 //     order-independent, so replacing map iteration cannot change a
 //     result.
-//   - Pool is a type-keyed scratch cache engines hang off their uploaded
-//     state, making the arenas job-lifetime: repeated Execute calls on
-//     one upload (the repeatability experiment's exact shape) reuse every
-//     buffer, and algorithm sweeps that alternate message types keep one
-//     warm arena per type.
+//   - Pool is a type-keyed cache of scratch values with one free list
+//     per type. Every engine driver owns one for the engine's lifetime,
+//     so a job checks its arenas out warm whichever upload, graph or
+//     deployment ran before it: repeated Execute calls (the
+//     repeatability experiment's shape), every daemon run and every
+//     suite pass reuse the same buffers, and algorithm sweeps that
+//     alternate message types keep warm arenas per type.
+//
+// Pooled arenas are graph-agnostic: a buffer grown for one vertex count
+// serves every smaller one (Grow and Slots.Begin re-slice within
+// capacity), so its contents are unspecified on checkout and every user
+// overwrites, clears or stamps what it reads. They hold no pointer into a
+// job: message payloads are plain values, and engines drop every upload,
+// graph and closure reference before a value goes back to its Pool.
 //
 // Determinism contract: for a fixed sequence of operations, every type in
 // this package produces bit-identical results regardless of how often its
@@ -199,17 +208,23 @@ type Slots[T any] struct {
 }
 
 // Begin starts a delivery round for n vertices, invalidating all slots.
+// The slot arrays keep their capacity across vertex counts: a stamp past
+// n from an earlier, larger round is older than every generation Begin
+// hands out until the counter wraps, and the wrap clears the whole
+// capacity, so a later round that re-grows over those slots cannot see a
+// stale stamp as current.
 //
-//graphalint:noalloc steady state: the slot arrays are reallocated only when the vertex count changes
+//graphalint:noalloc steady state: the slot arrays are reallocated only when n exceeds their capacity
 func (s *Slots[T]) Begin(n int) {
-	if len(s.gen) != n {
-		s.val = Grow(s.val, n)
-		s.gen = GrowZero(s.gen, n)
+	if cap(s.gen) < n || cap(s.val) < n {
+		s.val = make([]T, n)
+		s.gen = make([]uint32, n)
 		s.cur = 0
 	}
+	s.val, s.gen = s.val[:n], s.gen[:n]
 	s.cur++
-	if s.cur == 0 { // generation counter wrapped: re-zero the stamps
-		clear(s.gen)
+	if s.cur == 0 { // generation counter wrapped: re-zero every stamp
+		clear(s.gen[:cap(s.gen)])
 		s.cur = 1
 	}
 }
@@ -242,38 +257,56 @@ func (s *Slots[T]) At(v int32) []T {
 	return s.val[v : v+1 : v+1]
 }
 
-// Pool is a scratch cache with one slot per concrete type. Engines store
-// one per uploaded graph; Execute checks its scratch out at the start of
-// a job and returns it at the end, so back-to-back jobs on the same
-// upload — the repeatability experiment's shape — reuse the entire
-// message plane. The slots are keyed by type because an algorithm sweep
-// over one upload alternates message types (a pregel suite runs
-// runner[int64], runner[float64] and runner[[]int32] jobs): each type's
-// arena survives the others' jobs instead of being evicted on every
-// switch. If two jobs ever race on one upload the loser simply allocates
-// fresh scratch; no state is shared.
+// Pool is a scratch cache with one free list per concrete type. An engine
+// driver owns one for the engine's lifetime and every upload of the
+// engine reaches it (platform.BaseUpload.Scratch): a job checks its
+// scratch out at the start and puts it back at the end, so back-to-back
+// jobs reuse the entire message plane whatever upload, graph or
+// deployment each ran on. The lists are keyed by type because an
+// algorithm sweep alternates message types (a pregel suite runs
+// runner[int64], runner[float64] and runner[int32] jobs): each type's
+// arenas survive the others' jobs.
+//
+// Jobs that run at once on one engine each check out their own value, and
+// each puts it back, so a list holds at most as many values as the peak
+// number of concurrent jobs of the engine that used the type. Values must
+// be returned without references into their job (see the package
+// comment), or the pool would keep that job's graph alive.
+//
+// A nil *Pool caches nothing: Acquire always builds and Put drops.
 type Pool struct {
-	mu    sync.Mutex
-	slots map[reflect.Type]any
+	mu   sync.Mutex
+	free map[reflect.Type][]any
 }
 
-// Put returns a value to its type's slot, replacing any present.
+// Put appends v to its type's free list.
 func (p *Pool) Put(v any) {
+	if p == nil {
+		return
+	}
+	t := reflect.TypeOf(v)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.slots == nil {
-		p.slots = make(map[reflect.Type]any)
+	if p.free == nil {
+		p.free = make(map[reflect.Type][]any)
 	}
-	p.slots[reflect.TypeOf(v)] = v
+	p.free[t] = append(p.free[t], v)
 }
 
-// Acquire checks the pool's cached *S out, or returns mk() when the slot
-// is empty or checked out by a concurrent job.
+// Acquire pops the most recently returned *S off its type's free list, or
+// returns mk() when the list is empty: every value is handed to one
+// caller at a time.
 func Acquire[S any](p *Pool, mk func() *S) *S {
-	t := reflect.TypeOf((*S)(nil))
+	if p == nil {
+		return mk()
+	}
+	t := reflect.TypeFor[*S]()
+	var v any
 	p.mu.Lock()
-	v := p.slots[t]
-	delete(p.slots, t)
+	if l := p.free[t]; len(l) > 0 {
+		v, l[len(l)-1] = l[len(l)-1], nil
+		p.free[t] = l[:len(l)-1]
+	}
 	p.mu.Unlock()
 	if s, ok := v.(*S); ok && s != nil {
 		return s

@@ -2,6 +2,9 @@ package mplane
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -118,6 +121,119 @@ func TestSlotsGenerationWrap(t *testing.T) {
 	s.Put(1, 9, nil)
 	if !s.Has(1) || s.At(1)[0] != 9 {
 		t.Fatal("post-wrap delivery broken")
+	}
+}
+
+// TestSlotsReuseAcrossSizes holds a pooled Slots to its graph-agnostic
+// contract: it keeps its arrays from 1000 vertices down to 10 and back up,
+// a slot stamped in an earlier round never reads as delivered, and a
+// generation wrap taken while the slots are shrunk clears the stamps past
+// the shrunk size too, which the next grow re-exposes.
+func TestSlotsReuseAcrossSizes(t *testing.T) {
+	var s Slots[int64]
+	fill := func(n int) {
+		for v := int32(0); v < int32(n); v++ {
+			s.Put(v, int64(v), nil)
+		}
+	}
+	s.Begin(1000)
+	fill(1000)
+	arr := &s.gen[0]
+	s.Begin(10)
+	noStaleSlots(t, "shrunk to 10", &s, 10)
+	fill(10)
+	for v := int32(0); v < 10; v++ {
+		if got := s.At(v); len(got) != 1 || got[0] != int64(v) {
+			t.Fatalf("shrunk to 10: At(%d) = %v, want [%d]", v, got, v)
+		}
+	}
+	s.Begin(1000)
+	if &s.gen[0] != arr {
+		t.Fatal("regrowing to 1000 reallocated the slots instead of re-slicing them")
+	}
+	noStaleSlots(t, "regrown to 1000", &s, 1000)
+
+	// Stamp every slot with a small generation, shrink, and wrap the
+	// counter while shrunk: a clear that stops at the shrunk size leaves
+	// those stamps to match the generations after the wrap.
+	var w Slots[int64]
+	w.Begin(1000)
+	w.Begin(1000)
+	stale := w.cur
+	for v := int32(0); v < 1000; v++ {
+		w.Put(v, 1, nil)
+	}
+	w.Begin(10)
+	w.cur = ^uint32(0)
+	w.Begin(10) // wraps
+	// Advance so that the grow below takes generation stale.
+	for w.cur+1 < stale {
+		w.Begin(10)
+	}
+	w.Begin(1000)
+	noStaleSlots(t, "regrown to 1000 after a wrap at 10", &w, 1000)
+}
+
+// noStaleSlots fails unless none of s's first n slots holds a message.
+func noStaleSlots(t *testing.T, at string, s *Slots[int64], n int) {
+	t.Helper()
+	for v := int32(0); v < int32(n); v++ {
+		if s.Has(v) || s.At(v) != nil {
+			t.Fatalf("%s: vertex %d holds a message from an earlier round", at, v)
+		}
+	}
+}
+
+// TestPoolConcurrentAcquirePut has K goroutines check values out of one
+// Pool and put them back, many times each, as concurrent jobs of one
+// engine do. No value may be held by two callers at once, every value
+// built must come back, and the pool never builds more than K.
+func TestPoolConcurrentAcquirePut(t *testing.T) {
+	type arena struct {
+		id    int
+		inUse atomic.Bool
+	}
+	const K, rounds = 8, 2000
+	var (
+		p     Pool
+		built atomic.Int32
+		wg    sync.WaitGroup
+	)
+	mk := func() *arena { return &arena{id: int(built.Add(1))} }
+	for range K {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				a := Acquire(&p, mk)
+				if !a.inUse.CompareAndSwap(false, true) {
+					t.Errorf("arena %d handed to two callers at once", a.id)
+					return
+				}
+				runtime.Gosched()
+				a.inUse.Store(false)
+				p.Put(a)
+			}
+		}()
+	}
+	wg.Wait()
+	n := int(built.Load())
+	if n > K {
+		t.Errorf("built %d arenas for %d concurrent callers", n, K)
+	}
+	seen := map[int]bool{}
+	for {
+		a := Acquire(&p, func() *arena { return nil })
+		if a == nil {
+			break
+		}
+		if seen[a.id] {
+			t.Fatalf("arena %d is on the free list twice", a.id)
+		}
+		seen[a.id] = true
+	}
+	if len(seen) != n {
+		t.Fatalf("%d of %d arenas came back to the pool", len(seen), n)
 	}
 }
 

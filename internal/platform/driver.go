@@ -9,6 +9,7 @@ import (
 	"graphalytics/internal/cluster"
 	"graphalytics/internal/granula"
 	"graphalytics/internal/graph"
+	"graphalytics/internal/mplane"
 	"graphalytics/internal/par"
 )
 
@@ -61,11 +62,16 @@ type Engine[U upload] struct {
 	Annotate func(u U, j *Job)
 }
 
-// driver is the one implementation of Platform and ContextUploader.
-type driver[U upload] struct{ e Engine[U] }
+// driver is the one implementation of Platform and ContextUploader. It
+// owns the engine's scratch pool: every upload reaches it, so the
+// engine's arenas live as long as the platform, not as one upload.
+type driver[U upload] struct {
+	e    Engine[U]
+	pool mplane.Pool
+}
 
 // New returns the platform that drives e.
-func New[U upload](e Engine[U]) Platform { return &driver[U]{e} }
+func New[U upload](e Engine[U]) Platform { return &driver[U]{e: e} }
 
 func (d *driver[U]) Name() string        { return d.e.Name }
 func (d *driver[U]) Description() string { return d.e.Description }
@@ -98,7 +104,7 @@ func (d *driver[U]) UploadContext(ctx context.Context, g *graph.Graph, cfg RunCo
 		return nil, err
 	}
 	b := u.base()
-	b.G, b.Cl = g, cl
+	b.G, b.Cl, b.pool = g, cl, &d.pool
 	for m, n := range bytes {
 		if err := b.Register(m, n); err != nil {
 			b.Free()

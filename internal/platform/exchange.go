@@ -16,7 +16,9 @@ import (
 // barrier scatters the stages into a CSR inbox in that order
 // (mplane.Inbox); with one, Deliver folds them left to right into one
 // slot per vertex (mplane.Slots). The current inbox stays readable until
-// Barrier, and a warm round allocates nothing.
+// Barrier, and a warm round allocates nothing. The buffers keep their
+// capacity across vertex counts and deployments; End drops what Begin
+// took from the job, so a pooled exchange pins nothing.
 type Exchange[T any] struct {
 	n         int
 	owner     []int32        // owner[v] is the machine of vertex v
@@ -42,12 +44,10 @@ type paddedStage[T any] struct {
 // machine, with an empty current inbox. combine, when not nil, folds the
 // messages to one vertex into one.
 //
-//graphalint:noalloc steady state: the stages and inboxes are reallocated only when the deployment or vertex count changes
+//graphalint:noalloc steady state: the stages and inboxes grow only past the largest deployment and vertex count so far
 func (x *Exchange[T]) Begin(n int, owner []int32, machines, producers int, size func(T) int64, combine func(a, b T) T) {
 	x.n, x.owner, x.producers, x.size, x.combine = n, owner, producers, size, combine
-	if len(x.stages) != machines*producers {
-		x.stages = make([]paddedStage[T], machines*producers)
-	}
+	x.stages = mplane.Grow(x.stages, machines*producers)
 	x.wire = mplane.Grow(x.wire, machines)
 	if combine != nil {
 		x.slots[x.cur].Begin(n)
@@ -56,6 +56,10 @@ func (x *Exchange[T]) Begin(n int, owner []int32, machines, producers int, size 
 		x.inbox.Seal()
 	}
 }
+
+// End drops the job's owner table and message functions, keeping the
+// buffers for the next Begin.
+func (x *Exchange[T]) End() { x.owner, x.size, x.combine = nil, nil, nil }
 
 // Stage returns producer p's stage on machine mach.
 func (x *Exchange[T]) Stage(mach, p int) *mplane.Stage[T] {

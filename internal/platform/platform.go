@@ -145,15 +145,17 @@ var ErrUnsupported = fmt.Errorf("platform: algorithm not supported")
 
 // BaseUpload is the embedding every Uploaded implementation shares: the
 // graph, its simulated deployment, the per-machine bytes registered
-// against the deployment for the life of the upload, and the pooled
-// runtimes Run executes kernels on. Engines driven by New leave its fields
-// to the driver.
+// against the deployment for the life of the upload, and the engine's
+// scratch pool its jobs check their arenas out of. Engines driven by New
+// leave its fields to the driver.
 type BaseUpload struct {
 	G  *graph.Graph
 	Cl *cluster.Cluster
 	// bytes[m] is what Free releases on machine m.
-	bytes    []int64
-	runtimes mplane.Pool
+	bytes []int64
+	// pool is the engine's, shared by all of its uploads; nil (an upload
+	// built without a driver) pools nothing.
+	pool *mplane.Pool
 }
 
 func (b *BaseUpload) base() *BaseUpload { return b }
@@ -163,6 +165,11 @@ func (b *BaseUpload) Graph() *graph.Graph { return b.G }
 
 // Cluster returns the simulated deployment.
 func (b *BaseUpload) Cluster() *cluster.Cluster { return b.Cl }
+
+// Scratch returns the engine's scratch pool. It outlives the upload, so
+// what a job puts back must hold no reference to the upload, its graph
+// or its cluster.
+func (b *BaseUpload) Scratch() *mplane.Pool { return b.pool }
 
 // Register charges bytes to a machine's budget until Free: the upload's
 // layout, or a structure a later job adds to it.

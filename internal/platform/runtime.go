@@ -22,16 +22,16 @@ import (
 // kernels' bits, whatever the thread count.
 //
 // The runtime and the kernels' working state are checked out of the
-// upload's pool, so steady-state jobs allocate little beyond their
-// outputs, and the round callback is bound once, so a round allocates
-// nothing.
+// engine's pool, so jobs allocate little beyond their outputs, also on a
+// fresh upload, and the round callback is bound once, so a round
+// allocates nothing.
 func Run[T any](ctx context.Context, b *BaseUpload, owned func(mach int) (lo, hi int), traffic func(mach, n int, vertices []int32),
 	kernel func(*algorithms.Kernels, algorithms.Runtime) (T, error)) (T, error) {
-	r := mplane.Acquire(&b.runtimes, newRuntime)
+	r := mplane.Acquire(b.Scratch(), newRuntime)
 	r.cl, r.ctx, r.n, r.owned, r.traffic = b.Cl, ctx, b.G.NumVertices(), owned, traffic
 	defer func() {
-		r.ctx, r.owned, r.traffic = nil, nil, nil // a pooled runtime keeps no job alive
-		b.runtimes.Put(r)
+		r.cl, r.ctx, r.owned, r.traffic = nil, nil, nil, nil // a pooled runtime keeps no job alive
+		b.Scratch().Put(r)
 	}()
 	return kernel(&r.kernels, r)
 }

@@ -28,8 +28,9 @@ type fuzzEngine struct {
 // fuzzEngines are the seven registered engines and pregel without
 // combiners. The bit-for-bit algorithms are those
 // TestNativeMatchesOracleBitForBit and TestRangeEnginesMatchOracleBitForBit
-// assert bits for, and pregel's LCC, whose numerator is the oracle's
-// exact integer and whose quotient is the oracle's expression.
+// assert bits for, and pregel's and dataflow's LCC, whose numerators are
+// the oracle's exact integers and whose quotients are the oracle's
+// expression.
 func fuzzEngines(t testing.TB) []fuzzEngine {
 	platforms.RegisterAll()
 	get := func(name string) platform.Platform {
@@ -49,7 +50,7 @@ func fuzzEngines(t testing.TB) []fuzzEngine {
 		{"gas", get("gas"), []algorithms.Algorithm{algorithms.BFS, algorithms.WCC, algorithms.CDLP, algorithms.LCC, algorithms.SSSP}},
 		{"pregel", get("pregel"), lcc},
 		{"pregel-nocombine", pregel.NewWithOptions(false), lcc},
-		{"dataflow", get("dataflow"), nil},
+		{"dataflow", get("dataflow"), lcc},
 	}
 }
 
@@ -179,6 +180,12 @@ func encodeCorpusCase(c conformance.Case, e, d int) []byte {
 // the engine's outputs on the mapped view must be the heap graph's bits.
 // The seeds are every corpus graph (its first 64 vertices) on every
 // engine, spread over the deployments.
+//
+// The engines are the process's: each keeps one scratch pool for its
+// lifetime, so every input runs on arenas the inputs before it grew, on
+// graphs of other sizes and on other deployments. The fuzzer is therefore
+// also the oracle for arena reuse across graphs: state one job leaves in
+// a pooled arena must never reach another job's output.
 func FuzzEnginesMatchOracle(f *testing.F) {
 	engines := fuzzEngines(f)
 	for i, c := range conformance.Corpus() {

@@ -51,7 +51,7 @@ func TestWCCSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warm-up: grows the job-lifetime shuffle plane
+	run() // warm-up: grows the pooled shuffle plane
 	allocs := testing.AllocsPerRun(3, run)
 	// Budget: the returned label array plus two cluster round descriptors
 	// per iteration — nothing proportional to vertices, edges or messages.

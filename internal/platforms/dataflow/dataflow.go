@@ -30,7 +30,6 @@ import (
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
 	"graphalytics/internal/graph"
-	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
 )
 
@@ -99,9 +98,6 @@ type uploaded struct {
 	// shipBytes[m] is the per-dense-iteration attribute-shuffle egress of
 	// machine m, precomputed from the routing tables.
 	shipBytes []int64
-	// scratch caches the shuffle plane (message exchanges,
-	// frontier flags, label histogram) between Execute calls.
-	scratch mplane.Pool
 }
 
 // arcs yields edge partition p's arcs (src, dst) in row-major order.

@@ -11,12 +11,12 @@ import (
 	"graphalytics/internal/platform"
 )
 
-// dfScratch is the engine's job-lifetime shuffle plane: one typed mailbox
-// per message width (a message exchange), the frontier flags of the
-// sparse flows, and the CDLP label histogram. It is checked out of the
-// uploaded state's pool per Execute and reset — never reallocated — per
-// dataflow stage, so steady-state iterations allocate nothing. The seed
-// engine re-materialized a map[int32]M per vertex partition per iteration
+// dfScratch is the engine's pooled shuffle plane: one typed mailbox per
+// message width (a message exchange), the frontier flags of the sparse
+// flows, and the CDLP label histogram. It is checked out of the engine's
+// pool per Execute and reset — never reallocated — per dataflow stage, so
+// steady-state iterations allocate nothing. The seed engine
+// re-materialized a map[int32]M per vertex partition per iteration
 // instead; that "fresh hash maps" cost is still modeled (the shuffle
 // volume and the Alloc registration are unchanged) — only the Go-side
 // garbage is gone.
@@ -31,7 +31,7 @@ type dfScratch struct {
 	perVPart []int               // per-vertex-partition update counters
 	active   []bool              // frontier flags (bfs, sssp)
 	nextActv []bool              //
-	hoods    [][]int32           // lcc: per-vertex neighborhood views into i32 inbox
+	hoodLen  []int32             // lcc: v's neighborhood is the first hoodLen[v] entries of its i32 inbox segment
 }
 
 // mail is the shuffle state for one message type: a message exchange
@@ -87,9 +87,9 @@ func (mb *mail[M]) applyVertices(w, lo, hi int) {
 // msgSize is the wire size of every message of the flow.
 func (mb *mail[M]) msgSize(M) int64 { return mb.bytes }
 
-// acquireScratch checks the scratch out of the upload's pool.
+// acquireScratch checks the scratch out of the engine's pool.
 func acquireScratch(u *uploaded) *dfScratch {
-	return mplane.Acquire(&u.scratch, func() *dfScratch {
+	return mplane.Acquire(u.Scratch(), func() *dfScratch {
 		return &dfScratch{}
 	})
 }
@@ -129,7 +129,10 @@ func runFlow[M any](ctx context.Context, u *uploaded, mb *mail[M], shipFraction 
 		mb.edges, mb.vertices, mb.size = mb.stageEdges, mb.applyVertices, mb.msgSize
 	}
 	mb.flow, mb.u, mb.bytes = f, u, msgBytes
-	defer func() { mb.flow, mb.u = flow[M]{}, nil }()
+	defer func() {
+		mb.flow, mb.u = flow[M]{}, nil // a pooled mailbox keeps no job alive
+		mb.ex.End()
+	}()
 	mb.ex.Begin(u.G.NumVertices(), u.owner, cl.Machines(), edgePartsPerMachine, mb.size, f.merge)
 	mb.ex.Open()
 
@@ -174,7 +177,7 @@ func prFlow(ctx context.Context, u *uploaded, iterations int, damping float64) (
 		return nil, nil
 	}
 	sc := acquireScratch(u)
-	defer u.scratch.Put(sc)
+	defer u.Scratch().Put(sc)
 	directed := u.G.Directed()
 	inv := 1.0 / float64(n)
 	rank := make([]float64, n)
@@ -239,7 +242,7 @@ func prFlow(ctx context.Context, u *uploaded, iterations int, damping float64) (
 func bfsFlow(ctx context.Context, u *uploaded, source int32) ([]int64, error) {
 	n := u.G.NumVertices()
 	sc := acquireScratch(u)
-	defer u.scratch.Put(sc)
+	defer u.Scratch().Put(sc)
 	directed := u.G.Directed()
 	depth := make([]int64, n)
 	for i := range depth {
@@ -291,7 +294,7 @@ func bfsFlow(ctx context.Context, u *uploaded, source int32) ([]int64, error) {
 func wccFlow(ctx context.Context, u *uploaded) ([]int64, error) {
 	n := u.G.NumVertices()
 	sc := acquireScratch(u)
-	defer u.scratch.Put(sc)
+	defer u.Scratch().Put(sc)
 	labels := make([]int64, n)
 	for v := 0; v < n; v++ {
 		labels[v] = u.G.VertexID(int32(v))
@@ -356,7 +359,7 @@ func wccFlow(ctx context.Context, u *uploaded) ([]int64, error) {
 func cdlpFlow(ctx context.Context, u *uploaded, iterations int) ([]int64, error) {
 	n := u.G.NumVertices()
 	sc := acquireScratch(u)
-	defer u.scratch.Put(sc)
+	defer u.Scratch().Put(sc)
 	out := make([]int64, n)
 	if n == 0 {
 		return out, nil
@@ -527,10 +530,10 @@ func cdlpDenseRound(ctx context.Context, u *uploaded, counts *mplane.WorkerCount
 func lccFlow(ctx context.Context, u *uploaded) ([]float64, error) {
 	n := u.G.NumVertices()
 	sc := acquireScratch(u)
-	defer u.scratch.Put(sc)
+	defer u.Scratch().Put(sc)
 	directed := u.G.Directed()
-	sc.hoods = mplane.GrowZero(sc.hoods, n)
-	hoods := sc.hoods
+	sc.hoodLen = mplane.GrowZero(sc.hoodLen, n)
+	hoodLen, inbox := sc.hoodLen, &sc.i32.ex
 	err := runFlow(ctx, u, &sc.i32, 1, 8, flow[int32]{
 		send: func(em *mplane.Stage[int32], p int) {
 			for s, d := range u.arcs(p) {
@@ -539,10 +542,6 @@ func lccFlow(ctx context.Context, u *uploaded) ([]float64, error) {
 			}
 		},
 		apply: func(_, _ int, v int32, msg []int32) {
-			if len(msg) == 0 {
-				hoods[v] = nil
-				return
-			}
 			// The segment aliases the i32 inbox, which stays untouched for
 			// the rest of the job (the credit shuffle uses the i64 mailbox),
 			// so the deduplicated neighborhood can live in place.
@@ -557,12 +556,13 @@ func lccFlow(ctx context.Context, u *uploaded) ([]float64, error) {
 				}
 				uniq = append(uniq, x)
 			}
-			hoods[v] = uniq
+			hoodLen[v] = int32(len(uniq))
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
+	hood := func(v int32) []int32 { return inbox.At(v)[:hoodLen[v]] }
 	credits := make([]int64, n)
 	err = runFlow(ctx, u, &sc.i64, 1, 12, flow[int64]{
 		send: func(em *mplane.Stage[int64], p int) {
@@ -572,7 +572,7 @@ func lccFlow(ctx context.Context, u *uploaded) ([]float64, error) {
 					// A stored undirected edge represents both arcs.
 					weight = 2
 				}
-				ha, hb := hoods[a], hoods[b]
+				ha, hb := hood(a), hood(b)
 				x, y := 0, 0
 				for x < len(ha) && y < len(hb) {
 					switch {
@@ -600,7 +600,7 @@ func lccFlow(ctx context.Context, u *uploaded) ([]float64, error) {
 	}
 	out := make([]float64, n)
 	for v := 0; v < n; v++ {
-		d := len(hoods[v])
+		d := int(hoodLen[v])
 		if d >= 2 {
 			out[v] = float64(credits[v]) / (float64(d) * float64(d-1))
 		}
@@ -612,7 +612,7 @@ func lccFlow(ctx context.Context, u *uploaded) ([]float64, error) {
 func ssspFlow(ctx context.Context, u *uploaded, source int32) ([]float64, error) {
 	n := u.G.NumVertices()
 	sc := acquireScratch(u)
-	defer u.scratch.Put(sc)
+	defer u.Scratch().Put(sc)
 	directed := u.G.Directed()
 	dist := make([]float64, n)
 	for i := range dist {

@@ -21,7 +21,6 @@ import (
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
 	"graphalytics/internal/graph"
-	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
 )
 
@@ -85,11 +84,8 @@ type uploaded struct {
 	// out-arc in directed graphs, on whichever machine the arc sits.
 	// Every iteration gathers every arc, so the per-vertex capacity is a
 	// property of the graph, computed once here; the flat buffer itself
-	// is job-lifetime scratch.
+	// is engine-lifetime scratch.
 	labelOff []int32
-	// scratch caches the gather plane (flat label buffer, write cursors,
-	// label histogram) between Execute calls.
-	scratch mplane.Pool
 }
 
 // load builds the vertex-cut, one graph per machine (graph.Split, no

@@ -12,14 +12,15 @@ import (
 	"graphalytics/internal/platform"
 )
 
-// gasScratch is the engine's job-lifetime working state: the flat gather
+// gasScratch is the engine's pooled working state: the flat gather
 // buffer laid out by the upload's static CSR offsets (CDLP's labels,
 // LCC's neighbourhoods), the per-vertex write cursors, the dense label
 // histogram, LCC's per-thread neighbourhood marks, the CDLP frontier
 // flags, the per-thread round partials, and the traversal plane (SSSP's
 // distance bits and claim stamps, the per-machine discovery lists, the
-// frontier and its round-start distances). Checked out of the uploaded
-// state's pool per Execute, so steady-state iterations allocate nothing.
+// frontier and its round-start distances). Checked out of the engine's
+// pool per Execute, so steady-state iterations allocate nothing;
+// every array is sized or stamped by the job that reads it.
 type gasScratch struct {
 	labelBuf []int32 // gathered neighbor labels (internal-index domain) or neighbours
 	labels   []int32 // CDLP working labels
@@ -42,7 +43,7 @@ type gasScratch struct {
 }
 
 func acquireScratch(u *uploaded) *gasScratch {
-	return mplane.Acquire(&u.scratch, func() *gasScratch {
+	return mplane.Acquire(u.Scratch(), func() *gasScratch {
 		return &gasScratch{}
 	})
 }
@@ -59,7 +60,7 @@ func prGAS(ctx context.Context, u *uploaded, iterations int, damping float64) ([
 		return nil, nil
 	}
 	sc := acquireScratch(u)
-	defer u.scratch.Put(sc)
+	defer u.Scratch().Put(sc)
 	sc.rankParts = mplane.Grow(sc.rankParts, cl.Threads())
 	parts := sc.rankParts
 	inv := 1.0 / float64(n)
@@ -168,9 +169,7 @@ func mirrorGatherBytes(u *uploaded, mach int, valueBytes int64) {
 // claims in machine order.
 func (u *uploaded) frontierRounds(ctx context.Context, sc *gasScratch, source int32, each int64, begin func(), expand func(lg *graph.Graph, lo, hi int, out []int32) []int32) error {
 	cl := u.Cl
-	if len(sc.disc) != cl.Machines() {
-		sc.disc = make([][]int32, cl.Machines())
-	}
+	sc.disc = mplane.Grow(sc.disc, cl.Machines()) // Collect refills each list
 	sc.front = append(sc.front[:0], source)
 	var lg *graph.Graph // the machine whose round runs
 	chunk := func(_, lo, hi int, out []int32) []int32 { return expand(lg, lo, hi, out) }
@@ -208,7 +207,7 @@ func (u *uploaded) frontierRounds(ctx context.Context, sc *gasScratch, source in
 // master-to-mirror before the next level.
 func bfsGAS(ctx context.Context, u *uploaded, source int32) ([]int64, error) {
 	sc := acquireScratch(u)
-	defer u.scratch.Put(sc)
+	defer u.Scratch().Put(sc)
 	depth := make([]int64, u.G.NumVertices())
 	for i := range depth {
 		depth[i] = algorithms.Unreachable
@@ -230,7 +229,7 @@ func wccGAS(ctx context.Context, u *uploaded) ([]int64, error) {
 	g, cl := u.G, u.Cl
 	n := g.NumVertices()
 	sc := acquireScratch(u)
-	defer u.scratch.Put(sc)
+	defer u.Scratch().Put(sc)
 	sc.bcastParts = mplane.Grow(sc.bcastParts, cl.Threads())
 	sc.countParts = mplane.Grow(sc.countParts, cl.Threads())
 	bcastParts, countParts := sc.bcastParts, sc.countParts
@@ -347,7 +346,7 @@ func cdlpGAS(ctx context.Context, u *uploaded, iterations int) ([]int64, error) 
 	g, cl := u.G, u.Cl
 	n := g.NumVertices()
 	sc := acquireScratch(u)
-	defer u.scratch.Put(sc)
+	defer u.Scratch().Put(sc)
 	out := make([]int64, n)
 	if n == 0 {
 		return out, nil
@@ -508,7 +507,7 @@ func lccGAS(ctx context.Context, u *uploaded) ([]float64, error) {
 	g, cl := u.G, u.Cl
 	n := g.NumVertices()
 	sc := acquireScratch(u)
-	defer u.scratch.Put(sc)
+	defer u.Scratch().Put(sc)
 	sc.labelBuf = mplane.Grow(sc.labelBuf, int(u.labelOff[n]))
 	sc.pos = mplane.Grow(sc.pos, n)
 	copy(sc.pos, u.labelOff[:n])
@@ -619,7 +618,7 @@ func lccGAS(ctx context.Context, u *uploaded) ([]float64, error) {
 func ssspGAS(ctx context.Context, u *uploaded, source int32) ([]float64, error) {
 	n := u.G.NumVertices()
 	sc := acquireScratch(u)
-	defer u.scratch.Put(sc)
+	defer u.Scratch().Put(sc)
 	sc.bits = mplane.Grow(sc.bits, n)
 	inf := math.Float64bits(math.Inf(1))
 	for i := range sc.bits {

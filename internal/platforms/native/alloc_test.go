@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"graphalytics/internal/algorithms"
@@ -287,6 +288,47 @@ func TestLCCMemoryAccounting(t *testing.T) {
 		// Everything registered is released: the whole budget is free again.
 		if err := up.(*uploaded).Cl.Alloc(0, budget); err != nil {
 			t.Errorf("%s: after Free: %v", name, err)
+		}
+	}
+}
+
+// TestFreshUploadPageRankAllocs guards the engine-lifetime runtime pool:
+// the cluster runtime and its Kernels (PageRank's second rank array and
+// contributions, the dangling list) outlive the upload, so after one
+// earlier job of the engine a PageRank on a fresh upload — of a graph as
+// large as the earlier one, or of a smaller one — allocates its output and
+// at most 8 KiB more.
+func TestFreshUploadPageRankAllocs(t *testing.T) {
+	const n = 4000
+	warm := allocGraph(t, n, 4, false)
+	for _, size := range []int{n, n / 4} {
+		g := allocGraph(t, size, 4, false)
+		p := New()
+		cfg := platform.RunConfig{Threads: 4, Machines: 1}
+		pr := func(up platform.Uploaded) {
+			if _, err := run(context.Background(), up.(*uploaded), func(k *algorithms.Kernels, rt algorithms.Runtime) ([]float64, error) {
+				return k.PageRank(rt, up.Graph(), 10, 0.85)
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		up, err := p.Upload(warm, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr(up)
+		up.Free()
+		up, err = p.Upload(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pr(up)
+		runtime.ReadMemStats(&after)
+		up.Free()
+		if bytes, budget := after.TotalAlloc-before.TotalAlloc, uint64(size*8+8<<10); bytes > budget {
+			t.Errorf("PageRank on a fresh upload of %d vertices allocated %d bytes, want <= %d (the output and 8 KiB)", size, bytes, budget)
 		}
 	}
 }

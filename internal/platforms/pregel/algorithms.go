@@ -172,10 +172,10 @@ func cdlpProgram(ctx context.Context, t *granula.Tracker, u *uploaded, iteration
 	r := newRunner[int64](u, fixedSize[int64](8), nil)
 	r.tracker = t
 	defer r.release()
-	sc := mplane.Acquire(&u.scratch, func() *cdlpScratch {
+	sc := mplane.Acquire(u.Scratch(), func() *cdlpScratch {
 		return &cdlpScratch{}
 	})
-	defer u.scratch.Put(sc)
+	defer u.Scratch().Put(sc)
 	sc.counts.Ensure(u.Cl.Threads(), n)
 	sc.labels = mplane.Grow(sc.labels, n)
 	sc.prev = mplane.Grow(sc.prev, n)
@@ -222,17 +222,23 @@ func cdlpProgram(ctx context.Context, t *granula.Tracker, u *uploaded, iteration
 	return out, nil
 }
 
-// lccProgram: superstep 0 sends every vertex's sorted out-adjacency to all
-// neighbors; superstep 1 counts, for each received list, the entries that
-// lie in the local neighborhood, against the thread slot's marks of it.
-// Neighbor-list messages make this the engine's most memory-hungry job,
-// matching the paper's LCC failures on message-passing platforms.
+// lccProgram: superstep 0 has every vertex send its own index to all
+// neighbors, standing for its sorted out-adjacency, which the message is
+// priced as (4 bytes per entry plus the count); superstep 1 counts, for
+// each sender, the entries of its out-adjacency that lie in the local
+// neighborhood, against the thread slot's marks of it. The receiver reads
+// the sender's row from the graph, so a message is a plain int32 the
+// garbage collector never scans and a pooled inbox pins no row of the
+// graph, while the wire bytes, the delivery order and every output bit
+// are those of shipping the list. Neighbor-list messages make this the
+// engine's most memory-hungry job, matching the paper's LCC failures on
+// message-passing platforms.
 func lccProgram(ctx context.Context, t *granula.Tracker, u *uploaded) ([]float64, error) {
 	g := u.G
 	n := g.NumVertices()
 	out := make([]float64, n)
-	sc := mplane.Acquire(&u.scratch, func() *lccScratch { return &lccScratch{} })
-	defer u.scratch.Put(sc)
+	sc := mplane.Acquire(u.Scratch(), func() *lccScratch { return &lccScratch{} })
+	defer u.Scratch().Put(sc)
 	sc.marks = mplane.Grow(sc.marks, u.Cl.Threads())
 	// An undirected vertex's neighborhood is its out-neighbors. A directed
 	// one's is the sorted union of its in- and out-neighbors without
@@ -249,15 +255,14 @@ func lccProgram(ctx context.Context, t *granula.Tracker, u *uploaded) ([]float64
 		}
 		hoodOf = func(v int32) []int32 { return sc.buf[sc.off[v]:sc.off[v+1]] }
 	}
-	sizeOf := func(list []int32) int64 { return int64(len(list))*4 + 4 }
-	r := newRunner[[]int32](u, sizeOf, nil)
+	sizeOf := func(src int32) int64 { return int64(g.OutDegree(src))*4 + 4 }
+	r := newRunner[int32](u, sizeOf, nil)
 	r.tracker = t
 	defer r.release()
-	compute := func(w *worker[[]int32], v int32, msgs [][]int32, superstep int) {
+	compute := func(w *worker[int32], v int32, msgs []int32, superstep int) {
 		if superstep == 0 {
-			adj := g.OutNeighbors(v)
 			for _, dst := range hoodOf(v) {
-				w.Send(dst, adj)
+				w.Send(dst, v)
 			}
 			w.VoteToHalt(v)
 			return
@@ -268,8 +273,8 @@ func lccProgram(ctx context.Context, t *granula.Tracker, u *uploaded) ([]float64
 			marks := &sc.marks[w.slot]
 			marks.Mark(n, hood)
 			arcs := 0
-			for _, list := range msgs {
-				arcs += marks.Count(list)
+			for _, src := range msgs {
+				arcs += marks.Count(g.OutNeighbors(src))
 			}
 			out[v] = float64(arcs) / (float64(d) * float64(d-1))
 		}

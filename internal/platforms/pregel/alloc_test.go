@@ -102,7 +102,7 @@ func TestPageRankSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warm-up: grows the job-lifetime arenas
+	run() // warm-up: grows the pooled arenas
 	allocs := testing.AllocsPerRun(3, run)
 	// Budget: the returned rank array, a few fixed setup allocations, and
 	// one cluster round descriptor per superstep — nothing proportional to
@@ -188,7 +188,7 @@ func TestLCCDirectedAllocsDoNotGrowWithTheGraph(t *testing.T) {
 }
 
 // TestLCCSteadyStateAllocs guards LCC's per-thread neighborhood marks:
-// they are pooled with the upload's scratch, so after a warm-up a run on
+// they are pooled with the engine's scratch, so after a warm-up a run on
 // a directed and on an undirected graph allocates the output array, a
 // small constant number of objects, and a small constant number of bytes
 // beyond the output: marks allocated per Execute would add a vertex-sized
@@ -219,6 +219,65 @@ func TestLCCSteadyStateAllocs(t *testing.T) {
 		}
 		if bytes, budget := after.TotalAlloc-before.TotalAlloc, uint64(n*8+8<<10); bytes > budget {
 			t.Errorf("directed=%v: steady-state LCC run allocated %d bytes, want <= %d (the output and 8 KiB)", directed, bytes, budget)
+		}
+	}
+}
+
+// TestFreshUploadAllocs guards the engine-lifetime scratch pool: the
+// runner, the message exchange and LCC's marks and neighborhoods outlive
+// the upload, so after one earlier job of the engine a job on a fresh
+// upload — of a graph as large as the earlier one, or of a smaller one —
+// allocates its output and at most 8 KiB more, like a repeated job on one
+// upload. Scratch that hung off the upload would be rebuilt cold for
+// every new upload, every daemon run and every suite pass.
+func TestFreshUploadAllocs(t *testing.T) {
+	const n = 4000
+	programs := []struct {
+		name string
+		run  func(u *uploaded) error
+	}{
+		{"PR", func(u *uploaded) error {
+			_, err := prProgram(context.Background(), nil, u, 10, 0.85, true)
+			return err
+		}},
+		{"WCC", func(u *uploaded) error {
+			_, err := wccProgram(context.Background(), nil, u, true)
+			return err
+		}},
+		{"LCC", func(u *uploaded) error {
+			_, err := lccProgram(context.Background(), nil, u)
+			return err
+		}},
+	}
+	warm := allocGraph(t, n, 4, true)
+	for _, size := range []int{n, n / 4} {
+		g := allocGraph(t, size, 4, true)
+		for _, prog := range programs {
+			p := New()
+			cfg := platform.RunConfig{Threads: 4, Machines: 1}
+			up, err := p.Upload(warm, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := prog.run(up.(*uploaded)); err != nil {
+				t.Fatal(err)
+			}
+			up.Free()
+			up, err = p.Upload(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err = prog.run(up.(*uploaded))
+			runtime.ReadMemStats(&after)
+			up.Free()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes, budget := after.TotalAlloc-before.TotalAlloc, uint64(size*8+8<<10); bytes > budget {
+				t.Errorf("%s on a fresh upload of %d vertices allocated %d bytes, want <= %d (the output and 8 KiB)", prog.name, size, bytes, budget)
+			}
 		}
 	}
 }

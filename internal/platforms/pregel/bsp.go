@@ -13,9 +13,10 @@ import (
 // runner is the generic BSP superstep loop over message type T. Its
 // state — the message exchange, whose producers are the machine's thread
 // slots, the halt votes, the frontier (active) lists and the float64
-// aggregator (PageRank's dangling mass) — is job-lifetime scratch,
-// recycled across Execute calls through the upload's scratch pool, so a
-// steady-state superstep allocates nothing.
+// aggregator (PageRank's dangling mass) — is engine-lifetime scratch,
+// recycled across Execute calls, uploads and deployments through the
+// engine's scratch pool, so a superstep allocates nothing once the arenas
+// have grown to the largest job so far.
 type runner[T any] struct {
 	u  *uploaded
 	ex platform.Exchange[T]
@@ -80,12 +81,12 @@ func (w *worker[T]) reset() {
 	w.agg = 0
 }
 
-// newRunner checks a runner for message type T out of the upload's
+// newRunner checks a runner for message type T out of the engine's
 // scratch pool, or builds one. Callers hand it back via release so the
-// next job on this upload starts with warm buffers.
+// next job of the engine starts with warm buffers.
 func newRunner[T any](u *uploaded, msgSize func(T) int64, combine func(a, b T) T) *runner[T] {
-	r := mplane.Acquire(&u.scratch, func() *runner[T] {
-		return &runner[T]{u: u}
+	r := mplane.Acquire(u.Scratch(), func() *runner[T] {
+		return &runner[T]{}
 	})
 	n := u.G.NumVertices()
 	cl := u.Cl
@@ -93,32 +94,33 @@ func newRunner[T any](u *uploaded, msgSize func(T) int64, combine func(a, b T) T
 	r.tracker = nil
 	r.ex.Begin(n, u.part.Owner, cl.Machines(), cl.Threads(), msgSize, combine)
 	r.halted = mplane.GrowZero(r.halted, n)
-	if len(r.active) != cl.Machines() {
-		r.active = make([][]int32, cl.Machines())
-	}
-	if len(r.workers) != cl.Machines() {
-		r.workers = make([][]*worker[T], cl.Machines())
-	}
+	// The frontier lists are refilled by run; the workers keep their slot
+	// and halt-list capacity, and a slot past the old capacity is nil.
+	r.active = mplane.Grow(r.active, cl.Machines())
+	r.workers = mplane.Grow(r.workers, cl.Machines())
 	for m := range r.workers {
-		if len(r.workers[m]) != cl.Threads() {
-			r.workers[m] = make([]*worker[T], cl.Threads())
-			for i := range r.workers[m] {
-				r.workers[m][i] = &worker[T]{r: r, slot: i}
+		ws := mplane.Grow(r.workers[m], cl.Threads())
+		for i := range ws {
+			if ws[i] == nil {
+				ws[i] = &worker[T]{r: r, slot: i}
 			}
+			ws[i].stage = r.ex.Stage(m, i)
 		}
-		for i, w := range r.workers[m] {
-			w.stage = r.ex.Stage(m, i)
-		}
+		r.workers[m] = ws
 	}
 	r.agg, r.aggNext = 0, 0
 	r.onBarrier = nil
 	return r
 }
 
-// release returns the runner's buffers to the upload's scratch pool.
+// release returns the runner's buffers to the engine's scratch pool,
+// without the upload, the exchange's job functions or the program's
+// barrier hook: a pooled runner keeps no job alive.
 func (r *runner[T]) release() {
-	r.tracker = nil
-	r.u.scratch.Put(r)
+	pool := r.u.Scratch()
+	r.u, r.tracker, r.onBarrier = nil, nil, nil
+	r.ex.End()
+	pool.Put(r)
 }
 
 // run executes supersteps until every vertex has halted and no messages

@@ -23,7 +23,6 @@ import (
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
 	"graphalytics/internal/graph"
-	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
 )
 
@@ -73,10 +72,6 @@ func NewWithOptions(useCombiners bool) platform.Platform {
 type uploaded struct {
 	platform.BaseUpload
 	part *cluster.VertexPartition
-	// scratch caches the BSP runner (message exchange, frontier lists,
-	// halt bitmap) between Execute calls, so repeated jobs on one upload
-	// run allocation-free in steady state.
-	scratch mplane.Pool
 }
 
 // load hash-partitions the vertices over the machines and charges each

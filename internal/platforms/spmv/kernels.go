@@ -110,8 +110,8 @@ func lcc(ctx context.Context, u *uploaded) ([]float64, error) {
 	g, cl, part := u.lay.G, u.Cl, u.lay.Part
 	n := g.NumVertices()
 	out := make([]float64, n)
-	sc := mplane.Acquire(&u.scratch, func() *lccScratch { return &lccScratch{} })
-	defer u.scratch.Put(sc)
+	sc := mplane.Acquire(u.Scratch(), func() *lccScratch { return &lccScratch{} })
+	defer u.Scratch().Put(sc)
 	sc.marks = mplane.Grow(sc.marks, cl.Threads())
 	sc.hoods = mplane.Grow(sc.hoods, cl.Threads())
 	sc.fetched = mplane.Grow(sc.fetched, cl.Threads())

@@ -26,7 +26,6 @@ import (
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
 	"graphalytics/internal/graph"
-	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
 	"graphalytics/internal/platforms/rangecsr"
 )
@@ -86,9 +85,6 @@ type uploaded struct {
 	// (pull-style dense SpMV). An undirected graph's matrix is symmetric
 	// and both share storage.
 	lay *rangecsr.Layout
-	// scratch caches LCC's per-thread marks and buffers between Execute
-	// calls.
-	scratch mplane.Pool
 }
 
 // load converts the graph into the engine's CSR+CSC matrix layout; the
