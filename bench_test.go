@@ -514,7 +514,7 @@ func BenchmarkSnapshotHeapLoad(b *testing.B) {
 
 // BenchmarkBuilderStreamed measures the out-of-core build: a Graph500
 // stream external-sorted through a deliberately tight 1 MiB spill budget
-// and k-way-merged straight into an on-disk v2 snapshot. Compare with
+// and built key range by key range into an on-disk v2 snapshot. Compare with
 // BenchmarkBuilderBuild, which holds the whole edge list on the heap.
 func BenchmarkBuilderStreamed(b *testing.B) {
 	const scale = 14

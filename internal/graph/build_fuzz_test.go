@@ -219,8 +219,8 @@ func naiveBuild(in fuzzInput) (ids []int64, out, inArcs map[int64][]refArc, edge
 }
 
 // FuzzBuildMatchesBuildTo holds Build to a naive map-based construction,
-// and BuildTo at the one-page spill budget and 1, 2 and 8 workers to
-// Build, byte for byte, or to Build's error in strict mode. Inputs are
+// and BuildTo at spill budgets of one page, four pages and 1 MiB (many key
+// ranges, a few, one) to Build, byte for byte, or to Build's error in strict mode. Inputs are
 // small edge lists, directed or not, weighted or not, with duplicates,
 // self-loops and sparse or negative ids, their vertices declared in full,
 // in part or not at all, and one hub whose segment lands on either side
@@ -269,26 +269,26 @@ func FuzzBuildMatchesBuildTo(f *testing.F) {
 		}
 		dir := t.TempDir()
 		path := filepath.Join(dir, "g.snap")
-		for _, workers := range []int{1, 2, 8} {
+		for _, budget := range []int64{1 << 12, 1 << 14, 1 << 20} {
 			sb := graph.NewBuilder(in.directed, in.weighted)
-			sb.SetSpill(graph.SpillOptions{Dir: dir, BudgetBytes: 1 << 12, Workers: workers})
+			sb.SetSpill(graph.SpillOptions{Dir: dir, BudgetBytes: budget})
 			in.feed(sb)
 			serr := sb.BuildTo(path)
 			if err != nil {
 				if serr == nil || serr.Error() != err.Error() {
-					t.Fatalf("workers=%d: BuildTo err = %v, want Build's %q", workers, serr, err)
+					t.Fatalf("budget=%d: BuildTo err = %v, want Build's %q", budget, serr, err)
 				}
 				continue
 			}
 			if serr != nil {
-				t.Fatalf("workers=%d: BuildTo: %v", workers, serr)
+				t.Fatalf("budget=%d: BuildTo: %v", budget, serr)
 			}
 			got, rerr := os.ReadFile(path)
 			if rerr != nil {
 				t.Fatal(rerr)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("workers=%d: BuildTo snapshot (%d bytes) differs from Build's (%d bytes)", workers, len(got), len(want))
+				t.Fatalf("budget=%d: BuildTo snapshot (%d bytes) differs from Build's (%d bytes)", budget, len(got), len(want))
 			}
 		}
 	})

@@ -112,7 +112,7 @@ func (b *Builder) AddWeightedEdge(src, dst int64, w float64) {
 // normalization).
 func (b *Builder) NumEdgesAdded() int {
 	if b.spill != nil {
-		return int(b.spill.seq)
+		return b.spill.edges
 	}
 	return len(b.edges)
 }
@@ -165,15 +165,15 @@ func (b *Builder) Build() (*Graph, error) {
 	g := &Graph{name: b.name, directed: b.directed, weighted: b.weighted, ids: ids}
 	var err error
 	if b.directed {
-		if g.outOff, g.outAdj, g.outW, err = b.buildCSR(ids, srcs, dsts, ws, false); err != nil {
+		if g.outOff, g.outAdj, g.outW, err = b.buildCSR(ids, ids, srcs, dsts, ws, false, nil); err != nil {
 			return nil, err
 		}
-		if g.inOff, g.inAdj, g.inW, err = b.buildCSR(ids, dsts, srcs, ws, false); err != nil {
+		if g.inOff, g.inAdj, g.inW, err = b.buildCSR(ids, ids, dsts, srcs, ws, false, nil); err != nil {
 			return nil, err
 		}
 		g.numEdges = int64(len(g.outAdj))
 	} else {
-		if g.outOff, g.outAdj, g.outW, err = b.buildCSR(ids, srcs, dsts, ws, true); err != nil {
+		if g.outOff, g.outAdj, g.outW, err = b.buildCSR(ids, ids, srcs, dsts, ws, true, nil); err != nil {
 			return nil, err
 		}
 		g.inOff, g.inAdj, g.inW = g.outOff, g.outAdj, g.outW
@@ -236,24 +236,33 @@ func (b *Builder) selfLoopError(srcs []int32) error {
 	return nil
 }
 
-// buildCSR constructs one adjacency direction from translated endpoint
-// arrays via a stable parallel counting sort. keys[i] is the grouping
-// vertex of arc i and vals[i] its neighbor; negative keys mark dropped
-// edges. With both set (undirected graphs), every edge also contributes
-// the reverse arc in the same pass. Within each vertex the arcs keep
-// insertion order before the per-vertex sort, so deduplication keeps the
-// first occurrence — including its weight — exactly like the specification
-// asks.
-func (b *Builder) buildCSR(ids []int64, keys, vals []int32, w []float64, both bool) ([]int64, []int32, []float64, error) {
-	n := len(ids)
+// buildCSR constructs the adjacency rows of the vertices rows from
+// translated endpoint arrays via a stable parallel counting sort. keys[i]
+// is the grouping vertex of arc i, an index into rows, and vals[i] its
+// neighbor, an index into ids; negative keys mark dropped edges. With both
+// set (undirected graphs, rows == ids), every edge also contributes the
+// reverse arc in the same pass. Within each vertex the arcs keep insertion
+// order before the per-vertex sort, so deduplication keeps the first
+// occurrence — including its weight — exactly like the specification asks.
+//
+// The arrays come from st. Build passes nil, so each is allocated at its
+// size; BuildTo passes one store for all its key ranges, and the CSR
+// returned aliases it until the next call.
+func (b *Builder) buildCSR(rows, ids []int64, keys, vals []int32, w []float64, both bool, st *csrStore) ([]int64, []int32, []float64, error) {
+	if st == nil {
+		st = &csrStore{exact: true}
+	}
+	n := len(rows)
 	m := len(keys)
 	p := par.Workers(m)
 
-	// Count degrees per worker chunk. Rows are allocated up front because
+	// Count degrees per worker chunk. Rows are prepared up front because
 	// par.Chunks skips workers whose chunk is empty.
-	counts := make([][]int32, p)
+	st.counts = reuse(st.counts, p, st.exact)
+	counts := st.counts
 	for wk := range counts {
-		counts[wk] = make([]int32, n)
+		counts[wk] = reuse(counts[wk], n, st.exact)
+		clear(counts[wk])
 	}
 	par.Chunks(m, p, func(wk, lo, hi int) {
 		c := counts[wk]
@@ -271,7 +280,9 @@ func (b *Builder) buildCSR(ids []int64, keys, vals []int32, w []float64, both bo
 
 	// Exclusive prefix across workers per vertex turns counts into each
 	// worker's scatter base; the per-vertex totals become CSR offsets.
-	off := make([]int64, n+1)
+	st.off = reuse(st.off, n+1, st.exact)
+	off := st.off
+	off[0] = 0
 	par.Chunks(n, p, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			var base int32
@@ -288,10 +299,12 @@ func (b *Builder) buildCSR(ids []int64, keys, vals []int32, w []float64, both bo
 	}
 	arcs := off[n]
 
-	adj := make([]int32, arcs)
+	st.adj = reuse(st.adj, int(arcs), st.exact)
+	adj := st.adj
 	var ows []float64
 	if b.weighted {
-		ows = make([]float64, arcs)
+		st.w = reuse(st.w, int(arcs), st.exact)
+		ows = st.w
 	}
 
 	// Stable scatter: each worker walks its chunk in order and places arcs
@@ -327,7 +340,9 @@ func (b *Builder) buildCSR(ids []int64, keys, vals []int32, w []float64, both bo
 	// weights) and detect duplicates, partitioned over vertex ranges.
 	var dups []int32
 	if b.opts.DedupEdges {
-		dups = make([]int32, n)
+		st.dups = reuse(st.dups, n, st.exact)
+		dups = st.dups
+		clear(dups)
 	}
 	dupTotals := make([]int64, p)
 	serrs := make([]error, p)
@@ -350,7 +365,7 @@ func (b *Builder) buildCSR(ids []int64, keys, vals []int32, w []float64, both bo
 				}
 				if dups == nil {
 					if serrs[wk] == nil {
-						serrs[wk] = b.duplicateEdge(ids[v], ids[seg[i]])
+						serrs[wk] = b.duplicateEdge(rows[v], ids[seg[i]])
 					}
 					break
 				}
@@ -370,15 +385,19 @@ func (b *Builder) buildCSR(ids []int64, keys, vals []int32, w []float64, both bo
 		return off, adj, ows, nil
 	}
 
-	// Rare path: compact duplicate arcs out into fresh arrays.
-	noff := make([]int64, n+1)
+	// Compact duplicate arcs out into the second set of arrays.
+	st.noff = reuse(st.noff, n+1, st.exact)
+	noff := st.noff
+	noff[0] = 0
 	for v := 0; v < n; v++ {
 		noff[v+1] = noff[v] + (off[v+1] - off[v]) - int64(dups[v])
 	}
-	nadj := make([]int32, noff[n])
+	st.nadj = reuse(st.nadj, int(noff[n]), st.exact)
+	nadj := st.nadj
 	var nws []float64
 	if ows != nil {
-		nws = make([]float64, noff[n])
+		st.nw = reuse(st.nw, int(noff[n]), st.exact)
+		nws = st.nw
 	}
 	par.Chunks(n, p, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
@@ -397,6 +416,34 @@ func (b *Builder) buildCSR(ids []int64, keys, vals []int32, w []float64, both bo
 	})
 	return noff, nadj, nws, nil
 }
+
+// csrStore holds buildCSR's arrays: the per-worker degree counts, the
+// offsets, neighbors and weights, the duplicate counts, and the offsets,
+// neighbors and weights with duplicates compacted out.
+type csrStore struct {
+	counts    [][]int32
+	off, noff []int64
+	adj, nadj []int32
+	w, nw     []float64
+	dups      []int32
+	exact     bool // allocate each array at its size, for one use
+}
+
+// reuse returns s resliced to n, keeping its contents, or a new zeroed
+// array when s is shorter: of exactly n, or with 1/reuseHeadroom more
+// capacity for a store that key ranges reuse. Their sizes differ by less
+// than that, so such a store grows about once.
+func reuse[T any](s []T, n int, exact bool) []T {
+	switch {
+	case cap(s) >= n:
+		return s[:n]
+	case exact:
+		return make([]T, n)
+	}
+	return make([]T, n, n+n/reuseHeadroom)
+}
+
+const reuseHeadroom = 16
 
 // duplicateEdge is the strict-mode error for a repeated arc between the
 // ids a and c, named smaller id first when the graph is undirected. Build
@@ -492,33 +539,14 @@ func checkIndexSpace(vertices int) error {
 	return nil
 }
 
-// radixSegMin is the segment length from which the per-vertex sort of
-// both build paths is a radix sort over the neighbor digits; shorter
-// segments take a comparison sort, which costs less than a radix pass's
-// 256-entry histogram there. Chosen by measurement on a 2-vCPU x86-64
-// host, random neighbors below 2^17 (three digit passes): the two cost
-// the same near 48 arcs, and at 64 the radix sort takes 30–40 % less
-// time, words and unweighted segments alike.
+// radixSegMin is the segment length from which the per-vertex sort is a
+// radix sort over the neighbor digits; shorter segments take a comparison
+// sort, which costs less than a radix pass's 256-entry histogram there.
+// Chosen by measurement on a 2-vCPU x86-64 host, random neighbors below
+// 2^17 (three digit passes): the two cost the same near 48 arcs, and at 64
+// the radix sort takes 30–40 % less time, words and unweighted segments
+// alike.
 const radixSegMin = 48
-
-// sortByNeighbor sorts the words neighbor<<32 | position by neighbor,
-// keeping equal neighbors in input order: callers build the words in
-// position order, so the first of equal neighbors is the first
-// occurrence, in both build paths alike. Long slices are radix-sorted on
-// the neighbor digits only, scattering between order and the caller's
-// reused *tmp, grown to fit; the position bits are never compared or
-// moved apart from their word. It returns the slice holding the result,
-// order or *tmp.
-//
-//graphalint:noalloc
-func sortByNeighbor(order []int64, tmp *[]int64) []int64 {
-	if len(order) < radixSegMin {
-		slices.Sort(order)
-		return order
-	}
-	*tmp = slices.Grow((*tmp)[:0], len(order))
-	return par.SortInt64sFrom(order, (*tmp)[:len(order)], 32)
-}
 
 // adjSortScratch is one worker's reusable storage for sortStable.
 type adjSortScratch struct {
@@ -530,9 +558,12 @@ type adjSortScratch struct {
 // when w is not nil, together by neighbor index, stably. Short segments —
 // the overwhelming majority under power-law degree distributions — sort
 // in place: weighted ones by insertion sort, unweighted ones with
-// slices.Sort. Longer ones go through sortByNeighbor, which orders equal
-// neighbors by position: the rule mergeSpool applies to streamed builds,
-// so both paths keep the same first occurrence.
+// slices.Sort. Longer ones sort the words neighbor<<32 | position, built
+// in position order, so equal neighbors keep insertion order and the
+// first occurrence stays first: below radixSegMin by comparing whole
+// words, from it by a radix sort over the neighbor digits only, scattering
+// between the scratch's order and tmp; the position bits are never
+// compared or moved apart from their word.
 //
 //graphalint:noalloc
 func (sc *adjSortScratch) sortStable(adj []int32, w []float64) {
@@ -556,7 +587,13 @@ func (sc *adjSortScratch) sortStable(adj []int32, w []float64) {
 	for i, a := range adj {
 		sc.order = append(sc.order, int64(a)<<32|int64(i))
 	}
-	sorted := sortByNeighbor(sc.order, &sc.tmp)
+	sorted := sc.order
+	if len(sorted) < radixSegMin {
+		slices.Sort(sorted)
+	} else {
+		sc.tmp = slices.Grow(sc.tmp[:0], len(sorted))
+		sorted = par.SortInt64sFrom(sorted, sc.tmp[:len(sorted)], 32)
+	}
 	for i, o := range sorted {
 		adj[i] = int32(o >> 32)
 	}

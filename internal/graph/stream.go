@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -13,32 +12,29 @@ import (
 )
 
 // Out-of-core build path. A spill-configured Builder never holds the full
-// edge list: AddEdge appends 32-byte arc records to a bounded in-memory
+// edge list: AddEdge appends 24-byte arc records to a bounded in-memory
 // buffer that is radix-sorted by key (in parallel) and spilled to a temp
-// run file whenever it fills, and BuildTo merges the sorted runs directly
-// into the page-aligned v2 CSR sections on disk. Peak memory is
-// O(BudgetBytes + |V|): the identifier table, its lookup table and the
-// offset arrays stay in RAM, the arcs never do.
+// run file whenever it fills. BuildTo then builds the CSR one key range at
+// a time: nextRange cuts the identifier table into ranges of vertices
+// whose build fits the budget, each range's slice of every run — found by
+// binary search over the run file, which holds fixed-width records sorted
+// by key and so is its own index — is read and translated to internal
+// indices, and buildCSR, Build's own counting sort, per-vertex sort and
+// first-occurrence dedup, turns it into the range's CSR. The ranges'
+// neighbors and weights are appended in key order to one scratch file
+// each per direction, which the page-aligned v2 snapshot copies. Peak
+// memory is O(BudgetBytes + |V|): the identifier table, its lookup table
+// and the offset arrays stay in RAM, the arcs never do.
 //
-// The merge is parallel by key range: the identifier table is cut into P
-// vertex ranges of about equal arc counts, and each worker k-way-merges
-// its slice of every run — found by binary search over the run file,
-// which holds fixed-width records sorted by key and so is its own index —
-// into section scratch files of its own, concatenated in worker order.
-//
-// Determinism: every arc carries seq, its global edge-insertion index, and
-// arcs enter a buffer in seq order. The run sort is a stable sort by key,
-// so every run comes out in (key, seq) order at any worker count; (key,
-// seq) pairs are unique (self-loops never spill), so the merge order is a
-// total order independent of run boundaries, worker counts and
-// scheduling. A vertex's arcs all fall in one key range, so the range
-// split moves no arc between vertices: any split yields the same CSR.
-// Within a destination vertex the merge yields arcs in insertion order —
-// exactly the order the in-memory counting sort produces before its
-// per-vertex sort — and the same per-vertex (neighbor, seq) sort plus
-// first-occurrence dedup runs on top. BuildTo output is therefore
-// byte-identical to Build + WriteSnapshotFile, which the equivalence tests
-// assert by CRC.
+// Determinism: arcs enter a buffer in insertion order and the run sort is
+// stable, so each run is sorted by (key, insertion order), and the runs
+// themselves follow insertion order. A range reads its runs' slices in run
+// order, so every vertex's arcs reach buildCSR in insertion order — the
+// order Build's counting sort sees them in — and buildCSR does the rest
+// as it does for Build. A vertex's arcs all fall in one range, so the cut
+// moves no arc between vertices: any budget yields the same CSR, and
+// BuildTo output is byte-identical to Build + WriteSnapshotFile, which the
+// equivalence tests assert by CRC.
 
 // SpillOptions configure the out-of-core build path; see Builder.SetSpill.
 type SpillOptions struct {
@@ -48,37 +44,26 @@ type SpillOptions struct {
 	Dir string
 	// BudgetBytes bounds the in-memory arc buffers and the radix-sort
 	// scratch together: both are allocated once, at exact capacity, on
-	// the first spilled edge, and their sum never exceeds the budget. The
-	// merge frees them and gives its read buffers the same budget, with a
-	// floor of one record per reader. <= 0 selects the default (128 MiB);
-	// tiny values are clamped to one page of records.
+	// the first spilled edge, and their sum never exceeds the budget.
+	// BuildTo frees them and builds the CSR in key ranges whose working
+	// set fits the same budget; a vertex whose arcs alone do not fit is
+	// built as a range of its own. <= 0 selects the default
+	// (128 MiB); tiny values are clamped to one page of records.
 	BudgetBytes int64
-	// Workers pins the worker count for run sorting and for the merge
-	// (capped at one worker per vertex); <= 0 means auto. Output bytes are
-	// identical at any worker count.
-	Workers int
 }
 
 const (
-	arcRecBytes        = 32
+	arcRecBytes        = 24
 	defaultSpillBudget = 128 << 20
 	minSpillBudgetRecs = 128
 	spillPageBytes     = 1 << 18
 )
 
-// arcRec is one directed arc tagged with its global insertion index.
+// arcRec is one directed arc.
 type arcRec struct {
 	key int64 // grouping vertex (external id)
 	val int64 // neighbor (external id)
-	seq uint64
 	w   float64
-}
-
-func cmpArc(a, b arcRec) int {
-	if a.key != b.key {
-		return cmp.Compare(a.key, b.key)
-	}
-	return cmp.Compare(a.seq, b.seq)
 }
 
 // spool is one arc stream (out-arcs; directed graphs keep a second one
@@ -88,13 +73,12 @@ type spool struct {
 	runs []runFile
 }
 
-// runFile is one sorted run. The merge opens it once, and every merge
-// worker reads its slice through the shared *os.File with ReadAt, so a
-// merge holds one descriptor per run at any worker count.
+// runFile is one sorted run. A range build opens it once, and every reader
+// reads its slice through the shared *os.File with ReadAt.
 type runFile struct {
 	path string
 	recs int64
-	f    *os.File // open during the merge only
+	f    *os.File // open while its spool's CSR builds
 }
 
 type spillState struct {
@@ -102,23 +86,13 @@ type spillState struct {
 	dir     string // private scratch dir, created lazily
 	runRecs int    // capacity of each spool buffer and of the scratch
 	out, in spool
-	scratch []arcRec    // radix scatter target, shared by the spools
-	counts  [][256]int  // per-worker digit histograms
-	keys    []int64     // sorted distinct keys of every flushed run
-	keysTmp []int64     // merge target for keys
-	pages   [][2][]byte // per merge worker: adjacency, weights; runs use pages[0][0]
-	seq     uint64
+	scratch []arcRec   // radix scatter target, shared by the spools
+	counts  [][256]int // per-worker digit histograms
+	keys    []int64    // sorted distinct keys of every flushed run
+	keysTmp []int64    // merge target for keys
+	page    []byte     // runs' encode buffer
+	edges   int        // edges added
 	err     error
-}
-
-// page returns worker w's pooled encode buffer i, allocating it on first
-// use. Workers touch only their own entry, so sp.pages must already hold
-// one per worker.
-func (sp *spillState) page(w, i int) []byte {
-	if sp.pages[w][i] == nil {
-		sp.pages[w][i] = make([]byte, 0, spillPageBytes)
-	}
-	return sp.pages[w][i]
 }
 
 // SetSpill switches the builder to the out-of-core path: subsequent
@@ -143,7 +117,7 @@ func (b *Builder) SetSpill(opts SpillOptions) *Builder {
 	if b.directed {
 		arrays = 3
 	}
-	b.spill = &spillState{opts: opts, runRecs: recs / arrays, pages: make([][2][]byte, 1)}
+	b.spill = &spillState{opts: opts, runRecs: recs / arrays}
 	return b
 }
 
@@ -172,14 +146,13 @@ func (sp *spillState) cleanup() {
 // spillAdd is the AddEdge path for spill-configured builders. It mirrors
 // the in-memory semantics exactly: self-loops error (or are dropped, with
 // the endpoint still registered as a vertex — collectIDs would have seen
-// it), and every edge consumes one seq so arc order matches edge order.
+// it), and arcs enter the buffers in edge order.
 func (b *Builder) spillAdd(src, dst int64, w float64) {
 	sp := b.spill
 	if sp.err != nil {
 		return
 	}
-	seq := sp.seq
-	sp.seq++
+	sp.edges++
 	if src == dst {
 		if !b.opts.DropSelfLoops {
 			sp.err = fmt.Errorf("%w: vertex %d", ErrSelfLoop, src)
@@ -199,14 +172,14 @@ func (b *Builder) spillAdd(src, dst int64, w float64) {
 		sp.scratch = make([]arcRec, 0, sp.runRecs)
 	}
 	if b.directed {
-		sp.out.buf = append(sp.out.buf, arcRec{key: src, val: dst, seq: seq, w: w})
-		sp.in.buf = append(sp.in.buf, arcRec{key: dst, val: src, seq: seq, w: w})
+		sp.out.buf = append(sp.out.buf, arcRec{key: src, val: dst, w: w})
+		sp.in.buf = append(sp.in.buf, arcRec{key: dst, val: src, w: w})
 		if len(sp.out.buf) == cap(sp.out.buf) {
 			sp.err = sp.flushBoth()
 		}
 	} else {
-		sp.out.buf = append(sp.out.buf, arcRec{key: src, val: dst, seq: seq, w: w},
-			arcRec{key: dst, val: src, seq: seq, w: w})
+		sp.out.buf = append(sp.out.buf, arcRec{key: src, val: dst, w: w},
+			arcRec{key: dst, val: src, w: w})
 		if cap(sp.out.buf)-len(sp.out.buf) < 2 {
 			sp.err = sp.flush(&sp.out)
 		}
@@ -230,7 +203,7 @@ func (sp *spillState) flush(s *spool) error {
 	if err := sp.ensureDir(); err != nil {
 		return err
 	}
-	p := min(par.Resolve(sp.opts.Workers, n), n)
+	p := par.Workers(n)
 	if len(sp.counts) < p {
 		sp.counts = make([][256]int, p)
 	}
@@ -245,11 +218,10 @@ func (sp *spillState) flush(s *spool) error {
 	if err != nil {
 		return fmt.Errorf("graph: spill run: %w", err)
 	}
-	w := pageWriter{f: f, buf: sp.page(0, 0)}
-	for _, r := range sorted {
-		w.putRec(r)
+	if sp.page == nil {
+		sp.page = make([]byte, spillPageBytes/arcRecBytes*arcRecBytes)
 	}
-	err = w.flush()
+	err = writeRecs(f, sorted, sp.page)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -257,6 +229,27 @@ func (sp *spillState) flush(s *spool) error {
 		return fmt.Errorf("graph: spill run: %w", err)
 	}
 	s.runs = append(s.runs, runFile{path: f.Name(), recs: int64(n)})
+	return nil
+}
+
+// writeRecs encodes the records little-endian into buf, a whole number of
+// records long, and writes each bufferful to f.
+//
+//graphalint:noalloc
+func writeRecs(f *os.File, recs []arcRec, buf []byte) error {
+	for len(recs) > 0 {
+		n := min(len(recs), len(buf)/arcRecBytes)
+		for i, r := range recs[:n] {
+			b := buf[i*arcRecBytes : (i+1)*arcRecBytes]
+			binary.LittleEndian.PutUint64(b[0:], uint64(r.key))
+			binary.LittleEndian.PutUint64(b[8:], uint64(r.val))
+			binary.LittleEndian.PutUint64(b[16:], math.Float64bits(r.w))
+		}
+		if _, err := f.Write(buf[:n*arcRecBytes]); err != nil {
+			return err
+		}
+		recs = recs[n:]
+	}
 	return nil
 }
 
@@ -364,45 +357,6 @@ func mergeKeys(dst, set []int64, run []arcRec) []int64 {
 	return dst
 }
 
-// pageWriter encodes fixed-width little-endian values into one page-sized
-// buffer and writes the page out whenever it fills. The first write error
-// sticks and is returned by flush.
-type pageWriter struct {
-	f   *os.File
-	buf []byte
-	err error
-}
-
-// grow makes room for n more bytes and returns them.
-func (w *pageWriter) grow(n int) []byte {
-	if cap(w.buf)-len(w.buf) < n {
-		w.flush()
-	}
-	l := len(w.buf)
-	w.buf = w.buf[:l+n]
-	return w.buf[l:]
-}
-
-//graphalint:noalloc
-func (w *pageWriter) putRec(r arcRec) {
-	b := w.grow(arcRecBytes)
-	binary.LittleEndian.PutUint64(b[0:], uint64(r.key))
-	binary.LittleEndian.PutUint64(b[8:], uint64(r.val))
-	binary.LittleEndian.PutUint64(b[16:], r.seq)
-	binary.LittleEndian.PutUint64(b[24:], math.Float64bits(r.w))
-}
-
-func (w *pageWriter) put32(v uint32) { binary.LittleEndian.PutUint32(w.grow(4), v) }
-func (w *pageWriter) put64(v uint64) { binary.LittleEndian.PutUint64(w.grow(8), v) }
-
-func (w *pageWriter) flush() error {
-	if w.err == nil && len(w.buf) > 0 {
-		_, w.err = w.f.Write(w.buf)
-	}
-	w.buf = w.buf[:0]
-	return w.err
-}
-
 // openSpillRuns opens every run for positional reads; closeSpillRuns
 // closes them.
 func openSpillRuns(runs []runFile) error {
@@ -433,7 +387,7 @@ func (r *runFile) lowerBound(key, lo, hi int64, buf []byte) (int64, error) {
 	for lo < hi {
 		mid := int64(uint64(lo+hi) >> 1)
 		if _, err := r.f.ReadAt(buf, mid*arcRecBytes); err != nil {
-			return 0, fmt.Errorf("graph: spill run %s: %w", r.path, err)
+			return 0, runError(r, err)
 		}
 		if int64(binary.LittleEndian.Uint64(buf)) < key {
 			lo = mid + 1
@@ -444,182 +398,83 @@ func (r *runFile) lowerBound(key, lo, hi int64, buf []byte) (int64, error) {
 	return lo, nil
 }
 
-// splitRuns cuts a merge into p key ranges of about equal arc counts.
-// Range w holds the vertices [bounds[w], bounds[w+1]) and, in every run r,
-// the records [cuts[w][r], cuts[w+1][r]): exactly the records keyed by its
-// vertices, since a run is sorted by key. Every vertex's arcs land in one
-// range whatever the bounds, so the split never changes the output bytes,
-// only the balance. Split w is the first vertex whose records start at or
-// past w/p of the arcs, found by a binary search over ids; a probe sums
-// the runs' lower bounds, each searched within the bracket the previous
-// probes left.
-func splitRuns(ids []int64, runs []runFile, p int) (bounds []int, cuts [][]int64, err error) {
-	var total int64
+// nextRange cuts the key range that starts at vertex lo, whose records
+// start at from[r] in every run r: the longest range [lo, hi) for which
+// fits(arcs, vertices) holds, or the vertex lo alone when even it does not
+// fit. It returns hi and to, where each run's records of the range end:
+// the range holds exactly the records keyed by its vertices, since a run
+// is sorted by key. hi is found by a binary search over ids whose probes
+// sum the runs' lower bounds, each searched within the bracket the
+// previous probes left.
+func nextRange(ids []int64, runs []runFile, lo int, from []int64, fits func(arcs int64, verts int) bool) (hi int, to []int64, err error) {
+	var base, total int64
 	ends := make([]int64, len(runs))
 	for r := range runs {
+		base += from[r]
 		total += runs[r].recs
 		ends[r] = runs[r].recs
 	}
-	bounds = make([]int, p+1)
-	cuts = make([][]int64, p+1)
-	cuts[0] = make([]int64, len(runs))
-	bounds[p], cuts[p] = len(ids), ends
+	if fits(total-base, len(ids)-lo) {
+		return len(ids), ends, nil
+	}
+	// Search for the first end past lo whose range does not fit.
+	l, h := lo+1, len(ids)
+	lower, upper, probe := slices.Clone(from), ends, make([]int64, len(runs))
 	buf := make([]byte, 8)
-	probe := make([]int64, len(runs))
-	for w := 1; w < p; w++ {
-		target := total * int64(w) / int64(p)
-		lo, hi := bounds[w-1], len(ids)
-		lower, upper := slices.Clone(cuts[w-1]), slices.Clone(ends)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			var below int64
-			for r := range runs {
-				if probe[r], err = runs[r].lowerBound(ids[mid], lower[r], upper[r], buf); err != nil {
-					return nil, nil, err
-				}
-				below += probe[r]
+	for l < h {
+		mid := int(uint(l+h) >> 1)
+		var below int64
+		for r := range runs {
+			if probe[r], err = runs[r].lowerBound(ids[mid], lower[r], upper[r], buf); err != nil {
+				return 0, nil, err
 			}
-			if below >= target {
-				hi = mid
-				copy(upper, probe)
-			} else {
-				lo = mid + 1
-				copy(lower, probe)
-			}
+			below += probe[r]
 		}
-		bounds[w], cuts[w] = lo, upper
+		if fits(below-base, mid-lo) {
+			l = mid + 1
+			lower, probe = probe, lower
+		} else {
+			h = mid
+			upper, probe = probe, upper
+		}
 	}
-	return bounds, cuts, nil
+	// lower holds the bounds at l-1, the last end that fits, and upper
+	// those at l, which is lo+1 when no end fits.
+	if l > lo+1 {
+		return l - 1, lower, nil
+	}
+	return l, upper, nil
 }
 
-// mergeBufRecs sizes each merge reader's buffer, in records, when p
-// workers each read every one of runs runs: the p·runs buffers share the
-// budget, with a floor of one record and a ceiling of one page each.
-func mergeBufRecs(budget int64, p, runs int) int {
-	recs := budget / arcRecBytes / int64(max(p*runs, 1))
+// rangeBytes is the memory a key range of arcs arcs over verts vertices
+// holds while it builds: per arc the decoded key, value and weight,
+// buildCSR's neighbor and weight arrays and their duplicate-free copies;
+// per vertex buildCSR's offsets, their copy, the duplicate counts and one
+// degree count per worker; and the workers' read buffers; plus the
+// headroom reuse gives an array that grows. The per-vertex sort's scratch,
+// at most one segment per worker, and a few words per run come on top.
+func (b *Builder) rangeBytes(arcs int64, verts int) int64 {
+	p := par.Workers(int(arcs))
+	perArc := int64(4 + 4 + 4 + 4) // key, value, neighbor, its copy
+	if b.weighted {
+		perArc += 3 * 8 // weight, its CSR place, its copy
+	}
+	offsets := int64(verts+1) * (8 + 8)
+	bytes := arcs*perArc + offsets + int64(verts*(4+4*p)+p*b.spill.readRecs(p)*arcRecBytes)
+	return bytes + bytes/reuseHeadroom
+}
+
+// rangeFits is nextRange's rule: a range fits when its working set is
+// within the budget.
+func (b *Builder) rangeFits(arcs int64, verts int) bool {
+	return b.rangeBytes(arcs, verts) <= b.spill.opts.BudgetBytes
+}
+
+// readRecs is the records each of p range readers buffers: an eighth of
+// the budget between them, at least one record and at most a page each.
+func (sp *spillState) readRecs(p int) int {
+	recs := sp.opts.BudgetBytes / 8 / int64(p) / arcRecBytes
 	return int(min(max(recs, 1), spillPageBytes/arcRecBytes))
-}
-
-// sectionReader streams the records [off, end) (byte offsets) of one run
-// through a buffer it owns, refilled by positional reads of the run file
-// every worker shares.
-type sectionReader struct {
-	f        *os.File
-	off, end int64
-	buf      []byte
-	pos, n   int // decode position and valid bytes in buf
-	cur      arcRec
-}
-
-// next decodes the following record into r.cur; ok is false at the end of
-// the section.
-//
-//graphalint:noalloc
-func (r *sectionReader) next() (ok bool, err error) {
-	if r.pos == r.n {
-		if r.off == r.end {
-			return false, nil
-		}
-		if err := r.fill(); err != nil {
-			return false, err
-		}
-	}
-	b := r.buf[r.pos : r.pos+arcRecBytes]
-	r.cur = arcRec{
-		key: int64(binary.LittleEndian.Uint64(b[0:])),
-		val: int64(binary.LittleEndian.Uint64(b[8:])),
-		seq: binary.LittleEndian.Uint64(b[16:]),
-		w:   math.Float64frombits(binary.LittleEndian.Uint64(b[24:])),
-	}
-	r.pos += arcRecBytes
-	return true, nil
-}
-
-// fill reads the next bufferful of the section. A run shorter than the
-// records its flush wrote fails here.
-func (r *sectionReader) fill() error {
-	n := int(min(int64(len(r.buf)), r.end-r.off))
-	if _, err := r.f.ReadAt(r.buf[:n], r.off); err != nil {
-		return fmt.Errorf("graph: spill run %s: %w", r.f.Name(), err)
-	}
-	r.off += int64(n)
-	r.pos, r.n = 0, n
-	return nil
-}
-
-// newSections returns a min-heap over the non-empty sections [from[r],
-// to[r]) of the runs, each reader primed with its first record. The
-// readers' buffers, bufRecs records each or the section if shorter, are
-// carved from one allocation.
-func newSections(runs []runFile, from, to []int64, bufRecs int) (mergeHeap, error) {
-	total := int64(0)
-	for r := range runs {
-		total += min(int64(bufRecs), to[r]-from[r])
-	}
-	backing := make([]byte, total*arcRecBytes)
-	readers := make([]sectionReader, len(runs))
-	h := make(mergeHeap, 0, len(runs))
-	for r := range runs {
-		recs := min(int64(bufRecs), to[r]-from[r])
-		if recs == 0 {
-			continue
-		}
-		rd := &readers[r]
-		*rd = sectionReader{f: runs[r].f, off: from[r] * arcRecBytes, end: to[r] * arcRecBytes, buf: backing[:recs*arcRecBytes]}
-		backing = backing[recs*arcRecBytes:]
-		if _, err := rd.next(); err != nil {
-			return nil, err
-		}
-		h = append(h, rd)
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-	return h, nil
-}
-
-// mergeHeap merges sorted sections by (key, seq) with a binary min-heap.
-// (key, seq) uniqueness across runs makes the pop order a total order.
-type mergeHeap []*sectionReader
-
-// pop returns the smallest record and advances its section.
-//
-//graphalint:noalloc
-func (h *mergeHeap) pop() (arcRec, error) {
-	s := *h
-	rec := s[0].cur
-	ok, err := s[0].next()
-	if err != nil {
-		return arcRec{}, err
-	}
-	if !ok {
-		last := len(s) - 1
-		s[0] = s[last]
-		s = s[:last]
-		*h = s
-	}
-	if len(s) > 0 {
-		h.siftDown(0)
-	}
-	return rec, nil
-}
-
-func (h mergeHeap) siftDown(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h) && cmpArc(h[l].cur, h[m].cur) < 0 {
-			m = l
-		}
-		if r < len(h) && cmpArc(h[r].cur, h[m].cur) < 0 {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
 }
 
 // spillIDs produces the sorted distinct identifier table: the key set the
@@ -648,209 +503,172 @@ func (b *Builder) spillIDs() ([]int64, error) {
 	return ids, nil
 }
 
-// csrScratch is one merged adjacency direction: the offsets stay in
-// memory, the neighbor and weight payloads stream to scratch files, one
-// per merge worker in key order (the section CRCs are computed when the
-// scratch bytes are copied into the final snapshot).
-type csrScratch struct {
-	off      []int64
-	adjPaths []string
-	wPaths   []string
-	arcs     int64
+// rangeStore is the storage a streamed build's key ranges share: the
+// decoded arcs, the readers' buffers and buildCSR's arrays, each grown to
+// the largest range that needs it and reused by every range after.
+type rangeStore struct {
+	keys, vals []int32
+	ws         []float64
+	at         []int  // each run's first arc in keys, vals and ws
+	buf        []byte // the readers' buffers, one after another
+	csr        csrStore
 }
 
-// mergeSpool merges one spool's runs into CSR form on P workers, one key
-// range each (see splitRuns). Arc values are translated to internal
-// indices through index, each vertex's arcs are sorted by (neighbor, seq)
-// and deduplicated keeping the first occurrence — byte-for-byte the
-// in-memory buildCSR semantics. Each worker stops at its first error and
-// the lowest worker's is returned: ranges ascend by key, so it is the
-// error a sequential merge would meet first.
-func (b *Builder) mergeSpool(ids []int64, index *idTable, runs []runFile) (*csrScratch, error) {
-	sp := b.spill
+// readRange reads the records [from[r], to[r]) of every run r, the arcs of
+// the vertices rows, into the store, in run order: keys as indices into
+// rows, values as indices into ids through index, and weights when the
+// graph is weighted. The runs' slices are read concurrently, each into its
+// own place, and the lowest run's error is returned.
+func (b *Builder) readRange(rows []int64, index *idTable, runs []runFile, from, to []int64, st *rangeStore) (keys, vals []int32, ws []float64, err error) {
+	st.at = reuse(st.at, len(runs)+1, false)
+	at := st.at
+	at[0] = 0
+	for r := range runs {
+		at[r+1] = at[r] + int(to[r]-from[r])
+	}
+	m := at[len(runs)]
+	st.keys, st.vals = reuse(st.keys, m, false), reuse(st.vals, m, false)
+	keys, vals = st.keys, st.vals
+	if b.weighted {
+		st.ws = reuse(st.ws, m, false)
+		ws = st.ws
+	}
+	p := par.Workers(m)
+	bufBytes := b.spill.readRecs(p) * arcRecBytes
+	st.buf = reuse(st.buf, p*bufBytes, false)
+	errs := make([]error, p)
+	par.Chunks(len(runs), p, func(w, lo, hi int) {
+		buf := st.buf[w*bufBytes : (w+1)*bufBytes]
+		for r := lo; r < hi && errs[w] == nil; r++ {
+			var rws []float64
+			if ws != nil {
+				rws = ws[at[r]:at[r+1]]
+			}
+			errs[w] = decodeRun(&runs[r], from[r], buf, rows, index, keys[at[r]:at[r+1]], vals[at[r]:at[r+1]], rws)
+		}
+	})
+	return keys, vals, ws, firstError(errs)
+}
+
+// decodeRun reads len(keys) records of the run from record from on,
+// through buf, and decodes record i into keys[i], vals[i] and, when ws is
+// not nil, ws[i]. The records ascend by key, so a cursor over rows finds
+// each key's index.
+//
+//graphalint:noalloc
+func decodeRun(run *runFile, from int64, buf []byte, rows []int64, index *idTable, keys, vals []int32, ws []float64) error {
+	cur := 0
+	for i := 0; i < len(keys); {
+		n := min(len(buf)/arcRecBytes, len(keys)-i)
+		chunk := buf[:n*arcRecBytes]
+		if _, err := run.f.ReadAt(chunk, (from+int64(i))*arcRecBytes); err != nil {
+			return runError(run, err)
+		}
+		for ; len(chunk) > 0; chunk, i = chunk[arcRecBytes:], i+1 {
+			key := int64(binary.LittleEndian.Uint64(chunk))
+			for cur < len(rows) && rows[cur] != key {
+				cur++
+			}
+			v, ok := index.get(int64(binary.LittleEndian.Uint64(chunk[8:])))
+			if cur == len(rows) || !ok {
+				return badRecord(run, key)
+			}
+			keys[i], vals[i] = int32(cur), v
+			if ws != nil {
+				ws[i] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[16:]))
+			}
+		}
+	}
+	return nil
+}
+
+// runError and badRecord build the errors of a run's reads and records;
+// decodeRun's per-record path must not box values into an error itself.
+func runError(run *runFile, err error) error {
+	return fmt.Errorf("graph: spill run %s: %w", run.path, err)
+}
+
+func badRecord(run *runFile, key int64) error {
+	return fmt.Errorf("graph: spill run %s: record keyed %d is out of order or names an unknown vertex", run.path, key)
+}
+
+// csrScratch is one built adjacency direction: the offsets stay in
+// memory, the neighbor and weight payloads are in scratch files (the
+// section CRCs are computed when their bytes are copied into the final
+// snapshot).
+type csrScratch struct {
+	off            []int64
+	adjPath, wPath string
+	arcs           int64
+}
+
+// buildSpool builds one spool's CSR a key range at a time (see nextRange):
+// each range's arcs are read from the runs, built by buildCSR — so each
+// vertex's arcs are sorted by neighbor and deduplicated keeping the first
+// occurrence, as Build does — and appended to the direction's scratch
+// files. The first range with an error ends the build; ranges ascend by
+// key, so a strict-mode error is the lowest vertex's, as in Build.
+func (b *Builder) buildSpool(ids []int64, index *idTable, runs []runFile, st *rangeStore) (*csrScratch, error) {
 	if err := openSpillRuns(runs); err != nil {
 		return nil, err
 	}
 	defer closeSpillRuns(runs)
-	var recs int64
-	for _, r := range runs {
-		recs += r.recs
+	var files [2]*os.File // neighbors, weights (empty when unweighted)
+	for i, pattern := range []string{"adj-*", "wgt-*"} {
+		f, err := os.CreateTemp(b.spill.dir, pattern)
+		if err != nil {
+			return nil, fmt.Errorf("graph: spill range: %w", err)
+		}
+		defer f.Close()
+		files[i] = f
 	}
-	p := max(min(par.Resolve(sp.opts.Workers, int(recs)), len(ids)), 1)
-	bounds, cuts, err := splitRuns(ids, runs, p)
-	if err != nil {
-		return nil, err
+	cs := &csrScratch{off: make([]int64, len(ids)+1), adjPath: files[0].Name(), wPath: files[1].Name()}
+	from := make([]int64, len(runs))
+	for lo := 0; lo < len(ids); {
+		hi, to, err := nextRange(ids, runs, lo, from, b.rangeFits)
+		if err != nil {
+			return nil, err
+		}
+		rows := ids[lo:hi]
+		keys, vals, ws, err := b.readRange(rows, index, runs, from, to, st)
+		if err != nil {
+			return nil, err
+		}
+		off, adj, w, err := b.buildCSR(rows, ids, keys, vals, ws, false, &st.csr)
+		if err != nil {
+			return nil, err
+		}
+		for v, o := range off[1:] {
+			cs.off[lo+v+1] = cs.arcs + o
+		}
+		cs.arcs += int64(len(adj))
+		if err := writeInt32s(files[0], adj); err != nil {
+			return nil, err
+		}
+		if err := writeFloat64s(files[1], w); err != nil {
+			return nil, err
+		}
+		lo, from = hi, to
 	}
-	bufRecs := mergeBufRecs(sp.opts.BudgetBytes, p, len(runs))
-	for len(sp.pages) < p {
-		sp.pages = append(sp.pages, [2][]byte{})
-	}
-
-	cs := &csrScratch{off: make([]int64, len(ids)+1)}
-	workers := make([]mergeWorker, p)
-	errs := make([]error, p)
-	par.Chunks(p, p, func(w, _, _ int) {
-		m := &workers[w]
-		*m = mergeWorker{b: b, w: w, ids: ids, index: index, off: cs.off, vcur: bounds[w]}
-		errs[w] = m.run(runs, cuts[w], cuts[w+1], bufRecs)
-	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	for _, m := range workers {
-		cs.adjPaths = append(cs.adjPaths, m.adjPath)
-		cs.wPaths = append(cs.wPaths, m.wPath)
-		cs.arcs += m.kept
-	}
-	for v := 0; v < len(ids); v++ {
-		cs.off[v+1] += cs.off[v]
+	for _, f := range files {
+		if err := f.Close(); err != nil {
+			return nil, fmt.Errorf("graph: spill range: %w", err)
+		}
 	}
 	return cs, nil
 }
 
-// mergeWorker merges one key range: its sections' heap, the current
-// vertex's arcs and the writers of its scratch files.
-type mergeWorker struct {
-	b     *Builder
-	w     int // worker index: key ranges, scratch files and pages are in this order
-	ids   []int64
-	index *idTable
-	off   []int64 // shared; the worker writes only its vertices' entries
-	heap  mergeHeap
-	// The current vertex's arcs arrive in seq order, so sorting the words
-	// neighbor<<32 | position orders them by (neighbor, seq): the first of
-	// equal neighbors is the first occurrence. weights is by position, and
-	// tmp is sortByNeighbor's scatter target.
-	order    []int64
-	tmp      []int64
-	weights  []float64
-	key      int64 // the current vertex's id
-	vcur     int   // the current vertex's index, moving forward only
-	adj, wgt pageWriter
-
-	adjPath, wPath string // the scratch files, for fileSection
-	kept           int64  // arcs written
-}
-
-// run merges the sections [from[r], to[r]) of every run into the worker's
-// scratch files.
-func (m *mergeWorker) run(runs []runFile, from, to []int64, bufRecs int) error {
-	sp := m.b.spill
-	adjF, err := os.CreateTemp(sp.dir, "adj-*")
-	if err != nil {
-		return fmt.Errorf("graph: spill merge: %w", err)
-	}
-	defer adjF.Close()
-	m.adjPath = adjF.Name()
-	m.adj = pageWriter{f: adjF, buf: sp.page(m.w, 0)}
-	if m.b.weighted {
-		wF, err := os.CreateTemp(sp.dir, "wgt-*")
-		if err != nil {
-			return fmt.Errorf("graph: spill merge: %w", err)
-		}
-		defer wF.Close()
-		m.wPath = wF.Name()
-		m.wgt = pageWriter{f: wF, buf: sp.page(m.w, 1)}
-	}
-	if m.heap, err = newSections(runs, from, to, bufRecs); err != nil {
-		return err
-	}
-	m.order = make([]int64, 0, 1024)
-	for len(m.heap) > 0 {
-		rec, err := m.heap.pop()
-		if err != nil {
-			return err
-		}
-		if err := m.add(rec); err != nil {
-			return err
-		}
-	}
-	if err := m.flushVertex(); err != nil {
-		return err
-	}
-	if err := m.adj.flush(); err != nil {
-		return fmt.Errorf("graph: spill merge: %w", err)
-	}
-	if m.b.weighted {
-		if err := m.wgt.flush(); err != nil {
-			return fmt.Errorf("graph: spill merge: %w", err)
-		}
-	}
-	return nil
-}
-
-// add takes the merge's next record: a new key closes the previous
-// vertex, and the arc joins the current one.
-//
-//graphalint:noalloc
-func (m *mergeWorker) add(rec arcRec) error {
-	if len(m.order) > 0 && rec.key != m.key {
-		if err := m.flushVertex(); err != nil {
-			return err
-		}
-	}
-	m.key = rec.key
-	v, ok := m.index.get(rec.val)
-	if !ok {
-		return missingArcValue(rec.val)
-	}
-	m.order = append(m.order, int64(v)<<32|int64(len(m.order)))
-	if m.b.weighted {
-		m.weights = append(m.weights, rec.w)
-	}
-	return nil
-}
-
-// missingArcValue builds add's error outside add, whose per-record path
-// must not box values into an error.
-func missingArcValue(val int64) error {
-	return fmt.Errorf("graph: spill merge: arc value %d missing from identifier table", val)
-}
-
-// flushVertex sorts, deduplicates and writes the current vertex's arcs.
-func (m *mergeWorker) flushVertex() error {
-	if len(m.order) == 0 {
-		return nil
-	}
-	// Keys arrive ascending, so the vertex cursor only moves forward;
-	// every key is an endpoint, hence present in ids.
-	for m.ids[m.vcur] != m.key {
-		m.vcur++
-	}
-	kept := int64(0)
-	prev := int32(-1)
-	for _, o := range sortByNeighbor(m.order, &m.tmp) {
-		v := int32(o >> 32)
-		if v == prev {
-			if !m.b.opts.DedupEdges {
-				return m.b.duplicateEdge(m.key, m.ids[v])
-			}
-			continue
-		}
-		prev = v
-		m.adj.put32(uint32(v))
-		if m.b.weighted {
-			m.wgt.put64(math.Float64bits(m.weights[uint32(o)]))
-		}
-		kept++
-	}
-	m.off[m.vcur+1] = kept
-	m.kept += kept
-	m.order, m.weights = m.order[:0], m.weights[:0]
-	return nil
-}
-
-// fileSection adapts scratch files, concatenated in order, into a v2
-// section source.
-func fileSection(paths []string, size int64) v2SectionSource {
+// fileSection adapts a scratch file into a v2 section source.
+func fileSection(path string, size int64) v2SectionSource {
 	return v2SectionSource{size: size, emit: func(w io.Writer) error {
-		var n int64
-		for _, path := range paths {
-			c, err := copyFile(w, path)
-			n += c
-			if err != nil {
-				return err
-			}
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		n, err := io.Copy(w, f)
+		if err != nil {
+			return err
 		}
 		if n != size {
 			return fmt.Errorf("scratch section is %d bytes, want %d", n, size)
@@ -859,23 +677,14 @@ func fileSection(paths []string, size int64) v2SectionSource {
 	}}
 }
 
-func copyFile(w io.Writer, path string) (int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	return io.Copy(w, f)
-}
-
 // BuildTo builds the graph directly into a v2 snapshot at path. For a
 // spill-configured builder this is the out-of-core path: flush the
 // remaining buffers, derive the identifier table from the gathered key
-// set, merge each spool into CSR scratch files, and compose the final
-// page-aligned snapshot — all without ever materializing the arc arrays
-// in memory. The output is byte-identical to Build + WriteSnapshotFile.
-// Builders without spill configured simply build in memory and write the
-// snapshot.
+// set, build each spool's CSR range by range into scratch files, and
+// compose the final page-aligned snapshot — all without ever materializing
+// the arc arrays in memory. The output is byte-identical to Build +
+// WriteSnapshotFile. Builders without spill configured simply build in
+// memory and write the snapshot.
 //
 // The builder must not be reused after BuildTo.
 func (b *Builder) BuildTo(path string) error {
@@ -895,7 +704,7 @@ func (b *Builder) BuildTo(path string) error {
 		return err
 	}
 	// Every arc is on disk: the budget's arrays are not needed again.
-	sp.out.buf, sp.in.buf, sp.scratch = nil, nil, nil
+	sp.out.buf, sp.in.buf, sp.scratch, sp.page = nil, nil, nil, nil
 	if err := sp.ensureDir(); err != nil { // no edges at all still needs scratch space
 		return err
 	}
@@ -906,13 +715,14 @@ func (b *Builder) BuildTo(path string) error {
 	}
 	sp.keys, sp.keysTmp = nil, nil
 	index := idIndex(ids)
-	out, err := b.mergeSpool(ids, index, sp.out.runs)
+	st := new(rangeStore)
+	out, err := b.buildSpool(ids, index, sp.out.runs, st)
 	if err != nil {
 		return err
 	}
 	var in *csrScratch
 	if b.directed {
-		if in, err = b.mergeSpool(ids, index, sp.in.runs); err != nil {
+		if in, err = b.buildSpool(ids, index, sp.in.runs, st); err != nil {
 			return err
 		}
 	}
@@ -939,15 +749,15 @@ func (b *Builder) BuildTo(path string) error {
 	}
 	secs[secIDs] = int64Sec(ids)
 	secs[secOutOff] = int64Sec(out.off)
-	secs[secOutAdj] = fileSection(out.adjPaths, 4*out.arcs)
+	secs[secOutAdj] = fileSection(out.adjPath, 4*out.arcs)
 	if b.weighted {
-		secs[secOutW] = fileSection(out.wPaths, 8*out.arcs)
+		secs[secOutW] = fileSection(out.wPath, 8*out.arcs)
 	}
 	if b.directed {
 		secs[secInOff] = int64Sec(in.off)
-		secs[secInAdj] = fileSection(in.adjPaths, 4*in.arcs)
+		secs[secInAdj] = fileSection(in.adjPath, 4*in.arcs)
 		if b.weighted {
-			secs[secInW] = fileSection(in.wPaths, 8*in.arcs)
+			secs[secInW] = fileSection(in.wPath, 8*in.arcs)
 		}
 	}
 	return installSnapshot(path, func(f *os.File) error {

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -60,43 +62,13 @@ func TestSetSpillAfterGrowReleasesEdges(t *testing.T) {
 	}
 }
 
-// The merge's read buffers share the budget: p workers × runs readers of
-// mergeBufRecs records never exceed it unless every reader is at the
-// one-record floor, and no buffer exceeds a page.
-func TestMergeBufRecsWithinBudget(t *testing.T) {
-	for _, budget := range []int64{1 << 12, 100_000, 1 << 20, 32 << 20, 1 << 40} {
-		for _, p := range []int{1, 2, 3, 8, 64} {
-			for _, runs := range []int{0, 1, 7, 94, 5000} {
-				recs := mergeBufRecs(budget, p, runs)
-				held := int64(p*runs*recs) * arcRecBytes
-				switch {
-				case recs < 1:
-					t.Errorf("budget=%d p=%d runs=%d: %d records per reader, want >= 1", budget, p, runs, recs)
-				case recs*arcRecBytes > spillPageBytes:
-					t.Errorf("budget=%d p=%d runs=%d: %d-byte reader buffer exceeds a page", budget, p, runs, recs*arcRecBytes)
-				case recs > 1 && held > budget:
-					t.Errorf("budget=%d p=%d runs=%d: readers hold %d bytes", budget, p, runs, held)
-				}
-			}
-		}
-	}
-}
-
-// A merge opens every run once, whatever the worker count: each worker's
-// readers share the run's *os.File. Its readers' buffers together stay
-// within the budget (or the one-record floor), and the workers' sections
-// tile every run exactly, each holding only its own vertices' records and
-// no more than its share of them plus one vertex's.
-func TestMergeSectionsShareRunsAndTile(t *testing.T) {
-	const budget = 1 << 14
-	b := NewBuilder(false, true)
-	b.SetOptions(BuildOptions{DedupEdges: true, DropSelfLoops: true})
-	b.SetSpill(SpillOptions{Dir: t.TempDir(), BudgetBytes: budget})
-	defer b.spill.cleanup()
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 20000; i++ {
-		b.AddWeightedEdge(rng.Int63n(3000), rng.Int63n(3000), 1)
-	}
+// spillRanges flushes the builder's buffers, as BuildTo does, and returns
+// its identifier table, its out-spool's runs and the key ranges BuildTo
+// cuts them into: range k holds the vertices [bounds[k], bounds[k+1]) and
+// the records [cuts[k][r], cuts[k+1][r]) of run r.
+func spillRanges(t testing.TB, b *Builder) (ids []int64, runs []runFile, bounds []int, cuts [][]int64) {
+	t.Helper()
+	t.Cleanup(b.spill.cleanup)
 	if err := b.spill.flushBoth(); err != nil {
 		t.Fatal(err)
 	}
@@ -104,75 +76,144 @@ func TestMergeSectionsShareRunsAndTile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := b.spill.out.runs
-	if len(runs) < 10 {
-		t.Fatalf("%d runs, want many", len(runs))
-	}
+	runs = b.spill.out.runs
 	if err := openSpillRuns(runs); err != nil {
 		t.Fatal(err)
 	}
 	defer closeSpillRuns(runs)
-	for _, p := range []int{1, 2, 8} {
-		bounds, cuts, err := splitRuns(ids, runs, p)
+	bounds, cuts = []int{0}, [][]int64{make([]int64, len(runs))}
+	for lo := 0; lo < len(ids); {
+		hi, to, err := nextRange(ids, runs, lo, cuts[len(cuts)-1], b.rangeFits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bufRecs := mergeBufRecs(budget, p, len(runs))
-		var held, recs, maxDeg int64
-		perWorker := make([]int64, p)
-		for w := 0; w < p; w++ {
-			h, err := newSections(runs, cuts[w], cuts[w+1], bufRecs)
+		bounds, cuts = append(bounds, hi), append(cuts, to)
+		lo = hi
+	}
+	return ids, runs, bounds, cuts
+}
+
+// bytes is what the store's arrays hold.
+func (st *rangeStore) bytes() int64 {
+	c := &st.csr
+	n := 4*(cap(st.keys)+cap(st.vals)+cap(c.adj)+cap(c.nadj)+cap(c.dups)) +
+		8*(cap(st.ws)+cap(c.w)+cap(c.nw)+cap(c.off)+cap(c.noff)) + cap(st.buf)
+	for _, row := range c.counts {
+		n += 4 * cap(row)
+	}
+	return int64(n)
+}
+
+// BuildTo's key ranges tile every run: they ascend from the first vertex
+// to the last, each run's slices meet end to end from its first record to
+// its last, and every record of a range is keyed by one of its vertices
+// (readRange fails on any other). Built on a store of its own, a range
+// holds no more than rangeBytes, and that fits the budget unless the
+// range is a single vertex; every range but the last would not fit with
+// the next vertex added. A hub with a quarter of the edges is its own
+// range at the small budgets.
+func TestRangesTileRunsWithinBudget(t *testing.T) {
+	for _, budget := range []int64{4 << 10, 16 << 10, 1 << 20} {
+		b := NewBuilder(false, true)
+		b.SetOptions(BuildOptions{DedupEdges: true, DropSelfLoops: true})
+		b.SetSpill(SpillOptions{Dir: t.TempDir(), BudgetBytes: budget})
+		rng := rand.New(rand.NewSource(9))
+		for i := 0; i < 20000; i++ {
+			src := rng.Int63n(3000)
+			if i%4 == 0 {
+				src = 1500
+			}
+			b.AddWeightedEdge(src, rng.Int63n(3000), 1)
+		}
+		ids, runs, bounds, cuts := spillRanges(t, b)
+		if err := openSpillRuns(runs); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { closeSpillRuns(runs) })
+		index := idIndex(ids)
+		deg := make([]int64, len(ids))
+		oversized := 0
+		for k := 0; k+1 < len(bounds); k++ {
+			lo, hi := bounds[k], bounds[k+1]
+			if lo >= hi {
+				t.Fatalf("budget=%d range %d: vertices [%d, %d)", budget, k, lo, hi)
+			}
+			var arcs int64
+			for r := range runs {
+				if cuts[k][r] > cuts[k+1][r] {
+					t.Fatalf("budget=%d run %d: range %d ends at record %d before it starts at %d", budget, r, k, cuts[k+1][r], cuts[k][r])
+				}
+				arcs += cuts[k+1][r] - cuts[k][r]
+			}
+			st := new(rangeStore)
+			keys, vals, ws, err := b.readRange(ids[lo:hi], index, runs, cuts[k], cuts[k+1], st)
 			if err != nil {
+				t.Fatalf("budget=%d range %d: %v", budget, k, err)
+			}
+			for _, key := range keys {
+				deg[lo+int(key)]++
+			}
+			if _, _, _, err := b.buildCSR(ids[lo:hi], ids, keys, vals, ws, false, &st.csr); err != nil {
 				t.Fatal(err)
 			}
-			for _, rd := range h {
-				held += int64(len(rd.buf))
-				if !slices.ContainsFunc(runs, func(r runFile) bool { return r.f == rd.f }) {
-					t.Fatalf("p=%d worker %d: a reader opened its own file", p, w)
+			need := b.rangeBytes(arcs, hi-lo)
+			if held := st.bytes(); held > need {
+				t.Errorf("budget=%d range %d: its arrays hold %d bytes, rangeBytes counts %d", budget, k, held, need)
+			}
+			if need > budget {
+				oversized++
+				if hi-lo > 1 {
+					t.Errorf("budget=%d range %d: %d vertices and %d arcs need %d bytes", budget, k, hi-lo, arcs, need)
 				}
 			}
-			deg, prev := int64(0), int64(-1)
-			for len(h) > 0 {
-				rec, err := h.pop()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rec.key != prev {
-					deg, prev = 0, rec.key
-				}
-				deg++
-				maxDeg = max(maxDeg, deg)
-				perWorker[w]++
-				if rec.key < ids[bounds[w]] || (bounds[w+1] < len(ids) && rec.key >= ids[bounds[w+1]]) {
-					t.Fatalf("p=%d worker %d: key %d outside vertices [%d, %d)", p, w, rec.key, bounds[w], bounds[w+1])
-				}
-				recs++
-			}
+		}
+		last := len(bounds) - 1
+		if bounds[0] != 0 || bounds[last] != len(ids) {
+			t.Fatalf("budget=%d: ranges cover vertices [%d, %d), want [0, %d)", budget, bounds[0], bounds[last], len(ids))
 		}
 		for r := range runs {
-			for w := 0; w < p; w++ {
-				if cuts[w][r] > cuts[w+1][r] {
-					t.Fatalf("p=%d run %d: sections out of order: %v", p, r, cuts)
-				}
-			}
-			if cuts[0][r] != 0 || cuts[p][r] != runs[r].recs {
-				t.Fatalf("p=%d run %d: sections cover [%d, %d), want [0, %d)", p, r, cuts[0][r], cuts[p][r], runs[r].recs)
+			if cuts[0][r] != 0 || cuts[last][r] != runs[r].recs {
+				t.Fatalf("budget=%d run %d: ranges cover records [%d, %d), want [0, %d)", budget, r, cuts[0][r], cuts[last][r], runs[r].recs)
 			}
 		}
-		var want int64
-		for _, r := range runs {
-			want += r.recs
-		}
-		if recs != want {
-			t.Fatalf("p=%d: merged %d records, want %d", p, recs, want)
-		}
-		for w, n := range perWorker {
-			if n > want/int64(p)+maxDeg+1 {
-				t.Errorf("p=%d worker %d: %d of %d records, want at most a share plus one vertex (%d)", p, w, n, want, maxDeg)
+		for k := 0; k+1 < last; k++ {
+			lo, hi := bounds[k], bounds[k+1]
+			var arcs int64
+			for _, d := range deg[lo : hi+1] {
+				arcs += d
+			}
+			if b.rangeFits(arcs, hi+1-lo) {
+				t.Errorf("budget=%d range %d: vertices [%d, %d) would still fit with the next one", budget, k, lo, hi)
 			}
 		}
-		if floor := int64(p*len(runs)) * arcRecBytes; held > max(budget, floor) {
-			t.Errorf("p=%d: readers hold %d bytes against budget %d (floor %d)", p, held, budget, floor)
+		if wantHub := budget < 1<<20; (oversized > 0) != wantHub {
+			t.Errorf("budget=%d: %d ranges over budget, want a hub alone: %v", budget, oversized, wantHub)
+		}
+		t.Logf("budget=%d: %d runs, %d ranges", budget, len(runs), last)
+	}
+}
+
+// radixSort's output is the same at any worker count, and stable: sorted
+// by key, with equal keys in input order. The keys span both signs and
+// every digit.
+func TestRadixSortStableAtAnyWorkerCount(t *testing.T) {
+	forceWorkers(t, 8)
+	rng := rand.New(rand.NewSource(11))
+	pool := []int64{math.MinInt64, math.MaxInt64, 0, -1, 1 << 56}
+	for len(pool) < 500 {
+		pool = append(pool, int64(rng.Uint64()))
+	}
+	in := make([]arcRec, 40000)
+	for i := range in {
+		in[i] = arcRec{key: pool[rng.Intn(len(pool))], val: int64(i), w: float64(i)}
+	}
+	want := slices.Clone(in)
+	slices.SortStableFunc(want, func(a, b arcRec) int { return cmp.Compare(a.key, b.key) })
+	for _, p := range []int{1, 2, 8} {
+		recs := slices.Clone(in)
+		got, _ := radixSort(recs, make([]arcRec, len(recs)), make([][256]int, p))
+		if !slices.Equal(got, want) {
+			t.Fatalf("%d histograms: radixSort differs from a stable sort by key", p)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"graphalytics/internal/graph"
 	"graphalytics/internal/graph500"
+	"graphalytics/internal/par"
 )
 
 // feedFixture drives the same deterministic edge stream into any builder.
@@ -86,8 +87,8 @@ var streamFixtures = []struct {
 		b.AddWeightedEdge(3, -3, 1.5)
 	}},
 	// Edges in ascending source order with nearby destinations: each run
-	// covers its own key range, so a merge split balances across runs, and
-	// most runs hold no record of a given worker's range.
+	// covers its own key range, so most runs hold no record of a given
+	// key range.
 	{"sorted", func(b *graph.Builder, weighted bool) {
 		rng := rand.New(rand.NewSource(17))
 		for i := 0; i < 3000; i++ {
@@ -96,8 +97,8 @@ var streamFixtures = []struct {
 		}
 	}},
 	// A hub near every eighth of the key space, each holding a large share
-	// of the arcs, so merge splits at 2 and 8 workers land on or next to
-	// a hub key.
+	// of the arcs, so key ranges end on or next to a hub key, and a hub
+	// whose arcs alone exceed the budget is a range of its own.
 	{"hubs", func(b *graph.Builder, weighted bool) {
 		rng := rand.New(rand.NewSource(23))
 		for i := 0; i < 3000; i++ {
@@ -120,9 +121,9 @@ func fileCRC(t *testing.T, path string) uint32 {
 }
 
 // The tentpole determinism claim: BuildTo through spilled runs produces a
-// byte-identical snapshot to the in-memory Build + WriteSnapshotFile, at
-// any worker count and any spill budget. The tiny budgets force many
-// runs, exercising the k-way merge hard; 1 << 12 is the one-page minimum.
+// byte-identical snapshot to the in-memory Build + WriteSnapshotFile at
+// any spill budget. The tiny budgets force many runs and many key ranges,
+// so range boundaries land everywhere; 1 << 12 is the one-page minimum.
 func TestBuildToMatchesInMemoryBuild(t *testing.T) {
 	for _, fx := range streamFixtures {
 		t.Run(fx.name, func(t *testing.T) {
@@ -143,31 +144,74 @@ func TestBuildToMatchesInMemoryBuild(t *testing.T) {
 					}
 					wantCRC := fileCRC(t, refPath)
 
-					for _, workers := range []int{1, 2, 8} {
-						for _, budget := range []int64{1 << 12, 1 << 14, 1 << 20} {
-							b := graph.NewBuilder(directed, weighted)
-							b.SetOptions(graph.BuildOptions{DedupEdges: true, DropSelfLoops: true})
-							b.SetSpill(graph.SpillOptions{Dir: dir, BudgetBytes: budget, Workers: workers})
-							fx.feed(b, weighted)
-							got := filepath.Join(dir, "got.snap")
-							if err := b.BuildTo(got); err != nil {
-								t.Fatalf("directed=%v weighted=%v workers=%d budget=%d: %v",
-									directed, weighted, workers, budget, err)
-							}
-							if crc := fileCRC(t, got); crc != wantCRC {
-								t.Fatalf("directed=%v weighted=%v workers=%d budget=%d: snapshot CRC %08x, want %08x",
-									directed, weighted, workers, budget, crc, wantCRC)
-							}
-							g, err := graph.ReadSnapshotFile(got)
-							if err != nil {
-								t.Fatal(err)
-							}
-							assertGraphsEqual(t, g, want)
+					for _, budget := range []int64{1 << 12, 3 << 11, 1 << 13, 1 << 14, 1 << 16, 1 << 20} {
+						b := graph.NewBuilder(directed, weighted)
+						b.SetOptions(graph.BuildOptions{DedupEdges: true, DropSelfLoops: true})
+						b.SetSpill(graph.SpillOptions{Dir: dir, BudgetBytes: budget})
+						fx.feed(b, weighted)
+						got := filepath.Join(dir, "got.snap")
+						if err := b.BuildTo(got); err != nil {
+							t.Fatalf("directed=%v weighted=%v budget=%d: %v",
+								directed, weighted, budget, err)
 						}
+						if crc := fileCRC(t, got); crc != wantCRC {
+							t.Fatalf("directed=%v weighted=%v budget=%d: snapshot CRC %08x, want %08x",
+								directed, weighted, budget, crc, wantCRC)
+						}
+						g, err := graph.ReadSnapshotFile(got)
+						if err != nil {
+							t.Fatal(err)
+						}
+						assertGraphsEqual(t, g, want)
 					}
 				}
 			}
 		})
+	}
+}
+
+// Key ranges build on several workers: at scale 13 with a 4 MiB budget
+// every range but the last, the remainder, holds more than 2·par.MinGrain
+// arcs, so at GOMAXPROCS >= 2 the run reads and buildCSR fan out over
+// workers within a range, and the snapshot must still be Build's,
+// directed and undirected. CI runs this under the race detector at
+// GOMAXPROCS=4.
+func TestBuildToRangesOnSeveralWorkers(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	for _, directed := range []bool{false, true} {
+		cfg := graph500.Config{Scale: 13, Seed: 13, Weighted: true, Directed: directed}
+		g, err := graph500.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		refPath := filepath.Join(dir, "ref.snap")
+		if err := graph.WriteSnapshotFile(refPath, g); err != nil {
+			t.Fatal(err)
+		}
+		b := graph.NewBuilder(directed, true).SetSpill(graph.SpillOptions{Dir: dir, BudgetBytes: 4 << 20})
+		if err := graph500.Into(cfg, b); err != nil {
+			t.Fatal(err)
+		}
+		arcs := b.SpillRangeArcs(t)
+		t.Logf("directed=%v: key ranges of %v arcs", directed, arcs)
+		if len(arcs) < 2 {
+			t.Fatalf("directed=%v: %d key ranges, want several", directed, len(arcs))
+		}
+		for k, a := range arcs[:len(arcs)-1] {
+			if a <= 2*par.MinGrain {
+				t.Fatalf("directed=%v: range %d holds %d arcs, too few for a second worker", directed, k, a)
+			}
+		}
+		path := filepath.Join(dir, "got.snap")
+		if err := b.BuildTo(path); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fileCRC(t, path), fileCRC(t, refPath); got != want {
+			t.Fatalf("directed=%v: snapshot CRC %08x, want Build's %08x", directed, got, want)
+		}
 	}
 }
 
@@ -178,7 +222,7 @@ func TestBuildToMatchesInMemoryBuild(t *testing.T) {
 func TestBuildToAllocsIndependentOfEdges(t *testing.T) {
 	build := func(edgeFactor int) (allocs uint64, runs int) {
 		dir := t.TempDir()
-		b := graph.NewBuilder(false, true).SetSpill(graph.SpillOptions{Dir: dir, BudgetBytes: 64 << 10, Workers: 2})
+		b := graph.NewBuilder(false, true).SetSpill(graph.SpillOptions{Dir: dir, BudgetBytes: 64 << 10})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if err := graph500.Into(graph500.Config{Scale: 10, EdgeFactor: edgeFactor, Seed: 3, Weighted: true}, b); err != nil {
@@ -197,8 +241,9 @@ func TestBuildToAllocsIndependentOfEdges(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return allocs + after.Mallocs - before.Mallocs, len(spills)
 	}
-	// Measured at 2 workers: ≈38 per run (run file, sort fan-out, reader)
-	// and ≈190 fixed (identifier table and index, section writers).
+	// Per run: the run file and the sort fan-out; per key range, which
+	// are about as many as runs: the cut search, the reads and buildCSR's
+	// fan-out; fixed: the identifier table and index, the section files.
 	const perRun, fixed = 64, 1000
 	for _, ef := range []int{4, 40} {
 		allocs, runs := build(ef)
@@ -277,9 +322,10 @@ func TestBuildToStrictErrors(t *testing.T) {
 		}
 	})
 	// Duplicates planted in the first and last quarters of the key space
-	// fall to different merge workers; the reported one must be Build's,
-	// the lowest vertex's, at every worker count. Undirected builds get
-	// the repeats reversed, which the message names smaller id first.
+	// fall to different key ranges below the largest budget; the reported
+	// one must be Build's, the lowest vertex's, at every budget. Undirected
+	// builds get the repeats reversed, which the message names smaller id
+	// first.
 	t.Run("duplicate-ranges", func(t *testing.T) {
 		feed := func(b *graph.Builder, dups [][2]int64, reverse bool) {
 			rng := rand.New(rand.NewSource(3))
@@ -301,13 +347,13 @@ func TestBuildToStrictErrors(t *testing.T) {
 				if !errors.Is(want, graph.ErrDuplicateEdge) {
 					t.Fatalf("Build: err = %v, want ErrDuplicateEdge", want)
 				}
-				for _, workers := range []int{1, 2, 8} {
+				for _, budget := range []int64{1 << 12, 1 << 14, 1 << 20} {
 					b := graph.NewBuilder(directed, false)
-					b.SetSpill(graph.SpillOptions{Dir: t.TempDir(), BudgetBytes: 1 << 12, Workers: workers})
+					b.SetSpill(graph.SpillOptions{Dir: t.TempDir(), BudgetBytes: budget})
 					feed(b, dups, !directed)
 					err := b.BuildTo(filepath.Join(t.TempDir(), "g.snap"))
 					if err == nil || err.Error() != want.Error() {
-						t.Errorf("directed=%v dups=%v workers=%d: err = %v, want %q", directed, dups, workers, err, want)
+						t.Errorf("directed=%v dups=%v budget=%d: err = %v, want %q", directed, dups, budget, err, want)
 					}
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
@@ -135,7 +136,7 @@ func (d *driver[U]) Execute(ctx context.Context, up Uploaded, a algorithms.Algor
 		return nil, fmt.Errorf("%s: %w", d.e.Name, err)
 	}
 
-	t := granula.NewTracker(fmt.Sprintf("%s/%s", a, g.Name()), d.e.Name)
+	t := granula.NewTracker(string(a)+"/"+g.Name(), d.e.Name)
 	j := &Job{Job: req, Tracker: t}
 	t.Begin(granula.PhaseSetup)
 	cl.ResetPeak()
@@ -157,7 +158,7 @@ func (d *driver[U]) Execute(ctx context.Context, up Uploaded, a algorithms.Algor
 	cl.ResetTime()
 	t.Begin(granula.PhaseProcess)
 	out, err := kernel(ctx, u, j)
-	t.Annotate("rounds", fmt.Sprint(cl.Rounds()))
+	t.Annotate("rounds", strconv.Itoa(cl.Rounds()))
 	if d.e.Annotate != nil {
 		d.e.Annotate(u, j)
 	}

@@ -2,7 +2,7 @@ package pregel
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 
 	"graphalytics/internal/cluster"
 	"graphalytics/internal/granula"
@@ -171,14 +171,14 @@ func (r *runner[T]) run(ctx context.Context, compute func(w *worker[T], v int32,
 			return err
 		}
 		if r.tracker != nil {
-			r.tracker.Begin(fmt.Sprintf("Superstep-%d", superstep))
-			r.tracker.Annotate("active_vertices", fmt.Sprint(total))
+			r.tracker.Begin("Superstep-" + strconv.Itoa(superstep))
+			r.tracker.Annotate("active_vertices", strconv.Itoa(total))
 		}
 		r.ex.Open()
 		messages = 0
 		err := cl.RunRound(round)
 		if r.tracker != nil {
-			r.tracker.Annotate("messages_sent", fmt.Sprint(messages))
+			r.tracker.Annotate("messages_sent", strconv.FormatInt(messages, 10))
 			r.tracker.End()
 		}
 		if err != nil {

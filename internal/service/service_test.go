@@ -459,9 +459,15 @@ func (l smallBuffers) Accept() (net.Conn, error) {
 // the write deadline, the run must still complete, and a second client
 // streaming at the same time must still read the whole log — every
 // event and the three lifecycle records, ids 1 to events+3.
+//
+// The deadline covers a whole batch, here the log's 2003 records through
+// a 4 KiB send buffer, and it binds the healthy client too: it must be
+// one that client meets under the race detector on a loaded host (100 ms
+// was not, on 2 vCPUs), and short enough for the stalled handler to
+// return well within the test's 10 s wait.
 func TestStalledClientCannotWedgeStreams(t *testing.T) {
 	defer func(d time.Duration) { writeTimeout = d }(writeTimeout)
-	writeTimeout = 100 * time.Millisecond
+	writeTimeout = time.Second
 
 	const events = 2000
 	emitted, finish := make(chan struct{}), make(chan struct{})
