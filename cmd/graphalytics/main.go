@@ -36,7 +36,6 @@ import (
 	"graphalytics/internal/archive"
 	"graphalytics/internal/core"
 	"graphalytics/internal/granula"
-	"graphalytics/internal/platform"
 	"graphalytics/internal/validation"
 	"graphalytics/internal/workload"
 )
@@ -406,20 +405,9 @@ func cmdRun(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	pl, err := platform.Get(*platformName)
-	if err != nil {
-		return err
-	}
-	// The SLA window opens before upload, and the upload itself is
-	// cancellable: all bundled engines implement platform.ContextUploader.
-	jctx, cancel := context.WithTimeout(ctx, *sla)
-	defer cancel()
-	up, err := platform.UploadContext(jctx, pl, g, platform.RunConfig{Threads: *threads, Machines: *machines, Net: graphalytics.DefaultNetwork()})
-	if err != nil {
-		return err
-	}
-	defer up.Free()
-	res, err := pl.Execute(jctx, up, a, d.Params)
+	// The SLA window opens before upload and cancels it too.
+	cfg := graphalytics.RunConfig{Threads: *threads, Machines: *machines, Net: graphalytics.DefaultNetwork()}
+	res, err := graphalytics.RunWithBudget(ctx, *platformName, g, a, d.Params, cfg, *sla)
 	if err != nil {
 		return err
 	}

@@ -117,11 +117,10 @@ func PaperName(engine string) string {
 }
 
 // Run executes one algorithm on one platform end to end (upload, execute,
-// free) and returns the platform result. The context gates the whole job:
-// all bundled engines honor it during upload too (they implement
-// platform.ContextUploader), so a deadline or cancellation interrupts a
-// pathological upload instead of waiting it out. It is the simplest entry
-// point:
+// free) and returns the platform result. The context gates the whole job,
+// upload included (Platform.UploadContext), so a deadline or cancellation
+// interrupts a pathological upload instead of waiting it out. It is the
+// simplest entry point:
 //
 //	res, err := graphalytics.Run(ctx, "native", g, graphalytics.BFS,
 //	    graphalytics.Params{Source: 1}, graphalytics.RunConfig{Threads: 4})
@@ -130,10 +129,7 @@ func Run(ctx context.Context, platformName string, g *Graph, a Algorithm, p Para
 	if err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	up, err := platform.UploadContext(ctx, pl, g, cfg)
+	up, err := pl.UploadContext(ctx, g, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("graphalytics: upload to %s: %w", platformName, err)
 	}
@@ -145,9 +141,6 @@ func Run(ctx context.Context, platformName string, g *Graph, a Algorithm, p Para
 // onto ctx: the deadline covers upload plus execution, and cancelling ctx
 // aborts the job early.
 func RunWithBudget(ctx context.Context, platformName string, g *Graph, a Algorithm, p Params, cfg RunConfig, budget time.Duration) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	bctx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
 	return Run(bctx, platformName, g, a, p, cfg)

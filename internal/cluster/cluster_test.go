@@ -196,18 +196,6 @@ func TestPartitionVerticesHash(t *testing.T) {
 	}
 }
 
-func TestCutEdges(t *testing.T) {
-	g := buildTestGraph(t, false)
-	one := cluster.PartitionVerticesRange(g, 1)
-	if got := one.CutEdges(g); got != 0 {
-		t.Fatalf("single machine cut = %d, want 0", got)
-	}
-	four := cluster.PartitionVerticesRange(g, 4)
-	if got := four.CutEdges(g); got <= 0 || got > g.NumEdges() {
-		t.Fatalf("4-machine cut = %d, out of range (0, %d]", got, g.NumEdges())
-	}
-}
-
 func TestPartitionEdgesInvariants(t *testing.T) {
 	for _, directed := range []bool{true, false} {
 		t.Run(fmt.Sprintf("directed=%v", directed), func(t *testing.T) {

@@ -57,23 +57,6 @@ func PartitionVerticesHash(n, machines int) *VertexPartition {
 	return p
 }
 
-// CutEdges counts edges whose endpoints live on different machines (the
-// communication volume driver for edge-cut partitionings).
-func (p *VertexPartition) CutEdges(g *graph.Graph) int64 {
-	var cut int64
-	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		for _, u := range g.OutNeighbors(v) {
-			if p.Owner[v] != p.Owner[u] {
-				cut++
-			}
-		}
-	}
-	if !g.Directed() {
-		cut /= 2
-	}
-	return cut
-}
-
 // EdgePartition assigns every directed arc of a graph to a machine (a
 // vertex-cut, as used by the gather-apply-scatter model). Each vertex has a
 // master machine and mirror replicas on every other machine that holds at

@@ -28,14 +28,14 @@ type faultyPlatform struct {
 
 func (f *faultyPlatform) Name() string { return f.name }
 
-func (f *faultyPlatform) Upload(g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
+func (f *faultyPlatform) UploadContext(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
 	switch f.mode {
 	case "upload-error":
 		return nil, &cluster.OOMError{Machine: 0, Requested: 1, Budget: 0}
 	case "upload-panic":
 		panic("injected upload panic")
 	}
-	return f.Platform.Upload(g, cfg)
+	return f.Platform.UploadContext(ctx, g, cfg)
 }
 
 func (f *faultyPlatform) Execute(ctx context.Context, up platform.Uploaded, a algorithms.Algorithm, p algorithms.Params) (*platform.Result, error) {
@@ -146,7 +146,7 @@ func TestHarnessClassifiesUploadOOM(t *testing.T) {
 // deployment, a panic in Upload fails all three jobs and leaves no handle
 // to Free; a panic in job 1's Execute — on the calling goroutine or on a
 // par.Chunks worker — fails that job alone, jobs 2 and 3 run on the shared
-// upload, and the lease Frees it exactly once.
+// upload, and the group Frees it exactly once.
 func TestHarnessIsolatesEnginePanics(t *testing.T) {
 	for _, tc := range []struct {
 		mode           string

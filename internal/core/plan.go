@@ -8,7 +8,6 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"graphalytics/internal/algorithms"
@@ -276,65 +275,55 @@ func (p *Plan) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// uploadLease shares one platform.Uploaded handle across the jobs of a
-// deployment group: the first job to need it performs the upload
-// (single-flighted), every job releases its reference when done — whether
-// it ran, failed or was cancelled before starting — and the last release
-// frees the handle, so Uploaded.Free runs exactly once per group.
-type uploadLease struct {
-	refs atomic.Int32
-	once sync.Once
-	up   platform.Uploaded
-	dur  time.Duration
-	err  error
+// deployment is the upload the jobs of one deployment group share. The
+// first job that needs the graph performs the upload; the group's later
+// jobs reuse its handle, or its error. One goroutine runs the group's
+// jobs in turn and frees the handle once, after the last of them, so the
+// value needs no lock: RunPlan's worker owns it, and RunJob a one-job
+// group of its own.
+type deployment struct {
+	uploaded bool
+	up       platform.Uploaded
+	dur      time.Duration
+	err      error
 }
 
-// newUploadLease returns a lease pre-charged with one reference per job of
-// its group, so cancelled jobs release references they never used.
-func newUploadLease(jobs int) *uploadLease {
-	l := &uploadLease{}
-	l.refs.Store(int32(jobs))
-	return l
+// upload returns the group's uploaded handle, running do only for the
+// first job that asks; shared reports whether the handle (or error) came
+// from an earlier job's upload.
+func (d *deployment) upload(do func() (platform.Uploaded, time.Duration, error)) (up platform.Uploaded, dur time.Duration, shared bool, err error) {
+	shared = d.uploaded
+	if !shared {
+		d.uploaded = true
+		d.up, d.dur, d.err = do()
+	}
+	return d.up, d.dur, shared, d.err
 }
 
-// upload returns the group's uploaded handle, running do at most once;
-// shared reports whether this call reused an upload performed by another
-// job (false exactly once per group, for the job that paid for it).
-func (l *uploadLease) upload(do func() (platform.Uploaded, time.Duration, error)) (up platform.Uploaded, dur time.Duration, shared bool, err error) {
-	performed := false
-	l.once.Do(func() {
-		l.up, l.dur, l.err = do()
-		performed = true
-	})
-	return l.up, l.dur, !performed, l.err
-}
-
-// release drops one reference; the last reference frees the upload. The
-// atomic decrement chain orders every job's use of the handle before the
-// final Free.
-func (l *uploadLease) release() {
-	if l.refs.Add(-1) == 0 && l.up != nil {
-		l.up.Free()
+// free releases the group's upload, if one was performed.
+func (d *deployment) free() {
+	if d.up != nil {
+		d.up.Free()
 	}
 }
 
 // RunPlan executes a compiled plan on the session's bounded worker pool
 // and returns one result per plan job, in plan order. Jobs of the same
-// deployment group share a single graph upload through a ref-counted
-// lease: the first job performs it (under the job SLA, cancellable), the
-// rest reuse the handle, and the last job to finish frees it — an
-// N-algorithm sweep pays one upload instead of N. The *deployment* is
-// the unit of parallelism: a group's jobs run sequentially on one worker
-// (engines hang per-upload state — clusters, message arenas — off the
-// handle, so concurrent execution on one handle would interleave their
-// counters), while distinct deployments overlap up to WithParallelism.
-// Each job's UploadTime records the group's real upload and UploadShared
-// whether it was amortized; SLA accounting charges the recorded upload
-// against every job's budget, so statuses match a per-job-upload run
-// (RunAll). Results are delivered to the session's sinks in plan order. Per-call options override session settings for
-// this plan only. Cancelling ctx interrupts in-flight jobs and marks the
-// rest StatusCanceled; leases still drain, freeing every performed upload
-// exactly once.
+// deployment group share a single graph upload: the first job performs it
+// (under the job SLA, cancellable), the rest reuse the handle, and the
+// group's worker frees it after the last job — an N-algorithm sweep pays
+// one upload instead of N. The *deployment* is the unit of parallelism: a
+// group's jobs run sequentially on one worker (engines hang per-upload
+// state — clusters, message arenas — off the handle, so concurrent
+// execution on one handle would interleave their counters), while
+// distinct deployments overlap up to WithParallelism. Each job's
+// UploadTime records the group's real upload and UploadShared whether it
+// was amortized; SLA accounting charges the recorded upload against every
+// job's budget, so statuses match a per-job-upload run (RunAll). Results
+// are delivered to the session's sinks in plan order. Per-call options
+// override session settings for this plan only. Cancelling ctx interrupts
+// in-flight jobs and marks the rest StatusCanceled; every performed
+// upload is still freed exactly once.
 func (s *Session) RunPlan(ctx context.Context, p *Plan, opts ...Option) ([]JobResult, error) {
 	if err := p.check(); err != nil {
 		return nil, err
@@ -391,13 +380,12 @@ func (s *Session) RunPlan(ctx context.Context, p *Plan, opts ...Option) ([]JobRe
 		go func() {
 			defer wg.Done()
 			for gi := range groups {
-				dep := p.Deployments[gi]
-				lease := newUploadLease(len(dep.Jobs))
-				for _, ji := range dep.Jobs {
-					results[ji], errs[ji] = batch.execute(ctx, p.Jobs[ji], batchPos{index: ji, total: len(p.Jobs)}, lease)
-					lease.release()
+				var dep deployment
+				for _, ji := range p.Deployments[gi].Jobs {
+					results[ji], errs[ji] = batch.execute(ctx, p.Jobs[ji], batchPos{index: ji, total: len(p.Jobs)}, &dep)
 					commit(ji)
 				}
+				dep.free()
 			}
 		}()
 	}

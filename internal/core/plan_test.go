@@ -39,8 +39,8 @@ func (u *countingUpload) Free() {
 	u.Uploaded.Free()
 }
 
-func (c *countingPlatform) Upload(g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
-	up, err := c.Platform.Upload(g, cfg)
+func (c *countingPlatform) UploadContext(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
+	up, err := c.Platform.UploadContext(ctx, g, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -230,8 +230,8 @@ func TestRunPlanMatchesPerJobUploads(t *testing.T) {
 
 // TestRunPlanFreeOnceOnCancellation cancels a batch after its first job
 // finishes — mid-group for RunPlan, mid-batch for RunAll — at worker
-// counts 1, 2 and 8 and checks the leases still drain: every performed
-// upload is freed exactly once, jobs that never started are canceled, and
+// counts 1, 2 and 8 and checks that every performed upload is still
+// freed exactly once, jobs that never started are canceled, and
 // nothing deadlocks. The plan has more jobs than the largest pool, so
 // some job is always still waiting when the cancellation lands.
 func TestRunPlanFreeOnceOnCancellation(t *testing.T) {
@@ -324,7 +324,7 @@ func TestRunPlanAllCancelledBeforeUpload(t *testing.T) {
 }
 
 // TestRunAllAndRunJobUploadPerJob: RunAll and RunJob give every job a
-// one-reference lease of its own — one upload, one free and one
+// one-job deployment of its own — one upload, one free and one
 // deployment-uploaded event per job at any worker count, and no result
 // marked as sharing.
 func TestRunAllAndRunJobUploadPerJob(t *testing.T) {

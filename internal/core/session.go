@@ -298,9 +298,9 @@ type batchPos struct{ index, total int }
 // reserved for harness-level problems (unknown platform or dataset, a
 // failing sink).
 func (s *Session) RunJob(ctx context.Context, spec JobSpec) (JobResult, error) {
-	lease := newUploadLease(1)
-	res, err := s.execute(ctx, spec, batchPos{}, lease)
-	lease.release()
+	var dep deployment
+	res, err := s.execute(ctx, spec, batchPos{}, &dep)
+	dep.free()
 	return res, errors.Join(err, s.record(res))
 }
 
@@ -327,27 +327,22 @@ func (s *Session) record(res JobResult) error {
 	return errors.Join(errs...)
 }
 
-// classifyUpload maps a failed upload to a job status, distinguishing the
-// caller's cancellation from the job's own SLA timer.
-func classifyUpload(callerErr, err error, uploadTime, sla time.Duration) (Status, string) {
-	ctxErr := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-	switch {
-	case callerErr != nil && ctxErr:
-		// The caller's context ended, not the job's SLA timer.
+// jobStatus maps a job's failure to its status. A context error while
+// the caller's ctx has ended is StatusCanceled — the batch stopped, not
+// the job's SLA timer — and every other error is classified on its own.
+func jobStatus(ctx context.Context, err error) (Status, string) {
+	if ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		return StatusCanceled, err.Error()
-	case errors.Is(err, context.DeadlineExceeded):
-		return StatusSLABreak, fmt.Sprintf("upload time %v exceeds SLA %v", uploadTime, sla)
-	default:
-		return classify(err)
 	}
+	return classify(err)
 }
 
 // execute runs one job without recording it, emitting the job's start and
-// finish events. The job's uploaded graph comes from lease: its deployment
-// group's (see RunPlan), or a one-reference lease of its own (RunJob,
-// RunAll). The lease's reference is released by the caller, not here, so
-// the handle outlives this job for the group.
-func (s *Session) execute(ctx context.Context, spec JobSpec, pos batchPos, lease *uploadLease) (res JobResult, err error) {
+// finish events. The job's uploaded graph comes from dep, the upload its
+// deployment group shares (see RunPlan; RunJob's group is the one job).
+// The caller frees dep after the group's last job, not here, so the
+// handle outlives this job for the group.
+func (s *Session) execute(ctx context.Context, spec JobSpec, pos batchPos, dep *deployment) (res JobResult, err error) {
 	s.emit(Event{Type: EventJobStarted, Spec: spec, Index: pos.index, Total: pos.total})
 	defer func() {
 		r := res
@@ -356,10 +351,9 @@ func (s *Session) execute(ctx context.Context, spec JobSpec, pos batchPos, lease
 
 	res = JobResult{Spec: spec, Timestamp: clock.Now()}
 	if cerr := ctx.Err(); cerr != nil {
-		// The caller's context ended before this job started. Whether it
-		// was canceled or its deadline expired, the batch stopped — this
-		// is not an SLA break of the job.
-		res.Status, res.Error = StatusCanceled, cerr.Error()
+		// The caller's context ended before this job started: the batch
+		// stopped.
+		res.Status, res.Error = jobStatus(ctx, cerr)
 		return res, nil
 	}
 	p, err := platform.Get(spec.Platform)
@@ -399,35 +393,33 @@ func (s *Session) execute(ctx context.Context, spec JobSpec, pos batchPos, lease
 
 	// The SLA window opens before upload: the benchmark's makespan budget
 	// covers the whole job, so a pathological upload breaks the SLA too —
-	// and, with context-aware drivers, is cancelled as it breaks it. The
+	// and is cancelled as it breaks it. The
 	// deployment's first job performs the upload under its own SLA-sized
 	// window; every job is then charged the recorded upload time, so the
 	// execute budget jctx leaves — and therefore the statuses — are the
 	// same whether a job paid for the upload or reused it.
 	var up platform.Uploaded
-	up, res.UploadTime, res.UploadShared, err = lease.upload(func() (platform.Uploaded, time.Duration, error) {
+	up, res.UploadTime, res.UploadShared, err = dep.upload(func() (platform.Uploaded, time.Duration, error) {
 		uctx, ucancel := context.WithTimeout(ctx, sla)
 		defer ucancel()
 		start := clock.Now()
-		u, uerr := recovered(func() (platform.Uploaded, error) { return platform.UploadContext(uctx, p, g, cfg) })
+		u, uerr := recovered(func() (platform.Uploaded, error) { return p.UploadContext(uctx, g, cfg) })
 		dur := clock.Now().Sub(start)
 		if uerr == nil {
 			s.emit(Event{Type: EventDeploymentUploaded, Spec: spec, Elapsed: dur})
 		}
 		return u, dur, uerr
 	})
-	if err != nil {
-		res.Status, res.Error = classifyUpload(ctx.Err(), err, res.UploadTime, sla)
-		return res, nil
-	}
+	// What the upload left of the SLA window is the execute budget; an
+	// upload that failed, or used the window up, ends the job here.
 	jctx, cancel := context.WithTimeout(ctx, sla-res.UploadTime)
 	defer cancel()
-	if cerr := jctx.Err(); cerr != nil {
-		if ctx.Err() != nil {
-			// The caller's context ended, not the job's SLA timer.
-			res.Status, res.Error = StatusCanceled, ctx.Err().Error()
-		} else {
-			res.Status = StatusSLABreak
+	if err == nil {
+		err = jctx.Err()
+	}
+	if err != nil {
+		res.Status, res.Error = jobStatus(ctx, err)
+		if res.Status == StatusSLABreak {
 			res.Error = fmt.Sprintf("upload time %v exceeds SLA %v", res.UploadTime, sla)
 		}
 		return res, nil
@@ -437,12 +429,7 @@ func (s *Session) execute(ctx context.Context, spec JobSpec, pos batchPos, lease
 	out, err := recovered(func() (*platform.Result, error) { return p.Execute(jctx, up, spec.Algorithm, d.Params) })
 	res.Makespan = clock.Now().Sub(execStart)
 	if err != nil {
-		if ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			// The context error came from the caller, not the SLA timer.
-			res.Status, res.Error = StatusCanceled, err.Error()
-		} else {
-			res.Status, res.Error = classify(err)
-		}
+		res.Status, res.Error = jobStatus(ctx, err)
 		return res, nil
 	}
 	if job := res.UploadTime + res.Makespan; job > sla {

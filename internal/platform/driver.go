@@ -63,9 +63,9 @@ type Engine[U upload] struct {
 	Annotate func(u U, j *Job)
 }
 
-// driver is the one implementation of Platform and ContextUploader. It
-// owns the engine's scratch pool: every upload reaches it, so the
-// engine's arenas live as long as the platform, not as one upload.
+// driver is the one implementation of Platform. It owns the engine's
+// scratch pool: every upload reaches it, so the engine's arenas live as
+// long as the platform, not as one upload.
 type driver[U upload] struct {
 	e    Engine[U]
 	pool mplane.Pool
@@ -84,7 +84,7 @@ func (d *driver[U]) Supports(a algorithms.Algorithm) bool {
 }
 
 func (d *driver[U]) Upload(g *graph.Graph, cfg RunConfig) (Uploaded, error) {
-	//graphalint:ctxbg ctx-less platform.Platform compatibility method; UploadContext is the ctx-first path
+	//graphalint:ctxbg ctx-less platform.Platform method kept for bench's kernel workload; UploadContext is the ctx-first path
 	return d.UploadContext(context.Background(), g, cfg)
 }
 

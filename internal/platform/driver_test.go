@@ -92,7 +92,7 @@ func TestDriverRejectsBadRequests(t *testing.T) {
 
 func TestDriverExecute(t *testing.T) {
 	p := fakeEngine([]int64{10, 20}, 5)
-	up, err := platform.UploadContext(context.Background(), p, pathGraph(t, true), platform.RunConfig{Machines: 2})
+	up, err := p.UploadContext(context.Background(), pathGraph(t, true), platform.RunConfig{Machines: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestDriverUploadErrors(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := platform.UploadContext(ctx, single, g, platform.RunConfig{}); !errors.Is(err, context.Canceled) {
+	if _, err := single.UploadContext(ctx, g, platform.RunConfig{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled upload: err = %v, want context.Canceled", err)
 	}
 }

@@ -96,43 +96,16 @@ type Platform interface {
 	// Supports reports whether the platform implements the algorithm
 	// (mirroring the paper: e.g. the push-pull engine has no LCC).
 	Supports(a algorithms.Algorithm) bool
-	// Upload pre-processes the graph into the platform's format.
+	// UploadContext pre-processes the graph into the platform's format.
+	// It is gated by ctx, which carries the job's SLA deadline: once ctx
+	// ends it returns a wrapped context error, without leaking resources.
+	UploadContext(ctx context.Context, g *graph.Graph, cfg RunConfig) (Uploaded, error)
+	// Upload is UploadContext under a context that never ends.
 	Upload(g *graph.Graph, cfg RunConfig) (Uploaded, error)
 	// Execute runs one algorithm job on an uploaded graph. The context
 	// carries the SLA deadline; engines must abandon work once it is
 	// cancelled.
 	Execute(ctx context.Context, up Uploaded, a algorithms.Algorithm, p algorithms.Params) (*Result, error)
-}
-
-// ContextUploader is implemented by platforms whose Upload honors a
-// context: a pathological upload can then be cancelled by the harness's
-// SLA timer while it runs, instead of only being checked after it
-// returns. All engines in this repository implement it; external drivers
-// may omit it and fall back to a post-upload check (see UploadContext).
-type ContextUploader interface {
-	// UploadContext is Upload gated by ctx: it returns a wrapped context
-	// error — without leaking resources — once ctx ends.
-	UploadContext(ctx context.Context, g *graph.Graph, cfg RunConfig) (Uploaded, error)
-}
-
-// UploadContext uploads g through p under ctx. Platforms implementing
-// ContextUploader are cancelled mid-upload; for the rest the upload runs
-// to completion and ctx is checked afterwards, freeing the upload if the
-// context ended in the meantime. The returned error wraps ctx's error in
-// both cases, so callers classify cancellation uniformly.
-func UploadContext(ctx context.Context, p Platform, g *graph.Graph, cfg RunConfig) (Uploaded, error) {
-	if cu, ok := p.(ContextUploader); ok {
-		return cu.UploadContext(ctx, g, cfg)
-	}
-	up, err := p.Upload(g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		up.Free()
-		return nil, fmt.Errorf("platform: upload cancelled: %w", cerr)
-	}
-	return up, nil
 }
 
 // ErrNotDistributed is returned when a single-machine platform is asked to

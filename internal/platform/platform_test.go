@@ -19,6 +19,9 @@ func (f *fake) Name() string                         { return f.name }
 func (f *fake) Description() string                  { return "fake" }
 func (f *fake) Distributed() bool                    { return false }
 func (f *fake) Supports(a algorithms.Algorithm) bool { return a == algorithms.BFS }
+func (f *fake) UploadContext(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
+	return &platform.BaseUpload{G: g, Cl: cluster.New(cfg.ClusterConfig())}, nil
+}
 func (f *fake) Upload(g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
 	return &platform.BaseUpload{G: g, Cl: cluster.New(cfg.ClusterConfig())}, nil
 }

@@ -79,7 +79,7 @@ func fingerprint(t *testing.T, corpus []conformance.Case, configs func(platform.
 		for _, c := range corpus {
 			for _, cfg := range configs(p) {
 				rc := platform.RunConfig{Threads: cfg.Threads, Machines: cfg.Machines, Net: cluster.DefaultNetwork()}
-				up, err := platform.UploadContext(ctx, p, c.Graph, rc)
+				up, err := p.UploadContext(ctx, c.Graph, rc)
 				if err != nil {
 					t.Fatalf("%s: upload %s (t%d-m%d): %v", p.Name(), c.Name, cfg.Threads, cfg.Machines, err)
 				}

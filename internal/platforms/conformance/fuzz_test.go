@@ -214,12 +214,12 @@ func FuzzEnginesMatchOracle(f *testing.F) {
 		}
 		defer mapped.Close()
 		rc := platform.RunConfig{Threads: c.threads, Machines: c.machines}
-		up, err := platform.UploadContext(ctx, p, c.g, rc)
+		up, err := p.UploadContext(ctx, c.g, rc)
 		if err != nil {
 			t.Fatalf("%s: upload: %v", e.name, err)
 		}
 		defer up.Free()
-		upMapped, err := platform.UploadContext(ctx, p, mapped, rc)
+		upMapped, err := p.UploadContext(ctx, mapped, rc)
 		if err != nil {
 			t.Fatalf("%s: upload mapped: %v", e.name, err)
 		}

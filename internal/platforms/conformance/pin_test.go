@@ -63,7 +63,7 @@ func runAndFree(t *testing.T, at string, p platform.Platform, directed bool) (we
 	if p.Distributed() {
 		rc.Machines = 2
 	}
-	up, err := platform.UploadContext(context.Background(), p, g, rc)
+	up, err := p.UploadContext(context.Background(), g, rc)
 	if err != nil {
 		t.Fatalf("%s: upload: %v", at, err)
 	}

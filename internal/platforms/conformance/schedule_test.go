@@ -99,7 +99,7 @@ func TestSSSPRoundsDoNotDependOnTheDeployment(t *testing.T) {
 			}
 			for _, cfg := range conformance.Configs(p) {
 				at := fmt.Sprintf("%s t%d-m%d", name, cfg.Threads, cfg.Machines)
-				up, err := platform.UploadContext(ctx, p, c.Graph, platform.RunConfig{Threads: cfg.Threads, Machines: cfg.Machines})
+				up, err := p.UploadContext(ctx, c.Graph, platform.RunConfig{Threads: cfg.Threads, Machines: cfg.Machines})
 				if err != nil {
 					t.Fatalf("%s: upload %s: %v", at, c.Name, err)
 				}
@@ -134,7 +134,7 @@ func TestNativeMatchesOracleBitForBit(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range append(conformance.Corpus(), scheduleCorpus(t)...) {
 		for _, threads := range []int{1, 3, 8} {
-			up, err := platform.UploadContext(ctx, p, c.Graph, platform.RunConfig{Threads: threads, Machines: 1})
+			up, err := p.UploadContext(ctx, c.Graph, platform.RunConfig{Threads: threads, Machines: 1})
 			if err != nil {
 				t.Fatalf("upload %s: %v", c.Name, err)
 			}
@@ -205,7 +205,7 @@ func TestRangeEnginesMatchOracleBitForBit(t *testing.T) {
 				}
 				for _, threads := range []int{1, 3, 8} {
 					at := fmt.Sprintf("%s %s %s t%d-m%d", d.name, c.Name, a, threads, d.machines)
-					up, err := platform.UploadContext(ctx, p, c.Graph, platform.RunConfig{Threads: threads, Machines: d.machines})
+					up, err := p.UploadContext(ctx, c.Graph, platform.RunConfig{Threads: threads, Machines: d.machines})
 					if err != nil {
 						t.Fatalf("%s: upload: %v", at, err)
 					}

@@ -35,8 +35,8 @@ func TestOutOfCoreGraph500Scale20(t *testing.T) {
 		numEdges     = edgeFactor << scale  // 16.7M generated edges
 		rawEdgeBytes = int64(numEdges) * 24 // []graph.Edge footprint the heap never pays
 		heapCap      = int64(256) << 20     // well below rawEdgeBytes (~403 MB)
-		// The snapshot's IEEE CRC-32 and size, as the sequential merge wrote
-		// them: the ~32-run merge at any worker count must reproduce them.
+		// The snapshot's IEEE CRC-32 and size: the key-range build of the
+		// ~32 runs must write these bytes at any worker count.
 		wantCRC, wantSize = 0xe875829c, 142_381_072
 	)
 	if os.Getenv("GOMEMLIMIT") == "" {
