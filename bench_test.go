@@ -754,8 +754,8 @@ func BenchmarkRefKernelLCC(b *testing.B) {
 // BenchmarkPlanSharedUpload measures what deployment-group upload leasing
 // saves: the canonical algorithm-sweep plan (1 platform x 1 dataset x 5
 // algorithms) on the largest stand-in, executed by RunPlan with one shared
-// upload per deployment (shared) versus by RunAll with one upload per job
-// (perjob). The gas engine's vertex-cut upload is the costliest of the
+// upload per deployment (shared) versus on a plan that makes each job a
+// deployment of its own (perjob). The gas engine's vertex-cut upload is the costliest of the
 // six engines, so it bounds the benefit from above among
 // single-deployment sweeps; validation is off so only harness-visible
 // work is timed.
@@ -773,13 +773,19 @@ func BenchmarkPlanSharedUpload(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	perJob := &graphalytics.Plan{Name: "per-job", Jobs: plan.Jobs}
+	for i, job := range plan.Jobs {
+		perJob.Deployments = append(perJob.Deployments, graphalytics.Deployment{
+			Platform: job.Platform, Dataset: job.Dataset, Config: plan.Deployments[0].Config, Jobs: []int{i},
+		})
+	}
 	s := newBenchSession(graphalytics.WithValidation(false))
 	for _, mode := range []struct {
 		name string
 		run  func() ([]graphalytics.JobResult, error)
 	}{
 		{"shared", func() ([]graphalytics.JobResult, error) { return s.RunPlan(context.Background(), plan) }},
-		{"perjob", func() ([]graphalytics.JobResult, error) { return s.RunAll(context.Background(), plan.Jobs) }},
+		{"perjob", func() ([]graphalytics.JobResult, error) { return s.RunPlan(context.Background(), perJob) }},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -13,31 +13,29 @@ import (
 	"graphalytics/internal/workload"
 )
 
-// Session is the harness's context-first orchestrator: it runs benchmark
-// jobs with SLA enforcement, single-flighted reference validation,
-// in-order result delivery to sinks, a bounded-parallelism scheduler
-// (RunAll) and a streaming progress Observer. Construct one with NewSession and
+// Session is the harness's context-first orchestrator: RunPlan runs a
+// plan's jobs with SLA enforcement, single-flighted reference validation,
+// in-order result delivery to sinks, a bounded-parallelism scheduler and
+// a streaming progress Observer. Construct one with NewSession and
 // functional options; see DESIGN.md for the full API.
 type Session = core.Session
 
-// Option configures a Session (or one RunAll batch).
+// Option configures a Session (or one RunPlan run).
 type Option = core.Option
 
 // ExperimentConfig parameterizes the experiment suites run through a
 // Session (platform sets, resource axes, experiment-specific knobs).
 type ExperimentConfig = core.ExperimentConfig
 
-// NewSession returns a session with validation on, the default network
-// model and GOMAXPROCS parallelism, overridden by the given options.
+// NewSession returns a session with validation on and GOMAXPROCS
+// parallelism, overridden by the given options.
 func NewSession(opts ...Option) *Session { return core.NewSession(opts...) }
 
-// Functional options for NewSession and Session.RunAll.
-func WithSLA(d time.Duration) Option            { return core.WithSLA(d) }
-func WithValidation(on bool) Option             { return core.WithValidation(on) }
-func WithNetwork(n cluster.NetworkModel) Option { return core.WithNetwork(n) }
-func WithParallelism(n int) Option              { return core.WithParallelism(n) }
-func WithReferenceParallelism(n int) Option     { return core.WithReferenceParallelism(n) }
-func WithObserver(o Observer) Option            { return core.WithObserver(o) }
+// Functional options for NewSession and Session.RunPlan.
+func WithSLA(d time.Duration) Option { return core.WithSLA(d) }
+func WithValidation(on bool) Option  { return core.WithValidation(on) }
+func WithParallelism(n int) Option   { return core.WithParallelism(n) }
+func WithObserver(o Observer) Option { return core.WithObserver(o) }
 
 // NetworkModel is the interconnect model distributed jobs are charged
 // against; DefaultNetwork approximates the paper's testbed baseline.
@@ -57,9 +55,6 @@ type (
 	Event        = core.Event
 	EventType    = core.EventType
 )
-
-// MultiObserver fans one event stream out to several observers.
-func MultiObserver(obs ...Observer) Observer { return core.MultiObserver(obs...) }
 
 // The event stream: per-job start/finish, per-experiment phase,
 // per-dataset materialization and per-deployment upload events.
@@ -175,8 +170,9 @@ func GenerateGraph500(cfg Graph500Config) (*Graph, error) { return graph500.Gene
 // ctx.Err().
 func RenewClassL(ctx context.Context, platformName string, threads int, budget time.Duration) (string, error) {
 	timer := func(g *Graph, source int64) (time.Duration, error) {
-		res, err := RunWithBudget(ctx, platformName, g, BFS, Params{Source: source},
-			RunConfig{Threads: threads, Machines: 1}, budget*10)
+		bctx, cancel := context.WithTimeout(ctx, budget*10)
+		defer cancel()
+		res, err := Run(bctx, platformName, g, BFS, Params{Source: source}, RunConfig{Threads: threads, Machines: 1})
 		if err != nil {
 			return 0, err
 		}

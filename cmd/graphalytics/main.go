@@ -147,10 +147,7 @@ func progressObserver(w io.Writer) graphalytics.Observer {
 				fmt.Fprintf(w, "%s    dataset %-6s %-9s %v\n", stamp, e.Dataset, e.Source, e.Elapsed.Round(time.Microsecond))
 			}
 		case graphalytics.EventJobFinished:
-			pos := ""
-			if e.Total > 0 {
-				pos = fmt.Sprintf("[%d/%d] ", e.Index+1, e.Total)
-			}
+			pos := fmt.Sprintf("[%d/%d] ", e.Index+1, e.Total)
 			if e.Err != nil {
 				fmt.Fprintf(w, "%s    %s%s/%s/%s: harness error: %v\n",
 					stamp, pos, e.Spec.Platform, e.Spec.Dataset, e.Spec.Algorithm, e.Err)
@@ -407,7 +404,9 @@ func cmdRun(ctx context.Context, args []string) error {
 	}
 	// The SLA window opens before upload and cancels it too.
 	cfg := graphalytics.RunConfig{Threads: *threads, Machines: *machines, Net: graphalytics.DefaultNetwork()}
-	res, err := graphalytics.RunWithBudget(ctx, *platformName, g, a, d.Params, cfg, *sla)
+	jctx, cancel := context.WithTimeout(ctx, *sla)
+	defer cancel()
+	res, err := graphalytics.Run(jctx, *platformName, g, a, d.Params, cfg)
 	if err != nil {
 		return err
 	}

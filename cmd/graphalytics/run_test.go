@@ -83,10 +83,14 @@ func TestRunSingleJobWritesArchiveAndOutput(t *testing.T) {
 }
 
 // TestRunSingleJobSLA: the -sla window covers the upload, so a budget no
-// upload fits in fails the run with the deadline.
+// upload fits in fails the run with the deadline. The error carries no
+// "graphalytics: " prefix of its own: main adds it once.
 func TestRunSingleJobSLA(t *testing.T) {
 	err := cmdRun(context.Background(), []string{"-platform", "native", "-dataset", "R1", "-algorithm", "BFS", "-sla", "1ns"})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if strings.HasPrefix(err.Error(), "graphalytics: ") {
+		t.Errorf("err = %q, want no graphalytics: prefix (main adds it)", err)
 	}
 }

@@ -24,7 +24,6 @@ package graphalytics
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/graph"
@@ -131,26 +130,16 @@ func Run(ctx context.Context, platformName string, g *Graph, a Algorithm, p Para
 	}
 	up, err := pl.UploadContext(ctx, g, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("graphalytics: upload to %s: %w", platformName, err)
+		return nil, fmt.Errorf("upload to %s: %w", platformName, err)
 	}
 	defer up.Free()
 	return pl.Execute(ctx, up, a, p)
 }
 
-// RunWithBudget is Run bounded by an SLA-style makespan budget layered
-// onto ctx: the deadline covers upload plus execution, and cancelling ctx
-// aborts the job early.
-func RunWithBudget(ctx context.Context, platformName string, g *Graph, a Algorithm, p Params, cfg RunConfig, budget time.Duration) (*Result, error) {
-	bctx, cancel := context.WithTimeout(ctx, budget)
-	defer cancel()
-	return Run(bctx, platformName, g, a, p, cfg)
-}
-
 // Reference computes the reference output that defines correctness for an
 // algorithm on a graph. Reference kernels run in parallel on the shared
 // internal fork-join runtime with automatic worker sizing; the output is
-// bit-identical to the sequential reference at any worker count (see
-// WithReferenceParallelism to pin the worker count on a Session).
+// bit-identical to the sequential reference at any worker count.
 func Reference(g *Graph, a Algorithm, p Params) (*Output, error) {
 	return algorithms.RunReference(g, a, p)
 }

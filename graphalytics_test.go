@@ -59,18 +59,6 @@ func TestFacadeRunUnknownPlatform(t *testing.T) {
 	}
 }
 
-func TestFacadeRunWithBudget(t *testing.T) {
-	g := toyGraph(t)
-	res, err := graphalytics.RunWithBudget(context.Background(), "native", g, graphalytics.BFS,
-		graphalytics.Params{Source: 1}, graphalytics.RunConfig{Threads: 1}, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ProcessingTime <= 0 {
-		t.Fatal("expected positive processing time")
-	}
-}
-
 func TestFacadePaperNames(t *testing.T) {
 	want := map[string]string{
 		"pregel":   "Giraph",
@@ -165,7 +153,7 @@ func TestFacadeSessionRunAll(t *testing.T) {
 		{Platform: "spmv-s", Dataset: "R1", Algorithm: graphalytics.PR, Threads: 2, Machines: 1},
 		{Platform: "native", Dataset: "R2", Algorithm: graphalytics.WCC, Threads: 2, Machines: 1},
 	}
-	results, err := s.RunAll(context.Background(), specs)
+	results, err := s.RunPlan(context.Background(), graphalytics.PlanFromSpecs("facade", specs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +245,11 @@ func TestFacadeWarmCatalogAndCacheDirSession(t *testing.T) {
 			}
 		})),
 	)
-	res, err := s.RunJob(context.Background(), graphalytics.JobSpec{
+	results, err := s.RunPlan(context.Background(), graphalytics.PlanFromSpecs("warm", []graphalytics.JobSpec{{
 		Platform: "native", Dataset: "D300", Algorithm: graphalytics.BFS, Threads: 2, Machines: 1,
-	})
-	if err != nil || res.Status != graphalytics.StatusOK {
-		t.Fatalf("status=%v err=%v", res.Status, err)
+	}}))
+	if err != nil || results[0].Status != graphalytics.StatusOK {
+		t.Fatalf("status=%v err=%v", results[0].Status, err)
 	}
 	if len(badSources) > 0 {
 		t.Fatalf("warmed session regenerated %v", badSources)

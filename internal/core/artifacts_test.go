@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -83,4 +84,35 @@ func TestPaperArtifactsGolden(t *testing.T) {
 	if len(a) != len(b) {
 		t.Fatalf("parallelism 1 streamed %d results, parallelism 8 %d", len(a)-1, len(b)-1)
 	}
+}
+
+// TestStressTestProbes pins how table 10 probes: the sink sees exactly
+// the results the run returns, in the same order; no probe of a platform
+// runs after that platform's first non-OK result; and the report is the
+// live golden's.
+func TestStressTestProbes(t *testing.T) {
+	defer clock.SetForTesting(func() time.Time { return time.Date(2016, 9, 5, 0, 0, 0, 0, time.UTC) })()
+	var delivered []core.JobResult
+	s := core.NewSession(core.WithSLA(2*time.Minute), core.WithParallelism(1), core.WithSink(collectSink(&delivered)))
+	spec, results, err := s.RunMatrix(context.Background(), "table10", liveConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(delivered) != len(results) {
+		t.Fatalf("sink received %d results, the run returned %d", len(delivered), len(results))
+	}
+	for i := range results {
+		if !reflect.DeepEqual(delivered[i], results[i]) {
+			t.Fatalf("sink result %d differs from the returned one:\n%+v\n%+v", i, delivered[i], results[i])
+		}
+	}
+	failed := map[string]bool{}
+	for i, res := range results {
+		if failed[res.Spec.Platform] {
+			t.Errorf("probe %d (%s on %s) ran after %s's first failure", i, res.Spec.Dataset, res.Spec.Platform, res.Spec.Platform)
+		}
+		failed[res.Spec.Platform] = !res.Completed()
+	}
+	exp, _ := core.ExperimentByID("table10")
+	checkGolden(t, "live/table10", exp.Render(spec, results))
 }

@@ -20,24 +20,23 @@ const (
 	// harness and one regenerating everything.
 	EventDatasetMaterialized EventType = "dataset-materialized"
 	// EventDeploymentUploaded fires when an upload completes — once per
-	// deployment group of a RunPlan, once per job of a RunAll or RunJob
-	// (each job being a deployment of its own): Spec is the job that
-	// performed it and Elapsed the upload wall time. Counting these
-	// events counts real uploads.
+	// deployment group of a plan: Spec is the job that performed it and
+	// Elapsed the upload wall time. Counting these events counts real
+	// uploads.
 	EventDeploymentUploaded EventType = "deployment-uploaded"
 )
 
 // Event is one progress notification. Job events carry the spec and — on
 // finish — the result; experiment events carry the artifact ID (e.g.
-// "fig4"). Index and Total locate a job inside a RunAll batch; Total is
-// zero for standalone RunJob calls.
+// "fig4"). Index and Total locate a job inside the plan it runs in, so
+// Total is at least 1 on every job event.
 type Event struct {
 	Type EventType
 
 	// Seq is the monotonic per-session sequence number, stamped by the
 	// session at delivery: the first event a session emits has Seq 1 and
 	// consecutive events have consecutive numbers, with no gaps, in
-	// delivery order. Batches derived from one session (RunAll/RunPlan
+	// delivery order. Batches derived from one session (RunPlan
 	// per-call options) share the session's counter, so Seq totally
 	// orders the whole session's stream — which is what lets a streaming
 	// consumer (e.g. the daemon's SSE stream) resume after a disconnect and
@@ -51,8 +50,8 @@ type Event struct {
 	Spec   JobSpec
 	Result *JobResult // always non-nil on EventJobFinished; nil on other event types
 	Err    error      // harness-level error, if the job could not be attempted
-	Index  int        // zero-based position in the batch
-	Total  int        // batch size; zero outside RunAll
+	Index  int        // zero-based position in the plan
+	Total  int        // number of jobs in the plan
 
 	// Experiment events: the report ID of the artifact being generated.
 	Experiment string
@@ -90,17 +89,6 @@ type ObserverFunc func(Event)
 
 // Observe calls f(e).
 func (f ObserverFunc) Observe(e Event) { f(e) }
-
-// MultiObserver fans one event stream out to several observers, in
-// order. Each delivery is individually panic-recovered, so one faulty
-// observer cannot prevent the others from seeing the event.
-func MultiObserver(obs ...Observer) Observer {
-	return ObserverFunc(func(e Event) {
-		for _, o := range obs {
-			safeObserve(o, e)
-		}
-	})
-}
 
 // safeObserve delivers one event, swallowing an observer panic: the
 // observer contract says a panicking observer loses the event, not the

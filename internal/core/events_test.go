@@ -12,8 +12,8 @@ import (
 // TestEventSequenceStamping checks the emit contract: every event a
 // session delivers carries a wall-clock timestamp and a gap-free,
 // monotonically increasing sequence number starting at 1, in delivery
-// order — including across a parallel RunAll batch, whose batch session
-// shares the parent's counter.
+// order — including across a parallel run of jobs that each upload on
+// their own, whose batch session shares the parent's counter.
 func TestEventSequenceStamping(t *testing.T) {
 	var mu sync.Mutex
 	var seqs []uint64
@@ -30,8 +30,8 @@ func TestEventSequenceStamping(t *testing.T) {
 		{Platform: "native", Dataset: "R1", Algorithm: "WCC", Threads: 2, Machines: 1},
 		{Platform: "native", Dataset: "R1", Algorithm: "PR", Threads: 2, Machines: 1},
 	}
-	if _, err := s.RunAll(context.Background(), specs); err != nil {
-		t.Fatalf("RunAll: %v", err)
+	if _, err := s.RunPlan(context.Background(), perJobPlan(specs)); err != nil {
+		t.Fatalf("RunPlan: %v", err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -52,26 +52,28 @@ func TestEventSequenceStamping(t *testing.T) {
 }
 
 // TestObserverPanicRecovered checks that a panicking observer loses
-// events but not the run: the batch completes and later events still
-// reach a healthy co-observer via MultiObserver.
+// events but not the run: the job completes and the events after the
+// panic still reach the observer.
 func TestObserverPanicRecovered(t *testing.T) {
 	var mu sync.Mutex
 	var healthy int
-	bad := core.ObserverFunc(func(core.Event) { panic("observer bug") })
-	good := core.ObserverFunc(func(core.Event) {
+	obs := core.ObserverFunc(func(e core.Event) {
+		if e.Type == core.EventJobStarted {
+			panic("observer bug")
+		}
 		mu.Lock()
 		healthy++
 		mu.Unlock()
 	})
 	s := core.NewSession(
-		core.WithObserver(core.MultiObserver(bad, good)),
+		core.WithObserver(obs),
 		core.WithValidation(false),
 	)
-	res, err := s.RunJob(context.Background(), core.JobSpec{
+	res, err := runJob(context.Background(), s, core.JobSpec{
 		Platform: "native", Dataset: "R1", Algorithm: "BFS", Threads: 2, Machines: 1,
 	})
 	if err != nil {
-		t.Fatalf("RunJob: %v", err)
+		t.Fatalf("RunPlan: %v", err)
 	}
 	if res.Status != core.StatusOK {
 		t.Fatalf("status = %s, want ok", res.Status)
@@ -79,6 +81,6 @@ func TestObserverPanicRecovered(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if healthy == 0 {
-		t.Fatal("healthy co-observer received no events despite panicking sibling")
+		t.Fatal("observer received no events after its panic")
 	}
 }

@@ -352,7 +352,7 @@ func (s *Session) RunExperiment(ctx context.Context, id string, cfg ExperimentCo
 // platform's datasets in ascending scale order, and a platform stops at
 // its first failure — the one experiment whose job list depends on
 // earlier outcomes, so there is no static plan to schedule. Probes run
-// sequentially, each on an upload of its own.
+// sequentially, each as a one-job plan on an upload of its own.
 func (s *Session) probePlan(ctx context.Context, plan *Plan) ([]JobResult, error) {
 	var results []JobResult
 	var sinkErrs []error
@@ -361,11 +361,11 @@ func (s *Session) probePlan(ctx context.Context, plan *Plan) ([]JobResult, error
 		if failed[job.Platform] {
 			continue
 		}
-		res, err := s.RunJob(ctx, job)
+		res, err := s.RunPlan(ctx, PlanFromSpecs(plan.Name, []JobSpec{job}))
 		if err != nil {
 			// A failing sink must not abort the probe sweep (the job
 			// itself completed); real harness errors are fatal.
-			if !errors.Is(err, ErrSink) {
+			if !SinkOnly(err) {
 				return nil, err
 			}
 			sinkErrs = append(sinkErrs, err)
@@ -373,8 +373,8 @@ func (s *Session) probePlan(ctx context.Context, plan *Plan) ([]JobResult, error
 		if ctx.Err() != nil {
 			break
 		}
-		results = append(results, res)
-		failed[job.Platform] = !res.Completed()
+		results = append(results, res[0])
+		failed[job.Platform] = !res[0].Completed()
 	}
 	return results, errors.Join(sinkErrs...)
 }

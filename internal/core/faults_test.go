@@ -91,7 +91,7 @@ func registerFaulty(t *testing.T, mode string) (string, *countingPlatform) {
 func TestHarnessDetectsWrongOutput(t *testing.T) {
 	name, _ := registerFaulty(t, "wrong-output")
 	s := newTestSession()
-	res, err := s.RunJob(context.Background(), core.JobSpec{Platform: name, Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1})
+	res, err := runJob(context.Background(), s, core.JobSpec{Platform: name, Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestHarnessDetectsWrongOutput(t *testing.T) {
 func TestHarnessClassifiesCrash(t *testing.T) {
 	name, _ := registerFaulty(t, "error")
 	s := newTestSession()
-	res, err := s.RunJob(context.Background(), core.JobSpec{Platform: name, Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1})
+	res, err := runJob(context.Background(), s, core.JobSpec{Platform: name, Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestHarnessClassifiesCrash(t *testing.T) {
 func TestHarnessClassifiesHangAsSLABreak(t *testing.T) {
 	name, _ := registerFaulty(t, "hang")
 	s := newTestSession()
-	res, err := s.RunJob(context.Background(), core.JobSpec{
+	res, err := runJob(context.Background(), s, core.JobSpec{
 		Platform: name, Dataset: "R1", Algorithm: algorithms.BFS,
 		Threads: 1, Machines: 1, SLA: 50 * time.Millisecond,
 	})
@@ -133,7 +133,7 @@ func TestHarnessClassifiesHangAsSLABreak(t *testing.T) {
 func TestHarnessClassifiesUploadOOM(t *testing.T) {
 	name, _ := registerFaulty(t, "upload-error")
 	s := newTestSession()
-	res, err := s.RunJob(context.Background(), core.JobSpec{Platform: name, Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1})
+	res, err := runJob(context.Background(), s, core.JobSpec{Platform: name, Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestAnalyze(t *testing.T) {
 	s := core.NewSession(core.WithSLA(2*time.Minute), core.WithParallelism(1), core.WithSink(collectSink(&results)))
 	for _, p := range []string{"native", "pregel"} {
 		for _, ds := range []string{"R1", "R2"} {
-			if _, err := s.RunJob(context.Background(), core.JobSpec{Platform: p, Dataset: ds, Algorithm: algorithms.BFS, Threads: 2, Machines: 1}); err != nil {
+			if _, err := runJob(context.Background(), s, core.JobSpec{Platform: p, Dataset: ds, Algorithm: algorithms.BFS, Threads: 2, Machines: 1}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -30,8 +30,8 @@ const (
 	StatusUnsupported Status = "unsupported"
 	StatusInvalid     Status = "invalid-output"
 	// StatusCanceled marks a job abandoned because the caller's context
-	// was canceled before or while it ran (e.g. a RunAll batch whose
-	// context was canceled mid-sweep).
+	// was canceled before or while it ran (e.g. a plan whose context was
+	// canceled mid-sweep).
 	StatusCanceled Status = "canceled"
 )
 

@@ -165,9 +165,9 @@ func CompileSpec(spec BenchSpec, load func(workload.Dataset) (*graph.Graph, erro
 
 // PlanFromSpecs builds a plan from an explicit job list, preserving the
 // given order and grouping jobs into deployments by
-// (platform, dataset, config) — for code that already assembles job
-// matrices: running the plan behaves like Session.RunAll on the same
-// specs, plus shared uploads within each deployment group.
+// (platform, dataset, config). It is how code that already assembles a
+// job list — one job or a matrix — runs it: Session.RunPlan on the
+// returned plan gives one result per spec, in spec order.
 func PlanFromSpecs(name string, specs []JobSpec) *Plan {
 	if name == "" {
 		name = "bench"
@@ -177,19 +177,6 @@ func PlanFromSpecs(name string, specs []JobSpec) *Plan {
 		b.add(spec)
 	}
 	return b.plan
-}
-
-// singletonPlan is the plan Session.RunAll executes: every job is a
-// deployment of its own, so each performs (and frees) its own upload and
-// the jobs schedule independently.
-func singletonPlan(name string, specs []JobSpec) *Plan {
-	p := &Plan{Name: name, Jobs: specs, Deployments: make([]Deployment, len(specs))}
-	for i, spec := range specs {
-		p.Deployments[i] = Deployment{
-			Platform: spec.Platform, Dataset: spec.Dataset, Config: resourceOf(spec), Jobs: []int{i},
-		}
-	}
-	return p
 }
 
 // check verifies the deployment groups reference every job exactly once.
@@ -279,8 +266,7 @@ func (p *Plan) WriteJSON(w io.Writer) error {
 // first job that needs the graph performs the upload; the group's later
 // jobs reuse its handle, or its error. One goroutine runs the group's
 // jobs in turn and frees the handle once, after the last of them, so the
-// value needs no lock: RunPlan's worker owns it, and RunJob a one-job
-// group of its own.
+// value needs no lock: RunPlan's worker owns it.
 type deployment struct {
 	uploaded bool
 	up       platform.Uploaded
@@ -319,11 +305,15 @@ func (d *deployment) free() {
 // distinct deployments overlap up to WithParallelism. Each job's
 // UploadTime records the group's real upload and UploadShared whether it
 // was amortized; SLA accounting charges the recorded upload against every
-// job's budget, so statuses match a per-job-upload run (RunAll). Results
-// are delivered to the session's sinks in plan order. Per-call options
-// override session settings for this plan only. Cancelling ctx interrupts
-// in-flight jobs and marks the rest StatusCanceled; every performed
-// upload is still freed exactly once.
+// job's budget, so statuses match a run that gives each job a deployment
+// of its own. Results are delivered to the session's sinks in plan order.
+// Failures — cancellation included — are encoded in the result status,
+// so a sweep keeps going; the error return joins harness-level problems
+// (unknown platform or dataset) in plan order with sink failures, which
+// SinkOnly tells apart. Per-call options override session settings for
+// this plan only. Cancelling ctx interrupts in-flight jobs and marks the
+// rest StatusCanceled; every performed upload is still freed exactly
+// once.
 func (s *Session) RunPlan(ctx context.Context, p *Plan, opts ...Option) ([]JobResult, error) {
 	if err := p.check(); err != nil {
 		return nil, err

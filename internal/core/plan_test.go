@@ -188,10 +188,10 @@ func sameOutcomes(t *testing.T, label string, got, want []core.JobResult) {
 	}
 }
 
-// TestRunPlanMatchesPerJobUploads runs the same jobs through RunPlan
-// (one upload per deployment) and through RunAll (one upload per job) at
-// worker counts 1, 2 and 8 and requires identical statuses and validation
-// outcomes. Validation against the single-flighted reference already pins
+// TestRunPlanMatchesPerJobUploads runs the same jobs on their compiled
+// plan (one upload per deployment) and on a per-job plan (one upload per
+// job) at worker counts 1, 2 and 8 and requires identical statuses and
+// validation outcomes. Validation against the single-flighted reference already pins
 // output correctness; TestSharedUploadOutputsBitIdentical pins raw output
 // equality engine by engine.
 func TestRunPlanMatchesPerJobUploads(t *testing.T) {
@@ -211,9 +211,9 @@ func TestRunPlanMatchesPerJobUploads(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 8} {
 		label := fmt.Sprintf("workers=%d", workers)
-		perJob, err := core.NewSession(core.WithParallelism(workers)).RunAll(context.Background(), plan.Jobs)
+		perJob, err := core.NewSession(core.WithParallelism(workers)).RunPlan(context.Background(), perJobPlan(plan.Jobs))
 		if err != nil {
-			t.Fatalf("%s RunAll: %v", label, err)
+			t.Fatalf("%s per-job plan: %v", label, err)
 		}
 		shared, err := core.NewSession(core.WithParallelism(workers)).RunPlan(context.Background(), plan)
 		if err != nil {
@@ -222,17 +222,17 @@ func TestRunPlanMatchesPerJobUploads(t *testing.T) {
 		sameOutcomes(t, label, shared, perJob)
 		for i, res := range perJob {
 			if res.UploadShared {
-				t.Errorf("%s job %d: RunAll result marked as sharing an upload", label, i)
+				t.Errorf("%s job %d: per-job result marked as sharing an upload", label, i)
 			}
 		}
 	}
 }
 
 // TestRunPlanFreeOnceOnCancellation cancels a batch after its first job
-// finishes — mid-group for RunPlan, mid-batch for RunAll — at worker
-// counts 1, 2 and 8 and checks that every performed upload is still
-// freed exactly once, jobs that never started are canceled, and
-// nothing deadlocks. The plan has more jobs than the largest pool, so
+// finishes — mid-group for the compiled plan, mid-batch for a per-job
+// plan — at worker counts 1, 2 and 8 and checks that every performed
+// upload is still freed exactly once, jobs that never started are
+// canceled, and nothing deadlocks. The plan has more jobs than the largest pool, so
 // some job is always still waiting when the cancellation lands.
 func TestRunPlanFreeOnceOnCancellation(t *testing.T) {
 	c := registerCounting(t, "counting-slow", 30*time.Millisecond)
@@ -265,9 +265,9 @@ func TestRunPlanFreeOnceOnCancellation(t *testing.T) {
 			label := fmt.Sprintf("workers=%d RunPlan", workers)
 			maxUploads := len(plan.Deployments)
 			if perJob {
-				label = fmt.Sprintf("workers=%d RunAll", workers)
+				label = fmt.Sprintf("workers=%d per-job", workers)
 				maxUploads = len(plan.Jobs) - 1
-				results, err = s.RunAll(ctx, plan.Jobs)
+				results, err = s.RunPlan(ctx, perJobPlan(plan.Jobs))
 			} else {
 				results, err = s.RunPlan(ctx, plan)
 			}
@@ -323,11 +323,11 @@ func TestRunPlanAllCancelledBeforeUpload(t *testing.T) {
 	}
 }
 
-// TestRunAllAndRunJobUploadPerJob: RunAll and RunJob give every job a
-// one-job deployment of its own — one upload, one free and one
+// TestRunPlanUploadPerJob: a per-job plan and a one-job plan give every
+// job a deployment of its own — one upload, one free and one
 // deployment-uploaded event per job at any worker count, and no result
 // marked as sharing.
-func TestRunAllAndRunJobUploadPerJob(t *testing.T) {
+func TestRunPlanUploadPerJob(t *testing.T) {
 	jobs := sweepPlan(t, "counting").Jobs
 	for _, workers := range []int{1, 2, 8} {
 		c := registerCounting(t, "counting", 0)
@@ -337,11 +337,11 @@ func TestRunAllAndRunJobUploadPerJob(t *testing.T) {
 				uploadedEvents.Add(1)
 			}
 		})))
-		results, err := s.RunAll(context.Background(), jobs)
+		results, err := s.RunPlan(context.Background(), perJobPlan(jobs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.RunJob(context.Background(), jobs[0])
+		res, err := runJob(context.Background(), s, jobs[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -531,7 +531,7 @@ func TestSLACancelsUpload(t *testing.T) {
 	})
 	s := core.NewSession()
 	start := time.Now()
-	res, err := s.RunJob(context.Background(), core.JobSpec{
+	res, err := runJob(context.Background(), s, core.JobSpec{
 		Platform: "hang-upload", Dataset: "R1", Algorithm: algorithms.BFS,
 		Threads: 1, Machines: 1, SLA: 50 * time.Millisecond,
 	})
@@ -548,7 +548,7 @@ func TestSLACancelsUpload(t *testing.T) {
 	// A caller cancellation (not the SLA timer) is classified canceled.
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(20 * time.Millisecond); cancel() }()
-	res, err = s.RunJob(ctx, core.JobSpec{
+	res, err = runJob(ctx, s, core.JobSpec{
 		Platform: "hang-upload", Dataset: "R1", Algorithm: algorithms.BFS,
 		Threads: 1, Machines: 1, SLA: time.Minute,
 	})
@@ -562,7 +562,7 @@ func TestSLACancelsUpload(t *testing.T) {
 
 // TestExperimentReportsMatchPerJobUploads runs two experiment artifacts
 // (compiled specs through RunPlan, shared uploads) and the same matrices
-// through RunAll (an upload per job) and requires the same status and
+// as a per-job plan (an upload per job) and requires the same status and
 // validation outcome per job — everything the rendered reports show
 // besides measured durations, including the N/A and substituted-backend
 // cells of Figure 6.
@@ -584,7 +584,7 @@ func TestExperimentReportsMatchPerJobUploads(t *testing.T) {
 		}
 		jobs = append(jobs, plan.Jobs...)
 	}
-	perJob, err := core.NewSession(core.WithSLA(2*time.Minute), core.WithParallelism(1)).RunAll(ctx, jobs)
+	perJob, err := core.NewSession(core.WithSLA(2*time.Minute), core.WithParallelism(1)).RunPlan(ctx, perJobPlan(jobs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,30 @@ func newTestSession() *core.Session {
 	return core.NewSession(core.WithSLA(2*time.Minute), core.WithParallelism(1))
 }
 
+// runJob runs one job as a one-job plan, the way table 10 runs its
+// probes, and returns its result.
+func runJob(ctx context.Context, s *core.Session, spec core.JobSpec) (core.JobResult, error) {
+	results, err := s.RunPlan(ctx, core.PlanFromSpecs("job", []core.JobSpec{spec}))
+	return results[0], err
+}
+
+// perJobPlan makes every job a deployment of its own: each performs and
+// frees its own upload, and jobs that share (platform, dataset, config)
+// still run concurrently.
+func perJobPlan(specs []core.JobSpec) *core.Plan {
+	p := &core.Plan{Name: "per-job", Jobs: specs}
+	for i, spec := range specs {
+		p.Deployments = append(p.Deployments, core.Deployment{
+			Platform: spec.Platform, Dataset: spec.Dataset, Jobs: []int{i},
+			Config: core.ResourceSpec{Threads: spec.Threads, Machines: spec.Machines, MemoryPerMachine: spec.MemoryPerMachine},
+		})
+	}
+	return p
+}
+
 func TestRunJobOK(t *testing.T) {
 	s := newTestSession()
-	res, err := s.RunJob(context.Background(), core.JobSpec{
+	res, err := runJob(context.Background(), s, core.JobSpec{
 		Platform: "native", Dataset: "R1", Algorithm: algorithms.BFS, Threads: 2, Machines: 1,
 	})
 	if err != nil {
@@ -43,21 +64,21 @@ func TestRunJobOK(t *testing.T) {
 
 func TestRunJobUnknownPlatform(t *testing.T) {
 	s := newTestSession()
-	if _, err := s.RunJob(context.Background(), core.JobSpec{Platform: "nope", Dataset: "R1", Algorithm: algorithms.BFS}); err == nil {
+	if _, err := runJob(context.Background(), s, core.JobSpec{Platform: "nope", Dataset: "R1", Algorithm: algorithms.BFS}); err == nil {
 		t.Fatal("expected error for unknown platform")
 	}
 }
 
 func TestRunJobUnknownDataset(t *testing.T) {
 	s := newTestSession()
-	if _, err := s.RunJob(context.Background(), core.JobSpec{Platform: "native", Dataset: "nope", Algorithm: algorithms.BFS}); err == nil {
+	if _, err := runJob(context.Background(), s, core.JobSpec{Platform: "native", Dataset: "nope", Algorithm: algorithms.BFS}); err == nil {
 		t.Fatal("expected error for unknown dataset")
 	}
 }
 
 func TestRunJobUnsupported(t *testing.T) {
 	s := newTestSession()
-	res, err := s.RunJob(context.Background(), core.JobSpec{Platform: "pushpull", Dataset: "R4", Algorithm: algorithms.LCC, Threads: 1, Machines: 1})
+	res, err := runJob(context.Background(), s, core.JobSpec{Platform: "pushpull", Dataset: "R4", Algorithm: algorithms.LCC, Threads: 1, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +90,7 @@ func TestRunJobUnsupported(t *testing.T) {
 func TestRunJobSSSPOnUnweighted(t *testing.T) {
 	s := newTestSession()
 	// R1 is unweighted; SSSP must be reported unsupported, not failed.
-	res, err := s.RunJob(context.Background(), core.JobSpec{Platform: "native", Dataset: "R1", Algorithm: algorithms.SSSP, Threads: 1, Machines: 1})
+	res, err := runJob(context.Background(), s, core.JobSpec{Platform: "native", Dataset: "R1", Algorithm: algorithms.SSSP, Threads: 1, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +101,7 @@ func TestRunJobSSSPOnUnweighted(t *testing.T) {
 
 func TestRunJobOOM(t *testing.T) {
 	s := newTestSession()
-	res, err := s.RunJob(context.Background(), core.JobSpec{
+	res, err := runJob(context.Background(), s, core.JobSpec{
 		Platform: "native", Dataset: "R4", Algorithm: algorithms.BFS,
 		Threads: 1, Machines: 1, MemoryPerMachine: 1024, // absurdly small budget
 	})
@@ -94,7 +115,7 @@ func TestRunJobOOM(t *testing.T) {
 
 func TestRunJobSLABreak(t *testing.T) {
 	s := newTestSession()
-	res, err := s.RunJob(context.Background(), core.JobSpec{
+	res, err := runJob(context.Background(), s, core.JobSpec{
 		Platform: "dataflow", Dataset: "D300", Algorithm: algorithms.PR,
 		Threads: 1, Machines: 1, SLA: time.Microsecond,
 	})
@@ -109,7 +130,7 @@ func TestRunJobSLABreak(t *testing.T) {
 func TestDistributedJob(t *testing.T) {
 	s := newTestSession()
 	for _, p := range platforms.DistributedSet {
-		res, err := s.RunJob(context.Background(), core.JobSpec{
+		res, err := runJob(context.Background(), s, core.JobSpec{
 			Platform: p, Dataset: "R2", Algorithm: algorithms.BFS, Threads: 2, Machines: 4,
 		})
 		if err != nil {

@@ -9,11 +9,11 @@
 // the session that produced them.
 //
 // The public entry point is the Session: a context-first, concurrency-safe
-// orchestrator constructed with functional options. Sessions run single
-// jobs (RunJob) and whole job matrices on a bounded worker pool (RunAll),
-// and stream progress through an Observer. Whole benchmark descriptions
-// go BenchSpec → Plan → RunPlan (spec.go, plan.go); every entry point
-// executes jobs through that one path.
+// orchestrator constructed with functional options. A session has one
+// runner, RunPlan, which runs a plan's deployments on a bounded worker
+// pool and streams progress through an Observer. Benchmark descriptions
+// go BenchSpec → Plan → RunPlan (spec.go, plan.go), and an explicit job
+// list goes PlanFromSpecs → RunPlan.
 package core
 
 import (
@@ -42,32 +42,23 @@ import (
 type config struct {
 	sla         time.Duration
 	validate    bool
-	net         cluster.NetworkModel
 	parallelism int
-	refWorkers  int
 	observer    Observer
 	store       *graphstore.Store
 	cacheDir    string
 	// sinks receive every recorded result in commit order (see Sink).
 	sinks []Sink
-	// storeExplicit records that WithGraphStore was applied, so RunAll's
-	// per-batch override logic can tell an explicitly passed store from
-	// one inherited from the session.
-	storeExplicit bool
 	// mapped asks the cache-dir store to serve v2 snapshots as
 	// mmap-backed graphs (WithMappedSnapshots). Only meaningful together
-	// with cacheDir; an explicit WithGraphStore carries its own policy.
+	// with cacheDir.
 	mapped bool
 }
 
 // resolveStore settles which graph store the session materializes
-// datasets through: an explicit WithGraphStore wins, otherwise a cache
-// directory gets a dedicated snapshot-backed store, otherwise the
-// process-wide default store (pure in-memory memoization).
+// datasets through: a cache directory gets a dedicated snapshot-backed
+// store, otherwise the process-wide default store (pure in-memory
+// memoization).
 func (c *config) resolveStore() {
-	if c.store != nil {
-		return
-	}
 	if c.cacheDir != "" {
 		c.store = graphstore.New(graphstore.Options{Dir: c.cacheDir, MapSnapshots: c.mapped})
 		return
@@ -75,7 +66,7 @@ func (c *config) resolveStore() {
 	c.store = workload.DefaultStore()
 }
 
-// Option configures a Session (and, per call, a RunAll batch).
+// Option configures a Session (and, per call, one RunPlan run).
 type Option func(*config)
 
 // WithSLA sets the default makespan budget per job (upload plus execute);
@@ -86,13 +77,10 @@ func WithSLA(d time.Duration) Option { return func(c *config) { c.sla = d } }
 // implementation. Sessions validate by default.
 func WithValidation(on bool) Option { return func(c *config) { c.validate = on } }
 
-// WithNetwork sets the interconnect model for distributed jobs.
-func WithNetwork(net cluster.NetworkModel) Option { return func(c *config) { c.net = net } }
-
-// WithParallelism bounds the worker pool RunAll schedules jobs on; n < 1
-// selects GOMAXPROCS. Parallelism 1 reproduces strictly sequential
-// execution (the right choice when timing fidelity matters more than
-// sweep throughput).
+// WithParallelism bounds the worker pool RunPlan schedules deployments
+// on; n < 1 selects GOMAXPROCS. Parallelism 1 reproduces strictly
+// sequential execution (the right choice when timing fidelity matters
+// more than sweep throughput).
 func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n } }
 
 // WithObserver streams progress events (job started/finished, experiment
@@ -100,41 +88,23 @@ func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n 
 // calls.
 func WithObserver(o Observer) Option { return func(c *config) { c.observer = o } }
 
-// WithReferenceParallelism pins the worker count of the parallel reference
-// kernels the session validates against (see algorithms.RunReferenceWorkers).
-// The default (n <= 0) sizes workers automatically from each graph; the
-// reference output is bit-identical either way, so this is purely a
-// resource knob — e.g. n = 1 keeps reference computation off the other
-// cores while measured jobs run.
-func WithReferenceParallelism(n int) Option { return func(c *config) { c.refWorkers = n } }
-
-// WithGraphStore routes the session's dataset materialization through st:
-// jobs, experiments and reference computations all load graphs from it.
-// Sharing one store across sessions shares its cache. Without this option
-// the session uses the workload package's process-wide in-memory store, or
-// a snapshot-backed one when WithCacheDir is given.
-func WithGraphStore(st *graphstore.Store) Option {
-	return func(c *config) { c.store = st; c.storeExplicit = true }
-}
-
-// WithSink adds a result sink: every result the session records — from
-// RunJob, RunAll or RunPlan — is also delivered to k, in commit order.
+// WithSink adds a result sink: every result RunPlan records is also
+// delivered to k, in commit order.
 // Repeating the option adds more sinks; see Sink for the contract.
 func WithSink(k Sink) Option { return func(c *config) { c.sinks = append(c.sinks, k) } }
 
 // WithCacheDir gives the session a dedicated graph store that persists
 // binary CSR snapshots under dir: the first materialization of a dataset
 // generates and snapshots it, later runs — including later processes —
-// load the snapshot instead of re-generating. Ignored when WithGraphStore
-// is also given.
+// load the snapshot instead of re-generating. Without it the session
+// uses the workload package's process-wide in-memory store.
 func WithCacheDir(dir string) Option { return func(c *config) { c.cacheDir = dir } }
 
 // WithMappedSnapshots makes the WithCacheDir store serve v2 snapshots as
 // mmap-backed graphs instead of decoding them onto the heap: opening a
 // warm snapshot costs O(header) and its pages stay reclaimable by the OS,
 // which is what lets a session run graphs larger than RAM. Engine outputs
-// are identical either way. Ignored without WithCacheDir, and when
-// WithGraphStore supplies a store with its own policy.
+// are identical either way. Ignored without WithCacheDir.
 func WithMappedSnapshots(on bool) Option { return func(c *config) { c.mapped = on } }
 
 // Session orchestrates benchmark jobs: SLA enforcement, validation
@@ -153,17 +123,17 @@ type Session struct {
 	// recordMu serializes record across every batch derived from this
 	// session, so the documented sink contract — Consume calls are
 	// serialized, implementations need no locking — holds even when two
-	// RunAll/RunPlan batches run concurrently on one session.
+	// RunPlan batches run concurrently on one session.
 	recordMu *sync.Mutex
 }
 
 // NewSession returns a session with the default configuration — output
-// validation on, the default network model and GOMAXPROCS scheduler
-// parallelism — overridden by the given options.
+// validation on and GOMAXPROCS scheduler parallelism — overridden by the
+// given options. Jobs are charged the default network model
+// (cluster.DefaultNetwork).
 func NewSession(opts ...Option) *Session {
 	cfg := config{
 		validate:    true,
-		net:         cluster.DefaultNetwork(),
 		parallelism: runtime.GOMAXPROCS(0),
 	}
 	for _, o := range opts {
@@ -185,17 +155,13 @@ func NewSession(opts ...Option) *Session {
 func (s *Session) batchSession(opts []Option) *Session {
 	cfg := s.cfg
 	cfg.sinks = slices.Clip(cfg.sinks)
-	cfg.storeExplicit = false
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if !cfg.storeExplicit && (cfg.cacheDir != s.cfg.cacheDir || cfg.mapped != s.cfg.mapped) {
-		// A per-batch WithCacheDir asks for a different snapshot store —
-		// but only when the batch did not also pass WithGraphStore, which
-		// always wins.
-		cfg.store = nil
+	if cfg.cacheDir != s.cfg.cacheDir || cfg.mapped != s.cfg.mapped {
+		// A per-batch WithCacheDir asks for a different snapshot store.
+		cfg.resolveStore()
 	}
-	cfg.resolveStore()
 	return &Session{cfg: cfg, refs: s.refs, emitMu: s.emitMu, recordMu: s.recordMu, eventSeq: s.eventSeq}
 }
 
@@ -256,15 +222,13 @@ func newRefCache() *refCache {
 
 // get returns the reference output for a dataset/algorithm pair, computing
 // it at most once per cache regardless of concurrency. load materializes
-// the dataset's graph (sessions pass their store-backed loader) and
-// workers sizes the parallel reference kernels (<= 0 auto; the output is
-// worker-count-independent, so cached entries are shareable across
-// sessions with different settings). The context only gates starting a
-// new computation: an existing entry is cached or in flight and is always
-// used, so a job that finished execution does not lose its validation to
-// a late cancellation, and a computation in flight is never abandoned
-// since other jobs may be waiting on it.
-func (c *refCache) get(ctx context.Context, d workload.Dataset, a algorithms.Algorithm, workers int, load func(workload.Dataset) (*graph.Graph, error)) (*algorithms.Output, error) {
+// the dataset's graph (sessions pass their store-backed loader). The
+// context only gates starting a new computation: an existing entry is
+// cached or in flight and is always used, so a job that finished
+// execution does not lose its validation to a late cancellation, and a
+// computation in flight is never abandoned since other jobs may be
+// waiting on it.
+func (c *refCache) get(ctx context.Context, d workload.Dataset, a algorithms.Algorithm, load func(workload.Dataset) (*graph.Graph, error)) (*algorithms.Output, error) {
 	key := d.ID + "/" + string(a)
 	c.mu.Lock()
 	e := c.entries[key]
@@ -284,25 +248,13 @@ func (c *refCache) get(ctx context.Context, d workload.Dataset, a algorithms.Alg
 			e.err = err
 			return
 		}
-		e.out, e.err = algorithms.RunReferenceWorkers(g, a, d.Params, workers)
+		e.out, e.err = algorithms.RunReference(g, a, d.Params)
 	})
 	return e.out, e.err
 }
 
-// batchPos locates a job inside a RunAll batch for event reporting.
+// batchPos locates a job inside a plan for event reporting.
 type batchPos struct{ index, total int }
-
-// RunJob executes one job end to end, on an upload of its own. Failures —
-// including cancellation of ctx — are encoded in the result status rather
-// than returned, so experiment sweeps keep going; the error return is
-// reserved for harness-level problems (unknown platform or dataset, a
-// failing sink).
-func (s *Session) RunJob(ctx context.Context, spec JobSpec) (JobResult, error) {
-	var dep deployment
-	res, err := s.execute(ctx, spec, batchPos{}, &dep)
-	dep.free()
-	return res, errors.Join(err, s.record(res))
-}
 
 // record delivers a finished job to the session's sinks in registration
 // order. Jobs that hit a harness-level error before running carry no
@@ -339,9 +291,9 @@ func jobStatus(ctx context.Context, err error) (Status, string) {
 
 // execute runs one job without recording it, emitting the job's start and
 // finish events. The job's uploaded graph comes from dep, the upload its
-// deployment group shares (see RunPlan; RunJob's group is the one job).
-// The caller frees dep after the group's last job, not here, so the
-// handle outlives this job for the group.
+// deployment group shares (see RunPlan). The caller frees dep after the
+// group's last job, not here, so the handle outlives this job for the
+// group.
 func (s *Session) execute(ctx context.Context, spec JobSpec, pos batchPos, dep *deployment) (res JobResult, err error) {
 	s.emit(Event{Type: EventJobStarted, Spec: spec, Index: pos.index, Total: pos.total})
 	defer func() {
@@ -388,7 +340,7 @@ func (s *Session) execute(ctx context.Context, spec JobSpec, pos batchPos, dep *
 		Threads:          spec.Threads,
 		Machines:         spec.Machines,
 		MemoryPerMachine: spec.MemoryPerMachine,
-		Net:              s.cfg.net,
+		Net:              cluster.DefaultNetwork(),
 	}
 
 	// The SLA window opens before upload: the benchmark's makespan budget
@@ -449,7 +401,7 @@ func (s *Session) execute(ctx context.Context, spec JobSpec, pos batchPos, dep *
 	if s.cfg.validate {
 		// Validation is harness work outside the SLA window, so it runs
 		// under the caller's context, not the job deadline.
-		want, rerr := s.refs.get(ctx, d, spec.Algorithm, s.cfg.refWorkers, s.loadGraph)
+		want, rerr := s.refs.get(ctx, d, spec.Algorithm, s.loadGraph)
 		if rerr != nil {
 			if ctx.Err() != nil {
 				res.Status, res.Error = StatusCanceled, rerr.Error()
@@ -491,23 +443,4 @@ func recovered[T any](call func() (T, error)) (v T, err error) {
 		}
 	}()
 	return call()
-}
-
-// RunAll executes independent jobs on a bounded worker pool and returns
-// one result per spec, in spec order. Every job performs its own upload:
-// RunAll is RunPlan on the plan that makes each job a deployment of its
-// own (compile a Plan and use RunPlan for shared uploads). Per-call
-// options (e.g. WithParallelism, WithObserver) override the session's
-// settings for this batch only; the reference cache stays shared.
-//
-// Determinism: results[i] always corresponds to specs[i], and results are
-// delivered to the sinks in spec order regardless of completion order, so
-// a parallel run produces a result stream identical (modulo measured
-// times) to a sequential one. Cancelling ctx interrupts
-// jobs already executing and marks them — along with jobs that have not
-// started — as StatusCanceled; a job whose execution already finished
-// keeps its result. The error return joins harness-level errors (unknown
-// platform or dataset) in spec order.
-func (s *Session) RunAll(ctx context.Context, specs []JobSpec, opts ...Option) ([]JobResult, error) {
-	return s.RunPlan(ctx, singletonPlan("batch", specs), opts...)
 }

@@ -11,6 +11,16 @@ import (
 
 func init() { platforms.RegisterAll() }
 
+// perJobPlan makes every job a deployment of its own, so jobs on the same
+// dataset and algorithm run concurrently.
+func perJobPlan(specs []JobSpec) *Plan {
+	p := &Plan{Name: "per-job", Jobs: specs}
+	for i, spec := range specs {
+		p.Deployments = append(p.Deployments, Deployment{Platform: spec.Platform, Dataset: spec.Dataset, Config: resourceOf(spec), Jobs: []int{i}})
+	}
+	return p
+}
+
 // TestRunAllSingleFlightReference runs many concurrent jobs on the same
 // dataset/algorithm pair and asserts the reference output is computed
 // exactly once: the whole point of the cache's single-flight semantics.
@@ -20,7 +30,7 @@ func TestRunAllSingleFlightReference(t *testing.T) {
 	for i := range specs {
 		specs[i] = JobSpec{Platform: "native", Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1}
 	}
-	results, err := s.RunAll(context.Background(), specs)
+	results, err := s.RunPlan(context.Background(), perJobPlan(specs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +64,7 @@ func TestRunAllSingleFlightPerPair(t *testing.T) {
 			specs = append(specs, JobSpec{Platform: "native", Dataset: p.ds, Algorithm: p.a, Threads: 1, Machines: 1})
 		}
 	}
-	if _, err := s.RunAll(context.Background(), specs); err != nil {
+	if _, err := s.RunPlan(context.Background(), perJobPlan(specs)); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.refs.computes.Load(); got != int64(len(pairs)) {

@@ -36,7 +36,8 @@ func batchSpecs() []core.JobSpec {
 	return specs
 }
 
-// runBatch runs specs through RunAll and returns what the session's sink
+// runBatch runs specs as a per-job plan, so jobs that share a deployment
+// key still complete out of order, and returns what the session's sink
 // was delivered next to what the call returned.
 func runBatch(t *testing.T, parallelism int, specs []core.JobSpec) (delivered, results []core.JobResult) {
 	t.Helper()
@@ -45,7 +46,7 @@ func runBatch(t *testing.T, parallelism int, specs []core.JobSpec) (delivered, r
 		core.WithParallelism(parallelism),
 		core.WithSink(collectSink(&delivered)),
 	)
-	results, err := s.RunAll(context.Background(), specs)
+	results, err := s.RunPlan(context.Background(), perJobPlan(specs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestRunAllCancellation(t *testing.T) {
 		core.WithObserver(obs),
 		core.WithSink(collectSink(&delivered)),
 	)
-	results, err := s.RunAll(ctx, specs)
+	results, err := s.RunPlan(ctx, perJobPlan(specs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestParentDeadlineIsCanceledNotSLABreak(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	s := core.NewSession(core.WithSLA(2 * time.Minute))
-	res, err := s.RunJob(ctx, core.JobSpec{
+	res, err := runJob(ctx, s, core.JobSpec{
 		Platform: "native", Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1,
 	})
 	if err != nil {
@@ -220,7 +221,7 @@ func TestLateCancelKeepsFinishedJob(t *testing.T) {
 	})
 	s := core.NewSession(core.WithSLA(2 * time.Minute))
 	// Warm the session's reference cache for the pair.
-	if _, err := s.RunJob(context.Background(), core.JobSpec{
+	if _, err := runJob(context.Background(), s, core.JobSpec{
 		Platform: "native", Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1,
 	}); err != nil {
 		t.Fatal(err)
@@ -228,7 +229,7 @@ func TestLateCancelKeepsFinishedJob(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cancelAfterExec.cancel = cancel
-	res, err := s.RunJob(ctx, core.JobSpec{
+	res, err := runJob(ctx, s, core.JobSpec{
 		Platform: "cancel-after-exec", Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1,
 	})
 	if err != nil {
@@ -268,7 +269,7 @@ func TestUploadInsideSLAWindow(t *testing.T) {
 		platform.Register(&slowUploadPlatform{Platform: base, delay: 100 * time.Millisecond})
 	})
 	s := core.NewSession()
-	res, err := s.RunJob(context.Background(), core.JobSpec{
+	res, err := runJob(context.Background(), s, core.JobSpec{
 		Platform: "slow-upload", Dataset: "R1", Algorithm: algorithms.BFS,
 		Threads: 1, Machines: 1, SLA: 20 * time.Millisecond,
 	})
@@ -287,7 +288,7 @@ func TestUploadInsideSLAWindow(t *testing.T) {
 func TestSessionOptions(t *testing.T) {
 	var delivered []core.JobResult
 	s := core.NewSession(core.WithValidation(false), core.WithSink(collectSink(&delivered)), core.WithSLA(2*time.Minute))
-	res, err := s.RunJob(context.Background(), core.JobSpec{
+	res, err := runJob(context.Background(), s, core.JobSpec{
 		Platform: "native", Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1,
 	})
 	if err != nil {
@@ -378,28 +379,8 @@ func TestStatusHelpers(t *testing.T) {
 	}
 }
 
-// TestWithReferenceParallelism pins the reference kernels' worker count
-// and checks validation still passes: reference outputs are defined to be
-// worker-count-independent, so a pinned pool must validate identically to
-// automatic sizing.
-func TestWithReferenceParallelism(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		s := core.NewSession(core.WithReferenceParallelism(workers))
-		res, err := s.RunJob(context.Background(), core.JobSpec{
-			Platform: "native", Dataset: "R1", Algorithm: algorithms.PR, Threads: 2, Machines: 1,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Status != core.StatusOK || !res.Validated || !res.ValidationOK {
-			t.Fatalf("workers=%d: status=%s validated=%v ok=%v (%s)",
-				workers, res.Status, res.Validated, res.ValidationOK, res.Error)
-		}
-	}
-}
-
 // TestSessionHostGoroutinesBounded runs a plan with eight RunPlan workers
-// and eight reference workers on a four-core host and samples the
+// on a four-core host and samples the
 // process's goroutines throughout: every parallel region — the engines'
 // simulated threads and the reference kernels' par.Chunks calls — borrows
 // from par's one pool, so beyond a warm baseline the run never adds more
@@ -420,7 +401,7 @@ func TestSessionHostGoroutinesBounded(t *testing.T) {
 	run := func() {
 		// A new session each time, so its reference cache is cold and
 		// every reference kernel runs again.
-		s := core.NewSession(core.WithSLA(2*time.Minute), core.WithParallelism(parallelism), core.WithReferenceParallelism(parallelism))
+		s := core.NewSession(core.WithSLA(2*time.Minute), core.WithParallelism(parallelism))
 		results, err := s.RunPlan(context.Background(), plan)
 		if err != nil {
 			t.Fatal(err)

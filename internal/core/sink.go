@@ -46,9 +46,9 @@ func SinkOnly(err error) bool {
 }
 
 // Sink is the pluggable result-consumption surface of the harness: every
-// finished job a session records — via RunJob, RunAll or RunPlan — is
-// delivered to each configured sink (WithSink) in commit order, which for
-// batches is spec/plan order regardless of completion order. The session
+// finished job RunPlan records is delivered to each configured sink
+// (WithSink) in commit order, which is plan order regardless of
+// completion order. The session
 // serializes Consume calls, so implementations need no internal locking.
 // A sink error does not stop the run; it is joined into the batch's
 // returned error. Sinks are the only place results go besides the slice

@@ -63,8 +63,8 @@ func TestJSONLSinkStreamsDatabase(t *testing.T) {
 }
 
 // TestSinkOrderAndFanout checks sinks receive every result in commit
-// (plan) order, across MultiSink fan-out, and that RunJob records reach
-// sinks too.
+// (plan) order, across MultiSink fan-out, and that a later run on the
+// same session reaches them too.
 func TestSinkOrderAndFanout(t *testing.T) {
 	plan := sinkTestPlan(t)
 	var mu sync.Mutex
@@ -94,14 +94,14 @@ func TestSinkOrderAndFanout(t *testing.T) {
 	if len(extra) != len(plan.Jobs) {
 		t.Errorf("second fan-out sink saw %d results, want %d", len(extra), len(plan.Jobs))
 	}
-	// RunJob records flow to sinks too.
-	if _, err := s.RunJob(context.Background(), core.JobSpec{
+	// A one-job run's record flows to the sinks too.
+	if _, err := runJob(context.Background(), s, core.JobSpec{
 		Platform: "native", Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1, SLA: 2 * time.Minute,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != len(plan.Jobs)+1 {
-		t.Errorf("RunJob result did not reach the sink")
+		t.Errorf("one-job run's result did not reach the sink")
 	}
 }
 

@@ -46,7 +46,7 @@ func TestCacheDirWarmRunSkipsGeneration(t *testing.T) {
 
 	cold := newSourceRecorder()
 	s1 := core.NewSession(core.WithCacheDir(dir), core.WithObserver(cold))
-	res, err := s1.RunJob(context.Background(), spec)
+	res, err := runJob(context.Background(), s1, spec)
 	if err != nil || res.Status != core.StatusOK {
 		t.Fatalf("cold run: status=%v err=%v", res.Status, err)
 	}
@@ -57,7 +57,7 @@ func TestCacheDirWarmRunSkipsGeneration(t *testing.T) {
 
 	warm := newSourceRecorder()
 	s2 := core.NewSession(core.WithCacheDir(dir), core.WithObserver(warm))
-	res, err = s2.RunJob(context.Background(), spec)
+	res, err = runJob(context.Background(), s2, spec)
 	if err != nil || res.Status != core.StatusOK {
 		t.Fatalf("warm run: status=%v err=%v", res.Status, err)
 	}
@@ -75,33 +75,6 @@ func TestCacheDirWarmRunSkipsGeneration(t *testing.T) {
 	}
 }
 
-// TestWithGraphStoreShared verifies two sessions handed the same store
-// share materializations: the second session's loads are memory hits.
-func TestWithGraphStoreShared(t *testing.T) {
-	st := graphstore.New(graphstore.Options{})
-	spec := core.JobSpec{Platform: "native", Dataset: "R2", Algorithm: algorithms.BFS, Threads: 2, Machines: 1}
-
-	s1 := core.NewSession(core.WithGraphStore(st))
-	if s1.GraphStore() != st {
-		t.Fatal("GraphStore must return the injected store")
-	}
-	if _, err := s1.RunJob(context.Background(), spec); err != nil {
-		t.Fatal(err)
-	}
-
-	rec := newSourceRecorder()
-	s2 := core.NewSession(core.WithGraphStore(st), core.WithObserver(rec))
-	res, err := s2.RunJob(context.Background(), spec)
-	if err != nil || res.Status != core.StatusOK {
-		t.Fatalf("status=%v err=%v", res.Status, err)
-	}
-	for _, src := range rec.of("R2") {
-		if src != string(graphstore.SourceMemory) {
-			t.Fatalf("shared-store load source = %v, want memory", src)
-		}
-	}
-}
-
 // TestDefaultSessionsShareProcessStore pins the pre-refactor behavior:
 // plain sessions keep sharing one in-memory dataset cache per process.
 func TestDefaultSessionsShareProcessStore(t *testing.T) {
@@ -111,44 +84,18 @@ func TestDefaultSessionsShareProcessStore(t *testing.T) {
 	}
 }
 
-// TestRunAllBatchStorePrecedence pins the option precedence for per-batch
-// overrides: an explicit WithGraphStore always wins, even when
-// WithCacheDir is passed alongside it.
+// TestRunAllBatchStorePrecedence pins the precedence of a per-batch
+// store option: a batch WithCacheDir takes effect over the session's
+// store.
 func TestRunAllBatchStorePrecedence(t *testing.T) {
-	st := graphstore.New(graphstore.Options{})
 	s := core.NewSession()
 	dir := t.TempDir()
-	specs := []core.JobSpec{{Platform: "native", Dataset: "R1", Algorithm: algorithms.BFS, Threads: 2, Machines: 1}}
-	results, err := s.RunAll(context.Background(), specs, core.WithGraphStore(st), core.WithCacheDir(dir))
+	plan := core.PlanFromSpecs("batch", []core.JobSpec{{Platform: "native", Dataset: "R1", Algorithm: algorithms.BFS, Threads: 2, Machines: 1}})
+	results, err := s.RunPlan(context.Background(), plan, core.WithCacheDir(dir))
 	if err != nil || results[0].Status != core.StatusOK {
 		t.Fatalf("status=%v err=%v", results[0].Status, err)
 	}
-	if st.Len() == 0 {
-		t.Fatal("explicit batch store was bypassed")
-	}
 	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("cache dir must stay unused when WithGraphStore wins, found %d entries", len(entries))
-	}
-
-	// Explicitly passing the session's own store must count as explicit
-	// too: the cache dir alongside it stays ignored.
-	dir2 := t.TempDir()
-	if _, err := s.RunAll(context.Background(), specs, core.WithGraphStore(s.GraphStore()), core.WithCacheDir(dir2)); err != nil {
-		t.Fatal(err)
-	}
-	if entries, _ := os.ReadDir(dir2); len(entries) != 0 {
-		t.Fatalf("cache dir must stay unused when the session's own store is passed explicitly, found %d entries", len(entries))
-	}
-
-	// Without an explicit store, a batch WithCacheDir does take effect.
-	if _, err := s.RunAll(context.Background(), specs, core.WithCacheDir(dir)); err != nil {
-		t.Fatal(err)
-	}
-	entries, err = os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

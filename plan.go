@@ -66,7 +66,9 @@ type Deployment = core.Deployment
 func CompileSpec(spec BenchSpec) (*Plan, error) { return core.CompileSpec(spec, nil) }
 
 // PlanFromSpecs builds a plan from an explicit job list, preserving order
-// and grouping jobs into shared-upload deployments.
+// and grouping jobs into shared-upload deployments. It is how a library
+// caller runs its own job list, one job or many: Session.RunPlan on the
+// returned plan gives one result per spec, in spec order.
 func PlanFromSpecs(name string, specs []JobSpec) *Plan { return core.PlanFromSpecs(name, specs) }
 
 // LoadSpec reads a JSON benchmark spec from a file.

@@ -13,8 +13,8 @@ import (
 // single-flight, an in-memory LRU bounded by a byte budget, and optional
 // on-disk binary CSR snapshots keyed by dataset fingerprint, so warmed
 // runs (and later processes) skip generator work entirely. Sessions use
-// the process-wide store by default; WithCacheDir or WithGraphStore route
-// them through a snapshot-backed or shared one.
+// the process-wide store by default; WithCacheDir routes them through a
+// snapshot-backed one.
 
 // GraphStore caches materialized graphs; construct with NewGraphStore.
 type GraphStore = graphstore.Store
@@ -43,10 +43,6 @@ const (
 
 // NewGraphStore returns an empty graph store.
 func NewGraphStore(opts GraphStoreOptions) *GraphStore { return graphstore.New(opts) }
-
-// WithGraphStore routes a session's dataset loads through st; sessions
-// sharing a store share its cache.
-func WithGraphStore(st *GraphStore) Option { return core.WithGraphStore(st) }
 
 // WithCacheDir gives a session a dedicated store persisting binary CSR
 // snapshots under dir, so repeated runs — including separate processes —
