@@ -21,7 +21,8 @@ import (
 // iteration and per CDLP iteration; one for WCC and for LCC; one for SSSP's
 // bucket width plus one per delta-stepping bucket. The range engines'
 // variants take one round per min-label pass (MinLabelWCC) and per
-// frontier (PushBFS, BellmanFordSSSP).
+// frontier (PushBFS, BellmanFordSSSP), and two per PageRank iteration in
+// ApplyGatherPageRank, spmv's apply and gather.
 //
 // Float sums that cross chunks — PageRank's dangling mass and SSSP's bucket
 // width — follow par.SumBlocked's reduction tree: partials over blocks of
@@ -34,9 +35,10 @@ import (
 // Chunks, Collect, Owned and Report may only be called inside a Round body.
 //
 // A runtime may span machines: Round then runs the body on each in turn,
-// and each run owns a contiguous vertex range. CDLP and the range engines'
-// variants (MinLabelWCC, PushBFS, BellmanFordSSSP) are written for that;
-// the other kernels assume one machine, which owns every vertex.
+// and each run owns a contiguous vertex range. PageRank, CDLP and the
+// range engines' variants (ApplyGatherPageRank, MinLabelWCC, PushBFS,
+// BellmanFordSSSP) are written for that; the other kernels assume one
+// machine, which owns every vertex.
 type Runtime interface {
 	// Round runs body as one synchronization round. It fails only when
 	// the job is abandoned (the engines check their context first).
@@ -77,7 +79,7 @@ type Kernels struct {
 	changed  []bool
 	dangling []int32   // PageRank's dangling vertices, ascending
 	ranks    []float64 // PageRank's ranks, alternating with the output
-	contrib  []float64 // PageRank's per-arc contributions
+	contrib  []float64 // PageRank's per-vertex contributions, rank/outdeg
 	sums     []float64 // block partials of SSSP's bucket width
 	frontier []int32   // BFS and Bellman-Ford frontier, SSSP phase discoveries
 	bits     []uint64  // BFS frontier bitmap of a bottom-up level
@@ -172,11 +174,31 @@ func (k *Kernels) BFS(rt Runtime, g *graph.Graph, source int32) ([]int64, error)
 // PageRank is the specification's fixed-iteration synchronous PageRank,
 // one round per iteration: a pass over vertex chunks computes every
 // vertex's contribution, then a pull over in-edges computes the next
-// ranks. The dangling mass is folded from the job's ascending list of
-// dangling vertices, gathered in the first round, through
-// par.SumBlockedAt: RefPageRank's block tree, so the ranks are
-// RefPageRank's bits.
+// ranks of the running machine's Owned range, which it reports. The
+// dangling mass is folded from the job's ascending list of dangling
+// vertices, gathered in the first round, through par.SumBlockedAt:
+// RefPageRank's block tree, so the ranks are RefPageRank's bits.
+//
+// Every machine computes the whole contribution vector and the dangling
+// mass on its own threads, replicated, so an iteration needs no second
+// round: pushpull's model. A machine must not read a contribution only a
+// later machine of the round would compute.
 func (k *Kernels) PageRank(rt Runtime, g *graph.Graph, iterations int, damping float64) ([]float64, error) {
+	return k.pageRank(rt, g, iterations, damping, false)
+}
+
+// ApplyGatherPageRank is PageRank in two rounds per iteration, spmv's
+// model: the apply round computes the running machine's Owned slice of
+// the contribution vector and reports it, the slice the machine
+// allgathers; the gather round folds the dangling mass and pulls the
+// machine's ranks, reporting nothing. Its ranks are PageRank's bits.
+func (k *Kernels) ApplyGatherPageRank(rt Runtime, g *graph.Graph, iterations int, damping float64) ([]float64, error) {
+	return k.pageRank(rt, g, iterations, damping, true)
+}
+
+// pageRank is PageRank's loop, in one round per iteration or, with apply,
+// in two.
+func (k *Kernels) pageRank(rt Runtime, g *graph.Graph, iterations int, damping float64, apply bool) ([]float64, error) {
 	n := g.NumVertices()
 	if n == 0 {
 		return nil, nil
@@ -192,7 +214,7 @@ func (k *Kernels) PageRank(rt Runtime, g *graph.Graph, iterations int, damping f
 	for i := range rank {
 		rank[i] = inv
 	}
-	gather := func(_, lo, hi int, out []int32) []int32 {
+	sinks := func(_, lo, hi int, out []int32) []int32 {
 		for v := int32(lo); v < int32(hi); v++ {
 			if g.OutDegree(v) == 0 {
 				out = append(out, v)
@@ -200,22 +222,48 @@ func (k *Kernels) PageRank(rt Runtime, g *graph.Graph, iterations int, damping f
 		}
 		return out
 	}
+	// The passes over the running machine's range [first, end) offset
+	// their chunks through thin wrappers, leaving the step closures as
+	// they are on one machine. pull's inlined inner loop is where a job
+	// spends its time, and its speed moves by about a tenth with the
+	// loop's 64-byte code alignment: a change to these closures should be
+	// timed (BenchmarkRefKernelPageRank/workers=1) against its parent.
+	it, first, end := 0, 0, 0
 	contribute := func(_, lo, hi int) { PRContribRange(g, rank, contrib, lo, hi) }
+	contributeOwned := func(w, lo, hi int) { contribute(w, first+lo, first+hi) }
 	var base float64
 	pull := func(_, lo, hi int) { PRPullRange(g, contrib, next, base, damping, lo, hi) }
-	it := 0
-	iteration := func() {
+	pullOwned := func(w, lo, hi int) { pull(w, first+lo, first+hi) }
+	// pullRanks folds the dangling mass, from the dangling vertices it
+	// gathers in the job's first iteration (the workers' lists join in
+	// worker order, which is vertex order), and pulls the machine's ranks.
+	pullRanks := func() {
 		if it == 0 {
-			// Workers' lists join in worker order, which is vertex order.
-			k.dangling = rt.Collect(n, k.dangling, gather)
+			k.dangling = rt.Collect(n, k.dangling, sinks)
 		}
-		rt.Chunks(n, contribute)
 		base = (1-damping)*inv + damping*par.SumBlockedAt(rank, k.dangling)*inv
-		rt.Chunks(n, pull)
+		first, end = rt.Owned()
+		rt.Chunks(end-first, pullOwned)
+	}
+	var rounds []func()
+	if apply {
+		rounds = []func(){func() {
+			first, end = rt.Owned()
+			rt.Chunks(end-first, contributeOwned)
+			rt.Report(end-first, nil)
+		}, pullRanks}
+	} else {
+		rounds = []func(){func() {
+			rt.Chunks(n, contribute)
+			pullRanks()
+			rt.Report(end-first, nil)
+		}}
 	}
 	for ; it < iterations; it++ {
-		if err := rt.Round(iteration); err != nil {
-			return nil, err
+		for _, round := range rounds {
+			if err := rt.Round(round); err != nil {
+				return nil, err
+			}
 		}
 		rank, next = next, rank
 	}

@@ -10,6 +10,7 @@ import (
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/graph"
+	"graphalytics/internal/par"
 )
 
 // kernelGraph builds a random graph big enough to split into many chunks,
@@ -90,6 +91,54 @@ func TestParallelKernelsMatchOracleBitForBit(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPageRankSpansMachines holds both PageRank forms on a runtime of
+// one, three and 32 machines (rangeRuntime), at one and three workers, to
+// RefPageRank bit for bit. The graph spans three par.SumBlock blocks and
+// a third of its vertices have no out-edges when directed, so the
+// dangling fold crosses block boundaries the machines' ranges do not line
+// up with; seven iterations end on the pooled array.
+func TestPageRankSpansMachines(t *testing.T) {
+	n := 3*par.SumBlock + 100
+	for _, directed := range []bool{true, false} {
+		b := graph.NewBuilder(directed, false)
+		b.SetOptions(graph.BuildOptions{DedupEdges: true, DropSelfLoops: true})
+		state := uint64(5)
+		for v := range n {
+			b.AddVertex(int64(v))
+			if v%3 == 0 {
+				continue // a sink
+			}
+			for range 3 {
+				state = state*6364136223846793005 + 1442695040888963407
+				b.AddEdge(int64(v), int64(state>>33)%int64(n))
+			}
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := algorithms.RefPageRank(g, 7, 0.85)
+		for _, machines := range []int{1, 3, 32} {
+			for _, workers := range []int{1, 3} {
+				k := new(algorithms.Kernels)
+				for name, run := range map[string]func(algorithms.Runtime, *graph.Graph, int, float64) ([]float64, error){
+					"PageRank":            k.PageRank,
+					"ApplyGatherPageRank": k.ApplyGatherPageRank,
+				} {
+					rt := &rangeRuntime{n: g.NumVertices(), machines: machines, workers: workers}
+					got, err := run(rt, g, 7, 0.85)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) {
+						t.Errorf("directed=%v machines=%d workers=%d: %s not bit-identical to RefPageRank", directed, machines, workers, name)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -185,6 +185,28 @@ func TestPartitionVerticesRangeCoversAll(t *testing.T) {
 	if len(seen) != g.NumVertices() {
 		t.Fatalf("partition covers %d vertices, want %d", len(seen), g.NumVertices())
 	}
+	// The ranges tile [0, n) in machine order; with more machines than
+	// vertices, the machines left without any get (0, 0).
+	for _, machines := range []int{1, 4, g.NumVertices() + 3} {
+		p := cluster.PartitionVerticesRange(g, machines)
+		next := 0
+		for m := range machines {
+			lo, hi := p.Range(m)
+			if len(p.Verts[m]) == 0 {
+				if lo != 0 || hi != 0 {
+					t.Errorf("m%d: machine %d owns no vertices but has range [%d, %d), want (0, 0)", machines, m, lo, hi)
+				}
+				continue
+			}
+			if lo != next || hi != lo+len(p.Verts[m]) {
+				t.Errorf("m%d: machine %d has range [%d, %d), want [%d, %d)", machines, m, lo, hi, next, next+len(p.Verts[m]))
+			}
+			next = hi
+		}
+		if next != g.NumVertices() {
+			t.Errorf("m%d: the ranges end at %d, want %d", machines, next, g.NumVertices())
+		}
+	}
 }
 
 func TestPartitionVerticesHash(t *testing.T) {

@@ -41,6 +41,17 @@ func PartitionVerticesRange(g *graph.Graph, machines int) *VertexPartition {
 	return p
 }
 
+// Range returns the vertex range [lo, hi) machine m owns in a partition
+// of contiguous ranges (PartitionVerticesRange); it is (0, 0) when m owns
+// no vertices, as happens when there are more machines than vertices.
+func (p *VertexPartition) Range(m int) (lo, hi int) {
+	verts := p.Verts[m]
+	if len(verts) == 0 {
+		return 0, 0
+	}
+	return int(verts[0]), int(verts[0]) + len(verts)
+}
+
 // PartitionVerticesHash assigns vertices to machines by hashing the
 // internal index (modulo), the classic Pregel placement.
 func PartitionVerticesHash(n, machines int) *VertexPartition {

@@ -216,10 +216,12 @@ func TestRepoClean(t *testing.T) {
 // waiverCeilings caps the audited waivers in non-test code. The numbers
 // only ever go down: removing a waiver lowers its ceiling in the same
 // change, and a new one needs a reviewer to raise it here.
-var waiverCeilings = map[string]int{"ctxbg": 5, "orderfree": 18}
+var waiverCeilings = map[string]int{"ctxbg": 5, "orderfree": 17}
 
 // TestWaiverBudget counts the waiver directives in the module's non-test
-// sources (the analyzers' own fixtures aside) against waiverCeilings.
+// sources (the analyzers' own fixtures aside) against waiverCeilings: a
+// count above its ceiling fails, and so does one below it, until the
+// ceiling comes down to meet it.
 func TestWaiverBudget(t *testing.T) {
 	counts := map[string]int{}
 	err := filepath.WalkDir("../..", func(path string, d os.DirEntry, err error) error {
@@ -253,6 +255,8 @@ func TestWaiverBudget(t *testing.T) {
 	for name, ceiling := range waiverCeilings {
 		if counts[name] > ceiling {
 			t.Errorf("%d //graphalint:%s waivers in non-test code, ceiling is %d", counts[name], name, ceiling)
+		} else if counts[name] < ceiling {
+			t.Errorf("%d //graphalint:%s waivers in non-test code: lower its ceiling from %d to keep the ratchet tight", counts[name], name, ceiling)
 		}
 	}
 }

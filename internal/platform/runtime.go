@@ -36,6 +36,12 @@ func Run[T any](ctx context.Context, b *BaseUpload, owned func(mach int) (lo, hi
 	return kernel(&r.kernels, r)
 }
 
+// Allgather is the traffic rule that prices what a machine reports as an
+// allgather: its n updates go to every other machine, each bytes apiece.
+func Allgather(cl *cluster.Cluster, each int64) func(mach, n int, _ []int32) {
+	return func(mach, n int, _ []int32) { cl.Broadcast(mach, int64(n)*each) }
+}
+
 // runtime is the algorithms.Runtime Run runs kernels on.
 type runtime struct {
 	kernels algorithms.Kernels

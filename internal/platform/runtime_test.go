@@ -32,13 +32,7 @@ func TestRunSpansMachines(t *testing.T) {
 			at := fmt.Sprintf("t%d-m%d", threads, machines)
 			cl := cluster.New(cluster.Config{Machines: machines, Threads: threads, HostWorkers: 4}.Normalize())
 			part := cluster.PartitionVerticesRange(g, machines)
-			owned := func(mach int) (lo, hi int) {
-				verts := part.Verts[mach]
-				if len(verts) == 0 {
-					return 0, 0
-				}
-				return int(verts[0]), int(verts[0]) + len(verts)
-			}
+			owned := part.Range
 			var (
 				covered  [n]int
 				reported []int

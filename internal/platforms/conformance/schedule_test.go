@@ -162,9 +162,10 @@ func TestNativeMatchesOracleBitForBit(t *testing.T) {
 // list through the oracle's block tree and every per-vertex sum follows
 // adjacency order; on the corpus that tree is one block, so a graph of
 // three blocks, whose machine ranges do not line up with them, checks
-// that spmv folds every block exactly once and pushpull's fold crosses
-// block boundaries. The other four are reference kernels on the cluster
-// runtime, its machines running their ranges in turn within a round: a
+// that the fold every machine replicates crosses block boundaries. All
+// five are reference kernels on the cluster runtime, its machines
+// running their ranges in turn within a round: a pushpull machine must
+// not pull a contribution only a later machine would compute, a
 // frontier stamp an earlier machine leaves for the next CDLP round must
 // not hide a vertex a later machine still has to fold in this one, and
 // every BFS and SSSP frontier vertex must be expanded by exactly the

@@ -2,11 +2,12 @@ package pushpull
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
+	"graphalytics/internal/algorithms"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/platform"
-	"graphalytics/internal/platforms/rangecsr"
 )
 
 // allocGraph builds a deterministic pseudo-random graph big enough that a
@@ -53,13 +54,13 @@ func TestCDLPSteadyStateAllocs(t *testing.T) {
 	}
 	u := up.(*uploaded)
 	defer u.Free()
-	run := func() {
-		if _, err := rangecsr.CDLP(context.Background(), &u.BaseUpload, u.lay, 10); err != nil {
+	job := func() {
+		if _, err := run(context.Background(), u, 12, func(k *algorithms.Kernels, rt algorithms.Runtime) ([]int64, error) { return k.CDLP(rt, u.g, 10) }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run() // warm-up: grows the pooled scratch
-	allocs := testing.AllocsPerRun(3, run)
+	job() // warm-up: grows the pooled scratch
+	allocs := testing.AllocsPerRun(3, job)
 	if allocs > 64 {
 		t.Fatalf("steady-state CDLP run allocated %.0f objects, want <= 64 "+
 			"(per-round allocation has regressed)", allocs)
@@ -79,15 +80,47 @@ func TestSSSPSteadyStateAllocs(t *testing.T) {
 	}
 	u := up.(*uploaded)
 	defer u.Free()
-	run := func() {
-		if _, err := sssp(context.Background(), u, 0); err != nil {
+	job := func() {
+		if _, err := run(context.Background(), u, 16, func(k *algorithms.Kernels, rt algorithms.Runtime) ([]float64, error) {
+			return k.BellmanFordSSSP(rt, u.g, 0)
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run() // warm-up: grows the pooled scratch
-	allocs := testing.AllocsPerRun(3, run)
+	job() // warm-up: grows the pooled scratch
+	allocs := testing.AllocsPerRun(3, job)
 	if allocs > 128 {
 		t.Fatalf("steady-state SSSP run allocated %.0f objects, want <= 128 "+
 			"(per-round allocation has regressed)", allocs)
+	}
+}
+
+// TestPageRankSteadyStateAllocs guards the pooled rank arrays: the second
+// rank array, the contributions and the dangling list live in the kernel
+// state the engine pools, so after warm-up a PageRank on one machine allocates its
+// output and at most 8 KiB more, not a rank-sized array per job.
+func TestPageRankSteadyStateAllocs(t *testing.T) {
+	const n = 4000
+	g := allocGraph(t, n, 4, false)
+	up, err := New().Upload(g, platform.RunConfig{Threads: 4, Machines: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := up.(*uploaded)
+	defer u.Free()
+	job := func() {
+		if _, err := run(context.Background(), u, 8, func(k *algorithms.Kernels, rt algorithms.Runtime) ([]float64, error) {
+			return k.PageRank(rt, u.g, 10, 0.85)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	job() // warm-up: grows the pooled kernel state
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	job()
+	runtime.ReadMemStats(&after)
+	if bytes, budget := after.TotalAlloc-before.TotalAlloc, uint64(n*8+8<<10); bytes > budget {
+		t.Errorf("warm PageRank of %d vertices allocated %d bytes, want <= %d (the output and 8 KiB)", n, bytes, budget)
 	}
 }

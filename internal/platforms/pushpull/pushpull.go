@@ -11,10 +11,15 @@
 // first to hit memory limits in the stress test), and it does not
 // implement LCC.
 //
-// The layout is rangecsr's. WCC (min-label pulls), CDLP and SSSP
-// (Bellman-Ford pushes) are the reference kernels' loops on the shared
-// cluster runtime (platform.Run), each machine broadcasting what it
-// produced; the direction-optimizing BFS and the PageRank rounds are the
+// The engine keeps a private CSR copy of the graph in both directions,
+// its vertices split into contiguous edge-balanced ranges, one per
+// machine. PageRank, WCC (min-label pulls), CDLP and SSSP (Bellman-Ford
+// pushes) are the reference kernels' loops on the shared cluster runtime
+// (platform.Run), each machine broadcasting what it produced: 8 bytes
+// per owned rank, 4 per owned label, 12 per changed label and 16 per
+// improved distance. PageRank takes one round per iteration, in which
+// every machine computes the whole contribution vector, replicated, and
+// pulls the ranks of its range. The direction-optimizing BFS is the
 // engine's own.
 package pushpull
 
@@ -27,7 +32,6 @@ import (
 	"graphalytics/internal/cluster"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/platform"
-	"graphalytics/internal/platforms/rangecsr"
 )
 
 // New returns the adaptive push-pull engine.
@@ -49,22 +53,30 @@ func NewForced(direction string) platform.Platform {
 				return j.Ints(vals, err)
 			},
 			algorithms.PR: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				vals, err := pagerank(ctx, u, j.Iterations, j.Damping)
+				vals, err := run(ctx, u, 8, func(k *algorithms.Kernels, rt algorithms.Runtime) ([]float64, error) {
+					return k.PageRank(rt, u.g, j.Iterations, j.Damping)
+				})
 				annotateDirections(j, 0, j.Iterations)
 				return j.Floats(vals, err)
 			},
 			algorithms.WCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				vals, err := rangecsr.WCC(ctx, &u.BaseUpload, u.lay)
+				vals, err := run(ctx, u, 4, func(k *algorithms.Kernels, rt algorithms.Runtime) ([]int64, error) {
+					return k.MinLabelWCC(rt, u.g)
+				})
 				annotateDirections(j, 0, u.Cl.Rounds())
 				return j.Ints(vals, err)
 			},
 			algorithms.CDLP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				vals, err := rangecsr.CDLP(ctx, &u.BaseUpload, u.lay, j.Iterations)
+				vals, err := run(ctx, u, 12, func(k *algorithms.Kernels, rt algorithms.Runtime) ([]int64, error) {
+					return k.CDLP(rt, u.g, j.Iterations)
+				})
 				annotateDirections(j, 0, j.Iterations)
 				return j.Ints(vals, err)
 			},
 			algorithms.SSSP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				vals, err := sssp(ctx, u, j.SourceIndex)
+				vals, err := run(ctx, u, 16, func(k *algorithms.Kernels, rt algorithms.Runtime) ([]float64, error) {
+					return k.BellmanFordSSSP(rt, u.g, j.SourceIndex)
+				})
 				annotateDirections(j, u.Cl.Rounds(), 0)
 				return j.Floats(vals, err)
 			},
@@ -82,9 +94,12 @@ func annotateDirections(j *platform.Job, pushes, pulls int) {
 
 type uploaded struct {
 	platform.BaseUpload
-	// lay is the engine's own graph storage: both adjacency directions
-	// are replicated into engine-private arrays during upload.
-	lay  *rangecsr.Layout
+	// g is the engine's own heap-resident copy of the graph, both
+	// adjacency directions replicated into engine-private arrays during
+	// upload; it keeps the kernels off a mapped dataset's pages.
+	g *graph.Graph
+	// part assigns each machine one contiguous vertex range.
+	part *cluster.VertexPartition
 	arcs int64 // stored out-adjacency entries: |E| directed, 2|E| undirected
 }
 
@@ -93,13 +108,14 @@ type uploaded struct {
 // against every machine. The context is checked after the copy, the
 // expensive part.
 func load(ctx context.Context, g *graph.Graph, cl *cluster.Cluster) (*uploaded, []int64, error) {
-	u := &uploaded{lay: rangecsr.New(g, cl.Machines())}
+	c := g.Clone()
+	u := &uploaded{g: c, part: cluster.PartitionVerticesRange(c, cl.Machines())}
 	if err := platform.CheckContext(ctx); err != nil {
 		return nil, nil, err
 	}
 	n := int64(g.NumVertices())
 	for v := int32(0); v < int32(n); v++ {
-		u.arcs += int64(u.lay.G.OutDegree(v))
+		u.arcs += int64(c.OutDegree(v))
 	}
 	// Out- and in-adjacency, out-weights and both offset arrays. The
 	// modelled engine stores a pull copy of every edge list, so both

@@ -20,7 +20,7 @@ func TestStoreLayout(t *testing.T) {
 	}
 	defer up.Free()
 	u := up.(*uploaded)
-	st := u.lay.G
+	st := u.g
 	if st == g || &st.OutNeighbors(0)[0] == &g.OutNeighbors(0)[0] {
 		t.Fatal("the engine must run on its own copy of the graph")
 	}
@@ -39,24 +39,5 @@ func TestStoreLayout(t *testing.T) {
 	}
 	if u.arcs != 3 {
 		t.Fatalf("arcs = %d, want 3", u.arcs)
-	}
-}
-
-func TestDanglingVertexList(t *testing.T) {
-	g, err := graph.FromEdges("d", true, false, []graph.Edge{
-		{Src: 0, Dst: 1}, {Src: 0, Dst: 2},
-	}, graph.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	up, err := New().Upload(g, platform.RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer up.Free()
-	u := up.(*uploaded)
-	// Vertices 1 and 2 have no out-edges.
-	if len(u.lay.Dangling) != 2 {
-		t.Fatalf("dangling = %v, want the two sinks", u.lay.Dangling)
 	}
 }

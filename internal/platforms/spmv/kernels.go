@@ -2,76 +2,18 @@ package spmv
 
 import (
 	"context"
-	"slices"
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
 	"graphalytics/internal/mplane"
-	"graphalytics/internal/par"
 	"graphalytics/internal/platform"
 )
 
-// pagerank is a dense pull SpMV: every iteration runs one "apply" round
-// computing the contribution vector rank/outdeg, then one "gather" round
-// computing A^T * contrib per owned row. Each round ends with an allgather
-// of the machine's vector slice. The apply round is also the chunk runner
-// of the dangling mass's fold, the oracle's tree (par.SumBlocks over
-// SumBlock vertex blocks): each machine sums, on its threads, the dangling
-// ranks of the blocks that start in its range, so the machines' block
-// spans tile the blocks as their ranges tile the vertices.
-func pagerank(ctx context.Context, u *uploaded, iterations int, damping float64) ([]float64, error) {
-	g, cl, dangling := u.lay.G, u.Cl, u.lay.Dangling
-	n := g.NumVertices()
-	if n == 0 {
-		return nil, nil
-	}
-	rank := make([]float64, n)
-	next := make([]float64, n)
-	contrib := make([]float64, n)
-	inv := 1.0 / float64(n)
-	for i := range rank {
-		rank[i] = inv
-	}
-	danglingMass := func(lo, hi int) float64 { // ascending, as RefPageRank adds them
-		i, _ := slices.BinarySearch(dangling, int32(lo))
-		j, _ := slices.BinarySearch(dangling, int32(hi))
-		return par.SumBlockedAt(rank, dangling[i:j])
-	}
-	var err error
-	apply := func(_ int, fold func(worker, lo, hi int)) {
-		err = cl.RunRound(func(mach int, th *cluster.Threads) error {
-			first, end := u.lay.Range(mach)
-			th.Chunks(end-first, func(lo, hi int) {
-				algorithms.PRContribRange(g, rank, contrib, first+lo, first+hi)
-			})
-			blo, bhi := (first+par.SumBlock-1)/par.SumBlock, (end+par.SumBlock-1)/par.SumBlock
-			th.ChunksIndexed(bhi-blo, func(w, lo, hi int) { fold(w, blo+lo, blo+hi) })
-			cl.Broadcast(mach, int64(end-first)*8)
-			return nil
-		})
-	}
-	var parts []float64
-	for it := 0; it < iterations; it++ {
-		if err := platform.CheckContext(ctx); err != nil {
-			return nil, err
-		}
-		var mass float64
-		if mass, parts = par.SumBlocks(n, par.SumBlock, apply, parts, danglingMass); err != nil {
-			return nil, err
-		}
-		base := (1-damping)*inv + damping*mass*inv
-		if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
-			first, end := u.lay.Range(mach)
-			th.Chunks(end-first, func(lo, hi int) {
-				algorithms.PRPullRange(g, contrib, next, base, damping, first+lo, first+hi)
-			})
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		rank, next = next, rank
-	}
-	return rank, nil
+// run runs a reference kernel (algorithms.Kernels) on the upload's
+// machines, each owning its partition's range of rows; traffic prices
+// what a machine reports.
+func run[T any](ctx context.Context, u *uploaded, traffic func(mach, n int, vertices []int32), kernel func(*algorithms.Kernels, algorithms.Runtime) (T, error)) (T, error) {
+	return platform.Run(ctx, &u.BaseUpload, u.part.Range, traffic, kernel)
 }
 
 // route is the traffic rule of the frontier rounds: a machine ships
@@ -81,7 +23,7 @@ func route(u *uploaded, each int64) func(mach, n int, discovered []int32) {
 	return func(mach, _ int, discovered []int32) {
 		clear(staging)
 		for _, d := range discovered {
-			if o := u.lay.Part.Owner[d]; int(o) != mach {
+			if o := u.part.Owner[d]; int(o) != mach {
 				staging[o] += each
 			}
 		}
@@ -96,8 +38,8 @@ func route(u *uploaded, each int64) func(mach, n int, discovered []int32) {
 // owned frontier rows, and discovered vertices are routed to their owning
 // machines for the next level, 12 bytes each (vertex id + level).
 func bfs(ctx context.Context, u *uploaded, source int32) ([]int64, error) {
-	return platform.Run(ctx, &u.BaseUpload, u.lay.Range, route(u, 12), func(k *algorithms.Kernels, rt algorithms.Runtime) ([]int64, error) {
-		return k.PushBFS(rt, u.lay.G, source)
+	return run(ctx, u, route(u, 12), func(k *algorithms.Kernels, rt algorithms.Runtime) ([]int64, error) {
+		return k.PushBFS(rt, u.g, source)
 	})
 }
 
@@ -107,7 +49,7 @@ func bfs(ctx context.Context, u *uploaded, source int32) ([]int64, error) {
 // thread slot's marks of N(v). Remote rows must be fetched, which the
 // engine accounts as traffic from the row owner.
 func lcc(ctx context.Context, u *uploaded) ([]float64, error) {
-	g, cl, part := u.lay.G, u.Cl, u.lay.Part
+	g, cl, part := u.g, u.Cl, u.part
 	n := g.NumVertices()
 	out := make([]float64, n)
 	sc := mplane.Acquire(u.Scratch(), func() *lccScratch { return &lccScratch{} })
@@ -172,7 +114,7 @@ type lccScratch struct {
 // (algorithms.Kernels.BellmanFordSSSP), with frontier routing identical to
 // bfs, 16 bytes per discovery (vertex id + distance).
 func sssp(ctx context.Context, u *uploaded, source int32) ([]float64, error) {
-	return platform.Run(ctx, &u.BaseUpload, u.lay.Range, route(u, 16), func(k *algorithms.Kernels, rt algorithms.Runtime) ([]float64, error) {
-		return k.BellmanFordSSSP(rt, u.lay.G, source)
+	return run(ctx, u, route(u, 16), func(k *algorithms.Kernels, rt algorithms.Runtime) ([]float64, error) {
+		return k.BellmanFordSSSP(rt, u.g, source)
 	})
 }

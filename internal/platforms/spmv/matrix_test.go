@@ -19,7 +19,7 @@ func TestMatrixLayoutDirected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer up.Free()
-	m := up.(*uploaded).lay.G
+	m := up.(*uploaded).g
 	if m == g || &m.OutNeighbors(0)[0] == &g.OutNeighbors(0)[0] {
 		t.Fatal("the engine must run on its own copy of the graph")
 	}

@@ -12,11 +12,16 @@
 // vector per iteration. SSSP is only available on the D backend, mirroring
 // the paper's setup.
 //
-// The layout is rangecsr's. BFS (push SpMSpV), WCC (min-label SpMV), CDLP
+// The matrix's rows are split into contiguous edge-balanced ranges, one
+// per machine. BFS (push SpMSpV), PageRank, WCC (min-label SpMV), CDLP
 // and SSSP (Bellman-Ford SpMSpV) are the reference kernels' loops on the
 // shared cluster runtime (platform.Run); the engine keeps their traffic
-// rules — frontier discoveries routed to their owners, label vectors
-// allgathered — and its own PageRank and LCC rounds.
+// rules — frontier discoveries routed to their owners; contributions, 8
+// bytes per owned vertex, and labels, 4 bytes per owned vertex or 12 per
+// changed CDLP label, allgathered — and its own LCC round. PageRank is a
+// dense pull SpMV in two rounds per iteration: an "apply" round computes
+// each machine's slice of the contribution vector rank/outdeg and
+// allgathers it, a "gather" round computes A^T * contrib per owned row.
 package spmv
 
 import (
@@ -27,7 +32,6 @@ import (
 	"graphalytics/internal/cluster"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/platform"
-	"graphalytics/internal/platforms/rangecsr"
 )
 
 // Backend selects the GraphMat-style execution backend.
@@ -52,13 +56,19 @@ func New(b Backend) platform.Platform {
 				return j.Ints(bfs(ctx, u, j.SourceIndex))
 			},
 			algorithms.PR: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Floats(pagerank(ctx, u, j.Iterations, j.Damping))
+				return j.Floats(run(ctx, u, platform.Allgather(u.Cl, 8), func(k *algorithms.Kernels, rt algorithms.Runtime) ([]float64, error) {
+					return k.ApplyGatherPageRank(rt, u.g, j.Iterations, j.Damping)
+				}))
 			},
 			algorithms.WCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Ints(rangecsr.WCC(ctx, &u.BaseUpload, u.lay))
+				return j.Ints(run(ctx, u, platform.Allgather(u.Cl, 4), func(k *algorithms.Kernels, rt algorithms.Runtime) ([]int64, error) {
+					return k.MinLabelWCC(rt, u.g)
+				}))
 			},
 			algorithms.CDLP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Ints(rangecsr.CDLP(ctx, &u.BaseUpload, u.lay, j.Iterations))
+				return j.Ints(run(ctx, u, platform.Allgather(u.Cl, 12), func(k *algorithms.Kernels, rt algorithms.Runtime) ([]int64, error) {
+					return k.CDLP(rt, u.g, j.Iterations)
+				}))
 			},
 			algorithms.LCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
 				return j.Floats(lcc(ctx, u))
@@ -79,25 +89,29 @@ func New(b Backend) platform.Platform {
 
 type uploaded struct {
 	platform.BaseUpload
-	// lay holds the sparse adjacency matrix A (A[i][j] = 1 or the edge
-	// weight when edge i->j exists): out-adjacency is its CSR rows (push-
-	// style SpMSpV over a sparse frontier), in-adjacency its CSC columns
-	// (pull-style dense SpMV). An undirected graph's matrix is symmetric
-	// and both share storage.
-	lay *rangecsr.Layout
+	// g is the sparse adjacency matrix A (A[i][j] = 1 or the edge weight
+	// when edge i->j exists), the engine's own heap-resident copy of the
+	// graph: out-adjacency is its CSR rows (push-style SpMSpV over a
+	// sparse frontier), in-adjacency its CSC columns (pull-style dense
+	// SpMV). An undirected graph's matrix is symmetric and both share
+	// storage.
+	g *graph.Graph
+	// part assigns each machine one contiguous range of rows.
+	part *cluster.VertexPartition
 }
 
 // load converts the graph into the engine's CSR+CSC matrix layout; the
 // context is checked after the conversion, the expensive part.
 func load(ctx context.Context, g *graph.Graph, cl *cluster.Cluster) (*uploaded, []int64, error) {
-	u := &uploaded{lay: rangecsr.New(g, cl.Machines())}
+	c := g.Clone()
+	u := &uploaded{g: c, part: cluster.PartitionVerticesRange(c, cl.Machines())}
 	if err := platform.CheckContext(ctx); err != nil {
 		return nil, nil, err
 	}
 	// Each machine holds its share of matrix rows/columns plus a full
 	// replica of one dense operand vector (the allgathered x).
 	n := int64(g.NumVertices())
-	matrix := u.lay.G.MemoryFootprint() - n*8 // the graph less its identifier table
+	matrix := c.MemoryFootprint() - n*8 // the graph less its identifier table
 	perMachine := matrix/int64(cl.Machines()) + n*8
 	return u, slices.Repeat([]int64{perMachine}, cl.Machines()), nil
 }
