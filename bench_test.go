@@ -23,7 +23,6 @@ import (
 	"graphalytics/internal/graphstore"
 	"graphalytics/internal/platform"
 	"graphalytics/internal/platforms/pregel"
-	"graphalytics/internal/platforms/pushpull"
 	"graphalytics/internal/workload"
 )
 
@@ -281,24 +280,6 @@ func BenchmarkAblationCombiner(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDirection compares forced push, forced pull and
-// adaptive direction selection for the push-pull engine's BFS.
-func BenchmarkAblationDirection(b *testing.B) {
-	g, params := loadBench(b, "D300")
-	for _, dir := range []string{"", "push", "pull"} {
-		name := dir
-		if name == "" {
-			name = "adaptive"
-		}
-		b.Run(name, func(b *testing.B) {
-			e := pushpull.NewForced(dir)
-			for i := 0; i < b.N; i++ {
-				runOn(b, e, g, algorithms.BFS, params, benchThreads)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationCSR compares the native engine's CSR BFS against a
 // straightforward adjacency-map BFS, quantifying why every engine in this
 // repository converts to packed arrays during upload.
@@ -343,11 +324,13 @@ func BenchmarkAblationCSR(b *testing.B) {
 }
 
 // BenchmarkAblationSparseFrontier compares a sparse frontier-queue BFS
-// kernel (SpMSpV-style) against a dense per-level scan over all vertices,
-// on a graph the search covers fully (D300) and on one it covers only
-// ~10% of (R2). The crossover is the trade-off behind frontier-sparse
-// execution and behind the paper's observation that OpenG's queue-based
-// BFS wins on R2.
+// kernel (SpMSpV-style, every level pushed) against a dense per-level scan
+// over all vertices (every level pulled) and the adaptive
+// direction-optimizing reference kernel (ParBFS, one worker), on a graph
+// the search covers fully (D300) and on one it covers only ~10% of (R2).
+// The crossover is the trade-off behind frontier-sparse execution, behind
+// the paper's observation that OpenG's queue-based BFS wins on R2, and
+// behind picking the direction per level.
 func BenchmarkAblationSparseFrontier(b *testing.B) {
 	sparseBFS := func(g *graph.Graph, src int32) {
 		depth := make([]int64, g.NumVertices())
@@ -406,6 +389,11 @@ func BenchmarkAblationSparseFrontier(b *testing.B) {
 		b.Run("dense-scan/"+ds, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				denseBFS(g, src)
+			}
+		})
+		b.Run("adaptive/"+ds, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				algorithms.ParBFS(g, src, 1)
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package algorithms
 
 import (
 	"math"
-	"slices"
 
 	"graphalytics/internal/graph"
 	"graphalytics/internal/mplane"
@@ -35,7 +34,7 @@ import (
 // Chunks, Collect, Owned and Report may only be called inside a Round body.
 //
 // A runtime may span machines: Round then runs the body on each in turn,
-// and each run owns a contiguous vertex range. PageRank, CDLP and the
+// and each run owns a contiguous vertex range. BFS, PageRank, CDLP and the
 // range engines' variants (ApplyGatherPageRank, MinLabelWCC, PushBFS,
 // BellmanFordSSSP) are written for that; the other kernels assume one
 // machine, which owns every vertex.
@@ -83,11 +82,14 @@ type Kernels struct {
 	sums     []float64 // block partials of SSSP's bucket width
 	frontier []int32   // BFS and Bellman-Ford frontier, SSSP phase discoveries
 	bits     []uint64  // BFS frontier bitmap of a bottom-up level
+	bottomUp int       // the last BFS's bottom-up levels
 	found    []int32   // frontierRounds' next frontier
+	part     []int32   // a machine's part of the frontier (ownedFrontier)
 	buckets  ssspBuckets
 	dist     []uint64  // Bellman-Ford distances as float bits
 	claims   []uint32  // Bellman-Ford per-round claim stamps
 	starts   []float64 // Bellman-Ford frontier's round-start distances
+	pstarts  []float64 // their entries for part
 	count    [][]int64 // per-worker LCC numerators
 	marks    [][]uint8 // per-worker LCC marks, all-zero between jobs
 }
@@ -102,48 +104,46 @@ const (
 )
 
 // BFS is a level-synchronous direction-optimizing breadth-first search,
-// one round per level. A top-down level expands only the frontier
-// (BFSExpand: atomic claims, so partially covered graphs cost only the
-// covered portion); a bottom-up level marks the frontier in a bitmap and
-// lets every unreached vertex look for a parent among its in-neighbors
-// (BFSPullRange), which saves the scan of the many arcs into the visited
-// set when the frontier is large. The direction is picked before each
-// level from counts of the graph and the search alone — the frontier's
-// out-arcs, summed by the chunks that found it, and its size — so it does
-// not depend on the chunking either, and a vertex's depth is its level
-// whichever way the level ran.
+// one round per level (frontierRounds). A top-down level expands only the
+// frontier (BFSExpand: atomic claims, so partially covered graphs cost
+// only the covered portion); a bottom-up level marks the frontier in a
+// bitmap and lets every unreached vertex look for a parent among its
+// in-neighbors (bfsPullRange), which saves the scan of the many arcs into
+// the visited set when the frontier is large. The direction is picked once
+// per level, before its round, from counts of the graph and the search
+// alone — the frontier's out-arcs, summed by the chunks that found it, and
+// its size — so it depends neither on the chunking nor on the machines,
+// and a vertex's depth is its level whichever way the level ran.
+//
+// Each machine runs its part of a level and reports the vertices it
+// claimed: top-down, it expands the frontier vertices in its Owned range;
+// bottom-up, it marks the whole frontier in the bitmap and pulls over its
+// range. On one machine that part is the whole level.
 func (k *Kernels) BFS(rt Runtime, g *graph.Graph, source int32) ([]int64, error) {
 	n := g.NumVertices()
-	depth := make([]int64, n)
-	for i := range depth {
-		depth[i] = Unreachable
-	}
-	depth[source] = 0
-	k.frontier = append(k.frontier[:0], source)
+	depth := sourceDepths(n, source)
 	k.changes = mplane.Grow(k.changes, rt.Workers())
 	clear(k.changes)
-	k.changes[0] = g.OutDegree(source) // the out-arcs of each worker's part of the frontier
+	k.changes[0] = g.OutDegree(source) // the out-arcs each worker claimed in the last level
 	k.bits = mplane.Grow(k.bits, (n+63)/64)
+	k.bottomUp = 0
 	unexplored := int64(g.NumEdges())
 	if !g.Directed() {
 		unexplored *= 2
 	}
-	// One round body serves every level: it reads the level, the frontier
-	// and the direction through the variables it captured, so a search
+	// The closures are bound once and read the level, the direction and
+	// the machine's part through the variables they captured, so a search
 	// allocates the same whether it runs three levels or three thousand.
-	level, bottomUp := int64(1), false
-	expand := func(w, lo, hi int, out []int32) []int32 {
-		out = BFSExpand(g, depth, k.frontier[lo:hi], level, out)
-		k.changes[w] = outArcs(g, out)
-		return out
-	}
-	pull := func(w, lo, hi int, out []int32) []int32 {
-		out = BFSPullRange(g, depth, k.bits, level, lo, hi, out)
-		k.changes[w] = outArcs(g, out)
-		return out
-	}
-	mark := func(_, lo, hi int) { bfsMarkRange(k.bits, k.frontier[lo:hi]) }
-	round := func() {
+	// Their order and sizes put expand and pull, and pageRank's closures
+	// after them, on 64-byte boundaries in the test and bench binaries
+	// (go1.24, amd64); pageRank's pull loop runs about a tenth slower off
+	// one. Time a change here as one to pageRank
+	// (BenchmarkRefKernelPageRank/workers=1).
+	level, bottomUp := int64(0), false
+	var part []int32 // the running machine's part of a top-down level
+	first := 0       // the running machine's first vertex
+	begin := func() {
+		level++
 		scout := int64(0)
 		for _, arcs := range k.changes {
 			scout += int64(arcs)
@@ -155,21 +155,39 @@ func (k *Kernels) BFS(rt Runtime, g *graph.Graph, source int32) ([]int64, error)
 			bottomUp = scout*bfsAlpha > unexplored
 		}
 		unexplored -= scout
+		if bottomUp {
+			k.bottomUp++
+		}
+	}
+	mark := func(_, lo, hi int) { bfsMarkRange(k.bits, k.frontier[lo:hi]) }
+	pull := func(w, lo, hi int, out []int32) []int32 {
+		out = bfsPullRange(g, depth, k.bits, level, first+lo, first+hi, out)
+		k.changes[w] += outArcs(g, out)
+		return out
+	}
+	expand := func(w, lo, hi int, out []int32) []int32 {
+		out = BFSExpand(g, depth, part[lo:hi], level, out)
+		k.changes[w] += outArcs(g, out)
+		return out
+	}
+	step := func(lo, hi int, out []int32) []int32 {
 		if !bottomUp {
-			k.frontier = rt.Collect(len(k.frontier), k.frontier, expand)
-			return
+			part, _ = k.ownedFrontier(lo, hi, n, nil)
+			return rt.Collect(len(part), out, expand)
 		}
 		clear(k.bits)
 		rt.Chunks(len(k.frontier), mark)
-		k.frontier = rt.Collect(n, k.frontier, pull)
+		first = lo
+		return rt.Collect(hi-lo, out, pull)
 	}
-	for ; len(k.frontier) > 0; level++ {
-		if err := rt.Round(round); err != nil {
-			return nil, err
-		}
+	if err := k.frontierRounds(rt, source, begin, step); err != nil {
+		return nil, err
 	}
 	return depth, nil
 }
+
+// BottomUpLevels is the number of levels the last BFS ran bottom-up.
+func (k *Kernels) BottomUpLevels() int { return k.bottomUp }
 
 // PageRank is the specification's fixed-iteration synchronous PageRank,
 // one round per iteration: a pass over vertex chunks computes every
@@ -229,10 +247,10 @@ func (k *Kernels) pageRank(rt Runtime, g *graph.Graph, iterations int, damping f
 	// loop's 64-byte code alignment: a change to these closures should be
 	// timed (BenchmarkRefKernelPageRank/workers=1) against its parent.
 	it, first, end := 0, 0, 0
-	contribute := func(_, lo, hi int) { PRContribRange(g, rank, contrib, lo, hi) }
+	contribute := func(_, lo, hi int) { prContribRange(g, rank, contrib, lo, hi) }
 	contributeOwned := func(w, lo, hi int) { contribute(w, first+lo, first+hi) }
 	var base float64
-	pull := func(_, lo, hi int) { PRPullRange(g, contrib, next, base, damping, lo, hi) }
+	pull := func(_, lo, hi int) { prPullRange(g, contrib, next, base, damping, lo, hi) }
 	pullOwned := func(w, lo, hi int) { pull(w, first+lo, first+hi) }
 	// pullRanks folds the dangling mass, from the dangling vertices it
 	// gathers in the job's first iteration (the workers' lists join in
@@ -563,20 +581,20 @@ func (k *Kernels) SSSP(rt Runtime, g *graph.Graph, source int32) ([]float64, err
 	}
 }
 
-// PushBFS is the range engines' level-synchronous BFS, one round per
-// level (frontierRounds): each machine expands the frontier vertices it
-// owns and reports the vertices it claimed, for the engine to route.
+// PushBFS is the range engines' top-down BFS, one round per level
+// (frontierRounds): each machine expands the frontier vertices it owns
+// and reports the vertices it claimed, for the engine to route.
 func (k *Kernels) PushBFS(rt Runtime, g *graph.Graph, source int32) ([]int64, error) {
-	depth := make([]int64, g.NumVertices())
-	for i := range depth {
-		depth[i] = Unreachable
-	}
-	depth[source] = 0
+	n := g.NumVertices()
+	depth := sourceDepths(n, source)
 	level := int64(0)
-	err := k.frontierRounds(rt, source, func() { level++ }, func(lo, hi int, out []int32) []int32 {
-		return BFSExpand(g, depth, k.frontier[lo:hi], level, out)
-	})
-	if err != nil {
+	var part []int32
+	expand := func(_, lo, hi int, out []int32) []int32 { return BFSExpand(g, depth, part[lo:hi], level, out) }
+	step := func(lo, hi int, out []int32) []int32 {
+		part, _ = k.ownedFrontier(lo, hi, n, nil)
+		return rt.Collect(len(part), out, expand)
+	}
+	if err := k.frontierRounds(rt, source, func() { level++ }, step); err != nil {
 		return nil, err
 	}
 	return depth, nil
@@ -606,10 +624,16 @@ func (k *Kernels) BellmanFordSSSP(rt Runtime, g *graph.Graph, source int32) ([]f
 			k.starts = append(k.starts, math.Float64frombits(k.dist[v]))
 		}
 	}
-	relax := func(lo, hi int, out []int32) []int32 {
-		return SSSPRelaxRange(g, k.dist, k.frontier[lo:hi], k.starts[lo:hi], k.claims, stamp, out)
+	var part []int32
+	var starts []float64
+	relax := func(_, lo, hi int, out []int32) []int32 {
+		return SSSPRelaxRange(g, k.dist, part[lo:hi], starts[lo:hi], k.claims, stamp, out)
 	}
-	if err := k.frontierRounds(rt, source, begin, relax); err != nil {
+	step := func(lo, hi int, out []int32) []int32 {
+		part, starts = k.ownedFrontier(lo, hi, n, k.starts)
+		return rt.Collect(len(part), out, relax)
+	}
+	if err := k.frontierRounds(rt, source, begin, step); err != nil {
 		return nil, err
 	}
 	dist := make([]float64, n)
@@ -619,25 +643,24 @@ func (k *Kernels) BellmanFordSSSP(rt Runtime, g *graph.Graph, source int32) ([]f
 	return dist, nil
 }
 
-// frontierRounds is the machine-frontier loop of PushBFS and
+// frontierRounds is the machine-frontier loop of BFS, PushBFS and
 // BellmanFordSSSP: from the frontier {source}, one round per frontier
 // until a round discovers nothing, begin running before each, outside it.
-// In a round every machine runs expand over worker chunks of the frontier
-// vertices in its Owned range — their positions [lo, hi) in k.frontier —
-// and reports the vertices they claimed. A round claims each vertex once,
-// so the claims, sorted between rounds, are the next frontier, in which a
-// machine finds its part by binary search: delivery is uncharged.
-func (k *Kernels) frontierRounds(rt Runtime, source int32, begin func(), expand func(lo, hi int, out []int32) []int32) error {
+// In a round every machine runs step over its Owned range [lo, hi), which
+// returns out extended with the vertices the machine claimed, and reports
+// them. A round claims each vertex once, so the machines' claims, in
+// machine order, are the next frontier: delivery is uncharged.
+func (k *Kernels) frontierRounds(rt Runtime, source int32, begin func(), step func(lo, hi int, out []int32) []int32) error {
 	k.frontier = append(k.frontier[:0], source)
-	first := 0 // position in k.frontier of the running machine's first vertex
-	chunk := func(_, lo, hi int, out []int32) []int32 { return expand(first+lo, first+hi, out) }
 	round := func() {
 		lo, hi := rt.Owned()
-		first, _ = slices.BinarySearch(k.frontier, int32(lo))
-		end, _ := slices.BinarySearch(k.frontier, int32(hi))
-		claimed := rt.Collect(end-first, k.found[len(k.found):], chunk) // into found's spare capacity
+		claimed := step(lo, hi, k.found[len(k.found):]) // into found's spare capacity
 		rt.Report(len(claimed), claimed)
-		k.found = append(k.found, claimed...)
+		if len(k.found) == 0 {
+			k.found = claimed // the first machine's claims, in place
+		} else {
+			k.found = append(k.found, claimed...)
+		}
 	}
 	for len(k.frontier) > 0 {
 		begin()
@@ -645,8 +668,28 @@ func (k *Kernels) frontierRounds(rt Runtime, source int32, begin func(), expand 
 		if err := rt.Round(round); err != nil {
 			return err
 		}
-		slices.Sort(k.found)
 		k.frontier, k.found = k.found, k.frontier
 	}
 	return nil
+}
+
+// ownedFrontier returns the running machine's part of the frontier, the
+// vertices in its Owned range [lo, hi) in frontier order, together with
+// their entries of starts, a slice parallel to the frontier (nil when
+// there is none). A machine that owns all n vertices takes the frontier
+// as it is; any other picks its part in one filter pass.
+func (k *Kernels) ownedFrontier(lo, hi, n int, starts []float64) ([]int32, []float64) {
+	if lo == 0 && hi == n {
+		return k.frontier, starts
+	}
+	k.part, k.pstarts = k.part[:0], k.pstarts[:0]
+	for i, v := range k.frontier {
+		if int(v) >= lo && int(v) < hi {
+			k.part = append(k.part, v)
+			if starts != nil {
+				k.pstarts = append(k.pstarts, starts[i])
+			}
+		}
+	}
+	return k.part, k.pstarts
 }

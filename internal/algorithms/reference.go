@@ -9,16 +9,22 @@ import (
 	"graphalytics/internal/par"
 )
 
-// RefBFS computes, for every vertex, the minimum number of hops required to
-// reach it from source (an internal index). Unreachable vertices are
-// assigned Unreachable. Directed graphs follow out-edges.
-func RefBFS(g *graph.Graph, source int32) []int64 {
-	n := g.NumVertices()
+// sourceDepths returns the depths a BFS from source starts from: 0 for
+// source, Unreachable for every other of the n vertices.
+func sourceDepths(n int, source int32) []int64 {
 	depth := make([]int64, n)
 	for i := range depth {
 		depth[i] = Unreachable
 	}
 	depth[source] = 0
+	return depth
+}
+
+// RefBFS computes, for every vertex, the minimum number of hops required to
+// reach it from source (an internal index). Unreachable vertices are
+// assigned Unreachable. Directed graphs follow out-edges.
+func RefBFS(g *graph.Graph, source int32) []int64 {
+	depth := sourceDepths(g.NumVertices(), source)
 	frontier := []int32{source}
 	for level := int64(1); len(frontier) > 0; level++ {
 		var next []int32

@@ -9,8 +9,8 @@ import (
 	"graphalytics/internal/mplane"
 )
 
-// Kernel steps: the per-chunk bodies of the round loops in kernels.go,
-// exported so the other engines can reuse them under their own chunking.
+// Kernel steps: the per-chunk bodies of the round loops in kernels.go;
+// those the other engines reuse under their own chunking are exported.
 //
 // Every step is safe to run concurrently on disjoint [lo, hi) ranges of
 // the same output arrays. Steps that may touch shared state across chunks
@@ -42,7 +42,7 @@ func BFSExpand(g *graph.Graph, depth []int64, frontier []int32, level int64, out
 	return out
 }
 
-// BFSPullRange is a bottom-up BFS level over the vertices [lo, hi): every
+// bfsPullRange is a bottom-up BFS level over the vertices [lo, hi): every
 // still-unreached vertex scans its in-neighbors for one in the frontier
 // bitmap (bit u set when u is at depth level-1) and, at the first it
 // finds, takes the given level. It returns out extended with the vertices
@@ -52,7 +52,7 @@ func BFSExpand(g *graph.Graph, depth []int64, frontier []int32, level int64, out
 // depend on which in-neighbor is found first.
 //
 //graphalint:noalloc appends extend the caller's pooled out buffer in place
-func BFSPullRange(g *graph.Graph, depth []int64, frontier []uint64, level int64, lo, hi int, out []int32) []int32 {
+func bfsPullRange(g *graph.Graph, depth []int64, frontier []uint64, level int64, lo, hi int, out []int32) []int32 {
 	for v := int32(lo); v < int32(hi); v++ {
 		if depth[v] != Unreachable {
 			continue
@@ -211,12 +211,12 @@ func wccMinRange(g *graph.Graph, labels, next []int32, lo, hi int) int {
 	return moved
 }
 
-// PRContribRange fills contrib[v] = rank[v]/outdeg(v) for v in [lo, hi),
+// prContribRange fills contrib[v] = rank[v]/outdeg(v) for v in [lo, hi),
 // zero for dangling vertices; their mass is folded separately, through
 // the oracle's block tree.
 //
 //graphalint:noalloc per-chunk superstep body: writes only into caller-owned arrays
-func PRContribRange(g *graph.Graph, rank, contrib []float64, lo, hi int) {
+func prContribRange(g *graph.Graph, rank, contrib []float64, lo, hi int) {
 	for v := lo; v < hi; v++ {
 		if deg := g.OutDegree(int32(v)); deg == 0 {
 			contrib[v] = 0
@@ -226,13 +226,13 @@ func PRContribRange(g *graph.Graph, rank, contrib []float64, lo, hi int) {
 	}
 }
 
-// PRPullRange computes next[v] = base + damping * sum of contrib over v's
+// prPullRange computes next[v] = base + damping * sum of contrib over v's
 // in-neighbors for v in [lo, hi). The per-vertex sum follows in-neighbor
 // order, so the result does not depend on how vertices are chunked.
 //
 //graphalint:noalloc per-chunk superstep body: writes only into caller-owned arrays
 //graphalint:orderfree per-vertex fold follows CSR in-neighbor order, independent of chunking
-func PRPullRange(g *graph.Graph, contrib, next []float64, base, damping float64, lo, hi int) {
+func prPullRange(g *graph.Graph, contrib, next []float64, base, damping float64, lo, hi int) {
 	for v := lo; v < hi; v++ {
 		sum := 0.0
 		for _, u := range g.InNeighbors(int32(v)) {

@@ -86,7 +86,9 @@ func checkInts(t *testing.T, at string, g *graph.Graph, got, want []int64) {
 
 // FuzzBFSMatchesOracle holds the direction-optimizing ParBFS to RefBFS
 // from vertex 0, at one, three and eight workers, on the heap graph and
-// on its mapped snapshot. The seed corpus in
+// on its mapped snapshot; and Kernels.BFS, at one and three workers, on
+// three and eight machines (rangeRuntime), where each machine runs its
+// part of a level. The seed corpus in
 // testdata/fuzz/FuzzBFSMatchesOracle holds stars, whose first level runs
 // bottom-up; a long path beside an unreachable cycle, whose one-vertex
 // frontiers never leave top-down; two components with the larger away
@@ -99,6 +101,16 @@ func FuzzBFSMatchesOracle(f *testing.F) {
 			want := algorithms.RefBFS(r.g, src)
 			for _, workers := range []int{1, 3, 8} {
 				checkInts(t, fmt.Sprintf("%s ParBFS workers=%d", r.name, workers), r.g, algorithms.ParBFS(r.g, src, workers), want)
+			}
+			for _, workers := range []int{1, 3} {
+				for _, machines := range []int{3, 8} {
+					rt := &rangeRuntime{n: r.g.NumVertices(), machines: machines, workers: workers}
+					got, err := new(algorithms.Kernels).BFS(rt, r.g, src)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkInts(t, fmt.Sprintf("%s BFS workers=%d machines=%d", r.name, workers, machines), r.g, got, want)
+				}
 			}
 		}
 	})

@@ -108,15 +108,6 @@ func (b *Builder) AddWeightedEdge(src, dst int64, w float64) {
 	b.edges = append(b.edges, Edge{Src: src, Dst: dst, Weight: w})
 }
 
-// NumEdgesAdded returns how many edges have been added so far (before any
-// normalization).
-func (b *Builder) NumEdgesAdded() int {
-	if b.spill != nil {
-		return b.spill.edges
-	}
-	return len(b.edges)
-}
-
 // Build validates and normalizes the accumulated input and returns the
 // immutable Graph. The Builder can be reused afterwards, but the built
 // graph does not alias builder memory.

@@ -91,7 +91,6 @@ type spillState struct {
 	keys    []int64    // sorted distinct keys of every flushed run
 	keysTmp []int64    // merge target for keys
 	page    []byte     // runs' encode buffer
-	edges   int        // edges added
 	err     error
 }
 
@@ -152,7 +151,6 @@ func (b *Builder) spillAdd(src, dst int64, w float64) {
 	if sp.err != nil {
 		return
 	}
-	sp.edges++
 	if src == dst {
 		if !b.opts.DropSelfLoops {
 			sp.err = fmt.Errorf("%w: vertex %d", ErrSelfLoop, src)

@@ -56,6 +56,35 @@ func TestMapSnapshotsResidency(t *testing.T) {
 	}
 }
 
+// A resident mapped graph is served from memory with the mapping's size,
+// as the Get that mapped it reported: every job after the first on a
+// mapped dataset charges the same mapped bytes.
+func TestMappedHitReportsMappedBytes(t *testing.T) {
+	dir := t.TempDir()
+	s1 := graphstore.New(graphstore.Options{Dir: dir})
+	if _, err := s1.Load("k@g1", func() (*graph.Graph, error) { return testGraph(t, 3), nil }); err != nil {
+		t.Fatal(err)
+	}
+	s := graphstore.New(graphstore.Options{Dir: dir, MapSnapshots: true})
+	first, err := s.Get("k@g1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.MappedBytes <= 0 {
+		t.Fatalf("first Get: MappedBytes = %d, want > 0", first.MappedBytes)
+	}
+	second, err := s.Get("k@g1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Source != graphstore.SourceMemory {
+		t.Fatalf("second Get: source = %v, want memory", second.Source)
+	}
+	if second.MappedBytes != first.MappedBytes {
+		t.Fatalf("second Get: MappedBytes %d, want %d", second.MappedBytes, first.MappedBytes)
+	}
+}
+
 // Evicting a mapped entry releases the store's reference; the graph a
 // caller still holds stays readable (refcount), and re-loading maps the
 // snapshot again.

@@ -201,10 +201,6 @@ func (s *Store) getWith(key string, mat func() (*graph.Graph, Source, error)) (R
 				s.touchLocked(e)
 			}
 			s.mu.Unlock()
-			if e.err != nil {
-				return Result{Elapsed: time.Since(start)}, e.err
-			}
-			return Result{Graph: e.g, Source: SourceMemory, Elapsed: time.Since(start), Bytes: e.bytes}, nil
 		default:
 			// In flight: wait outside the lock. Waiters report
 			// SourceMemory — the materialization work belongs to the one
@@ -212,11 +208,8 @@ func (s *Store) getWith(key string, mat func() (*graph.Graph, Source, error)) (R
 			// with Elapsed covering the wait.
 			s.mu.Unlock()
 			<-e.ready
-			if e.err != nil {
-				return Result{Elapsed: time.Since(start)}, e.err
-			}
-			return Result{Graph: e.g, Source: SourceMemory, Elapsed: time.Since(start), Bytes: e.bytes, MappedBytes: e.mappedBytes}, nil
 		}
+		return e.result(SourceMemory, start)
 	}
 	e := &entry{key: key, ready: make(chan struct{})}
 	s.entries[key] = e
@@ -247,11 +240,16 @@ func (s *Store) getWith(key string, mat func() (*graph.Graph, Source, error)) (R
 	}
 	s.mu.Unlock()
 	close(e.ready)
+	return e.result(e.source, start)
+}
 
+// result is what a Get that started at start returns for the settled
+// entry e, reporting its graph as loaded from src.
+func (e *entry) result(src Source, start time.Time) (Result, error) {
 	if e.err != nil {
 		return Result{Elapsed: time.Since(start)}, e.err
 	}
-	return Result{Graph: e.g, Source: e.source, Elapsed: time.Since(start), Bytes: e.bytes, MappedBytes: e.mappedBytes}, nil
+	return Result{Graph: e.g, Source: src, Elapsed: time.Since(start), Bytes: e.bytes, MappedBytes: e.mappedBytes}, nil
 }
 
 // materialize resolves a miss: snapshot first (when configured), then the

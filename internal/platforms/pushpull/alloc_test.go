@@ -124,3 +124,47 @@ func TestPageRankSteadyStateAllocs(t *testing.T) {
 		t.Errorf("warm PageRank of %d vertices allocated %d bytes, want <= %d (the output and 8 KiB)", n, bytes, budget)
 	}
 }
+
+// TestBFSSteadyStateAllocs guards the pooled BFS state: the frontiers, the
+// bitmap and the round closures live in the kernel state the engine pools,
+// so a warm BFS job allocates the same on a directed path of 200 vertices
+// (200 levels) as on one of 2 000, on one machine and on three.
+func TestBFSSteadyStateAllocs(t *testing.T) {
+	path := func(n int) *graph.Graph {
+		b := graph.NewBuilder(true, false)
+		b.SetName("path")
+		for v := 0; v < n; v++ {
+			b.AddVertex(int64(v))
+		}
+		for v := 1; v < n; v++ {
+			b.AddEdge(int64(v-1), int64(v))
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	e := New()
+	for _, machines := range []int{1, 3} {
+		var allocs []float64
+		for _, n := range []int{200, 2000} {
+			up, err := e.Upload(path(n), platform.RunConfig{Threads: 2, Machines: machines})
+			if err != nil {
+				t.Fatal(err)
+			}
+			job := func() {
+				if _, err := e.Execute(context.Background(), up, algorithms.BFS, algorithms.Params{Source: 0}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			job() // warm-up: grows the pooled kernel state
+			allocs = append(allocs, testing.AllocsPerRun(3, job))
+			up.Free()
+		}
+		if allocs[1] > allocs[0]+4 {
+			t.Errorf("m%d: a warm BFS allocated %.0f objects on a 200-vertex path and %.0f on a 2000-vertex one, want the same within 4 "+
+				"(per-level allocation has regressed)", machines, allocs[0], allocs[1])
+		}
+	}
+}

@@ -13,14 +13,16 @@
 //
 // The engine keeps a private CSR copy of the graph in both directions,
 // its vertices split into contiguous edge-balanced ranges, one per
-// machine. PageRank, WCC (min-label pulls), CDLP and SSSP (Bellman-Ford
-// pushes) are the reference kernels' loops on the shared cluster runtime
-// (platform.Run), each machine broadcasting what it produced: 8 bytes
-// per owned rank, 4 per owned label, 12 per changed label and 16 per
-// improved distance. PageRank takes one round per iteration, in which
-// every machine computes the whole contribution vector, replicated, and
-// pulls the ranks of its range. The direction-optimizing BFS is the
-// engine's own.
+// machine. Every kernel — the direction-optimizing BFS, PageRank, WCC
+// (min-label pulls), CDLP and SSSP (Bellman-Ford pushes) — is the
+// reference kernels' loop on the shared cluster runtime (platform.Run),
+// each machine broadcasting what it produced: 12 bytes per claimed
+// vertex, 8 per owned rank, 4 per owned label, 12 per changed label and
+// 16 per improved distance. BFS picks push or pull once per level, for
+// all machines, and the ProcessGraph phase records how many levels ran
+// each way. PageRank takes one round per iteration, in which every
+// machine computes the whole contribution vector, replicated, and pulls
+// the ranks of its range.
 package pushpull
 
 import (
@@ -34,22 +36,27 @@ import (
 	"graphalytics/internal/platform"
 )
 
-// New returns the adaptive push-pull engine.
-func New() platform.Platform { return NewForced("") }
+// New returns the adaptive push-pull engine. LCC is not implemented,
+// matching PGX.D in the paper.
+func New() platform.Platform { return platform.New(engine()) }
 
-// NewForced returns an engine pinned to one direction ("push" or "pull"),
-// used by the direction ablation benchmark; empty selects adaptively. LCC
-// is not implemented, matching PGX.D in the paper.
-func NewForced(direction string) platform.Platform {
-	return platform.New(platform.Engine[*uploaded]{
+// engine is the push-pull engine's description, a fresh kernel map on
+// every call.
+func engine() platform.Engine[*uploaded] {
+	return platform.Engine[*uploaded]{
 		Name:        "pushpull",
 		Description: "adaptive push-pull iteration engine (PGX.D-style)",
 		Distributed: true,
 		Load:        load,
 		Kernels: map[algorithms.Algorithm]platform.Kernel[*uploaded]{
 			algorithms.BFS: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				vals, pushes, pulls, err := bfs(ctx, u, j.SourceIndex, direction)
-				annotateDirections(j, pushes, pulls)
+				pulls := 0
+				vals, err := run(ctx, u, 12, func(k *algorithms.Kernels, rt algorithms.Runtime) ([]int64, error) {
+					depth, err := k.BFS(rt, u.g, j.SourceIndex)
+					pulls = k.BottomUpLevels()
+					return depth, err
+				})
+				annotateDirections(j, u.Cl.Rounds()-pulls, pulls)
 				return j.Ints(vals, err)
 			},
 			algorithms.PR: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
@@ -82,7 +89,7 @@ func NewForced(direction string) platform.Platform {
 			},
 		},
 		State: func(u *uploaded, _ *platform.Job) int64 { return int64(u.G.NumVertices()) * 16 },
-	})
+	}
 }
 
 // annotateDirections records on the ProcessGraph phase how many rounds
@@ -90,6 +97,13 @@ func NewForced(direction string) platform.Platform {
 func annotateDirections(j *platform.Job, pushes, pulls int) {
 	j.Tracker.Annotate("push_rounds", fmt.Sprint(pushes))
 	j.Tracker.Annotate("pull_rounds", fmt.Sprint(pulls))
+}
+
+// run runs a reference kernel (algorithms.Kernels) on the upload's
+// machines, each owning its partition's range and broadcasting what it
+// reports, each bytes per update.
+func run[T any](ctx context.Context, u *uploaded, each int64, kernel func(*algorithms.Kernels, algorithms.Runtime) (T, error)) (T, error) {
+	return platform.Run(ctx, &u.BaseUpload, u.part.Range, platform.Allgather(u.Cl, each), kernel)
 }
 
 type uploaded struct {
@@ -100,7 +114,6 @@ type uploaded struct {
 	g *graph.Graph
 	// part assigns each machine one contiguous vertex range.
 	part *cluster.VertexPartition
-	arcs int64 // stored out-adjacency entries: |E| directed, 2|E| undirected
 }
 
 // load copies the graph into engine storage; both adjacency directions
@@ -114,15 +127,16 @@ func load(ctx context.Context, g *graph.Graph, cl *cluster.Cluster) (*uploaded, 
 		return nil, nil, err
 	}
 	n := int64(g.NumVertices())
+	var arcs int64 // stored out-adjacency entries: |E| directed, 2|E| undirected
 	for v := int32(0); v < int32(n); v++ {
-		u.arcs += int64(c.OutDegree(v))
+		arcs += int64(c.OutDegree(v))
 	}
 	// Out- and in-adjacency, out-weights and both offset arrays. The
 	// modelled engine stores a pull copy of every edge list, so both
 	// directions are charged even where an undirected clone shares them.
-	edgeBytes := u.arcs*4*2 + 2*(n+1)*8
+	edgeBytes := arcs*4*2 + 2*(n+1)*8
 	if g.Weighted() {
-		edgeBytes += u.arcs * 8
+		edgeBytes += arcs * 8
 	}
 	// Edge share per machine, plus replicated ghost-value cache and the
 	// engine's wide per-vertex context slots (64 B) on every machine.

@@ -37,7 +37,4 @@ func TestStoreLayout(t *testing.T) {
 	if st.OutDegree(2) != 1 {
 		t.Fatalf("outDegree(2) = %d", st.OutDegree(2))
 	}
-	if u.arcs != 3 {
-		t.Fatalf("arcs = %d, want 3", u.arcs)
-	}
 }

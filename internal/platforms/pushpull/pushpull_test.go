@@ -32,9 +32,11 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestForcedDirections runs the conformance suite with every BFS level
+// pushed, then with every level pulled.
 func TestForcedDirections(t *testing.T) {
-	conformance.Run(t, pushpull.NewForced("push"))
-	t.Run("pull", func(t *testing.T) { conformance.Run(t, pushpull.NewForced("pull")) })
+	conformance.Run(t, pushpull.NewOneWay(false))
+	t.Run("pull", func(t *testing.T) { conformance.Run(t, pushpull.NewOneWay(true)) })
 }
 
 // bfsRun is one BFS job's direction annotations on its ProcessGraph phase.
@@ -71,28 +73,24 @@ func bfsDirections(t *testing.T, p platform.Platform) []bfsRun {
 	return runs
 }
 
-// TestDirectionPolicy reads the direction annotations: a forced direction
-// never runs a level the other way, every BFS level — one charged round
-// each, whatever the machine count — is counted exactly once, and the
-// adaptive policy uses both directions somewhere in the corpus.
+// TestDirectionPolicy reads the direction annotations: every BFS level —
+// one charged round each, whatever the machine count — is counted exactly
+// once, and the adaptive policy uses both directions somewhere in the
+// corpus.
 func TestDirectionPolicy(t *testing.T) {
-	for _, dir := range []string{"push", "pull", ""} {
-		t.Run("forced="+dir, func(t *testing.T) {
-			var sawPush, sawPull bool
-			for _, r := range bfsDirections(t, pushpull.NewForced(dir)) {
-				if dir == "push" && r.pulls != 0 || dir == "pull" && r.pushes != 0 {
-					t.Errorf("%s: forced %s ran push_rounds=%d pull_rounds=%d", r.name, dir, r.pushes, r.pulls)
-				}
-				if r.pushes+r.pulls != r.rounds {
-					t.Errorf("%s: push_rounds=%d + pull_rounds=%d != rounds=%d", r.name, r.pushes, r.pulls, r.rounds)
-				}
-				sawPush, sawPull = sawPush || r.pushes > 0, sawPull || r.pulls > 0
+	// No direction forced: the adaptive policy.
+	t.Run("forced=", func(t *testing.T) {
+		var sawPush, sawPull bool
+		for _, r := range bfsDirections(t, pushpull.New()) {
+			if r.pushes+r.pulls != r.rounds {
+				t.Errorf("%s: push_rounds=%d + pull_rounds=%d != rounds=%d", r.name, r.pushes, r.pulls, r.rounds)
 			}
-			if dir == "" && !(sawPush && sawPull) {
-				t.Errorf("adaptive BFS over the corpus: saw push=%v pull=%v, want both", sawPush, sawPull)
-			}
-		})
-	}
+			sawPush, sawPull = sawPush || r.pushes > 0, sawPull || r.pulls > 0
+		}
+		if !(sawPush && sawPull) {
+			t.Errorf("adaptive BFS over the corpus: saw push=%v pull=%v, want both", sawPush, sawPull)
+		}
+	})
 }
 
 func TestCancellation(t *testing.T) {

@@ -22,7 +22,6 @@ import (
 	"graphalytics/internal/datagen"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/graph500"
-	"graphalytics/internal/graphstore"
 	"graphalytics/internal/metrics"
 )
 
@@ -268,19 +267,9 @@ func graph500XLEntry(id string, scale int, paperScale float64) Dataset {
 	}
 }
 
-// UpToClass returns catalog datasets whose generated graph is in the given
-// class or smaller, sorted by scale (the paper's "all datasets up to class
-// L" selections). Graphs materialize through the default store.
-func UpToClass(max metrics.Class) ([]Dataset, error) {
-	return UpToClassFrom(DefaultStore(), max)
-}
-
-// UpToClassFrom is UpToClass materializing through the given store.
-func UpToClassFrom(s *graphstore.Store, max metrics.Class) ([]Dataset, error) {
-	return UpToClassWith(func(d Dataset) (*graph.Graph, error) { return LoadFrom(s, d.ID) }, max)
-}
-
-// UpToClassWith is UpToClass materializing through an arbitrary loader —
+// UpToClassWith returns catalog datasets whose generated graph is in the
+// given class or smaller, sorted by scale (the paper's "all datasets up to
+// class L" selections), materializing every catalog graph through load —
 // the harness passes its session loader so dataset events fire for the
 // classification scan too.
 func UpToClassWith(load func(Dataset) (*graph.Graph, error), max metrics.Class) ([]Dataset, error) {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"graphalytics/internal/graph"
 	"graphalytics/internal/graphstore"
 	"graphalytics/internal/metrics"
 	"graphalytics/internal/workload"
@@ -129,7 +130,7 @@ func TestWarmHonorsCanceledContext(t *testing.T) {
 
 func TestUpToClassFromUsesGivenStore(t *testing.T) {
 	s := graphstore.New(graphstore.Options{})
-	upToL, err := workload.UpToClassFrom(s, metrics.ClassL)
+	upToL, err := workload.UpToClassWith(func(d workload.Dataset) (*graph.Graph, error) { return workload.LoadFrom(s, d.ID) }, metrics.ClassL)
 	if err != nil {
 		t.Fatal(err)
 	}
