@@ -405,9 +405,7 @@ func cdlpFold(g *graph.Graph, labels []int32, v int32, directed bool, c *mplane.
 			}
 			return a
 		}
-		for _, u := range out {
-			c.Add(labels[u])
-		}
+		c.AddOf(labels, out)
 		return c.BestAndReset(labels[v])
 	}
 	in := g.InNeighbors(v)
@@ -420,12 +418,8 @@ func cdlpFold(g *graph.Graph, labels []int32, v int32, directed bool, c *mplane.
 		}
 		return labels[in[0]]
 	}
-	for _, u := range out {
-		c.Add(labels[u])
-	}
-	for _, u := range in {
-		c.Add(labels[u])
-	}
+	c.AddOf(labels, out)
+	c.AddOf(labels, in)
 	return c.BestAndReset(labels[v])
 }
 

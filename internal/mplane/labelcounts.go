@@ -1,5 +1,7 @@
 package mplane
 
+import "slices"
+
 // LabelCounts is the dense-domain counterpart of Histogram, sized for the
 // CDLP inner loop when labels are internal vertex indices: count a
 // vertex's neighbor labels by direct array indexing — no hashing, no
@@ -41,6 +43,52 @@ func (c *LabelCounts) Add(l int32) {
 	}
 	c.cnt[l]++
 }
+
+// AddAll counts every label of ls, as Add on each in turn would. The
+// loop keeps the touched cursor in a register and records a label's
+// first sight without a branch: it writes the label past the cursor
+// unconditionally and advances the cursor only when the count was zero.
+//
+//graphalint:noalloc the touched list grows only past the largest neighborhood so far
+func (c *LabelCounts) AddAll(ls []int32) {
+	cnt, t := c.cnt, c.room(len(ls))
+	k := len(c.touched)
+	for _, l := range ls {
+		n := cnt[l]
+		t[k] = l
+		k += firstSight(n)
+		cnt[l] = n + 1
+	}
+	c.touched = t[:k]
+}
+
+// AddOf counts labels[u] for every u in of, as Add on each in turn
+// would; see AddAll.
+//
+//graphalint:noalloc the touched list grows only past the largest neighborhood so far
+func (c *LabelCounts) AddOf(labels, of []int32) {
+	cnt, t := c.cnt, c.room(len(of))
+	k := len(c.touched)
+	for _, u := range of {
+		l := labels[u]
+		n := cnt[l]
+		t[k] = l
+		k += firstSight(n)
+		cnt[l] = n + 1
+	}
+	c.touched = t[:k]
+}
+
+// room returns the touched list extended by m slots past its length,
+// reusing its capacity when it fits.
+func (c *LabelCounts) room(m int) []int32 {
+	c.touched = slices.Grow(c.touched, m)
+	return c.touched[:len(c.touched)+m]
+}
+
+// firstSight is 1 when a label's count n is zero and 0 when it is
+// positive: the sign bit of n-1, which is set only for n == 0.
+func firstSight(n int32) int { return int(uint32(n-1) >> 31) }
 
 // Len returns the number of distinct labels counted since the last reset.
 func (c *LabelCounts) Len() int { return len(c.touched) }

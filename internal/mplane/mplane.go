@@ -24,12 +24,17 @@
 //   - Slots[T] is the combiner fast path: one generation-stamped value
 //     slot per vertex, folded left to right in delivery order. A combined
 //     inbox holds at most one message, so it never needs offsets at all.
+//     FoldSum and FoldMin fold a whole stage in one direct loop per
+//     message type; Put's func-value form folds one message at a time.
 //   - Histogram is a generation-stamped open-addressing counter for
 //     int64 label multisets, replacing make(map[int64]int) in the CDLP
-//     hot loop of five engines. Reset is O(1); Best applies the
-//     specification's (highest count, smallest label) tie-break, which is
-//     order-independent, so replacing map iteration cannot change a
-//     result.
+//     oracle. Reset is O(1); Best applies the specification's (highest
+//     count, smallest label) tie-break, which is order-independent, so
+//     replacing map iteration cannot change a result.
+//   - LabelCounts is its dense-domain counterpart, for labels that are
+//     vertex indices: every engine's CDLP fold counts a neighborhood
+//     with AddAll or AddOf, one direct-indexed loop that records a
+//     label's first sight without a branch.
 //   - Pool is a type-keyed cache of scratch values with one free list
 //     per type. Every engine driver owns one for the engine's lifetime,
 //     so a job checks its arenas out warm whichever upload, graph or
@@ -240,6 +245,44 @@ func (s *Slots[T]) Put(v int32, m T, combine func(a, b T) T) {
 		return
 	}
 	s.val[v] = combine(s.val[v], m)
+}
+
+// Message is a message type the slot folds combine directly: the types
+// the engines send.
+type Message interface{ int32 | int64 | float64 }
+
+// FoldSum delivers a stage's messages into s in staging order, each
+// vertex's slot holding the left-to-right sum of its messages (Put with a
+// + b, without the call per message).
+//
+//graphalint:noalloc
+func FoldSum[T Message](s *Slots[T], st *Stage[T]) {
+	gen, val, cur := s.gen, s.val, s.cur
+	msg := st.Msg[:len(st.Dst)]
+	for i, v := range st.Dst {
+		m := msg[i]
+		if gen[v] == cur {
+			m = val[v] + m
+		}
+		gen[v], val[v] = cur, m
+	}
+}
+
+// FoldMin delivers a stage's messages into s in staging order, each
+// vertex's slot holding the minimum of its messages by the builtin min
+// (Put with min(a, b), without the call per message).
+//
+//graphalint:noalloc
+func FoldMin[T Message](s *Slots[T], st *Stage[T]) {
+	gen, val, cur := s.gen, s.val, s.cur
+	msg := st.Msg[:len(st.Dst)]
+	for i, v := range st.Dst {
+		m := msg[i]
+		if gen[v] == cur {
+			m = min(val[v], m)
+		}
+		gen[v], val[v] = cur, m
+	}
 }
 
 // Has reports whether vertex v received a message this round.

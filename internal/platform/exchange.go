@@ -5,6 +5,20 @@ import (
 	"graphalytics/internal/mplane"
 )
 
+// Combiner is how an exchange folds the messages to one vertex.
+type Combiner uint8
+
+const (
+	// NoCombiner delivers every message.
+	NoCombiner Combiner = iota
+	// SumCombiner delivers one message per vertex: the left-to-right sum
+	// of its messages.
+	SumCombiner
+	// MinCombiner delivers one message per vertex: the minimum of its
+	// messages by the builtin min (math.Min's bits on float64).
+	MinCombiner
+)
+
 // Exchange is the message exchange of the message-passing engines
 // (pregel, dataflow). A round is: Open; each producer p of machine mach
 // (a thread's worker, an edge partition) sends into Stage(mach, p);
@@ -15,22 +29,24 @@ import (
 // staging order, whatever the thread schedule. Without a combiner the
 // barrier scatters the stages into a CSR inbox in that order
 // (mplane.Inbox); with one, Deliver folds them left to right into one
-// slot per vertex (mplane.Slots). The current inbox stays readable until
-// Barrier, and a warm round allocates nothing. The buffers keep their
-// capacity across vertex counts and deployments; End drops what Begin
-// took from the job, so a pooled exchange pins nothing.
-type Exchange[T any] struct {
+// slot per vertex (mplane.Slots), in one direct loop per combiner and
+// message type (mplane.FoldSum, mplane.FoldMin). The current inbox stays
+// readable until Barrier, and a warm round allocates nothing. The buffers
+// keep their capacity across vertex counts and deployments; End drops
+// what Begin took from the job, so a pooled exchange pins nothing.
+type Exchange[T mplane.Message] struct {
 	n         int
-	owner     []int32        // owner[v] is the machine of vertex v
-	producers int            // stages per machine
-	size      func(T) int64  // the wire size of one message
-	combine   func(a, b T) T // nil: deliver every message
+	owner     []int32       // owner[v] is the machine of vertex v
+	producers int           // stages per machine
+	bytes     int64         // the wire size of one message, when sizeOf is nil
+	sizeOf    func(T) int64 // the wire size of each message, when sizes vary
+	combine   Combiner
 
 	stages []paddedStage[T] // [machine*producers + producer]
 	inbox  mplane.Inbox[T]
 	slots  [2]mplane.Slots[T] // the current inbox is slots[cur]
 	cur    int
-	wire   []int64 // per-destination-machine bytes of one Deliver
+	wire   []int64 // per-destination-machine count or bytes of one Deliver
 }
 
 // paddedStage keeps a producer's slice headers, which every Send writes,
@@ -41,15 +57,16 @@ type paddedStage[T any] struct {
 }
 
 // Begin readies the exchange for n vertices and producers stages per
-// machine, with an empty current inbox. combine, when not nil, folds the
-// messages to one vertex into one.
+// machine, with an empty current inbox. A message costs bytes on the
+// wire, or sizeOf(m) when sizeOf is not nil; combine says how the
+// messages to one vertex fold.
 //
 //graphalint:noalloc steady state: the stages and inboxes grow only past the largest deployment and vertex count so far
-func (x *Exchange[T]) Begin(n int, owner []int32, machines, producers int, size func(T) int64, combine func(a, b T) T) {
-	x.n, x.owner, x.producers, x.size, x.combine = n, owner, producers, size, combine
+func (x *Exchange[T]) Begin(n int, owner []int32, machines, producers int, combine Combiner, bytes int64, sizeOf func(T) int64) {
+	x.n, x.owner, x.producers, x.combine, x.bytes, x.sizeOf = n, owner, producers, combine, bytes, sizeOf
 	x.stages = mplane.Grow(x.stages, machines*producers)
 	x.wire = mplane.Grow(x.wire, machines)
-	if combine != nil {
+	if combine != NoCombiner {
 		x.slots[x.cur].Begin(n)
 	} else {
 		x.inbox.Begin(n)
@@ -57,9 +74,9 @@ func (x *Exchange[T]) Begin(n int, owner []int32, machines, producers int, size 
 	}
 }
 
-// End drops the job's owner table and message functions, keeping the
-// buffers for the next Begin.
-func (x *Exchange[T]) End() { x.owner, x.size, x.combine = nil, nil, nil }
+// End drops the job's owner table and size function, keeping the buffers
+// for the next Begin.
+func (x *Exchange[T]) End() { x.owner, x.sizeOf = nil, nil }
 
 // Stage returns producer p's stage on machine mach.
 func (x *Exchange[T]) Stage(mach, p int) *mplane.Stage[T] {
@@ -73,7 +90,7 @@ func (x *Exchange[T]) Open() {
 	for i := range x.stages {
 		x.stages[i].Reset()
 	}
-	if x.combine != nil {
+	if x.combine != NoCombiner {
 		x.slots[1-x.cur].Begin(x.n)
 	} else {
 		x.inbox.Begin(x.n)
@@ -83,40 +100,67 @@ func (x *Exchange[T]) Open() {
 // Deliver delivers machine mach's stages, in producer order, into the
 // next inbox and returns how many messages they held. A message to
 // another machine's vertex is sent there at its size plus 4 bytes (the
-// recipient's id). Machines deliver one after another in ascending order,
-// as cluster.RunRound runs them.
+// recipient's id); on one machine no message is remote, and none is
+// priced. Machines deliver one after another in ascending order, as
+// cluster.RunRound runs them.
 //
 //graphalint:noalloc
 func (x *Exchange[T]) Deliver(cl *cluster.Cluster, mach int) (messages int64) {
-	wire := x.wire
-	clear(wire)
 	next := &x.slots[1-x.cur]
+	priced := len(x.wire) > 1
+	if priced {
+		clear(x.wire)
+	}
 	for p := 0; p < x.producers; p++ {
 		st := x.Stage(mach, p)
-		for i, dst := range st.Dst {
-			if o := x.owner[dst]; int(o) != mach {
-				wire[o] += x.size(st.Msg[i]) + 4
-			}
-			if x.combine != nil {
-				next.Put(dst, st.Msg[i], x.combine)
-			}
+		if priced {
+			x.price(st)
 		}
-		if x.combine == nil {
+		switch x.combine {
+		case SumCombiner:
+			mplane.FoldSum(next, st)
+		case MinCombiner:
+			mplane.FoldMin(next, st)
+		default:
 			x.inbox.Count(st)
 		}
 		messages += int64(st.Len())
 	}
-	for o, b := range wire {
-		cl.Send(mach, o, b)
+	if priced {
+		for o, b := range x.wire {
+			if x.sizeOf == nil {
+				b *= x.bytes + 4
+			}
+			cl.Send(mach, o, b)
+		}
 	}
 	return messages
+}
+
+// price adds a stage's messages to the wire of their recipients'
+// machines: their count at a fixed size, their bytes otherwise. The
+// delivering machine's own entry collects its local messages too, and
+// cluster.Send charges nothing from a machine to itself.
+//
+//graphalint:noalloc
+func (x *Exchange[T]) price(st *mplane.Stage[T]) {
+	wire, owner := x.wire, x.owner
+	if x.sizeOf == nil {
+		for _, dst := range st.Dst {
+			wire[owner[dst]]++
+		}
+		return
+	}
+	for i, dst := range st.Dst {
+		wire[owner[dst]] += x.sizeOf(st.Msg[i]) + 4
+	}
 }
 
 // Barrier makes the delivered messages the current inbox: it swaps the
 // slots, or scatters every stage as measured barrier work (the scatter
 // needs every machine's counts, so it belongs to no machine's round).
 func (x *Exchange[T]) Barrier(cl *cluster.Cluster) {
-	if x.combine != nil {
+	if x.combine != NoCombiner {
 		x.cur = 1 - x.cur
 		return
 	}
@@ -138,7 +182,7 @@ func (x *Exchange[T]) scatterAll() {
 //
 //graphalint:noalloc
 func (x *Exchange[T]) At(v int32) []T {
-	if x.combine != nil {
+	if x.combine != NoCombiner {
 		return x.slots[x.cur].At(v)
 	}
 	return x.inbox.At(v)

@@ -1,10 +1,12 @@
 package platform_test
 
 import (
+	"math"
 	"slices"
 	"testing"
 
 	"graphalytics/internal/cluster"
+	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
 )
 
@@ -17,13 +19,10 @@ func exchangeOwner(n, machines int) []int32 {
 	return owner
 }
 
-// size8 prices every message at 8 bytes.
-func size8(int64) int64 { return 8 }
-
 // stageRound runs one exchange round on cl: every machine stages what
 // stage puts in its producers' stages, then delivers. It returns the
 // messages Deliver counted.
-func stageRound(t *testing.T, x *platform.Exchange[int64], cl *cluster.Cluster, stage func(mach int)) int64 {
+func stageRound[T mplane.Message](t *testing.T, x *platform.Exchange[T], cl *cluster.Cluster, stage func(mach int)) int64 {
 	t.Helper()
 	var messages int64
 	x.Open()
@@ -46,7 +45,7 @@ func stageRound(t *testing.T, x *platform.Exchange[int64], cl *cluster.Cluster, 
 func TestExchangeDeliversMachineMajorProducerMajor(t *testing.T) {
 	cl := cluster.New(cluster.Config{Machines: 3, Threads: 2})
 	var x platform.Exchange[int64]
-	x.Begin(6, exchangeOwner(6, 3), 3, 2, size8, nil)
+	x.Begin(6, exchangeOwner(6, 3), 3, 2, platform.NoCombiner, 8, nil)
 	messages := stageRound(t, &x, cl, func(mach int) {
 		for _, p := range []int{1, 0} {
 			for k := 0; k < 2; k++ {
@@ -68,44 +67,128 @@ func TestExchangeDeliversMachineMajorProducerMajor(t *testing.T) {
 	}
 }
 
-// TestExchangeCombinerFoldsLeftToRight folds one digit per producer of 3
-// machines × 2 producers into vertex 0 with a combiner that does not
-// commute: only the left-to-right fold in delivery order gives 123456.
+// TestExchangeCombinerFoldsLeftToRight sums two float64 messages per
+// producer of 3 machines × 2 producers into vertex 0, producer 1 staging
+// before producer 0. The test first shows that its inputs are
+// order-sensitive: summed with the producers, or the machines, taken in
+// reverse, they give other bits. Only the left-to-right fold in delivery
+// order (machine-major, producer-major, staging order) gives the bits it
+// then asserts.
 func TestExchangeCombinerFoldsLeftToRight(t *testing.T) {
+	sent := [3][2][]float64{ // [machine][producer]
+		{{1e16 + 2, -3}, {0.5, 2}},
+		{{0.5, 1}, {7, 2}},
+		{{-3, 1}, {7, 1}},
+	}
+	sum := func(machines, producers []int) float64 {
+		var s float64
+		first := true
+		for _, m := range machines {
+			for _, p := range producers {
+				for _, msg := range sent[m][p] {
+					if first {
+						s, first = msg, false
+					} else {
+						s += msg
+					}
+				}
+			}
+		}
+		return s
+	}
+	want := sum([]int{0, 1, 2}, []int{0, 1})
+	for _, other := range []struct {
+		order string
+		sum   float64
+	}{
+		{"reversed producers", sum([]int{0, 1, 2}, []int{1, 0})},
+		{"reversed machines", sum([]int{2, 1, 0}, []int{0, 1})},
+	} {
+		if math.Float64bits(other.sum) == math.Float64bits(want) {
+			t.Fatalf("the inputs summed in %s order give the left-to-right bits %v: they cannot tell the orders apart", other.order, want)
+		}
+	}
 	cl := cluster.New(cluster.Config{Machines: 3, Threads: 2})
-	var x platform.Exchange[int64]
-	concat := func(a, b int64) int64 { return 10*a + b }
-	x.Begin(3, exchangeOwner(3, 3), 3, 2, size8, concat)
+	var x platform.Exchange[float64]
+	x.Begin(3, exchangeOwner(3, 3), 3, 2, platform.SumCombiner, 8, nil)
 	stageRound(t, &x, cl, func(mach int) {
-		x.Stage(mach, 1).Send(0, int64(2*mach+2))
-		x.Stage(mach, 0).Send(0, int64(2*mach+1))
+		for _, p := range []int{1, 0} {
+			for _, msg := range sent[mach][p] {
+				x.Stage(mach, p).Send(0, msg)
+			}
+		}
 	})
-	if got := x.At(0); !slices.Equal(got, []int64{123456}) {
-		t.Fatalf("vertex 0 read %v, want [123456]", got)
+	if got := x.At(0); len(got) != 1 || math.Float64bits(got[0]) != math.Float64bits(want) {
+		t.Fatalf("vertex 0 read %v, want [%v]", got, want)
 	}
 	if got := x.At(1); got != nil {
 		t.Fatalf("vertex 1 read %v, want nothing", got)
 	}
 }
 
-// TestExchangeChargesOnlyRemoteMessages sends, from machine 0 of 3,
-// messages whose size is their value to a vertex of every machine: only
-// the two to other machines' vertices are charged, at size + 4 bytes.
+// TestExchangeMinCombinerKeepsTheMinimum folds messages on 3 machines × 2
+// producers into vertex 1 with the min combiner: it reads one message,
+// the least, and on float64 the bits math.Min gives (-0 below +0).
+func TestExchangeMinCombinerKeepsTheMinimum(t *testing.T) {
+	t.Run("int64", func(t *testing.T) {
+		sent := []int64{9, -4, 7, math.MaxInt64, -3, 5}
+		testMinCombiner(t, sent, -4)
+	})
+	t.Run("float64", func(t *testing.T) {
+		negZero := math.Copysign(0, -1)
+		sent := []float64{3, 0, math.Inf(1), negZero, 0, 2.5}
+		testMinCombiner(t, sent, negZero)
+	})
+}
+
+// testMinCombiner has producer p of machine mach send sent[2*mach+p] to
+// vertex 1 and requires it to read exactly [want], bit for bit.
+func testMinCombiner[T int64 | float64](t *testing.T, sent []T, want T) {
+	t.Helper()
+	cl := cluster.New(cluster.Config{Machines: 3, Threads: 2})
+	var x platform.Exchange[T]
+	x.Begin(3, exchangeOwner(3, 3), 3, 2, platform.MinCombiner, 8, nil)
+	stageRound(t, &x, cl, func(mach int) {
+		for p := 0; p < 2; p++ {
+			x.Stage(mach, p).Send(1, sent[2*mach+p])
+		}
+	})
+	// Equal with the same sign bit: -0 and +0 differ.
+	got := x.At(1)
+	if len(got) != 1 || got[0] != want || math.Signbit(float64(got[0])) != math.Signbit(float64(want)) {
+		t.Fatalf("vertex 1 read %v, want [%v]", got, want)
+	}
+}
+
+// TestExchangeChargesOnlyRemoteMessages sends, from machine 0 of 3, one
+// message to a vertex of every machine: only the two to other machines'
+// vertices are charged, at size + 4 bytes. Sizes are either the message's
+// value (a per-message size function) or a fixed 8 bytes (priced by
+// count), with and without a combiner.
 func TestExchangeChargesOnlyRemoteMessages(t *testing.T) {
-	for _, combine := range []func(a, b int64) int64{nil, func(a, b int64) int64 { return a + b }} {
-		cl := cluster.New(cluster.Config{Machines: 3, Threads: 1})
-		var x platform.Exchange[int64]
-		x.Begin(6, exchangeOwner(6, 3), 3, 1, func(m int64) int64 { return m }, combine)
-		stageRound(t, &x, cl, func(mach int) {
-			if mach == 0 {
-				st := x.Stage(0, 0)
-				st.Send(3, 1000) // machine 0's own vertex: free
-				st.Send(1, 10)
-				st.Send(5, 20)
+	for _, combine := range []platform.Combiner{platform.NoCombiner, platform.SumCombiner} {
+		for _, c := range []struct {
+			name   string
+			sizeOf func(int64) int64
+			want   int64
+		}{
+			{"sized", func(m int64) int64 { return m }, 10 + 4 + 20 + 4},
+			{"fixed", nil, 2 * (8 + 4)},
+		} {
+			cl := cluster.New(cluster.Config{Machines: 3, Threads: 1})
+			var x platform.Exchange[int64]
+			x.Begin(6, exchangeOwner(6, 3), 3, 1, combine, 8, c.sizeOf)
+			stageRound(t, &x, cl, func(mach int) {
+				if mach == 0 {
+					st := x.Stage(0, 0)
+					st.Send(3, 1000) // machine 0's own vertex: free
+					st.Send(1, 10)
+					st.Send(5, 20)
+				}
+			})
+			if got := cl.Traffic(); got != c.want {
+				t.Fatalf("combiner %d, %s: traffic %d bytes, want %d", combine, c.name, got, c.want)
 			}
-		})
-		if got, want := cl.Traffic(), int64(10+4+20+4); got != want {
-			t.Fatalf("combiner %v: traffic %d bytes, want %d", combine != nil, got, want)
 		}
 	}
 }
@@ -114,10 +197,10 @@ func TestExchangeChargesOnlyRemoteMessages(t *testing.T) {
 // messages while the next round opens, stages and delivers: they must not
 // change until Barrier, which then shows the new ones.
 func TestExchangeCurrentInboxSurvivesUntilBarrier(t *testing.T) {
-	for _, combine := range []func(a, b int64) int64{nil, func(a, b int64) int64 { return a + b }} {
+	for _, combine := range []platform.Combiner{platform.NoCombiner, platform.SumCombiner} {
 		cl := cluster.New(cluster.Config{Machines: 2, Threads: 2})
 		var x platform.Exchange[int64]
-		x.Begin(4, exchangeOwner(4, 2), 2, 2, size8, combine)
+		x.Begin(4, exchangeOwner(4, 2), 2, 2, combine, 8, nil)
 		stageRound(t, &x, cl, func(mach int) {
 			x.Stage(mach, 0).Send(1, int64(mach+1))
 		})
@@ -128,10 +211,10 @@ func TestExchangeCurrentInboxSurvivesUntilBarrier(t *testing.T) {
 			x.Stage(mach, 0).Send(2, 60)
 			x.Deliver(cl, mach)
 			if got := x.At(1); !slices.Equal(got, first) {
-				t.Errorf("combiner %v: vertex 1 read %v during the next round, want %v", combine != nil, got, first)
+				t.Errorf("combiner %d: vertex 1 read %v during the next round, want %v", combine, got, first)
 			}
 			if got := x.At(2); len(got) != 0 {
-				t.Errorf("combiner %v: vertex 2 read %v before the barrier, want nothing", combine != nil, got)
+				t.Errorf("combiner %d: vertex 2 read %v before the barrier, want nothing", combine, got)
 			}
 			return nil
 		}); err != nil {
@@ -139,40 +222,54 @@ func TestExchangeCurrentInboxSurvivesUntilBarrier(t *testing.T) {
 		}
 		x.Barrier(cl)
 		want := []int64{50, 50}
-		if combine != nil {
+		if combine != platform.NoCombiner {
 			want = []int64{100}
 		}
 		if got := x.At(1); !slices.Equal(got, want) {
-			t.Fatalf("combiner %v: vertex 1 read %v after the barrier, want %v", combine != nil, got, want)
+			t.Fatalf("combiner %d: vertex 1 read %v after the barrier, want %v", combine, got, want)
 		}
 	}
 }
 
 // TestExchangeWarmRoundAllocatesNothing runs whole rounds — Open, every
 // producer staging, Deliver on every machine, Barrier — once the buffers
-// have grown: on both delivery paths a round allocates nothing.
+// have grown: with every combiner, on one machine (nothing priced) and on
+// three with fixed and per-message sizes, a round allocates nothing.
 func TestExchangeWarmRoundAllocatesNothing(t *testing.T) {
-	const n, machines, producers = 64, 3, 2
-	owner := exchangeOwner(n, machines)
-	for _, combine := range []func(a, b int64) int64{nil, func(a, b int64) int64 { return a + b }} {
-		cl := cluster.New(cluster.Config{Machines: machines, Threads: producers})
-		var x platform.Exchange[int64]
-		x.Begin(n, owner, machines, producers, size8, combine)
-		round := func() {
-			x.Open()
-			for mach := 0; mach < machines; mach++ {
-				for p := 0; p < producers; p++ {
-					for v := int32(0); v < n; v++ {
-						x.Stage(mach, p).Send((v*7+int32(p))%n, int64(v))
-					}
-				}
-				x.Deliver(cl, mach)
+	for _, combine := range []platform.Combiner{platform.NoCombiner, platform.SumCombiner, platform.MinCombiner} {
+		for _, machines := range []int{1, 3} {
+			for _, sizeOf := range []func(float64) int64{nil, func(m float64) int64 { return int64(m) }} {
+				testWarmRound(t, combine, machines, sizeOf)
 			}
-			x.Barrier(cl)
 		}
-		round() // warm-up: grows the stages and the inbox
-		if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
-			t.Fatalf("combiner %v: a warm round allocated %.0f objects, want 0", combine != nil, allocs)
+	}
+}
+
+// testWarmRound grows an exchange with one round and requires the next
+// to allocate nothing.
+func testWarmRound(t *testing.T, combine platform.Combiner, machines int, sizeOf func(float64) int64) {
+	t.Helper()
+	const n, producers = 64, 2
+	cl := cluster.New(cluster.Config{Machines: machines, Threads: producers})
+	var x platform.Exchange[float64]
+	x.Begin(n, exchangeOwner(n, machines), machines, producers, combine, 8, sizeOf)
+	round := func() {
+		x.Open()
+		for mach := 0; mach < machines; mach++ {
+			for p := 0; p < producers; p++ {
+				for v := int32(0); v < n; v++ {
+					x.Stage(mach, p).Send((v*7+int32(p))%n, float64(v))
+				}
+			}
+			x.Deliver(cl, mach)
 		}
+		x.Barrier(cl)
+	}
+	round() // warm-up: grows the stages and the inbox
+	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+		t.Fatalf("combiner %d, %d machines, sized %v: a warm round allocated %.0f objects, want 0", combine, machines, sizeOf != nil, allocs)
+	}
+	if machines > 1 && cl.Traffic() == 0 {
+		t.Fatalf("combiner %d, %d machines, sized %v: the rounds charged no traffic", combine, machines, sizeOf != nil)
 	}
 }

@@ -36,31 +36,29 @@ type dfScratch struct {
 
 // mail is the shuffle state for one message type: a message exchange
 // whose producers are a machine's edge partitions, plus the flow in
-// progress. Its region bodies and message size read the flow from here,
-// so they are bound once per mailbox and a flow allocates nothing for
-// them.
-type mail[M any] struct {
+// progress. Its region bodies read the flow from here, so they are bound
+// once per mailbox and a flow allocates nothing for them.
+type mail[M mplane.Message] struct {
 	ex platform.Exchange[M]
 
 	flow     flow[M]
 	u        *uploaded
-	bytes    int64 // the wire size of one message of the flow
-	mach     int   // the machine whose round it is
+	mach     int // the machine whose round it is
 	edges    func(lo, hi int)
 	vertices func(w, lo, hi int)
-	size     func(M) int64
 }
 
 // flow is what one aggregateMessages dataflow does with the triplets and
 // the delivered messages. send stages a partition's messages; apply
 // receives every vertex's delivered messages, with the simulated thread
-// slot it runs on (for per-thread scratch). In a reduce-by-key stage
-// merge folds a vertex's messages left to right in delivery order,
-// exactly the order the seed's per-partition hash maps merged in, so
-// apply receives at most one.
+// slot it runs on (for per-thread scratch). merge is the reducer of a
+// reduce-by-key stage (NoCombiner for a plain shuffle): it folds a
+// vertex's messages left to right in delivery order, exactly the order
+// the seed's per-partition hash maps merged in, so apply receives at
+// most one.
 type flow[M any] struct {
 	send  func(em *mplane.Stage[M], p int)
-	merge func(a, b M) M
+	merge platform.Combiner
 	apply func(worker, vpart int, v int32, msgs []M)
 }
 
@@ -83,9 +81,6 @@ func (mb *mail[M]) applyVertices(w, lo, hi int) {
 		}
 	}
 }
-
-// msgSize is the wire size of every message of the flow.
-func (mb *mail[M]) msgSize(M) int64 { return mb.bytes }
 
 // acquireScratch checks the scratch out of the engine's pool.
 func acquireScratch(u *uploaded) *dfScratch {
@@ -120,20 +115,20 @@ func (sc *dfScratch) frontier(n int) (active, next []bool) {
 // traffic (1 for dense iterations, the active fraction for sparse ones);
 // msgBytes is the wire size of one message. Callers build f's functions
 // once per job, not per flow: the mailbox holds them while the flow runs.
-func runFlow[M any](ctx context.Context, u *uploaded, mb *mail[M], shipFraction float64, msgBytes int64, f flow[M]) error {
+func runFlow[M mplane.Message](ctx context.Context, u *uploaded, mb *mail[M], shipFraction float64, msgBytes int64, f flow[M]) error {
 	if err := platform.CheckContext(ctx); err != nil {
 		return err
 	}
 	cl := u.Cl
 	if mb.edges == nil {
-		mb.edges, mb.vertices, mb.size = mb.stageEdges, mb.applyVertices, mb.msgSize
+		mb.edges, mb.vertices = mb.stageEdges, mb.applyVertices
 	}
-	mb.flow, mb.u, mb.bytes = f, u, msgBytes
+	mb.flow, mb.u = f, u
 	defer func() {
 		mb.flow, mb.u = flow[M]{}, nil // a pooled mailbox keeps no job alive
 		mb.ex.End()
 	}()
-	mb.ex.Begin(u.G.NumVertices(), u.owner, cl.Machines(), edgePartsPerMachine, mb.size, f.merge)
+	mb.ex.Begin(u.G.NumVertices(), u.owner, cl.Machines(), edgePartsPerMachine, f.merge, msgBytes, nil)
 	mb.ex.Open()
 
 	// Edge stage: scan partitions, stage and deliver messages, account
@@ -157,14 +152,6 @@ func runFlow[M any](ctx context.Context, u *uploaded, mb *mail[M], shipFraction 
 		th.ChunksIndexed(vertexPartsPerMachine, mb.vertices)
 		return nil
 	})
-}
-
-// minInt64 is the min reducer of the BFS and WCC flows.
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // prFlow is PageRank as iterated aggregateMessages with a sum reducer.
@@ -205,7 +192,7 @@ func prFlow(ctx context.Context, u *uploaded, iterations int, damping float64) (
 				}
 			}
 		},
-		merge: func(a, b float64) float64 { return a + b },
+		merge: platform.SumCombiner,
 		apply: func(_, vp int, v int32, msgs []float64) {
 			nv := base
 			if len(msgs) > 0 {
@@ -264,7 +251,7 @@ func bfsFlow(ctx context.Context, u *uploaded, source int32) ([]int64, error) {
 				}
 			}
 		},
-		merge: minInt64,
+		merge: platform.MinCombiner,
 		apply: func(_, vp int, v int32, msgs []int64) {
 			nextActive[v] = false
 			if len(msgs) > 0 && depth[v] == algorithms.Unreachable {
@@ -307,7 +294,7 @@ func wccFlow(ctx context.Context, u *uploaded) ([]int64, error) {
 				em.Send(s, labels[d])
 			}
 		},
-		merge: minInt64,
+		merge: platform.MinCombiner,
 		apply: func(_, vp int, v int32, msgs []int64) {
 			if len(msgs) > 0 && msgs[0] < labels[v] {
 				labels[v] = msgs[0]
@@ -393,9 +380,7 @@ func cdlpFlow(ctx context.Context, u *uploaded, iterations int) ([]int64, error)
 				return
 			}
 			counts := sc.counts.At(w)
-			for _, l := range msgs {
-				counts.Add(l)
-			}
+			counts.AddAll(msgs)
 			nl := counts.BestAndReset(labels[v])
 			next[v] = nl
 			if nl != labels[v] {
@@ -588,7 +573,7 @@ func lccFlow(ctx context.Context, u *uploaded) ([]float64, error) {
 				}
 			}
 		},
-		merge: func(a, b int64) int64 { return a + b },
+		merge: platform.SumCombiner,
 		apply: func(_, _ int, v int32, msgs []int64) {
 			if len(msgs) > 0 {
 				credits[v] = msgs[0]
@@ -641,7 +626,7 @@ func ssspFlow(ctx context.Context, u *uploaded, source int32) ([]float64, error)
 				}
 			}
 		},
-		merge: math.Min,
+		merge: platform.MinCombiner,
 		apply: func(_, vp int, v int32, msgs []float64) {
 			nextActive[v] = false
 			if len(msgs) > 0 && msgs[0] < dist[v] {

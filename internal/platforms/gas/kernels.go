@@ -421,9 +421,7 @@ func cdlpGAS(ctx context.Context, u *uploaded, iterations int) ([]int64, error) 
 					// mode is the segment minimum.
 					nl = slices.Min(seg)
 				} else {
-					for _, l := range seg {
-						counts.Add(l)
-					}
+					counts.AddAll(seg)
 					nl = counts.BestAndReset(labels[v])
 				}
 				if nl != labels[v] {

@@ -8,18 +8,19 @@ import (
 	"graphalytics/internal/granula"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/mplane"
+	"graphalytics/internal/platform"
 )
 
 // bfsProgram: the source starts at depth 0 and floods level numbers; every
 // other vertex halts immediately and is reactivated by the first message,
 // which (with the min combiner) is its BFS depth.
-func bfsProgram(ctx context.Context, t *granula.Tracker, u *uploaded, source int32, combiners bool) ([]int64, error) {
+func bfsProgram(ctx context.Context, t *granula.Tracker, u *uploaded, source int32, combine platform.Combiner) ([]int64, error) {
 	n := u.G.NumVertices()
 	depth := make([]int64, n)
 	for i := range depth {
 		depth[i] = algorithms.Unreachable
 	}
-	r := newRunner[int64](u, fixedSize[int64](8), combiner(combiners, minInt64))
+	r := newRunner[int64](u, combine, 8, nil)
 	r.tracker = t
 	defer r.release()
 	compute := func(w *worker[int64], v int32, msgs []int64, superstep int) {
@@ -56,7 +57,7 @@ func bfsProgram(ctx context.Context, t *granula.Tracker, u *uploaded, source int
 // prProgram: superstep 0 distributes the initial rank; supersteps 1..k
 // apply the update rule using the sum combiner and the dangling-mass
 // aggregator from the previous superstep; superstep k votes to halt.
-func prProgram(ctx context.Context, t *granula.Tracker, u *uploaded, iterations int, damping float64, combiners bool) ([]float64, error) {
+func prProgram(ctx context.Context, t *granula.Tracker, u *uploaded, iterations int, damping float64, combine platform.Combiner) ([]float64, error) {
 	n := u.G.NumVertices()
 	if n == 0 {
 		return nil, nil
@@ -66,7 +67,7 @@ func prProgram(ctx context.Context, t *granula.Tracker, u *uploaded, iterations 
 	for i := range rank {
 		rank[i] = inv
 	}
-	r := newRunner[float64](u, fixedSize[float64](8), combiner(combiners, func(a, b float64) float64 { return a + b }))
+	r := newRunner[float64](u, combine, 8, nil)
 	r.tracker = t
 	defer r.release()
 	compute := func(w *worker[float64], v int32, msgs []float64, superstep int) {
@@ -100,13 +101,13 @@ func prProgram(ctx context.Context, t *granula.Tracker, u *uploaded, iterations 
 
 // wccProgram floods minimum external identifiers over all edges (both
 // directions for directed graphs, since components are weak).
-func wccProgram(ctx context.Context, t *granula.Tracker, u *uploaded, combiners bool) ([]int64, error) {
+func wccProgram(ctx context.Context, t *granula.Tracker, u *uploaded, combine platform.Combiner) ([]int64, error) {
 	n := u.G.NumVertices()
 	labels := make([]int64, n)
 	for v := 0; v < n; v++ {
 		labels[v] = u.G.VertexID(int32(v))
 	}
-	r := newRunner[int64](u, fixedSize[int64](8), combiner(combiners, minInt64))
+	r := newRunner[int64](u, combine, 8, nil)
 	r.tracker = t
 	defer r.release()
 	compute := func(w *worker[int64], v int32, msgs []int64, superstep int) {
@@ -169,7 +170,7 @@ type cdlpScratch struct {
 func cdlpProgram(ctx context.Context, t *granula.Tracker, u *uploaded, iterations int) ([]int64, error) {
 	n := u.G.NumVertices()
 	out := make([]int64, n)
-	r := newRunner[int64](u, fixedSize[int64](8), nil)
+	r := newRunner[int64](u, platform.NoCombiner, 8, nil)
 	r.tracker = t
 	defer r.release()
 	sc := mplane.Acquire(u.Scratch(), func() *cdlpScratch {
@@ -196,12 +197,8 @@ func cdlpProgram(ctx context.Context, t *granula.Tracker, u *uploaded, iteration
 				nl = algorithms.CDLPInitLabel(v, u.G.OutNeighbors(v), inNeighbors(u.G, v), directed)
 			} else {
 				counts := sc.counts.At(w.slot)
-				for _, dst := range u.G.OutNeighbors(v) {
-					counts.Add(prev[dst])
-				}
-				for _, dst := range inNeighbors(u.G, v) {
-					counts.Add(prev[dst])
-				}
+				counts.AddOf(prev, u.G.OutNeighbors(v))
+				counts.AddOf(prev, inNeighbors(u.G, v))
 				nl = counts.BestAndReset(prev[v])
 			}
 			if nl != labels[v] {
@@ -256,7 +253,7 @@ func lccProgram(ctx context.Context, t *granula.Tracker, u *uploaded) ([]float64
 		hoodOf = func(v int32) []int32 { return sc.buf[sc.off[v]:sc.off[v+1]] }
 	}
 	sizeOf := func(src int32) int64 { return int64(g.OutDegree(src))*4 + 4 }
-	r := newRunner[int32](u, sizeOf, nil)
+	r := newRunner[int32](u, platform.NoCombiner, 0, sizeOf)
 	r.tracker = t
 	defer r.release()
 	compute := func(w *worker[int32], v int32, msgs []int32, superstep int) {
@@ -296,17 +293,6 @@ type lccScratch struct {
 	off   []int32
 }
 
-// minInt64 is the min combiner of BFS and WCC.
-func minInt64(a, b int64) int64 { return min(a, b) }
-
-// combiner returns c when combiners are enabled and nil otherwise.
-func combiner[T any](enabled bool, c func(a, b T) T) func(a, b T) T {
-	if !enabled {
-		return nil
-	}
-	return c
-}
-
 // sendAll sends label to every neighbor of v, in both directions on a
 // directed graph.
 func sendAll(w *worker[int64], g *graph.Graph, v int32, label int64) {
@@ -329,13 +315,13 @@ func inNeighbors(g *graph.Graph, v int32) []int32 {
 
 // ssspProgram is the classic Pregel SSSP: distance relaxations flow as
 // messages with a min combiner.
-func ssspProgram(ctx context.Context, t *granula.Tracker, u *uploaded, source int32, combiners bool) ([]float64, error) {
+func ssspProgram(ctx context.Context, t *granula.Tracker, u *uploaded, source int32, combine platform.Combiner) ([]float64, error) {
 	n := u.G.NumVertices()
 	dist := make([]float64, n)
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
-	r := newRunner[float64](u, fixedSize[float64](8), combiner(combiners, math.Min))
+	r := newRunner[float64](u, combine, 8, nil)
 	r.tracker = t
 	defer r.release()
 	relax := func(w *worker[float64], v int32, d float64) {

@@ -13,8 +13,10 @@ import (
 // three or more messages arriving at one vertex during a single delivery
 // fold into the vertex's single slot strictly left to right in delivery
 // order, and the slot never grows into a multi-message inbox. The
-// non-commutative combiner makes any deviation — a second slot appended
-// mid-delivery, a reordered fold — change the observed value.
+// messages are float64s whose sum depends on the order it is taken in
+// (1e16 absorbs a lone 1, but not two 1s added first), so any deviation —
+// a second slot appended mid-delivery, a reordered fold — changes the
+// observed value.
 func TestBSPCombinerFoldOrderAndSlotReuse(t *testing.T) {
 	// star: 0,1,2 all point at 3.
 	g, err := graph.FromEdges("star", true, false, []graph.Edge{
@@ -29,15 +31,18 @@ func TestBSPCombinerFoldOrderAndSlotReuse(t *testing.T) {
 	}
 	u := up.(*uploaded)
 	defer u.Free()
-	concat := func(a, b int64) int64 { return a*10 + b }
-	r := newRunner[int64](u, fixedSize[int64](8), concat)
-	var got []int64
-	err = r.run(context.Background(), func(w *worker[int64], v int32, msgs []int64, superstep int) {
+	sent := []float64{1e16, 1, 1}
+	if (sent[0]+sent[1])+sent[2] == (sent[2]+sent[1])+sent[0] {
+		t.Fatal("the messages' sum does not depend on the fold order")
+	}
+	r := newRunner[float64](u, platform.SumCombiner, 8, nil)
+	var got []float64
+	err = r.run(context.Background(), func(w *worker[float64], v int32, msgs []float64, superstep int) {
 		if superstep == 0 {
 			// With one machine and one thread, delivery order is vertex
-			// order: 1 then 2 then 3.
+			// order: vertex 0's message, then 1's, then 2's.
 			if v < 3 {
-				w.Send(3, int64(v)+1)
+				w.Send(3, sent[v])
 			}
 		}
 		if superstep == 1 && v == 3 {
@@ -52,8 +57,8 @@ func TestBSPCombinerFoldOrderAndSlotReuse(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("combined inbox held %d messages, want exactly one slot", len(got))
 	}
-	if got[0] != 123 {
-		t.Fatalf("combined value = %d, want 123 (left-to-right fold of 1,2,3)", got[0])
+	if want := (sent[0] + sent[1]) + sent[2]; got[0] != want {
+		t.Fatalf("combined value = %v, want %v (left-to-right fold of %v)", got[0], want, sent)
 	}
 }
 
@@ -98,7 +103,7 @@ func TestPageRankSteadyStateAllocs(t *testing.T) {
 	defer u.Free()
 	const iterations = 30
 	run := func() {
-		if _, err := prProgram(context.Background(), nil, u, iterations, 0.85, true); err != nil {
+		if _, err := prProgram(context.Background(), nil, u, iterations, 0.85, platform.SumCombiner); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,11 +242,11 @@ func TestFreshUploadAllocs(t *testing.T) {
 		run  func(u *uploaded) error
 	}{
 		{"PR", func(u *uploaded) error {
-			_, err := prProgram(context.Background(), nil, u, 10, 0.85, true)
+			_, err := prProgram(context.Background(), nil, u, 10, 0.85, platform.SumCombiner)
 			return err
 		}},
 		{"WCC", func(u *uploaded) error {
-			_, err := wccProgram(context.Background(), nil, u, true)
+			_, err := wccProgram(context.Background(), nil, u, platform.MinCombiner)
 			return err
 		}},
 		{"LCC", func(u *uploaded) error {

@@ -17,7 +17,7 @@ import (
 // recycled across Execute calls, uploads and deployments through the
 // engine's scratch pool, so a superstep allocates nothing once the arenas
 // have grown to the largest job so far.
-type runner[T any] struct {
+type runner[T mplane.Message] struct {
 	u  *uploaded
 	ex platform.Exchange[T]
 	// tracker, when set, records one Granula sub-phase per superstep with
@@ -43,7 +43,7 @@ type runner[T any] struct {
 // stages messages into its thread slot's stage, halt votes and aggregator
 // contributions, so the compute loop takes no locks. The trailing pad
 // keeps concurrently computing workers off each other's cache lines.
-type worker[T any] struct {
+type worker[T mplane.Message] struct {
 	r     *runner[T]
 	slot  int // thread slot, for programs that keep per-thread scratch
 	stage *mplane.Stage[T]
@@ -82,9 +82,10 @@ func (w *worker[T]) reset() {
 }
 
 // newRunner checks a runner for message type T out of the engine's
-// scratch pool, or builds one. Callers hand it back via release so the
-// next job of the engine starts with warm buffers.
-func newRunner[T any](u *uploaded, msgSize func(T) int64, combine func(a, b T) T) *runner[T] {
+// scratch pool, or builds one. A message costs bytes on the wire, or
+// sizeOf(m) when sizeOf is not nil. Callers hand the runner back via
+// release so the next job of the engine starts with warm buffers.
+func newRunner[T mplane.Message](u *uploaded, combine platform.Combiner, bytes int64, sizeOf func(T) int64) *runner[T] {
 	r := mplane.Acquire(u.Scratch(), func() *runner[T] {
 		return &runner[T]{}
 	})
@@ -92,7 +93,7 @@ func newRunner[T any](u *uploaded, msgSize func(T) int64, combine func(a, b T) T
 	cl := u.Cl
 	r.u = u
 	r.tracker = nil
-	r.ex.Begin(n, u.part.Owner, cl.Machines(), cl.Threads(), msgSize, combine)
+	r.ex.Begin(n, u.part.Owner, cl.Machines(), cl.Threads(), combine, bytes, sizeOf)
 	r.halted = mplane.GrowZero(r.halted, n)
 	// The frontier lists are refilled by run; the workers keep their slot
 	// and halt-list capacity, and a slot past the old capacity is nil.
@@ -114,7 +115,7 @@ func newRunner[T any](u *uploaded, msgSize func(T) int64, combine func(a, b T) T
 }
 
 // release returns the runner's buffers to the engine's scratch pool,
-// without the upload, the exchange's job functions or the program's
+// without the upload, the exchange's size function or the program's
 // barrier hook: a pooled runner keeps no job alive.
 func (r *runner[T]) release() {
 	pool := r.u.Scratch()
@@ -207,9 +208,4 @@ func (r *runner[T]) run(ctx context.Context, compute func(w *worker[T], v int32,
 		}
 	}
 	return nil
-}
-
-// fixedSize returns a message-size function for constant-width messages.
-func fixedSize[T any](bytes int64) func(T) int64 {
-	return func(T) int64 { return bytes }
 }

@@ -32,7 +32,7 @@ func uploadFor(t *testing.T, g *graph.Graph) *uploaded {
 func TestBSPHaltingTerminates(t *testing.T) {
 	u := uploadFor(t, chainGraph(t))
 	defer u.Free()
-	r := newRunner[int64](u, fixedSize[int64](8), nil)
+	r := newRunner[int64](u, platform.NoCombiner, 8, nil)
 	steps := 0
 	err := r.run(context.Background(), func(w *worker[int64], v int32, msgs []int64, superstep int) {
 		if superstep == 0 && v == 0 {
@@ -56,7 +56,7 @@ func TestBSPHaltingTerminates(t *testing.T) {
 func TestBSPMessageDelivery(t *testing.T) {
 	u := uploadFor(t, chainGraph(t))
 	defer u.Free()
-	r := newRunner[int64](u, fixedSize[int64](8), nil)
+	r := newRunner[int64](u, platform.NoCombiner, 8, nil)
 	var got []int64
 	err := r.run(context.Background(), func(w *worker[int64], v int32, msgs []int64, superstep int) {
 		if superstep == 0 && v == 0 {
@@ -79,13 +79,7 @@ func TestBSPMessageDelivery(t *testing.T) {
 func TestBSPCombinerCollapsesMessages(t *testing.T) {
 	u := uploadFor(t, chainGraph(t))
 	defer u.Free()
-	min := func(a, b int64) int64 {
-		if a < b {
-			return a
-		}
-		return b
-	}
-	r := newRunner[int64](u, fixedSize[int64](8), min)
+	r := newRunner[int64](u, platform.MinCombiner, 8, nil)
 	var got []int64
 	err := r.run(context.Background(), func(w *worker[int64], v int32, msgs []int64, superstep int) {
 		if superstep == 0 && v == 0 {
@@ -109,7 +103,7 @@ func TestBSPCombinerCollapsesMessages(t *testing.T) {
 func TestBSPAggregator(t *testing.T) {
 	u := uploadFor(t, chainGraph(t))
 	defer u.Free()
-	r := newRunner[int64](u, fixedSize[int64](8), nil)
+	r := newRunner[int64](u, platform.NoCombiner, 8, nil)
 	var seen float64
 	err := r.run(context.Background(), func(w *worker[int64], v int32, msgs []int64, superstep int) {
 		switch superstep {
@@ -135,7 +129,7 @@ func TestBSPContextCancellation(t *testing.T) {
 	defer u.Free()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := newRunner[int64](u, fixedSize[int64](8), nil)
+	r := newRunner[int64](u, platform.NoCombiner, 8, nil)
 	err := r.run(ctx, func(w *worker[int64], v int32, msgs []int64, superstep int) {})
 	if err == nil {
 		t.Fatal("cancelled context must abort the superstep loop")

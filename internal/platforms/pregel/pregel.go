@@ -33,6 +33,10 @@ func New() platform.Platform { return NewWithOptions(true) }
 // disabling combiners exists for the combiner ablation benchmark. All six
 // algorithms are implemented as vertex programs.
 func NewWithOptions(useCombiners bool) platform.Platform {
+	sum, least := platform.SumCombiner, platform.MinCombiner
+	if !useCombiners {
+		sum, least = platform.NoCombiner, platform.NoCombiner
+	}
 	return platform.New(platform.Engine[*uploaded]{
 		Name:        "pregel",
 		Description: "vertex-centric BSP with message passing (Giraph/Pregel-style)",
@@ -40,13 +44,13 @@ func NewWithOptions(useCombiners bool) platform.Platform {
 		Load:        load,
 		Kernels: map[algorithms.Algorithm]platform.Kernel[*uploaded]{
 			algorithms.BFS: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Ints(bfsProgram(ctx, j.Tracker, u, j.SourceIndex, useCombiners))
+				return j.Ints(bfsProgram(ctx, j.Tracker, u, j.SourceIndex, least))
 			},
 			algorithms.PR: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Floats(prProgram(ctx, j.Tracker, u, j.Iterations, j.Damping, useCombiners))
+				return j.Floats(prProgram(ctx, j.Tracker, u, j.Iterations, j.Damping, sum))
 			},
 			algorithms.WCC: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Ints(wccProgram(ctx, j.Tracker, u, useCombiners))
+				return j.Ints(wccProgram(ctx, j.Tracker, u, least))
 			},
 			algorithms.CDLP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
 				return j.Ints(cdlpProgram(ctx, j.Tracker, u, j.Iterations))
@@ -55,7 +59,7 @@ func NewWithOptions(useCombiners bool) platform.Platform {
 				return j.Floats(lccProgram(ctx, j.Tracker, u))
 			},
 			algorithms.SSSP: func(ctx context.Context, u *uploaded, j *platform.Job) (*algorithms.Output, error) {
-				return j.Floats(ssspProgram(ctx, j.Tracker, u, j.SourceIndex, useCombiners))
+				return j.Floats(ssspProgram(ctx, j.Tracker, u, j.SourceIndex, least))
 			},
 		},
 		// Message queues: the engine keeps two per-vertex message buffers.
