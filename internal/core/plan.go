@@ -90,18 +90,26 @@ func (b *planBuilder) add(spec JobSpec) {
 // Compile expands a BenchSpec into a Plan, resolving dataset selectors
 // through the session's graph store (so class-based selectors hit the
 // same cache, and materialization events reach the session's observer).
+// A class selector materializes up to the session's parallelism datasets
+// at once.
 func (s *Session) Compile(spec BenchSpec) (*Plan, error) {
-	return CompileSpec(spec, func(d workload.Dataset) (*graph.Graph, error) { return s.loadGraph(d) })
+	return compile(spec, func(d workload.Dataset) (*graph.Graph, error) { return s.loadGraph(d) }, s.cfg.parallelism)
 }
 
 // CompileSpec expands a BenchSpec into a Plan: for each sweep, the cross
 // product platform × dataset × config × algorithm × repetition, in that
 // nesting order, so the jobs of one deployment group are consecutive and
 // an N-algorithm sweep pays one upload. load materializes datasets when a
-// selector filters by class; nil selects the workload package's default
+// selector filters by class, up to GOMAXPROCS at once, so load must be
+// safe for concurrent use; nil selects the workload package's default
 // store. Compilation is deterministic: the same spec always yields a
 // byte-identical plan listing.
 func CompileSpec(spec BenchSpec, load func(workload.Dataset) (*graph.Graph, error)) (*Plan, error) {
+	return compile(spec, load, runtime.GOMAXPROCS(0))
+}
+
+// compile is CompileSpec with the class scan's worker bound.
+func compile(spec BenchSpec, load func(workload.Dataset) (*graph.Graph, error), workers int) (*Plan, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -121,7 +129,7 @@ func CompileSpec(spec BenchSpec, load func(workload.Dataset) (*graph.Graph, erro
 		if len(platforms) == 0 {
 			platforms = platform.Names()
 		}
-		datasets, err := sw.Datasets.resolve(load)
+		datasets, err := sw.Datasets.resolve(load, workers)
 		if err != nil {
 			return nil, fmt.Errorf("core: compile %q: %w", name, err)
 		}

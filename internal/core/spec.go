@@ -79,13 +79,15 @@ type DatasetSelector struct {
 	IDs []string `json:"ids,omitempty"`
 	// MaxClass selects every catalog dataset whose T-shirt class is at
 	// most this class (e.g. "L"), sorted by ascending scale. Resolving it
-	// materializes the datasets, since class derives from the built graph.
+	// materializes the whole catalog, since class derives from the built
+	// graph: concurrently, as many datasets at once as the compiling
+	// session's parallelism (GOMAXPROCS for CompileSpec).
 	MaxClass string `json:"max_class,omitempty"`
 }
 
 // resolve expands the selector against the catalog, materializing graphs
-// through load when class filtering requires it.
-func (sel DatasetSelector) resolve(load func(workload.Dataset) (*graph.Graph, error)) ([]workload.Dataset, error) {
+// through load, up to workers at once, when class filtering requires it.
+func (sel DatasetSelector) resolve(load func(workload.Dataset) (*graph.Graph, error), workers int) ([]workload.Dataset, error) {
 	if len(sel.IDs) > 0 {
 		out := make([]workload.Dataset, 0, len(sel.IDs))
 		for _, id := range sel.IDs {
@@ -102,7 +104,7 @@ func (sel DatasetSelector) resolve(load func(workload.Dataset) (*graph.Graph, er
 		if !validClass(max) {
 			return nil, fmt.Errorf("core: unknown dataset class %q", sel.MaxClass)
 		}
-		return workload.UpToClassWith(load, max)
+		return workload.UpToClassWith(load, max, workers)
 	}
 	return workload.Catalog(), nil
 }

@@ -1,14 +1,18 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
 	"os"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/core"
 	"graphalytics/internal/graphstore"
+	"graphalytics/internal/workload"
 )
 
 // sourceRecorder collects dataset materialization events by source.
@@ -101,5 +105,46 @@ func TestRunAllBatchStorePrecedence(t *testing.T) {
 	}
 	if len(entries) == 0 {
 		t.Fatal("batch WithCacheDir alone must produce snapshots")
+	}
+}
+
+// TestClassScanBuildsOnceAndCompilesOnePlan compiles a class selector on
+// fresh cache dirs at GOMAXPROCS=4, where the class scan builds the
+// catalog four datasets at a time: each dataset must be built exactly
+// once, and the plan listing must not depend on the schedule — two
+// concurrent compiles and a one-worker compile render the same bytes.
+func TestClassScanBuildsOnceAndCompilesOnePlan(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	spec := core.BenchSpec{
+		Name:       "classes",
+		Platforms:  []string{"native"},
+		Datasets:   core.DatasetSelector{MaxClass: "L"},
+		Algorithms: []algorithms.Algorithm{algorithms.BFS},
+	}
+	compile := func(dir string, opts ...core.Option) (string, *sourceRecorder) {
+		t.Helper()
+		rec := newSourceRecorder()
+		s := core.NewSession(append(opts, core.WithCacheDir(dir), core.WithObserver(rec))...)
+		plan, err := s.Compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := plan.Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), rec
+	}
+	dir := t.TempDir()
+	first, rec := compile(dir)
+	second, _ := compile(t.TempDir())
+	sequential, _ := compile(dir, core.WithParallelism(1))
+	for _, d := range workload.Catalog() {
+		if got := rec.of(d.ID); !slices.Equal(got, []string{string(graphstore.SourceBuilt)}) {
+			t.Errorf("%s materialized as %v during a cold compile, want built once", d.ID, got)
+		}
+	}
+	if first != second || first != sequential {
+		t.Errorf("class-selector plans differ between compiles:\n--- first ---\n%s\n--- second ---\n%s\n--- one worker ---\n%s", first, second, sequential)
 	}
 }

@@ -132,16 +132,19 @@ func (c *WorkerCounts) At(w int) *LabelCounts { return &c.slots[w].LabelCounts }
 // in the same pass. With no counts it returns own (a vertex with no
 // neighbors keeps its label).
 //
+// The argmax has no branch: each label packs into one key, its count in
+// the high word and its complement in the low word, so the largest key
+// holds the highest count and, of equal counts, the smallest label. own
+// enters with count zero, below every counted label.
+//
 //graphalint:noalloc
 func (c *LabelCounts) BestAndReset(own int32) int32 {
-	best := own
-	var bestCount int32
+	cnt := c.cnt
+	best := uint64(^uint32(own))
 	for _, l := range c.touched {
-		if n := c.cnt[l]; n > bestCount || (n == bestCount && l < best) {
-			best, bestCount = l, n
-		}
-		c.cnt[l] = 0
+		best = max(best, uint64(cnt[l])<<32|uint64(^uint32(l)))
+		cnt[l] = 0
 	}
 	c.touched = c.touched[:0]
-	return best
+	return int32(^uint32(best))
 }

@@ -15,6 +15,7 @@ package workload
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -272,26 +273,74 @@ func graph500XLEntry(id string, scale int, paperScale float64) Dataset {
 // class L" selections), materializing every catalog graph through load —
 // the harness passes its session loader so dataset events fire for the
 // classification scan too.
-func UpToClassWith(load func(Dataset) (*graph.Graph, error), max metrics.Class) ([]Dataset, error) {
-	type scored struct {
-		d Dataset
-		s float64
+//
+// The scan materializes up to workers datasets at once (GOMAXPROCS when
+// workers < 1), so load must be safe for concurrent use. Each worker
+// takes the next dataset in catalog order when it finishes one, so the
+// largest builds spread over the workers. The result does not depend on
+// workers: each graph's scale fills its catalog slot before the stable
+// sort, and a failure returns the error of the earliest failing dataset
+// in catalog order, as a sequential scan would. No load starts after one
+// has failed, and none is running when the scan returns.
+func UpToClassWith(load func(Dataset) (*graph.Graph, error), max metrics.Class, workers int) ([]Dataset, error) {
+	cat := Catalog()
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	var keep []scored
-	for _, d := range Catalog() {
-		g, err := load(d)
+	var (
+		scales = make([]float64, len(cat))
+		fits   = make([]bool, len(cat))
+		errs   = make([]error, len(cat))
+		mu     sync.Mutex // guards next and failed
+		next   int
+		failed bool
+		wg     sync.WaitGroup
+	)
+	take := func() (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if failed || next == len(cat) {
+			return 0, false
+		}
+		next++
+		return next - 1, true
+	}
+	for range min(workers, len(cat)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, ok := take(); ok; i, ok = take() {
+				g, err := load(cat[i])
+				if err != nil {
+					errs[i] = err
+					mu.Lock()
+					failed = true
+					mu.Unlock()
+					continue
+				}
+				scales[i] = Scale(g)
+				fits[i] = metrics.ClassOrder(Class(g)) <= metrics.ClassOrder(max)
+			}
+		}()
+	}
+	wg.Wait()
+	// Datasets are taken in catalog order, so every dataset before a
+	// failed one has run: the first error in the slice is the earliest.
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		s := Scale(g)
-		if metrics.ClassOrder(Class(g)) <= metrics.ClassOrder(max) {
-			keep = append(keep, scored{d: d, s: s})
+	}
+	var keep []int
+	for i, ok := range fits {
+		if ok {
+			keep = append(keep, i)
 		}
 	}
-	slices.SortStableFunc(keep, func(a, b scored) int { return cmp.Compare(a.s, b.s) })
+	slices.SortStableFunc(keep, func(a, b int) int { return cmp.Compare(scales[a], scales[b]) })
 	out := make([]Dataset, len(keep))
-	for i, k := range keep {
-		out[i] = k.d
+	for j, i := range keep {
+		out[j] = cat[i]
 	}
 	return out, nil
 }

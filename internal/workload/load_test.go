@@ -130,7 +130,7 @@ func TestWarmHonorsCanceledContext(t *testing.T) {
 
 func TestUpToClassFromUsesGivenStore(t *testing.T) {
 	s := graphstore.New(graphstore.Options{})
-	upToL, err := workload.UpToClassWith(func(d workload.Dataset) (*graph.Graph, error) { return workload.LoadFrom(s, d.ID) }, metrics.ClassL)
+	upToL, err := workload.UpToClassWith(func(d workload.Dataset) (*graph.Graph, error) { return workload.LoadFrom(s, d.ID) }, metrics.ClassL, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

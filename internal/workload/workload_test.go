@@ -69,7 +69,7 @@ func TestBFSSourceExists(t *testing.T) {
 }
 
 func TestUpToClass(t *testing.T) {
-	upToL, err := workload.UpToClassWith(func(d workload.Dataset) (*graph.Graph, error) { return workload.Load(d.ID) }, metrics.ClassL)
+	upToL, err := workload.UpToClassWith(func(d workload.Dataset) (*graph.Graph, error) { return workload.Load(d.ID) }, metrics.ClassL, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,9 +60,10 @@ type Plan = core.Plan
 // Deployment is one shared-upload group of a plan.
 type Deployment = core.Deployment
 
-// CompileSpec expands a spec into a plan using the default graph store;
-// Session.Compile resolves dataset selectors through the session's store
-// instead.
+// CompileSpec expands a spec into a plan using the default graph store,
+// a class selector materializing up to GOMAXPROCS datasets at once;
+// Session.Compile resolves dataset selectors through the session's store,
+// within the session's parallelism, instead.
 func CompileSpec(spec BenchSpec) (*Plan, error) { return core.CompileSpec(spec, nil) }
 
 // PlanFromSpecs builds a plan from an explicit job list, preserving order
