@@ -70,6 +70,9 @@ type Config struct {
 	// Weighted attaches positive edge weights (interaction strength), as
 	// the benchmark's weighted datasets require.
 	Weighted bool
+	// Name is the generated graph's name; empty selects
+	// "datagen-sf<ScaleFactor>".
+	Name string
 }
 
 func (c Config) withDefaults() Config {
@@ -84,6 +87,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
+	}
+	if c.Name == "" {
+		c.Name = fmt.Sprintf("datagen-sf%g", c.ScaleFactor)
 	}
 	if c.TempDir == "" {
 		c.TempDir = os.TempDir()
@@ -167,7 +173,7 @@ func Generate(cfg Config) (*Result, error) {
 	}
 
 	b := graph.NewBuilder(false, cfg.Weighted)
-	b.SetName(fmt.Sprintf("datagen-sf%g", cfg.ScaleFactor))
+	b.SetName(cfg.Name)
 	b.SetOptions(graph.BuildOptions{DedupEdges: true, DropSelfLoops: true})
 	b.Grow(len(persons), len(raw))
 	for i := range persons {

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"graphalytics/internal/par"
 	"graphalytics/internal/xrand"
 )
 
@@ -270,15 +271,20 @@ func mergeParts(parts [][]rawEdge) []rawEdge {
 	return out
 }
 
-// sortEdges orders edges canonically; both flows rely on sorted order for
-// deduplication.
+// sortEdges orders edges canonically, by source and then destination;
+// both flows rely on sorted order for deduplication. Each edge sorts as
+// one word, the source in the high half and the destination, sign bit
+// flipped, in the low half, whose order as an int64 is the pair's, so
+// par.SortInt64s' radix sort does the work of a two-field comparison
+// sort. Equal words are equal edges, so the order is any sort's.
 func sortEdges(edges []rawEdge) {
-	slices.SortFunc(edges, func(a, b rawEdge) int {
-		if a.src != b.src {
-			return cmp.Compare(a.src, b.src)
-		}
-		return cmp.Compare(a.dst, b.dst)
-	})
+	keys := make([]int64, len(edges))
+	for i, e := range edges {
+		keys[i] = int64(e.src)<<32 | int64(uint32(e.dst)^1<<31)
+	}
+	for i, k := range par.SortInt64s(keys) {
+		edges[i] = rawEdge{src: int32(k >> 32), dst: int32(uint32(k) ^ 1<<31)}
+	}
 }
 
 // sortDedupParallel is the distributed sort both flows run on their edge

@@ -108,6 +108,19 @@ func (b *Builder) AddWeightedEdge(src, dst int64, w float64) {
 	b.edges = append(b.edges, Edge{Src: src, Dst: dst, Weight: w})
 }
 
+// AddEdges adds the edges in order, as that many AddWeightedEdge calls
+// would, in one call: an in-memory builder copies them into its edge list
+// at once. The builder keeps no reference to edges.
+func (b *Builder) AddEdges(edges []Edge) {
+	if b.spill != nil {
+		for _, e := range edges {
+			b.spillAdd(e.Src, e.Dst, e.Weight)
+		}
+		return
+	}
+	b.edges = append(b.edges, edges...)
+}
+
 // Build validates and normalizes the accumulated input and returns the
 // immutable Graph. The Builder can be reused afterwards, but the built
 // graph does not alias builder memory.
@@ -457,17 +470,22 @@ func (b *Builder) collectIDs() []int64 {
 	return slices.Clone(slices.Compact(par.SortInt64s(all)))
 }
 
-// idTable maps external identifiers to internal indices: open addressing
-// over parallel key and value arrays, a power-of-two size at most half
-// full, a multiplicative hash taking the product's top bits, and linear
-// probing. Both build paths translate every arc endpoint through it, so a
-// lookup is a hot-path cost: one shift, one multiply and, at half load,
-// about 1.3 probes of adjacent memory on a hit.
+// idTable maps external identifiers to internal indices. A dense set, the
+// ids 0..n-1, maps each id to itself, so its table is no table: keys is
+// nil and a lookup is one bounds check against dense = n. Every catalog
+// dataset and every Graph500 graph is dense. Any other set is hashed: open
+// addressing over parallel key and value arrays, a power-of-two size at
+// most half full, a multiplicative hash taking the product's top bits, and
+// linear probing. Both build paths translate every arc endpoint through
+// the table, so a lookup is a hot-path cost: for a hashed set one shift,
+// one multiply and, at half load, about 1.3 probes of adjacent memory on
+// a hit.
 type idTable struct {
 	keys  []int64
 	vals  []uint32 // internal index + 1; 0 marks an empty slot, so make needs no fill
 	shift uint     // 64 - log2(len(keys))
 	mask  int
+	dense int64 // the ids are 0..dense-1; used when keys is nil
 }
 
 // fibMul is 2^64 / φ, the multiplier of Fibonacci hashing, which spreads
@@ -475,7 +493,12 @@ type idTable struct {
 const fibMul = 0x9e3779b97f4a7c15
 
 // idIndex builds the lookup table of the sorted distinct identifiers ids.
+// Sorted and distinct, they are exactly 0..n-1 when the first is 0 and the
+// last n-1.
 func idIndex(ids []int64) *idTable {
+	if n := len(ids); n == 0 || ids[0] == 0 && ids[n-1] == int64(n-1) {
+		return &idTable{dense: int64(n)}
+	}
 	size := 2
 	for size < 2*len(ids) {
 		size <<= 1
@@ -496,11 +519,11 @@ func idIndex(ids []int64) *idTable {
 	return t
 }
 
-// slot is id's home slot. The multiply alone maps ids spaced by a power of
-// two (multiples of 2^16, say) onto few slots, since it only carries bits
-// upward; folding the high bits down first keeps every stride from 2^0 to
-// 2^61 under four probes on average, dense or signed (TestIDTable pins
-// the sets a weak hash clusters).
+// slot is id's home slot in a hashed table. The multiply alone maps ids
+// spaced by a power of two (multiples of 2^16, say) onto few slots, since
+// it only carries bits upward; folding the high bits down first keeps
+// every stride from 2^0 to 2^61 under four probes on average, dense or
+// signed (TestIDTable pins the sets a weak hash clusters).
 func (t *idTable) slot(id int64) int {
 	x := uint64(id)
 	return int(((x ^ x>>29) * fibMul) >> t.shift)
@@ -510,6 +533,12 @@ func (t *idTable) slot(id int64) int {
 //
 //graphalint:noalloc
 func (t *idTable) get(id int64) (v int32, ok bool) {
+	if t.keys == nil {
+		if uint64(id) < uint64(t.dense) {
+			return int32(id), true
+		}
+		return -1, false
+	}
 	for s := t.slot(id); ; s = (s + 1) & t.mask {
 		switch {
 		case t.vals[s] == 0:

@@ -157,10 +157,7 @@ func FromEdges(name string, directed, weighted bool, edges []Edge, opts BuildOpt
 	b := NewBuilder(directed, weighted)
 	b.SetName(name)
 	b.SetOptions(opts)
-	b.Grow(0, len(edges))
-	for _, e := range edges {
-		b.AddWeightedEdge(e.Src, e.Dst, e.Weight)
-	}
+	b.AddEdges(edges)
 	return b.Build()
 }
 

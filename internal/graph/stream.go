@@ -16,13 +16,14 @@ import (
 // buffer that is radix-sorted by key (in parallel) and spilled to a temp
 // run file whenever it fills. BuildTo then builds the CSR one key range at
 // a time: nextRange cuts the identifier table into ranges of vertices
-// whose build fits the budget, each range's slice of every run — found by
-// binary search over the run file, which holds fixed-width records sorted
-// by key and so is its own index — is read and translated to internal
-// indices, and buildCSR, Build's own counting sort, per-vertex sort and
-// first-occurrence dedup, turns it into the range's CSR. The ranges'
-// neighbors and weights are appended in key order to one scratch file
-// each per direction, which the page-aligned v2 snapshot copies. Peak
+// whose build fits the budget, galloping from the previous range's size;
+// each range's slice of every run — found by binary search over the run
+// file, which holds fixed-width records sorted by key and so is its own
+// index — is read and translated to internal indices, and buildCSR,
+// Build's own counting sort, per-vertex sort and first-occurrence dedup,
+// turns it into the range's CSR. The ranges' neighbors and weights are
+// appended in key order to one scratch file each per direction, which the
+// page-aligned v2 snapshot copies. Peak
 // memory is O(BudgetBytes + |V|): the identifier table, its lookup table
 // and the offset arrays stay in RAM, the arcs never do.
 //
@@ -401,10 +402,18 @@ func (r *runFile) lowerBound(key, lo, hi int64, buf []byte) (int64, error) {
 // fits(arcs, vertices) holds, or the vertex lo alone when even it does not
 // fit. It returns hi and to, where each run's records of the range end:
 // the range holds exactly the records keyed by its vertices, since a run
-// is sorted by key. hi is found by a binary search over ids whose probes
-// sum the runs' lower bounds, each searched within the bracket the
-// previous probes left.
-func nextRange(ids []int64, runs []runFile, lo int, from []int64, fits func(arcs int64, verts int) bool) (hi int, to []int64, err error) {
+// is sorted by key.
+//
+// hi is found by a galloping search from lo+guess, guess being the
+// previous range's vertex count, since neighbouring ranges are alike: it
+// probes ends 1, 2, 4, ... past that start while they fit, or before it
+// while they do not, and binary-searches the last step. A range within d
+// vertices of its guess takes about 2·log₂ d probes, where a binary search
+// over the remaining ids takes log₂ of their count; the first range, with
+// guess 0, takes that binary search. Every probe sums the runs' lower
+// bounds, each searched within the bracket the earlier probes left. fits
+// grows with the range, so the cut is the one any search finds.
+func nextRange(ids []int64, runs []runFile, lo, guess int, from []int64, fits func(arcs int64, verts int) bool) (hi int, to []int64, err error) {
 	var base, total int64
 	ends := make([]int64, len(runs))
 	for r := range runs {
@@ -415,33 +424,57 @@ func nextRange(ids []int64, runs []runFile, lo int, from []int64, fits func(arcs
 	if fits(total-base, len(ids)-lo) {
 		return len(ids), ends, nil
 	}
-	// Search for the first end past lo whose range does not fit.
-	l, h := lo+1, len(ids)
+	// The first end past lo that does not fit lies in (l, h]: l is lo or
+	// an end that fits, h an end that does not, and lower and upper hold
+	// the runs' bounds at l and at h.
+	l, h := lo, len(ids)
 	lower, upper, probe := slices.Clone(from), ends, make([]int64, len(runs))
 	buf := make([]byte, 8)
-	for l < h {
-		mid := int(uint(l+h) >> 1)
+	step := func(end int) (bool, error) {
 		var below int64
 		for r := range runs {
-			if probe[r], err = runs[r].lowerBound(ids[mid], lower[r], upper[r], buf); err != nil {
-				return 0, nil, err
+			at, err := runs[r].lowerBound(ids[end], lower[r], upper[r], buf)
+			if err != nil {
+				return false, err
 			}
-			below += probe[r]
+			probe[r], below = at, below+at
 		}
-		if fits(below-base, mid-lo) {
-			l = mid + 1
-			lower, probe = probe, lower
-		} else {
-			h = mid
-			upper, probe = probe, upper
+		if fits(below-base, end-lo) {
+			l, lower, probe = end, probe, lower
+			return true, nil
+		}
+		h, upper, probe = end, probe, upper
+		return false, nil
+	}
+	if start := lo + guess; guess > 0 && start < h {
+		up, err := step(start)
+		dir := 1
+		if !up {
+			dir = -1
+		}
+		for d := 1; err == nil; d *= 2 {
+			end := start + dir*d
+			if end <= l || end >= h {
+				break
+			}
+			var fit bool
+			if fit, err = step(end); fit != up {
+				break
+			}
+		}
+		if err != nil {
+			return 0, nil, err
 		}
 	}
-	// lower holds the bounds at l-1, the last end that fits, and upper
-	// those at l, which is lo+1 when no end fits.
-	if l > lo+1 {
-		return l - 1, lower, nil
+	for h-l > 1 {
+		if _, err := step(int(uint(l+h) >> 1)); err != nil {
+			return 0, nil, err
+		}
 	}
-	return l, upper, nil
+	if l > lo {
+		return l, lower, nil
+	}
+	return h, upper, nil
 }
 
 // rangeBytes is the memory a key range of arcs arcs over verts vertices
@@ -622,8 +655,8 @@ func (b *Builder) buildSpool(ids []int64, index *idTable, runs []runFile, st *ra
 	}
 	cs := &csrScratch{off: make([]int64, len(ids)+1), adjPath: files[0].Name(), wPath: files[1].Name()}
 	from := make([]int64, len(runs))
-	for lo := 0; lo < len(ids); {
-		hi, to, err := nextRange(ids, runs, lo, from, b.rangeFits)
+	for lo, guess := 0, 0; lo < len(ids); {
+		hi, to, err := nextRange(ids, runs, lo, guess, from, b.rangeFits)
 		if err != nil {
 			return nil, err
 		}
@@ -646,7 +679,7 @@ func (b *Builder) buildSpool(ids []int64, index *idTable, runs []runFile, st *ra
 		if err := writeFloat64s(files[1], w); err != nil {
 			return nil, err
 		}
-		lo, from = hi, to
+		lo, from, guess = hi, to, hi-lo
 	}
 	for _, f := range files {
 		if err := f.Close(); err != nil {

@@ -82,13 +82,13 @@ func spillRanges(t testing.TB, b *Builder) (ids []int64, runs []runFile, bounds 
 	}
 	defer closeSpillRuns(runs)
 	bounds, cuts = []int{0}, [][]int64{make([]int64, len(runs))}
-	for lo := 0; lo < len(ids); {
-		hi, to, err := nextRange(ids, runs, lo, cuts[len(cuts)-1], b.rangeFits)
+	for lo, guess := 0, 0; lo < len(ids); {
+		hi, to, err := nextRange(ids, runs, lo, guess, cuts[len(cuts)-1], b.rangeFits)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bounds, cuts = append(bounds, hi), append(cuts, to)
-		lo = hi
+		lo, guess = hi, hi-lo
 	}
 	return ids, runs, bounds, cuts
 }

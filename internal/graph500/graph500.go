@@ -9,6 +9,7 @@ package graph500
 
 import (
 	"fmt"
+	"math"
 
 	"graphalytics/internal/graph"
 	"graphalytics/internal/par"
@@ -67,9 +68,10 @@ func Generate(cfg Config) (*graph.Graph, error) {
 // materializing the edge list: the only O(n) state is the vertex
 // relabeling permutation, and edges are generated in rounds of fixed-size
 // blocks, one block per worker, so the extra memory is O(P·genBlock)
-// edges for P workers. Each round is handed to b in edge order before the
-// next is generated. Feeding a spill-configured builder (Builder.SetSpill
-// + BuildTo) therefore assembles the graph out-of-core.
+// edges for P workers. Each round is handed to b in one AddEdges call, in
+// edge order, before the next is generated. Feeding a spill-configured
+// builder (Builder.SetSpill + BuildTo) therefore assembles the graph
+// out-of-core.
 //
 // The edges, their weights and their order are those of one sequential
 // xrand stream, at any worker count: edge i always takes exactly
@@ -112,9 +114,7 @@ func Into(cfg Config, b *graph.Builder) error {
 				genEdges(round[s:e], base, lo+int64(s), cfg, perm)
 			}
 		})
-		for _, e := range round {
-			b.AddWeightedEdge(e.Src, e.Dst, e.Weight)
-		}
+		b.AddEdges(round)
 	}
 	return nil
 }
@@ -128,7 +128,8 @@ const genBlock = 1 << 14
 // i·draws past the stream's start: rmatEdge must never take a
 // data-dependent number of draws (a rejection step, say), or Skip would
 // land mid-edge and the output would change with the worker count —
-// TestGenerateGolden pins it.
+// TestGenerateGolden pins it. The loop draws from a copy of the generator
+// that never has its address taken, so its state stays in a register.
 //
 //graphalint:noalloc
 func genEdges(out []graph.Edge, rng xrand.Rand, first int64, cfg Config, perm []int) {
@@ -137,33 +138,64 @@ func genEdges(out []graph.Edge, rng xrand.Rand, first int64, cfg Config, perm []
 		draws++
 	}
 	rng.Skip(uint64(first) * draws)
+	r, q := rng, quadrantsOf(cfg)
 	for i := range out {
-		src, dst := rmatEdge(&rng, cfg)
+		var src, dst int
+		r, src, dst = rmatEdge(r, cfg.Scale, q)
 		var w float64
 		if cfg.Weighted {
-			w = rng.Float64() + 1.0/(1<<16) // avoid zero-weight edges
+			var u uint64
+			r, u = r.Next()
+			w = float64(u>>11)/(1<<53) + 1.0/(1<<16) // Float64(), kept off zero
 		}
 		e := &out[i]
 		e.Src, e.Dst, e.Weight = int64(perm[src]), int64(perm[dst]), w
 	}
 }
 
-// rmatEdge samples one edge by recursive quadrant descent: at each level
-// the first of u < A, u < A+B, u < A+B+C that holds picks the top-left,
-// top-right (dst bit) or bottom-left (src bit) quadrant, and none of them
-// the bottom-right (both bits). The choice is computed without branches,
-// because a branch on a random draw mispredicts about half the time and
-// cost more than the draw itself.
-func rmatEdge(rng *xrand.Rand, cfg Config) (int, int) {
+// quadrants holds the initiator's cumulative probabilities A, A+B and
+// A+B+C as thresholds over a draw's top 53 bits (see threshold).
+type quadrants struct{ a, ab, abc uint64 }
+
+func quadrantsOf(cfg Config) quadrants {
 	a, ab, abc := cfg.A, cfg.A+cfg.B, cfg.A+cfg.B+cfg.C
+	return quadrants{threshold(a), threshold(ab), threshold(abc)}
+}
+
+// threshold turns the test u < p on u = Float64() into an integer one on
+// the draw's top bits: Float64 is k·2⁻⁵³ for k = Uint64()>>11 < 2⁵³, and
+// for an integer k, k·2⁻⁵³ < p ⇔ k < p·2⁵³ ⇔ k < ⌈p·2⁵³⌉. Scaling by a
+// power of two is exact, so is the ceiling, and clamping to [0, 2⁵³] keeps
+// p ≤ 0 (never below), p ≥ 1 (always below) and NaN (never) as they were.
+func threshold(p float64) uint64 {
+	x := math.Ceil(p * (1 << 53))
+	switch {
+	case !(x > 0):
+		return 0
+	case x >= 1<<53:
+		return 1 << 53
+	}
+	return uint64(x)
+}
+
+// rmatEdge samples one edge by recursive quadrant descent and returns the
+// generator past its Scale draws: at each level the first of k < A,
+// k < A+B, k < A+B+C that holds (thresholds on the draw's top 53 bits k)
+// picks the top-left, top-right (dst bit) or bottom-left (src bit)
+// quadrant, and none of them the bottom-right (both bits). The choice is
+// computed without branches, because a branch on a random draw
+// mispredicts about half the time and cost more than the draw itself.
+func rmatEdge(r xrand.Rand, scale int, q quadrants) (xrand.Rand, int, int) {
 	src, dst := 0, 0
-	for level := 0; level < cfg.Scale; level++ {
-		u := rng.Float64()
-		pastA, pastAB, pastABC := bit(!(u < a)), bit(!(u < ab)), bit(!(u < abc))
+	for level := 0; level < scale; level++ {
+		var u uint64
+		r, u = r.Next()
+		k := u >> 11
+		pastA, pastAB, pastABC := bit(k >= q.a), bit(k >= q.ab), bit(k >= q.abc)
 		src |= (pastA & pastAB) << level
 		dst |= (pastA & ((1 - pastAB) | pastABC)) << level
 	}
-	return src, dst
+	return r, src, dst
 }
 
 // bit is 1 for true and 0 for false.

@@ -34,9 +34,7 @@ func mustGraph(name string, directed, weighted bool, vertices []int64, edges []g
 	for _, v := range vertices {
 		b.AddVertex(v)
 	}
-	for _, e := range edges {
-		b.AddWeightedEdge(e.Src, e.Dst, e.Weight)
-	}
+	b.AddEdges(edges)
 	g, err := b.Build()
 	if err != nil {
 		panic(fmt.Sprintf("conformance: build %s: %v", name, err))

@@ -77,9 +77,9 @@ func GetFrom(s *graphstore.Store, id string) (graphstore.Result, error) {
 // Warm materializes every catalog dataset through the store on a bounded
 // worker pool, reporting each outcome to onEach (which may be nil; calls
 // are serialized). A canceled context stops scheduling new datasets;
-// in-flight materializations finish, since other loads may join them. The
-// first materialization error is returned after the pool drains, alongside
-// any context error.
+// in-flight materializations finish, since other loads may join them.
+// After the pool drains, the error of the earliest failing dataset in
+// catalog order is returned, or else any context error.
 func Warm(ctx context.Context, s *graphstore.Store, parallel int, onEach func(id string, r graphstore.Result, err error)) error {
 	ids := make([]string, 0, len(Catalog()))
 	for _, d := range Catalog() {
@@ -90,6 +90,9 @@ func Warm(ctx context.Context, s *graphstore.Store, parallel int, onEach func(id
 
 // WarmIDs is Warm over an explicit dataset list — the only way to warm
 // out-of-core XL datasets, which Catalog (and therefore Warm) excludes.
+// Each dataset's error keeps its list slot, so the error returned is the
+// earliest failing dataset's in list order, whatever order the workers
+// finished in.
 func WarmIDs(ctx context.Context, s *graphstore.Store, parallel int, datasets []string, onEach func(id string, r graphstore.Result, err error)) error {
 	if parallel < 1 {
 		parallel = 1
@@ -98,42 +101,43 @@ func WarmIDs(ctx context.Context, s *graphstore.Store, parallel int, datasets []
 		parallel = len(datasets)
 	}
 	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
+		wg   sync.WaitGroup
+		mu   sync.Mutex // serializes onEach
+		errs = make([]error, len(datasets))
 	)
-	ids := make(chan string)
+	next := make(chan int)
 	for w := 0; w < parallel; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for id := range ids {
+			for i := range next {
+				id := datasets[i]
 				r, err := GetFrom(s, id)
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("workload: warm %s: %w", id, err)
+				if err != nil {
+					errs[i] = fmt.Errorf("workload: warm %s: %w", id, err)
 				}
 				if onEach != nil {
+					mu.Lock()
 					onEach(id, r, err)
+					mu.Unlock()
 				}
-				mu.Unlock()
 			}
 		}()
 	}
 feed:
-	for _, id := range datasets {
+	for i := range datasets {
 		select {
-		case ids <- id:
+		case next <- i:
 		case <-ctx.Done():
 			break feed
 		}
 	}
-	close(ids)
+	close(next)
 	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if firstErr != nil {
-		return firstErr
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	return ctx.Err()
 }

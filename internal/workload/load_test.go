@@ -2,6 +2,7 @@ package workload_test
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 
@@ -125,6 +126,19 @@ func TestWarmHonorsCanceledContext(t *testing.T) {
 	s := graphstore.New(graphstore.Options{})
 	if err := workload.Warm(ctx, s, 2, nil); err == nil {
 		t.Fatal("warm with a canceled context must report the context error")
+	}
+}
+
+// When several datasets fail, WarmIDs names the earliest in list order,
+// not the first to finish failing.
+func TestWarmIDsReturnsEarliestFailure(t *testing.T) {
+	ids := []string{"nope1", "nope2", "nope3", "nope4"}
+	s := graphstore.New(graphstore.Options{})
+	for i := 0; i < 200; i++ {
+		err := workload.WarmIDs(context.Background(), s, 4, ids, nil)
+		if err == nil || !strings.Contains(err.Error(), `"nope1"`) {
+			t.Fatalf("call %d: error %v, want the one naming nope1", i, err)
+		}
 	}
 }
 

@@ -155,39 +155,31 @@ func friendsterStandIn() (*graph.Graph, error) {
 		TargetCC:  0.10,
 		Seed:      0xf12e,
 		Weighted:  false,
+		Name:      "com-friendster-lite",
 	})
 	if err != nil {
 		return nil, fmt.Errorf("workload: friendster stand-in: %w", err)
 	}
-	g := res.Graph
-	return renameGraph(g, "com-friendster-lite")
+	return res.Graph, nil
 }
 
-// twitterStandIn is a skewed directed power-law follower graph.
+// twitterStandIn is a skewed directed power-law follower graph. Into names
+// the builder after the generator; the name is set after it, before Build.
 func twitterStandIn() (*graph.Graph, error) {
-	g, err := graph500.Generate(graph500.Config{
+	b := graph.NewBuilder(true, false)
+	err := graph500.Into(graph500.Config{
 		Scale:      13,
 		EdgeFactor: 24,
 		Seed:       0x7177e2,
 		A:          0.65, B: 0.15, C: 0.15,
 		Directed: true,
-	})
+	}, b)
+	var g *graph.Graph
+	if err == nil {
+		g, err = b.SetName("twitter-mpi-lite").Build()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("workload: twitter stand-in: %w", err)
 	}
-	return renameGraph(g, "twitter-mpi-lite")
-}
-
-// renameGraph rebuilds the graph under a new name (graphs are immutable).
-func renameGraph(g *graph.Graph, name string) (*graph.Graph, error) {
-	b := graph.NewBuilder(g.Directed(), g.Weighted())
-	b.SetName(name)
-	b.SetOptions(graph.BuildOptions{DedupEdges: true, DropSelfLoops: true})
-	for _, id := range g.IDs() {
-		b.AddVertex(id)
-	}
-	for _, e := range g.Edges() {
-		b.AddWeightedEdge(e.Src, e.Dst, e.Weight)
-	}
-	return b.Build()
+	return g, nil
 }

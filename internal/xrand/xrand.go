@@ -32,6 +32,15 @@ func (r *Rand) Uint64() uint64 {
 	return Mix(r.state)
 }
 
+// Next is Uint64 on a value: it returns the generator one draw on and that
+// draw. A loop that writes the returned generator back to a local
+// variable keeps the state in a register, where Uint64's pointer receiver
+// would make every draw load and store it.
+func (r Rand) Next() (Rand, uint64) {
+	r.state += gamma
+	return r, Mix(r.state)
+}
+
 // Skip advances the generator past the next n draws in O(1): the state is
 // a Weyl sequence, so n steps add n·gamma (mod 2^64). A consumer that
 // takes a fixed number of draws per item can therefore start the stream of

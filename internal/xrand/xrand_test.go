@@ -62,6 +62,23 @@ func TestSkipMatchesDraws(t *testing.T) {
 	}
 }
 
+// TestNextMatchesUint64 pins Next to the stream Uint64 draws, and checks
+// that it leaves its receiver where it was.
+func TestNextMatchesUint64(t *testing.T) {
+	drawn, next := xrand.New(23), *xrand.New(23)
+	for i := 0; i < 100; i++ {
+		var u uint64
+		before := next
+		next, u = next.Next()
+		if a := drawn.Uint64(); u != a {
+			t.Fatalf("draw %d: Next gives %x, Uint64 %x", i, u, a)
+		}
+		if _, again := before.Next(); again != u {
+			t.Fatalf("draw %d: Next moved its receiver", i)
+		}
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := xrand.New(seed)
